@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-self check bench bench-smoke bench-check load-smoke
+.PHONY: build vet test race lint lint-self check bench bench-smoke bench-check bench-module load-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,13 @@ bench-smoke:
 bench-check:
 	$(GO) run ./cmd/benchdiff -check -count 3 -benchtime 5x
 
+# bench-module vets and tests the end-to-end benchmark in bench/, its
+# own Go module built against this checkout (replace repro => ../), so
+# an API change that breaks the harness fails here rather than at the
+# next benchmark run. -short skips the workloads that build edgeschedd.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
 # load-smoke starts edgeschedd on a small topology, drives it with
 # edgeload for a few seconds, and fails on any request error, zero
 # throughput, or an unclean drain.
@@ -45,4 +52,4 @@ load-smoke:
 	./scripts/load_smoke.sh
 
 # check mirrors the CI pipeline (.github/workflows/ci.yml).
-check: build vet test race lint lint-self bench-check load-smoke
+check: build vet test race lint lint-self bench-check bench-module load-smoke

@@ -156,7 +156,7 @@ func main() {
 // BenchmarkEngineThroughput guards the serving path: its wall time is
 // the engine's whole value proposition (64 schedules against a warm
 // shared cache and pooled states), and its @allocs entry pins the
-// steady-state allocations per wave — a leak in resetFor or a lost
+// steady-state allocations per wave — a leak in state reset or a lost
 // pool hit shows up here as a multiple, not a percent.
 const defaultGate = "BenchmarkScheduleBA,BenchmarkScheduleBASinnen,BenchmarkScheduleBASinnenLarge,BenchmarkScheduleBASinnenLarge@allocs," +
 	"BenchmarkScheduleBASinnenManyProcs,BenchmarkScheduleOIHSA,BenchmarkScheduleBBSA," +

@@ -74,7 +74,7 @@ func (c *bwChunk) lastEnd() float64 { return c.segs[len(c.segs)-1].end }
 // so reserve's splits and gap-fills cost O(bwBlock), and each slab
 // carries saturation summaries that let Alloc/EstimateFinish skip
 // saturated stretches block-by-block. Both kernels remain bit-identical
-// to the retained linear reference (bwRef in reference.go): pruning is
+// to the retained linear reference (bwRef in reference_test.go): pruning is
 // conservative only, enforced by the differential sweeps and
 // FuzzBWTimelineDifferential.
 //
@@ -103,14 +103,6 @@ func (t *BWTimeline) Reset() {
 	t.chunks = t.chunks[:0]
 	t.nsegs = 0
 	t.maxAbs = 0
-}
-
-// ResetBWTimelines empties every ledger of the column in place,
-// retaining all backing capacity (see Reset).
-func ResetBWTimelines(ts []BWTimeline) {
-	for i := range ts {
-		ts[i].Reset()
-	}
 }
 
 // SegmentInfo exposes one segment for verification and display.

@@ -7,7 +7,7 @@ import (
 )
 
 // This file cross-checks the indexed probe kernels (timeline.go)
-// against the retained linear reference kernels (reference.go). The
+// against the retained linear reference kernels (reference.go, reference_test.go). The
 // contract is bit-identity, not closeness: every comparison below is
 // exact float equality, because the scheduler's determinism guarantees
 // (Workers-1-vs-8, rollback oracle) assume probes are pure functions of
@@ -200,7 +200,7 @@ func FuzzTimelineDifferential(f *testing.F) {
 // --- bandwidth ledger differential ----------------------------------
 //
 // The chunked, block-summary BWTimeline (bandwidth.go) against the
-// retained flat linear ledger (bwRef in reference.go). Same contract as
+// retained flat linear ledger (bwRef in reference_test.go). Same contract as
 // above: every chunk, segment, and estimate must match the reference
 // bit-for-bit, after every operation.
 

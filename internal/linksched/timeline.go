@@ -56,8 +56,9 @@ const gapBlock = 32
 // with End_{-1} = 0). ProbeBasic uses the summaries to skip whole
 // blocks that provably contain no admissible idle interval, which
 // makes the earliest-gap search sublinear while returning bit-
-// identical results to the plain scan (kept as a reference oracle in
-// reference.go and cross-checked by differential tests and fuzzing).
+// identical results to the plain scan (kept in reference.go, with the
+// probe oracles built on it in reference_test.go, and cross-checked by
+// differential tests and fuzzing).
 //
 // The index is maintained incrementally on every mutation — never
 // rebuilt lazily inside a probe — so probes stay strictly read-only:
@@ -100,14 +101,6 @@ func (t *Timeline) Reset() {
 	t.blkEnd = t.blkEnd[:0]
 	t.blkGap = t.blkGap[:0]
 	t.maxAbs = 0
-}
-
-// ResetTimelines empties every timeline of the column in place,
-// retaining all backing capacity (see Reset).
-func ResetTimelines(ts []Timeline) {
-	for i := range ts {
-		ts[i].Reset()
-	}
 }
 
 // Slots returns the occupied slots in start order. The slice is shared;
@@ -378,7 +371,7 @@ func (t *Timeline) ProbeOptimal(req Request, slack SlackFunc) (start, finish flo
 	// accumulated over the walked steps, no earlier position can be
 	// feasible and the scan stops. The margin only delays the break —
 	// extra iterations run the unchanged feasibility test — so results
-	// stay bit-identical to the full reference scan (reference.go).
+	// stay bit-identical to the full reference scan (reference_test.go).
 	lbDur := lb + req.Dur
 	mag := t.maxAbs
 	if m := math.Abs(lbDur); m > mag {

@@ -7,7 +7,7 @@ import (
 )
 
 // DefaultRouteCacheSize is the entry capacity of a route cache created
-// with size 0. A sweep instance touches at most |P|·(|P|−1) ordered
+// with capacity 0. A sweep instance touches at most |P|·(|P|−1) ordered
 // processor pairs; 4096 covers a 64-processor machine completely.
 const DefaultRouteCacheSize = 4096
 
@@ -23,11 +23,10 @@ const DefaultRouteCacheSize = 4096
 // The cache is internally sharded: each shard is an independent LRU
 // under its own mutex, and a (src, dst) pair hashes to exactly one
 // shard, so concurrent lookups of distinct pairs mostly touch distinct
-// locks. NewRouteCache builds a single shard (the historical
-// behaviour, exact global LRU); NewShardedRouteCache spreads the
-// capacity over a power-of-two shard count for concurrent callers.
-// Sharding changes only eviction locality, never cached values — a
-// route is a pure function of the topology either way.
+// locks. One shard is an exact global LRU; more shards spread the
+// capacity for concurrent callers. Sharding changes only eviction
+// locality, never cached values — a route is a pure function of the
+// topology either way.
 //
 // Every lock acquisition first tries a non-blocking TryLock and counts
 // the failures, so the cache measures its own mutex contention:
@@ -64,19 +63,13 @@ type routeEntry struct {
 	err   error
 }
 
-// NewRouteCache returns an empty single-shard cache holding at most
-// capacity entries (DefaultRouteCacheSize when capacity is 0 or
-// negative).
-func NewRouteCache(capacity int) *RouteCache {
-	return NewShardedRouteCache(capacity, 1)
-}
-
-// NewShardedRouteCache returns an empty cache of the given total
-// capacity spread over shards independently locked LRUs. The shard
-// count is rounded up to a power of two (1 when zero or negative);
-// capacity defaults like NewRouteCache and is divided evenly, so
-// per-shard eviction approximates the global LRU.
-func NewShardedRouteCache(capacity, shards int) *RouteCache {
+// NewRouteCache returns an empty cache holding at most capacity
+// entries (DefaultRouteCacheSize when capacity is 0 or negative),
+// spread over shards independently locked LRUs. The shard count is
+// rounded up to a power of two (1 when zero or negative) and the
+// capacity divided evenly, so per-shard eviction approximates the
+// global LRU.
+func NewRouteCache(capacity, shards int) *RouteCache {
 	if capacity <= 0 {
 		capacity = DefaultRouteCacheSize
 	}

@@ -22,7 +22,7 @@ func routerTopologies(r *rand.Rand) []*Topology {
 func TestRouterMatchesTopologyBFS(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for ti, top := range routerTopologies(r) {
-		router := top.NewRouter(NewRouteCache(0))
+		router := top.NewRouter(NewRouteCache(0, 1))
 		procs := top.Processors()
 		for _, src := range procs {
 			for _, dst := range procs {
@@ -108,7 +108,7 @@ func TestRouterScratchSurvivesReuse(t *testing.T) {
 
 func TestRouteCacheHitsAndEviction(t *testing.T) {
 	top := Line(8, Uniform(1), Uniform(1))
-	cache := NewRouteCache(3)
+	cache := NewRouteCache(3, 1)
 	router := top.NewRouter(cache)
 	procs := top.Processors()
 
@@ -163,7 +163,7 @@ func TestRouteCacheCachesRoutingErrors(t *testing.T) {
 	top := NewTopology()
 	a := top.AddProcessor("a", 1)
 	b := top.AddProcessor("b", 1)
-	cache := NewRouteCache(0)
+	cache := NewRouteCache(0, 1)
 	router := top.NewRouter(cache)
 	for pass := 0; pass < 2; pass++ {
 		if _, err := router.BFSRoute(a, b); err == nil {
@@ -179,7 +179,7 @@ func TestRouteCacheConcurrentSharing(t *testing.T) {
 	// Several routers sharing one cache, hammering the same pairs. Run
 	// under -race this checks the locking.
 	top := Mesh2D(3, 3, Uniform(1), Uniform(1))
-	cache := NewRouteCache(16)
+	cache := NewRouteCache(16, 1)
 	procs := top.Processors()
 	done := make(chan Route)
 	for w := 0; w < 4; w++ {

@@ -129,10 +129,8 @@ func ReplayAssignment(g *dag.Graph, net *network.Topology, donor *Schedule, name
 // policies, skipping processor selection entirely. It is the evaluation
 // primitive of replay baselines and the local-search refiner.
 func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.NodeID, opts Options, name string) (*Schedule, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
+	s, err := newState(g, net, opts)
+	if err != nil {
 		return nil, err
 	}
 	if len(assign) != g.NumTasks() {
@@ -143,10 +141,6 @@ func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.No
 			return nil, fmt.Errorf("sched: task %d assigned to invalid processor %d", tid, p)
 		}
 	}
-	s, err := newState(g, net, opts)
-	if err != nil {
-		return nil, err
-	}
 	order, err := priorityOrder(g, opts.Priority)
 	if err != nil {
 		return nil, err
@@ -156,14 +150,5 @@ func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.No
 			return nil, err
 		}
 	}
-	return &Schedule{
-		Algorithm: name,
-		Graph:     g,
-		Net:       net,
-		Tasks:     s.tasks,
-		Edges:     s.edges.materialize(),
-		Makespan:  makespan(s.tasks),
-		HopDelay:  opts.HopDelay,
-		Switching: opts.Switching,
-	}, nil
+	return s.result(name), nil
 }

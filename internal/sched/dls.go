@@ -39,12 +39,6 @@ func (d *DLS) Name() string { return "DLS" }
 
 // Schedule implements Algorithm.
 func (d *DLS) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
 	s, err := newState(g, net, d.Opts)
 	if err != nil {
 		return nil, err
@@ -107,16 +101,7 @@ func (d *DLS) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
 			}
 		}
 	}
-	return &Schedule{
-		Algorithm: d.Name(),
-		Graph:     g,
-		Net:       net,
-		Tasks:     s.tasks,
-		Edges:     s.edges.materialize(),
-		Makespan:  makespan(s.tasks),
-		HopDelay:  d.Opts.HopDelay,
-		Switching: d.Opts.Switching,
-	}, nil
+	return s.result(d.Name()), nil
 }
 
 // compBottomLevels returns computation-only bottom levels (no
@@ -166,12 +151,6 @@ func (c *CPOP) Name() string { return "CPOP" }
 
 // Schedule implements Algorithm.
 func (c *CPOP) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
 	s, err := newState(g, net, c.Opts)
 	if err != nil {
 		return nil, err
@@ -223,14 +202,5 @@ func (c *CPOP) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) 
 			return nil, err
 		}
 	}
-	return &Schedule{
-		Algorithm: c.Name(),
-		Graph:     g,
-		Net:       net,
-		Tasks:     s.tasks,
-		Edges:     s.edges.materialize(),
-		Makespan:  makespan(s.tasks),
-		HopDelay:  c.Opts.HopDelay,
-		Switching: c.Opts.Switching,
-	}, nil
+	return s.result(c.Name()), nil
 }

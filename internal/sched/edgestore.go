@@ -72,12 +72,8 @@ type edgeStore struct {
 // init sizes the store for edge IDs in [0, n) and empties the arenas,
 // reusing backing arrays a pooled state already owns.
 func (st *edgeStore) init(n int) {
-	if cap(st.meta) < n {
-		st.meta = make([]edgeMeta, n)
-	} else {
-		st.meta = st.meta[:n]
-		clear(st.meta)
-	}
+	st.meta = sizeColumn(st.meta, n)
+	clear(st.meta)
 	st.routes = st.routes[:0]
 	st.legs = st.legs[:0]
 	st.chunks = st.chunks[:0]

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dag"
-	"repro/internal/linksched"
 	"repro/internal/network"
 )
 
@@ -26,9 +25,10 @@ import (
 //     once.
 //   - pooled mutable: the per-request scheduler state (timeline
 //     columns, columnar edge arenas, transaction journals, router
-//     scratch, fork replicas). Drawn from a sync.Pool and fully reset
-//     between requests (resetFor), so steady-state requests reuse the
-//     arena capacity of their predecessors instead of reallocating it.
+//     scratch, fork replicas). Drawn from the package's one state pool
+//     — the same one fork replicas live in — and rebound by reset, the
+//     one state initializer, so steady-state requests reuse the arena
+//     capacity of their predecessors instead of reallocating it.
 //   - per request: the task placements and the materialized Schedule,
 //     which escape to the caller and are always freshly allocated.
 //
@@ -52,10 +52,8 @@ type EngineOptions struct {
 	// defaults to "engine".
 	Name string
 	// Opts selects the scheduling policies, exactly as for NewCustom.
-	// Opts.RouteCache is ignored: the engine always installs its own
-	// shared cache. Opts.ProbeWorkers applies per request; under
-	// concurrent load keep it at 1 (the default) and let concurrency
-	// come from the requests themselves.
+	// Opts.ProbeWorkers applies per request; under concurrent load keep
+	// it at 1 and let concurrency come from the requests themselves.
 	Opts Options
 	// MaxConcurrent bounds the requests scheduled simultaneously (the
 	// worker pool). 0 uses GOMAXPROCS.
@@ -64,14 +62,6 @@ type EngineOptions struct {
 	// before Schedule fails fast with ErrOverloaded. 0 means unbounded
 	// waiting (backpressure by blocking).
 	MaxQueue int
-	// RouteCacheSize is the shared route cache capacity. 0 auto-sizes
-	// to cover every ordered processor pair, clamped to
-	// [DefaultRouteCacheSize, 1<<22].
-	RouteCacheSize int
-	// RouteCacheShards is the cache's lock-shard count. 0 picks a
-	// power of two near 4×MaxConcurrent so concurrent lookups of
-	// distinct pairs rarely share a mutex.
-	RouteCacheShards int
 	// WarmRoutes precomputes the BFS route of every ordered processor
 	// pair at construction, so even the first requests hit the cache.
 	// Skipped (routes warm on demand) when the pair count exceeds the
@@ -91,7 +81,7 @@ type EngineStats struct {
 	Failures  int64 // requests that returned an error
 	Rejected  int64 // requests refused by admission control
 	InFlight  int64 // requests currently holding a worker slot
-	ColdState int64 // requests that built a state instead of pooling one
+	ColdState int64 // requests whose state was not last bound to this engine
 
 	SelfChecks int64 // cold re-runs performed by the determinism oracle
 
@@ -124,8 +114,6 @@ type Engine struct {
 	closed   bool
 	inflight sync.WaitGroup
 
-	pool sync.Pool // *state, all built against net+opts+cache
-
 	selfCheckEvery int
 
 	requests   atomic.Int64
@@ -145,8 +133,11 @@ func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	if eo.Opts.Duplication && eo.Opts.TaskPolicy != TaskAppend {
-		return nil, fmt.Errorf("sched: duplication requires the append task policy")
+	if err := eo.Opts.validate(); err != nil {
+		return nil, err
+	}
+	if eo.SelfCheckEvery < 0 {
+		return nil, fmt.Errorf("sched: negative SelfCheckEvery %d", eo.SelfCheckEvery)
 	}
 	name := eo.Name
 	if name == "" {
@@ -156,39 +147,23 @@ func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// The shared route cache covers every ordered processor pair
+	// (clamped to [DefaultRouteCacheSize, 1<<22]) over a power of two
+	// near 4×workers lock shards, so concurrent lookups of distinct
+	// pairs rarely share a mutex.
 	procs := net.NumProcessors()
 	pairs := procs * (procs - 1)
-	size := eo.RouteCacheSize
-	if size <= 0 {
-		size = pairs
-		if size < network.DefaultRouteCacheSize {
-			size = network.DefaultRouteCacheSize
-		}
-		if size > 1<<22 {
-			size = 1 << 22
-		}
-	}
-	shards := eo.RouteCacheShards
-	if shards <= 0 {
-		shards = 4 * workers
-		if shards > 256 {
-			shards = 256
-		}
-	}
+	size := min(max(pairs, network.DefaultRouteCacheSize), 1<<22)
 	e := &Engine{
-		name:          name,
-		opts:          eo.Opts,
-		net:           net,
-		cache:         network.NewShardedRouteCache(size, shards),
-		maxConcurrent: workers,
-		maxQueue:      eo.MaxQueue,
-		sem:           make(chan struct{}, workers),
+		name:           name,
+		opts:           eo.Opts,
+		net:            net,
+		cache:          network.NewRouteCache(size, min(4*workers, 256)),
+		maxConcurrent:  workers,
+		maxQueue:       eo.MaxQueue,
+		sem:            make(chan struct{}, workers),
+		selfCheckEvery: eo.SelfCheckEvery,
 	}
-	e.opts.RouteCache = nil // installed per state below; never trust the caller's
-	if eo.SelfCheckEvery < 0 {
-		return nil, fmt.Errorf("sched: negative SelfCheckEvery %d", eo.SelfCheckEvery)
-	}
-	e.selfCheckEvery = eo.SelfCheckEvery
 	if eo.WarmRoutes && pairs <= size {
 		e.warmRoutes()
 	}
@@ -216,11 +191,6 @@ func (e *Engine) warmRoutes() {
 // Name returns the display name stamped on produced schedules.
 func (e *Engine) Name() string { return e.name }
 
-// RouteCache returns the engine's shared route cache, for callers that
-// want to share its warmth with one-shot Schedule runs (via
-// Options.RouteCache) or inspect it directly.
-func (e *Engine) RouteCache() *network.RouteCache { return e.cache }
-
 // Topology returns the engine's (immutable) topology.
 func (e *Engine) Topology() *network.Topology { return e.net }
 
@@ -240,8 +210,9 @@ func (e *Engine) Schedule(g *dag.Graph) (*Schedule, error) {
 		return nil, err
 	}
 	defer e.release()
-	s, err := e.run(g, nil)
-	return s, err
+	s := statePool.Get().(*state)
+	defer recycle(s)
+	return e.run(g, s)
 }
 
 // ScheduleBatch schedules the graphs in order on ONE pooled state
@@ -260,10 +231,11 @@ func (e *Engine) ScheduleBatch(gs []*dag.Graph) ([]*Schedule, error) {
 		return nil, err
 	}
 	defer e.release()
+	st := statePool.Get().(*state)
+	defer recycle(st)
 	out := make([]*Schedule, len(gs))
-	var st *state
 	for i, g := range gs {
-		s, err := e.run(g, &st)
+		s, err := e.run(g, st)
 		if err != nil {
 			return nil, fmt.Errorf("sched: batch graph %d: %w", i, err)
 		}
@@ -307,79 +279,29 @@ func (e *Engine) release() {
 	<-e.sem
 }
 
-// run schedules one graph on a pooled state. With stp == nil the state
-// is taken from and returned to the pool inside the call; with a
-// non-nil stp the caller owns the state across calls (batching) and
-// run leaves it in *stp, returning it to the pool only on error.
-func (e *Engine) run(g *dag.Graph, stp **state) (*Schedule, error) {
+// run schedules one graph on s, a state drawn from the pool by the
+// caller: reset rebinds it to the engine's topology, options and shared
+// cache (a state last bound elsewhere counts as cold), and every
+// SelfCheckEvery'th request is re-run cold by the oracle.
+func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 	e.requests.Add(1)
 	seq := e.reqSeq.Add(1)
-	if err := g.Validate(); err != nil {
-		e.failures.Add(1)
-		return nil, err
-	}
-	var s *state
-	if stp != nil && *stp != nil {
-		s = *stp
-		s.resetFor(g)
-	} else {
-		var err error
-		if s, err = e.get(g); err != nil {
-			e.failures.Add(1)
-			return nil, err
+	var out *Schedule
+	err := g.Validate()
+	if err == nil {
+		if s.reset(g, e.net, e.opts, e.cache) {
+			e.coldStates.Add(1)
 		}
-		if stp != nil {
-			*stp = s
-		}
+		out, err = scheduleOn(s, e.name)
 	}
-	out, err := scheduleOn(s, e.name)
+	if n := e.selfCheckEvery; err == nil && n > 0 && seq%uint64(n) == 0 {
+		err = e.selfCheck(g, out)
+	}
 	if err != nil {
 		e.failures.Add(1)
-		if stp != nil {
-			*stp = nil
-		}
-		e.put(s)
 		return nil, err
 	}
-	if stp == nil {
-		e.put(s)
-	}
-	if n := e.selfCheckEvery; n > 0 && seq%uint64(n) == 0 {
-		if err := e.selfCheck(g, out); err != nil {
-			e.failures.Add(1)
-			return nil, err
-		}
-	}
 	return out, nil
-}
-
-// get draws a state from the pool (resetting it for g) or builds one
-// cold against the engine's topology, options and shared cache.
-func (e *Engine) get(g *dag.Graph) (*state, error) {
-	if v := e.pool.Get(); v != nil {
-		s := v.(*state)
-		s.resetFor(g)
-		return s, nil
-	}
-	e.coldStates.Add(1)
-	opts := e.opts
-	opts.RouteCache = e.cache
-	return newState(g, e.net, opts)
-}
-
-// put returns a state to the pool. The task and duplicate columns
-// escaped into the returned Schedule and the graph belongs to the
-// caller, so they are dropped here; everything else — timeline slabs,
-// edge arenas, journals, router scratch, closure caches — retains its
-// capacity for the next request.
-func (e *Engine) put(s *state) {
-	if s == nil || s.tx != nil {
-		return // a state stuck in a transaction is corrupt; drop it
-	}
-	s.g = nil
-	s.tasks = nil
-	s.dups = nil
-	e.pool.Put(s)
 }
 
 // selfCheck re-runs the request cold — fresh state, private route
@@ -390,7 +312,6 @@ func (e *Engine) put(s *state) {
 func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 	e.selfChecks.Add(1)
 	opts := e.opts
-	opts.RouteCache = nil
 	opts.ProbeWorkers = 1
 	s, err := newState(g, e.net, opts)
 	if err != nil {
@@ -434,44 +355,4 @@ func (e *Engine) Drain() {
 	e.closed = true
 	e.mu.Unlock()
 	e.inflight.Wait()
-}
-
-// resetFor reconfigures a pooled state for a new graph against the
-// state's existing topology and options — the engine-pool twin of
-// cloneInto. Everything request-visible is rewound to the cold-start
-// value (timelines emptied with their pruning bounds, arenas
-// truncated, journals resized with their epochs intact, processor
-// clocks zeroed), while every backing capacity is retained. The task
-// and duplicate columns are rebuilt fresh because the previous
-// request's Schedule owns the old ones. The cached relaxFn/slackFn
-// closures survive: they capture only s itself, whose options and
-// topology do not change inside one engine.
-func (s *state) resetFor(g *dag.Graph) {
-	if s.tx != nil {
-		panic("sched: resetFor inside a transaction")
-	}
-	s.g = g
-	linksched.ResetTimelines(s.tl)
-	linksched.ResetBWTimelines(s.bw)
-	linksched.ResetTimelines(s.ptl)
-	clear(s.procFinish)
-	s.tasks = make([]TaskPlacement, g.NumTasks())
-	for i := range s.tasks {
-		s.tasks[i] = TaskPlacement{Task: dag.TaskID(i), Proc: -1}
-	}
-	s.dups = nil
-	s.edges.init(g.NumEdges())
-	s.txSeq = 0
-	if s.txFree != nil {
-		s.txFree.taskOld.resize(len(s.tasks))
-		s.txFree.procOld.resize(len(s.procFinish))
-		s.txFree.edgeOld.resize(len(s.edges.meta))
-		s.txFree.tlSnaps.resize(len(s.tl))
-		s.txFree.bwSnaps.resize(len(s.bw))
-		s.txFree.ptlSnaps.resize(len(s.ptl))
-	}
-	s.stats.probes.Store(0)
-	s.stats.pruned.Store(0)
-	s.forks = s.forks[:0]
-	s.forkErrs = s.forkErrs[:0]
 }

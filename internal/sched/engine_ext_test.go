@@ -53,7 +53,6 @@ func engineTopology() *network.Topology {
 // state, private route cache, sequential probes.
 func coldRun(t *testing.T, name string, opts sched.Options, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
-	opts.RouteCache = nil
 	opts.ProbeWorkers = 1
 	s, err := sched.NewCustom(name, opts).Schedule(g, net)
 	if err != nil {
@@ -255,37 +254,5 @@ func TestEngineDrain(t *testing.T) {
 	}
 	if _, err := eng.ScheduleBatch([]*dag.Graph{engineGraph(0)}); !errors.Is(err, sched.ErrEngineClosed) {
 		t.Fatalf("post-drain ScheduleBatch: %v, want ErrEngineClosed", err)
-	}
-}
-
-// TestEngineSharedCacheWithOneShot pins satellite interop: a one-shot
-// ListScheduler handed the engine's warmed cache via Options.RouteCache
-// produces the bit-identical schedule and actually hits the cache.
-func TestEngineSharedCacheWithOneShot(t *testing.T) {
-	net := engineTopology()
-	opts := sched.NewBASinnen().Opts
-	eng, err := sched.NewEngine(net, sched.EngineOptions{
-		Name: "BA-EFT", Opts: opts, WarmRoutes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Drain()
-	g := engineGraph(3)
-	want := coldRun(t, "BA-EFT", opts, g, net)
-
-	hits0, _ := eng.RouteCache().Stats()
-	shared := opts
-	shared.RouteCache = eng.RouteCache()
-	got, err := sched.NewCustom("BA-EFT", shared).Schedule(g, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustVerify(t, got)
-	if d := sched.DiffSchedules(want, got); d != "" {
-		t.Fatalf("shared-cache run diverged from cold run: %s", d)
-	}
-	if hits1, _ := eng.RouteCache().Stats(); hits1 <= hits0 {
-		t.Fatal("one-shot run never hit the shared warmed cache")
 	}
 }

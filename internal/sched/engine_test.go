@@ -10,12 +10,12 @@ import (
 	"repro/internal/network"
 )
 
-// Pool-hygiene tests for the engine's state reuse. These live in the
-// package so they can drive resetFor directly and point the rollback
-// oracle's fingerprint machinery at the pooled state: the contract is
-// that a state which served request N and was reset for request N+1 is
-// indistinguishable — bit for bit, arenas, journals, timelines — from
-// a state built cold for request N+1.
+// Pool-hygiene tests for state reuse. These live in the package so they
+// can drive reset directly and point the rollback oracle's fingerprint
+// machinery at the pooled state: the contract is that a state which
+// served run N and was reset for run N+1 is indistinguishable — bit for
+// bit, arenas, journals, timelines — from a state built cold for run
+// N+1, whatever topology, policies or role run N had.
 
 // hygieneOptions are the policy sets whose states exercise every
 // column family: slot timelines with insertion + duplication, and
@@ -38,38 +38,103 @@ func hygieneGraph(seed int64, tasks int) *dag.Graph {
 	})
 }
 
+// hygieneCase is one reuse scenario: a state that last ran under
+// prevOpts on prevNet — as a primary, or as a fork replica — is reset
+// for a run under opts on net.
+type hygieneCase struct {
+	prevNet, net   *network.Topology
+	prevOpts, opts Options
+	fork           bool
+}
+
+func hygieneCases() map[string]hygieneCase {
+	star5 := network.Star(5, network.Uniform(1), network.Uniform(1))
+	cases := map[string]hygieneCase{}
+	for name, opts := range hygieneOptions() {
+		cases[name] = hygieneCase{prevNet: star5, net: star5, prevOpts: opts, opts: opts}
+	}
+	// One pool serves fork replicas and engine states alike, so a state
+	// can come back from a different topology, policy set and role: a
+	// bandwidth + EFT replica on star:9 reused for slots + insertion on
+	// star:5. Its cached relaxation closure reads the bandwidth ledger
+	// and must not survive the change of engine.
+	cases["fork-bandwidth-star9-to-insertion-star5"] = hygieneCase{
+		prevNet: network.Star(9, network.Uniform(1), network.Uniform(1)),
+		net:     star5,
+		prevOpts: Options{Routing: RoutingDijkstra, ProcSelect: ProcSelectEFT,
+			Engine: EngineBandwidth},
+		opts: Options{Routing: RoutingDijkstra, ProcSelect: ProcSelectEFT,
+			TaskPolicy: TaskInsertion},
+		fork: true,
+	}
+	return cases
+}
+
+// placeInOrder commits tasks in the given order with the configured
+// processor selection.
+func placeInOrder(t *testing.T, s *state, order []dag.TaskID) {
+	t.Helper()
+	for _, tid := range order {
+		proc, err := s.selectProcessor(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.placeTask(tid, proc); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestResetForNoResidue is the fingerprint oracle for pooled reuse: a
-// state that scheduled a LARGE graph — populating arenas, journals and
-// timelines — then was reset for a small, differently shaped graph
-// must match a cold state for that graph exactly, and must go on to
-// produce the bit-identical schedule.
+// state that scheduled a LARGE graph — populating arenas, journals,
+// timelines and cached closures — then was reset for a small,
+// differently shaped graph must match a cold state for that graph
+// exactly, and must go on to produce the bit-identical schedule.
 //
 // edgelint:ignore verifysched — in-package (verify would cycle); the
 // schedules here are compared bit-for-bit against cold runs, and the
 // same engine paths run under the full validator in engine_ext_test.go.
 func TestResetForNoResidue(t *testing.T) {
-	for name, opts := range hygieneOptions() {
-		opts := opts
+	for name, c := range hygieneCases() {
+		c := c
 		t.Run(name, func(t *testing.T) {
-			net := network.Star(5, network.Uniform(1), network.Uniform(1))
 			big := hygieneGraph(7, 40)
 			small := hygieneGraph(8, 9)
 
-			pooled, err := newState(big, net, opts)
+			prev, err := newState(big, c.prevNet, c.prevOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := scheduleOn(pooled, "big"); err != nil {
+			pooled := prev
+			if c.fork {
+				// Half the graph on the primary, the rest on a replica,
+				// so the replica's own journals and closures carry
+				// residue too.
+				order, err := big.PriorityOrder()
+				if err != nil {
+					t.Fatal(err)
+				}
+				placeInOrder(t, prev, order[:len(order)/2])
+				pooled = prev.Clone()
+				placeInOrder(t, pooled, order[len(order)/2:])
+				if pooled.relaxFn == nil || pooled.txFree == nil {
+					t.Fatal("replica built no closures or journals; the case tests nothing")
+				}
+			} else if _, err := scheduleOn(prev, "big"); err != nil {
 				t.Fatal(err)
 			}
-			// The engine's put/get cycle: detach the escaped columns,
-			// then reset for the next request.
-			pooled.g = nil
-			pooled.tasks = nil
-			pooled.dups = nil
-			pooled.resetFor(small)
+			// An engine keeps its shared cache across requests; a state
+			// moving to another topology needs a cache of its own.
+			cache := pooled.routeCache
+			if c.prevNet != c.net {
+				cache = network.NewRouteCache(0, 1)
+			}
+			pooled.reset(small, c.net, c.opts, cache)
+			if c.prevOpts != c.opts && (pooled.relaxFn != nil || pooled.slackFn != nil) {
+				t.Fatal("reset kept closures cached under different options")
+			}
 
-			fresh, err := newState(small, net, opts)
+			fresh, err := newState(small, c.net, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +154,7 @@ func TestResetForNoResidue(t *testing.T) {
 					len(pooled.edges.routes), len(pooled.edges.legs), len(pooled.edges.chunks))
 			}
 			if d := fresh.captureFingerprint().diff(pooled); d != "" {
-				t.Fatalf("request N residue visible to request N+1: %s", d)
+				t.Fatalf("run N residue visible to run N+1: %s", d)
 			}
 
 			// The ground truth: the reused state schedules the small
@@ -126,9 +191,8 @@ func TestResetForJournalSizes(t *testing.T) {
 	if s.txFree == nil {
 		t.Fatal("schedule run left no reusable journal")
 	}
-	s.tasks, s.dups, s.g = nil, nil, nil
 	g2 := hygieneGraph(12, 50) // larger: journals must grow
-	s.resetFor(g2)
+	s.reset(g2, net, opts, s.routeCache)
 	s.checkJournalSizes(s.txFree) // panics on drift
 	if _, err := scheduleOn(s, "x"); err != nil {
 		t.Fatal(err)

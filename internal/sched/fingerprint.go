@@ -11,12 +11,13 @@ import (
 // restores the state bit-for-bit: a single store that is not journaled
 // by the matching touch*/cowEdgeLegs call corrupts the committed
 // schedule silently — the transactional sibling of a forgotten Clone
-// copy. With Options.VerifyRollback set, begin captures a deep
-// fingerprint of every journaled piece of state and rollback re-checks
-// it, panicking with the offending field and ID instead of letting the
-// corruption propagate into an unreproducible wrong schedule. The
-// txnjournal static analyzer enforces the same invariant at build
-// time; the oracle is the runtime ground truth it mirrors.
+// copy. With Options.VerifyRollbackEvery set (1 for every
+// transaction), begin captures a deep fingerprint of every journaled
+// piece of state and rollback re-checks it, panicking with the
+// offending field and ID instead of letting the corruption propagate
+// into an unreproducible wrong schedule. The txnjournal static
+// analyzer enforces the same invariant at build time; the oracle is the
+// runtime ground truth it mirrors.
 
 // fingerprint is a deep copy of everything rollback must restore. The
 // edge store is captured column by column: comparing the raw meta and
@@ -38,7 +39,7 @@ type fingerprint struct {
 
 // captureFingerprint deep-copies the rollback-visible state.
 //
-// edgelint:coldpath — rollback oracle, runs only under VerifyRollback
+// edgelint:coldpath — rollback oracle, runs only under VerifyRollbackEvery
 func (s *state) captureFingerprint() *fingerprint {
 	fp := &fingerprint{
 		tasks:      append([]TaskPlacement(nil), s.tasks...),
@@ -75,7 +76,7 @@ func (s *state) captureFingerprint() *fingerprint {
 // state matches bit-for-bit. All comparisons are deliberately exact:
 // rollback restores saved values, so even a 1-ulp drift is a bug.
 //
-// edgelint:coldpath — rollback oracle, runs only under VerifyRollback
+// edgelint:coldpath — rollback oracle, runs only under VerifyRollbackEvery
 func (fp *fingerprint) diff(s *state) string {
 	for i, want := range fp.tasks {
 		if s.tasks[i] != want {

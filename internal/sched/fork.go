@@ -91,33 +91,19 @@ func (s *state) Clone() *state {
 	return c
 }
 
-// cloneInto overwrites c with a deep copy of s. With the columnar
-// layout this is a flat column copy per field — copyColumn for the
-// placement columns, edgeStore.copyFrom for the edge arenas, and the
-// linksched bulk-copy paths for the timeline slabs — reusing every
-// backing buffer c already owns, so re-cloning a pooled replica of the
-// same topology allocates nothing in steady state.
-//
-// Three groups of fields deliberately do NOT copy over:
-//   - router scratch is rebuilt only when c's router was built against
-//     a different topology or route cache (the arrays are sized to the
-//     topology and carry no cross-clone state);
-//   - the cached relaxFn/slackFn closures reset to nil — a copied
-//     closure would still capture the ORIGINAL state — so each replica
-//     lazily rebuilds its own;
-//   - transaction state resets (tx nil, txSeq 0) and the reusable
-//     journals are re-sized to the new entity counts, which keeps the
-//     size-drift check in begin honest for pooled replicas.
+// cloneInto overwrites c with a deep copy of s: reset binds c to s's
+// graph, topology, options and route cache — rebuilding c's router
+// only when c last served a different topology or cache, dropping its
+// cached closures only when the options differ, and resizing its
+// journals — and then the columns are copied over, flat per field:
+// copyColumn for the placement columns, edgeStore.copyFrom for the edge
+// arenas, and the linksched bulk-copy paths for the timeline slabs.
+// Every backing buffer c already owns is reused (only the task column
+// is allocated afresh by reset), so re-cloning a pooled replica of the
+// same problem is copy() work. The replica shares the parent's probe
+// counters.
 func (s *state) cloneInto(c *state) {
-	if c.router == nil || c.routerNet != s.net || c.routeCache != s.routeCache {
-		c.router = s.net.NewRouter(s.routeCache)
-		c.routerNet = s.net
-	}
-	c.g = s.g
-	c.net = s.net
-	c.opts = s.opts
-	c.mls = s.mls
-	c.routeCache = s.routeCache
+	c.reset(s.g, s.net, s.opts, s.routeCache)
 	c.stats = s.stats
 	c.procFinish = copyColumn(c.procFinish, s.procFinish)
 	c.tasks = copyColumn(c.tasks, s.tasks)
@@ -126,29 +112,26 @@ func (s *state) cloneInto(c *state) {
 	c.tl = linksched.CopyTimelines(c.tl, s.tl)
 	c.bw = linksched.CopyBWTimelines(c.bw, s.bw)
 	c.ptl = linksched.CopyTimelines(c.ptl, s.ptl)
-	c.tx = nil
-	c.txSeq = 0
-	if c.txFree != nil {
-		c.txFree.taskOld.resize(len(s.tasks))
-		c.txFree.procOld.resize(len(s.procFinish))
-		c.txFree.edgeOld.resize(len(s.edges.meta))
-		c.txFree.tlSnaps.resize(len(s.tl))
-		c.txFree.bwSnaps.resize(len(s.bw))
-		c.txFree.ptlSnaps.resize(len(s.ptl))
-	}
-	c.forks = c.forks[:0]
-	c.forkErrs = c.forkErrs[:0]
-	c.relaxEdgeCost = 0
-	c.relaxFn = nil
-	c.slackFn = nil
 }
 
-// statePool recycles fork replicas across Schedule runs: a replica's
-// columns, arenas, timeline slabs, journals and router scratch all
-// retain their capacity in the pool, so the next fork of a same-shaped
-// problem is pure copy() work. Only fork replicas are pooled — the
-// primary state's tasks/dups slices escape into the returned Schedule.
+// statePool recycles scheduler states of every role: fork replicas
+// when their run ends, and an Engine's per-request states. A state's
+// columns, arenas, timeline slabs, journals and router scratch all keep
+// their capacity in the pool; reset makes whatever comes out fit the
+// next problem, whatever its shape, topology or policies.
 var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// recycle returns s to the pool. The graph and the task and duplicate
+// columns belong to the caller (the columns escaped into a Schedule),
+// so the pool drops its references to them. A state stuck in a
+// transaction is corrupt and is dropped instead.
+func recycle(s *state) {
+	if s.tx != nil {
+		return
+	}
+	s.g, s.tasks, s.dups = nil, nil, nil
+	statePool.Put(s)
+}
 
 // fork creates the worker replicas for parallel EFT probing. Called
 // once per Schedule run, before any task is placed; releaseForks
@@ -174,7 +157,7 @@ func (s *state) fork(workers int) {
 func (s *state) releaseForks() {
 	for i, f := range s.forks {
 		s.forks[i] = nil
-		statePool.Put(f)
+		recycle(f)
 	}
 	s.forks = s.forks[:0]
 }

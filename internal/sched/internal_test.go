@@ -257,7 +257,7 @@ func TestCowEdgeLegsJournalsUntouchedEdge(t *testing.T) {
 func TestProbePanicSafe(t *testing.T) {
 	g := dag.Chain(2, 1, 10)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
-	s := mkState(t, g, net, Options{VerifyRollback: true})
+	s := mkState(t, g, net, Options{VerifyRollbackEvery: 1})
 	p := net.Processors()
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
@@ -288,9 +288,9 @@ func TestProbePanicSafe(t *testing.T) {
 	}
 }
 
-// TestRollbackOracleDetectsUnjournaledWrites arms VerifyRollback and
-// commits un-journaled writes inside a transaction: rollback must panic
-// and name the corrupted field.
+// TestRollbackOracleDetectsUnjournaledWrites arms the oracle on every
+// transaction and commits un-journaled writes inside one: rollback must
+// panic and name the corrupted field.
 func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 	corrupt := map[string]func(s *state){
 		"task": func(s *state) {
@@ -312,7 +312,7 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := dag.Chain(2, 1, 100)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
-			s := mkState(t, g, net, Options{VerifyRollback: true})
+			s := mkState(t, g, net, Options{VerifyRollbackEvery: 1})
 			p := net.Processors()
 			if _, err := s.placeTask(0, p[0]); err != nil {
 				t.Fatal(err)

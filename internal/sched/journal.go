@@ -20,27 +20,16 @@ type journal[V any] struct {
 	epoch uint32
 }
 
-// init sizes the journal for IDs in [0, n). Epochs start at 1 so the
-// zero-valued mark array means "nothing journaled".
+// resize sizes the journal for IDs in [0, n), keeping whatever buffers
+// it can: the value slots persist (their snapshot buffers stay reusable
+// via stale) and the touched-ID list keeps its capacity. Epochs start
+// at 1 so a cleared mark array means "nothing journaled". The marks are
+// cleared on any length change — shrinking and re-growing within
+// capacity would otherwise re-expose epoch stamps from a previous life
+// of the journal, and a stale stamp equal to the current epoch would
+// silently skip journaling.
 //
-// edgelint:coldpath — one-time journal sizing at newTxn
-func (j *journal[V]) init(n int) {
-	j.mark = make([]uint32, n)
-	j.vals = make([]V, n)
-	j.ids = make([]int32, 0, 16)
-	j.epoch = 1
-}
-
-// resize re-sizes the journal for IDs in [0, n), keeping whatever
-// buffers it can: the value slots persist (their snapshot buffers stay
-// reusable via stale) and the touched-ID list keeps its capacity. The
-// marks are cleared on any length change — shrinking and re-growing
-// within capacity would otherwise re-expose epoch stamps from a
-// previous life of the journal, and a stale stamp equal to the current
-// epoch would silently skip journaling. Called when a pooled state is
-// re-cloned onto a differently sized problem.
-//
-// edgelint:coldpath — pooled-state re-sizing at clone time
+// edgelint:coldpath — journal sizing at construction and state reset
 func (j *journal[V]) resize(n int) {
 	if n == len(j.mark) {
 		return
@@ -52,6 +41,9 @@ func (j *journal[V]) resize(n int) {
 		j.mark = j.mark[:n]
 		j.vals = j.vals[:n]
 		clear(j.mark)
+	}
+	if j.ids == nil {
+		j.ids = make([]int32, 0, 16)
 	}
 	j.ids = j.ids[:0]
 	j.epoch = 1

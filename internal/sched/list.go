@@ -298,16 +298,6 @@ type Options struct {
 	// the predecessor is duplicated onto the destination processor and
 	// the communication is dropped. Requires TaskAppend placement.
 	Duplication bool
-	// RouteCache, when non-nil, is consulted and warmed by this run
-	// instead of a fresh per-run cache, so the static BFS route work is
-	// amortized across every Schedule call sharing the cache. The cache
-	// is concurrency-safe and routes are pure functions of the
-	// topology, so sharing never changes a schedule — it only skips
-	// recomputing routes a previous run (or a concurrent one, see
-	// Engine) already found. It must have been used only with the same
-	// topology the run schedules against. nil keeps the historical
-	// behaviour: a private cache per run, warmed and then discarded.
-	RouteCache *network.RouteCache
 	// ProbeWorkers bounds the goroutines evaluating earliest-finish
 	// processor candidates concurrently (ProcSelectEFT only): the
 	// scheduler state is forked into that many replicas and the
@@ -315,21 +305,30 @@ type Options struct {
 	// 1 keeps the probes sequential on the primary state. Schedules
 	// are bit-identical at any setting — see fork.go.
 	ProbeWorkers int
-	// VerifyRollback arms the rollback oracle: every probe transaction
-	// captures a deep fingerprint of the scheduler state at begin and
-	// re-checks it after rollback, panicking with the offending
-	// field/link ID on any difference. A debugging and property-test
-	// aid — fingerprinting costs O(state) per probe, so leave it off
+	// VerifyRollbackEvery arms the rollback oracle: when N > 0, every
+	// Nth probe transaction captures a deep fingerprint of the
+	// scheduler state at begin and re-checks it after rollback,
+	// panicking with the offending field/link ID on any difference; 1
+	// checks every transaction. An un-journaled write on any probe of a
+	// deterministic schedule run repeats on the sampled ones, so
+	// sampling keeps the detection power at 1/N of the O(state)
+	// per-probe cost. A debugging and property-test aid — leave it off
 	// in production runs.
-	VerifyRollback bool
-	// VerifyRollbackEvery is the sampled variant of the oracle: when
-	// N > 0 (and VerifyRollback is off), every Nth probe transaction is
-	// fingerprinted instead of all of them. An un-journaled write on
-	// any probe of a deterministic schedule run repeats on the sampled
-	// ones, so sampling keeps the detection power at 1/N of the cost —
-	// cheap enough for ordinary test runs, not just the dedicated
-	// oracle CI job.
 	VerifyRollbackEvery int
+}
+
+// validate rejects policy sets no run can execute. It is the one
+// options check: newState applies it to every one-shot run, NewEngine
+// once per engine.
+func (o Options) validate() error {
+	if o.Duplication && o.TaskPolicy != TaskAppend {
+		return fmt.Errorf("sched: duplication requires the append task policy")
+	}
+	switch o.Engine {
+	case EngineSlots, EngineBandwidth, EnginePackets:
+		return nil
+	}
+	return fmt.Errorf("sched: unknown engine %v", o.Engine)
 }
 
 // priorityOrder returns the task order selected by the options.
@@ -422,7 +421,7 @@ type state struct {
 
 	procFinish []float64 // per node ID (processor entries only)
 	tasks      []TaskPlacement
-	edges      edgeStore // columnar edge schedules, see edgestore.go
+	edges      edgeStore       // columnar edge schedules, see edgestore.go
 	dups       []TaskPlacement // duplicated source tasks (Duplication)
 
 	tx *txn // active transaction, or nil
@@ -435,16 +434,17 @@ type state struct {
 	// oracle (Options.VerifyRollbackEvery).
 	txSeq uint64
 
-	// router performs route searches with reused scratch buffers;
-	// routeCache memoizes the static BFS routes and is shared (it is
-	// concurrency-safe) with every fork of this state. routerNet records
-	// the topology the router was built against so a pooled replica
-	// reuses its router's scratch arrays when re-cloned onto the same
-	// topology and cache (see cloneInto).
+	// router performs route searches with reused scratch buffers sized
+	// to net; routeCache memoizes the static BFS routes and is shared
+	// (it is concurrency-safe) with every fork of this state and, in an
+	// Engine, with every request. reset rebuilds the router only when
+	// the state is rebound to a different topology or cache.
 	router     *network.Router
-	routerNet  *network.Topology   // edgelint:shared — identity tag only, never dereferenced for mutation
 	routeCache *network.RouteCache // edgelint:shared — concurrency-safe LRU, shared with forks
-	stats      *probeStats         // edgelint:shared — shared across forks, atomic
+	// stats points at ownStats on a primary state and at the primary's
+	// counters on its forks.
+	stats    *probeStats // edgelint:shared — shared across forks, atomic
+	ownStats probeStats
 
 	// forks are the worker replicas for parallel EFT probing (empty in
 	// sequential runs); forkErrs is their per-commit error scratch.
@@ -461,59 +461,124 @@ type state struct {
 	// capture only s), so route searches and optimal insertions on the
 	// probe hot path do not allocate a fresh closure per call. The
 	// relaxation reads the current edge's cost from relaxEdgeCost,
-	// which relaxFunc sets before handing the closure out. Clone
-	// deliberately omits all three fields — a copied closure would
-	// still capture the ORIGINAL state — so each fork lazily rebuilds
-	// its own.
+	// which relaxFunc sets before handing the closure out. No code
+	// copies them between states — a copied closure would still capture
+	// the ORIGINAL state — so each fork builds its own, and reset drops
+	// them when the options change (buildRelaxFn bakes in opts.Engine).
 	relaxEdgeCost float64
 	relaxFn       network.RelaxFunc
 	slackFn       linksched.SlackFunc
 }
 
-// newState builds the mutable scheduling state for one run.
+// newState is the front door of every one-shot run — ListScheduler,
+// ScheduleAssignment, DLS, CPOP and the engine's self-check. It
+// validates the graph, topology and options once, then binds them to a
+// zero state with a private route cache, so the run starts cold. (An
+// Engine validates its topology and options once in NewEngine and binds
+// pooled states itself; see Engine.run.)
 func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error) {
-	if opts.Duplication && opts.TaskPolicy != TaskAppend {
-		return nil, fmt.Errorf("sched: duplication requires the append task policy")
-	}
-	s := &state{g: g, net: net, opts: opts, mls: net.MeanLinkSpeed(), stats: &probeStats{}}
-	s.routeCache = opts.RouteCache
-	if s.routeCache == nil {
-		// No shared cache supplied: a private per-run cache still
-		// amortizes routes across the probes within this run, but its
-		// warmup is lost when the run ends.
-		s.routeCache = network.NewRouteCache(0)
-	}
-	s.router = net.NewRouter(s.routeCache)
-	s.routerNet = net
-	nl := net.NumLinks()
-	switch opts.Engine {
-	case EngineSlots, EnginePackets:
-		s.tl = make([]linksched.Timeline, nl)
-	case EngineBandwidth:
-		s.bw = make([]linksched.BWTimeline, nl)
-	default:
-		return nil, fmt.Errorf("sched: unknown engine %v", opts.Engine)
-	}
-	s.procFinish = make([]float64, net.NumNodes())
-	if opts.TaskPolicy == TaskInsertion {
-		s.ptl = make([]linksched.Timeline, net.NumNodes())
-	}
-	s.tasks = make([]TaskPlacement, g.NumTasks())
-	for i := range s.tasks {
-		s.tasks[i] = TaskPlacement{Task: dag.TaskID(i), Proc: -1}
-	}
-	s.edges.init(g.NumEdges())
-	return s, nil
-}
-
-// Schedule implements Algorithm.
-func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	s := new(state)
+	s.reset(g, net, opts, network.NewRouteCache(0, 1))
+	return s, nil
+}
+
+// reset binds s to a run of g on net under opts, with static routes
+// memoized in cache, and rewinds everything run-visible to the
+// cold-start value while keeping every backing capacity it can. It is
+// the one state initializer: newState applies it to a zero state,
+// Engine.run to a pooled one, and cloneInto to a replica before
+// copying the parent's columns over. Whatever s did before — a
+// different graph, topology, policy set or role — leaves no residue:
+//
+//   - the router is rebuilt only when net or cache changed, which is
+//     what the result reports (an Engine counts those as cold states);
+//   - the cached relaxFn/slackFn closures are dropped when opts changed;
+//   - the timeline columns and processor clocks are sized from net and
+//     opts and emptied, the edge arenas truncated, the probe counters
+//     zeroed;
+//   - the task column is rebuilt fresh and unplaced (the previous run's
+//     Schedule owns the old one) and the duplicates dropped;
+//   - the reusable journals are resized to the new entity counts, which
+//     keeps the size-drift check in begin honest.
+func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options, cache *network.RouteCache) (rebound bool) {
+	if s.tx != nil {
+		panic("sched: reset inside a transaction")
+	}
+	if s.router == nil || s.net != net || s.routeCache != cache {
+		s.router = net.NewRouter(cache)
+		s.routeCache = cache
+		rebound = true
+	}
+	if s.opts != opts {
+		s.relaxFn, s.slackFn = nil, nil
+	}
+	s.g, s.net, s.opts = g, net, opts
+	s.mls = net.MeanLinkSpeed()
+	s.stats = &s.ownStats
+	s.ownStats.probes.Store(0)
+	s.ownStats.pruned.Store(0)
+
+	links, ptls := net.NumLinks(), 0
+	if opts.TaskPolicy == TaskInsertion {
+		ptls = net.NumNodes()
+	}
+	if opts.Engine == EngineBandwidth {
+		s.tl = emptyColumn(s.tl, 0)
+		s.bw = emptyColumn(s.bw, links)
+	} else {
+		s.tl = emptyColumn(s.tl, links)
+		s.bw = emptyColumn(s.bw, 0)
+	}
+	s.ptl = emptyColumn(s.ptl, ptls)
+	s.procFinish = sizeColumn(s.procFinish, net.NumNodes())
+	clear(s.procFinish)
+	s.tasks = make([]TaskPlacement, g.NumTasks())
+	for i := range s.tasks {
+		s.tasks[i] = TaskPlacement{Task: dag.TaskID(i), Proc: -1}
+	}
+	s.dups = nil
+	s.edges.init(g.NumEdges())
+
+	s.txSeq = 0
+	if s.txFree != nil {
+		s.sizeJournals(s.txFree)
+	}
+	return rebound
+}
+
+// sizeColumn returns col resliced to n entries, reusing its backing
+// array when it has the capacity. Reused entries keep their contents.
+func sizeColumn[T any](col []T, n int) []T {
+	if cap(col) < n {
+		return make([]T, n)
+	}
+	return col[:n]
+}
+
+// emptyColumn sizes a timeline column to n entries and empties each
+// one, keeping the slabs of reused entries for the next run.
+func emptyColumn[T any, P interface {
+	*T
+	Reset()
+}](col []T, n int) []T {
+	col = sizeColumn(col, n)
+	for i := range col {
+		P(&col[i]).Reset()
+	}
+	return col
+}
+
+// Schedule implements Algorithm.
+func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
 	s, err := newState(g, net, l.Opts)
 	if err != nil {
 		return nil, err
@@ -521,12 +586,9 @@ func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule
 	return scheduleOn(s, l.AlgorithmName)
 }
 
-// scheduleOn runs the unified list-scheduling loop on a prepared state
-// and materializes the Schedule. It is shared by the one-shot
-// ListScheduler entry point and the long-lived Engine, whose pooled
-// states arrive here via resetFor instead of newState. The returned
-// Schedule owns s.tasks and s.dups (they escape; see Engine.put) but
-// no other state memory — materialize builds a private view.
+// scheduleOn runs the unified list-scheduling loop on a bound state and
+// returns its result. It is shared by the one-shot ListScheduler entry
+// point and the long-lived Engine.
 func scheduleOn(s *state, name string) (*Schedule, error) {
 	order, err := priorityOrder(s.g, s.opts.Priority)
 	if err != nil {
@@ -545,6 +607,14 @@ func scheduleOn(s *state, name string) (*Schedule, error) {
 			return nil, err
 		}
 	}
+	return s.result(name), nil
+}
+
+// result materializes the finished run as a Schedule — the one
+// Schedule builder of every state-backed scheduler. The Schedule owns
+// s.tasks and s.dups (reset never reuses them) but no other state
+// memory: materialize builds a private view of the edge store.
+func (s *state) result(name string) *Schedule {
 	return &Schedule{
 		Algorithm:  name,
 		Graph:      s.g,
@@ -555,7 +625,7 @@ func scheduleOn(s *state, name string) (*Schedule, error) {
 		HopDelay:   s.opts.HopDelay,
 		Switching:  s.opts.Switching,
 		Duplicates: s.dups,
-	}, nil
+	}
 }
 
 // selectProcessor picks the processor for a ready task per the

@@ -100,7 +100,7 @@ func TestRollbackOracleProperty(t *testing.T) {
 					run := func(workers int) *sched.Schedule {
 						a := sched.NewCustom(algo.AlgorithmName, algo.Opts)
 						a.Opts.TaskPolicy = policy
-						a.Opts.VerifyRollback = true
+						a.Opts.VerifyRollbackEvery = 1
 						a.Opts.ProbeWorkers = workers
 						return mustSchedule(t, a, g, net)
 					}

@@ -83,7 +83,7 @@ func TestJournalSizeDriftPanics(t *testing.T) {
 // was never journaled this transaction.
 func TestJournalResizeClearsStaleMarks(t *testing.T) {
 	var j journal[int]
-	j.init(4)
+	j.resize(4)
 	j.put(3, 30)
 	j.resize(2)
 	j.resize(4) // re-grow within capacity, re-exposing index 3's mark
@@ -105,7 +105,7 @@ func TestJournalResizeClearsStaleMarks(t *testing.T) {
 // leak into the restarted one.
 func TestJournalResetEpochWraparound(t *testing.T) {
 	var j journal[int]
-	j.init(3)
+	j.resize(3)
 	j.epoch = ^uint32(0)
 	j.put(0, 10)
 	j.put(2, 30)

@@ -32,10 +32,9 @@ type txn struct {
 	// values plus this truncation restores the store exactly.
 	marks arenaMarks
 	// fp is the rollback oracle's deep fingerprint of the whole state,
-	// captured at begin when Options.VerifyRollback is set (or on every
-	// VerifyRollbackEvery'th transaction); rollback re-fingerprints
-	// after restoring and panics on any difference, naming the
-	// corrupted field and ID.
+	// captured at begin on every Options.VerifyRollbackEvery'th
+	// transaction; rollback re-fingerprints after restoring and panics
+	// on any difference, naming the corrupted field and ID.
 	fp *fingerprint
 }
 
@@ -56,34 +55,40 @@ func (s *state) begin() {
 	s.tx = s.txFree
 	s.tx.dupsLen = len(s.dups)
 	s.tx.marks = s.edges.marks()
-	if s.opts.VerifyRollback ||
-		(s.opts.VerifyRollbackEvery > 0 && s.txSeq%uint64(s.opts.VerifyRollbackEvery) == 0) {
+	if n := s.opts.VerifyRollbackEvery; n > 0 && s.txSeq%uint64(n) == 0 {
 		s.tx.fp = s.captureFingerprint()
 	}
 	s.txSeq++
 }
 
-// newTxn builds the state's reusable transaction journal, sized to the
-// state's entity counts. Runs once per state (per fork): every later
-// begin reuses the journal via s.txFree.
+// newTxn builds the state's reusable transaction journal. Runs once per
+// state: every later begin reuses the journal via s.txFree, and reset
+// resizes it whenever the state is rebound.
 //
 // edgelint:coldpath — one-time journal construction, reused via txFree
 func (s *state) newTxn() *txn {
 	tx := &txn{}
-	tx.taskOld.init(len(s.tasks))
-	tx.procOld.init(len(s.procFinish))
-	tx.edgeOld.init(len(s.edges.meta))
-	tx.tlSnaps.init(len(s.tl))
-	tx.bwSnaps.init(len(s.bw))
-	tx.ptlSnaps.init(len(s.ptl))
+	s.sizeJournals(tx)
 	return tx
+}
+
+// sizeJournals sizes every journal of tx to the state's entity counts.
+//
+// edgelint:coldpath — journal sizing at construction and reset
+func (s *state) sizeJournals(tx *txn) {
+	tx.taskOld.resize(len(s.tasks))
+	tx.procOld.resize(len(s.procFinish))
+	tx.edgeOld.resize(len(s.edges.meta))
+	tx.tlSnaps.resize(len(s.tl))
+	tx.bwSnaps.resize(len(s.bw))
+	tx.ptlSnaps.resize(len(s.ptl))
 }
 
 // checkJournalSizes verifies that the reusable journals still match the
 // state's entity counts: journal.put indexes mark[id] unchecked, so a
 // journal sized for a different entity census would corrupt memory or
 // panic opaquely deep inside a probe. Drift can only come from a bug in
-// the clone/pool plumbing (cloneInto resizes the journals), so this
+// the pool plumbing (reset resizes the journals), so this
 // fails loudly with a named panic rather than limping on.
 //
 // edgelint:noalloc
