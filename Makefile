@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-self check bench bench-smoke bench-check bench-module load-smoke
+.PHONY: build fmt-check vet test race lint lint-self check bench bench-smoke bench-check bench-module load-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails on any Go file gofmt would rewrite. The analyzers'
+# testdata fixtures are skipped: some keep deliberate layouts.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -52,4 +58,4 @@ load-smoke:
 	./scripts/load_smoke.sh
 
 # check mirrors the CI pipeline (.github/workflows/ci.yml).
-check: build vet test race lint lint-self bench-check bench-module load-smoke
+check: build fmt-check vet test race lint lint-self bench-check bench-module load-smoke

@@ -208,6 +208,30 @@ func BenchmarkScheduleOIHSA(b *testing.B) { benchAlgorithm(b, sched.NewOIHSA()) 
 // BenchmarkScheduleBBSA times BBSA on the same instance.
 func BenchmarkScheduleBBSA(b *testing.B) { benchAlgorithm(b, sched.NewBBSA()) }
 
+// BenchmarkScheduleLongLinks times the paper's three algorithms on one
+// 3000-task instance over 4 processors at CCR 10: few links carrying
+// long slot queues and bandwidth ledgers (1.5-2k entries per link), so
+// OIHSA's optimal insertion and BBSA's saturated-run walk dominate
+// rather than routing or processor choice.
+func BenchmarkScheduleLongLinks(b *testing.B) {
+	inst := workload.Generate(workload.Params{
+		Processors: 4, CCR: 10, MinTasks: 3000, MaxTasks: 3000, Seed: 42,
+	})
+	for _, a := range []sched.Algorithm{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()} {
+		b.Run("algo="+a.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := a.Schedule(inst.Graph, inst.Net)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.Makespan <= 0 {
+					b.Fatal("empty makespan")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScheduleClassic times the contention-free baseline.
 func BenchmarkScheduleClassic(b *testing.B) { benchAlgorithm(b, sched.NewClassic()) }
 
@@ -391,17 +415,24 @@ func BenchmarkTimelineProbeBasic(b *testing.B) {
 	}
 }
 
-// BenchmarkTimelineInsertOptimal measures optimal insertion with a
-// constant-slack oracle across the slot sweep.
+// BenchmarkTimelineInsertOptimal measures optimal insertion across the
+// slot sweep, every slot given a constant slack of 5 once placed, as
+// the scheduler stores it when an edge is sealed. The shift list is
+// handed back to each insert, as the scheduler's state-owned buffer is,
+// so the bytes per op are the timeline's own growth.
 func BenchmarkTimelineInsertOptimal(b *testing.B) {
-	slack := func(linksched.Owner) float64 { return 5 }
 	for _, n := range timelineSweep {
 		reqs := timelineReqs(n)
 		b.Run(fmt.Sprintf("slots=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var moved []linksched.Shifted
 			for i := 0; i < b.N; i++ {
 				tl := linksched.NewTimeline()
 				for j, req := range reqs {
-					tl.InsertOptimal(linksched.Owner{Edge: j}, req, slack)
+					owner := linksched.Owner{Edge: j}
+					var start float64
+					start, _, moved = tl.InsertOptimal(owner, req, moved)
+					tl.SetSlack(owner, start, 5)
 				}
 			}
 		})
@@ -437,30 +468,38 @@ func BenchmarkBandwidthAllocForward(b *testing.B) {
 // without reserving anything. Each ledger is grown past n segments
 // with a mix of saturating and partial-rate allocations, so the probe
 // crosses both skippable saturated runs and fragmented availability.
+// The mag=1e7 cases shift every time by 10^7, the scale long schedules
+// reach, where one ulp of a time is no longer small against Eps.
 func BenchmarkBandwidthEstimateFinish(b *testing.B) {
-	for _, n := range timelineSweep {
-		r := rand.New(rand.NewSource(1))
-		span := float64(n) * 2
-		bw := linksched.NewBWTimeline()
-		for j := 0; bw.NumSegments() < n; j++ {
-			cap := 0.0 // uncapped: saturates its span
-			if j%2 == 0 {
-				cap = 0.25 + r.Float64()*0.5
-			}
-			bw.Alloc(linksched.Owner{Edge: j}, r.Float64()*span, r.Float64()*50+1, 2, cap)
-		}
-		probes := make([]float64, 512)
-		for i := range probes {
-			probes[i] = r.Float64() * span
-		}
-		b.Run(fmt.Sprintf("segs=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				start, finish := bw.EstimateFinish(probes[i%len(probes)], 25, 2)
-				if finish < start {
-					b.Fatal("estimate finished before it started")
+	for _, m := range []struct {
+		label string
+		mag   float64
+	}{{"", 0}, {"mag=1e7/", 1e7}} {
+		mag := m.mag
+		for _, n := range timelineSweep {
+			r := rand.New(rand.NewSource(1))
+			span := float64(n) * 2
+			bw := linksched.NewBWTimeline()
+			for j := 0; bw.NumSegments() < n; j++ {
+				cap := 0.0 // uncapped: saturates its span
+				if j%2 == 0 {
+					cap = 0.25 + r.Float64()*0.5
 				}
+				bw.Alloc(linksched.Owner{Edge: j}, mag+r.Float64()*span, r.Float64()*50+1, 2, cap)
 			}
-		})
+			probes := make([]float64, 512)
+			for i := range probes {
+				probes[i] = mag + r.Float64()*span
+			}
+			b.Run(m.label+fmt.Sprintf("segs=%d", n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					start, finish := bw.EstimateFinish(probes[i%len(probes)], 25, 2)
+					if finish < start {
+						b.Fatal("estimate finished before it started")
+					}
+				}
+			})
+		}
 	}
 }
 

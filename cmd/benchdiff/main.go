@@ -158,8 +158,12 @@ func main() {
 // shared cache and pooled states), and its @allocs entry pins the
 // steady-state allocations per wave — a leak in state reset or a lost
 // pool hit shows up here as a multiple, not a percent.
+// BenchmarkScheduleLongLinks guards the paper's own kernels where they
+// dominate: on 1.5-2k-entry link queues a lost slack column or a
+// disabled slab hop costs OIHSA or BBSA a third of its time.
 const defaultGate = "BenchmarkScheduleBA,BenchmarkScheduleBASinnen,BenchmarkScheduleBASinnenLarge,BenchmarkScheduleBASinnenLarge@allocs," +
 	"BenchmarkScheduleBASinnenManyProcs,BenchmarkScheduleOIHSA,BenchmarkScheduleBBSA," +
+	"BenchmarkScheduleLongLinks/algo=BA,BenchmarkScheduleLongLinks/algo=OIHSA,BenchmarkScheduleLongLinks/algo=BBSA," +
 	"BenchmarkBandwidthAllocForward/jobs=10000,BenchmarkBandwidthEstimateFinish/segs=10000,BenchmarkTimelineProbeBasic/slots=10000@allocs," +
 	"BenchmarkEngineThroughput,BenchmarkEngineThroughput@allocs"
 

@@ -41,26 +41,21 @@ type seg struct {
 const bwBlock = 32
 
 // bwChunk is one slab of the chunked segment store together with the
-// block summaries the sublinear kernels prune on. The summaries are
-// pure folds of the slab's segments — recomputed by reindexChunk after
-// every mutation of the slab and verified exactly by Validate.
+// summary the sublinear kernels prune on: a pure fold of the slab's
+// segments, recomputed by reindexChunk after every mutation of the slab
+// and verified exactly by Validate.
 type bwChunk struct {
 	segs []seg // 1..2*bwBlock segments, globally sorted
 
-	// maxAvail is the exact float64 max of the segments' avail: a slab
-	// with maxAvail <= Eps is fully saturated everywhere it covers.
-	maxAvail float64
-	// maxGap is the largest idle gap between consecutive segments
-	// inside the slab (start[i] - end[i-1]); -Inf below two segments.
-	// A slab whose maxGap is safely below Eps has no internal gap the
-	// walk could stop in.
-	maxGap float64
-	// minEndDiff is the smallest spacing of consecutive segment ends
-	// inside the slab (end[i] - end[i-1]); +Inf below two segments.
-	// When it is safely above Eps, the cursor's end <= cur+Eps advance
-	// can never hop two of the slab's segments at once, which is what
-	// lets skipSaturated consume the slab in one step.
-	minEndDiff float64
+	// hop reports that skipSaturated's per-segment walk, once it has
+	// entered the slab at its first segment, would consume every segment
+	// in turn: each is saturated (avail <= Eps), each after the first
+	// starts no later than its predecessor's end plus Eps (no idle gap
+	// to stop in), and each ends beyond its predecessor's end plus Eps
+	// (the cursor's advance lands on it rather than past it). The tests
+	// are the walk's own float expressions, so the flag is exact at
+	// every time magnitude.
+	hop bool
 }
 
 // lastEnd is the slab's greatest segment end (ends increase strictly).
@@ -72,23 +67,16 @@ func (c *bwChunk) lastEnd() float64 { return c.segs[len(c.segs)-1].end }
 //
 // Segments live in chunked slabs (bwChunk) rather than one flat slice,
 // so reserve's splits and gap-fills cost O(bwBlock), and each slab
-// carries saturation summaries that let Alloc/EstimateFinish skip
+// carries a saturation flag that lets Alloc/EstimateFinish skip
 // saturated stretches block-by-block. Both kernels remain bit-identical
-// to the retained linear reference (bwRef in reference_test.go): pruning is
-// conservative only, enforced by the differential sweeps and
-// FuzzBWTimelineDifferential.
+// to the retained linear reference (bwRef in reference_test.go): a hop
+// takes exactly the steps the linear walk would, enforced by the
+// differential sweeps and FuzzBWTimelineDifferential.
 //
 // The zero value is an idle timeline ready for use.
 type BWTimeline struct {
 	chunks []bwChunk
 	nsegs  int // total segments across chunks
-
-	// maxAbs bounds the magnitude of every segment boundary ever
-	// stored, scaling the float-safety slack of the block prunes: the
-	// summary folds are exact, but the gap/spacing differences they
-	// summarize carry one subtraction rounding of at most
-	// 2*ulp(maxAbs). Only grows, surviving Restore, like Timeline's.
-	maxAbs float64
 }
 
 // NewBWTimeline returns an idle bandwidth timeline.
@@ -96,13 +84,10 @@ func NewBWTimeline() *BWTimeline { return &BWTimeline{} }
 
 // Reset empties the ledger in place, retaining the slab backing array
 // so a pooled scheduler state reuses it on its next request. The
-// result is indistinguishable from a fresh zero-value ledger — maxAbs
-// rewinds too, so the prune slack of a reused ledger matches a cold
-// run bit-for-bit.
+// result is indistinguishable from a fresh zero-value ledger.
 func (t *BWTimeline) Reset() {
 	t.chunks = t.chunks[:0]
 	t.nsegs = 0
-	t.maxAbs = 0
 }
 
 // SegmentInfo exposes one segment for verification and display.
@@ -192,30 +177,17 @@ func (t *BWTimeline) advanceEps(ci, si int, x float64) (int, int) {
 // of saturated coverage starting at cur, exactly as the per-segment
 // loop "cur = until; advance" of the linear kernels would: each step
 // requires the next segment to lead cur with no gap (start <= cur+Eps)
-// and to be saturated (avail <= Eps), and moves cur to its end. Whole
-// slabs are consumed in one step when their summaries prove every
-// per-segment test inside would pass: fully saturated (maxAvail <= Eps,
-// an exact fold), no internal gap (maxGap safely under Eps), and no
-// chance of the cursor hopping two segments at once (minEndDiff safely
-// over Eps) — "safely" meaning beyond the one-subtraction rounding
-// slack scaled by maxAbs, so the block test can only be conservative.
+// and to be saturated (avail <= Eps), and moves cur to its end. A slab
+// entered at its first segment is consumed in one step when that
+// segment passes the gap test and the slab's hop flag holds — the flag
+// certifies every later per-segment test inside.
 func (t *BWTimeline) skipSaturated(ci, si int, cur float64) (int, int, float64) {
 	ci, si = t.advanceEps(ci, si, cur)
-	// The summarized differences and the kernels' cur+Eps additions
-	// each round by one ulp of their operands' scale — at most
-	// (maxAbs+Eps)*2^-52 combined. 4e-15 over-covers that ~10× (the
-	// +Eps term keeps the floor honest when boundaries are tiny) while
-	// leaving the prunes engaged at any magnitude below ~2.5e5
-	// (Eps/4e-15). Beyond that the slabs are walked segment by segment
-	// — still exact, merely linear.
-	slack := (t.maxAbs + Eps) * 4e-15
 	for ci < len(t.chunks) {
 		c := &t.chunks[ci]
-		// edgelint:ignore floateq — conservative block prune: the exact
-		// entering-gap test plus summary thresholds; any slab that
-		// fails falls through to the authoritative per-segment walk.
-		if si == 0 && !(c.segs[0].start > cur+Eps) &&
-			c.maxAvail <= Eps && c.maxGap < Eps-slack && c.minEndDiff > Eps+slack {
+		// edgelint:ignore floateq — the exact entering-gap test of the
+		// walk; the flag covers the rest of the slab.
+		if si == 0 && c.hop && !(c.segs[0].start > cur+Eps) {
 			cur = c.lastEnd()
 			ci, si = t.advanceEps(ci+1, 0, cur)
 			continue
@@ -233,31 +205,31 @@ func (t *BWTimeline) skipSaturated(ci, si int, cur float64) (int, int, float64) 
 	return ci, si, cur
 }
 
-// foldMaxAbs grows the magnitude bound to cover |x|.
-func (t *BWTimeline) foldMaxAbs(x float64) {
-	if m := math.Abs(x); m > t.maxAbs {
-		t.maxAbs = m
-	}
-}
-
-// reindexChunk recomputes chunk ci's summaries from its segments.
+// reindexChunk recomputes chunk ci's hop flag from its segments.
 func (t *BWTimeline) reindexChunk(ci int) {
 	c := &t.chunks[ci]
-	maxAvail, maxGap, minEndDiff := math.Inf(-1), math.Inf(-1), math.Inf(1)
-	for i := range c.segs {
-		if a := c.segs[i].avail; a > maxAvail {
-			maxAvail = a
+	c.hop = hoppable(c.segs)
+}
+
+// hoppable folds a slab's hop flag (see bwChunk.hop). Each test is
+// written as the walk evaluates it, with cur the previous segment's
+// end: the gap stop "start > cur+Eps" and the cursor advance
+// "end > cur+Eps".
+func hoppable(segs []seg) bool {
+	for i := range segs {
+		if segs[i].avail > Eps {
+			return false
 		}
-		if i > 0 {
-			if g := c.segs[i].start - c.segs[i-1].end; g > maxGap {
-				maxGap = g
-			}
-			if d := c.segs[i].end - c.segs[i-1].end; d < minEndDiff {
-				minEndDiff = d
-			}
+		if i == 0 {
+			continue
+		}
+		// edgelint:ignore floateq — the walk's exact stop and advance
+		// predicates; the flag must agree with them bit for bit.
+		if y := segs[i-1].end + Eps; segs[i].start > y || !(segs[i].end > y) {
+			return false
 		}
 	}
-	c.maxAvail, c.maxGap, c.minEndDiff = maxAvail, maxGap, minEndDiff
+	return true
 }
 
 // insertSegAt inserts s before the segment at (ci, si); (len(chunks),
@@ -327,8 +299,6 @@ func (t *BWTimeline) reserve(owner Owner, a, b, rate float64) {
 	if b-a <= Eps || rate <= Eps {
 		return
 	}
-	t.foldMaxAbs(a)
-	t.foldMaxAbs(b)
 	t.split(a)
 	t.split(b)
 	// Walk from a to b covering idle gaps with fresh segments, starting
@@ -401,7 +371,7 @@ func (t *BWTimeline) Alloc(owner Owner, es, volume, speed, cap float64) []Chunk 
 		rate := math.Min(avail, cap)
 		if rate <= Eps {
 			// Link saturated here; wait for the next change point,
-			// hopping whole saturated slabs via the block summaries.
+			// hopping whole saturated slabs via their hop flags.
 			// (With cap <= Eps every rate is saturated regardless of
 			// availability, so there is nothing to skip to.)
 			cur = until
@@ -465,7 +435,7 @@ func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish fl
 	start = -1
 	// Monotone segment cursor: one seek seeds the walk, each iteration
 	// advances in amortized O(1), and saturated stretches are hopped
-	// slab-by-slab via the block summaries — the availability answers
+	// slab-by-slab via their hop flags — the availability answers
 	// are the ones availAt would give at every step.
 	ci, si := t.seekEps(cur)
 	for remaining > volume*1e-9+Eps/2 {
@@ -547,8 +517,8 @@ func (t *BWTimeline) Forward(owner Owner, in []Chunk, prevSpeed, speed, hopDelay
 // Validate checks the ledger invariants: segments sorted, non-
 // overlapping, with strictly increasing ends (the two-level search and
 // the slab hops rely on that exactly); each segment's shares summing to
-// 1-avail with avail ∈ [0, 1]; boundaries bounded by maxAbs; and every
-// slab's summaries exactly equal to a fresh recomputation.
+// 1-avail with avail ∈ [0, 1]; and every slab's hop flag equal to a
+// fresh recomputation.
 func (t *BWTimeline) Validate() error {
 	i := 0
 	prevEnd := math.Inf(-1)
@@ -578,9 +548,6 @@ func (t *BWTimeline) Validate() error {
 			if math.Abs((1-sum)-s.avail) > 1e-6 {
 				return fmt.Errorf("linksched: bw segment %d avail %v inconsistent with shares %v", i, s.avail, sum)
 			}
-			if math.Abs(s.start) > t.maxAbs || math.Abs(s.end) > t.maxAbs {
-				return fmt.Errorf("linksched: bw segment %d [%v, %v] exceeds magnitude bound %v", i, s.start, s.end, t.maxAbs)
-			}
 			prevEnd = s.end
 			i++
 		}
@@ -591,10 +558,10 @@ func (t *BWTimeline) Validate() error {
 	return t.validateChunks()
 }
 
-// validateChunks checks the slab structure and recomputes every block
-// summary, comparing exactly: the summaries are folds of the very
-// float64 values the recomputation reads, so any difference is an
-// index-maintenance bug, not rounding.
+// validateChunks checks the slab structure and recomputes every slab's
+// hop flag: the flag is a fold of the very float64 values the
+// recomputation reads, so any difference is an index-maintenance bug,
+// not rounding.
 func (t *BWTimeline) validateChunks() error {
 	for ci := range t.chunks {
 		c := &t.chunks[ci]
@@ -604,25 +571,8 @@ func (t *BWTimeline) validateChunks() error {
 		if len(c.segs) > 2*bwBlock {
 			return fmt.Errorf("linksched: bw chunk %d holds %d segments (max %d)", ci, len(c.segs), 2*bwBlock)
 		}
-		maxAvail, maxGap, minEndDiff := math.Inf(-1), math.Inf(-1), math.Inf(1)
-		for i := range c.segs {
-			if a := c.segs[i].avail; a > maxAvail {
-				maxAvail = a
-			}
-			if i > 0 {
-				if g := c.segs[i].start - c.segs[i-1].end; g > maxGap {
-					maxGap = g
-				}
-				if d := c.segs[i].end - c.segs[i-1].end; d < minEndDiff {
-					minEndDiff = d
-				}
-			}
-		}
-		// edgelint:ignore floateq — exact equality by design: same
-		// floats, same fold as reindexChunk.
-		if c.maxAvail != maxAvail || c.maxGap != maxGap || c.minEndDiff != minEndDiff {
-			return fmt.Errorf("linksched: bw chunk %d summaries (%v, %v, %v) != recomputed (%v, %v, %v)",
-				ci, c.maxAvail, c.maxGap, c.minEndDiff, maxAvail, maxGap, minEndDiff)
+		if hop := hoppable(c.segs); c.hop != hop {
+			return fmt.Errorf("linksched: bw chunk %d hop flag %v != recomputed %v", ci, c.hop, hop)
 		}
 	}
 	return nil
@@ -632,23 +582,14 @@ func (t *BWTimeline) validateChunks() error {
 // either copy never affect the other. Used by forked scheduler states
 // probing processor candidates in parallel.
 func (t *BWTimeline) Clone() *BWTimeline {
-	cp := make([]bwChunk, len(t.chunks))
-	for i := range t.chunks {
-		c := &t.chunks[i]
-		segs := make([]seg, len(c.segs))
-		for j, s := range c.segs {
-			segs[j] = seg{start: s.start, end: s.end, avail: s.avail, uses: append([]use(nil), s.uses...)}
-		}
-		cp[i] = bwChunk{segs: segs, maxAvail: c.maxAvail, maxGap: c.maxGap, minEndDiff: c.minEndDiff}
-	}
-	return &BWTimeline{chunks: cp, nsegs: t.nsegs, maxAbs: t.maxAbs}
+	c := new(BWTimeline)
+	c.CopyFrom(t)
+	return c
 }
 
 // BWSnapshot captures a BWTimeline for later Restore.
 type BWSnapshot struct {
-	chunks []bwChunk
-	nsegs  int
-	maxAbs float64
+	tl BWTimeline
 }
 
 // Snapshot returns a restorable deep copy of the current state.
@@ -663,18 +604,15 @@ func (t *BWTimeline) Snapshot() BWSnapshot {
 //
 // edgelint:noalloc
 func (t *BWTimeline) SnapshotInto(old BWSnapshot) BWSnapshot {
-	return BWSnapshot{chunks: copyChunks(old.chunks, t.chunks), nsegs: t.nsegs, maxAbs: t.maxAbs}
+	old.tl.CopyFrom(t)
+	return old
 }
 
 // Restore resets the timeline to a previously captured snapshot,
-// including the block summaries — no reindex needed.
+// including the hop flags — no reindex needed.
 //
 // edgelint:noalloc
-func (t *BWTimeline) Restore(s BWSnapshot) {
-	t.chunks = copyChunks(t.chunks, s.chunks)
-	t.nsegs = s.nsegs
-	t.maxAbs = s.maxAbs
-}
+func (t *BWTimeline) Restore(s BWSnapshot) { t.CopyFrom(&s.tl) }
 
 // copyChunks deep-copies src into dst's backing storage, reusing the
 // outer slice, the per-slab segment slices, and the per-segment use
@@ -692,7 +630,7 @@ func copyChunks(dst, src []bwChunk) []bwChunk {
 	for i := range src {
 		c := &src[i]
 		dst[i].segs = copySegs(dst[i].segs, c.segs)
-		dst[i].maxAvail, dst[i].maxGap, dst[i].minEndDiff = c.maxAvail, c.maxGap, c.minEndDiff
+		dst[i].hop = c.hop
 	}
 	return dst
 }
@@ -724,7 +662,6 @@ func copySegs(dst, src []seg) []seg {
 func (t *BWTimeline) CopyFrom(src *BWTimeline) {
 	t.chunks = copyChunks(t.chunks, src.chunks)
 	t.nsegs = src.nsegs
-	t.maxAbs = src.maxAbs
 }
 
 // CopyBWTimelines deep-copies the bandwidth ledgers of src into dst,

@@ -361,10 +361,10 @@ func TestBWValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("inverted segment accepted")
 	}
 	s0.end = end
-	// Corrupting a block summary without reindexing must be caught too.
-	bw.chunks[0].maxAvail = 0.25
+	// Corrupting a slab's hop flag without reindexing must be caught too.
+	bw.chunks[0].hop = !bw.chunks[0].hop
 	if err := bw.Validate(); err == nil {
-		t.Fatal("stale block summary accepted")
+		t.Fatal("stale hop flag accepted")
 	}
 	bw.reindexChunk(0)
 	// A segment count out of sync with the slabs must be caught.
@@ -373,9 +373,41 @@ func TestBWValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("wrong segment count accepted")
 	}
 	bw.nsegs--
-	// A boundary beyond the tracked magnitude bound must be caught.
-	bw.maxAbs = s0.end / 2
-	if err := bw.Validate(); err == nil {
-		t.Fatal("boundary beyond maxAbs accepted")
+	if err := bw.Validate(); err != nil {
+		t.Fatalf("repaired ledger rejected: %v", err)
+	}
+}
+
+// TestSkipSaturatedHopsAtLargeMagnitudes guards the slab hop against
+// switching off again: on a fully saturated, gap-free ledger of 10^4
+// segments, every slab must carry the hop flag at every time magnitude,
+// so skipSaturated crosses the ledger slab by slab and lands on its
+// exact end. (A float-safety margin scaled by the magnitude once
+// disabled the hop beyond ~2.5e5.)
+func TestSkipSaturatedHopsAtLargeMagnitudes(t *testing.T) {
+	for _, mag := range []float64{1e6, 1e7, 1e8} {
+		bw := NewBWTimeline()
+		cur := mag
+		for i := 0; bw.NumSegments() < 10000; i++ {
+			cs := bw.Alloc(o(i, 0), cur, 1+float64(i%3), 1, 0)
+			cur = cs[len(cs)-1].End
+		}
+		for ci := range bw.chunks {
+			if !bw.chunks[ci].hop {
+				t.Fatalf("mag %g: slab %d of %d (%d segments) is not hoppable",
+					mag, ci, len(bw.chunks), len(bw.chunks[ci].segs))
+			}
+		}
+		ci, _, end := bw.skipSaturated(0, 0, mag)
+		// edgelint:ignore floateq — the hop must land on the exact end.
+		if ci != len(bw.chunks) || end != cur {
+			t.Fatalf("mag %g: skip stopped at chunk %d/%d, time %v, want the ledger end %v",
+				mag, ci, len(bw.chunks), end, cur)
+		}
+		s, f := bw.EstimateFinish(mag, 1, 1)
+		// edgelint:ignore floateq — the estimate starts where the run ends.
+		if s != cur || f != cur+1 {
+			t.Fatalf("mag %g: EstimateFinish = (%v, %v), want (%v, %v)", mag, s, f, cur, cur+1)
+		}
 	}
 }

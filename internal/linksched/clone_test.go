@@ -5,18 +5,30 @@ import (
 	"testing"
 )
 
-// buildTimeline fills a timeline with a few non-adjacent slots.
+// buildTimeline fills a timeline with a few non-adjacent slots and a
+// slack column.
 func buildTimeline() *Timeline {
 	t := NewTimeline()
 	t.InsertBasic(Owner{Edge: 1}, Request{ES: 0, PF: 0, Dur: 3})
 	t.InsertBasic(Owner{Edge: 2}, Request{ES: 5, PF: 6, Dur: 2})
 	t.InsertBasic(Owner{Edge: 3}, Request{ES: 1, PF: 1, Dur: 1})
+	s := t.Slots()[1]
+	t.SetSlack(s.Owner, s.Start, 2)
 	return t
 }
 
+// timelineState is a timeline's full observable state.
+type timelineState struct {
+	Slots []Slot
+	Slack []float64
+}
+
 // timelineBytes snapshots a timeline's full observable state.
-func timelineBytes(t *Timeline) []Slot {
-	return append([]Slot(nil), t.Slots()...)
+func timelineBytes(t *Timeline) timelineState {
+	return timelineState{
+		Slots: append([]Slot(nil), t.Slots()...),
+		Slack: append([]float64(nil), t.Slack()...),
+	}
 }
 
 // TestTimelineCloneIndependence mutates a clone and asserts the
@@ -28,8 +40,10 @@ func TestTimelineCloneIndependence(t *testing.T) {
 
 	c := orig.Clone()
 	c.InsertBasic(Owner{Edge: 9}, Request{ES: 0, PF: 0, Dur: 10})
-	c.InsertOptimal(Owner{Edge: 10}, Request{ES: 0, PF: 0, Dur: 1},
-		func(Owner) float64 { return 100 })
+	storeSlackColumn(c, func(Owner) float64 { return 100 })
+	c.InsertOptimal(Owner{Edge: 10}, Request{ES: 0, PF: 0, Dur: 1}, nil)
+	s := c.Slots()[0]
+	c.SetSlack(s.Owner, s.Start, 7)
 
 	if got := timelineBytes(orig); !reflect.DeepEqual(before, got) {
 		t.Fatalf("mutating a Timeline clone changed the original:\nbefore %v\nafter  %v", before, got)

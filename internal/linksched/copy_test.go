@@ -19,8 +19,10 @@ func TestCopyFromIndependence(t *testing.T) {
 		t.Fatalf("CopyFrom did not reproduce the source: %v, want %v", got, before)
 	}
 	c.InsertBasic(Owner{Edge: 9}, Request{ES: 0, PF: 0, Dur: 10})
-	c.InsertOptimal(Owner{Edge: 10}, Request{ES: 0, PF: 0, Dur: 1},
-		func(Owner) float64 { return 100 })
+	storeSlackColumn(&c, func(Owner) float64 { return 100 })
+	c.InsertOptimal(Owner{Edge: 10}, Request{ES: 0, PF: 0, Dur: 1}, nil)
+	s := c.Slots()[0]
+	c.SetSlack(s.Owner, s.Start, 7)
 	if got := timelineBytes(orig); !reflect.DeepEqual(before, got) {
 		t.Fatalf("mutating a CopyFrom copy changed the original:\nbefore %v\nafter  %v", before, got)
 	}
@@ -55,7 +57,7 @@ func TestCopyTimelinesColumn(t *testing.T) {
 	for i := 0; i < gapBlock+8; i++ {
 		src[2].InsertBasic(Owner{Edge: i}, Request{ES: float64(2 * i), PF: float64(2 * i), Dur: 1})
 	}
-	want := [][]Slot{nil, timelineBytes(&src[1]), timelineBytes(&src[2])}
+	want := []timelineState{{}, timelineBytes(&src[1]), timelineBytes(&src[2])}
 
 	check := func(name string, dst []Timeline) {
 		t.Helper()
@@ -63,7 +65,7 @@ func TestCopyTimelinesColumn(t *testing.T) {
 			t.Fatalf("%s: %d timelines, want %d", name, len(dst), len(src))
 		}
 		for i := range dst {
-			if got := dst[i].Slots(); !reflect.DeepEqual(append([]Slot(nil), got...), want[i]) {
+			if got := timelineBytes(&dst[i]); !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("%s: timeline %d = %v, want %v", name, i, got, want[i])
 			}
 			if err := dst[i].Validate(); err != nil {
@@ -78,7 +80,7 @@ func TestCopyTimelinesColumn(t *testing.T) {
 	// window must reallocate privately instead of overwriting slots of
 	// the timeline carved after it.
 	cold[1].InsertBasic(Owner{Edge: 77}, Request{ES: 1e6, PF: 1e6, Dur: 1})
-	if got := append([]Slot(nil), cold[2].Slots()...); !reflect.DeepEqual(got, want[2]) {
+	if got := timelineBytes(&cold[2]); !reflect.DeepEqual(got, want[2]) {
 		t.Fatal("growing one carved timeline bled into its arena neighbor")
 	}
 
@@ -88,7 +90,7 @@ func TestCopyTimelinesColumn(t *testing.T) {
 		warm[i].InsertBasic(Owner{Edge: 88}, Request{ES: 2e6, PF: 2e6, Dur: 1})
 	}
 	for i := range src {
-		if got := timelineBytes(&src[i]); !reflect.DeepEqual(got, want[i]) && want[i] != nil {
+		if got := timelineBytes(&src[i]); !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("mutating a warm copy changed source timeline %d", i)
 		}
 	}

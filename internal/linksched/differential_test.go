@@ -26,9 +26,8 @@ func buildRandomTimeline(r *rand.Rand, n int) *Timeline {
 		}
 		owner := Owner{Edge: i, Leg: 0}
 		if i%7 == 3 {
-			tl.InsertOptimal(owner, req, func(o Owner) float64 {
-				return float64(o.Edge%5) * 0.5
-			})
+			storeSlackColumn(tl, func(o Owner) float64 { return float64(o.Edge%5) * 0.5 })
+			tl.InsertOptimal(owner, req, nil)
 		} else {
 			tl.InsertBasic(owner, req)
 		}
@@ -36,6 +35,19 @@ func buildRandomTimeline(r *rand.Rand, n int) *Timeline {
 	return tl
 }
 
+// storeSlackColumn writes slack's value for every slot into the
+// timeline's slack column, so the stored-column probe sees the same
+// deferrable times as the callback probe.
+func storeSlackColumn(tl *Timeline, slack SlackFunc) {
+	for _, s := range tl.Slots() {
+		tl.SetSlack(s.Owner, s.Start, slack(s.Owner))
+	}
+}
+
+// checkProbesAgree compares ProbeBasic with its reference, and the
+// three optimal probes — over the stored slack column, over the
+// callback, and the linear reference — with each other. The caller
+// keeps the column in step with slack (storeSlackColumn).
 func checkProbesAgree(t *testing.T, tl *Timeline, req Request, slack SlackFunc) {
 	t.Helper()
 	gs, gf := tl.ProbeBasic(req)
@@ -45,12 +57,17 @@ func checkProbesAgree(t *testing.T, tl *Timeline, req Request, slack SlackFunc) 
 		t.Fatalf("ProbeBasic(%+v) = (%v, %v), reference = (%v, %v) at %d slots",
 			req, gs, gf, ws, wf, tl.Len())
 	}
-	os, of, op := tl.ProbeOptimal(req, slack)
 	rs, rf, rp := probeOptimalLinear(tl.slots, req, slack)
-	// edgelint:ignore floateq — bit-identity contract, exact by design.
-	if os != rs || of != rf || op != rp {
-		t.Fatalf("ProbeOptimal(%+v) = (%v, %v, %d), reference = (%v, %v, %d) at %d slots",
-			req, os, of, op, rs, rf, rp, tl.Len())
+	for _, probe := range []struct {
+		name  string
+		slack SlackFunc
+	}{{"stored", nil}, {"callback", slack}} {
+		os, of, op := tl.ProbeOptimal(req, probe.slack)
+		// edgelint:ignore floateq — bit-identity contract, exact by design.
+		if os != rs || of != rf || op != rp {
+			t.Fatalf("ProbeOptimal(%+v) over the %s slack = (%v, %v, %d), reference = (%v, %v, %d) at %d slots",
+				req, probe.name, os, of, op, rs, rf, rp, tl.Len())
+		}
 	}
 }
 
@@ -62,6 +79,7 @@ func TestProbeDifferential(t *testing.T) {
 	for _, n := range []int{0, 1, 7, gapBlock - 1, gapBlock, gapBlock + 1, 100, 333, 1000, 4000} {
 		r := rand.New(rand.NewSource(int64(n) + 1))
 		tl := buildRandomTimeline(r, n)
+		storeSlackColumn(tl, slack)
 		if err := tl.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -87,13 +105,14 @@ func TestProbeDifferential(t *testing.T) {
 // TestProbeDifferentialAdversarial aims randomized probes at the
 // pruning margins: slot boundaries shifted by sub-Eps offsets, gaps
 // exactly equal to the requested duration, and large magnitudes where
-// rounding slack matters most.
+// rounding slack matters most — up to 1e8, where one ulp of a time
+// exceeds Eps.
 func TestProbeDifferentialAdversarial(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	slack := func(o Owner) float64 { return float64(o.Edge%3) }
+	slack := func(o Owner) float64 { return float64(o.Edge % 3) }
 	for trial := 0; trial < 300; trial++ {
 		tl := NewTimeline()
-		base := math.Pow(10, float64(r.Intn(7))) // magnitudes 1 .. 1e6
+		base := math.Pow(10, float64(r.Intn(9))) // magnitudes 1 .. 1e8
 		cur := 0.0
 		n := gapBlock + r.Intn(3*gapBlock)
 		for i := 0; i < n; i++ {
@@ -103,9 +122,10 @@ func TestProbeDifferentialAdversarial(t *testing.T) {
 			}
 			durS := base/50 + float64(r.Intn(3))*base/200
 			cur += gap
-			tl.insertSorted(Slot{Start: cur, End: cur + durS, Owner: Owner{Edge: i}})
+			tl.insertSorted(Slot{Start: cur, End: cur + durS, Owner: Owner{Edge: i}}, false)
 			cur += durS
 		}
+		storeSlackColumn(tl, slack)
 		if err := tl.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -144,12 +164,17 @@ func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
 		t.Fatalf("clone: %v", err)
 	}
 	req := Request{ES: 123.4, PF: 130, Dur: 2.5}
-	checkProbesAgree(t, tl, req, func(Owner) float64 { return 1 })
+	one := func(Owner) float64 { return 1 }
+	storeSlackColumn(tl, one)
+	checkProbesAgree(t, tl, req, one)
 }
 
 // FuzzTimelineDifferential fuzzes operation sequences against the
-// reference kernels: every probe must match the linear scan exactly and
-// the index must stay consistent after every mutation.
+// reference kernels: every probe must match the linear scan exactly —
+// the optimal one over the stored slack column and over the callback
+// alike — and the index must stay consistent after every mutation.
+// Set-slack operations give slots arbitrary deferrable times, mirrored
+// in the map the callback reads.
 func FuzzTimelineDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0xfe, 0x55, 0xaa})
@@ -160,9 +185,10 @@ func FuzzTimelineDifferential(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl := NewTimeline()
-		slack := func(o Owner) float64 { return float64(o.Edge % 3) }
+		slacks := map[Owner]float64{}
+		slack := func(o Owner) float64 { return slacks[o] }
 		for i := 0; i+6 <= len(data); i += 6 {
-			op := data[i] % 4
+			op := data[i] % 5
 			es := float64(data[i+1])*4 + float64(data[i+2])/64
 			pf := es + float64(data[i+3])/8
 			dur := float64(data[i+4])/16 + 0.01
@@ -178,17 +204,27 @@ func FuzzTimelineDifferential(f *testing.F) {
 				}
 				tl.InsertBasic(owner, req)
 			case 2:
-				os, _, op2 := tl.ProbeOptimal(req, slack)
 				rs, _, rp := probeOptimalLinear(tl.slots, req, slack)
+				cs, _, cp := tl.ProbeOptimal(req, slack)
+				ss, _, sp := tl.ProbeOptimal(req, nil)
 				// edgelint:ignore floateq — bit-identity contract.
-				if os != rs || op2 != rp {
-					t.Fatalf("op %d: ProbeOptimal (%v, %d) != reference (%v, %d)", i, os, op2, rs, rp)
+				if cs != rs || cp != rp || ss != rs || sp != rp {
+					t.Fatalf("op %d: ProbeOptimal callback (%v, %d), stored (%v, %d) != reference (%v, %d)",
+						i, cs, cp, ss, sp, rs, rp)
 				}
-				tl.InsertOptimal(owner, req, slack)
+				tl.InsertOptimal(owner, req, nil)
 			case 3:
 				snap := tl.Snapshot()
 				tl.InsertBasic(owner, req)
 				tl.Restore(snap)
+			case 4:
+				if tl.Len() == 0 {
+					continue
+				}
+				s := tl.slots[int(data[i+1])%tl.Len()]
+				v := float64(data[i+3]) / 8
+				slacks[s.Owner] = v
+				tl.SetSlack(s.Owner, s.Start, v)
 			}
 			if err := tl.Validate(); err != nil {
 				t.Fatalf("op %d: %v", i, err)

@@ -83,6 +83,17 @@ type Timeline struct {
 	// the reference scan under floating-point rounding. Monotone within
 	// a timeline's lifetime; Restore rewinds it together with the slots.
 	maxAbs float64
+
+	// slack is the optimal-insertion slack column: slack[i] is slot i's
+	// Lemma-2 deferrable time, clamped at 0, as last written by
+	// SetSlack (0 until then). ProbeOptimal reads it sequentially
+	// instead of asking a SlackFunc per slot. It is empty on timelines
+	// that never saw InsertOptimal, so basic insertion carries no
+	// column; once present it holds exactly one entry per slot and
+	// moves with the slots on every insert. The owner of the slots'
+	// edges keeps it current — the timeline cannot know when a slot's
+	// downstream leg moves.
+	slack []float64
 }
 
 // NewTimeline returns an empty timeline.
@@ -101,12 +112,18 @@ func (t *Timeline) Reset() {
 	t.blkEnd = t.blkEnd[:0]
 	t.blkGap = t.blkGap[:0]
 	t.maxAbs = 0
+	t.slack = t.slack[:0]
 }
 
 // Slots returns the occupied slots in start order. The slice is shared;
 // do not modify.
 // edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (t *Timeline) Slots() []Slot { return t.slots }
+
+// Slack returns the slack column, parallel to Slots, or an empty slice
+// when the timeline keeps none. The slice is shared; do not modify.
+// edgelint:ignore aliasret — read-only accessor for the rollback oracle
+func (t *Timeline) Slack() []float64 { return t.slack }
 
 // Request describes the placement constraints of one edge on one link,
 // derived from the link causality condition of cut-through routing:
@@ -235,11 +252,14 @@ func (t *Timeline) InsertBasic(owner Owner, req Request) (start, finish float64)
 	if req.Dur <= 0 {
 		return start, finish
 	}
-	t.insertSorted(Slot{Start: start, End: finish, Owner: owner})
+	t.insertSorted(Slot{Start: start, End: finish, Owner: owner}, false)
 	return start, finish
 }
 
-func (t *Timeline) insertSorted(s Slot) {
+// insertSorted inserts s in start order. The slack column, when present
+// or requested by optimal insertion (withSlack), gains a 0 entry at the
+// same position: a new slot's owner has not been sealed yet.
+func (t *Timeline) insertSorted(s Slot, withSlack bool) {
 	// edgelint:ignore floateq — exact ordering comparison for sorted insert.
 	i := sort.Search(len(t.slots), func(i int) bool { return t.slots[i].Start >= s.Start })
 	// edgelint:coldpath — amortized slot-array growth; capacity
@@ -247,6 +267,15 @@ func (t *Timeline) insertSorted(s Slot) {
 	t.slots = append(t.slots, Slot{})
 	copy(t.slots[i+1:], t.slots[i:])
 	t.slots[i] = s
+	if withSlack || len(t.slack) > 0 {
+		for len(t.slack) < len(t.slots) {
+			// edgelint:coldpath — amortized column growth (one entry per
+			// slot; more only when basic-inserted slots predate it).
+			t.slack = append(t.slack, 0)
+		}
+		copy(t.slack[i+1:], t.slack[i:])
+		t.slack[i] = 0
+	}
 	t.reindexFrom(i)
 }
 
@@ -327,6 +356,37 @@ func (t *Timeline) reindexFrom(pos int) {
 	t.maxAbs = mab
 }
 
+// SetSlack records the Lemma-2 deferrable time of the slot owned by o,
+// which starts at start, in the slack column read by InsertOptimal, and
+// by ProbeOptimal when it is given no SlackFunc; negative values are
+// stored as 0, as the walk would clamp them. The slot must exist. A
+// timeline without a column grows one (zeros for every other slot).
+//
+// edgelint:noalloc
+func (t *Timeline) SetSlack(o Owner, start, dt float64) {
+	if dt < 0 {
+		dt = 0
+	}
+	n := len(t.slots)
+	// edgelint:ignore floateq — exact lookup of a recorded start.
+	lo := sort.Search(n, func(i int) bool { return t.slots[i].Start >= start })
+	// Starts tie only between zero-length slots; the owner disambiguates.
+	// edgelint:ignore floateq — exact lookup of a recorded start.
+	for lo < n && t.slots[lo].Start == start && t.slots[lo].Owner != o {
+		lo++
+	}
+	// edgelint:ignore floateq — exact lookup of a recorded start.
+	if lo == n || t.slots[lo].Start != start {
+		panic("linksched: SetSlack on a slot the timeline does not hold")
+	}
+	for len(t.slack) < n {
+		// edgelint:coldpath — one-time column creation on a timeline
+		// that was built by basic insertion.
+		t.slack = append(t.slack, 0)
+	}
+	t.slack[lo] = dt
+}
+
 // SlackFunc reports the longest deferrable time (Lemma 2) of the slot
 // owned by the given owner on this link: how far its start may be
 // postponed without violating the link causality condition with the
@@ -349,86 +409,161 @@ type Shifted struct {
 // insertion position as well (index among current slots; len(slots)
 // means append).
 //
+// A nil slack reads each slot's deferrable time from the stored slack
+// column (SetSlack; 0 on a timeline that keeps none) — a sequential
+// read where a SlackFunc costs an indirect call per slot, which on long
+// queues is most of the probe. Both return exactly what the full
+// reference scan returns for the same slack values (reference_test.go).
+//
 // edgelint:noalloc
 func (t *Timeline) ProbeOptimal(req Request, slack SlackFunc) (start, finish float64, pos int) {
 	lb := req.lowerBound()
 	if req.Dur <= 0 {
 		return lb, lb, len(t.slots)
 	}
+	w := t.newOptimalWalk(lb, req.Dur)
+	switch {
+	case slack != nil:
+		w.callback(slack)
+	case len(t.slack) == len(t.slots):
+		w.scan(0, len(t.slots), t.slack, math.Inf(1))
+	default:
+		w.callback(zeroSlack)
+	}
+	return w.bestStart, w.bestStart + req.Dur, w.bestPos
+}
+
+// zeroSlack is the deferrable time of every slot of a timeline without a
+// slack column.
+func zeroSlack(Owner) float64 { return 0 }
+
+// optimalWalk is one tail-to-head optimal-insertion scan: it folds the
+// accumulated deferrable time accum_i = min(dt_i, accum_{i+1} +
+// gap(i, i+1)) — formula (2) — and tests insertion before slot i with
+// formula (3), keeping the earliest feasible start.
+//
+// The scan stops early on a conservative bound. The deferred capacity
+// phi_i = Start_i + accum_i is non-increasing toward the head:
+// accum_{i-1} <= accum_i + gap(i-1, i) and the gap telescopes against
+// the sorted starts. Feasibility before slot i requires sigma + Dur <=
+// phi_i + Eps with sigma >= lb, so once phi drops below lb+Dur by more
+// than a margin covering Eps plus the rounding accumulated over the
+// walked steps, no earlier position can be feasible. The margin only
+// delays the break — extra iterations run the unchanged feasibility
+// test — so results stay bit-identical to the full reference scan.
+type optimalWalk struct {
+	t         *Timeline
+	lb, dur   float64
+	lbDur     float64
+	mag       float64 // magnitude bound scaling the rounding margins
+	bestStart float64
+	bestPos   int
+}
+
+func (t *Timeline) newOptimalWalk(lb, dur float64) optimalWalk {
 	n := len(t.slots)
 	// Candidate: append after the last slot (always feasible).
-	bestStart := lb
-	if n > 0 && t.slots[n-1].End > bestStart {
-		bestStart = t.slots[n-1].End
+	w := optimalWalk{t: t, lb: lb, dur: dur, lbDur: lb + dur, mag: t.maxAbs, bestStart: lb, bestPos: n}
+	if n > 0 && t.slots[n-1].End > w.bestStart {
+		w.bestStart = t.slots[n-1].End
 	}
-	bestPos := n
-	// Early-exit bound for the tail-to-head scan. The deferred
-	// capacity phi_i = Start_i + accum_i is non-increasing toward the
-	// head: accum_{i-1} <= accum_i + gap(i-1, i) and the gap telescopes
-	// against the sorted starts. Feasibility before slot i requires
-	// sigma + Dur <= phi_i + Eps with sigma >= lb, so once phi drops
-	// below lb+Dur by more than a margin covering Eps plus the rounding
-	// accumulated over the walked steps, no earlier position can be
-	// feasible and the scan stops. The margin only delays the break —
-	// extra iterations run the unchanged feasibility test — so results
-	// stay bit-identical to the full reference scan (reference_test.go).
-	lbDur := lb + req.Dur
-	mag := t.maxAbs
-	if m := math.Abs(lbDur); m > mag {
-		mag = m
+	if m := math.Abs(w.lbDur); m > w.mag {
+		w.mag = m
 	}
-	// Scan tail to head computing the accumulated deferrable time
-	// accum_i = min(dt_i, accum_{i+1} + gap(i, i+1)) — formula (2) —
-	// and test insertion before slot i with formula (3).
-	accum := math.Inf(1)
-	for i := n - 1; i >= 0; i-- {
-		dt := slack(t.slots[i].Owner)
-		if dt < 0 {
-			dt = 0
+	return w
+}
+
+// scan walks slots [lo, hi) from hi-1 down to lo, where dts[i-lo] is
+// slot i's deferrable time (>= 0) and accum the accumulation at slot hi
+// (+Inf past the tail). It returns the accumulation at slot lo and
+// whether the scan may stop.
+func (w *optimalWalk) scan(lo, hi int, dts []float64, accum float64) (float64, bool) {
+	slots := w.t.slots
+	n := len(slots)
+	lb, dur, lbDur, marginStep := w.lb, w.dur, w.lbDur, w.mag*1e-13
+	bestStart, bestPos := w.bestStart, w.bestPos
+	next := math.Inf(1) // start of slot i+1; the gap past the tail is +Inf
+	if hi < n {
+		next = slots[hi].Start
+	}
+	blk, dts := slots[lo:hi], dts[:hi-lo]
+	stop := false
+	for k := len(blk) - 1; k >= 0; k-- {
+		i := lo + k
+		start := blk[k].Start
+		gap := next - blk[k].End
+		if gap < 0 {
+			gap = 0
 		}
-		gap := math.Inf(1)
-		if i+1 < n {
-			gap = t.slots[i+1].Start - t.slots[i].End
-			if gap < 0 {
-				gap = 0
-			}
-		}
-		a := dt
+		next = start
+		a := dts[k]
 		if accum+gap < a { // accum_{i+1} + gap may be +inf
 			a = accum + gap
 		}
 		accum = a
 		// Insertion before slot i: start at max(lb, end of slot i-1).
 		sigma := lb
-		if i > 0 && t.slots[i-1].End > sigma {
-			sigma = t.slots[i-1].End
+		if i > 0 && slots[i-1].End > sigma {
+			sigma = slots[i-1].End
 		}
-		if fptime.LeqEps(sigma+req.Dur, t.slots[i].Start+accum) {
-			// Feasible. Scanning towards the head, later discoveries
-			// are earlier positions, so <= keeps the earliest start.
-			if fptime.LeqEps(sigma, bestStart) {
-				bestStart = sigma
-				bestPos = i
-			}
+		// Feasible, and scanning towards the head later discoveries
+		// are earlier positions, so <= keeps the earliest start.
+		if fptime.LeqEps(sigma+dur, start+accum) && fptime.LeqEps(sigma, bestStart) {
+			bestStart, bestPos = sigma, i
 		}
 		// edgelint:ignore floateq — conservative break per the phi
-		// monotonicity argument above; never changes the result.
-		if t.slots[i].Start+accum < lbDur-(Eps+mag*1e-13*float64(n-i)) {
+		// monotonicity argument on optimalWalk; never changes the result.
+		if start+accum < lbDur-(Eps+marginStep*float64(n-i)) {
+			stop = true
 			break
 		}
 	}
-	return bestStart, bestStart + req.Dur, bestPos
+	w.bestStart, w.bestPos = bestStart, bestPos
+	return accum, stop
+}
+
+// callback scans with the deferrable times reported by slack, asked for
+// gapBlock slots at a time so the scan loop stays the stored column's.
+func (w *optimalWalk) callback(slack SlackFunc) {
+	slots := w.t.slots
+	var dts [gapBlock]float64
+	accum := math.Inf(1)
+	for hi := len(slots); hi > 0; {
+		lo := max(hi-gapBlock, 0)
+		for i := lo; i < hi; i++ {
+			dt := slack(slots[i].Owner)
+			if dt < 0 {
+				dt = 0
+			}
+			dts[i-lo] = dt
+		}
+		var done bool
+		if accum, done = w.scan(lo, hi, dts[:hi-lo], accum); done {
+			return
+		}
+		hi = lo
+	}
 }
 
 // InsertOptimal allocates a slot by the optimal insertion policy,
-// deferring the affected slots as needed, and records it. It returns
-// the new slot's interval and the list of slots that were shifted
-// (with their new intervals) so the caller can update the owning
-// edges' placements.
-func (t *Timeline) InsertOptimal(owner Owner, req Request, slack SlackFunc) (start, finish float64, moved []Shifted) {
-	start, finish, pos := t.ProbeOptimal(req, slack)
+// deferring the affected slots as needed, and records it. The
+// deferrable times are the stored slack column's (ProbeOptimal with a
+// nil SlackFunc). It returns the new slot's interval and the slots that
+// were shifted, with their new intervals, so the caller can update the
+// owning edges' placements and slack: the list is appended to
+// moved[:0], so a caller passing its previous result back shifts
+// without allocating once the buffer has grown.
+//
+// The new slot enters the slack column (created on first use) at 0 and
+// shifted slots keep their entries. Both go stale as soon as their
+// owners' placements change; SetSlack is how the owner updates them.
+//
+// edgelint:noalloc
+func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (start, finish float64, shifted []Shifted) {
+	start, finish, pos := t.ProbeOptimal(req, nil)
+	moved = moved[:0]
 	if req.Dur <= 0 {
-		return start, finish, nil
+		return start, finish, moved
 	}
 	// Defer the affected slots: every slot from pos onward whose start
 	// precedes the space the new slot needs is pushed right just far
@@ -442,16 +577,19 @@ func (t *Timeline) InsertOptimal(owner Owner, req Request, slack SlackFunc) (sta
 		delta := need - t.slots[i].Start
 		t.slots[i].Start += delta
 		t.slots[i].End += delta
+		// edgelint:coldpath — amortized growth of the caller's reused
+		// shift buffer.
 		moved = append(moved, Shifted{Owner: t.slots[i].Owner, Start: t.slots[i].Start, End: t.slots[i].End})
 		need = t.slots[i].End
 	}
-	t.insertSorted(Slot{Start: start, End: finish, Owner: owner})
+	t.insertSorted(Slot{Start: start, End: finish, Owner: owner}, true)
 	return start, finish, moved
 }
 
 // Validate checks the timeline's invariants: slots sorted, strictly
-// non-overlapping (up to Eps), with non-negative times, and the block
-// index consistent with the slots it summarizes.
+// non-overlapping (up to Eps), with non-negative times, the slack
+// column absent or one non-negative entry per slot, and the block index
+// consistent with the slots it summarizes.
 func (t *Timeline) Validate() error {
 	prevEnd := 0.0
 	for i, s := range t.slots {
@@ -464,6 +602,9 @@ func (t *Timeline) Validate() error {
 		if s.End > prevEnd {
 			prevEnd = s.End
 		}
+	}
+	if err := t.validateSlack(); err != nil {
+		return err
 	}
 	return t.validateIndex()
 }
@@ -526,15 +667,26 @@ func (t *Timeline) validateIndex() error {
 	return nil
 }
 
+// validateSlack checks the slack column: absent, or one non-negative
+// entry per slot.
+func (t *Timeline) validateSlack() error {
+	if len(t.slack) != 0 && len(t.slack) != len(t.slots) {
+		return fmt.Errorf("linksched: slack column has %d entries for %d slots", len(t.slack), len(t.slots))
+	}
+	for i, v := range t.slack {
+		if !(v >= 0) {
+			return fmt.Errorf("linksched: slot %d slack %v is not a non-negative number", i, v)
+		}
+	}
+	return nil
+}
+
 // Snapshot captures the timeline state for later Restore. The snapshot
 // is a value copy; subsequent timeline mutations do not affect it. The
-// block index travels with the slots so a Restore rewinds both in one
-// copy instead of an O(n) rebuild.
+// block index and the slack column travel with the slots so a Restore
+// rewinds them all in one copy instead of an O(n) rebuild.
 type Snapshot struct {
-	slots  []Slot
-	blkEnd []float64
-	blkGap []float64
-	maxAbs float64
+	tl Timeline
 }
 
 // Snapshot returns a restorable copy of the current state.
@@ -549,45 +701,34 @@ func (t *Timeline) Snapshot() Snapshot {
 //
 // edgelint:noalloc
 func (t *Timeline) SnapshotInto(old Snapshot) Snapshot {
-	return Snapshot{
-		slots:  append(old.slots[:0], t.slots...),
-		blkEnd: append(old.blkEnd[:0], t.blkEnd...),
-		blkGap: append(old.blkGap[:0], t.blkGap...),
-		maxAbs: t.maxAbs,
-	}
+	old.tl.CopyFrom(t)
+	return old
 }
 
 // Restore resets the timeline to a previously captured snapshot.
 //
 // edgelint:noalloc
-func (t *Timeline) Restore(s Snapshot) {
-	t.slots = append(t.slots[:0], s.slots...)
-	t.blkEnd = append(t.blkEnd[:0], s.blkEnd...)
-	t.blkGap = append(t.blkGap[:0], s.blkGap...)
-	t.maxAbs = s.maxAbs
-}
+func (t *Timeline) Restore(s Snapshot) { t.CopyFrom(&s.tl) }
 
 // Clone returns an independent deep copy of the timeline: mutations of
 // either copy never affect the other. Used by forked scheduler states
 // probing processor candidates in parallel.
 func (t *Timeline) Clone() *Timeline {
-	return &Timeline{
-		slots:  append([]Slot(nil), t.slots...),
-		blkEnd: append([]float64(nil), t.blkEnd...),
-		blkGap: append([]float64(nil), t.blkGap...),
-		maxAbs: t.maxAbs,
-	}
+	c := new(Timeline)
+	c.CopyFrom(t)
+	return c
 }
 
 // CopyFrom makes t an independent deep copy of src, reusing t's
 // backing buffers when they have capacity. The warm path — a pooled
-// replica re-cloned from a same-topology state — is three copy calls
-// and no allocation.
+// replica re-cloned from a same-topology state — is a handful of copy
+// calls and no allocation.
 func (t *Timeline) CopyFrom(src *Timeline) {
 	t.slots = append(t.slots[:0], src.slots...)
 	t.blkEnd = append(t.blkEnd[:0], src.blkEnd...)
 	t.blkGap = append(t.blkGap[:0], src.blkGap...)
 	t.maxAbs = src.maxAbs
+	t.slack = append(t.slack[:0], src.slack...)
 }
 
 // carve copies src into dst if dst has the capacity, otherwise into a
@@ -632,6 +773,9 @@ func CopyTimelines(dst, src []Timeline) []Timeline {
 		if cap(dst[i].blkGap) < len(src[i].blkGap) {
 			needIdx += len(src[i].blkGap)
 		}
+		if cap(dst[i].slack) < len(src[i].slack) {
+			needIdx += len(src[i].slack)
+		}
 	}
 	var slotArena []Slot
 	var idxArena []float64
@@ -646,6 +790,7 @@ func CopyTimelines(dst, src []Timeline) []Timeline {
 		d.slots, slotArena = carve(d.slots, s.slots, slotArena)
 		d.blkEnd, idxArena = carve(d.blkEnd, s.blkEnd, idxArena)
 		d.blkGap, idxArena = carve(d.blkGap, s.blkGap, idxArena)
+		d.slack, idxArena = carve(d.slack, s.slack, idxArena)
 		d.maxAbs = s.maxAbs
 	}
 	return dst

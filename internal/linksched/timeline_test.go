@@ -82,8 +82,6 @@ func TestInsertBasicTightGapBoundary(t *testing.T) {
 	}
 }
 
-func noSlack(Owner) float64 { return 0 }
-
 func TestOptimalEqualsBasicWithZeroSlack(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -95,7 +93,7 @@ func TestOptimalEqualsBasicWithZeroSlack(t *testing.T) {
 			}
 			req.PF = req.ES + float64(r.Intn(5))
 			s1, f1 := a.InsertBasic(o(i, 0), req)
-			s2, f2, moved := b.InsertOptimal(o(i, 0), req, noSlack)
+			s2, f2, moved := b.InsertOptimal(o(i, 0), req, nil)
 			if len(moved) != 0 {
 				t.Fatalf("trial %d: zero slack must not move slots", trial)
 			}
@@ -116,8 +114,9 @@ func TestOptimalDefersSlotToOpenGap(t *testing.T) {
 		}
 		return 0
 	}
+	storeSlackColumn(tl, slack)
 	// New edge needs [0,3] — basic would give [4,7], optimal defers A.
-	start, finish, moved := tl.InsertOptimal(o(1, 0), Request{ES: 0, PF: 0, Dur: 3}, slack)
+	start, finish, moved := tl.InsertOptimal(o(1, 0), Request{ES: 0, PF: 0, Dur: 3}, nil)
 	if start != 0 || finish != 3 {
 		t.Fatalf("got [%v,%v], want [0,3]", start, finish)
 	}
@@ -138,7 +137,8 @@ func TestOptimalRespectsSlackLimit(t *testing.T) {
 	slack := func(ow Owner) float64 { return 2 }           // can move to at most [2,6]
 	// Dur 3 before the slot requires deferring by 3 > 2: infeasible,
 	// must append at 4.
-	start, finish, moved := tl.InsertOptimal(o(1, 0), Request{ES: 0, PF: 0, Dur: 3}, slack)
+	storeSlackColumn(tl, slack)
+	start, finish, moved := tl.InsertOptimal(o(1, 0), Request{ES: 0, PF: 0, Dur: 3}, nil)
 	if start != 4 || finish != 7 || len(moved) != 0 {
 		t.Fatalf("got [%v,%v] moved=%v, want [4,7] no moves", start, finish, moved)
 	}
@@ -150,8 +150,8 @@ func TestOptimalChainedDeferral(t *testing.T) {
 	tl := NewTimeline()
 	tl.InsertBasic(o(0, 0), Request{ES: 0, PF: 0, Dur: 2})
 	tl.InsertBasic(o(1, 0), Request{ES: 0, PF: 0, Dur: 2})
-	slack := func(Owner) float64 { return 3 }
-	start, finish, moved := tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 2}, slack)
+	storeSlackColumn(tl, func(Owner) float64 { return 3 })
+	start, finish, moved := tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 2}, nil)
 	if start != 0 || finish != 2 {
 		t.Fatalf("got [%v,%v], want [0,2]", start, finish)
 	}
@@ -185,7 +185,8 @@ func TestOptimalAccumLimitedByDownstreamSlack(t *testing.T) {
 	if start != 4 {
 		t.Fatalf("Dur 2: start=%v, want 4 (append)", start)
 	}
-	start, finish, moved := tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 1}, slack)
+	storeSlackColumn(tl, slack)
+	start, finish, moved := tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 1}, nil)
 	if start != 0 || finish != 1 {
 		t.Fatalf("Dur 1: got [%v,%v], want [0,1]", start, finish)
 	}
@@ -203,7 +204,7 @@ func TestOptimalPrefersEarliestFeasiblePosition(t *testing.T) {
 	tl := NewTimeline()
 	tl.InsertBasic(o(0, 0), Request{ES: 0, PF: 0, Dur: 2})
 	tl.InsertBasic(o(1, 0), Request{ES: 10, PF: 10, Dur: 2})
-	start, finish, moved := tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 2}, noSlack)
+	start, finish, moved := tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 2}, nil)
 	if start != 2 || finish != 4 || len(moved) != 0 {
 		t.Fatalf("got [%v,%v] moved=%v, want [2,4]", start, finish, moved)
 	}
@@ -214,7 +215,7 @@ func TestSnapshotRestore(t *testing.T) {
 	tl.InsertBasic(o(0, 0), Request{ES: 0, PF: 0, Dur: 2})
 	snap := tl.Snapshot()
 	tl.InsertBasic(o(1, 0), Request{ES: 0, PF: 0, Dur: 2})
-	tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 1}, noSlack)
+	tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 1}, nil)
 	if tl.Len() != 3 {
 		t.Fatalf("len=%d, want 3", tl.Len())
 	}
@@ -294,7 +295,8 @@ func TestOptimalNeverWorseThanBasicProperty(t *testing.T) {
 			if optStart < req.lowerBound()-Eps {
 				return false
 			}
-			start, finish, _ := tl.InsertOptimal(o(i, 0), req, slackFn)
+			storeSlackColumn(tl, slackFn)
+			start, finish, _ := tl.InsertOptimal(o(i, 0), req, nil)
 			if start != optStart || finish != optFinish {
 				return false
 			}
@@ -324,7 +326,8 @@ func TestOptimalShiftWithinSlackProperty(t *testing.T) {
 			es := r.Float64() * 30
 			dur := r.Float64()*6 + 0.01
 			req := Request{ES: es, PF: es, Dur: dur}
-			start, _, moved := tl.InsertOptimal(o(i, 0), req, slackFn)
+			storeSlackColumn(tl, slackFn)
+			start, _, moved := tl.InsertOptimal(o(i, 0), req, nil)
 			starts[o(i, 0)] = start
 			for _, m := range moved {
 				maxAllowed := starts[m.Owner] + slacks[m.Owner]
@@ -370,5 +373,68 @@ func TestTimelineValidateCatchesCorruption(t *testing.T) {
 	tl.slots[0].Start = -1 // negative
 	if err := tl.Validate(); err == nil {
 		t.Fatal("negative slot accepted")
+	}
+}
+
+// TestInsertOptimalIsAllocationFree pins InsertOptimal's noalloc
+// contract at runtime: with the shift list handed back in and the slot
+// and slack buffers grown once, a deferring insert allocates nothing.
+// The measured op inserts into a warm copy and restores it, so every
+// run shifts the same slots.
+func TestInsertOptimalIsAllocationFree(t *testing.T) {
+	base := NewTimeline()
+	for i := 0; i < 4*gapBlock; i++ {
+		start := float64(i) * 10
+		base.InsertBasic(o(i, 0), Request{ES: start, PF: start, Dur: 8})
+	}
+	for i, s := range base.Slots() {
+		base.SetSlack(s.Owner, s.Start, float64(i%4))
+	}
+	tl := base.Clone()
+	snap := tl.Snapshot()
+	var moved []Shifted
+	insert := func() {
+		_, _, moved = tl.InsertOptimal(o(-1, 0), Request{ES: 1000, PF: 1000, Dur: 5}, moved)
+		tl.Restore(snap)
+	}
+	insert() // warm up: grow the shift buffer and the slot capacity
+	if len(moved) == 0 {
+		t.Fatal("the insert deferred no slot; the case tests nothing")
+	}
+	if allocs := testing.AllocsPerRun(50, insert); allocs != 0 {
+		t.Fatalf("deferring InsertOptimal allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSlackColumnFollowsInserts pins the column's bookkeeping: basic
+// insertion never creates it, optimal insertion creates it with a 0
+// entry per slot, entries move with their slots on later inserts, and
+// a stale column — wrong length or a negative entry — fails Validate.
+func TestSlackColumnFollowsInserts(t *testing.T) {
+	tl := NewTimeline()
+	tl.InsertBasic(o(0, 0), Request{ES: 10, PF: 10, Dur: 5})
+	if len(tl.Slack()) != 0 {
+		t.Fatalf("basic insertion created a slack column %v", tl.Slack())
+	}
+	tl.InsertOptimal(o(1, 0), Request{ES: 30, PF: 30, Dur: 5}, nil)
+	if got := tl.Slack(); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Fatalf("column after the first optimal insert = %v, want [0 0]", got)
+	}
+	tl.SetSlack(o(1, 0), 30, 7)
+	tl.SetSlack(o(0, 0), 10, -3) // clamped like the walk clamps
+	tl.InsertBasic(o(2, 0), Request{ES: 0, PF: 0, Dur: 5})
+	if got := tl.Slack(); len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 7 {
+		t.Fatalf("column after a head insert = %v, want [0 0 7]", got)
+	}
+	if err := tl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	tl.slack[2] = -1
+	if err := tl.Validate(); err == nil {
+		t.Fatal("negative slack accepted")
+	}
+	tl.slack = tl.slack[:2]
+	if err := tl.Validate(); err == nil {
+		t.Fatal("short slack column accepted")
 	}
 }

@@ -106,10 +106,13 @@ type labelItem struct {
 	label Label
 }
 
+// labelQueue is Dijkstra's binary min-heap of labels, ordered by label
+// then node ID. It is container/heap's algorithm specialized to
+// labelItem: the interface-typed Push/Pop of container/heap box every
+// item, two heap allocations per relaxed link on the routing hot path.
 type labelQueue []labelItem
 
-func (q labelQueue) Len() int { return len(q) }
-func (q labelQueue) Less(i, j int) bool {
+func (q labelQueue) less(i, j int) bool {
 	if q[i].label.Less(q[j].label) {
 		return true
 	}
@@ -118,14 +121,44 @@ func (q labelQueue) Less(i, j int) bool {
 	}
 	return q[i].node < q[j].node
 }
-func (q labelQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *labelQueue) Push(x any)   { *q = append(*q, x.(labelItem)) }
-func (q *labelQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+// push adds it and restores the heap order (container/heap.Push).
+func (q *labelQueue) push(it labelItem) {
+	// edgelint:coldpath — amortized growth; the Router keeps the queue's
+	// capacity across searches.
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes and returns the minimum item (container/heap.Pop).
+func (q *labelQueue) pop() labelItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // RouteNodes expands a route starting at src into the sequence of nodes

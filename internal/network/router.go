@@ -1,7 +1,5 @@
 package network
 
-import "container/heap"
-
 // Router runs route searches over one topology with reusable scratch
 // buffers, eliminating the per-call allocations (visit marks,
 // predecessor arrays, label heaps) that dominate the schedulers' hot
@@ -118,9 +116,9 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 	pq := &r.pq
 	r.best[src] = init
 	r.open[src] = e
-	heap.Push(pq, labelItem{node: src, label: init})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(labelItem)
+	pq.push(labelItem{node: src, label: init})
+	for len(*pq) > 0 {
+		it := pq.pop()
 		if r.closed[it.node] == e {
 			continue
 		}
@@ -141,7 +139,7 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 				r.best[h.To] = nl
 				r.prev[h.To] = hop{Link: h.Link, To: it.node}
 				r.open[h.To] = e
-				heap.Push(pq, labelItem{node: h.To, label: nl})
+				pq.push(labelItem{node: h.To, label: nl})
 			}
 		}
 	}

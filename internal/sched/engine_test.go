@@ -130,8 +130,8 @@ func TestResetForNoResidue(t *testing.T) {
 				cache = network.NewRouteCache(0, 1)
 			}
 			pooled.reset(small, c.net, c.opts, cache)
-			if c.prevOpts != c.opts && (pooled.relaxFn != nil || pooled.slackFn != nil) {
-				t.Fatal("reset kept closures cached under different options")
+			if c.prevOpts != c.opts && pooled.relaxFn != nil {
+				t.Fatal("reset kept the relaxation closure cached under different options")
 			}
 
 			fresh, err := newState(small, c.net, c.opts)

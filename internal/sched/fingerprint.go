@@ -33,6 +33,7 @@ type fingerprint struct {
 	legs       []legMeta
 	chunks     []linksched.Chunk
 	tl         [][]linksched.Slot
+	tlSlack    [][]float64 // the links' optimal-insertion slack columns
 	bw         [][]linksched.SegmentInfo
 	ptl        [][]linksched.Slot
 }
@@ -52,8 +53,10 @@ func (s *state) captureFingerprint() *fingerprint {
 	}
 	if s.tl != nil {
 		fp.tl = make([][]linksched.Slot, len(s.tl))
+		fp.tlSlack = make([][]float64, len(s.tl))
 		for i := range s.tl {
 			fp.tl[i] = append([]linksched.Slot(nil), s.tl[i].Slots()...)
+			fp.tlSlack[i] = append([]float64(nil), s.tl[i].Slack()...)
 		}
 	}
 	if s.bw != nil {
@@ -102,6 +105,9 @@ func (fp *fingerprint) diff(s *state) string {
 	}
 	for i, want := range fp.tl {
 		if d := diffSlots("link", i, want, s.tl[i].Slots()); d != "" {
+			return d
+		}
+		if d := diffSlack(i, fp.tlSlack[i], s.tl[i].Slack()); d != "" {
 			return d
 		}
 	}
@@ -163,6 +169,20 @@ func diffSlots(kind string, id int, want, got []linksched.Slot) string {
 	for i := range want {
 		if got[i] != want[i] {
 			return fmt.Sprintf("%s %d slot %d: %+v -> %+v", kind, id, i, want[i], got[i])
+		}
+	}
+	return ""
+}
+
+// diffSlack compares one link's slack column.
+func diffSlack(id int, want, got []float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("link %d slack column: %d entries -> %d", id, len(want), len(got))
+	}
+	for i := range want {
+		// edgelint:ignore floateq — oracle checks bit-identical restore
+		if got[i] != want[i] {
+			return fmt.Sprintf("link %d slot %d slack: %v -> %v", id, i, want[i], got[i])
 		}
 	}
 	return ""

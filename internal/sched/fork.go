@@ -94,7 +94,7 @@ func (s *state) Clone() *state {
 // cloneInto overwrites c with a deep copy of s: reset binds c to s's
 // graph, topology, options and route cache — rebuilding c's router
 // only when c last served a different topology or cache, dropping its
-// cached closures only when the options differ, and resizing its
+// cached relaxation closure only when the options differ, and resizing its
 // journals — and then the columns are copied over, flat per field:
 // copyColumn for the placement columns, edgeStore.copyFrom for the edge
 // arenas, and the linksched bulk-copy paths for the timeline slabs.

@@ -307,6 +307,12 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 		"link": func(s *state) {
 			s.tl[0].InsertBasic(linksched.Owner{Edge: 99, Leg: 0}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		},
+		"slack": func(s *state) {
+			// A slack-column write that skips touchTimeline.
+			lid := s.edges.routeAt(0, 0)
+			sl := s.tl[lid].Slots()[0]
+			s.tl[lid].SetSlack(sl.Owner, sl.Start, 42)
+		},
 	}
 	for name, mutate := range corrupt {
 		t.Run(name, func(t *testing.T) {
@@ -400,22 +406,20 @@ func TestProbeJournalingIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCallbackClosuresAreCached pins the relaxFunc/slackFunc caching:
-// the engine closures are built once per state and parameterized
-// through s.relaxEdgeCost, so the route-search hot path hands out
-// callbacks without allocating a fresh capture per edge. A fork must
-// rebuild its own closures (Clone omits them): a copied closure would
-// capture — and keep mutating — the original state.
+// TestCallbackClosuresAreCached pins the relaxFunc caching: the
+// relaxation closure is built once per state and parameterized through
+// s.relaxEdgeCost, so the route-search hot path hands out callbacks
+// without allocating a fresh capture per edge. A fork must rebuild its
+// own closure (Clone omits it): a copied closure would capture — and
+// keep mutating — the original state.
 func TestCallbackClosuresAreCached(t *testing.T) {
 	g := dag.Chain(3, 1, 100)
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
 	e := g.Edge(0)
-	s.relaxFunc(e) // warm up: build and cache the closures
-	s.slackFunc()
+	s.relaxFunc(e) // warm up: build and cache the closure
 	if allocs := testing.AllocsPerRun(50, func() {
 		s.relaxFunc(e)
-		s.slackFunc()
 	}); allocs != 0 {
 		t.Fatalf("cached callbacks allocate %v times per probe, want 0", allocs)
 	}
@@ -427,8 +431,8 @@ func TestCallbackClosuresAreCached(t *testing.T) {
 		t.Fatalf("relaxEdgeCost %v, want %v", s.relaxEdgeCost, e2.Cost)
 	}
 	f := s.Clone()
-	if f.relaxFn != nil || f.slackFn != nil {
-		t.Fatal("clone inherited the parent's cached closures")
+	if f.relaxFn != nil {
+		t.Fatal("clone inherited the parent's cached closure")
 	}
 }
 
@@ -532,7 +536,7 @@ func TestSlackFuncMatchesPlacements(t *testing.T) {
 	if es == nil || len(es.Placements) != 2 {
 		t.Fatalf("edge schedule %+v", es)
 	}
-	slack := s.slackFunc()
+	slack := s.slackOf
 	// Last leg always has zero slack.
 	if got := slack(linksched.Owner{Edge: 0, Leg: 1}); got != 0 {
 		t.Fatalf("last-leg slack %v, want 0", got)

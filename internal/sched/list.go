@@ -452,22 +452,21 @@ type state struct {
 	forkErrs []error
 	eft      eftScratch
 
-	predBuf  []dag.EdgeID      // orderedPreds scratch
-	pktBuf   []float64         // placeEdgePackets scratch
-	chunkBuf []linksched.Chunk // placeEdgePackets per-leg chunk scratch
+	predBuf  []dag.EdgeID        // orderedPreds scratch
+	pktBuf   []float64           // placeEdgePackets scratch
+	chunkBuf []linksched.Chunk   // placeEdgePackets per-leg chunk scratch
+	shiftBuf []linksched.Shifted // InsertOptimal's shift list, reused
 
-	// relaxFn and slackFn are the cached Dijkstra relaxation and
-	// Lemma-2 slack closures: built once per state on first use (they
-	// capture only s), so route searches and optimal insertions on the
-	// probe hot path do not allocate a fresh closure per call. The
-	// relaxation reads the current edge's cost from relaxEdgeCost,
-	// which relaxFunc sets before handing the closure out. No code
-	// copies them between states — a copied closure would still capture
-	// the ORIGINAL state — so each fork builds its own, and reset drops
-	// them when the options change (buildRelaxFn bakes in opts.Engine).
+	// relaxFn is the cached Dijkstra relaxation closure: built once per
+	// state on first use (it captures only s), so route searches on the
+	// probe hot path do not allocate a fresh closure per call. It reads
+	// the current edge's cost from relaxEdgeCost, which relaxFunc sets
+	// before handing the closure out. No code copies it between states
+	// — a copied closure would still capture the ORIGINAL state — so
+	// each fork builds its own, and reset drops it when the options
+	// change (buildRelaxFn bakes in opts.Engine).
 	relaxEdgeCost float64
 	relaxFn       network.RelaxFunc
-	slackFn       linksched.SlackFunc
 }
 
 // newState is the front door of every one-shot run — ListScheduler,
@@ -501,7 +500,7 @@ func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error)
 //
 //   - the router is rebuilt only when net or cache changed, which is
 //     what the result reports (an Engine counts those as cold states);
-//   - the cached relaxFn/slackFn closures are dropped when opts changed;
+//   - the cached relaxFn closure is dropped when opts changed;
 //   - the timeline columns and processor clocks are sized from net and
 //     opts and emptied, the edge arenas truncated, the probe counters
 //     zeroed;
@@ -519,7 +518,7 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options, cache *
 		rebound = true
 	}
 	if s.opts != opts {
-		s.relaxFn, s.slackFn = nil, nil
+		s.relaxFn = nil
 	}
 	s.g, s.net, s.opts = g, net, opts
 	s.mls = net.MeanLinkSpeed()
@@ -840,7 +839,15 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	case EnginePackets:
 		s.placeEdgePackets(eid, e, route, base)
 	}
-	return s.edges.finish(eid, base), nil
+	arrival := s.edges.finish(eid, base)
+	if s.opts.Engine == EngineSlots && s.opts.Insertion == InsertionOptimal {
+		// Sealed: the legs now have the deferrable times optimal
+		// insertion reads (the last leg's stays 0).
+		for leg := 0; leg < len(route)-1; leg++ {
+			s.storeSlack(eid, leg)
+		}
+	}
+	return arrival, nil
 }
 
 // findRoute picks the route per the configured policy.
@@ -932,9 +939,8 @@ func (s *state) placeEdgeSlots(eid dag.EdgeID, e dag.Edge, route network.Route, 
 		s.touchTimeline(lid)
 		var start, finish float64
 		if s.opts.Insertion == InsertionOptimal {
-			var moved []linksched.Shifted
-			start, finish, moved = s.tl[lid].InsertOptimal(owner, req, s.slackFunc())
-			for _, m := range moved {
+			start, finish, s.shiftBuf = s.tl[lid].InsertOptimal(owner, req, s.shiftBuf)
+			for _, m := range s.shiftBuf {
 				s.applyShift(m)
 			}
 		} else {
@@ -945,52 +951,55 @@ func (s *state) placeEdgeSlots(eid dag.EdgeID, e dag.Edge, route network.Route, 
 	}
 }
 
-// slackFunc returns the deferrable-time callback (Lemma 2) for
-// already scheduled slots, cached on the state: optimal insertion
-// calls it once per placed leg, and a fresh closure per call would
-// allocate on the probe hot path.
-//
-// edgelint:noalloc
-func (s *state) slackFunc() linksched.SlackFunc {
-	if s.slackFn == nil {
-		s.slackFn = s.buildSlackFn()
+// slackOf is the Lemma-2 deferrable time of the slot owned by o: how
+// far its start may be postponed without violating link causality
+// with the owner edge's placement on its next route link; zero on its
+// last link. Edges without a sealed record — including the one
+// currently being placed — have no slack.
+func (s *state) slackOf(o linksched.Owner) float64 {
+	m := s.edges.meta[o.Edge]
+	if !m.scheduled || o.Leg >= int(m.legs.n)-1 {
+		return 0
 	}
-	return s.slackFn
+	cur := s.edges.legs[int(m.legs.off)+o.Leg]
+	next := s.edges.legs[int(m.legs.off)+o.Leg+1]
+	var dt float64
+	if s.opts.Switching == StoreAndForward {
+		// Next link starts only after this one finishes.
+		dt = next.start - cur.finish - s.opts.HopDelay
+	} else {
+		dt = next.start - cur.start - s.opts.HopDelay
+		if v := next.finish - cur.finish - s.opts.HopDelay; v < dt {
+			dt = v
+		}
+	}
+	if dt < 0 {
+		dt = 0
+	}
+	return dt
 }
 
-// buildSlackFn constructs the slack closure: the deferrable time of an
-// already scheduled slot is bounded by the owner edge's placement on
-// its next route link, zero on its last link. Edges without a sealed
-// record — including the one currently being placed — have no slack.
-//
-// edgelint:coldpath — one-time closure construction, cached in slackFn
-func (s *state) buildSlackFn() linksched.SlackFunc {
-	return func(o linksched.Owner) float64 {
-		m := s.edges.meta[o.Edge]
-		if !m.scheduled || o.Leg >= int(m.legs.n)-1 {
-			return 0
-		}
-		cur := s.edges.legs[int(m.legs.off)+o.Leg]
-		next := s.edges.legs[int(m.legs.off)+o.Leg+1]
-		var dt float64
-		if s.opts.Switching == StoreAndForward {
-			// Next link starts only after this one finishes.
-			dt = next.start - cur.finish - s.opts.HopDelay
-		} else {
-			dt = next.start - cur.start - s.opts.HopDelay
-			if v := next.finish - cur.finish - s.opts.HopDelay; v < dt {
-				dt = v
-			}
-		}
-		if dt < 0 {
-			dt = 0
-		}
-		return dt
+// storeSlack writes the value slackOf gives now for edge eid's slot at
+// route position leg into that link's slack column. Optimal insertion
+// reads the column instead of asking slackOf slot by slot, so every
+// change to a leg's deferrable time goes through here: when
+// scheduleEdge seals the edge, and when applyShift moves one of its
+// legs. A leg of zero duration holds no slot (InsertOptimal places
+// none), so it has no entry to write.
+func (s *state) storeSlack(eid dag.EdgeID, leg int) {
+	lid := s.edges.routeAt(eid, leg)
+	if s.g.Edge(eid).Cost/s.net.Link(lid).Speed <= 0 {
+		return
 	}
+	l := s.edges.legs[int(s.edges.meta[eid].legs.off)+leg]
+	o := linksched.Owner{Edge: int(eid), Leg: leg}
+	s.touchTimeline(lid)
+	s.tl[lid].SetSlack(o, l.start, s.slackOf(o))
 }
 
 // applyShift updates the placement record of a slot deferred by
-// optimal insertion.
+// optimal insertion, and the slack entries the move changed: the
+// shifted leg's own and its predecessor leg's, which is bounded by it.
 func (s *state) applyShift(m linksched.Shifted) {
 	eid := dag.EdgeID(m.Owner.Edge)
 	if !s.edges.scheduled(eid) {
@@ -1004,6 +1013,12 @@ func (s *state) applyShift(m linksched.Shifted) {
 	l := &s.edges.legs[int(s.edges.meta[eid].legs.off)+m.Owner.Leg]
 	l.start = m.Start
 	l.finish = m.End
+	if m.Owner.Leg < s.edges.legCount(eid)-1 {
+		s.storeSlack(eid, m.Owner.Leg)
+	}
+	if m.Owner.Leg > 0 {
+		s.storeSlack(eid, m.Owner.Leg-1)
+	}
 }
 
 // placeEdgePackets divides the edge's volume into packets and

@@ -732,4 +732,35 @@ func TestZeroCostEdgesAndTasks(t *testing.T) {
 			t.Errorf("%s: makespan %v, want 5", alg.Name(), s.Makespan)
 		}
 	}
+
+	// A fan-out whose zero-cost edges cross processors over routes of
+	// two links: those legs hold no slot, so optimal insertion must not
+	// record slack for them. Odd children send real data to the sink, so
+	// slotted edges share the links with the empty ones.
+	fan := dag.New()
+	root := fan.AddTask("root", 2)
+	sink := fan.AddTask("sink", 1)
+	for i := 0; i < 6; i++ {
+		c := fan.AddTask("c"+string(rune('0'+i)), 3)
+		fan.AddEdge(root, c, 0)
+		fan.AddEdge(c, sink, float64(i%2))
+	}
+	for _, net := range []*network.Topology{
+		network.Star(3, network.Uniform(1), network.Uniform(1)),
+		network.Line(3, network.Uniform(1), network.Uniform(1)),
+	} {
+		for _, alg := range []sched.Algorithm{sched.NewOIHSA(), sched.NewDLS(), sched.NewCPOP()} {
+			s := mustSchedule(t, alg, fan, net)
+			crossed := false
+			for eid, es := range s.Edges {
+				if es != nil && len(es.Route) >= 2 && fan.Edge(dag.EdgeID(eid)).Cost == 0 {
+					crossed = true
+				}
+			}
+			if !crossed {
+				t.Errorf("%s on %d nodes: no zero-cost edge took a multi-link route; the case tests nothing",
+					alg.Name(), net.NumNodes())
+			}
+		}
+	}
 }
