@@ -138,9 +138,9 @@ func main() {
 
 // defaultGate lists the benchmarks the -check gate guards: the four
 // end-to-end scheduler presets plus the large-graph EFT baseline (the
-// macro paths every kernel change flows through) and the two
-// 10^4-scale bandwidth sweeps, whose tens of milliseconds per op make
-// them regression-stable and which are exactly where a lost index or a
+// macro paths every kernel change flows through) and the 10^4-job
+// bandwidth sweep, whose tens of milliseconds per op make it
+// regression-stable and which is exactly where a lost index or a
 // reintroduced linear rescan in the BBSA ledger shows up first.
 // The 10^4-processor EFT benchmark guards the wide-machine paths the
 // columnar state refactor optimizes: per-fork column clones, the
@@ -149,10 +149,13 @@ func main() {
 // to time on a shared machine — but the 10^4-scale probe kernels are
 // in for their allocs/op, which is deterministic: their baselines are
 // zero and the gate pins them there (the noalloc analyzer's claim,
-// re-checked at runtime). ScheduleBASinnenLarge additionally carries
-// an explicit @allocs entry so its allocation count stays pinned even
-// if the wall-time entry is ever relaxed: its allocs/op is the
-// flat-state series' headline number.
+// re-checked at runtime). BandwidthEstimateFinish/segs=10000 is one
+// of them: at -benchtime 5x its ~2 µs probe times cold caches, and
+// unchanged code read +13% to +86% against its baseline.
+// ScheduleBASinnenLarge additionally carries an explicit @allocs entry
+// so its allocation count stays pinned even if the wall-time entry is
+// ever relaxed: its allocs/op is the flat-state series' headline
+// number.
 // BenchmarkEngineThroughput guards the serving path: its wall time is
 // the engine's whole value proposition (64 schedules against a warm
 // shared cache and pooled states), and its @allocs entry pins the
@@ -164,7 +167,7 @@ func main() {
 const defaultGate = "BenchmarkScheduleBA,BenchmarkScheduleBASinnen,BenchmarkScheduleBASinnenLarge,BenchmarkScheduleBASinnenLarge@allocs," +
 	"BenchmarkScheduleBASinnenManyProcs,BenchmarkScheduleOIHSA,BenchmarkScheduleBBSA," +
 	"BenchmarkScheduleLongLinks/algo=BA,BenchmarkScheduleLongLinks/algo=OIHSA,BenchmarkScheduleLongLinks/algo=BBSA," +
-	"BenchmarkBandwidthAllocForward/jobs=10000,BenchmarkBandwidthEstimateFinish/segs=10000,BenchmarkTimelineProbeBasic/slots=10000@allocs," +
+	"BenchmarkBandwidthAllocForward/jobs=10000,BenchmarkBandwidthEstimateFinish/segs=10000@allocs,BenchmarkTimelineProbeBasic/slots=10000@allocs," +
 	"BenchmarkEngineThroughput,BenchmarkEngineThroughput@allocs"
 
 // runBench shells out to go test -bench and returns its stdout.

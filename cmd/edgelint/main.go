@@ -12,7 +12,6 @@
 //	noalloc       allocating constructs reachable from edgelint:noalloc hot paths
 //	routerconfine *network.Router values crossing goroutine boundaries
 //	seededrand    unseeded randomness and wall-clock time in libraries
-//	txnjournal    un-journaled stores to transactional scheduler state
 //	verifysched   test schedules that never pass through verify.Verify
 //
 // Packages are analyzed in dependency order and share one fact store,
@@ -56,7 +55,6 @@ import (
 	"repro/internal/lint/noalloc"
 	"repro/internal/lint/routerconfine"
 	"repro/internal/lint/seededrand"
-	"repro/internal/lint/txnjournal"
 	"repro/internal/lint/verifysched"
 )
 
@@ -71,7 +69,6 @@ var all = []*lint.Analyzer{
 	noalloc.Analyzer,
 	routerconfine.Analyzer,
 	seededrand.Analyzer,
-	txnjournal.Analyzer,
 	verifysched.Analyzer,
 }
 

@@ -161,7 +161,7 @@ func TestBrokenPackageIsFailure(t *testing.T) {
 // TestNoAllocCatchesRemovedWaiver is the live teeth check for the
 // noalloc gate: copy the module, strip the coldpath waivers out of the
 // real internal/sched journal, and the analyzer must flag the now
-// unexcused append through the annotated touch* roots. If this test
+// unexcused append through the annotated journaling-mutator roots. If this test
 // fails, the repo's clean self-run proves nothing — the roots are not
 // actually reaching the hot-path code.
 func TestNoAllocCatchesRemovedWaiver(t *testing.T) {
@@ -280,7 +280,7 @@ func TestSortDiagnostics(t *testing.T) {
 	}
 	diags := []lint.Diagnostic{
 		mk("b.go", 1, 1, "floateq"),
-		mk("a.go", 2, 1, "txnjournal"),
+		mk("a.go", 2, 1, "noalloc"),
 		mk("a.go", 2, 1, "immutable"),
 		mk("a.go", 1, 9, "floateq"),
 	}
@@ -289,7 +289,7 @@ func TestSortDiagnostics(t *testing.T) {
 	for _, d := range diags {
 		got = append(got, d.Pos.Filename+":"+d.Analyzer)
 	}
-	want := []string{"a.go:floateq", "a.go:immutable", "a.go:txnjournal", "b.go:floateq"}
+	want := []string{"a.go:floateq", "a.go:immutable", "a.go:noalloc", "b.go:floateq"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)

@@ -24,6 +24,10 @@
 //	GET  /stats         engine counters (requests, cache, contention)
 //	GET  /healthz       200 once serving
 //
+// /schedule answers 400 for a malformed or invalid graph, 413 for a
+// body over maxBodyBytes, 500 when the engine's self-check fails, and
+// 503 when the engine is overloaded or draining.
+//
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting,
 // in-flight requests finish, then the process exits 0.
 package main
@@ -43,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/dag"
 	"repro/internal/graphio"
 	"repro/internal/network"
 	"repro/internal/sched"
@@ -191,9 +196,22 @@ type taskPlacement struct {
 	Finish float64 `json:"finish"`
 }
 
+// maxBodyBytes bounds a /schedule request body. A graph in graphio JSON
+// costs ~40 bytes per task or edge, so the limit admits graphs of
+// ~200k tasks and edges, far past what one request should schedule.
+const maxBodyBytes = 8 << 20
+
+// scheduler is what the handler needs of a *sched.Engine; tests
+// substitute stubs to reach the error classes a healthy engine never
+// returns.
+type scheduler interface {
+	Schedule(g *dag.Graph) (*sched.Schedule, error)
+	Stats() sched.EngineStats
+}
+
 // newServer wires the engine into an HTTP handler. Split from main so
 // the daemon's behaviour is testable with httptest.
-func newServer(eng *sched.Engine, verifyEach bool) http.Handler {
+func newServer(eng scheduler, verifyEach bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -207,9 +225,14 @@ func newServer(eng *sched.Engine, verifyEach bool) http.Handler {
 			http.Error(w, "POST a task graph JSON", http.StatusMethodNotAllowed)
 			return
 		}
-		g, err := graphio.ReadGraph(r.Body)
+		g, err := graphio.ReadGraph(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			http.Error(w, "bad graph: "+err.Error(), http.StatusBadRequest)
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad graph: "+err.Error(), code)
 			return
 		}
 		s, err := eng.Schedule(g)
@@ -248,10 +271,14 @@ func newServer(eng *sched.Engine, verifyEach bool) http.Handler {
 }
 
 // statusOf maps engine errors to HTTP statuses: overload and drain are
-// the retryable 503s, everything else is the client's graph.
+// the retryable 503s, a failed self-check is the server's fault (500),
+// and everything else is the client's graph (400).
 func statusOf(err error) int {
-	if errors.Is(err, sched.ErrOverloaded) || errors.Is(err, sched.ErrEngineClosed) {
+	switch {
+	case errors.Is(err, sched.ErrOverloaded), errors.Is(err, sched.ErrEngineClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, sched.ErrSelfCheck):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -153,6 +154,66 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /schedule: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// stubEngine answers every request with one fixed error.
+type stubEngine struct{ err error }
+
+func (s stubEngine) Schedule(*dag.Graph) (*sched.Schedule, error) { return nil, s.err }
+func (s stubEngine) Stats() sched.EngineStats                     { return sched.EngineStats{} }
+
+// TestStatusClasses pins the /schedule error classes: an invalid graph
+// is the client's fault (400), a failed engine self-check the server's
+// (500), and overload or drain a retryable 503.
+func TestStatusClasses(t *testing.T) {
+	body, _ := testGraphJSON(t, 8)
+	cyclic := []byte(`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],"edges":[{"from":0,"to":1,"cost":1},{"from":1,"to":0,"cost":1}]}`)
+	drained := testEngine(t)
+	drained.Drain()
+	for name, c := range map[string]struct {
+		eng  scheduler
+		body []byte
+		want int
+	}{
+		"invalid graph": {testEngine(t), cyclic, http.StatusBadRequest},
+		"self-check":    {stubEngine{fmt.Errorf("%w: schedule diverged from cold run", sched.ErrSelfCheck)}, body, http.StatusInternalServerError},
+		"overloaded":    {stubEngine{sched.ErrOverloaded}, body, http.StatusServiceUnavailable},
+		"draining":      {drained, body, http.StatusServiceUnavailable},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(newServer(c.eng, false))
+			defer srv.Close()
+			resp, err := http.Post(srv.URL+"/schedule", "application/json", bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Fatalf("status %d, want %d", resp.StatusCode, c.want)
+			}
+		})
+	}
+}
+
+// TestOversizedBody pins the request bound: a body past maxBodyBytes is
+// refused with 413 before the engine sees it.
+func TestOversizedBody(t *testing.T) {
+	eng := testEngine(t)
+	srv := httptest.NewServer(newServer(eng, false))
+	defer srv.Close()
+
+	body := `{"tasks":[{"name":"` + strings.Repeat("a", maxBodyBytes) + `","cost":1}],"edges":[]}`
+	resp, err := http.Post(srv.URL+"/schedule", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if st := eng.Stats(); st.Requests != 0 {
+		t.Fatalf("oversized body reached the engine: %+v", st)
 	}
 }
 

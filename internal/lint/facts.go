@@ -25,7 +25,7 @@ import (
 )
 
 // Fact kinds exported by the framework's marker pre-pass. Analyzers
-// export their own kinds (e.g. "txnjournal.summary") with Pass.ExportFact.
+// export their own kinds (e.g. "noalloc.summary") with Pass.ExportFact.
 const (
 	// FactImmutable marks a type frozen after construction
 	// (edgelint:immutable on its declaration). Value: *ImmutableMark.

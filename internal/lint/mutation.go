@@ -133,16 +133,6 @@ func NewFreshness(info *types.Info, body *ast.BlockStmt) *Freshness {
 	return f
 }
 
-// ResolveDef returns the expression that last defined obj before pos
-// (the RHS of its textually latest completed assignment), or nil for
-// parameters and variables assigned outside the analyzed body. Used by
-// analyzers that must classify what a local variable aliases — e.g.
-// whether a *EdgeSchedule came from cowEdge or from the live journaled
-// slice.
-func (f *Freshness) ResolveDef(obj types.Object, pos token.Pos) ast.Expr {
-	return f.resolve(obj, pos)
-}
-
 // resolve returns the latest definition of obj completed before pos,
 // or nil.
 func (f *Freshness) resolve(obj types.Object, pos token.Pos) ast.Expr {

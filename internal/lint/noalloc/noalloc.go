@@ -190,7 +190,7 @@ func (a *analysis) report(root *types.Func, s AllocSite, reported map[lineKey]bo
 
 // summarize computes (memoized) the allocation summary of fn:
 // the sites in its own body plus the sites escalated from callees.
-// Cycles break by treating the back-edge as clean, like txnjournal.
+// Cycles break by treating the back-edge as clean.
 func (a *analysis) summarize(fn *types.Func) *Summary {
 	if s, ok := a.sums[fn]; ok {
 		return s

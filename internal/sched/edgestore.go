@@ -19,6 +19,10 @@ import (
 // (committed data is never appended inside a transaction's tail, so
 // truncation can only discard transaction-private entries).
 //
+// Records are written only through state's journaling edge mutators
+// (txn.go); the store's own methods read, append chunk payloads, and
+// serve reset, rollback and cloneInto.
+//
 // Offsets are int32: the committed arenas hold at most one record per
 // scheduled edge (re-placements overwrite the meta and probe tails are
 // truncated), so even 10^7-edge graphs with long routes stay far from
@@ -82,49 +86,6 @@ func (st *edgeStore) init(n int) {
 // scheduled reports whether edge id has a completed schedule record.
 func (st *edgeStore) scheduled(id dag.EdgeID) bool { return st.meta[id].scheduled }
 
-// clear removes edge id's schedule record. The caller journals the
-// prior meta (touchEdge) first; arena entries the record addressed
-// become unreachable garbage, bounded by one generation per edge
-// because committed placements happen once per edge.
-func (st *edgeStore) clear(id dag.EdgeID) { st.meta[id] = edgeMeta{} }
-
-// place starts a fresh schedule record for edge id: the route is
-// copied into the route arena and one zero-valued leg per route link
-// is reserved in the legs arena. The record stays invisible
-// (scheduled == false) until finish seals it.
-func (st *edgeStore) place(id dag.EdgeID, src, dst network.NodeID, route network.Route, base float64) {
-	ro := int32(len(st.routes))
-	// edgelint:coldpath — amortized arena growth; capacity persists
-	// across transactions and pooled reuse.
-	st.routes = append(st.routes, route...)
-	lo := int32(len(st.legs))
-	for range route {
-		// edgelint:coldpath — amortized arena growth, as above.
-		st.legs = append(st.legs, legMeta{})
-	}
-	n := int32(len(route))
-	st.meta[id] = edgeMeta{
-		srcProc: src,
-		dstProc: dst,
-		base:    base,
-		route:   span{off: ro, n: n},
-		legs:    span{off: lo, n: n},
-	}
-}
-
-// finish seals edge id's record: the arrival (the finish on the last
-// route leg, or base for an empty route) is recorded and the edge
-// becomes visible to slack/shift bookkeeping. Returns the arrival.
-func (st *edgeStore) finish(id dag.EdgeID, base float64) float64 {
-	m := &st.meta[id]
-	m.arrival = base
-	if m.legs.n > 0 {
-		m.arrival = st.legs[m.legs.off+m.legs.n-1].finish
-	}
-	m.scheduled = true
-	return m.arrival
-}
-
 // routeAt returns the link of route position leg of edge id.
 func (st *edgeStore) routeAt(id dag.EdgeID, leg int) network.LinkID {
 	return st.routes[int(st.meta[id].route.off)+leg]
@@ -133,16 +94,13 @@ func (st *edgeStore) routeAt(id dag.EdgeID, leg int) network.LinkID {
 // legCount returns the number of route legs reserved for edge id.
 func (st *edgeStore) legCount(id dag.EdgeID) int { return int(st.meta[id].legs.n) }
 
-// setLeg writes the placement record of route position leg of edge id.
-// The write position is re-derived from the meta column on every call:
-// a copy-on-write of another edge may have grown the legs arena (and
-// reallocated it) since the caller last looked.
-func (st *edgeStore) setLeg(id dag.EdgeID, leg int, lm legMeta) {
-	st.legs[int(st.meta[id].legs.off)+leg] = lm
+// leg returns the placement record of route position leg of edge id.
+func (st *edgeStore) leg(id dag.EdgeID, leg int) legMeta {
+	return st.legs[int(st.meta[id].legs.off)+leg]
 }
 
-// legsView returns edge id's legs as a mutable window into the arena,
-// valid only until the next arena append.
+// legsView returns edge id's legs as a window into the arena, valid
+// only until the next arena append.
 func (st *edgeStore) legsView(id dag.EdgeID) []legMeta {
 	m := st.meta[id].legs
 	return st.legs[m.off : m.off+m.n]

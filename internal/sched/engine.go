@@ -46,6 +46,11 @@ var ErrEngineClosed = errors.New("sched: engine draining")
 // because MaxQueue requests are already waiting for a worker slot.
 var ErrOverloaded = errors.New("sched: engine overloaded")
 
+// ErrSelfCheck marks a request whose cold re-run (SelfCheckEvery) did
+// not reproduce the engine's schedule: a fault in the engine, not in
+// the request.
+var ErrSelfCheck = errors.New("sched: engine self-check failed")
+
 // EngineOptions configures a scheduling engine.
 type EngineOptions struct {
 	// Name is the display name stamped on produced schedules. Empty
@@ -305,24 +310,24 @@ func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 }
 
 // selfCheck re-runs the request cold — fresh state, private route
-// cache, sequential probes — and fails if the engine's schedule is not
-// bit-identical. This is the serving-path twin of the rollback oracle:
-// it turns "pooling and sharing change nothing" into a checked
-// runtime contract.
+// cache, sequential probes — and fails with ErrSelfCheck if the
+// engine's schedule is not bit-identical. This is the serving-path
+// twin of the rollback oracle: it turns "pooling and sharing change
+// nothing" into a checked runtime contract.
 func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 	e.selfChecks.Add(1)
 	opts := e.opts
 	opts.ProbeWorkers = 1
 	s, err := newState(g, e.net, opts)
 	if err != nil {
-		return fmt.Errorf("sched: engine self-check setup: %w", err)
+		return fmt.Errorf("%w: setup: %w", ErrSelfCheck, err)
 	}
 	want, err := scheduleOn(s, e.name)
 	if err != nil {
-		return fmt.Errorf("sched: engine self-check run: %w", err)
+		return fmt.Errorf("%w: cold run: %w", ErrSelfCheck, err)
 	}
 	if d := DiffSchedules(want, got); d != "" {
-		return fmt.Errorf("sched: engine schedule diverged from cold run: %s", d)
+		return fmt.Errorf("%w: schedule diverged from cold run: %s", ErrSelfCheck, d)
 	}
 	return nil
 }

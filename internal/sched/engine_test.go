@@ -226,3 +226,30 @@ func TestEngineOverload(t *testing.T) {
 		t.Fatalf("active count after release: %d", got)
 	}
 }
+
+// TestSelfCheckDivergenceIsErrSelfCheck pins the error class of the
+// determinism oracle: a schedule that differs from the cold re-run
+// fails with ErrSelfCheck, which the daemon maps to a server error.
+//
+// edgelint:ignore verifysched — in-package (verify would cycle); the
+// test checks the self-check's error class, not the schedule, and the
+// same engine paths run under the full validator in engine_ext_test.go.
+func TestSelfCheckDivergenceIsErrSelfCheck(t *testing.T) {
+	net := network.Star(3, network.Uniform(1), network.Uniform(1))
+	e, err := NewEngine(net, EngineOptions{Opts: NewOIHSA().Opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dag.Chain(3, 5, 20)
+	got, err := e.Schedule(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.selfCheck(g, got); err != nil {
+		t.Fatalf("self-check of the engine's own schedule: %v", err)
+	}
+	got.Tasks[1].Start += 1
+	if err := e.selfCheck(g, got); !errors.Is(err, ErrSelfCheck) {
+		t.Fatalf("self-check of a tampered schedule: %v, want ErrSelfCheck", err)
+	}
+}

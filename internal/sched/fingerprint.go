@@ -8,16 +8,16 @@ import (
 )
 
 // The rollback oracle. A probe transaction is only correct if rollback
-// restores the state bit-for-bit: a single store that is not journaled
-// by the matching touch*/cowEdgeLegs call corrupts the committed
-// schedule silently — the transactional sibling of a forgotten Clone
-// copy. With Options.VerifyRollbackEvery set (1 for every
-// transaction), begin captures a deep fingerprint of every journaled
-// piece of state and rollback re-checks it, panicking with the
-// offending field and ID instead of letting the corruption propagate
-// into an unreproducible wrong schedule. The txnjournal static
-// analyzer enforces the same invariant at build time; the oracle is the
-// runtime ground truth it mirrors.
+// restores the state bit-for-bit: a store whose prior value is not
+// journaled corrupts the committed schedule silently — the
+// transactional sibling of a forgotten Clone copy. Every write goes
+// through a journaling mutator (txn.go), and this oracle is the guard
+// that each mutator's journal step covers its store. With
+// Options.VerifyRollbackEvery set (1 for every transaction), begin
+// captures a deep fingerprint of every journaled piece of state and
+// rollback re-checks it, panicking with the offending field and ID
+// instead of letting the corruption propagate into an unreproducible
+// wrong schedule.
 
 // fingerprint is a deep copy of everything rollback must restore. The
 // edge store is captured column by column: comparing the raw meta and

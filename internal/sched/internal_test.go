@@ -202,11 +202,10 @@ func TestTxnRollbackRestoresBandwidth(t *testing.T) {
 }
 
 // TestCowEdgeLegsJournalsUntouchedEdge reproduces the span-level
-// silent-rollback hole: mutating a committed edge's leg records in
-// place would corrupt arena entries below the rollback watermark,
-// which truncation cannot restore. cowEdgeLegs must journal the
-// pre-copy meta on the spot and re-point the span at a
-// transaction-private copy above the watermark.
+// silent-rollback hole: writing a committed edge's leg records in place
+// would corrupt arena entries below the rollback watermark, which
+// truncation cannot restore. setLeg must journal the pre-copy meta and
+// write to a transaction-private copy above the watermark.
 func TestCowEdgeLegsJournalsUntouchedEdge(t *testing.T) {
 	g := dag.Chain(2, 1, 100)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
@@ -225,19 +224,23 @@ func TestCowEdgeLegsJournalsUntouchedEdge(t *testing.T) {
 	want := s.edges.legs[m.legs.off]
 	nLegs := len(s.edges.legs)
 
-	// Probe-style transaction that shifts the edge without any prior
-	// touchEdge — exactly what a buggy placement path would do.
+	// Probe-style transaction that shifts a committed leg the edge
+	// never journaled before.
 	s.begin()
-	s.cowEdgeLegs(0)
+	shifted := want
+	shifted.start += 17
+	shifted.finish += 17
+	s.setLeg(0, 0, shifted)
 	if !s.tx.edgeOld.has(0) {
-		t.Fatal("cowEdgeLegs did not journal the pre-copy meta")
+		t.Fatal("setLeg did not journal the pre-copy meta")
 	}
 	cowOff := s.edges.meta[0].legs.off
 	if int(cowOff) < s.tx.marks.legs {
-		t.Fatal("cowEdgeLegs left a committed edge's legs below the rollback watermark")
+		t.Fatal("setLeg wrote a committed edge's legs below the rollback watermark")
 	}
-	s.edges.legs[cowOff].start += 17
-	s.edges.legs[cowOff].finish += 17
+	if got := s.edges.legs[cowOff]; got != shifted {
+		t.Fatalf("setLeg stored %+v, want %+v", got, shifted)
+	}
 	s.rollback()
 
 	if got := s.edges.meta[0]; got != m {
@@ -289,36 +292,56 @@ func TestProbePanicSafe(t *testing.T) {
 }
 
 // TestRollbackOracleDetectsUnjournaledWrites arms the oracle on every
-// transaction and commits un-journaled writes inside one: rollback must
-// panic and name the corrupted field.
+// transaction and commits un-journaled writes inside one, one per
+// journaled column: rollback must panic and name the corrupted field.
+// The oracle is the only guard that the journaling mutators cover their
+// stores, so it must see every column.
 func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
-	corrupt := map[string]func(s *state){
-		"task": func(s *state) {
+	corrupt := map[string]struct {
+		opts   Options
+		mutate func(s *state)
+	}{
+		"task": {mutate: func(s *state) {
 			s.tasks[0] = TaskPlacement{Task: 0, Proc: 0, Start: 1, Finish: 2}
-		},
-		"processor": func(s *state) {
+		}},
+		"processor": {mutate: func(s *state) {
 			s.procFinish[0] += 5
-		},
-		"edge": func(s *state) {
-			// In-place mutation of a committed leg record, bypassing
-			// touchEdge/cowEdgeLegs — the span-level silent-rollback hole.
+		}},
+		"edge": {mutate: func(s *state) {
+			// In-place write of a committed leg record, bypassing
+			// setLeg's copy-on-write — the span-level silent-rollback
+			// hole.
 			s.edges.legs[s.edges.meta[0].legs.off].start += 3
-		},
-		"link": func(s *state) {
+		}},
+		"link": {mutate: func(s *state) {
 			s.tl[0].InsertBasic(linksched.Owner{Edge: 99, Leg: 0}, linksched.Request{ES: 500, PF: 500, Dur: 1})
-		},
-		"slack": func(s *state) {
-			// A slack-column write that skips touchTimeline.
+		}},
+		"slack": {mutate: func(s *state) {
+			// A slack-column write that bypasses linkTL.
 			lid := s.edges.routeAt(0, 0)
 			sl := s.tl[lid].Slots()[0]
 			s.tl[lid].SetSlack(sl.Owner, sl.Start, 42)
-		},
+		}},
+		"bandwidth": {opts: Options{Engine: EngineBandwidth}, mutate: func(s *state) {
+			s.bw[0].Alloc(linksched.Owner{Edge: 99, Leg: 0}, 500, 10, 1, 0)
+		}},
+		"proctimeline": {opts: Options{TaskPolicy: TaskInsertion}, mutate: func(s *state) {
+			p := s.net.Processors()[0]
+			s.ptl[p].InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
+		}},
+		"duplicate": {opts: Options{Duplication: true}, mutate: func(s *state) {
+			// An append that bypasses addDup: rollback has no length
+			// to truncate back to.
+			s.dups = append(s.dups, TaskPlacement{Task: 0, Proc: s.net.Processors()[0], Start: 7, Finish: 8})
+		}},
 	}
-	for name, mutate := range corrupt {
+	for name, c := range corrupt {
 		t.Run(name, func(t *testing.T) {
 			g := dag.Chain(2, 1, 100)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
-			s := mkState(t, g, net, Options{VerifyRollbackEvery: 1})
+			opts := c.opts
+			opts.VerifyRollbackEvery = 1
+			s := mkState(t, g, net, opts)
 			p := net.Processors()
 			if _, err := s.placeTask(0, p[0]); err != nil {
 				t.Fatal(err)
@@ -327,7 +350,7 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.begin()
-			mutate(s)
+			c.mutate(s)
 			defer func() {
 				if r := recover(); r == nil {
 					t.Fatal("rollback oracle missed an un-journaled write")
@@ -338,11 +361,102 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 	}
 }
 
-// TestBeginReusesJournalMaps pins the allocation fix: the six
+// TestMutatorsRollBack drives every journaling mutator on committed
+// state inside a transaction with the rollback oracle armed. Each write
+// must change the state (so the row is not vacuous) and rollback must
+// undo it exactly, or the oracle panics naming the field: a mutator
+// whose journal step is lost fails its row here, including the ones
+// (sealEdge, clearEdge of a scheduled edge) that the schedulers only
+// reach with the record already journaled.
+func TestMutatorsRollBack(t *testing.T) {
+	rows := map[string]struct {
+		opts   Options
+		mutate func(s *state)
+	}{
+		"setTask": {mutate: func(s *state) {
+			s.setTask(2, TaskPlacement{Task: 2, Proc: s.net.Processors()[1], Start: 7, Finish: 9})
+		}},
+		"setProcFinish": {mutate: func(s *state) {
+			p := s.net.Processors()[0]
+			s.setProcFinish(p, s.procFinish[p]+5)
+		}},
+		"addDup": {opts: Options{Duplication: true}, mutate: func(s *state) {
+			s.addDup(TaskPlacement{Task: 0, Proc: s.net.Processors()[1], Start: 3, Finish: 4})
+		}},
+		"placeEdge": {mutate: func(s *state) {
+			p := s.net.Processors()
+			s.placeEdge(0, p[0], p[1], network.Route{s.edges.routeAt(0, 0)}, 3)
+		}},
+		"sealEdge": {mutate: func(s *state) {
+			s.sealEdge(1, 5) // the intra-processor edge holds no record yet
+		}},
+		"clearEdge": {mutate: func(s *state) {
+			s.clearEdge(0) // a scheduled edge
+		}},
+		"setLeg": {mutate: func(s *state) {
+			l := s.edges.leg(0, 0) // shift a committed leg
+			l.start += 3
+			l.finish += 3
+			s.setLeg(0, 0, l)
+		}},
+		"linkTL": {mutate: func(s *state) {
+			s.linkTL(0).InsertBasic(linksched.Owner{Edge: 99, Leg: 0}, linksched.Request{ES: 500, PF: 500, Dur: 1})
+		}},
+		"linkTLSlack": {mutate: func(s *state) {
+			lid := s.edges.routeAt(0, 0)
+			sl := s.tl[lid].Slots()[0]
+			s.linkTL(lid).SetSlack(sl.Owner, sl.Start, 42)
+		}},
+		"linkBW": {opts: Options{Engine: EngineBandwidth}, mutate: func(s *state) {
+			s.linkBW(0).Alloc(linksched.Owner{Edge: 99, Leg: 0}, 500, 10, 1, 0)
+		}},
+		"procTL": {opts: Options{TaskPolicy: TaskInsertion}, mutate: func(s *state) {
+			p := s.net.Processors()[0]
+			s.procTL(p).InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
+		}},
+	}
+	for name, r := range rows {
+		t.Run(name, func(t *testing.T) {
+			// a feeds b across the link and c on its own processor, so
+			// edge 0 is scheduled and edge 1 holds no record.
+			g := dag.New()
+			a := g.AddTask("a", 1)
+			b := g.AddTask("b", 1)
+			c := g.AddTask("c", 1)
+			g.AddEdge(a, b, 100)
+			g.AddEdge(a, c, 100)
+			net := network.Line(2, network.Uniform(1), network.Uniform(1))
+			opts := r.opts
+			opts.VerifyRollbackEvery = 1
+			s := mkState(t, g, net, opts)
+			p := net.Processors()
+			for _, pl := range []struct {
+				tid  dag.TaskID
+				proc network.NodeID
+			}{{a, p[0]}, {b, p[1]}, {c, p[0]}} {
+				if _, err := s.placeTask(pl.tid, pl.proc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.begin()
+			r.mutate(s)
+			if s.tx.fp.diff(s) == "" {
+				t.Fatal("the mutator left the state unchanged")
+			}
+			defer func() {
+				if err := recover(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			s.rollback()
+		})
+	}
+}
+
+// TestBeginReusesJournals pins the allocation fix: the six
 // slice-backed journals are owned by the state and reused across
-// transactions. (The name predates the switch from maps to epoch-
-// marked slices; the invariant is the same.)
-func TestBeginReusesJournalMaps(t *testing.T) {
+// transactions.
+func TestBeginReusesJournals(t *testing.T) {
 	g := dag.Chain(2, 1, 10)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
@@ -376,10 +490,10 @@ func TestBeginReusesJournalMaps(t *testing.T) {
 // TestProbeJournalingIsAllocationFree extends the journal-reuse pin
 // from empty transactions to ones that journal real state: after one
 // warm-up round has sized the journal value slots, a transaction that
-// touches every timeline, a task and a processor clock — then rolls
+// journals every timeline, a task and a processor clock — then rolls
 // back — must not allocate. This pins the SnapshotInto buffer
-// recycling: before it, every touchTimeline allocated a fresh snapshot
-// slot copy, the dominant allocation of the EFT probe loop.
+// recycling: before it, every timeline journal allocated a fresh
+// snapshot slot copy, the dominant allocation of the EFT probe loop.
 func TestProbeJournalingIsAllocationFree(t *testing.T) {
 	g := dag.Chain(4, 1, 10)
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
@@ -394,10 +508,10 @@ func TestProbeJournalingIsAllocationFree(t *testing.T) {
 	journalAll := func() {
 		s.begin()
 		for i := range s.tl {
-			s.touchTimeline(network.LinkID(i))
+			s.linkTL(network.LinkID(i))
 		}
-		s.touchTask(1)
-		s.touchProc(p[1])
+		s.setTask(1, s.tasks[1])
+		s.setProcFinish(p[1], s.procFinish[p[1]])
 		s.rollback()
 	}
 	journalAll() // warm up: allocate journal arrays and snapshot buffers

@@ -722,9 +722,8 @@ func (s *state) placeTask(tid dag.TaskID, proc network.NodeID) (float64, error) 
 	dur := s.g.Task(tid).Cost / s.net.Node(proc).Speed
 	var start, finish float64
 	if s.opts.TaskPolicy == TaskInsertion {
-		s.touchProcTimeline(proc)
 		owner := linksched.Owner{Edge: int(tid), Leg: -1}
-		start, finish = s.ptl[proc].InsertBasic(owner, linksched.Request{ES: drt, PF: drt, Dur: dur})
+		start, finish = s.procTL(proc).InsertBasic(owner, linksched.Request{ES: drt, PF: drt, Dur: dur})
 	} else {
 		start = drt
 		if f := s.procFinish[proc]; f > start {
@@ -732,11 +731,9 @@ func (s *state) placeTask(tid dag.TaskID, proc network.NodeID) (float64, error) 
 		}
 		finish = start + dur
 	}
-	s.touchTask(tid)
-	s.tasks[tid] = TaskPlacement{Task: tid, Proc: proc, Start: start, Finish: finish}
-	s.touchProc(proc)
+	s.setTask(tid, TaskPlacement{Task: tid, Proc: proc, Start: start, Finish: finish})
 	if finish > s.procFinish[proc] {
-		s.procFinish[proc] = finish
+		s.setProcFinish(proc, finish)
 	}
 	return finish, nil
 }
@@ -760,8 +757,7 @@ func (s *state) tryDuplicate(eid dag.EdgeID, proc network.NodeID, base float64) 
 	// Reuse an existing duplicate of the same task on this processor.
 	for _, d := range s.dups {
 		if d.Task == e.From && d.Proc == proc {
-			s.touchEdge(eid)
-			s.edges.clear(eid)
+			s.clearEdge(eid)
 			return true
 		}
 	}
@@ -771,12 +767,9 @@ func (s *state) tryDuplicate(eid dag.EdgeID, proc network.NodeID, base float64) 
 	if fptime.GeqEps(dupFinish, estArrival) {
 		return false // duplication must win by more than rounding noise
 	}
-	s.touchDup()
-	s.dups = append(s.dups, TaskPlacement{Task: e.From, Proc: proc, Start: dupStart, Finish: dupFinish})
-	s.touchProc(proc)
-	s.procFinish[proc] = dupFinish
-	s.touchEdge(eid)
-	s.edges.clear(eid)
+	s.addDup(TaskPlacement{Task: e.From, Proc: proc, Start: dupStart, Finish: dupFinish})
+	s.setProcFinish(proc, dupFinish)
+	s.clearEdge(eid)
 	return true
 }
 
@@ -815,8 +808,7 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	if src.Proc == dstProc {
 		// Intra-processor communication is free; ensure no stale
 		// schedule lingers from a previous tentative placement.
-		s.touchEdge(eid)
-		s.edges.clear(eid)
+		s.clearEdge(eid)
 		return src.Finish, nil
 	}
 	route, err := s.findRoute(e, src.Proc, dstProc, base)
@@ -829,8 +821,7 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	// callbacks that must not see the half-built record — the same
 	// invisibility the edge had while the old code built its schedule on
 	// a private heap object.
-	s.touchEdge(eid)
-	s.edges.place(eid, src.Proc, dstProc, route, base)
+	s.placeEdge(eid, src.Proc, dstProc, route, base)
 	switch s.opts.Engine {
 	case EngineSlots:
 		s.placeEdgeSlots(eid, e, route, base)
@@ -839,7 +830,7 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	case EnginePackets:
 		s.placeEdgePackets(eid, e, route, base)
 	}
-	arrival := s.edges.finish(eid, base)
+	arrival := s.sealEdge(eid, base)
 	if s.opts.Engine == EngineSlots && s.opts.Insertion == InsertionOptimal {
 		// Sealed: the legs now have the deferrable times optimal
 		// insertion reads (the last leg's stays 0).
@@ -936,17 +927,16 @@ func (s *state) placeEdgeSlots(eid dag.EdgeID, e dag.Edge, route network.Route, 
 			req.PF += s.opts.HopDelay
 		}
 		owner := linksched.Owner{Edge: int(eid), Leg: leg}
-		s.touchTimeline(lid)
 		var start, finish float64
 		if s.opts.Insertion == InsertionOptimal {
-			start, finish, s.shiftBuf = s.tl[lid].InsertOptimal(owner, req, s.shiftBuf)
+			start, finish, s.shiftBuf = s.linkTL(lid).InsertOptimal(owner, req, s.shiftBuf)
 			for _, m := range s.shiftBuf {
 				s.applyShift(m)
 			}
 		} else {
-			start, finish = s.tl[lid].InsertBasic(owner, req)
+			start, finish = s.linkTL(lid).InsertBasic(owner, req)
 		}
-		s.edges.setLeg(eid, leg, legMeta{link: lid, start: start, finish: finish})
+		s.setLeg(eid, leg, legMeta{link: lid, start: start, finish: finish})
 		prevStart, prevFinish = start, finish
 	}
 }
@@ -991,10 +981,8 @@ func (s *state) storeSlack(eid dag.EdgeID, leg int) {
 	if s.g.Edge(eid).Cost/s.net.Link(lid).Speed <= 0 {
 		return
 	}
-	l := s.edges.legs[int(s.edges.meta[eid].legs.off)+leg]
 	o := linksched.Owner{Edge: int(eid), Leg: leg}
-	s.touchTimeline(lid)
-	s.tl[lid].SetSlack(o, l.start, s.slackOf(o))
+	s.linkTL(lid).SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))
 }
 
 // applyShift updates the placement record of a slot deferred by
@@ -1006,13 +994,9 @@ func (s *state) applyShift(m linksched.Shifted) {
 		// The in-flight edge (or a cleared one) has no record to move.
 		return
 	}
-	// The edge's legs may predate the open transaction, in which case
-	// they live below the rollback watermark and must be copied to the
-	// arena tail before mutation (span-level copy-on-write).
-	s.cowEdgeLegs(eid)
-	l := &s.edges.legs[int(s.edges.meta[eid].legs.off)+m.Owner.Leg]
-	l.start = m.Start
-	l.finish = m.End
+	l := s.edges.leg(eid, m.Owner.Leg)
+	l.start, l.finish = m.Start, m.End
+	s.setLeg(eid, m.Owner.Leg, l)
 	if m.Owner.Leg < s.edges.legCount(eid)-1 {
 		s.storeSlack(eid, m.Owner.Leg)
 	}
@@ -1049,7 +1033,6 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 	}
 	for leg, lid := range route {
 		link := s.net.Link(lid)
-		s.touchTimeline(lid)
 		var legStart, legFinish float64
 		lastOnLink := 0.0 // finish of packet p-1 on this link
 		legChunks := s.chunkBuf[:0]
@@ -1067,7 +1050,7 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 				lb = lastOnLink
 			}
 			owner := linksched.Owner{Edge: int(eid), Leg: leg}
-			start, finish := s.tl[lid].InsertBasic(owner, linksched.Request{ES: lb, PF: lb, Dur: dur})
+			start, finish := s.linkTL(lid).InsertBasic(owner, linksched.Request{ES: lb, PF: lb, Dur: dur})
 			if p == 0 {
 				legStart = start
 			}
@@ -1083,7 +1066,7 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 			})
 		}
 		s.chunkBuf = legChunks
-		s.edges.setLeg(eid, leg, legMeta{
+		s.setLeg(eid, leg, legMeta{
 			link:   lid,
 			start:  legStart,
 			finish: legFinish,
@@ -1100,24 +1083,23 @@ func (s *state) placeEdgeBandwidth(eid dag.EdgeID, e dag.Edge, route network.Rou
 	for leg, lid := range route {
 		link := s.net.Link(lid)
 		owner := linksched.Owner{Edge: int(eid), Leg: leg}
-		s.touchBWTimeline(lid)
 		switch {
 		case leg == 0:
-			chunks = s.bw[lid].Alloc(owner, base, e.Cost, link.Speed, 0)
+			chunks = s.linkBW(lid).Alloc(owner, base, e.Cost, link.Speed, 0)
 		case s.opts.Switching == StoreAndForward:
 			// The whole message is buffered at the station; the next
 			// link transfers it afresh, unconstrained by arrival rate.
 			arrived := chunks[len(chunks)-1].End
-			chunks = s.bw[lid].Alloc(owner, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
+			chunks = s.linkBW(lid).Alloc(owner, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
 		default:
-			chunks = s.bw[lid].Forward(owner, chunks, prevSpeed, link.Speed, s.opts.HopDelay)
+			chunks = s.linkBW(lid).Forward(owner, chunks, prevSpeed, link.Speed, s.opts.HopDelay)
 		}
 		start, finish := base, base
 		if len(chunks) > 0 {
 			start = chunks[0].Start
 			finish = chunks[len(chunks)-1].End
 		}
-		s.edges.setLeg(eid, leg, legMeta{
+		s.setLeg(eid, leg, legMeta{
 			link:   lid,
 			start:  start,
 			finish: finish,

@@ -22,8 +22,9 @@ type txn struct {
 	tlSnaps  journal[linksched.Snapshot]
 	bwSnaps  journal[linksched.BWSnapshot]
 	ptlSnaps journal[linksched.Snapshot]
-	// dupsLen is the duplicates count at transaction start; rollback
-	// truncates to it (duplicates are append-only).
+	// dupsLen is the duplicates count before the transaction's first
+	// addDup, or -1 if it appended none; rollback truncates to it
+	// (duplicates are append-only).
 	dupsLen int
 	// marks are the edge-store arena lengths at transaction start;
 	// rollback truncates the arenas to them, discarding every
@@ -53,7 +54,7 @@ func (s *state) begin() {
 		s.checkJournalSizes(s.txFree)
 	}
 	s.tx = s.txFree
-	s.tx.dupsLen = len(s.dups)
+	s.tx.dupsLen = -1
 	s.tx.marks = s.edges.marks()
 	if n := s.opts.VerifyRollbackEvery; n > 0 && s.txSeq%uint64(n) == 0 {
 		s.tx.fp = s.captureFingerprint()
@@ -145,7 +146,7 @@ func (s *state) rollback() {
 	for _, id := range tx.ptlSnaps.ids {
 		s.ptl[id].Restore(tx.ptlSnaps.vals[id])
 	}
-	if len(s.dups) > tx.dupsLen {
+	if tx.dupsLen >= 0 {
 		s.dups = s.dups[:tx.dupsLen]
 	}
 	if tx.fp != nil {
@@ -164,115 +165,174 @@ func (s *state) rollback() {
 	s.tx = nil
 }
 
-// touchTask journals a task placement before modification.
+// The journaling mutators. Every write to a journaled column goes
+// through one of them, and each journals the prior value before it
+// stores, so a probe cannot make a write that rollback cannot undo.
+// Outside a transaction (committed placements) the journal step is one
+// nil check. Reads stay plain column indexing; the only other stores
+// are rollback's restores and reset/cloneInto, which run outside
+// transactions. The rollback oracle (Options.VerifyRollbackEvery)
+// checks at runtime that each mutator's journal step covers its store.
+
+// setTask journals task id's placement, then stores p.
 //
 // edgelint:noalloc
-func (s *state) touchTask(id dag.TaskID) {
-	if s.tx == nil {
-		return
+func (s *state) setTask(id dag.TaskID, p TaskPlacement) {
+	if tx := s.tx; tx != nil && !tx.taskOld.has(int(id)) {
+		tx.taskOld.put(int(id), s.tasks[id])
 	}
-	if !s.tx.taskOld.has(int(id)) {
-		s.tx.taskOld.put(int(id), s.tasks[id])
+	s.tasks[id] = p
+}
+
+// setProcFinish journals processor id's clock, then stores f.
+//
+// edgelint:noalloc
+func (s *state) setProcFinish(id network.NodeID, f float64) {
+	if tx := s.tx; tx != nil && !tx.procOld.has(int(id)) {
+		tx.procOld.put(int(id), s.procFinish[id])
+	}
+	s.procFinish[id] = f
+}
+
+// addDup appends a duplicate placement. Duplicates are append-only, so
+// their journal is the column length before the transaction's first
+// append; rollback truncates back to it.
+//
+// edgelint:noalloc
+func (s *state) addDup(p TaskPlacement) {
+	if tx := s.tx; tx != nil && tx.dupsLen < 0 {
+		tx.dupsLen = len(s.dups)
+	}
+	// edgelint:coldpath — amortized growth: a run duplicates a source
+	// task at most once per processor.
+	s.dups = append(s.dups, p)
+}
+
+// journalEdge journals edge id's fixed-width meta record for the edge
+// mutators below. The meta value carries the edge's spans, so restoring
+// it re-points the edge at its committed arena data; arena entries
+// themselves are only ever appended inside a transaction and are
+// discarded wholesale by the rollback truncation.
+//
+// edgelint:noalloc
+func (s *state) journalEdge(id dag.EdgeID) {
+	if tx := s.tx; tx != nil && !tx.edgeOld.has(int(id)) {
+		tx.edgeOld.put(int(id), s.edges.meta[id])
 	}
 }
 
-// touchProc journals a processor clock before modification.
+// placeEdge starts a fresh schedule record for edge id: the route is
+// copied into the route arena and one zero-valued leg per route link
+// is reserved in the legs arena. The record stays invisible
+// (scheduled == false) to slack and shift bookkeeping until sealEdge
+// seals it.
 //
 // edgelint:noalloc
-func (s *state) touchProc(id network.NodeID) {
-	if s.tx == nil {
-		return
-	}
-	if !s.tx.procOld.has(int(id)) {
-		s.tx.procOld.put(int(id), s.procFinish[id])
-	}
-}
-
-// touchEdge journals an edge's fixed-width meta record before
-// replacement or mutation. The meta value carries the edge's spans, so
-// restoring it re-points the edge at its committed arena data; arena
-// entries themselves are only ever appended inside a transaction and
-// are discarded wholesale by the rollback truncation.
-//
-// edgelint:noalloc
-func (s *state) touchEdge(id dag.EdgeID) {
-	if s.tx == nil {
-		return
-	}
-	if !s.tx.edgeOld.has(int(id)) {
-		s.tx.edgeOld.put(int(id), s.edges.meta[id])
-	}
-}
-
-// cowEdgeLegs makes edge id's leg records safe to mutate in place:
-// inside a transaction, legs that predate the transaction — they live
-// below the rollback watermark, where truncation cannot discard a
-// write — are copied to the arena tail first, and the meta span is
-// re-pointed at the copy. The pre-copy meta is journaled on the spot:
-// skipping that would let the caller mutate committed arena entries
-// that rollback cannot restore (the span-level silent-rollback hole).
-// Legs already above the watermark are transaction-private and mutable
-// as they are.
-func (s *state) cowEdgeLegs(id dag.EdgeID) {
-	if s.tx == nil {
-		return
-	}
-	s.touchEdge(id)
-	m := &s.edges.meta[id]
-	if m.legs.n == 0 || int(m.legs.off) >= s.tx.marks.legs {
-		return // transaction-private (or empty): in-place writes roll back fine
-	}
-	off := int32(len(s.edges.legs))
+func (s *state) placeEdge(id dag.EdgeID, src, dst network.NodeID, route network.Route, base float64) {
+	s.journalEdge(id)
+	st := &s.edges
+	ro := int32(len(st.routes))
 	// edgelint:coldpath — amortized arena growth; capacity persists
 	// across transactions and pooled reuse.
-	s.edges.legs = append(s.edges.legs, s.edges.legs[m.legs.off:m.legs.off+m.legs.n]...)
-	m.legs.off = off
-}
-
-// touchTimeline journals a slot timeline before modification. The
-// snapshot reuses the buffers left in the journal's value slot by an
-// earlier transaction, so steady-state journaling is allocation-free.
-//
-// edgelint:noalloc
-func (s *state) touchTimeline(id network.LinkID) {
-	if s.tx == nil {
-		return
+	st.routes = append(st.routes, route...)
+	lo := int32(len(st.legs))
+	for range route {
+		// edgelint:coldpath — amortized arena growth, as above.
+		st.legs = append(st.legs, legMeta{})
 	}
-	if !s.tx.tlSnaps.has(int(id)) {
-		s.tx.tlSnaps.put(int(id), s.tl[id].SnapshotInto(s.tx.tlSnaps.stale(int(id))))
+	n := int32(len(route))
+	st.meta[id] = edgeMeta{
+		srcProc: src,
+		dstProc: dst,
+		base:    base,
+		route:   span{off: ro, n: n},
+		legs:    span{off: lo, n: n},
 	}
 }
 
-// touchDup is a no-op marker: duplicates are append-only and rolled
-// back by truncation to the length recorded at begin.
+// sealEdge seals edge id's record: the arrival (the finish on the last
+// route leg, or base for an empty route) is recorded and the edge
+// becomes visible to slack/shift bookkeeping. Returns the arrival.
 //
 // edgelint:noalloc
-func (s *state) touchDup() {}
-
-// touchProcTimeline journals a processor timeline (task insertion
-// policy) before modification.
-//
-// edgelint:noalloc
-func (s *state) touchProcTimeline(id network.NodeID) {
-	if s.tx == nil {
-		return
+func (s *state) sealEdge(id dag.EdgeID, base float64) float64 {
+	s.journalEdge(id)
+	m := &s.edges.meta[id]
+	m.arrival = base
+	if m.legs.n > 0 {
+		m.arrival = s.edges.legs[m.legs.off+m.legs.n-1].finish
 	}
-	if !s.tx.ptlSnaps.has(int(id)) {
-		s.tx.ptlSnaps.put(int(id), s.ptl[id].SnapshotInto(s.tx.ptlSnaps.stale(int(id))))
-	}
+	m.scheduled = true
+	return m.arrival
 }
 
-// touchBWTimeline journals a bandwidth timeline before modification.
-// The snapshot carries the chunked slabs and their block summaries
-// wholesale (buffer-reused via the stale snapshot), so a rollback
-// restores the availability index without any reindexing.
+// clearEdge removes edge id's schedule record. Arena entries the record
+// addressed become unreachable garbage, bounded by one generation per
+// edge because committed placements happen once per edge.
 //
 // edgelint:noalloc
-func (s *state) touchBWTimeline(id network.LinkID) {
-	if s.tx == nil {
-		return
+func (s *state) clearEdge(id dag.EdgeID) {
+	s.journalEdge(id)
+	s.edges.meta[id] = edgeMeta{}
+}
+
+// setLeg writes the placement record of route position leg of edge id.
+// Inside a transaction, legs that predate it live below the rollback
+// watermark, where truncation cannot discard a write, so they are first
+// copied to the arena tail and the journaled meta span is re-pointed at
+// the copy (span-level copy-on-write). Legs above the watermark, such
+// as the ones placeEdge reserved in this transaction, are written in
+// place. The position is re-derived from the meta column on every call:
+// a copy-on-write of another edge may have grown (and reallocated) the
+// legs arena since the caller last looked.
+//
+// edgelint:noalloc
+func (s *state) setLeg(id dag.EdgeID, leg int, lm legMeta) {
+	s.journalEdge(id)
+	m := &s.edges.meta[id]
+	if tx := s.tx; tx != nil && int(m.legs.off) < tx.marks.legs {
+		off := int32(len(s.edges.legs))
+		// edgelint:coldpath — amortized arena growth; capacity persists
+		// across transactions and pooled reuse.
+		s.edges.legs = append(s.edges.legs, s.edges.legs[m.legs.off:m.legs.off+m.legs.n]...)
+		m.legs.off = off
 	}
-	if !s.tx.bwSnaps.has(int(id)) {
-		s.tx.bwSnaps.put(int(id), s.bw[id].SnapshotInto(s.tx.bwSnaps.stale(int(id))))
+	s.edges.legs[int(m.legs.off)+leg] = lm
+}
+
+// linkTL journals link id's slot timeline and returns it for one
+// mutating call. The snapshot reuses the buffers left in the journal's
+// value slot by an earlier transaction, so steady-state journaling is
+// allocation-free.
+//
+// edgelint:noalloc
+func (s *state) linkTL(id network.LinkID) *linksched.Timeline {
+	if tx := s.tx; tx != nil && !tx.tlSnaps.has(int(id)) {
+		tx.tlSnaps.put(int(id), s.tl[id].SnapshotInto(tx.tlSnaps.stale(int(id))))
 	}
+	return &s.tl[id]
+}
+
+// linkBW journals link id's bandwidth timeline and returns it for one
+// mutating call. The snapshot carries the chunked slabs and their block
+// summaries wholesale, so a rollback restores the availability index
+// without any reindexing.
+//
+// edgelint:noalloc
+func (s *state) linkBW(id network.LinkID) *linksched.BWTimeline {
+	if tx := s.tx; tx != nil && !tx.bwSnaps.has(int(id)) {
+		tx.bwSnaps.put(int(id), s.bw[id].SnapshotInto(tx.bwSnaps.stale(int(id))))
+	}
+	return &s.bw[id]
+}
+
+// procTL journals processor id's timeline (task insertion policy) and
+// returns it for one mutating call.
+//
+// edgelint:noalloc
+func (s *state) procTL(id network.NodeID) *linksched.Timeline {
+	if tx := s.tx; tx != nil && !tx.ptlSnaps.has(int(id)) {
+		tx.ptlSnaps.put(int(id), s.ptl[id].SnapshotInto(tx.ptlSnaps.stale(int(id))))
+	}
+	return &s.ptl[id]
 }
