@@ -3,16 +3,12 @@
 // mechanical form of the invariants the paper reproduction depends on
 // — over the given go package patterns (default ./...):
 //
-//	aliasret      methods on cloned/immutable types returning internal slices/maps
-//	clonecheck    Clone methods that shallow-copy reference-bearing fields
-//	detfold       order-dependent float folds in map/channel/select merges
-//	errflow       dropped errors from this module's exported APIs
-//	floateq       bare float64 time/cost comparisons (use internal/fptime)
-//	immutable     writes to edgelint:immutable types outside their constructors
-//	noalloc       allocating constructs reachable from edgelint:noalloc hot paths
-//	routerconfine *network.Router values crossing goroutine boundaries
-//	seededrand    unseeded randomness and wall-clock time in libraries
-//	verifysched   test schedules that never pass through verify.Verify
+//	detfold     order-dependent float folds in map/channel/select merges
+//	errflow     dropped errors from this module's exported APIs
+//	floateq     bare float64 time/cost comparisons (use internal/fptime)
+//	noalloc     allocating constructs reachable from edgelint:noalloc hot paths
+//	seededrand  unseeded randomness and wall-clock time in libraries
+//	verifysched test schedules that never pass through verify.Verify
 //
 // Packages are analyzed in dependency order and share one fact store,
 // so marker facts and function summaries exported while analyzing a
@@ -46,28 +42,20 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/aliasret"
-	"repro/internal/lint/clonecheck"
 	"repro/internal/lint/detfold"
 	"repro/internal/lint/errflow"
 	"repro/internal/lint/floateq"
-	"repro/internal/lint/immutable"
 	"repro/internal/lint/noalloc"
-	"repro/internal/lint/routerconfine"
 	"repro/internal/lint/seededrand"
 	"repro/internal/lint/verifysched"
 )
 
 // all is the suite, alphabetically.
 var all = []*lint.Analyzer{
-	aliasret.Analyzer,
-	clonecheck.Analyzer,
 	detfold.Analyzer,
 	errflow.Analyzer,
 	floateq.Analyzer,
-	immutable.Analyzer,
 	noalloc.Analyzer,
-	routerconfine.Analyzer,
 	seededrand.Analyzer,
 	verifysched.Analyzer,
 }

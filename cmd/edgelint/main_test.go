@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,7 +57,7 @@ func TestListAnalyzers(t *testing.T) {
 		}
 		prev = a.Name
 	}
-	for _, name := range []string{"clonecheck", "immutable", "aliasret", "noalloc"} {
+	for _, name := range []string{"detfold", "errflow", "floateq", "noalloc", "seededrand", "verifysched"} {
 		if !strings.Contains(b.String(), name) {
 			t.Errorf("-list output missing %s", name)
 		}
@@ -158,16 +159,12 @@ func TestBrokenPackageIsFailure(t *testing.T) {
 	}
 }
 
-// TestNoAllocCatchesRemovedWaiver is the live teeth check for the
-// noalloc gate: copy the module, strip the coldpath waivers out of the
-// real internal/sched journal, and the analyzer must flag the now
-// unexcused append through the annotated journaling-mutator roots. If this test
-// fails, the repo's clean self-run proves nothing — the roots are not
-// actually reaching the hot-path code.
-func TestNoAllocCatchesRemovedWaiver(t *testing.T) {
-	if testing.Short() {
-		t.Skip("copies and type-checks the module")
-	}
+// copyModule copies the module's Go sources and go.mod into a fresh
+// temporary directory and returns its root, so a test can plant a bug
+// in a copy and never in the checkout. Dot-directories and fixture
+// testdata are left out; the copy builds and tests on its own.
+func copyModule(t *testing.T) string {
+	t.Helper()
 	src, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +200,20 @@ func TestNoAllocCatchesRemovedWaiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestNoAllocCatchesRemovedWaiver is the live teeth check for the
+// noalloc gate: copy the module, strip the coldpath waivers out of the
+// real internal/sched journal, and the analyzer must flag the now
+// unexcused append through the annotated journaling-mutator roots. If this test
+// fails, the repo's clean self-run proves nothing — the roots are not
+// actually reaching the hot-path code.
+func TestNoAllocCatchesRemovedWaiver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("copies and type-checks the module")
+	}
+	dir := copyModule(t)
 	jp := filepath.Join(dir, "internal", "sched", "journal.go")
 	data, err := os.ReadFile(jp)
 	if err != nil {
@@ -249,6 +260,213 @@ func TestNoAllocCatchesRemovedWaiver(t *testing.T) {
 	}
 }
 
+// catchRow is one seeded bug of the catch matrix: the exact text
+// replacement in file that plants it, and the guard that must catch it.
+// The guard is either an analyzer, which must report in pkg, or — when
+// analyzer is empty — `go test -run run pkg`, with -race when race is
+// set, which must fail.
+type catchRow struct {
+	bug      string
+	file     string // module-relative
+	old, new string
+	analyzer string
+	pkg      string
+	run      string
+	race     bool
+}
+
+// catchMatrix plants each bug class the scheduler's guards exist for and
+// names the cheapest guard that catches it. It is the evidence that no
+// analyzer is needed for forked-state isolation: every aliasing and
+// shared-input write below is caught by a test or by the race detector.
+var catchMatrix = []catchRow{{
+	bug:  "cloneInto aliases procFinish",
+	file: "internal/sched/fork.go",
+	old:  "c.procFinish = copyColumn(c.procFinish, s.procFinish)",
+	new:  "c.procFinish = s.procFinish",
+	pkg:  "./internal/sched", run: "^(TestCloneIndependence|TestForkColumnIndependence)$",
+}, {
+	bug:  "cloneInto aliases the link timelines",
+	file: "internal/sched/fork.go",
+	old:  "c.tl = linksched.CopyTimelines(c.tl, s.tl)",
+	new:  "c.tl = s.tl",
+	pkg:  "./internal/sched", run: "^(TestCloneIndependence|TestForkColumnIndependence)$",
+}, {
+	bug:  "cloneInto shares the primary's Router",
+	file: "internal/sched/fork.go",
+	old:  "c.stats = s.stats\n",
+	new:  "c.stats = s.stats\n\tc.router = s.router\n",
+	pkg:  "./internal/sched", run: "^TestForkColumnIndependence$",
+}, {
+	bug:  "Timeline.Clone is a shallow copy",
+	file: "internal/linksched/timeline.go",
+	old:  "c := new(Timeline)\n\tc.CopyFrom(t)\n\treturn c\n",
+	new:  "c := *t\n\treturn &c\n",
+	pkg:  "./internal/linksched", run: "^TestTimelineCloneIndependence$",
+}, {
+	bug:  "BWTimeline.Clone is a shallow copy",
+	file: "internal/linksched/bandwidth.go",
+	old:  "c := new(BWTimeline)\n\tc.CopyFrom(t)\n\treturn c\n",
+	new:  "c := *t\n\treturn &c\n",
+	pkg:  "./internal/linksched", run: "^TestBWTimelineCloneIndependence$",
+}, {
+	bug:  "Graph.Clone shares the task slice",
+	file: "internal/dag/dag.go",
+	old:  "tasks: append([]Task(nil), g.tasks...),",
+	new:  "tasks: g.tasks,",
+	pkg:  "./internal/dag", run: "^TestCloneIsDeep$",
+}, {
+	bug:  "findRoute swaps a cached BFS route's ends in place",
+	file: "internal/sched/list.go",
+	old:  "\t\treturn s.router.BFSRoute(src, dst)\n",
+	new:  "\t\tr, err := s.router.BFSRoute(src, dst)\n\t\tif len(r) > 1 {\n\t\t\tr[0], r[len(r)-1] = r[len(r)-1], r[0]\n\t\t}\n\t\treturn r, err\n",
+	pkg:  ".", run: "^TestFacadeEndToEnd$",
+}, {
+	bug:  "findRoute writes a cached BFS route",
+	file: "internal/sched/list.go",
+	old:  "\t\treturn s.router.BFSRoute(src, dst)\n",
+	new:  "\t\tr, err := s.router.BFSRoute(src, dst)\n\t\tif len(r) > 0 {\n\t\t\tr[0] = r[0]\n\t\t}\n\t\treturn r, err\n",
+	pkg:  "./internal/sched", run: "^TestEngineConcurrentStress$", race: true,
+}, {
+	bug:  "Router.DijkstraRoute writes the topology's links",
+	file: "internal/network/router.go",
+	old:  "\t\t\tnl := relax(t.links[h.Link], r.best[it.node])\n",
+	new:  "\t\t\tt.links[h.Link] = t.links[h.Link]\n\t\t\tnl := relax(t.links[h.Link], r.best[it.node])\n",
+	pkg:  "./internal/sched", run: "^TestRollbackOracleProperty$", race: true,
+}, {
+	bug:  "Graph.Task writes the graph",
+	file: "internal/dag/dag.go",
+	old:  "func (g *Graph) Task(id TaskID) Task { return g.tasks[id] }",
+	new:  "func (g *Graph) Task(id TaskID) Task {\n\tg.tasks[id] = g.tasks[id]\n\treturn g.tasks[id]\n}",
+	pkg:  "./internal/sched", run: "^TestParallelEFTMatchesSequentialWhiteBox$", race: true,
+}, {
+	bug:  "probe writes the graph through Tasks()",
+	file: "internal/sched/fork.go",
+	old:  "\ts.begin()\n\tdefer s.rollback()\n",
+	new:  "\tts := s.g.Tasks()\n\tts[tid].Cost = ts[tid].Cost\n\ts.begin()\n\tdefer s.rollback()\n",
+	pkg:  "./internal/sched", run: "^TestParallelEFTMatchesSequentialWhiteBox$", race: true,
+}, {
+	bug:  "probe changes a task cost through Tasks()",
+	file: "internal/sched/fork.go",
+	old:  "\ts.begin()\n\tdefer s.rollback()\n",
+	new:  "\tif proc == s.net.Processors()[0] {\n\t\tts := s.g.Tasks()\n\t\tts[tid].Cost += 1\n\t}\n\ts.begin()\n\tdefer s.rollback()\n",
+	pkg:  "./internal/sched", run: "^(TestEngineMatchesColdRun|TestDeterminism)$",
+}, {
+	bug:      "busiest-link fold ranges the map, not the sorted IDs",
+	file:     "internal/analysis/analysis.go",
+	old:      "\tfor _, id := range ids {\n\t\tu := busy[id] / s.Makespan\n",
+	new:      "\tfor id := range busy {\n\t\tu := busy[id] / s.Makespan\n",
+	analyzer: "detfold", pkg: "./internal/analysis",
+}, {
+	bug:      "selectByEFT's final fold compares bare floats",
+	file:     "internal/sched/fork.go",
+	old:      "if fptime.LessEps(f, bestFinish) {",
+	new:      "if f < bestFinish {",
+	analyzer: "detfold", pkg: "./internal/sched",
+}, {
+	bug:  "Timeline.SnapshotInto drops the stale snapshot's buffers",
+	file: "internal/linksched/timeline.go",
+	old:  "\told.tl.CopyFrom(t)\n\treturn old\n",
+	new:  "\told.tl = Timeline{}\n\told.tl.CopyFrom(t)\n\treturn old\n",
+	pkg:  "./internal/sched", run: "^TestProbeJournalingIsAllocationFree$",
+}, {
+	bug:  "Router.DijkstraRoute memoizes through the route cache",
+	file: "internal/network/router.go",
+	old:  "\tif src == dst {\n\t\treturn Route{}, init, nil\n\t}\n",
+	new: "\tif src == dst {\n\t\treturn Route{}, init, nil\n\t}\n" +
+		"\tif c := r.cache; c != nil {\n" +
+		"\t\tif route, err, ok := c.lookup(src, dst); ok {\n\t\t\treturn route, init, err\n\t\t}\n" +
+		"\t\tr.cache = nil\n\t\troute, l, err := r.DijkstraRoute(src, dst, init, relax)\n\t\tr.cache = c\n" +
+		"\t\tc.store(src, dst, route, err)\n\t\treturn route, l, err\n\t}\n",
+	pkg: "./internal/network", run: "^TestDijkstraRoutesAreNeverCached$",
+}}
+
+// TestCatchMatrix plants every catchMatrix bug, one at a time, in a copy
+// of the module and requires its guard to catch it. A row whose old text
+// no longer occurs exactly once fails, so the matrix cannot go stale
+// silently when the code it mutates moves on.
+func TestCatchMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and tests one mutant of the module per row")
+	}
+	dir := copyModule(t)
+	for _, row := range catchMatrix {
+		t.Run(row.bug, func(t *testing.T) {
+			path := filepath.Join(dir, filepath.FromSlash(row.file))
+			orig, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(orig), row.old); n != 1 {
+				t.Fatalf("%s contains the seed's old text %d times, want once — update the row:\n%s", row.file, n, row.old)
+			}
+			mutant := strings.Replace(string(orig), row.old, row.new, 1)
+			if err := os.WriteFile(path, []byte(mutant), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := os.WriteFile(path, orig, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if row.analyzer != "" {
+				catchByAnalyzer(t, dir, row)
+			} else {
+				catchByTest(t, dir, row)
+			}
+		})
+	}
+}
+
+// catchByAnalyzer requires row.analyzer to report at least one finding
+// in row.pkg of the mutated module. The checkout is clean, so any
+// finding is the seeded bug's.
+func catchByAnalyzer(t *testing.T, dir string, row catchRow) {
+	t.Helper()
+	as, err := selectAnalyzers(row.analyzer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, failures, err := runLint(dir, []string{row.pkg}, as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range failures {
+		t.Fatalf("mutant does not type-check, so it proves nothing: %s", f.String())
+	}
+	if len(diags) == 0 {
+		t.Fatalf("%s missed the seeded bug in %s", row.analyzer, row.pkg)
+	}
+}
+
+// catchByTest requires `go test -run row.run row.pkg` to fail on the
+// mutated module because a test failed — not because the mutant does not
+// build, which would prove nothing.
+func catchByTest(t *testing.T, dir string, row catchRow) {
+	t.Helper()
+	args := []string{"test", "-count=1", "-run", row.run}
+	if row.race {
+		args = append(args, "-race")
+	}
+	cmd := exec.Command("go", append(args, row.pkg)...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	switch {
+	case err == nil:
+		t.Fatalf("go %s passed on the mutant: the seeded bug went uncaught\n%s", strings.Join(args, " "), out)
+	case !strings.Contains(string(out), "--- FAIL: "):
+		t.Fatalf("go %s failed without a failing test (build error?)\n%s", strings.Join(args, " "), out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "--- FAIL: ") {
+			t.Log("caught by " + strings.TrimPrefix(line, "--- FAIL: "))
+		}
+	}
+	if n := strings.Count(string(out), "WARNING: DATA RACE"); n > 0 {
+		t.Logf("with %d data race report(s)", n)
+	}
+}
+
 // TestExitCode pins the verdict precedence: failures dominate findings.
 func TestExitCode(t *testing.T) {
 	d := []lint.Diagnostic{{}}
@@ -281,7 +499,7 @@ func TestSortDiagnostics(t *testing.T) {
 	diags := []lint.Diagnostic{
 		mk("b.go", 1, 1, "floateq"),
 		mk("a.go", 2, 1, "noalloc"),
-		mk("a.go", 2, 1, "immutable"),
+		mk("a.go", 2, 1, "detfold"),
 		mk("a.go", 1, 9, "floateq"),
 	}
 	sortDiagnostics(diags)
@@ -289,7 +507,7 @@ func TestSortDiagnostics(t *testing.T) {
 	for _, d := range diags {
 		got = append(got, d.Pos.Filename+":"+d.Analyzer)
 	}
-	want := []string{"a.go:floateq", "a.go:immutable", "a.go:noalloc", "b.go:floateq"}
+	want := []string{"a.go:floateq", "a.go:detfold", "a.go:noalloc", "b.go:floateq"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)

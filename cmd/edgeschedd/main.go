@@ -237,7 +237,11 @@ func newServer(eng scheduler, verifyEach bool) http.Handler {
 		}
 		s, err := eng.Schedule(g)
 		if err != nil {
-			http.Error(w, err.Error(), statusOf(err))
+			code := statusOf(err)
+			if code == http.StatusServiceUnavailable {
+				w.Header().Set("Retry-After", "1")
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		if verifyEach {
@@ -271,8 +275,9 @@ func newServer(eng scheduler, verifyEach bool) http.Handler {
 }
 
 // statusOf maps engine errors to HTTP statuses: overload and drain are
-// the retryable 503s, a failed self-check is the server's fault (500),
-// and everything else is the client's graph (400).
+// the retryable 503s (sent with Retry-After: 1), a failed self-check is
+// the server's fault (500), and everything else is the client's graph
+// (400).
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, sched.ErrOverloaded), errors.Is(err, sched.ErrEngineClosed):

@@ -165,7 +165,7 @@ func (s stubEngine) Stats() sched.EngineStats                     { return sched
 
 // TestStatusClasses pins the /schedule error classes: an invalid graph
 // is the client's fault (400), a failed engine self-check the server's
-// (500), and overload or drain a retryable 503.
+// (500), and overload or drain a retryable 503 carrying Retry-After.
 func TestStatusClasses(t *testing.T) {
 	body, _ := testGraphJSON(t, 8)
 	cyclic := []byte(`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],"edges":[{"from":0,"to":1,"cost":1},{"from":1,"to":0,"cost":1}]}`)
@@ -192,6 +192,13 @@ func TestStatusClasses(t *testing.T) {
 			if resp.StatusCode != c.want {
 				t.Fatalf("status %d, want %d", resp.StatusCode, c.want)
 			}
+			wantRetry := ""
+			if c.want == http.StatusServiceUnavailable {
+				wantRetry = "1"
+			}
+			if got := resp.Header.Get("Retry-After"); got != wantRetry {
+				t.Fatalf("Retry-After %q, want %q", got, wantRetry)
+			}
 		})
 	}
 }
@@ -211,6 +218,9 @@ func TestOversizedBody(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "" {
+		t.Fatalf("413 carries Retry-After %q; only 503s are retryable", got)
 	}
 	if st := eng.Stats(); st.Requests != 0 {
 		t.Fatalf("oversized body reached the engine: %+v", st)

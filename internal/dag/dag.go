@@ -45,7 +45,6 @@ type Edge struct {
 // AddTask and AddEdge and are not safe for concurrent mutation. Once a
 // schedule run starts the graph is treated as frozen: forked scheduler
 // states share it without copying.
-// edgelint:immutable AddTask AddEdge SetTaskCost SetEdgeCost ScaleToCCR — frozen once scheduling starts
 type Graph struct {
 	tasks []Task
 	edges []Edge
@@ -101,19 +100,15 @@ func (g *Graph) Task(id TaskID) Task { return g.tasks[id] }
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 
 // Tasks returns all tasks in ID order. The slice is shared; do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (g *Graph) Tasks() []Task { return g.tasks }
 
 // Edges returns all edges in ID order. The slice is shared; do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // Succ returns the IDs of the edges leaving task id. Shared; do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (g *Graph) Succ(id TaskID) []EdgeID { return g.succ[id] }
 
 // Pred returns the IDs of the edges entering task id. Shared; do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (g *Graph) Pred(id TaskID) []EdgeID { return g.pred[id] }
 
 // InDegree reports the number of incoming edges of task id.

@@ -32,8 +32,8 @@ func timelineBytes(t *Timeline) timelineState {
 }
 
 // TestTimelineCloneIndependence mutates a clone and asserts the
-// original is byte-identical — the dynamic ground truth mirrored
-// statically by the clonecheck analyzer.
+// original is byte-identical: a Clone that shares a backing slice fails
+// here.
 func TestTimelineCloneIndependence(t *testing.T) {
 	orig := buildTimeline()
 	before := timelineBytes(orig)

@@ -117,12 +117,10 @@ func (t *Timeline) Reset() {
 
 // Slots returns the occupied slots in start order. The slice is shared;
 // do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (t *Timeline) Slots() []Slot { return t.slots }
 
 // Slack returns the slack column, parallel to Slots, or an empty slice
 // when the timeline keeps none. The slice is shared; do not modify.
-// edgelint:ignore aliasret — read-only accessor for the rollback oracle
 func (t *Timeline) Slack() []float64 { return t.slack }
 
 // Request describes the placement constraints of one edge on one link,

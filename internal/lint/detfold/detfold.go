@@ -215,8 +215,7 @@ func outerTarget(pass *lint.Pass, region ast.Node, lhs ast.Expr) string {
 	if !bearsFloat(info.TypeOf(lhs), nil) {
 		return ""
 	}
-	root, _ := lint.DecomposePath(info, lhs)
-	id, ok := root.(*ast.Ident)
+	id, ok := lint.PathRoot(lhs).(*ast.Ident)
 	if !ok {
 		return ""
 	}

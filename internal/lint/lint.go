@@ -273,7 +273,7 @@ func filterIgnored(fset *token.FileSet, files []*ast.File, diags []Diagnostic) [
 // directive, or nil if the comment is not one. Names run until the
 // end of the comment or an em/double dash starting a free-form reason,
 // and may be separated by spaces, commas, or both
-// ("clonecheck,immutable" and "clonecheck, immutable" are equivalent).
+// ("floateq,errflow" and "floateq, errflow" are equivalent).
 func parseIgnore(comment string) []string {
 	args, ok := Directive(comment, "ignore")
 	if !ok {

@@ -16,8 +16,8 @@ func TestParseIgnore(t *testing.T) {
 		{"// edgelint:ignore all — generated file", []string{"all"}},
 		{"// plain comment", nil},
 		{"/* edgelint:ignore seededrand — block form */", []string{"seededrand"}},
-		{"// edgelint:ignore clonecheck,immutable — comma-joined multi-analyzer", []string{"clonecheck", "immutable"}},
-		{"// edgelint:ignore clonecheck,immutable,aliasret -- three at once", []string{"clonecheck", "immutable", "aliasret"}},
+		{"// edgelint:ignore noalloc,detfold — comma-joined multi-analyzer", []string{"noalloc", "detfold"}},
+		{"// edgelint:ignore noalloc,detfold,floateq -- three at once", []string{"noalloc", "detfold", "floateq"}},
 		{"// edgelint:ignore", nil},
 		{"// edgelint:ignorenothing — different directive", nil},
 	}
@@ -35,14 +35,14 @@ func TestDirective(t *testing.T) {
 		args    []string
 		found   bool
 	}{
-		{"// edgelint:immutable AddTask AddEdge — frozen", "immutable", []string{"AddTask", "AddEdge"}, true},
-		{"// edgelint:immutable — no constructors", "immutable", nil, true},
-		{"// edgelint:immutable", "immutable", nil, true},
-		{"// edgelint:shared routeCache — concurrency-safe", "shared", []string{"routeCache"}, true},
-		{"// edgelint:shared — concurrency-safe", "shared", nil, true},
-		{"// edgelint:sharedX — boundary must hold", "shared", nil, false},
-		{"// a plain comment mentioning edgelint", "shared", nil, false},
-		{"/* edgelint:immutable A,B — block, commas */", "immutable", []string{"A", "B"}, true},
+		{"// edgelint:coldpath grow spill — rare growth", "coldpath", []string{"grow", "spill"}, true},
+		{"// edgelint:noalloc — steady-state probe", "noalloc", nil, true},
+		{"// edgelint:noalloc", "noalloc", nil, true},
+		{"// edgelint:detfold minFinish — fixed merge order", "detfold", []string{"minFinish"}, true},
+		{"// edgelint:detfold — fixed merge order", "detfold", nil, true},
+		{"// edgelint:noallocX — boundary must hold", "noalloc", nil, false},
+		{"// a plain comment mentioning edgelint", "detfold", nil, false},
+		{"/* edgelint:coldpath A,B — block, commas */", "coldpath", []string{"A", "B"}, true},
 	}
 	for _, c := range cases {
 		args, found := Directive(c.comment, c.name)

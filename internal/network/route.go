@@ -7,7 +7,6 @@ import "fmt"
 // processor. An intra-processor route is the empty slice. Routes
 // handed out by the route cache are shared between forked scheduler
 // states and must never be written after they are built.
-// edgelint:immutable — cached routes are shared read-only
 type Route []LinkID
 
 // ErrNoRoute is returned when no path exists between two nodes.
@@ -26,9 +25,6 @@ func (e *ErrNoRoute) Error() string {
 // NewRouter) to also reuse a route cache across calls.
 func (t *Topology) BFSRoute(src, dst NodeID) (Route, error) {
 	r := t.router()
-	// edgelint:ignore routerconfine — exclusive handoff: the Router is
-	// fetched from and returned to the pool by this goroutine only, and
-	// sync.Pool never hands one value to two goroutines at once.
 	defer t.routers.Put(r)
 	return r.BFSRoute(src, dst)
 }
@@ -86,9 +82,6 @@ type RelaxFunc func(l Link, cur Label) Label
 // runs on a pooled Router (see NewRouter for a dedicated one).
 func (t *Topology) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
 	r := t.router()
-	// edgelint:ignore routerconfine — exclusive handoff: the Router is
-	// fetched from and returned to the pool by this goroutine only, and
-	// sync.Pool never hands one value to two goroutines at once.
 	defer t.routers.Put(r)
 	return r.DijkstraRoute(src, dst, init, relax)
 }

@@ -36,6 +36,11 @@ const DefaultRouteCacheSize = 4096
 //
 // Cached routes are shared slices: callers must treat them as
 // read-only, as all scheduler code does.
+//
+// Only BFS routes are cached. The modified Dijkstra routes of §4.3 never
+// are: their labels are finish times over the current link state (the
+// slots already booked on each link), so the same (src, dst) pair can
+// take a different route on every call.
 type RouteCache struct {
 	shards []routeShard
 	mask   uint32

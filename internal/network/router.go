@@ -10,7 +10,9 @@ package network
 // The search algorithms are byte-for-byte the same as the Topology
 // convenience methods — same traversal order, same deterministic
 // tie-breaking — so routes are identical whichever entry point is
-// used.
+// used. An attached RouteCache serves BFSRoute only; DijkstraRoute
+// always searches, because its labels depend on link state (see
+// RouteCache).
 type Router struct {
 	top   *Topology
 	cache *RouteCache // optional; memoizes BFS (static) routes only

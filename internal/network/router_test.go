@@ -207,3 +207,44 @@ func TestRouteCacheConcurrentSharing(t *testing.T) {
 		}
 	}
 }
+
+// TestDijkstraRoutesAreNeverCached pins the §4.3 contract: the modified
+// Dijkstra relaxes over the current link state, so the same (src, dst)
+// pair must be routed afresh on every call, even by a Router that has a
+// route cache attached. Two relaxations that favour opposite branches of
+// a diamond must get opposite routes.
+func TestDijkstraRoutesAreNeverCached(t *testing.T) {
+	top := NewTopology()
+	a := top.AddProcessor("a", 1)
+	b := top.AddProcessor("b", 1)
+	up, down := top.AddSwitch("up"), top.AddSwitch("down")
+	top.AddDuplex(a, up, 1)
+	top.AddDuplex(up, b, 1)
+	top.AddDuplex(a, down, 1)
+	top.AddDuplex(down, b, 1)
+	via := func(sw NodeID) RelaxFunc {
+		return func(l Link, cur Label) Label {
+			cost := 10.0
+			if l.From == sw || l.To == sw {
+				cost = 1
+			}
+			return Label{Start: cur.Finish, Finish: cur.Finish + cost}
+		}
+	}
+	router := top.NewRouter(NewRouteCache(0, 1))
+	for pass := 0; pass < 2; pass++ {
+		for _, sw := range []NodeID{up, down} {
+			route, label, err := router.DijkstraRoute(a, b, Label{}, via(sw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(route) != 2 || top.Link(route[0]).To != sw {
+				t.Fatalf("pass %d: route %v does not go through %s, the branch its relaxation favours",
+					pass, route, top.Node(sw).Name)
+			}
+			if label.Finish != 2 {
+				t.Fatalf("pass %d via %s: finish %v, want 2", pass, top.Node(sw).Name, label.Finish)
+			}
+		}
+	}
+}

@@ -83,7 +83,6 @@ type hop struct {
 // AddLink, AddDuplex and AddBus; it is immutable during scheduling —
 // forked scheduler states and the shared route cache depend on it
 // never changing after construction.
-// edgelint:immutable AddProcessor AddSwitch AddLink AddDuplex AddBus — frozen once scheduling starts
 type Topology struct {
 	nodes []Node
 	links []Link
@@ -201,16 +200,13 @@ func (t *Topology) Node(id NodeID) Node { return t.nodes[id] }
 func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 
 // Nodes returns all nodes in ID order. The slice is shared; do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (t *Topology) Nodes() []Node { return t.nodes }
 
 // Links returns all links in ID order. The slice is shared; do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (t *Topology) Links() []Link { return t.links }
 
 // Processors returns the processor node IDs in insertion order.
 // The slice is shared; do not modify.
-// edgelint:ignore aliasret — read-only iteration accessor on the hot path
 func (t *Topology) Processors() []NodeID { return t.procs }
 
 // MeanLinkSpeed returns the average transfer speed over all links

@@ -145,8 +145,8 @@ func TestClonePlacementEqualsTxnProbe(t *testing.T) {
 }
 
 // TestCloneIndependence drives a cloned state through a full schedule
-// while the original sits untouched, then the reverse — the dynamic
-// ground truth the clonecheck analyzer mirrors statically. Every
+// while the original sits untouched, then the reverse — the guard
+// against a clone that aliases its original's state. Every
 // engine/policy combination is covered so all timeline variants (slot,
 // bandwidth, packet, processor-insertion) prove their deep copies.
 func TestCloneIndependence(t *testing.T) {

@@ -406,8 +406,8 @@ func (l *ListScheduler) Name() string { return l.AlgorithmName }
 
 // state carries all mutable data of one scheduling run.
 type state struct {
-	g    *dag.Graph        // edgelint:shared — immutable input, frozen after construction
-	net  *network.Topology // edgelint:shared — immutable input, frozen after construction
+	g    *dag.Graph        // shared with forks; frozen after construction
+	net  *network.Topology // shared with forks; frozen after construction
 	opts Options
 
 	// The timelines are stored by value in flat columns — one Timeline
@@ -440,10 +440,10 @@ type state struct {
 	// Engine, with every request. reset rebuilds the router only when
 	// the state is rebound to a different topology or cache.
 	router     *network.Router
-	routeCache *network.RouteCache // edgelint:shared — concurrency-safe LRU, shared with forks
+	routeCache *network.RouteCache // concurrency-safe LRU, shared with forks
 	// stats points at ownStats on a primary state and at the primary's
 	// counters on its forks.
-	stats    *probeStats // edgelint:shared — shared across forks, atomic
+	stats    *probeStats // shared across forks, atomic
 	ownStats probeStats
 
 	// forks are the worker replicas for parallel EFT probing (empty in

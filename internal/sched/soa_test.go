@@ -135,7 +135,7 @@ func TestJournalResetEpochWraparound(t *testing.T) {
 // the fork — placement columns, edge meta, all three arenas, timeline
 // slabs — must leave the parent bit-identical under the fingerprint
 // oracle's exact comparison. A single shared backing array anywhere
-// fails this.
+// fails this, as does a fork that shares the parent's Router.
 func TestForkColumnIndependence(t *testing.T) {
 	for name, opts := range forkOptionSets() {
 		opts := opts
@@ -158,6 +158,9 @@ func TestForkColumnIndependence(t *testing.T) {
 			}
 			fp := s.captureFingerprint()
 			f := s.Clone()
+			if f.router == s.router {
+				t.Fatal("the fork shares the parent's Router, whose scratch buffers are not safe for concurrent probes")
+			}
 
 			for i := range f.tasks {
 				f.tasks[i].Start += 1
