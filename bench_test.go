@@ -132,24 +132,18 @@ func benchAlgorithm(b *testing.B, a sched.Algorithm) {
 // BenchmarkScheduleBA times BA on one 300-task, 32-processor instance.
 func BenchmarkScheduleBA(b *testing.B) { benchAlgorithm(b, sched.NewBA()) }
 
-// BenchmarkScheduleBASinnen times the strong EFT baseline with
-// sequential processor probes (pinned so the series stays comparable
-// across snapshots regardless of the runner's core count).
-func BenchmarkScheduleBASinnen(b *testing.B) {
-	a := sched.NewBASinnen()
-	a.Opts.ProbeWorkers = 1
-	benchAlgorithm(b, a)
-}
+// BenchmarkScheduleBASinnen times the strong EFT baseline, whose
+// processor probes dominate.
+func BenchmarkScheduleBASinnen(b *testing.B) { benchAlgorithm(b, sched.NewBASinnen()) }
 
-// BenchmarkScheduleBASinnenLarge times the strong EFT baseline
-// (sequential probes) on a 1000-task instance, where the per-link
-// timelines grow long enough that the earliest-gap search dominates.
+// BenchmarkScheduleBASinnenLarge times the strong EFT baseline on a
+// 1000-task instance, where the per-link timelines grow long enough
+// that the earliest-gap search dominates.
 func BenchmarkScheduleBASinnenLarge(b *testing.B) {
 	inst := workload.Generate(workload.Params{
 		Processors: 32, CCR: 2, MinTasks: 1000, MaxTasks: 1000, Seed: 42,
 	})
 	a := sched.NewBASinnen()
-	a.Opts.ProbeWorkers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := a.Schedule(inst.Graph, inst.Net)
@@ -162,24 +156,11 @@ func BenchmarkScheduleBASinnenLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleBASinnenParallel times the same EFT baseline with
-// the processor probes fanned out over GOMAXPROCS forked states. The
-// schedule is bit-identical to the sequential run; only wall-clock per
-// Schedule call should change (on multi-core machines).
-func BenchmarkScheduleBASinnenParallel(b *testing.B) {
-	a := sched.NewBASinnen()
-	a.Opts.ProbeWorkers = 0 // GOMAXPROCS
-	benchAlgorithm(b, a)
-}
-
 // BenchmarkScheduleBASinnenManyProcs times the EFT baseline on a
 // 10^4-processor star with U(1,500) heterogeneous speeds, fast links
 // and a small DAG: the per-task lower-bound sweep over all 10^4
-// processors, the forked replica clones of the 2*10^4-link timeline
-// columns, and the probes of the surviving top-speed candidates
-// dominate instead of long timelines. Parallel probes are pinned to 8
-// workers so the fork and pool costs are exercised identically on
-// every runner.
+// processors, the 2*10^4-link timeline columns, and the probes of the
+// surviving top-speed candidates dominate instead of long timelines.
 func BenchmarkScheduleBASinnenManyProcs(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	net := network.Star(10000, network.UniformRange(r, 1, 500), network.Uniform(10000))
@@ -189,7 +170,6 @@ func BenchmarkScheduleBASinnenManyProcs(b *testing.B) {
 		EdgeCost: dag.CostDist{Lo: 1, Hi: 10},
 	})
 	a := sched.NewBASinnen()
-	a.Opts.ProbeWorkers = 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := a.Schedule(g, net)
@@ -287,12 +267,12 @@ func engineBenchWorld() (*network.Topology, []*dag.Graph) {
 }
 
 // BenchmarkEngineThroughput serves the 64-DAG wave concurrently from a
-// warmed engine: shared route cache, pooled per-request states,
-// GOMAXPROCS worker slots. Against BenchmarkEngineColdSequential this
-// measures exactly what the engine amortizes — on any machine the
-// steady-state allocations per request collapse (pooled columns, warm
-// cache), and at GOMAXPROCS > 1 the wave additionally overlaps on the
-// cores. Schedules are bit-identical to the cold runs throughout (see
+// warmed engine: shared route cache, GOMAXPROCS worker slots each
+// owning one reusable scheduler state. Against
+// BenchmarkEngineColdSequential this measures exactly what the engine
+// amortizes — on any machine the steady-state allocations per request
+// collapse (slot-owned columns, warm cache), and at GOMAXPROCS > 1 the
+// wave additionally overlaps on the cores. Schedules are bit-identical to the cold runs throughout (see
 // TestEngineMatchesColdRun).
 func BenchmarkEngineThroughput(b *testing.B) {
 	net, gs := engineBenchWorld()
@@ -303,7 +283,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Drain()
-	// One untimed wave fills the state pool and finishes cache warmup,
+	// One untimed wave binds every slot's state and finishes cache warmup,
 	// so the timed ops measure the steady state the engine exists for.
 	runEngineWave(b, eng, gs)
 	b.ReportAllocs()

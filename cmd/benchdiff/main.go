@@ -142,9 +142,9 @@ func main() {
 // bandwidth sweep, whose tens of milliseconds per op make it
 // regression-stable and which is exactly where a lost index or a
 // reintroduced linear rescan in the BBSA ledger shows up first.
-// The 10^4-processor EFT benchmark guards the wide-machine paths the
-// columnar state refactor optimizes: per-fork column clones, the
-// pooled replica reuse and the lower-bound sweep. Single-digit-
+// The 10^4-processor EFT benchmark guards the wide-machine paths: the
+// 2*10^4-link timeline columns reset per run and the lower-bound sweep
+// over every processor. Single-digit-
 // microsecond micro-benchmarks stay out of the ns/op gate — too noisy
 // to time on a shared machine — but the 10^4-scale probe kernels are
 // in for their allocs/op, which is deterministic: their baselines are
@@ -158,9 +158,9 @@ func main() {
 // number.
 // BenchmarkEngineThroughput guards the serving path: its wall time is
 // the engine's whole value proposition (64 schedules against a warm
-// shared cache and pooled states), and its @allocs entry pins the
-// steady-state allocations per wave — a leak in state reset or a lost
-// pool hit shows up here as a multiple, not a percent.
+// shared cache and slot-owned states), and its @allocs entry pins the
+// steady-state allocations per wave — a leak in state reset or a slot
+// state rebuilt per request shows up here as a multiple, not a percent.
 // BenchmarkScheduleLongLinks guards the paper's own kernels where they
 // dominate: on 1.5-2k-entry link queues a lost slack column or a
 // disabled slab hop costs OIHSA or BBSA a third of its time.

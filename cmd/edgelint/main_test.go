@@ -277,39 +277,10 @@ type catchRow struct {
 
 // catchMatrix plants each bug class the scheduler's guards exist for and
 // names the cheapest guard that catches it. It is the evidence that no
-// analyzer is needed for forked-state isolation: every aliasing and
-// shared-input write below is caught by a test or by the race detector.
+// analyzer is needed for the read-only shared inputs: every write to
+// the graph, the topology or a cached route below is caught by a test
+// or by the race detector.
 var catchMatrix = []catchRow{{
-	bug:  "cloneInto aliases procFinish",
-	file: "internal/sched/fork.go",
-	old:  "c.procFinish = copyColumn(c.procFinish, s.procFinish)",
-	new:  "c.procFinish = s.procFinish",
-	pkg:  "./internal/sched", run: "^(TestCloneIndependence|TestForkColumnIndependence)$",
-}, {
-	bug:  "cloneInto aliases the link timelines",
-	file: "internal/sched/fork.go",
-	old:  "c.tl = linksched.CopyTimelines(c.tl, s.tl)",
-	new:  "c.tl = s.tl",
-	pkg:  "./internal/sched", run: "^(TestCloneIndependence|TestForkColumnIndependence)$",
-}, {
-	bug:  "cloneInto shares the primary's Router",
-	file: "internal/sched/fork.go",
-	old:  "c.stats = s.stats\n",
-	new:  "c.stats = s.stats\n\tc.router = s.router\n",
-	pkg:  "./internal/sched", run: "^TestForkColumnIndependence$",
-}, {
-	bug:  "Timeline.Clone is a shallow copy",
-	file: "internal/linksched/timeline.go",
-	old:  "c := new(Timeline)\n\tc.CopyFrom(t)\n\treturn c\n",
-	new:  "c := *t\n\treturn &c\n",
-	pkg:  "./internal/linksched", run: "^TestTimelineCloneIndependence$",
-}, {
-	bug:  "BWTimeline.Clone is a shallow copy",
-	file: "internal/linksched/bandwidth.go",
-	old:  "c := new(BWTimeline)\n\tc.CopyFrom(t)\n\treturn c\n",
-	new:  "c := *t\n\treturn &c\n",
-	pkg:  "./internal/linksched", run: "^TestBWTimelineCloneIndependence$",
-}, {
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
 	old:  "tasks: append([]Task(nil), g.tasks...),",
@@ -332,22 +303,22 @@ var catchMatrix = []catchRow{{
 	file: "internal/network/router.go",
 	old:  "\t\t\tnl := relax(t.links[h.Link], r.best[it.node])\n",
 	new:  "\t\t\tt.links[h.Link] = t.links[h.Link]\n\t\t\tnl := relax(t.links[h.Link], r.best[it.node])\n",
-	pkg:  "./internal/sched", run: "^TestRollbackOracleProperty$", race: true,
+	pkg:  "./internal/sched", run: "^TestEngineSharedInputsRace$", race: true,
 }, {
 	bug:  "Graph.Task writes the graph",
 	file: "internal/dag/dag.go",
 	old:  "func (g *Graph) Task(id TaskID) Task { return g.tasks[id] }",
 	new:  "func (g *Graph) Task(id TaskID) Task {\n\tg.tasks[id] = g.tasks[id]\n\treturn g.tasks[id]\n}",
-	pkg:  "./internal/sched", run: "^TestParallelEFTMatchesSequentialWhiteBox$", race: true,
+	pkg:  "./internal/sched", run: "^TestEngineSharedInputsRace$", race: true,
 }, {
 	bug:  "probe writes the graph through Tasks()",
-	file: "internal/sched/fork.go",
+	file: "internal/sched/eft.go",
 	old:  "\ts.begin()\n\tdefer s.rollback()\n",
 	new:  "\tts := s.g.Tasks()\n\tts[tid].Cost = ts[tid].Cost\n\ts.begin()\n\tdefer s.rollback()\n",
-	pkg:  "./internal/sched", run: "^TestParallelEFTMatchesSequentialWhiteBox$", race: true,
+	pkg:  "./internal/sched", run: "^TestEngineSharedInputsRace$", race: true,
 }, {
 	bug:  "probe changes a task cost through Tasks()",
-	file: "internal/sched/fork.go",
+	file: "internal/sched/eft.go",
 	old:  "\ts.begin()\n\tdefer s.rollback()\n",
 	new:  "\tif proc == s.net.Processors()[0] {\n\t\tts := s.g.Tasks()\n\t\tts[tid].Cost += 1\n\t}\n\ts.begin()\n\tdefer s.rollback()\n",
 	pkg:  "./internal/sched", run: "^(TestEngineMatchesColdRun|TestDeterminism)$",
@@ -359,7 +330,7 @@ var catchMatrix = []catchRow{{
 	analyzer: "detfold", pkg: "./internal/analysis",
 }, {
 	bug:      "selectByEFT's final fold compares bare floats",
-	file:     "internal/sched/fork.go",
+	file:     "internal/sched/eft.go",
 	old:      "if fptime.LessEps(f, bestFinish) {",
 	new:      "if f < bestFinish {",
 	analyzer: "detfold", pkg: "./internal/sched",

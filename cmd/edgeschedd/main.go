@@ -2,10 +2,10 @@
 // topology at startup, builds a long-lived sched.Engine for a chosen
 // algorithm, and serves scheduling requests over HTTP/JSON. The
 // topology's route cache is warmed once and shared by every request;
-// per-request scheduler state is pooled — so steady-state requests pay
-// only for the work that is genuinely theirs, and throughput scales
-// with concurrent clients while every schedule stays bit-identical to
-// a cold single-threaded run (spot-checked at runtime via
+// each worker slot owns one reusable scheduler state — so steady-state
+// requests pay only for the work that is genuinely theirs, and
+// throughput scales with concurrent clients while every schedule stays
+// bit-identical to a cold one-shot run (spot-checked at runtime via
 // -self-check-every).
 //
 // Usage:

@@ -44,7 +44,6 @@ func main() {
 		doVerify = flag.Bool("verify", false, "verify every produced schedule (slower)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of a text table")
 		workers  = flag.Int("workers", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
-		probeWks = flag.Int("probe-workers", 0, "goroutines per EFT processor-probe fan-out (0 = scheduler default, 1 = sequential; schedules are identical at any setting)")
 	)
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 		cfg.Verify = *doVerify
 	}
 	cfg.Workers = *workers
-	cfg.ProbeWorkers = *probeWks
 	if *reps > 0 {
 		cfg.Reps = *reps
 	}

@@ -43,8 +43,8 @@ type Edge struct {
 //
 // The zero value is an empty graph ready for use. Graphs are built with
 // AddTask and AddEdge and are not safe for concurrent mutation. Once a
-// schedule run starts the graph is treated as frozen: forked scheduler
-// states share it without copying.
+// schedule run starts the graph is treated as frozen: concurrent
+// Schedule requests may share it without copying.
 type Graph struct {
 	tasks []Task
 	edges []Edge

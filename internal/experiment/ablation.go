@@ -33,7 +33,6 @@ type AblationResult struct {
 func RunVariants(name, question string, cfg Config, algos []sched.Algorithm) (*AblationResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.Algorithms = algos
-	applyProbeWorkers(algos, cfg.ProbeWorkers)
 	res := &AblationResult{
 		Name:         name,
 		Question:     question,

@@ -47,13 +47,6 @@ type Config struct {
 	// derived from cell coordinates, so results are identical at any
 	// parallelism.
 	Workers int
-	// ProbeWorkers, when non-zero, overrides Options.ProbeWorkers on
-	// every *sched.ListScheduler contender: the goroutines used for
-	// parallel EFT processor probing inside each Schedule call.
-	// Schedules are bit-identical at any setting (see sched/fork.go),
-	// so this is purely a throughput knob. Use 1 when Workers already
-	// saturates the machine with concurrent cells.
-	ProbeWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -75,21 +68,7 @@ func (c Config) withDefaults() Config {
 	if c.Algorithms == nil {
 		c.Algorithms = []sched.Algorithm{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()}
 	}
-	applyProbeWorkers(c.Algorithms, c.ProbeWorkers)
 	return c
-}
-
-// applyProbeWorkers pushes a non-zero ProbeWorkers setting into every
-// ListScheduler contender's options.
-func applyProbeWorkers(algos []sched.Algorithm, workers int) {
-	if workers == 0 {
-		return
-	}
-	for _, a := range algos {
-		if ls, ok := a.(*sched.ListScheduler); ok {
-			ls.Opts.ProbeWorkers = workers
-		}
-	}
 }
 
 // PaperConfig returns the full §6 configuration of the paper for the

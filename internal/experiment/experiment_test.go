@@ -261,49 +261,3 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		})
 	}
 }
-
-// TestSweepDeterministicAcrossProbeWorkers mirrors the Workers test one
-// level down: the EFT scheduler's internal probe fan-out must never
-// change sweep results. BA-EFT is the only default-suite algorithm that
-// uses EFT probing, so it is pitted against BA explicitly.
-func TestSweepDeterministicAcrossProbeWorkers(t *testing.T) {
-	run := func(probeWorkers int) *Sweep {
-		t.Helper()
-		cfg := tiny()
-		cfg.Algorithms = []sched.Algorithm{sched.NewBA(), sched.NewBASinnen()}
-		cfg.ProbeWorkers = probeWorkers
-		sw, err := CCRSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sw
-	}
-	serial := run(1)
-	parallel := run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("ProbeWorkers=1 and ProbeWorkers=8 disagree:\n%#v\n%#v", serial, parallel)
-	}
-}
-
-// TestProbeWorkersAppliedToListSchedulers checks the Config plumbing:
-// withDefaults must push ProbeWorkers into every ListScheduler option
-// set (and leave it alone when unset).
-func TestProbeWorkersAppliedToListSchedulers(t *testing.T) {
-	cfg := Config{ProbeWorkers: 3}
-	cfg = cfg.withDefaults()
-	for _, a := range cfg.Algorithms {
-		ls, ok := a.(*sched.ListScheduler)
-		if !ok {
-			continue
-		}
-		if ls.Opts.ProbeWorkers != 3 {
-			t.Fatalf("%s: ProbeWorkers %d, want 3", ls.Name(), ls.Opts.ProbeWorkers)
-		}
-	}
-	def := Config{}.withDefaults()
-	for _, a := range def.Algorithms {
-		if ls, ok := a.(*sched.ListScheduler); ok && ls.Opts.ProbeWorkers != 0 {
-			t.Fatalf("%s: zero config mutated ProbeWorkers to %d", ls.Name(), ls.Opts.ProbeWorkers)
-		}
-	}
-}

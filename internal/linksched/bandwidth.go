@@ -83,7 +83,7 @@ type BWTimeline struct {
 func NewBWTimeline() *BWTimeline { return &BWTimeline{} }
 
 // Reset empties the ledger in place, retaining the slab backing array
-// so a pooled scheduler state reuses it on its next request. The
+// so a reused scheduler state keeps it for its next request. The
 // result is indistinguishable from a fresh zero-value ledger.
 func (t *BWTimeline) Reset() {
 	t.chunks = t.chunks[:0]
@@ -578,15 +578,6 @@ func (t *BWTimeline) validateChunks() error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the timeline: mutations of
-// either copy never affect the other. Used by forked scheduler states
-// probing processor candidates in parallel.
-func (t *BWTimeline) Clone() *BWTimeline {
-	c := new(BWTimeline)
-	c.CopyFrom(t)
-	return c
-}
-
 // BWSnapshot captures a BWTimeline for later Restore.
 type BWSnapshot struct {
 	tl BWTimeline
@@ -657,29 +648,11 @@ func copySegs(dst, src []seg) []seg {
 
 // CopyFrom makes t an independent deep copy of src, reusing t's slab
 // and use buffers when they have capacity (see copyChunks). The warm
-// path — a pooled replica re-cloned from a same-topology state — does
-// not allocate.
+// path — journaling into a stale snapshot, or restoring from one —
+// does not allocate.
 func (t *BWTimeline) CopyFrom(src *BWTimeline) {
 	t.chunks = copyChunks(t.chunks, src.chunks)
 	t.nsegs = src.nsegs
-}
-
-// CopyBWTimelines deep-copies the bandwidth ledgers of src into dst,
-// growing dst as needed and reusing the slab/segment/use buffers its
-// elements already hold. A nil src yields a nil dst, preserving the
-// parent's column shape exactly.
-func CopyBWTimelines(dst, src []BWTimeline) []BWTimeline {
-	if src == nil {
-		return nil
-	}
-	if cap(dst) < len(src) {
-		dst = make([]BWTimeline, len(src))
-	}
-	dst = dst[:len(src)]
-	for i := range src {
-		dst[i].CopyFrom(&src[i])
-	}
-	return dst
 }
 
 // NumSegments reports the number of segments (for tests/statistics).

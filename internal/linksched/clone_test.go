@@ -31,16 +31,17 @@ func timelineBytes(t *Timeline) timelineState {
 	}
 }
 
-// TestTimelineCloneIndependence mutates a clone and asserts the
-// original is byte-identical: a Clone that shares a backing slice fails
-// here.
+// TestTimelineCloneIndependence mutates a copy made by CopyFrom into a
+// zero timeline and asserts the original is byte-identical, then the
+// reverse: a copy that shares a backing slice fails here.
 func TestTimelineCloneIndependence(t *testing.T) {
 	orig := buildTimeline()
 	before := timelineBytes(orig)
 
-	c := orig.Clone()
+	var c Timeline
+	c.CopyFrom(orig)
 	c.InsertBasic(Owner{Edge: 9}, Request{ES: 0, PF: 0, Dur: 10})
-	storeSlackColumn(c, func(Owner) float64 { return 100 })
+	storeSlackColumn(&c, func(Owner) float64 { return 100 })
 	c.InsertOptimal(Owner{Edge: 10}, Request{ES: 0, PF: 0, Dur: 1}, nil)
 	s := c.Slots()[0]
 	c.SetSlack(s.Owner, s.Start, 7)
@@ -51,9 +52,9 @@ func TestTimelineCloneIndependence(t *testing.T) {
 
 	// And the other direction: mutating the original must not reach
 	// the clone.
-	cb := timelineBytes(c)
+	cb := timelineBytes(&c)
 	orig.InsertBasic(Owner{Edge: 11}, Request{ES: 20, PF: 20, Dur: 5})
-	if got := timelineBytes(c); !reflect.DeepEqual(cb, got) {
+	if got := timelineBytes(&c); !reflect.DeepEqual(cb, got) {
 		t.Fatalf("mutating the original Timeline changed its clone")
 	}
 }
@@ -71,13 +72,15 @@ func bwBytes(t *BWTimeline) []SegmentInfo {
 	return t.Segments()
 }
 
-// TestBWTimelineCloneIndependence mutates a BWTimeline clone and
-// asserts the original is byte-identical.
+// TestBWTimelineCloneIndependence is the bandwidth-ledger counterpart:
+// a CopyFrom copy into a zero ledger and its original never see each
+// other's mutations.
 func TestBWTimelineCloneIndependence(t *testing.T) {
 	orig := buildBWTimeline()
 	before := bwBytes(orig)
 
-	c := orig.Clone()
+	var c BWTimeline
+	c.CopyFrom(orig)
 	c.Alloc(Owner{Edge: 9}, 0, 50, 1, 1)
 	c.Forward(Owner{Edge: 10}, []Chunk{{Start: 0, End: 4, Rate: 0.25}}, 1, 1, 0.5)
 
@@ -85,9 +88,9 @@ func TestBWTimelineCloneIndependence(t *testing.T) {
 		t.Fatalf("mutating a BWTimeline clone changed the original:\nbefore %v\nafter  %v", before, got)
 	}
 
-	cb := bwBytes(c)
+	cb := bwBytes(&c)
 	orig.Alloc(Owner{Edge: 11}, 0, 10, 1, 1)
-	if got := bwBytes(c); !reflect.DeepEqual(cb, got) {
+	if got := bwBytes(&c); !reflect.DeepEqual(cb, got) {
 		t.Fatalf("mutating the original BWTimeline changed its clone")
 	}
 }

@@ -141,9 +141,10 @@ func TestProbeDifferentialAdversarial(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripKeepsIndex pins that Snapshot/Restore and Clone
-// carry the block index: after a round trip the index must validate
-// and probes must agree with the reference on the restored slots.
+// TestSnapshotRoundTripKeepsIndex pins that Snapshot/Restore and
+// CopyFrom carry the block index: after a round trip the index must
+// validate and probes must agree with the reference on the restored
+// slots.
 func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tl := buildRandomTimeline(r, 500)
@@ -155,13 +156,14 @@ func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
 	if err := tl.Validate(); err != nil {
 		t.Fatalf("after restore: %v", err)
 	}
-	cl := tl.Clone()
+	var cl Timeline
+	cl.CopyFrom(tl)
 	cl.InsertBasic(Owner{Edge: 1}, Request{ES: 3000, Dur: 5})
 	if err := tl.Validate(); err != nil {
-		t.Fatalf("clone mutation corrupted original: %v", err)
+		t.Fatalf("copy mutation corrupted original: %v", err)
 	}
 	if err := cl.Validate(); err != nil {
-		t.Fatalf("clone: %v", err)
+		t.Fatalf("copy: %v", err)
 	}
 	req := Request{ES: 123.4, PF: 130, Dur: 2.5}
 	one := func(Owner) float64 { return 1 }
@@ -405,7 +407,7 @@ func TestBWDifferentialAdversarial(t *testing.T) {
 }
 
 // TestBWSnapshotRoundTripKeepsIndex pins that Snapshot/Restore and
-// Clone carry the chunked store and its block summaries: after a round
+// CopyFrom carry the chunked store and its block summaries: after a round
 // trip the store must validate (summaries recomputed exactly) and
 // further operations must still track the reference.
 func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
@@ -423,13 +425,14 @@ func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
 	p.bw.Restore(snap)
 	p.ref.segs = copySegs(p.ref.segs, refSnap)
 	p.checkState(t, "after restore")
-	// A clone's mutations must not leak back, and the clone itself must
+	// A copy's mutations must not leak back, and the copy itself must
 	// keep a valid index.
-	cl := p.bw.Clone()
+	var cl BWTimeline
+	cl.CopyFrom(p.bw)
 	cl.Alloc(Owner{Edge: 1}, 2*span, 100, 1, 0)
-	p.checkState(t, "after clone mutation")
+	p.checkState(t, "after copy mutation")
 	if err := cl.Validate(); err != nil {
-		t.Fatalf("clone: %v", err)
+		t.Fatalf("copy: %v", err)
 	}
 	// The restored original keeps tracking the reference.
 	for i := 0; i < 50; i++ {

@@ -62,8 +62,8 @@ const gapBlock = 32
 //
 // The index is maintained incrementally on every mutation — never
 // rebuilt lazily inside a probe — so probes stay strictly read-only:
-// the txn journal, the rollback oracle and the parallel probe forks
-// all rely on Probe* not writing through the receiver.
+// the txn journal and the rollback oracle both rely on Probe* not
+// writing through the receiver.
 //
 // The zero value is an empty timeline ready for use.
 type Timeline struct {
@@ -71,9 +71,9 @@ type Timeline struct {
 
 	// Block summaries, len == ceil(len(slots)/gapBlock), or empty while
 	// the timeline fits in a single block (probes take the linear path
-	// there, see reindexFrom). Journaled and cloned together with the
-	// slots (Snapshot/Restore/Clone) so a rollback or fork never leaves
-	// a stale index behind.
+	// there, see reindexFrom). Journaled together with the slots
+	// (Snapshot/Restore) so a rollback never leaves a stale index
+	// behind.
 	blkEnd []float64 // max End over the block's slots
 	blkGap []float64 // max leading gap Start_i - End_{i-1} over the block
 
@@ -103,7 +103,7 @@ func NewTimeline() *Timeline { return &Timeline{} }
 func (t *Timeline) Len() int { return len(t.slots) }
 
 // Reset empties the timeline in place, retaining the slot and index
-// backing arrays so a pooled scheduler state reuses them on its next
+// backing arrays so a reused scheduler state keeps them for its next
 // request. The result is indistinguishable from a fresh zero-value
 // timeline — maxAbs rewinds too, so the float-safe pruning slack of a
 // reused timeline matches a cold run bit-for-bit.
@@ -708,18 +708,9 @@ func (t *Timeline) SnapshotInto(old Snapshot) Snapshot {
 // edgelint:noalloc
 func (t *Timeline) Restore(s Snapshot) { t.CopyFrom(&s.tl) }
 
-// Clone returns an independent deep copy of the timeline: mutations of
-// either copy never affect the other. Used by forked scheduler states
-// probing processor candidates in parallel.
-func (t *Timeline) Clone() *Timeline {
-	c := new(Timeline)
-	c.CopyFrom(t)
-	return c
-}
-
 // CopyFrom makes t an independent deep copy of src, reusing t's
-// backing buffers when they have capacity. The warm path — a pooled
-// replica re-cloned from a same-topology state — is a handful of copy
+// backing buffers when they have capacity. The warm path — journaling
+// into a stale snapshot, or restoring from one — is a handful of copy
 // calls and no allocation.
 func (t *Timeline) CopyFrom(src *Timeline) {
 	t.slots = append(t.slots[:0], src.slots...)
@@ -727,71 +718,6 @@ func (t *Timeline) CopyFrom(src *Timeline) {
 	t.blkGap = append(t.blkGap[:0], src.blkGap...)
 	t.maxAbs = src.maxAbs
 	t.slack = append(t.slack[:0], src.slack...)
-}
-
-// carve copies src into dst if dst has the capacity, otherwise into a
-// window carved off the front of arena. It returns the filled slice
-// and the remaining arena. Carved windows are full-capacity subslices,
-// so a later append on one timeline reallocates privately instead of
-// growing into its arena neighbor.
-func carve[T any](dst, src, arena []T) (out, rest []T) {
-	n := len(src)
-	if cap(dst) >= n {
-		out, rest = dst[:n], arena
-	} else {
-		out, rest = arena[:n:n], arena[n:]
-	}
-	copy(out, src)
-	return out, rest
-}
-
-// CopyTimelines deep-copies the timelines of src into dst, growing dst
-// as needed and reusing every element buffer that already has
-// capacity. Element buffers that must grow are carved out of one
-// shared arena allocation per column rather than allocated one
-// timeline at a time, so the cold path of a scheduler-state fork costs
-// O(columns) allocations instead of O(links). A nil src yields a nil
-// dst, preserving the parent's column shape exactly.
-func CopyTimelines(dst, src []Timeline) []Timeline {
-	if src == nil {
-		return nil
-	}
-	if cap(dst) < len(src) {
-		dst = make([]Timeline, len(src))
-	}
-	dst = dst[:len(src)]
-	needSlots, needIdx := 0, 0
-	for i := range src {
-		if cap(dst[i].slots) < len(src[i].slots) {
-			needSlots += len(src[i].slots)
-		}
-		if cap(dst[i].blkEnd) < len(src[i].blkEnd) {
-			needIdx += len(src[i].blkEnd)
-		}
-		if cap(dst[i].blkGap) < len(src[i].blkGap) {
-			needIdx += len(src[i].blkGap)
-		}
-		if cap(dst[i].slack) < len(src[i].slack) {
-			needIdx += len(src[i].slack)
-		}
-	}
-	var slotArena []Slot
-	var idxArena []float64
-	if needSlots > 0 {
-		slotArena = make([]Slot, needSlots)
-	}
-	if needIdx > 0 {
-		idxArena = make([]float64, needIdx)
-	}
-	for i := range src {
-		s, d := &src[i], &dst[i]
-		d.slots, slotArena = carve(d.slots, s.slots, slotArena)
-		d.blkEnd, idxArena = carve(d.blkEnd, s.blkEnd, idxArena)
-		d.blkGap, idxArena = carve(d.blkGap, s.blkGap, idxArena)
-		d.slack, idxArena = carve(d.slack, s.slack, idxArena)
-		d.maxAbs = s.maxAbs
-	}
-	return dst
 }
 
 // LastEnd returns the end of the last occupied slot, or 0 for an empty

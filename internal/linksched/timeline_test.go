@@ -382,15 +382,14 @@ func TestTimelineValidateCatchesCorruption(t *testing.T) {
 // The measured op inserts into a warm copy and restores it, so every
 // run shifts the same slots.
 func TestInsertOptimalIsAllocationFree(t *testing.T) {
-	base := NewTimeline()
+	tl := NewTimeline()
 	for i := 0; i < 4*gapBlock; i++ {
 		start := float64(i) * 10
-		base.InsertBasic(o(i, 0), Request{ES: start, PF: start, Dur: 8})
+		tl.InsertBasic(o(i, 0), Request{ES: start, PF: start, Dur: 8})
 	}
-	for i, s := range base.Slots() {
-		base.SetSlack(s.Owner, s.Start, float64(i%4))
+	for i, s := range tl.Slots() {
+		tl.SetSlack(s.Owner, s.Start, float64(i%4))
 	}
-	tl := base.Clone()
 	snap := tl.Snapshot()
 	var moved []Shifted
 	insert := func() {

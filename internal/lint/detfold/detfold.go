@@ -1,7 +1,7 @@
-// Package detfold enforces the deterministic parallel-reduce contract
-// that keeps the scheduler's parallel paths bit-identical to its serial
-// ones (see selectByEFT in internal/sched/fork.go, the canonical
-// conforming fold): candidates are compared with explicit fptime
+// Package detfold enforces the deterministic-fold contract that keeps
+// merges over unordered sources bit-identical from run to run (see
+// selectByEFT in internal/sched/eft.go, the canonical conforming
+// fold): candidates are compared with explicit fptime
 // epsilon tolerance, and epsilon-equal candidates are ordered by an
 // integer tie-break on a total ID order — never by arrival order.
 //

@@ -5,8 +5,8 @@ import "fmt"
 // Route is a path through the network: the ordered list of links an
 // edge's communication traverses from a source processor to a target
 // processor. An intra-processor route is the empty slice. Routes
-// handed out by the route cache are shared between forked scheduler
-// states and must never be written after they are built.
+// handed out by the route cache are shared between concurrent
+// Schedule requests and must never be written after they are built.
 type Route []LinkID
 
 // ErrNoRoute is returned when no path exists between two nodes.

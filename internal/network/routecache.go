@@ -16,9 +16,8 @@ const DefaultRouteCacheSize = 4096
 // function of the topology, a (src, dst) pair always yields the same
 // route; the schedulers' processor probes recompute it thousands of
 // times per sweep. The cache is a bounded LRU and safe for concurrent
-// use, so forked scheduler states probing candidate processors in
-// parallel — and, via sched.Engine, independent Schedule requests
-// running concurrently — can share one instance.
+// use, so independent Schedule requests running concurrently (via
+// sched.Engine) can share one instance.
 //
 // The cache is internally sharded: each shard is an independent LRU
 // under its own mutex, and a (src, dst) pair hashes to exactly one

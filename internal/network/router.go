@@ -4,8 +4,8 @@ package network
 // buffers, eliminating the per-call allocations (visit marks,
 // predecessor arrays, label heaps) that dominate the schedulers' hot
 // probe loops. A Router is NOT safe for concurrent use: create one per
-// goroutine (forked scheduler states each own one) and share a
-// RouteCache between them instead.
+// goroutine (every scheduler state owns one) and share a RouteCache
+// between them instead.
 //
 // The search algorithms are byte-for-byte the same as the Topology
 // convenience methods — same traversal order, same deterministic

@@ -81,7 +81,7 @@ type hop struct {
 
 // Topology is the network graph. Build it with AddProcessor, AddSwitch,
 // AddLink, AddDuplex and AddBus; it is immutable during scheduling —
-// forked scheduler states and the shared route cache depend on it
+// concurrent Schedule requests and the shared route cache depend on it
 // never changing after construction.
 type Topology struct {
 	nodes []Node

@@ -8,20 +8,19 @@ import (
 
 // The columnar edge store. Edge schedules used to live as one heap
 // *EdgeSchedule per edge with nested Route/Placements/Chunks slices —
-// forking a state meant O(|E|·route length) small allocations and the
-// same again for the rollback fingerprint. Here the records are
-// struct-of-arrays: one fixed-width edgeMeta per edge ID in a flat
-// column, with the variable-length route, per-leg placement and
-// bandwidth-chunk data appended to shared arena slices and addressed
-// by (offset, length) spans. Cloning the store is four bulk copies;
-// rolling back a probe transaction is restoring the journaled edgeMeta
-// values and truncating the arenas to their begin-time watermarks
-// (committed data is never appended inside a transaction's tail, so
-// truncation can only discard transaction-private entries).
+// O(|E|·route length) small allocations per run and the same again for
+// the rollback fingerprint. Here the records are struct-of-arrays: one
+// fixed-width edgeMeta per edge ID in a flat column, with the
+// variable-length route, per-leg placement and bandwidth-chunk data
+// appended to shared arena slices and addressed by (offset, length)
+// spans. Rolling back a probe transaction is restoring the journaled
+// edgeMeta values and truncating the arenas to their begin-time
+// watermarks (committed data is never appended inside a transaction's
+// tail, so truncation can only discard transaction-private entries).
 //
 // Records are written only through state's journaling edge mutators
 // (txn.go); the store's own methods read, append chunk payloads, and
-// serve reset, rollback and cloneInto.
+// serve reset and rollback.
 //
 // Offsets are int32: the committed arenas hold at most one record per
 // scheduled edge (re-placements overwrite the meta and probe tails are
@@ -74,7 +73,7 @@ type edgeStore struct {
 }
 
 // init sizes the store for edge IDs in [0, n) and empties the arenas,
-// reusing backing arrays a pooled state already owns.
+// reusing backing arrays the state already owns.
 func (st *edgeStore) init(n int) {
 	st.meta = sizeColumn(st.meta, n)
 	clear(st.meta)
@@ -110,7 +109,7 @@ func (st *edgeStore) legsView(id dag.EdgeID) []legMeta {
 func (st *edgeStore) appendChunks(cs []linksched.Chunk) span {
 	off := int32(len(st.chunks))
 	// edgelint:coldpath — amortized arena growth; capacity persists
-	// across transactions and pooled reuse.
+	// across transactions and state reuse.
 	st.chunks = append(st.chunks, cs...)
 	return span{off: off, n: int32(len(cs))}
 }
@@ -127,17 +126,6 @@ func (st *edgeStore) truncate(m arenaMarks) {
 	st.routes = st.routes[:m.routes]
 	st.legs = st.legs[:m.legs]
 	st.chunks = st.chunks[:m.chunks]
-}
-
-// copyFrom makes st an independent deep copy of src: one bulk copy per
-// column, reusing st's backing arrays when they have capacity. Shapes
-// are preserved exactly (see copyColumn) for the fingerprint-shape
-// contract.
-func (st *edgeStore) copyFrom(src *edgeStore) {
-	st.meta = copyColumn(st.meta, src.meta)
-	st.routes = copyColumn(st.routes, src.routes)
-	st.legs = copyColumn(st.legs, src.legs)
-	st.chunks = copyColumn(st.chunks, src.chunks)
 }
 
 // materialize builds the public []*EdgeSchedule view of the store, nil
@@ -197,18 +185,4 @@ func (st *edgeStore) materialize() []*EdgeSchedule {
 		out[i] = &back[len(back)-1]
 	}
 	return out
-}
-
-// copyColumn copies src into dst's backing array, reusing capacity and
-// preserving src's shape exactly: a nil column stays nil and an empty
-// non-nil column stays non-nil, so a clone fingerprints with the same
-// shape as its parent even on degenerate topologies.
-func copyColumn[T any](dst, src []T) []T {
-	if src == nil {
-		return nil
-	}
-	if dst == nil && len(src) == 0 {
-		return make([]T, 0)
-	}
-	return append(dst[:0], src...)
 }

@@ -16,27 +16,29 @@ import (
 // A one-shot ListScheduler.Schedule rebuilds its world per call — a
 // fresh route cache (so BFS route work is re-done every run), fresh
 // timeline columns, fresh journals, a fresh router. The engine splits
-// that world by mutability instead:
+// that world by ownership instead:
 //
 //   - shared immutable: the Topology, the Options and the warmed
-//     RouteCache. The topology is frozen after construction (analyzer
-//     enforced), routes are pure functions of it, and the cache is
-//     concurrency-safe and sharded, so every request may read them at
-//     once.
-//   - pooled mutable: the per-request scheduler state (timeline
-//     columns, columnar edge arenas, transaction journals, router
-//     scratch, fork replicas). Drawn from the package's one state pool
-//     — the same one fork replicas live in — and rebound by reset, the
-//     one state initializer, so steady-state requests reuse the arena
-//     capacity of their predecessors instead of reallocating it.
+//     RouteCache. The topology is frozen after construction, routes
+//     are pure functions of it, and the cache is concurrency-safe and
+//     sharded, so every request may read them at once.
+//   - slot-owned mutable: one scheduler state (timeline columns,
+//     columnar edge arenas, transaction journals, router scratch) per
+//     worker slot. A request receives a slot's state on admission and
+//     hands it back when it ends; reset, the one state initializer,
+//     rebinds it to the request's graph, so steady-state requests reuse
+//     the arena capacity of their predecessors instead of reallocating
+//     it. The engine holds the states outright, so garbage collection
+//     never takes them and the engine never builds more than
+//     MaxConcurrent of them.
 //   - per request: the task placements and the materialized Schedule,
 //     which escape to the caller and are always freshly allocated.
 //
 // Determinism is unchanged: a state never crosses goroutines while in
-// use, the shared cache only memoizes pure functions, and the fold
-// rules of parallel probing are untouched — so every engine schedule
-// is bit-identical to a cold single-threaded run. SelfCheckEvery turns
-// that claim into a runtime oracle.
+// use and the shared cache only memoizes pure functions, so every
+// engine schedule is bit-identical to a cold one-shot run.
+// SelfCheckEvery turns that claim into a runtime oracle. Parallelism
+// lives across requests, never inside one.
 
 // ErrEngineClosed is returned by Schedule after Drain (or Close) has
 // begun: the engine finishes in-flight requests but admits no new ones.
@@ -57,11 +59,12 @@ type EngineOptions struct {
 	// defaults to "engine".
 	Name string
 	// Opts selects the scheduling policies, exactly as for NewCustom.
-	// Opts.ProbeWorkers applies per request; under concurrent load keep
-	// it at 1 and let concurrency come from the requests themselves.
+	// Each request runs them sequentially on its slot's state; the
+	// engine's parallelism comes from concurrent requests.
 	Opts Options
-	// MaxConcurrent bounds the requests scheduled simultaneously (the
-	// worker pool). 0 uses GOMAXPROCS.
+	// MaxConcurrent bounds the requests scheduled simultaneously, and
+	// so the scheduler states the engine owns (one per worker slot).
+	// 0 uses GOMAXPROCS.
 	MaxConcurrent int
 	// MaxQueue bounds the requests allowed to wait for a worker slot
 	// before Schedule fails fast with ErrOverloaded. 0 means unbounded
@@ -86,7 +89,7 @@ type EngineStats struct {
 	Failures  int64 // requests that returned an error
 	Rejected  int64 // requests refused by admission control
 	InFlight  int64 // requests currently holding a worker slot
-	ColdState int64 // requests whose state was not last bound to this engine
+	ColdState int64 // requests whose slot state was bound afresh (at most MaxConcurrent)
 
 	SelfChecks int64 // cold re-runs performed by the determinism oracle
 
@@ -100,20 +103,19 @@ type EngineStats struct {
 
 // Engine is a long-lived, concurrency-safe scheduling engine: it loads
 // one immutable Topology plus one policy set and serves many
-// Schedule(dag) calls in parallel against a shared warmed route cache
-// and a pool of reusable scheduler states. See the file comment for
-// the sharing discipline. Create with NewEngine; Drain before
-// discarding if callers may still be scheduling.
+// Schedule(dag) calls in parallel against a shared warmed route cache,
+// each on the scheduler state of the worker slot it holds. See the
+// file comment for the ownership discipline. Create with NewEngine;
+// Drain before discarding if callers may still be scheduling.
 type Engine struct {
 	name  string
 	opts  Options
 	net   *network.Topology
 	cache *network.RouteCache
 
-	maxConcurrent int
-	maxQueue      int
-	sem           chan struct{} // worker slots
-	waiting       atomic.Int64  // requests blocked on sem
+	maxQueue int
+	slots    chan *state  // worker slots, each carrying the state it owns
+	waiting  atomic.Int64 // requests blocked on slots
 
 	mu       sync.RWMutex // guards closed vs inflight.Add
 	closed   bool
@@ -164,10 +166,12 @@ func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 		opts:           eo.Opts,
 		net:            net,
 		cache:          network.NewRouteCache(size, min(4*workers, 256)),
-		maxConcurrent:  workers,
 		maxQueue:       eo.MaxQueue,
-		sem:            make(chan struct{}, workers),
+		slots:          make(chan *state, workers),
 		selfCheckEvery: eo.SelfCheckEvery,
+	}
+	for range workers {
+		e.slots <- new(state)
 	}
 	if eo.WarmRoutes && pairs <= size {
 		e.warmRoutes()
@@ -210,34 +214,32 @@ func (e *Engine) Schedule(g *dag.Graph) (*Schedule, error) {
 		return nil, err
 	}
 	defer e.inflight.Done()
-	if err := e.acquire(); err != nil {
+	s, err := e.acquire()
+	if err != nil {
 		e.rejected.Add(1)
 		return nil, err
 	}
-	defer e.release()
-	s := statePool.Get().(*state)
-	defer recycle(s)
+	defer e.release(s)
 	return e.run(g, s)
 }
 
-// ScheduleBatch schedules the graphs in order on ONE pooled state
-// under ONE admission slot, amortizing admission, pool traffic and
-// journal resizing across many small DAGs. Results align positionally
-// with gs; the first error aborts the batch. Each schedule is
-// bit-identical to its own one-shot run — batching shares warmth, not
-// state: the state is fully reset between graphs.
+// ScheduleBatch schedules the graphs in order on ONE worker slot and
+// its state, amortizing admission and journal resizing across many
+// small DAGs. Results align positionally with gs; the first error
+// aborts the batch. Each schedule is bit-identical to its own one-shot
+// run — batching shares warmth, not state: the state is fully reset
+// between graphs.
 func (e *Engine) ScheduleBatch(gs []*dag.Graph) ([]*Schedule, error) {
 	if err := e.begin(); err != nil {
 		return nil, err
 	}
 	defer e.inflight.Done()
-	if err := e.acquire(); err != nil {
+	st, err := e.acquire()
+	if err != nil {
 		e.rejected.Add(1)
 		return nil, err
 	}
-	defer e.release()
-	st := statePool.Get().(*state)
-	defer recycle(st)
+	defer e.release(st)
 	out := make([]*Schedule, len(gs))
 	for i, g := range gs {
 		s, err := e.run(g, st)
@@ -262,31 +264,43 @@ func (e *Engine) begin() error {
 	return nil
 }
 
-// acquire takes a worker slot, failing fast when the waiting line
-// exceeds MaxQueue.
-func (e *Engine) acquire() error {
+// acquire takes a worker slot and the state it owns, failing fast
+// when the waiting line exceeds MaxQueue.
+func (e *Engine) acquire() (*state, error) {
+	var s *state
 	select {
-	case e.sem <- struct{}{}:
+	case s = <-e.slots:
 	default:
 		if e.maxQueue > 0 && e.waiting.Load() >= int64(e.maxQueue) {
-			return ErrOverloaded
+			return nil, ErrOverloaded
 		}
 		e.waiting.Add(1)
-		e.sem <- struct{}{}
+		s = <-e.slots
 		e.waiting.Add(-1)
 	}
 	e.active.Add(1)
-	return nil
+	return s, nil
 }
 
-func (e *Engine) release() {
+// release hands the slot back with its state. It is always deferred,
+// so it runs even when a request panics: a state still inside a
+// transaction is corrupt, and the slot gets a zero state instead, never
+// losing the slot and never handing the next request a broken state.
+// The graph and the task and duplicate columns belong to the finished
+// request's caller (the columns escaped into its Schedule), so the slot
+// drops its references to them.
+func (e *Engine) release(s *state) {
+	if s.tx != nil {
+		s = new(state)
+	}
+	s.g, s.tasks, s.dups = nil, nil, nil
 	e.active.Add(-1)
-	<-e.sem
+	e.slots <- s
 }
 
-// run schedules one graph on s, a state drawn from the pool by the
-// caller: reset rebinds it to the engine's topology, options and shared
-// cache (a state last bound elsewhere counts as cold), and every
+// run schedules one graph on s, the state of the caller's worker slot:
+// reset rebinds it to the engine's topology, options and shared cache
+// (a state bound for the first time counts as cold), and every
 // SelfCheckEvery'th request is re-run cold by the oracle.
 func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 	e.requests.Add(1)
@@ -310,15 +324,13 @@ func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 }
 
 // selfCheck re-runs the request cold — fresh state, private route
-// cache, sequential probes — and fails with ErrSelfCheck if the
-// engine's schedule is not bit-identical. This is the serving-path
-// twin of the rollback oracle: it turns "pooling and sharing change
-// nothing" into a checked runtime contract.
+// cache — and fails with ErrSelfCheck if the engine's schedule is not
+// bit-identical. This is the serving-path twin of the rollback oracle:
+// it turns "state reuse and sharing change nothing" into a checked
+// runtime contract.
 func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 	e.selfChecks.Add(1)
-	opts := e.opts
-	opts.ProbeWorkers = 1
-	s, err := newState(g, e.net, opts)
+	s, err := newState(g, e.net, e.opts)
 	if err != nil {
 		return fmt.Errorf("%w: setup: %w", ErrSelfCheck, err)
 	}

@@ -3,16 +3,17 @@
 // validator (verify imports sched, so the in-package tests cannot).
 //
 // The contract under test is the engine's whole reason to exist:
-// sharing a warmed route cache and pooling scheduler states across
-// concurrent requests must change THROUGHPUT ONLY — every schedule
-// stays bit-identical to a cold, sequential, single-threaded run of
-// the same algorithm on the same inputs.
+// sharing a warmed route cache and reusing slot-owned scheduler states
+// across concurrent requests must change THROUGHPUT ONLY — every
+// schedule stays bit-identical to a cold one-shot run of the same
+// algorithm on the same inputs.
 package sched_test
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -34,7 +35,7 @@ func enginePresets() map[string]*sched.ListScheduler {
 }
 
 // engineGraph builds the i'th distinct request DAG: sizes, shapes and
-// costs vary with i so consecutive pooled requests never share a
+// costs vary with i so consecutive requests on one slot never share a
 // shape.
 func engineGraph(i int) *dag.Graph {
 	r := rand.New(rand.NewSource(int64(1000 + i)))
@@ -50,10 +51,9 @@ func engineTopology() *network.Topology {
 }
 
 // coldRun schedules g exactly as a one-shot scheduler would: fresh
-// state, private route cache, sequential probes.
+// state, private route cache.
 func coldRun(t *testing.T, name string, opts sched.Options, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
-	opts.ProbeWorkers = 1
 	s, err := sched.NewCustom(name, opts).Schedule(g, net)
 	if err != nil {
 		t.Fatalf("cold %s: %v", name, err)
@@ -70,7 +70,7 @@ func mustVerify(t *testing.T, s *sched.Schedule) {
 }
 
 // TestEngineMatchesColdRun drives every preset through a warmed engine
-// — twice per graph, so the second pass runs entirely on pooled states
+// — twice per graph, so the second pass runs entirely on reused states
 // — and demands bit-identical agreement with cold one-shot runs.
 func TestEngineMatchesColdRun(t *testing.T) {
 	for name, ls := range enginePresets() {
@@ -254,5 +254,128 @@ func TestEngineDrain(t *testing.T) {
 	}
 	if _, err := eng.ScheduleBatch([]*dag.Graph{engineGraph(0)}); !errors.Is(err, sched.ErrEngineClosed) {
 		t.Fatalf("post-drain ScheduleBatch: %v, want ErrEngineClosed", err)
+	}
+}
+
+// TestEngineSlotReuse serves the same graph, then a differently shaped
+// one, then the first again, all on one worker slot and so on one
+// state: any buffer, mark array or cached closure that survived reset
+// would skew the third schedule against the first.
+func TestEngineSlotReuse(t *testing.T) {
+	net := engineTopology()
+	opts := sched.Options{ProcSelect: sched.ProcSelectEFT, Insertion: sched.InsertionOptimal,
+		EdgeOrder: sched.EdgeOrderDescCost, VerifyRollbackEvery: 5}
+	eng, err := sched.NewEngine(net, sched.EngineOptions{Opts: opts, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Drain()
+	g, other := engineGraph(31), dag.Chain(4, 1, 10)
+	var got []*sched.Schedule
+	for _, x := range []*dag.Graph{g, other, g} {
+		s, err := eng.Schedule(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustVerify(t, s)
+		got = append(got, s)
+	}
+	if d := sched.DiffSchedules(got[0], got[2]); d != "" {
+		t.Fatalf("slot reuse changed the schedule: %s", d)
+	}
+	if st := eng.Stats(); st.ColdState != 1 {
+		t.Fatalf("one slot bound its state %d times, want once", st.ColdState)
+	}
+}
+
+// TestEngineColdStatesBounded is the regression pin for state
+// ownership: the engine holds one state per worker slot outright, so
+// garbage collection between requests cannot take them and no request
+// after the first on each slot starts cold.
+func TestEngineColdStatesBounded(t *testing.T) {
+	const slots = 2
+	eng, err := sched.NewEngine(engineTopology(), sched.EngineOptions{
+		Name: "BBSA", Opts: sched.NewBBSA().Opts, MaxConcurrent: slots,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Drain()
+	for i := 0; i < 4*slots; i++ {
+		// Concurrent requests in every round, so every slot is used.
+		got := make([]*sched.Schedule, slots)
+		errs := make([]error, slots)
+		var wg sync.WaitGroup
+		for j := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[j], errs[j] = eng.Schedule(engineGraph(i*slots + j))
+			}()
+		}
+		wg.Wait()
+		for j := range got {
+			if errs[j] != nil {
+				t.Fatal(errs[j])
+			}
+			mustVerify(t, got[j])
+		}
+		// Two collections: a sync.Pool's victim cache survives one.
+		runtime.GC()
+		runtime.GC()
+	}
+	if st := eng.Stats(); st.ColdState > slots {
+		t.Fatalf("%d cold states over %d requests, want at most MaxConcurrent = %d",
+			st.ColdState, st.Requests, slots)
+	}
+}
+
+// TestEngineSharedInputsRace schedules ONE shared graph on ONE
+// topology from many goroutines through both a Dijkstra-routed engine
+// (OIHSA) and a probing EFT engine (BA-EFT). The public API allows
+// exactly this sharing, so under -race any write to the graph, the
+// topology or a cached route — from placement, route search or an EFT
+// probe — is reported here.
+func TestEngineSharedInputsRace(t *testing.T) {
+	const goroutines = 8
+	// One P per request, and a graph large enough that a schedule
+	// outlives a time slice: the requests run interleaved even on one
+	// core, instead of back to back with every access ordered.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(goroutines))
+	net := engineTopology()
+	g := dag.RandomLayered(rand.New(rand.NewSource(5)), dag.RandomLayeredParams{
+		Tasks:    200,
+		TaskCost: dag.CostDist{Lo: 1, Hi: 40},
+		EdgeCost: dag.CostDist{Lo: 1, Hi: 150},
+	})
+	for _, ls := range []*sched.ListScheduler{sched.NewOIHSA(), sched.NewBASinnen()} {
+		eng, err := sched.NewEngine(net, sched.EngineOptions{
+			Name: ls.Name(), Opts: ls.Opts, MaxConcurrent: goroutines,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := coldRun(t, ls.Name(), ls.Opts, g, net)
+		got := make([]*sched.Schedule, goroutines)
+		errs := make([]error, goroutines)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = eng.Schedule(g)
+			}()
+		}
+		wg.Wait()
+		eng.Drain()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("%s request %d: %v", ls.Name(), i, errs[i])
+			}
+			mustVerify(t, got[i])
+			if d := sched.DiffSchedules(want, got[i]); d != "" {
+				t.Fatalf("%s request %d diverged from the cold run: %s", ls.Name(), i, d)
+			}
+		}
 	}
 }

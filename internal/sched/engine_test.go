@@ -10,12 +10,12 @@ import (
 	"repro/internal/network"
 )
 
-// Pool-hygiene tests for state reuse. These live in the package so they
-// can drive reset directly and point the rollback oracle's fingerprint
-// machinery at the pooled state: the contract is that a state which
+// State-reuse hygiene tests. These live in the package so they can
+// drive reset directly and point the rollback oracle's fingerprint
+// machinery at the reused state: the contract is that a state which
 // served run N and was reset for run N+1 is indistinguishable — bit for
 // bit, arenas, journals, timelines — from a state built cold for run
-// N+1, whatever topology, policies or role run N had.
+// N+1, whatever topology or policies run N had.
 
 // hygieneOptions are the policy sets whose states exercise every
 // column family: slot timelines with insertion + duplication, and
@@ -39,12 +39,10 @@ func hygieneGraph(seed int64, tasks int) *dag.Graph {
 }
 
 // hygieneCase is one reuse scenario: a state that last ran under
-// prevOpts on prevNet — as a primary, or as a fork replica — is reset
-// for a run under opts on net.
+// prevOpts on prevNet is reset for a run under opts on net.
 type hygieneCase struct {
 	prevNet, net   *network.Topology
 	prevOpts, opts Options
-	fork           bool
 }
 
 func hygieneCases() map[string]hygieneCase {
@@ -53,39 +51,22 @@ func hygieneCases() map[string]hygieneCase {
 	for name, opts := range hygieneOptions() {
 		cases[name] = hygieneCase{prevNet: star5, net: star5, prevOpts: opts, opts: opts}
 	}
-	// One pool serves fork replicas and engine states alike, so a state
-	// can come back from a different topology, policy set and role: a
-	// bandwidth + EFT replica on star:9 reused for slots + insertion on
+	// reset must also rebind a state across topologies and policy sets:
+	// a bandwidth + EFT state on star:9 reused for slots + insertion on
 	// star:5. Its cached relaxation closure reads the bandwidth ledger
 	// and must not survive the change of engine.
-	cases["fork-bandwidth-star9-to-insertion-star5"] = hygieneCase{
+	cases["bandwidth-star9-to-insertion-star5"] = hygieneCase{
 		prevNet: network.Star(9, network.Uniform(1), network.Uniform(1)),
 		net:     star5,
 		prevOpts: Options{Routing: RoutingDijkstra, ProcSelect: ProcSelectEFT,
 			Engine: EngineBandwidth},
 		opts: Options{Routing: RoutingDijkstra, ProcSelect: ProcSelectEFT,
 			TaskPolicy: TaskInsertion},
-		fork: true,
 	}
 	return cases
 }
 
-// placeInOrder commits tasks in the given order with the configured
-// processor selection.
-func placeInOrder(t *testing.T, s *state, order []dag.TaskID) {
-	t.Helper()
-	for _, tid := range order {
-		proc, err := s.selectProcessor(tid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.placeTask(tid, proc); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestResetForNoResidue is the fingerprint oracle for pooled reuse: a
+// TestResetForNoResidue is the fingerprint oracle for state reuse: a
 // state that scheduled a LARGE graph — populating arenas, journals,
 // timelines and cached closures — then was reset for a small,
 // differently shaped graph must match a cold state for that graph
@@ -101,36 +82,24 @@ func TestResetForNoResidue(t *testing.T) {
 			big := hygieneGraph(7, 40)
 			small := hygieneGraph(8, 9)
 
-			prev, err := newState(big, c.prevNet, c.prevOpts)
+			reused, err := newState(big, c.prevNet, c.prevOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pooled := prev
-			if c.fork {
-				// Half the graph on the primary, the rest on a replica,
-				// so the replica's own journals and closures carry
-				// residue too.
-				order, err := big.PriorityOrder()
-				if err != nil {
-					t.Fatal(err)
-				}
-				placeInOrder(t, prev, order[:len(order)/2])
-				pooled = prev.Clone()
-				placeInOrder(t, pooled, order[len(order)/2:])
-				if pooled.relaxFn == nil || pooled.txFree == nil {
-					t.Fatal("replica built no closures or journals; the case tests nothing")
-				}
-			} else if _, err := scheduleOn(prev, "big"); err != nil {
+			if _, err := scheduleOn(reused, "big"); err != nil {
 				t.Fatal(err)
+			}
+			if reused.txFree == nil {
+				t.Fatal("the first run built no journals; the case tests nothing")
 			}
 			// An engine keeps its shared cache across requests; a state
 			// moving to another topology needs a cache of its own.
-			cache := pooled.routeCache
+			cache := reused.routeCache
 			if c.prevNet != c.net {
 				cache = network.NewRouteCache(0, 1)
 			}
-			pooled.reset(small, c.net, c.opts, cache)
-			if c.prevOpts != c.opts && pooled.relaxFn != nil {
+			reused.reset(small, c.net, c.opts, cache)
+			if c.prevOpts != c.opts && reused.relaxFn != nil {
 				t.Fatal("reset kept the relaxation closure cached under different options")
 			}
 
@@ -140,26 +109,26 @@ func TestResetForNoResidue(t *testing.T) {
 			}
 			// Shape first: the oracle's diff indexes by the fresh
 			// state's entity counts, so any size residue is named here.
-			if len(pooled.tasks) != len(fresh.tasks) ||
-				len(pooled.procFinish) != len(fresh.procFinish) ||
-				len(pooled.edges.meta) != len(fresh.edges.meta) ||
-				len(pooled.tl) != len(fresh.tl) ||
-				len(pooled.bw) != len(fresh.bw) ||
-				len(pooled.ptl) != len(fresh.ptl) {
+			if len(reused.tasks) != len(fresh.tasks) ||
+				len(reused.procFinish) != len(fresh.procFinish) ||
+				len(reused.edges.meta) != len(fresh.edges.meta) ||
+				len(reused.tl) != len(fresh.tl) ||
+				len(reused.bw) != len(fresh.bw) ||
+				len(reused.ptl) != len(fresh.ptl) {
 				t.Fatalf("reset state shape differs from cold state")
 			}
-			if len(pooled.edges.routes) != 0 || len(pooled.edges.legs) != 0 ||
-				len(pooled.edges.chunks) != 0 {
+			if len(reused.edges.routes) != 0 || len(reused.edges.legs) != 0 ||
+				len(reused.edges.chunks) != 0 {
 				t.Fatalf("arena residue after reset: %d routes, %d legs, %d chunks",
-					len(pooled.edges.routes), len(pooled.edges.legs), len(pooled.edges.chunks))
+					len(reused.edges.routes), len(reused.edges.legs), len(reused.edges.chunks))
 			}
-			if d := fresh.captureFingerprint().diff(pooled); d != "" {
+			if d := fresh.captureFingerprint().diff(reused); d != "" {
 				t.Fatalf("run N residue visible to run N+1: %s", d)
 			}
 
 			// The ground truth: the reused state schedules the small
 			// graph bit-identically to the cold state.
-			got, err := scheduleOn(pooled, "x")
+			got, err := scheduleOn(reused, "x")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +137,7 @@ func TestResetForNoResidue(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := DiffSchedules(want, got); d != "" {
-				t.Fatalf("pooled state's schedule diverged from cold: %s", d)
+				t.Fatalf("reused state's schedule diverged from cold: %s", d)
 			}
 		})
 	}
@@ -208,22 +177,73 @@ func TestEngineOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.sem <- struct{}{} // occupy the only worker slot
-	waiterDone := make(chan error, 1)
-	go func() { waiterDone <- e.acquire() }() // fills the queue
+	held := <-e.slots // occupy the only worker slot
+	waiter := make(chan *state, 1)
+	go func() { // fills the queue
+		s, err := e.acquire()
+		if err != nil {
+			t.Errorf("queued acquire: %v", err)
+		}
+		waiter <- s
+	}()
 	for e.waiting.Load() != 1 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := e.acquire(); !errors.Is(err, ErrOverloaded) {
+	if _, err := e.acquire(); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("acquire with full queue: %v, want ErrOverloaded", err)
 	}
-	<-e.sem // free the slot; the waiter acquires it
-	if err := <-waiterDone; err != nil {
-		t.Fatalf("queued acquire: %v", err)
+	e.slots <- held // free the slot; the waiter acquires it
+	s := <-waiter
+	if s != held {
+		t.Fatal("the queued request did not receive the slot's state")
 	}
-	e.release()
+	e.release(s)
 	if got := e.active.Load(); got != 0 {
 		t.Fatalf("active count after release: %d", got)
+	}
+}
+
+// TestEngineReleaseReplacesStateInTxn pins the slot's corruption rule:
+// a state handed back while still inside a transaction (a request that
+// panicked out of a rollback) is replaced by a zero state, so the slot
+// is kept and the next request never receives the broken state.
+//
+// edgelint:ignore verifysched — in-package (verify would cycle); the
+// schedule is compared bit-for-bit against a cold run, and the same
+// engine paths run under the full validator in engine_ext_test.go.
+func TestEngineReleaseReplacesStateInTxn(t *testing.T) {
+	net := network.Star(3, network.Uniform(1), network.Uniform(1))
+	e, err := NewEngine(net, EngineOptions{Name: "BA-EFT", Opts: NewBASinnen().Opts, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dag.Chain(3, 5, 20)
+	s, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.reset(g, e.net, e.opts, e.cache)
+	s.begin()
+	e.release(s)
+
+	next, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == s || next.tx != nil {
+		t.Fatal("the slot handed out the state released inside a transaction")
+	}
+	e.release(next)
+	got, err := e.Schedule(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewBASinnen().Schedule(g, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DiffSchedules(want, got); d != "" {
+		t.Fatalf("the replacement state's schedule diverged from a cold run: %s", d)
 	}
 }
 

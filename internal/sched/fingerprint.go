@@ -9,8 +9,7 @@ import (
 
 // The rollback oracle. A probe transaction is only correct if rollback
 // restores the state bit-for-bit: a store whose prior value is not
-// journaled corrupts the committed schedule silently — the
-// transactional sibling of a forgotten Clone copy. Every write goes
+// journaled corrupts the committed schedule silently. Every write goes
 // through a journaling mutator (txn.go), and this oracle is the guard
 // that each mutator's journal step covers its store. With
 // Options.VerifyRollbackEvery set (1 for every transaction), begin

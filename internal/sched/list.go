@@ -298,13 +298,6 @@ type Options struct {
 	// the predecessor is duplicated onto the destination processor and
 	// the communication is dropped. Requires TaskAppend placement.
 	Duplication bool
-	// ProbeWorkers bounds the goroutines evaluating earliest-finish
-	// processor candidates concurrently (ProcSelectEFT only): the
-	// scheduler state is forked into that many replicas and the
-	// candidate probes are partitioned among them. 0 uses GOMAXPROCS;
-	// 1 keeps the probes sequential on the primary state. Schedules
-	// are bit-identical at any setting — see fork.go.
-	ProbeWorkers int
 	// VerifyRollbackEvery arms the rollback oracle: when N > 0, every
 	// Nth probe transaction captures a deep fingerprint of the
 	// scheduler state at begin and re-checks it after rollback,
@@ -406,14 +399,14 @@ func (l *ListScheduler) Name() string { return l.AlgorithmName }
 
 // state carries all mutable data of one scheduling run.
 type state struct {
-	g    *dag.Graph        // shared with forks; frozen after construction
-	net  *network.Topology // shared with forks; frozen after construction
+	g    *dag.Graph        // frozen after construction
+	net  *network.Topology // frozen after construction
 	opts Options
 
 	// The timelines are stored by value in flat columns — one Timeline
-	// per link ID — so cloning a state copies backing slabs instead of
-	// chasing one heap object per link. Zero values are valid empty
-	// timelines, so non-processor entries of ptl need no sentinel.
+	// per link ID — so reset empties them in place and keeps their
+	// slabs for the next run. Zero values are valid empty timelines, so
+	// non-processor entries of ptl need no sentinel.
 	tl  []linksched.Timeline   // per link, slots engine
 	bw  []linksched.BWTimeline // per link, bandwidth engine
 	ptl []linksched.Timeline   // per processor node, insertion policy only
@@ -435,22 +428,18 @@ type state struct {
 	txSeq uint64
 
 	// router performs route searches with reused scratch buffers sized
-	// to net; routeCache memoizes the static BFS routes and is shared
-	// (it is concurrency-safe) with every fork of this state and, in an
-	// Engine, with every request. reset rebuilds the router only when
-	// the state is rebound to a different topology or cache.
+	// to net; routeCache memoizes the static BFS routes and, in an
+	// Engine, is shared (it is concurrency-safe) with every request.
+	// reset rebuilds the router only when the state is rebound to a
+	// different topology or cache.
 	router     *network.Router
-	routeCache *network.RouteCache // concurrency-safe LRU, shared with forks
-	// stats points at ownStats on a primary state and at the primary's
-	// counters on its forks.
-	stats    *probeStats // shared across forks, atomic
-	ownStats probeStats
+	routeCache *network.RouteCache
 
-	// forks are the worker replicas for parallel EFT probing (empty in
-	// sequential runs); forkErrs is their per-commit error scratch.
-	forks    []*state
-	forkErrs []error
-	eft      eftScratch
+	// probes and pruned count EFT work: tentative placements evaluated,
+	// and candidates skipped by the finish lower bound. eftLB is
+	// selectByEFT's per-processor lower-bound scratch.
+	probes, pruned int64
+	eftLB          []float64
 
 	predBuf  []dag.EdgeID        // orderedPreds scratch
 	pktBuf   []float64           // placeEdgePackets scratch
@@ -461,9 +450,7 @@ type state struct {
 	// state on first use (it captures only s), so route searches on the
 	// probe hot path do not allocate a fresh closure per call. It reads
 	// the current edge's cost from relaxEdgeCost, which relaxFunc sets
-	// before handing the closure out. No code copies it between states
-	// — a copied closure would still capture the ORIGINAL state — so
-	// each fork builds its own, and reset drops it when the options
+	// before handing the closure out. reset drops it when the options
 	// change (buildRelaxFn bakes in opts.Engine).
 	relaxEdgeCost float64
 	relaxFn       network.RelaxFunc
@@ -474,7 +461,7 @@ type state struct {
 // validates the graph, topology and options once, then binds them to a
 // zero state with a private route cache, so the run starts cold. (An
 // Engine validates its topology and options once in NewEngine and binds
-// pooled states itself; see Engine.run.)
+// its slot-owned states itself; see Engine.run.)
 func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -493,10 +480,10 @@ func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error)
 // reset binds s to a run of g on net under opts, with static routes
 // memoized in cache, and rewinds everything run-visible to the
 // cold-start value while keeping every backing capacity it can. It is
-// the one state initializer: newState applies it to a zero state,
-// Engine.run to a pooled one, and cloneInto to a replica before
-// copying the parent's columns over. Whatever s did before — a
-// different graph, topology, policy set or role — leaves no residue:
+// the one state initializer, with two callers: newState applies it to
+// a zero state, and Engine.run to the state its worker slot owns.
+// Whatever s did before — a different graph, topology or policy set —
+// leaves no residue:
 //
 //   - the router is rebuilt only when net or cache changed, which is
 //     what the result reports (an Engine counts those as cold states);
@@ -522,9 +509,7 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options, cache *
 	}
 	s.g, s.net, s.opts = g, net, opts
 	s.mls = net.MeanLinkSpeed()
-	s.stats = &s.ownStats
-	s.ownStats.probes.Store(0)
-	s.ownStats.pruned.Store(0)
+	s.probes, s.pruned = 0, 0
 
 	links, ptls := net.NumLinks(), 0
 	if opts.TaskPolicy == TaskInsertion {
@@ -593,16 +578,12 @@ func scheduleOn(s *state, name string) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.ProcSelect == ProcSelectEFT && s.net.NumProcessors() > 1 {
-		s.fork(probeWorkers(s.opts))
-		defer s.releaseForks()
-	}
 	for _, tid := range order {
 		proc, err := s.selectProcessor(tid)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.placeAndCommit(tid, proc); err != nil {
+		if _, err := s.placeTask(tid, proc); err != nil {
 			return nil, err
 		}
 	}

@@ -40,20 +40,13 @@ func oracleAlgorithms() map[string]*sched.ListScheduler {
 	return algos
 }
 
-// TestRollbackOracleProperty is the rollback-completeness property
-// test: every algorithm × task policy × random DAG/topology seed runs
-// with the rollback oracle armed, so each probe transaction proves its
-// rollback restored the state bit-for-bit (the oracle panics otherwise,
-// naming the corrupted field). Schedules must additionally be
-// bit-identical at ProbeWorkers 1 and 8 — the oracle must never be a
-// result knob, and neither is parallel probing.
 // TestRollbackOracleSampled runs the paper's presets with the sampled
 // oracle (Options.VerifyRollbackEvery) armed: every 7th probe
 // transaction is fingerprinted. Sampling cuts the oracle's O(state)
 // per-probe cost enough to keep this in the ordinary `go test` run —
 // an un-journaled write in a deterministic scheduler corrupts probes
 // repeatedly, so the sampled fingerprints still catch it — while the
-// exhaustive every-probe property test above stays the CI oracle
+// exhaustive every-probe property test below stays the CI oracle
 // job's responsibility. The sampled run must also leave results
 // untouched: the schedule is compared against an oracle-free run.
 func TestRollbackOracleSampled(t *testing.T) {
@@ -80,6 +73,13 @@ func TestRollbackOracleSampled(t *testing.T) {
 	}
 }
 
+// TestRollbackOracleProperty is the rollback-completeness property
+// test: every algorithm × task policy × random DAG/topology seed runs
+// with the rollback oracle armed, so each probe transaction proves its
+// rollback restored the state bit-for-bit (the oracle panics otherwise,
+// naming the corrupted field). Schedules must additionally be
+// bit-identical to an oracle-free run — the oracle must never be a
+// result knob.
 func TestRollbackOracleProperty(t *testing.T) {
 	for name, algo := range oracleAlgorithms() {
 		algo := algo
@@ -97,16 +97,15 @@ func TestRollbackOracleProperty(t *testing.T) {
 					})
 					net := network.RandomCluster(r, network.RandomClusterParams{Processors: 6})
 
-					run := func(workers int) *sched.Schedule {
+					run := func(every int) *sched.Schedule {
 						a := sched.NewCustom(algo.AlgorithmName, algo.Opts)
 						a.Opts.TaskPolicy = policy
-						a.Opts.VerifyRollbackEvery = 1
-						a.Opts.ProbeWorkers = workers
+						a.Opts.VerifyRollbackEvery = every
 						return mustSchedule(t, a, g, net)
 					}
-					base := run(1)
-					if got := run(8); !reflect.DeepEqual(got, base) {
-						t.Fatalf("%s policy=%v seed %d: schedule under the oracle differs between ProbeWorkers 1 and 8",
+					base := run(0)
+					if got := run(1); !reflect.DeepEqual(got, base) {
+						t.Fatalf("%s policy=%v seed %d: schedule under the oracle differs from the oracle-free run",
 							name, policy, seed)
 					}
 				}

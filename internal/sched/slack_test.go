@@ -46,7 +46,6 @@ func TestSlackColumnMatchesClosure(t *testing.T) {
 	eft := oihsa
 	eft.ProcSelect = ProcSelectEFT
 	eft.VerifyRollbackEvery = 1
-	eft.ProbeWorkers = 1
 	hop := oihsa
 	hop.HopDelay = 0.5
 	saf := oihsa
@@ -79,9 +78,6 @@ func TestSlackColumnMatchesClosure(t *testing.T) {
 					net = network.Line(5, network.Uniform(1), network.Uniform(1))
 				}
 				s := mkState(t, g, net, opts)
-				if opts.ProcSelect == ProcSelectEFT && net.NumProcessors() > 1 {
-					s.fork(probeWorkers(opts))
-				}
 				order, err := priorityOrder(g, opts.Priority)
 				if err != nil {
 					t.Fatal(err)
@@ -92,7 +88,7 @@ func TestSlackColumnMatchesClosure(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := s.placeAndCommit(tid, proc); err != nil {
+					if _, err := s.placeTask(tid, proc); err != nil {
 						t.Fatal(err)
 					}
 					checkSlackColumn(t, s, name)
@@ -104,7 +100,6 @@ func TestSlackColumnMatchesClosure(t *testing.T) {
 						}
 					}
 				}
-				s.releaseForks()
 				if withSlack == 0 {
 					t.Fatalf("seed %d: no slot ever held slack; the case tests nothing", seed)
 				}

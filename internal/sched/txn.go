@@ -170,7 +170,7 @@ func (s *state) rollback() {
 // stores, so a probe cannot make a write that rollback cannot undo.
 // Outside a transaction (committed placements) the journal step is one
 // nil check. Reads stay plain column indexing; the only other stores
-// are rollback's restores and reset/cloneInto, which run outside
+// are rollback's restores and reset, which run outside
 // transactions. The rollback oracle (Options.VerifyRollbackEvery)
 // checks at runtime that each mutator's journal step covers its store.
 
@@ -233,7 +233,7 @@ func (s *state) placeEdge(id dag.EdgeID, src, dst network.NodeID, route network.
 	st := &s.edges
 	ro := int32(len(st.routes))
 	// edgelint:coldpath — amortized arena growth; capacity persists
-	// across transactions and pooled reuse.
+	// across transactions and state reuse.
 	st.routes = append(st.routes, route...)
 	lo := int32(len(st.legs))
 	for range route {
@@ -293,7 +293,7 @@ func (s *state) setLeg(id dag.EdgeID, leg int, lm legMeta) {
 	if tx := s.tx; tx != nil && int(m.legs.off) < tx.marks.legs {
 		off := int32(len(s.edges.legs))
 		// edgelint:coldpath — amortized arena growth; capacity persists
-		// across transactions and pooled reuse.
+		// across transactions and state reuse.
 		s.edges.legs = append(s.edges.legs, s.edges.legs[m.legs.off:m.legs.off+m.legs.n]...)
 		m.legs.off = off
 	}
