@@ -163,7 +163,11 @@ func main() {
 // state rebuilt per request shows up here as a multiple, not a percent.
 // BenchmarkScheduleLongLinks guards the paper's own kernels where they
 // dominate: on 1.5-2k-entry link queues a lost slack column or a
-// disabled slab hop costs OIHSA or BBSA a third of its time.
+// disabled slab hop costs OIHSA or BBSA a third of its time. Its
+// allocs/op also guard the slab store both link ledgers share: most of
+// BA's allocations are slab arrays (one per up to 64 slots, kept by
+// Reset and CopyFrom), so a store that allocated per split or per
+// insert would break the allocs bound.
 const defaultGate = "BenchmarkScheduleBA,BenchmarkScheduleBASinnen,BenchmarkScheduleBASinnenLarge,BenchmarkScheduleBASinnenLarge@allocs," +
 	"BenchmarkScheduleBASinnenManyProcs,BenchmarkScheduleOIHSA,BenchmarkScheduleBBSA," +
 	"BenchmarkScheduleLongLinks/algo=BA,BenchmarkScheduleLongLinks/algo=OIHSA,BenchmarkScheduleLongLinks/algo=BBSA," +

@@ -341,6 +341,24 @@ var catchMatrix = []catchRow{{
 	new:  "\told.tl = Timeline{}\n\told.tl.CopyFrom(t)\n\treturn old\n",
 	pkg:  "./internal/sched", run: "^TestProbeJournalingIsAllocationFree$",
 }, {
+	bug:  "deferral cascade refreshes only the slab it started in",
+	file: "internal/linksched/timeline.go",
+	old:  "\t\tif i > c.i {\n\t\t\tt.st.refresh(c.s, foldSlots)\n",
+	new:  "\t\tif i > c.i && c == w.best {\n\t\t\tt.st.refresh(c.s, foldSlots)\n",
+	pkg:  "./internal/linksched", run: "^TestDeferralCascadeCrossesSlabs$",
+}, {
+	bug:  "slab split leaves the right half in the left slab's array",
+	file: "internal/linksched/slab.go",
+	old:  "\tright.items = fullArray(right.items)[:slabBlock]\n\tcopy(right.items, left.items[slabBlock:])\n",
+	new:  "\tright.items = left.items[slabBlock:]\n",
+	pkg:  "./internal/linksched", run: "^TestSlabSplitKeepsHalvesApart$",
+}, {
+	bug:  "slab store copyFrom aliases the source's slab arrays",
+	file: "internal/linksched/slab.go",
+	old:  "\t\tst.slabs[k].items = copyItems(st.slabs[k].items, src.slabs[k].items)\n",
+	new:  "\t\tst.slabs[k].items = src.slabs[k].items\n",
+	pkg:  "./internal/linksched", run: "^TestLedgerCopyIndependence$",
+}, {
 	bug:  "Router.DijkstraRoute memoizes through the route cache",
 	file: "internal/network/router.go",
 	old:  "\tif src == dst {\n\t\treturn Route{}, init, nil\n\t}\n",

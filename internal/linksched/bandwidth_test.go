@@ -344,7 +344,7 @@ func TestBWValidateCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the books directly.
-	s0 := &bw.chunks[0].segs[0]
+	s0 := &bw.st.slabs[0].items[0]
 	s0.avail = 0.9 // inconsistent with the 0.5 share
 	if err := bw.Validate(); err == nil {
 		t.Fatal("inconsistent avail accepted")
@@ -361,18 +361,12 @@ func TestBWValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("inverted segment accepted")
 	}
 	s0.end = end
-	// Corrupting a slab's hop flag without reindexing must be caught too.
-	bw.chunks[0].hop = !bw.chunks[0].hop
+	// Corrupting a slab's hop flag without a refresh must be caught too.
+	bw.st.slabs[0].sum = !bw.st.slabs[0].sum
 	if err := bw.Validate(); err == nil {
 		t.Fatal("stale hop flag accepted")
 	}
-	bw.reindexChunk(0)
-	// A segment count out of sync with the slabs must be caught.
-	bw.nsegs++
-	if err := bw.Validate(); err == nil {
-		t.Fatal("wrong segment count accepted")
-	}
-	bw.nsegs--
+	bw.st.refresh(0, hoppable)
 	if err := bw.Validate(); err != nil {
 		t.Fatalf("repaired ledger rejected: %v", err)
 	}
@@ -392,17 +386,18 @@ func TestSkipSaturatedHopsAtLargeMagnitudes(t *testing.T) {
 			cs := bw.Alloc(o(i, 0), cur, 1+float64(i%3), 1, 0)
 			cur = cs[len(cs)-1].End
 		}
-		for ci := range bw.chunks {
-			if !bw.chunks[ci].hop {
+		slabs := bw.st.slabs
+		for k := range slabs {
+			if !slabs[k].sum {
 				t.Fatalf("mag %g: slab %d of %d (%d segments) is not hoppable",
-					mag, ci, len(bw.chunks), len(bw.chunks[ci].segs))
+					mag, k, len(slabs), len(slabs[k].items))
 			}
 		}
-		ci, _, end := bw.skipSaturated(0, 0, mag)
+		c, end := bw.skipSaturated(cursor{}, mag)
 		// edgelint:ignore floateq — the hop must land on the exact end.
-		if ci != len(bw.chunks) || end != cur {
-			t.Fatalf("mag %g: skip stopped at chunk %d/%d, time %v, want the ledger end %v",
-				mag, ci, len(bw.chunks), end, cur)
+		if c != bw.st.end() || end != cur {
+			t.Fatalf("mag %g: skip stopped at slab %d/%d, time %v, want the ledger end %v",
+				mag, c.s, len(slabs), end, cur)
 		}
 		s, f := bw.EstimateFinish(mag, 1, 1)
 		// edgelint:ignore floateq — the estimate starts where the run ends.

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// This file cross-checks the indexed probe kernels (timeline.go)
-// against the retained linear reference kernels (reference.go, reference_test.go). The
+// This file cross-checks the slab-pruned probe kernels (timeline.go)
+// against the retained linear reference kernels (reference_test.go). The
 // contract is bit-identity, not closeness: every comparison below is
 // exact float equality, because the scheduler's determinism guarantees
 // (Workers-1-vs-8, rollback oracle) assume probes are pure functions of
-// the slot array regardless of how the search is organized.
+// the slots regardless of how the search is organized.
 
-// buildTimeline grows a timeline to n slots with the given source of
+// buildRandomTimeline grows a timeline to n slots with the given source of
 // randomness, mixing basic and optimal insertions (optimal with a
 // deterministic pseudo-slack so shifts occur).
 func buildRandomTimeline(r *rand.Rand, n int) *Timeline {
@@ -50,14 +50,15 @@ func storeSlackColumn(tl *Timeline, slack SlackFunc) {
 // keeps the column in step with slack (storeSlackColumn).
 func checkProbesAgree(t *testing.T, tl *Timeline, req Request, slack SlackFunc) {
 	t.Helper()
+	slots := tl.Slots()
 	gs, gf := tl.ProbeBasic(req)
-	ws, wf := probeBasicLinear(tl.slots, req)
+	ws, wf := probeBasicLinear(slots, req)
 	// edgelint:ignore floateq — bit-identity contract, exact by design.
 	if gs != ws || gf != wf {
 		t.Fatalf("ProbeBasic(%+v) = (%v, %v), reference = (%v, %v) at %d slots",
 			req, gs, gf, ws, wf, tl.Len())
 	}
-	rs, rf, rp := probeOptimalLinear(tl.slots, req, slack)
+	rs, rf, rp := probeOptimalLinear(slots, req, slack)
 	for _, probe := range []struct {
 		name  string
 		slack SlackFunc
@@ -71,17 +72,22 @@ func checkProbesAgree(t *testing.T, tl *Timeline, req Request, slack SlackFunc) 
 	}
 }
 
-// TestProbeDifferential drives the indexed and reference kernels over
-// randomized timelines across the scaling range — well below one index
-// block up to hundreds of blocks — and demands exactly equal answers.
+// TestProbeDifferential drives the slab-pruned and reference kernels
+// over randomized timelines across the scaling range — well below one
+// slab, around the first split, up to hundreds of slabs — and demands
+// exactly equal answers.
 func TestProbeDifferential(t *testing.T) {
 	slack := func(o Owner) float64 { return float64(o.Edge%4) * 1.5 }
-	for _, n := range []int{0, 1, 7, gapBlock - 1, gapBlock, gapBlock + 1, 100, 333, 1000, 4000} {
+	for _, n := range []int{0, 1, 7, slabBlock - 1, slabBlock, slabBlock + 1, 2 * slabBlock, 2*slabBlock + 1,
+		6 * slabBlock, 333, 1000, 4000} {
 		r := rand.New(rand.NewSource(int64(n) + 1))
 		tl := buildRandomTimeline(r, n)
 		storeSlackColumn(tl, slack)
 		if err := tl.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
+		}
+		if n >= 6*slabBlock && len(tl.st.slabs) < 3 {
+			t.Fatalf("n=%d: %d slabs; the case spans too few", n, len(tl.st.slabs))
 		}
 		for trial := 0; trial < 200; trial++ {
 			req := Request{
@@ -114,7 +120,7 @@ func TestProbeDifferentialAdversarial(t *testing.T) {
 		tl := NewTimeline()
 		base := math.Pow(10, float64(r.Intn(9))) // magnitudes 1 .. 1e8
 		cur := 0.0
-		n := gapBlock + r.Intn(3*gapBlock)
+		n := slabBlock + r.Intn(6*slabBlock)
 		for i := 0; i < n; i++ {
 			gap := float64(r.Intn(3)) * base / 100
 			if r.Intn(4) == 0 {
@@ -122,7 +128,7 @@ func TestProbeDifferentialAdversarial(t *testing.T) {
 			}
 			durS := base/50 + float64(r.Intn(3))*base/200
 			cur += gap
-			tl.insertSorted(Slot{Start: cur, End: cur + durS, Owner: Owner{Edge: i}}, false)
+			tl.insertSorted(Slot{Start: cur, End: cur + durS, Owner: Owner{Edge: i}})
 			cur += durS
 		}
 		storeSlackColumn(tl, slack)
@@ -142,7 +148,7 @@ func TestProbeDifferentialAdversarial(t *testing.T) {
 }
 
 // TestSnapshotRoundTripKeepsIndex pins that Snapshot/Restore and
-// CopyFrom carry the block index: after a round trip the index must
+// CopyFrom carry the slab summaries: after a round trip they must
 // validate and probes must agree with the reference on the restored
 // slots.
 func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
@@ -174,13 +180,13 @@ func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
 // FuzzTimelineDifferential fuzzes operation sequences against the
 // reference kernels: every probe must match the linear scan exactly —
 // the optimal one over the stored slack column and over the callback
-// alike — and the index must stay consistent after every mutation.
+// alike — and the slab store must stay consistent after every mutation.
 // Set-slack operations give slots arbitrary deferrable times, mirrored
 // in the map the callback reads.
 func FuzzTimelineDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0xfe, 0x55, 0xaa})
-	seed := make([]byte, 6*(2*gapBlock+5))
+	seed := make([]byte, 6*8*slabBlock) // enough inserts to split slabs twice
 	for i := range seed {
 		seed[i] = byte(i * 37)
 	}
@@ -199,14 +205,14 @@ func FuzzTimelineDifferential(f *testing.F) {
 			switch op {
 			case 0, 1:
 				gs, _ := tl.ProbeBasic(req)
-				ws, _ := probeBasicLinear(tl.slots, req)
+				ws, _ := probeBasicLinear(tl.Slots(), req)
 				// edgelint:ignore floateq — bit-identity contract.
 				if gs != ws {
 					t.Fatalf("op %d: ProbeBasic %v != reference %v", i, gs, ws)
 				}
 				tl.InsertBasic(owner, req)
 			case 2:
-				rs, _, rp := probeOptimalLinear(tl.slots, req, slack)
+				rs, _, rp := probeOptimalLinear(tl.Slots(), req, slack)
 				cs, _, cp := tl.ProbeOptimal(req, slack)
 				ss, _, sp := tl.ProbeOptimal(req, nil)
 				// edgelint:ignore floateq — bit-identity contract.
@@ -223,7 +229,7 @@ func FuzzTimelineDifferential(f *testing.F) {
 				if tl.Len() == 0 {
 					continue
 				}
-				s := tl.slots[int(data[i+1])%tl.Len()]
+				s := tl.Slots()[int(data[i+1])%tl.Len()]
 				v := float64(data[i+3]) / 8
 				slacks[s.Owner] = v
 				tl.SetSlack(s.Owner, s.Start, v)
@@ -237,12 +243,12 @@ func FuzzTimelineDifferential(f *testing.F) {
 
 // --- bandwidth ledger differential ----------------------------------
 //
-// The chunked, block-summary BWTimeline (bandwidth.go) against the
-// retained flat linear ledger (bwRef in reference_test.go). Same contract as
+// The slab-store BWTimeline (bandwidth.go) against the retained flat
+// linear ledger (bwRef in reference_test.go). Same contract as
 // above: every chunk, segment, and estimate must match the reference
 // bit-for-bit, after every operation.
 
-// bwPair drives the chunked store and the linear reference through
+// bwPair drives the slab-store ledger and the linear reference through
 // identical operations and compares the results and the full segment
 // state exactly.
 type bwPair struct {
@@ -252,8 +258,8 @@ type bwPair struct {
 
 func newBWPair() *bwPair { return &bwPair{bw: NewBWTimeline(), ref: &bwRef{}} }
 
-// checkState validates the chunked store (including the exact block-
-// summary recomputation) and compares its segments one-to-one with the
+// checkState validates the slab-store ledger (including the exact hop
+// flag recomputation) and compares its segments one-to-one with the
 // reference ledger.
 func (p *bwPair) checkState(t *testing.T, ctx string) {
 	t.Helper()
@@ -284,8 +290,8 @@ func (p *bwPair) checkState(t *testing.T, ctx string) {
 	}
 }
 
-// bwChunksEqual is the exact chunk-sequence comparison.
-func bwChunksEqual(a, b []Chunk) bool {
+// chunksEqual is the exact chunk-sequence comparison.
+func chunksEqual(a, b []Chunk) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -302,7 +308,7 @@ func (p *bwPair) alloc(t *testing.T, owner Owner, es, vol, speed, cap float64) [
 	t.Helper()
 	got := p.bw.Alloc(owner, es, vol, speed, cap)
 	want := p.ref.alloc(owner, es, vol, speed, cap)
-	if !bwChunksEqual(got, want) {
+	if !chunksEqual(got, want) {
 		t.Fatalf("Alloc(es=%v, vol=%v, speed=%v, cap=%v) = %+v, reference %+v at %d segments",
 			es, vol, speed, cap, got, want, p.bw.NumSegments())
 	}
@@ -314,7 +320,7 @@ func (p *bwPair) forward(t *testing.T, owner Owner, in []Chunk, prevSpeed, speed
 	t.Helper()
 	got := p.bw.Forward(owner, in, prevSpeed, speed, hop)
 	want := p.ref.forward(owner, in, prevSpeed, speed, hop)
-	if !bwChunksEqual(got, want) {
+	if !chunksEqual(got, want) {
 		t.Fatalf("Forward(%d chunks, prevSpeed=%v, speed=%v, hop=%v) = %+v, reference %+v",
 			len(in), prevSpeed, speed, hop, got, want)
 	}
@@ -338,7 +344,7 @@ func (p *bwPair) estimate(t *testing.T, es, vol, speed float64) {
 // slab up to many dozens — comparing chunks, segments, and estimates
 // exactly after every operation.
 func TestBWDifferential(t *testing.T) {
-	for _, n := range []int{0, 1, 7, bwBlock - 1, bwBlock, 2*bwBlock + 1, 100, 333, 1000} {
+	for _, n := range []int{0, 1, 7, slabBlock - 1, slabBlock, 2*slabBlock + 1, 6 * slabBlock, 333, 1000} {
 		r := rand.New(rand.NewSource(int64(n) + 1))
 		p := newBWPair()
 		span := float64(n)*2 + 10
@@ -381,7 +387,7 @@ func TestBWDifferentialAdversarial(t *testing.T) {
 		base := math.Pow(10, float64(r.Intn(9))) // magnitudes 1 .. 1e8
 		p := newBWPair()
 		cur := 0.0
-		n := 2*bwBlock + r.Intn(4*bwBlock)
+		n := 2*slabBlock + r.Intn(4*slabBlock)
 		for i := 0; i < n; i++ {
 			es := cur
 			if r.Intn(3) == 0 {
@@ -407,7 +413,7 @@ func TestBWDifferentialAdversarial(t *testing.T) {
 }
 
 // TestBWSnapshotRoundTripKeepsIndex pins that Snapshot/Restore and
-// CopyFrom carry the chunked store and its block summaries: after a round
+// CopyFrom carry the slab store and its hop flags: after a round
 // trip the store must validate (summaries recomputed exactly) and
 // further operations must still track the reference.
 func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
@@ -418,15 +424,15 @@ func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
 		p.alloc(t, Owner{Edge: i}, r.Float64()*span, r.Float64()*20+1, 2, 0)
 	}
 	snap := p.bw.Snapshot()
-	refSnap := copySegs(nil, p.ref.segs)
+	refSnap := cloneSegs(nil, p.ref.segs)
 	for i := 0; i < 50; i++ {
 		p.bw.Alloc(Owner{Edge: 1000 + i}, r.Float64()*span, 5, 1, 0)
 	}
 	p.bw.Restore(snap)
-	p.ref.segs = copySegs(p.ref.segs, refSnap)
+	p.ref.segs = cloneSegs(p.ref.segs, refSnap)
 	p.checkState(t, "after restore")
 	// A copy's mutations must not leak back, and the copy itself must
-	// keep a valid index.
+	// keep a valid slab store.
 	var cl BWTimeline
 	cl.CopyFrom(p.bw)
 	cl.Alloc(Owner{Edge: 1}, 2*span, 100, 1, 0)
@@ -443,11 +449,11 @@ func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
 // FuzzBWTimelineDifferential fuzzes Alloc/Forward/EstimateFinish/
 // Snapshot/Restore sequences against the linear reference: chunks,
 // estimates, and the full segment state must match exactly and the
-// chunk invariants must hold after every operation.
+// slab store's invariants must hold after every operation.
 func FuzzBWTimelineDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0xfe, 0x55, 0xaa})
-	seed := make([]byte, 6*(2*bwBlock+5))
+	seed := make([]byte, 6*8*slabBlock) // enough bookings to split slabs twice
 	for i := range seed {
 		seed[i] = byte(i * 53)
 	}
@@ -475,12 +481,12 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 				p.estimate(t, es, vol, speed)
 			case 5:
 				snap = p.bw.SnapshotInto(snap)
-				refSnap = copySegs(refSnap, p.ref.segs)
+				refSnap = cloneSegs(refSnap, p.ref.segs)
 				haveSnap = true
 			default:
 				if haveSnap {
 					p.bw.Restore(snap)
-					p.ref.segs = copySegs(p.ref.segs, refSnap)
+					p.ref.segs = cloneSegs(p.ref.segs, refSnap)
 				} else {
 					p.alloc(t, owner, es, vol, speed, 0)
 				}

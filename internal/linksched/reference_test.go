@@ -8,12 +8,34 @@ import (
 )
 
 // The reference oracles: the original linear-scan exclusive-slot probes
-// (over earliestGapLinear in reference.go) and the flat-slice bandwidth
-// ledger (bwRef). The indexed kernels in timeline.go and the chunked
-// store in bandwidth.go must return bit-identical results; the
-// differential tests and the fuzz targets in differential_test.go drive
-// both sides against the same operation sequences and compare with
-// exact float equality.
+// (over earliestGapLinear) and the flat-slice bandwidth ledger (bwRef).
+// The slab-pruned kernels in timeline.go and bandwidth.go must return
+// bit-identical results; the differential tests and the fuzz targets in
+// differential_test.go drive both sides against the same operation
+// sequences and compare with exact float equality.
+
+// earliestGapLinear is the reference earliest-gap search: one pass over
+// the sorted slots tracking the running maximum end, testing each
+// leading gap with the Eps-tolerant fit test.
+func earliestGapLinear(slots []Slot, lb, dur float64) float64 {
+	prevEnd := 0.0
+	for _, s := range slots {
+		gapStart := prevEnd
+		if gapStart < lb {
+			gapStart = lb
+		}
+		if fptime.LeqEps(gapStart+dur, s.Start) {
+			return gapStart
+		}
+		if s.End > prevEnd {
+			prevEnd = s.End
+		}
+	}
+	if prevEnd < lb {
+		return lb
+	}
+	return prevEnd
+}
 
 // probeBasicLinear is ProbeBasic over the reference kernel.
 func probeBasicLinear(slots []Slot, req Request) (start, finish float64) {
@@ -72,10 +94,10 @@ func probeOptimalLinear(slots []Slot, req Request, slack SlackFunc) (start, fini
 
 // --- bandwidth reference kernels ------------------------------------
 //
-// bwRef is the pre-chunking BWTimeline kept verbatim: one flat sorted
+// bwRef is the pre-slab BWTimeline kept verbatim: one flat sorted
 // segment slice, O(n) append+copy memmove on insert, and kernels that
-// walk change points one segment at a time. The chunked, block-summary
-// BWTimeline must reproduce its chunks, segments, and estimates
+// walk change points one segment at a time. The slab-store BWTimeline
+// must reproduce its chunks, segments, and estimates
 // bit-for-bit; the differential sweeps and FuzzBWTimelineDifferential
 // in differential_test.go drive both sides through identical operation
 // sequences and compare with exact float equality.

@@ -353,26 +353,69 @@ func TestSlotDur(t *testing.T) {
 	}
 }
 
+// TestTimelineValidateCatchesCorruption corrupts, one at a time, a
+// slot and each part of a slab's summary on a timeline of several
+// slabs, and moves a slot without refreshing its slab: Validate must
+// reject every one.
 func TestTimelineValidateCatchesCorruption(t *testing.T) {
 	tl := NewTimeline()
-	tl.InsertBasic(o(0, 0), Request{ES: 0, PF: 0, Dur: 5})
-	tl.InsertBasic(o(1, 0), Request{ES: 10, PF: 10, Dur: 5})
+	for i := 0; i < 5*slabBlock; i++ {
+		start := float64(i%7)*1000 + float64(3*i) // interleaved: splits, not appends
+		tl.InsertBasic(o(i, 0), Request{ES: start, PF: start, Dur: 1})
+	}
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tl.slots[1].Start = 2 // overlap with slot 0
-	if err := tl.Validate(); err == nil {
-		t.Fatal("overlap accepted")
+	if len(tl.st.slabs) < 3 {
+		t.Fatalf("%d slabs; the case needs several", len(tl.st.slabs))
 	}
-	tl.slots[1].Start = 10
-	tl.slots[0].End = tl.slots[0].Start - 1 // inverted
-	if err := tl.Validate(); err == nil {
-		t.Fatal("inverted slot accepted")
+	sl := &tl.st.slabs[1]
+	for _, c := range []struct {
+		name    string
+		corrupt func(s []slotEntry)
+	}{
+		{"overlap", func(s []slotEntry) { s[1].Start = s[0].Start + 0.5 }},
+		{"inverted slot", func(s []slotEntry) { s[0].End = s[0].Start - 1 }},
+		{"negative slot", func([]slotEntry) { tl.st.slabs[0].items[0].Start = -1 }},
+		{"stale end", func([]slotEntry) { sl.sum.end += 1 }},
+		{"stale gap", func([]slotEntry) { sl.sum.gap -= 1 }},
+		{"slot moved without a refresh", func(s []slotEntry) {
+			s[len(s)-1].Start += 0.25
+			s[len(s)-1].End += 0.25
+		}},
+	} {
+		saved := tl.Snapshot()
+		c.corrupt(sl.items)
+		if err := tl.Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+		tl.Restore(saved)
+		if err := tl.Validate(); err != nil {
+			t.Fatalf("after %s, the restored timeline is rejected: %v", c.name, err)
+		}
 	}
-	tl.slots[0].End = 5
-	tl.slots[0].Start = -1 // negative
-	if err := tl.Validate(); err == nil {
-		t.Fatal("negative slot accepted")
+}
+
+// TestDeferralCascadeCrossesSlabs pins the summary refresh of a
+// deferral cascade that runs past the end of its slab: the slots of
+// the next slab move too, and their slab's summary must follow.
+func TestDeferralCascadeCrossesSlabs(t *testing.T) {
+	tl := NewTimeline()
+	for i := 0; i < 3*slabBlock; i++ {
+		start := float64(i) * 2 // back to back, no gap to absorb a shift
+		tl.InsertBasic(o(i, 0), Request{ES: start, PF: start, Dur: 2})
+	}
+	storeSlackColumn(tl, func(Owner) float64 { return 10 })
+	if len(tl.st.slabs) < 2 {
+		t.Fatalf("%d slabs; the case needs two", len(tl.st.slabs))
+	}
+	first := len(tl.st.slabs[0].items)
+	_, _, moved := tl.InsertOptimal(o(-1, 0), Request{ES: 0, PF: 0, Dur: 1}, nil)
+	if len(moved) <= first {
+		t.Fatalf("the cascade moved %d slots, want it past the first slab's %d", len(moved), first)
+	}
+	if err := tl.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -383,7 +426,7 @@ func TestTimelineValidateCatchesCorruption(t *testing.T) {
 // run shifts the same slots.
 func TestInsertOptimalIsAllocationFree(t *testing.T) {
 	tl := NewTimeline()
-	for i := 0; i < 4*gapBlock; i++ {
+	for i := 0; i < 4*slabBlock; i++ {
 		start := float64(i) * 10
 		tl.InsertBasic(o(i, 0), Request{ES: start, PF: start, Dur: 8})
 	}
@@ -405,35 +448,28 @@ func TestInsertOptimalIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSlackColumnFollowsInserts pins the column's bookkeeping: basic
-// insertion never creates it, optimal insertion creates it with a 0
-// entry per slot, entries move with their slots on later inserts, and
-// a stale column — wrong length or a negative entry — fails Validate.
+// TestSlackColumnFollowsInserts pins the stored slack's bookkeeping:
+// every slot enters with 0, basic and optimal inserts alike, entries
+// move with their slots on later inserts, writes clamp at 0, and a
+// negative entry fails Validate.
 func TestSlackColumnFollowsInserts(t *testing.T) {
 	tl := NewTimeline()
 	tl.InsertBasic(o(0, 0), Request{ES: 10, PF: 10, Dur: 5})
-	if len(tl.Slack()) != 0 {
-		t.Fatalf("basic insertion created a slack column %v", tl.Slack())
-	}
 	tl.InsertOptimal(o(1, 0), Request{ES: 30, PF: 30, Dur: 5}, nil)
 	if got := tl.Slack(); len(got) != 2 || got[0] != 0 || got[1] != 0 {
-		t.Fatalf("column after the first optimal insert = %v, want [0 0]", got)
+		t.Fatalf("slack after two inserts = %v, want [0 0]", got)
 	}
 	tl.SetSlack(o(1, 0), 30, 7)
 	tl.SetSlack(o(0, 0), 10, -3) // clamped like the walk clamps
 	tl.InsertBasic(o(2, 0), Request{ES: 0, PF: 0, Dur: 5})
 	if got := tl.Slack(); len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 7 {
-		t.Fatalf("column after a head insert = %v, want [0 0 7]", got)
+		t.Fatalf("slack after a head insert = %v, want [0 0 7]", got)
 	}
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tl.slack[2] = -1
+	tl.st.slabs[0].items[2].slack = -1
 	if err := tl.Validate(); err == nil {
 		t.Fatal("negative slack accepted")
-	}
-	tl.slack = tl.slack[:2]
-	if err := tl.Validate(); err == nil {
-		t.Fatal("short slack column accepted")
 	}
 }

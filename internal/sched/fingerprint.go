@@ -54,8 +54,8 @@ func (s *state) captureFingerprint() *fingerprint {
 		fp.tl = make([][]linksched.Slot, len(s.tl))
 		fp.tlSlack = make([][]float64, len(s.tl))
 		for i := range s.tl {
-			fp.tl[i] = append([]linksched.Slot(nil), s.tl[i].Slots()...)
-			fp.tlSlack[i] = append([]float64(nil), s.tl[i].Slack()...)
+			fp.tl[i] = s.tl[i].Slots()
+			fp.tlSlack[i] = s.tl[i].Slack()
 		}
 	}
 	if s.bw != nil {
@@ -67,7 +67,7 @@ func (s *state) captureFingerprint() *fingerprint {
 	if s.ptl != nil {
 		fp.ptl = make([][]linksched.Slot, len(s.ptl))
 		for i := range s.ptl {
-			fp.ptl[i] = append([]linksched.Slot(nil), s.ptl[i].Slots()...)
+			fp.ptl[i] = s.ptl[i].Slots()
 		}
 	}
 	return fp
