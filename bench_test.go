@@ -267,13 +267,13 @@ func engineBenchWorld() (*network.Topology, []*dag.Graph) {
 }
 
 // BenchmarkEngineThroughput serves the 64-DAG wave concurrently from a
-// warmed engine: shared route cache, GOMAXPROCS worker slots each
-// owning one reusable scheduler state. Against
+// warmed engine: GOMAXPROCS worker slots, each owning one reusable
+// scheduler state and its warmed route cache. Against
 // BenchmarkEngineColdSequential this measures exactly what the engine
 // amortizes — on any machine the steady-state allocations per request
-// collapse (slot-owned columns, warm cache), and at GOMAXPROCS > 1 the
-// wave additionally overlaps on the cores. Schedules are bit-identical to the cold runs throughout (see
-// TestEngineMatchesColdRun).
+// collapse (slot-owned columns, warm caches), and at GOMAXPROCS > 1 the
+// wave additionally overlaps on the cores. Schedules are bit-identical
+// to the cold runs throughout (see TestEngineMatchesColdRun).
 func BenchmarkEngineThroughput(b *testing.B) {
 	net, gs := engineBenchWorld()
 	eng, err := sched.NewEngine(net, sched.EngineOptions{
@@ -283,17 +283,14 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Drain()
-	// One untimed wave binds every slot's state and finishes cache warmup,
-	// so the timed ops measure the steady state the engine exists for.
+	// One untimed wave binds every slot's state, so the timed ops
+	// measure the steady state the engine exists for.
 	runEngineWave(b, eng, gs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runEngineWave(b, eng, gs)
 	}
-	b.StopTimer()
-	st := eng.Stats()
-	b.ReportMetric(100*st.CacheHitRate, "cache_hit_%")
 }
 
 func runEngineWave(b *testing.B, eng *sched.Engine, gs []*dag.Graph) {
@@ -483,26 +480,29 @@ func BenchmarkBandwidthEstimateFinish(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSRoute measures minimal routing on a 64-processor WAN.
+// BenchmarkBFSRoute measures minimal routing on a 64-processor WAN, on
+// one Router without a route cache, so it times the search itself.
 func BenchmarkBFSRoute(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	top := network.RandomCluster(r, network.RandomClusterParams{Processors: 64})
+	router := top.NewRouter(nil)
 	ps := top.Processors()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := ps[i%len(ps)]
 		dst := ps[(i*7+3)%len(ps)]
-		if _, err := top.BFSRoute(src, dst); err != nil {
+		if _, err := router.BFSRoute(src, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkDijkstraRoute measures modified-Dijkstra routing with an
-// arithmetic relax on the same WAN.
+// arithmetic relax on the same WAN and one reused Router.
 func BenchmarkDijkstraRoute(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	top := network.RandomCluster(r, network.RandomClusterParams{Processors: 64})
+	router := top.NewRouter(nil)
 	ps := top.Processors()
 	relax := func(l network.Link, cur network.Label) network.Label {
 		f := cur.Finish + 10/l.Speed
@@ -512,7 +512,7 @@ func BenchmarkDijkstraRoute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := ps[i%len(ps)]
 		dst := ps[(i*7+3)%len(ps)]
-		if _, _, err := top.DijkstraRoute(src, dst, network.Label{}, relax); err != nil {
+		if _, _, err := router.DijkstraRoute(src, dst, network.Label{}, relax); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -157,8 +157,8 @@ func main() {
 // ever relaxed: its allocs/op is the flat-state series' headline
 // number.
 // BenchmarkEngineThroughput guards the serving path: its wall time is
-// the engine's whole value proposition (64 schedules against a warm
-// shared cache and slot-owned states), and its @allocs entry pins the
+// the engine's whole value proposition (64 schedules on slot-owned
+// states with warm route caches), and its @allocs entry pins the
 // steady-state allocations per wave — a leak in state reset or a slot
 // state rebuilt per request shows up here as a multiple, not a percent.
 // BenchmarkScheduleLongLinks guards the paper's own kernels where they

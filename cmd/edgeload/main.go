@@ -52,8 +52,8 @@ func main() {
 	bodies := makeBodies(*graphs, *tasks, *seed)
 
 	// One warmup request outside the measurement window: it surfaces
-	// connection/config errors immediately and lets the daemon's route
-	// cache warm before the clock starts.
+	// connection/config errors immediately and binds a slot's state
+	// before the clock starts.
 	client := &http.Client{Timeout: 60 * time.Second}
 	if err := post(client, *url, bodies[0]); err != nil {
 		fatal(fmt.Errorf("warmup request: %w", err))

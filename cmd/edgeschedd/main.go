@@ -1,12 +1,11 @@
 // Command edgeschedd is the scheduling daemon: it loads one network
 // topology at startup, builds a long-lived sched.Engine for a chosen
-// algorithm, and serves scheduling requests over HTTP/JSON. The
-// topology's route cache is warmed once and shared by every request;
-// each worker slot owns one reusable scheduler state — so steady-state
-// requests pay only for the work that is genuinely theirs, and
-// throughput scales with concurrent clients while every schedule stays
-// bit-identical to a cold one-shot run (spot-checked at runtime via
-// -self-check-every).
+// algorithm, and serves scheduling requests over HTTP/JSON. Each worker
+// slot owns one reusable scheduler state, whose route cache is warmed
+// at startup — so steady-state requests pay only for the work that is
+// genuinely theirs, and throughput scales with concurrent clients while
+// every schedule stays bit-identical to a cold one-shot run
+// (spot-checked at runtime via -self-check-every).
 //
 // Usage:
 //
@@ -21,7 +20,7 @@
 //
 //	POST /schedule      task graph JSON in, schedule summary out
 //	POST /schedule?full=1   full schedule JSON out (tasks, edges, routes)
-//	GET  /stats         engine counters (requests, cache, contention)
+//	GET  /stats         engine counters (requests, failures, cold states)
 //	GET  /healthz       200 once serving
 //
 // /schedule answers 400 for a malformed or invalid graph, 413 for a
@@ -63,7 +62,6 @@ func main() {
 		addrFile  = flag.String("addr-file", "", "write the actual listen address to this file (for :0 discovery)")
 		maxConc   = flag.Int("max-concurrent", 0, "max requests scheduled simultaneously (0 = GOMAXPROCS)")
 		maxQueue  = flag.Int("max-queue", 256, "max requests waiting for a slot before 503 (0 = unbounded)")
-		warm      = flag.Bool("warm", true, "precompute all processor-pair routes at startup")
 		selfCheck = flag.Int("self-check-every", 1000, "re-run every Nth request cold and require bit-identical output (0 = off)")
 		doVerify  = flag.Bool("verify", false, "run the full schedule validator on every response (slower)")
 		rdTimeout = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout")
@@ -87,7 +85,7 @@ func main() {
 		Opts:           ls.Opts,
 		MaxConcurrent:  *maxConc,
 		MaxQueue:       *maxQueue,
-		WarmRoutes:     *warm,
+		WarmRoutes:     true,
 		SelfCheckEvery: *selfCheck,
 	})
 	if err != nil {
@@ -127,8 +125,8 @@ func main() {
 	}
 	<-done
 	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "edgeschedd: drained after %d requests (%d failed), cache hit rate %.1f%%\n",
-		st.Requests, st.Failures, 100*st.CacheHitRate)
+	fmt.Fprintf(os.Stderr, "edgeschedd: drained after %d requests (%d failed)\n",
+		st.Requests, st.Failures)
 }
 
 // loadTopology resolves -topology: a builder spec like "star:8"

@@ -609,20 +609,7 @@ func reuseAppend(e ast.Expr) bool {
 // whitelist names the stdlib functions the hot paths may call: proven
 // non-allocating and outside the summarized universe.
 var whitelist = map[string]bool{
-	"sort.Search":                     true,
-	"sync.Mutex.Lock":                 true,
-	"sync.Mutex.TryLock":              true,
-	"sync.Mutex.Unlock":               true,
-	"sync/atomic.Int64.Add":           true,
-	"sync/atomic.Int64.Load":          true,
-	"sync/atomic.Int64.Store":         true,
-	"sync/atomic.Uint64.Add":          true,
-	"sync.RWMutex.RLock":              true,
-	"sync.RWMutex.RUnlock":            true,
-	"sync.RWMutex.Lock":               true,
-	"sync.RWMutex.Unlock":             true,
-	"container/list.List.MoveToFront": true,
-	"container/list.List.Len":         true,
+	"sort.Search": true,
 }
 
 func whitelisted(fn *types.Func) bool {

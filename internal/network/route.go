@@ -4,9 +4,9 @@ import "fmt"
 
 // Route is a path through the network: the ordered list of links an
 // edge's communication traverses from a source processor to a target
-// processor. An intra-processor route is the empty slice. Routes
-// handed out by the route cache are shared between concurrent
-// Schedule requests and must never be written after they are built.
+// processor. An intra-processor route is the empty slice. A route
+// handed out by a route cache is shared by every later lookup of the
+// same pair and must never be written after it is built.
 type Route []LinkID
 
 // ErrNoRoute is returned when no path exists between two nodes.
@@ -21,12 +21,10 @@ func (e *ErrNoRoute) Error() string {
 // BFSRoute returns a minimal route (fewest links) from src to dst using
 // breadth-first search with deterministic tie-breaking by link
 // insertion order, as used by the Basic Algorithm. src == dst yields an
-// empty route. The search runs on a pooled Router; hold a Router (see
-// NewRouter) to also reuse a route cache across calls.
+// empty route. Each call builds a fresh Router; hold one (see
+// NewRouter) to reuse its scratch buffers and a route cache.
 func (t *Topology) BFSRoute(src, dst NodeID) (Route, error) {
-	r := t.router()
-	defer t.routers.Put(r)
-	return r.BFSRoute(src, dst)
+	return t.NewRouter(nil).BFSRoute(src, dst)
 }
 
 func (t *Topology) unwind(prev []hop, src, dst NodeID) Route {
@@ -78,20 +76,10 @@ type RelaxFunc func(l Link, cur Label) Label
 // routing algorithm (§4.3): "the minimal criterion is the finish time
 // of the edge on each link by basic insertion". init is the label at
 // the source node (its Finish is normally the source task's finish
-// time, Start likewise). src == dst yields an empty route. The search
-// runs on a pooled Router (see NewRouter for a dedicated one).
+// time, Start likewise). src == dst yields an empty route. Each call
+// builds a fresh Router (see NewRouter for a reusable one).
 func (t *Topology) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
-	r := t.router()
-	defer t.routers.Put(r)
-	return r.DijkstraRoute(src, dst, init, relax)
-}
-
-// router fetches a scratch Router from the topology's pool.
-func (t *Topology) router() *Router {
-	if v := t.routers.Get(); v != nil {
-		return v.(*Router)
-	}
-	return t.NewRouter(nil)
+	return t.NewRouter(nil).DijkstraRoute(src, dst, init, relax)
 }
 
 type labelItem struct {

@@ -3,9 +3,8 @@ package network
 // Router runs route searches over one topology with reusable scratch
 // buffers, eliminating the per-call allocations (visit marks,
 // predecessor arrays, label heaps) that dominate the schedulers' hot
-// probe loops. A Router is NOT safe for concurrent use: create one per
-// goroutine (every scheduler state owns one) and share a RouteCache
-// between them instead.
+// probe loops. A Router and its RouteCache are NOT safe for concurrent
+// use: every scheduler state owns one of each.
 //
 // The search algorithms are byte-for-byte the same as the Topology
 // convenience methods — same traversal order, same deterministic
@@ -30,9 +29,9 @@ type Router struct {
 	pq    labelQueue
 }
 
-// NewRouter returns a Router over the topology. cache may be nil; a
-// non-nil cache is consulted and filled by BFSRoute and may be shared
-// between Routers (it is concurrency-safe).
+// NewRouter returns a Router over the topology, sized to its current
+// node count. cache may be nil; a non-nil cache is consulted and filled
+// by BFSRoute and belongs to this Router alone.
 func (t *Topology) NewRouter(cache *RouteCache) *Router {
 	n := len(t.nodes)
 	return &Router{
@@ -43,6 +42,49 @@ func (t *Topology) NewRouter(cache *RouteCache) *Router {
 		closed: make([]uint64, n),
 		prev:   make([]hop, n),
 		best:   make([]Label, n),
+	}
+}
+
+// Topology returns the topology the Router searches.
+func (r *Router) Topology() *Topology { return r.top }
+
+// CachedRoutes reports how many pairs the attached route cache holds
+// (0 without one).
+func (r *Router) CachedRoutes() int {
+	if r.cache == nil {
+		return 0
+	}
+	return len(r.cache.routes)
+}
+
+// Warm fills the route cache with the BFS route of every ordered pair
+// of nodes. Routes are pure functions of the topology, so warming
+// changes nothing but the latency of the first searches. It does
+// nothing without a cache, or when the pairs would not all fit (the
+// cache would only empty itself again).
+//
+// One traversal per source serves every destination: a search for one
+// pair stops when it first reaches dst, and each predecessor it has set
+// by then, those on dst's route among them, is the one a traversal of
+// the whole topology sets, so the unwound routes are exactly
+// BFSRoute's.
+func (r *Router) Warm(nodes []NodeID) {
+	if r.cache == nil || len(nodes)*(len(nodes)-1) > routeCacheCap {
+		return
+	}
+	for _, src := range nodes {
+		// edgelint:ignore errflow — no node is -1, so the traversal
+		// covers everything reachable and its error names no pair.
+		_, _ = r.bfs(src, -1)
+		for _, dst := range nodes {
+			switch {
+			case dst == src:
+			case r.seen[dst] == r.epoch:
+				r.cache.store(src, dst, r.top.unwind(r.prev, src, dst), nil)
+			default:
+				r.cache.store(src, dst, nil, &ErrNoRoute{From: src, To: dst})
+			}
+		}
 	}
 }
 
@@ -74,9 +116,8 @@ func (r *Router) BFSRoute(src, dst NodeID) (Route, error) {
 // bfs is the uncached breadth-first search over the Router's reused
 // scratch arrays.
 //
-// edgelint:coldpath — runs once per (src, dst) pair; the LRU route
-// cache serves every later request (static topologies never evict a
-// live working set in practice).
+// edgelint:coldpath — runs once per (src, dst) pair; the route cache
+// serves every later request.
 func (r *Router) bfs(src, dst NodeID) (Route, error) {
 	t := r.top
 	r.epoch++

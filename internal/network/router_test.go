@@ -6,8 +6,12 @@ import (
 	"testing"
 )
 
-// routerTopologies builds a varied set of shapes for equivalence tests.
+// routerTopologies builds a varied set of shapes for equivalence tests,
+// the last with two processors and no link between them.
 func routerTopologies(r *rand.Rand) []*Topology {
+	split := NewTopology()
+	split.AddProcessor("a", 1)
+	split.AddProcessor("b", 1)
 	return []*Topology{
 		Line(6, Uniform(1), Uniform(1)),
 		Star(8, Uniform(1), Uniform(1)),
@@ -16,21 +20,28 @@ func routerTopologies(r *rand.Rand) []*Topology {
 		FatTree(3, 3, Uniform(1), Uniform(1)),
 		Bus(5, Uniform(1), 1),
 		RandomCluster(r, RandomClusterParams{Processors: 12}),
+		split,
 	}
 }
 
 func TestRouterMatchesTopologyBFS(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for ti, top := range routerTopologies(r) {
-		router := top.NewRouter(NewRouteCache(0, 1))
 		procs := top.Processors()
+		router := top.NewRouter(NewRouteCache())
+		warmed := top.NewRouter(NewRouteCache())
+		warmed.Warm(procs)
+		if n, want := warmed.CachedRoutes(), len(procs)*(len(procs)-1); n != want {
+			t.Fatalf("topology %d: warming cached %d routes, want %d", ti, n, want)
+		}
 		for _, src := range procs {
 			for _, dst := range procs {
 				want, werr := top.BFSRoute(src, dst)
 				// Twice: the second call must come from the cache and
-				// still be identical.
-				for pass := 0; pass < 2; pass++ {
-					got, gerr := router.BFSRoute(src, dst)
+				// still be identical; the warmed router answers both
+				// from its cache.
+				for pass := 0; pass < 4; pass++ {
+					got, gerr := []*Router{router, warmed}[pass%2].BFSRoute(src, dst)
 					if (werr == nil) != (gerr == nil) {
 						t.Fatalf("topology %d %v->%v pass %d: err %v vs %v", ti, src, dst, pass, gerr, werr)
 					}
@@ -106,105 +117,84 @@ func TestRouterScratchSurvivesReuse(t *testing.T) {
 	}
 }
 
+// TestRouteCacheHitsAndEviction pins the memo's contract, one row per
+// case: the second lookup of a pair is a hit that hands back the first
+// lookup's route (the same backing array) or routing error, and a store
+// at the cap empties the cache, which then refills with routes equal
+// to a fresh BFS.
 func TestRouteCacheHitsAndEviction(t *testing.T) {
-	top := Line(8, Uniform(1), Uniform(1))
-	cache := NewRouteCache(3, 1)
-	router := top.NewRouter(cache)
-	procs := top.Processors()
-
-	mustRoute := func(src, dst NodeID) Route {
-		t.Helper()
-		route, err := router.BFSRoute(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return route
-	}
-
-	// Three distinct pairs fill the cache.
-	mustRoute(procs[0], procs[1])
-	mustRoute(procs[0], procs[2])
-	mustRoute(procs[0], procs[3])
-	if n := cache.Len(); n != 3 {
-		t.Fatalf("cache holds %d entries, want 3", n)
-	}
-	if hits, misses := cache.Stats(); hits != 0 || misses != 3 {
-		t.Fatalf("hits=%d misses=%d, want 0/3", hits, misses)
-	}
-	// Re-querying hits.
-	first := mustRoute(procs[0], procs[1])
-	if hits, _ := cache.Stats(); hits != 1 {
-		t.Fatalf("hits=%d, want 1", hits)
-	}
-	// A fourth pair evicts the least recently used — (0,2), because
-	// (0,1) was just refreshed.
-	mustRoute(procs[0], procs[4])
-	if n := cache.Len(); n != 3 {
-		t.Fatalf("cache holds %d entries after eviction, want 3", n)
-	}
-	hits0, misses0 := cache.Stats()
-	mustRoute(procs[0], procs[1]) // still cached
-	mustRoute(procs[0], procs[2]) // evicted → miss
-	hits1, misses1 := cache.Stats()
-	if hits1-hits0 != 1 || misses1-misses0 != 1 {
-		t.Fatalf("after eviction: Δhits=%d Δmisses=%d, want 1/1", hits1-hits0, misses1-misses0)
-	}
-	// Cached route identical to a fresh computation.
-	fresh, err := top.BFSRoute(procs[0], procs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, fresh) {
-		t.Fatalf("cached route %v differs from fresh %v", first, fresh)
+	line := Line(8, Uniform(1), Uniform(1))
+	lp := line.Processors()
+	split := NewTopology() // two processors, no link
+	a := split.AddProcessor("a", 1)
+	b := split.AddProcessor("b", 1)
+	for _, tc := range []struct {
+		name     string
+		top      *Topology
+		src, dst NodeID
+		full     bool // fill the cache to its cap first
+	}{
+		{name: "hit returns the same backing array", top: line, src: lp[0], dst: lp[5]},
+		{name: "routing error is cached", top: split, src: a, dst: b},
+		{name: "store at the cap empties the cache", top: line, src: lp[1], dst: lp[6], full: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := NewRouteCache()
+			if tc.full {
+				// Keys of nodes no topology has, so none is looked up.
+				for i := 0; len(cache.routes) < routeCacheCap; i++ {
+					cache.store(NodeID(-1-i), 0, nil, nil)
+				}
+			}
+			router := tc.top.NewRouter(cache)
+			want, werr := tc.top.BFSRoute(tc.src, tc.dst)
+			first, ferr := router.BFSRoute(tc.src, tc.dst)
+			if n := router.CachedRoutes(); n != 1 {
+				t.Fatalf("cache holds %d routes after one lookup, want 1", n)
+			}
+			second, serr := router.BFSRoute(tc.src, tc.dst)
+			if (werr == nil) != (ferr == nil) || !reflect.DeepEqual(first, want) {
+				t.Fatalf("cached lookup gave %v (err %v), fresh BFS %v (err %v)", first, ferr, want, werr)
+			}
+			if werr != nil {
+				if serr != ferr {
+					t.Fatalf("second lookup's error %v is not the cached %v", serr, ferr)
+				}
+				return
+			}
+			if len(second) == 0 || &second[0] != &first[0] {
+				t.Fatalf("second lookup %v does not share the cached route's array", second)
+			}
+		})
 	}
 }
 
-func TestRouteCacheCachesRoutingErrors(t *testing.T) {
+// TestTopologyRoutesAfterGrowth pins that the Topology convenience
+// searches route over the topology as it is at the call: a topology
+// that gained nodes after an earlier search routes to them.
+func TestTopologyRoutesAfterGrowth(t *testing.T) {
+	relax := func(l Link, cur Label) Label {
+		return Label{Start: cur.Finish, Finish: cur.Finish + 1/l.Speed}
+	}
 	top := NewTopology()
 	a := top.AddProcessor("a", 1)
 	b := top.AddProcessor("b", 1)
-	cache := NewRouteCache(0, 1)
-	router := top.NewRouter(cache)
-	for pass := 0; pass < 2; pass++ {
-		if _, err := router.BFSRoute(a, b); err == nil {
-			t.Fatalf("pass %d: expected no-route error", pass)
-		}
+	top.AddDuplex(a, b, 1)
+	if _, err := top.BFSRoute(a, b); err != nil {
+		t.Fatal(err)
 	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1 (error cached)", hits, misses)
+	if _, _, err := top.DijkstraRoute(a, b, Label{}, relax); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestRouteCacheConcurrentSharing(t *testing.T) {
-	// Several routers sharing one cache, hammering the same pairs. Run
-	// under -race this checks the locking.
-	top := Mesh2D(3, 3, Uniform(1), Uniform(1))
-	cache := NewRouteCache(16, 1)
-	procs := top.Processors()
-	done := make(chan Route)
-	for w := 0; w < 4; w++ {
-		go func() {
-			router := top.NewRouter(cache)
-			var last Route
-			for i := 0; i < 50; i++ {
-				for _, src := range procs {
-					for _, dst := range procs {
-						route, err := router.BFSRoute(src, dst)
-						if err != nil {
-							panic(err)
-						}
-						last = route
-					}
-				}
-			}
-			done <- last
-		}()
+	c := top.AddProcessor("c", 1)
+	top.AddDuplex(b, c, 1)
+	route, err := top.BFSRoute(a, c)
+	if err != nil || len(route) != 2 {
+		t.Fatalf("BFS a->c after growth: route %v, err %v; want 2 links", route, err)
 	}
-	want := <-done
-	for w := 1; w < 4; w++ {
-		if got := <-done; !reflect.DeepEqual(got, want) {
-			t.Fatalf("worker routes diverged: %v vs %v", got, want)
-		}
+	route, _, err = top.DijkstraRoute(a, c, Label{}, relax)
+	if err != nil || len(route) != 2 {
+		t.Fatalf("Dijkstra a->c after growth: route %v, err %v; want 2 links", route, err)
 	}
 }
 
@@ -231,7 +221,7 @@ func TestDijkstraRoutesAreNeverCached(t *testing.T) {
 			return Label{Start: cur.Finish, Finish: cur.Finish + cost}
 		}
 	}
-	router := top.NewRouter(NewRouteCache(0, 1))
+	router := top.NewRouter(NewRouteCache())
 	for pass := 0; pass < 2; pass++ {
 		for _, sw := range []NodeID{up, down} {
 			route, label, err := router.DijkstraRoute(a, b, Label{}, via(sw))

@@ -13,7 +13,6 @@ package network
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // NodeID identifies a network node (processor or switch).
@@ -81,18 +80,13 @@ type hop struct {
 
 // Topology is the network graph. Build it with AddProcessor, AddSwitch,
 // AddLink, AddDuplex and AddBus; it is immutable during scheduling —
-// concurrent Schedule requests and the shared route cache depend on it
-// never changing after construction.
+// concurrent Schedule requests share it, and every route cache over it
+// depends on it never changing after construction.
 type Topology struct {
 	nodes []Node
 	links []Link
 	adj   [][]hop  // outgoing hops per node, deterministic order
 	procs []NodeID // processor IDs in insertion order
-
-	// routers pools scratch Routers for the one-shot BFSRoute and
-	// DijkstraRoute convenience methods, so casual callers get buffer
-	// reuse without holding a Router themselves.
-	routers sync.Pool
 }
 
 // NewTopology returns an empty topology.

@@ -18,25 +18,24 @@ import (
 // timeline columns, fresh journals, a fresh router. The engine splits
 // that world by ownership instead:
 //
-//   - shared immutable: the Topology, the Options and the warmed
-//     RouteCache. The topology is frozen after construction, routes
-//     are pure functions of it, and the cache is concurrency-safe and
-//     sharded, so every request may read them at once.
+//   - shared immutable: the Topology and the Options. Both are frozen
+//     after construction, so every request may read them at once.
 //   - slot-owned mutable: one scheduler state (timeline columns,
-//     columnar edge arenas, transaction journals, router scratch) per
-//     worker slot. A request receives a slot's state on admission and
-//     hands it back when it ends; reset, the one state initializer,
-//     rebinds it to the request's graph, so steady-state requests reuse
-//     the arena capacity of their predecessors instead of reallocating
-//     it. The engine holds the states outright, so garbage collection
-//     never takes them and the engine never builds more than
-//     MaxConcurrent of them.
+//     columnar edge arenas, transaction journals, router scratch and
+//     its BFS route cache) per worker slot. A request receives a
+//     slot's state on admission and hands it back when it ends; reset,
+//     the one state initializer, rebinds it to the request's graph, so
+//     steady-state requests reuse the arena capacity and warm routes of
+//     their predecessors instead of rebuilding them. The engine holds
+//     the states outright, so garbage collection never takes them and
+//     the engine never builds more than MaxConcurrent of them.
 //   - per request: the task placements and the materialized Schedule,
 //     which escape to the caller and are always freshly allocated.
 //
 // Determinism is unchanged: a state never crosses goroutines while in
-// use and the shared cache only memoizes pure functions, so every
-// engine schedule is bit-identical to a cold one-shot run.
+// use, routes are copied into and out of its edge arena, and its route
+// cache only memoizes pure functions of the topology, so every engine
+// schedule is bit-identical to a cold one-shot run.
 // SelfCheckEvery turns that claim into a runtime oracle. Parallelism
 // lives across requests, never inside one.
 
@@ -70,13 +69,14 @@ type EngineOptions struct {
 	// before Schedule fails fast with ErrOverloaded. 0 means unbounded
 	// waiting (backpressure by blocking).
 	MaxQueue int
-	// WarmRoutes precomputes the BFS route of every ordered processor
-	// pair at construction, so even the first requests hit the cache.
-	// Skipped (routes warm on demand) when the pair count exceeds the
-	// cache capacity — warming would only evict itself.
+	// WarmRoutes precomputes, in every worker slot's route cache, the
+	// BFS route of every ordered processor pair at construction, so
+	// even the first request on a slot hits its cache. Skipped (routes
+	// warm on demand) when the pair count exceeds the cache capacity —
+	// warming would only empty the cache again.
 	WarmRoutes bool
 	// SelfCheckEvery, when N > 0, re-runs every Nth request cold — a
-	// fresh single-threaded state with a private route cache — and
+	// fresh single-threaded state with an empty route cache — and
 	// fails the request if the engine's schedule is not bit-identical.
 	// The determinism oracle for serving: leave it on at a generous N
 	// in production, or 1 in tests.
@@ -92,26 +92,18 @@ type EngineStats struct {
 	ColdState int64 // requests whose slot state was bound afresh (at most MaxConcurrent)
 
 	SelfChecks int64 // cold re-runs performed by the determinism oracle
-
-	CacheHits       int64   // shared route cache hits
-	CacheMisses     int64   // shared route cache misses
-	CacheHitRate    float64 // hits / (hits+misses), 0 before any lookup
-	CacheLen        int     // cached routes
-	CacheShards     int     // lock shards
-	CacheContention int64   // lock acquisitions that had to wait
 }
 
 // Engine is a long-lived, concurrency-safe scheduling engine: it loads
 // one immutable Topology plus one policy set and serves many
-// Schedule(dag) calls in parallel against a shared warmed route cache,
-// each on the scheduler state of the worker slot it holds. See the
-// file comment for the ownership discipline. Create with NewEngine;
-// Drain before discarding if callers may still be scheduling.
+// Schedule(dag) calls in parallel, each on the scheduler state (and
+// route cache) of the worker slot it holds. See the file comment for
+// the ownership discipline. Create with NewEngine; Drain before
+// discarding if callers may still be scheduling.
 type Engine struct {
-	name  string
-	opts  Options
-	net   *network.Topology
-	cache *network.RouteCache
+	name string
+	opts Options
+	net  *network.Topology
 
 	maxQueue int
 	slots    chan *state  // worker slots, each carrying the state it owns
@@ -154,47 +146,23 @@ func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The shared route cache covers every ordered processor pair
-	// (clamped to [DefaultRouteCacheSize, 1<<22]) over a power of two
-	// near 4×workers lock shards, so concurrent lookups of distinct
-	// pairs rarely share a mutex.
-	procs := net.NumProcessors()
-	pairs := procs * (procs - 1)
-	size := min(max(pairs, network.DefaultRouteCacheSize), 1<<22)
 	e := &Engine{
 		name:           name,
 		opts:           eo.Opts,
 		net:            net,
-		cache:          network.NewRouteCache(size, min(4*workers, 256)),
 		maxQueue:       eo.MaxQueue,
 		slots:          make(chan *state, workers),
 		selfCheckEvery: eo.SelfCheckEvery,
 	}
 	for range workers {
-		e.slots <- new(state)
-	}
-	if eo.WarmRoutes && pairs <= size {
-		e.warmRoutes()
+		s := new(state)
+		if eo.WarmRoutes {
+			s.router = net.NewRouter(network.NewRouteCache())
+			s.router.Warm(net.Processors())
+		}
+		e.slots <- s
 	}
 	return e, nil
-}
-
-// warmRoutes fills the shared cache with the BFS route of every
-// ordered processor pair. Routes are pure functions of the topology,
-// so warming changes nothing but first-request latency.
-func (e *Engine) warmRoutes() {
-	r := e.net.NewRouter(e.cache)
-	procs := e.net.Processors()
-	for _, src := range procs {
-		for _, dst := range procs {
-			if src != dst {
-				// edgelint:ignore errflow — warming is best-effort; an
-				// unroutable pair caches its error and requests that
-				// need the pair will surface it.
-				_, _ = r.BFSRoute(src, dst)
-			}
-		}
-	}
 }
 
 // Name returns the display name stamped on produced schedules.
@@ -299,16 +267,16 @@ func (e *Engine) release(s *state) {
 }
 
 // run schedules one graph on s, the state of the caller's worker slot:
-// reset rebinds it to the engine's topology, options and shared cache
-// (a state bound for the first time counts as cold), and every
-// SelfCheckEvery'th request is re-run cold by the oracle.
+// reset rebinds it to the engine's topology and options (a state bound
+// for the first time counts as cold), and every SelfCheckEvery'th
+// request is re-run cold by the oracle.
 func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 	e.requests.Add(1)
 	seq := e.reqSeq.Add(1)
 	var out *Schedule
 	err := g.Validate()
 	if err == nil {
-		if s.reset(g, e.net, e.opts, e.cache) {
+		if s.reset(g, e.net, e.opts) {
 			e.coldStates.Add(1)
 		}
 		out, err = scheduleOn(s, e.name)
@@ -323,7 +291,7 @@ func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 	return out, nil
 }
 
-// selfCheck re-runs the request cold — fresh state, private route
+// selfCheck re-runs the request cold — fresh state, empty route
 // cache — and fails with ErrSelfCheck if the engine's schedule is not
 // bit-identical. This is the serving-path twin of the rollback oracle:
 // it turns "state reuse and sharing change nothing" into a checked
@@ -346,22 +314,14 @@ func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 
 // Stats snapshots the engine's counters.
 func (e *Engine) Stats() EngineStats {
-	hits, misses := e.cache.Stats()
-	st := EngineStats{
-		Requests:        e.requests.Load(),
-		Failures:        e.failures.Load(),
-		Rejected:        e.rejected.Load(),
-		InFlight:        e.active.Load(),
-		ColdState:       e.coldStates.Load(),
-		SelfChecks:      e.selfChecks.Load(),
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		CacheHitRate:    e.cache.HitRate(),
-		CacheLen:        e.cache.Len(),
-		CacheShards:     e.cache.NumShards(),
-		CacheContention: e.cache.Contention(),
+	return EngineStats{
+		Requests:   e.requests.Load(),
+		Failures:   e.failures.Load(),
+		Rejected:   e.rejected.Load(),
+		InFlight:   e.active.Load(),
+		ColdState:  e.coldStates.Load(),
+		SelfChecks: e.selfChecks.Load(),
 	}
-	return st
 }
 
 // Drain stops admitting new requests and blocks until every in-flight

@@ -3,8 +3,9 @@
 // validator (verify imports sched, so the in-package tests cannot).
 //
 // The contract under test is the engine's whole reason to exist:
-// sharing a warmed route cache and reusing slot-owned scheduler states
-// across concurrent requests must change THROUGHPUT ONLY — every
+// sharing one topology and reusing slot-owned scheduler states, with
+// their warmed route caches, across concurrent requests must change
+// THROUGHPUT ONLY — every
 // schedule stays bit-identical to a cold one-shot run of the same
 // algorithm on the same inputs.
 package sched_test
@@ -51,7 +52,7 @@ func engineTopology() *network.Topology {
 }
 
 // coldRun schedules g exactly as a one-shot scheduler would: fresh
-// state, private route cache.
+// state, empty route cache.
 func coldRun(t *testing.T, name string, opts sched.Options, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
 	s, err := sched.NewCustom(name, opts).Schedule(g, net)
@@ -110,14 +111,16 @@ func TestEngineMatchesColdRun(t *testing.T) {
 }
 
 // TestEngineConcurrentStress is the shared-topology race pin: 32
-// goroutines schedule distinct DAGs against ONE topology and ONE
-// shared route cache. Under -race this proves the sharing discipline;
-// the per-result checks prove concurrency changed nothing — every
-// schedule verifies and is bit-identical to its cold sequential run.
+// goroutines schedule distinct DAGs against ONE topology on 8 worker
+// slots. Under -race this proves the slots share only immutable
+// inputs — the topology and the options; each route cache is its
+// slot's own — and the per-result checks prove concurrency changed
+// nothing: every schedule verifies and is bit-identical to its cold
+// sequential run.
 func TestEngineConcurrentStress(t *testing.T) {
 	const goroutines = 32
 	net := engineTopology()
-	opts := sched.NewBASinnen().Opts // tentative EFT: heaviest cache traffic
+	opts := sched.NewBASinnen().Opts // tentative EFT: heaviest route traffic
 	eng, err := sched.NewEngine(net, sched.EngineOptions{
 		Name: "BA-EFT", Opts: opts, MaxConcurrent: 8, WarmRoutes: true, SelfCheckEvery: 10,
 	})
@@ -150,36 +153,6 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Requests != goroutines || st.Failures != 0 || st.InFlight != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestEngineCacheHitRate pins the amortization claim: after warmup,
-// steady-state requests should find well over 90% of their route
-// lookups already cached — the static BFS work is paid once, not per
-// request.
-func TestEngineCacheHitRate(t *testing.T) {
-	net := engineTopology()
-	eng, err := sched.NewEngine(net, sched.EngineOptions{
-		Name: "BA-EFT", Opts: sched.NewBASinnen().Opts, WarmRoutes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Drain()
-	for i := 0; i < 8; i++ {
-		s, err := eng.Schedule(engineGraph(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustVerify(t, s)
-	}
-	st := eng.Stats()
-	if st.CacheHits == 0 {
-		t.Fatal("no route cache hits recorded")
-	}
-	if st.CacheHitRate < 0.9 {
-		t.Fatalf("warm cache hit rate %.3f, want > 0.9 (hits %d, misses %d)",
-			st.CacheHitRate, st.CacheHits, st.CacheMisses)
 	}
 }
 

@@ -92,13 +92,7 @@ func TestResetForNoResidue(t *testing.T) {
 			if reused.txFree == nil {
 				t.Fatal("the first run built no journals; the case tests nothing")
 			}
-			// An engine keeps its shared cache across requests; a state
-			// moving to another topology needs a cache of its own.
-			cache := reused.routeCache
-			if c.prevNet != c.net {
-				cache = network.NewRouteCache(0, 1)
-			}
-			reused.reset(small, c.net, c.opts, cache)
+			reused.reset(small, c.net, c.opts)
 			if c.prevOpts != c.opts && reused.relaxFn != nil {
 				t.Fatal("reset kept the relaxation closure cached under different options")
 			}
@@ -161,10 +155,62 @@ func TestResetForJournalSizes(t *testing.T) {
 		t.Fatal("schedule run left no reusable journal")
 	}
 	g2 := hygieneGraph(12, 50) // larger: journals must grow
-	s.reset(g2, net, opts, s.routeCache)
+	s.reset(g2, net, opts)
 	s.checkJournalSizes(s.txFree) // panics on drift
 	if _, err := scheduleOn(s, "x"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineWarmsEverySlot pins route warming under slot ownership:
+// NewEngine fills every slot's own route cache with all P·(P−1)
+// processor pairs, a request keeps that cache (reset does not rebuild
+// a router that already routes over the engine's topology) and adds no
+// route to it, and the request still counts as its slot's cold state.
+//
+// edgelint:ignore verifysched — in-package (verify would cycle); the
+// schedule is compared bit-for-bit against a cold run, and the same
+// engine paths run under the full validator in engine_ext_test.go.
+func TestEngineWarmsEverySlot(t *testing.T) {
+	const slots = 2
+	net := network.Star(12, network.Uniform(1), network.Uniform(1))
+	pairs := net.NumProcessors() * (net.NumProcessors() - 1)
+	e, err := NewEngine(net, EngineOptions{Name: "BA-EFT", Opts: NewBASinnen().Opts,
+		MaxConcurrent: slots, WarmRoutes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Drain()
+	cached := func(when string) {
+		t.Helper()
+		var held []*state
+		for range slots {
+			s := <-e.slots
+			if n := s.router.CachedRoutes(); n != pairs {
+				t.Errorf("%s: a slot's cache holds %d routes, want %d", when, n, pairs)
+			}
+			held = append(held, s)
+		}
+		for _, s := range held {
+			e.slots <- s
+		}
+	}
+	cached("after NewEngine")
+	g := hygieneGraph(7, 9)
+	got, err := e.Schedule(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached("after a BA-EFT request")
+	want, err := NewBASinnen().Schedule(g, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DiffSchedules(want, got); d != "" {
+		t.Fatalf("warm slot's schedule diverged from a cold run: %s", d)
+	}
+	if st := e.Stats(); st.ColdState != 1 {
+		t.Fatalf("ColdState %d after the first request, want 1", st.ColdState)
 	}
 }
 
@@ -222,7 +268,7 @@ func TestEngineReleaseReplacesStateInTxn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.reset(g, e.net, e.opts, e.cache)
+	s.reset(g, e.net, e.opts)
 	s.begin()
 	e.release(s)
 

@@ -428,12 +428,11 @@ type state struct {
 	txSeq uint64
 
 	// router performs route searches with reused scratch buffers sized
-	// to net; routeCache memoizes the static BFS routes and, in an
-	// Engine, is shared (it is concurrency-safe) with every request.
-	// reset rebuilds the router only when the state is rebound to a
-	// different topology or cache.
-	router     *network.Router
-	routeCache *network.RouteCache
+	// to net, and memoizes the static BFS routes in a route cache that
+	// only this state uses. reset rebuilds it only when the state is
+	// rebound to a different topology, so the cache stays warm across
+	// an Engine slot's requests.
+	router *network.Router
 
 	// probes and pruned count EFT work: tentative placements evaluated,
 	// and candidates skipped by the finish lower bound. eftLB is
@@ -459,9 +458,9 @@ type state struct {
 // newState is the front door of every one-shot run — ListScheduler,
 // ScheduleAssignment, DLS, CPOP and the engine's self-check. It
 // validates the graph, topology and options once, then binds them to a
-// zero state with a private route cache, so the run starts cold. (An
-// Engine validates its topology and options once in NewEngine and binds
-// its slot-owned states itself; see Engine.run.)
+// zero state, whose route cache starts empty, so the run starts cold.
+// (An Engine validates its topology and options once in NewEngine and
+// binds its slot-owned states itself; see Engine.run.)
 func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -473,20 +472,22 @@ func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error)
 		return nil, err
 	}
 	s := new(state)
-	s.reset(g, net, opts, network.NewRouteCache(0, 1))
+	s.reset(g, net, opts)
 	return s, nil
 }
 
-// reset binds s to a run of g on net under opts, with static routes
-// memoized in cache, and rewinds everything run-visible to the
-// cold-start value while keeping every backing capacity it can. It is
-// the one state initializer, with two callers: newState applies it to
-// a zero state, and Engine.run to the state its worker slot owns.
+// reset binds s to a run of g on net under opts and rewinds everything
+// run-visible to the cold-start value while keeping every backing
+// capacity it can. It is the one state initializer, with two callers:
+// newState applies it to a zero state, and Engine.run to the state its
+// worker slot owns.
 // Whatever s did before — a different graph, topology or policy set —
 // leaves no residue:
 //
-//   - the router is rebuilt only when net or cache changed, which is
-//     what the result reports (an Engine counts those as cold states);
+//   - the result reports whether net changed (an Engine counts those
+//     as cold states); the router, with its route cache, is rebuilt
+//     only when it routes over another topology, so a router that
+//     NewEngine warmed for net survives the state's first reset;
 //   - the cached relaxFn closure is dropped when opts changed;
 //   - the timeline columns and processor clocks are sized from net and
 //     opts and emptied, the edge arenas truncated, the probe counters
@@ -495,14 +496,13 @@ func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error)
 //     Schedule owns the old one) and the duplicates dropped;
 //   - the reusable journals are resized to the new entity counts, which
 //     keeps the size-drift check in begin honest.
-func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options, cache *network.RouteCache) (rebound bool) {
+func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (rebound bool) {
 	if s.tx != nil {
 		panic("sched: reset inside a transaction")
 	}
-	if s.router == nil || s.net != net || s.routeCache != cache {
-		s.router = net.NewRouter(cache)
-		s.routeCache = cache
-		rebound = true
+	rebound = s.net != net
+	if s.router == nil || s.router.Topology() != net {
+		s.router = net.NewRouter(network.NewRouteCache())
 	}
 	if s.opts != opts {
 		s.relaxFn = nil
