@@ -266,13 +266,14 @@ func TestNoAllocCatchesRemovedWaiver(t *testing.T) {
 // analyzer is empty — `go test -run run pkg`, with -race when race is
 // set, which must fail.
 type catchRow struct {
-	bug      string
-	file     string // module-relative
-	old, new string
-	analyzer string
-	pkg      string
-	run      string
-	race     bool
+	bug       string
+	file      string // module-relative
+	old, new  string
+	addImport string // an import path the new text needs, if any
+	analyzer  string
+	pkg       string
+	run       string
+	race      bool
 }
 
 // catchMatrix plants each bug class the scheduler's guards exist for and
@@ -280,7 +281,9 @@ type catchRow struct {
 // analyzer is needed for the read-only inputs: every write to the
 // graph or the topology below, which concurrent requests share, is
 // caught by a test or by the race detector, and a write to a cached
-// route, which only its scheduler state reads, by a test.
+// route, which only its scheduler state reads, by a test. The last rows
+// give each of the floateq, seededrand, verifysched and errflow
+// analyzers a bug it must catch.
 var catchMatrix = []catchRow{{
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
@@ -363,6 +366,31 @@ var catchMatrix = []catchRow{{
 		"\t\tr.cache = nil\n\t\troute, l, err := r.DijkstraRoute(src, dst, init, relax)\n\t\tr.cache = c\n" +
 		"\t\tc.store(src, dst, route, err)\n\t\treturn route, l, err\n\t}\n",
 	pkg: "./internal/network", run: "^TestDijkstraRoutesAreNeverCached$",
+}, {
+	bug:       "edgesim dag seeds its generator from the clock",
+	file:      "cmd/edgesim/inspect.go",
+	old:       "\tr := rand.New(rand.NewSource(*seed))\n\tvar g *dag.Graph\n",
+	new:       "\tr := rand.New(rand.NewSource(*seed + time.Now().UnixNano()))\n\tvar g *dag.Graph\n",
+	addImport: "time",
+	analyzer:  "seededrand", pkg: "./cmd/edgesim",
+}, {
+	bug:      "edgesim dag drops the DOT writer's error",
+	file:     "cmd/edgesim/inspect.go",
+	old:      "\t\treturn trace.WriteDAGDOT(w, g)\n",
+	new:      "\t\ttrace.WriteDAGDOT(w, g)\n\t\treturn nil\n",
+	analyzer: "errflow", pkg: "./cmd/edgesim",
+}, {
+	bug:      "tryDuplicate compares finish and arrival with a bare >=",
+	file:     "internal/sched/list.go",
+	old:      "if fptime.GeqEps(dupFinish, estArrival) {",
+	new:      "if dupFinish >= estArrival {",
+	analyzer: "floateq", pkg: "./internal/sched",
+}, {
+	bug:      "a sched test schedules without verifying",
+	file:     "internal/sched/sched_test.go",
+	old:      "\t\tif res := verify.Verify(s); !res.OK() {\n\t\t\tt.Fatalf(\"invalid: %v\", res.Err())\n\t\t}\n\t\treturn s\n",
+	new:      "\t\treturn s\n",
+	analyzer: "verifysched", pkg: "./internal/sched",
 }}
 
 // TestCatchMatrix plants every catchMatrix bug, one at a time, in a copy
@@ -385,6 +413,9 @@ func TestCatchMatrix(t *testing.T) {
 				t.Fatalf("%s contains the seed's old text %d times, want once — update the row:\n%s", row.file, n, row.old)
 			}
 			mutant := strings.Replace(string(orig), row.old, row.new, 1)
+			if row.addImport != "" {
+				mutant = strings.Replace(mutant, "import (\n", "import (\n\t\""+row.addImport+"\"\n", 1)
+			}
 			if err := os.WriteFile(path, []byte(mutant), 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -57,7 +57,7 @@ import (
 func main() {
 	var (
 		topoPath  = flag.String("topology", "", "topology JSON file (required)")
-		algo      = flag.String("algo", "OIHSA", "algorithm: BA, BA-EFT, OIHSA or BBSA")
+		algo      = flag.String("algo", "OIHSA", "algorithm: BA, BA-EFT, OIHSA or BBSA (any case)")
 		addr      = flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
 		addrFile  = flag.String("addr-file", "", "write the actual listen address to this file (for :0 discovery)")
 		maxConc   = flag.Int("max-concurrent", 0, "max requests scheduled simultaneously (0 = GOMAXPROCS)")
@@ -163,19 +163,17 @@ func loadTopology(arg string) (*network.Topology, error) {
 	return topo, nil
 }
 
-// preset resolves an algorithm name to its scheduler preset.
+// preset resolves -algo through sched's name table. The engine runs
+// list-scheduler presets only, so DLS, CPOP and Classic are rejected.
 func preset(name string) (*sched.ListScheduler, error) {
-	switch name {
-	case "BA", "ba":
-		return sched.NewBA(), nil
-	case "BA-EFT", "ba-eft", "BASinnen":
-		return sched.NewBASinnen(), nil
-	case "OIHSA", "oihsa":
-		return sched.NewOIHSA(), nil
-	case "BBSA", "bbsa":
-		return sched.NewBBSA(), nil
+	a, err := sched.ByName(name)
+	if ls, ok := a.(*sched.ListScheduler); ok {
+		return ls, nil
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (valid: BA, BA-EFT, OIHSA, BBSA)", name)
+	if err == nil {
+		err = fmt.Errorf("%s is not an engine preset", a.Name())
+	}
+	return nil, fmt.Errorf("%v (engine presets: BA, BA-EFT, OIHSA, BBSA)", err)
 }
 
 // scheduleResponse is the compact /schedule reply: the placement

@@ -262,3 +262,29 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 }
+
+// TestPreset pins -algo resolution: the four engine presets resolve in
+// any case, and an algorithm the engine cannot run (DLS) or an unknown
+// name is rejected with the presets listed.
+func TestPreset(t *testing.T) {
+	for name, want := range map[string]string{
+		"OIHSA": "OIHSA", "bbsa": "BBSA", "BASinnen": "BA-EFT", "basinnen": "BA-EFT", "ba": "BA",
+	} {
+		ls, err := preset(name)
+		if err != nil || ls.Name() != want {
+			t.Errorf("preset(%q) = %v, %v; want %s", name, ls, err, want)
+		}
+	}
+	for _, name := range []string{"DLS", "cpop", "Classic", "nope"} {
+		_, err := preset(name)
+		if err == nil {
+			t.Errorf("preset(%q) accepted", name)
+			continue
+		}
+		for _, p := range []string{"BA", "BA-EFT", "OIHSA", "BBSA"} {
+			if !strings.Contains(err.Error(), p) {
+				t.Errorf("preset(%q) error %q does not list %s", name, err, p)
+			}
+		}
+	}
+}

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dag"
+	"repro/internal/network"
+	"repro/internal/refine"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/verify"
@@ -31,7 +34,10 @@ type AblationResult struct {
 // by cfg (all procs × all CCRs × reps) and aggregates. The first
 // algorithm is the reference.
 func RunVariants(name, question string, cfg Config, algos []sched.Algorithm) (*AblationResult, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
 	cfg.Algorithms = algos
 	res := &AblationResult{
 		Name:         name,
@@ -97,12 +103,67 @@ func AblationNames() []string {
 	return names
 }
 
+// refiner adapts a metaheuristic refiner, which starts from a BBSA
+// schedule, to sched.Algorithm.
+type refiner struct {
+	name string
+	run  func(*dag.Graph, *network.Topology) (*sched.Schedule, refine.Stats, error)
+}
+
+func (r refiner) Name() string { return r.name }
+
+func (r refiner) Schedule(g *dag.Graph, net *network.Topology) (*sched.Schedule, error) {
+	s, _, err := r.run(g, net)
+	return s, err
+}
+
 type ablationSpec struct {
 	question string
 	algos    func() []sched.Algorithm
 }
 
 var ablations = map[string]ablationSpec{
+	"league": {
+		question: "League table: every library scheduler and three OIHSA extensions on one instance set, against BA",
+		algos: func() []sched.Algorithm {
+			oi := sched.NewOIHSA().Opts
+			eager, pkts, ins := oi, oi, oi
+			eager.CommStart = sched.CommAtSourceFinish
+			pkts.Engine = sched.EnginePackets
+			pkts.Insertion = sched.InsertionBasic
+			pkts.PacketSize = 100
+			ins.TaskPolicy = sched.TaskInsertion
+			return []sched.Algorithm{
+				sched.NewBA(),
+				sched.NewBASinnen(),
+				sched.NewOIHSA(),
+				sched.NewBBSA(),
+				sched.NewDLS(),
+				sched.NewCPOP(),
+				sched.NewClassicReplay(),
+				sched.NewCustom("OIHSA/eager", eager),
+				sched.NewCustom("OIHSA/packets", pkts),
+				sched.NewCustom("OIHSA/task-ins", ins),
+			}
+		},
+	},
+	"refiners": {
+		question: "How much do the metaheuristic refiners (local search, simulated annealing, genetic) improve on their BBSA seed schedule?",
+		algos: func() []sched.Algorithm {
+			return []sched.Algorithm{
+				sched.NewBBSA(),
+				refiner{"Refined(BBSA)", func(g *dag.Graph, net *network.Topology) (*sched.Schedule, refine.Stats, error) {
+					return refine.Refine(g, net, refine.Options{Seed: 7})
+				}},
+				refiner{"Annealed(BBSA)", func(g *dag.Graph, net *network.Topology) (*sched.Schedule, refine.Stats, error) {
+					return refine.Anneal(g, net, refine.SAOptions{Seed: 7})
+				}},
+				refiner{"Evolved(BBSA)", func(g *dag.Graph, net *network.Topology) (*sched.Schedule, refine.Stats, error) {
+					return refine.Evolve(g, net, refine.GAOptions{Seed: 7})
+				}},
+			}
+		},
+	},
 	"routing": {
 		question: "A1: does load-aware Dijkstra routing beat BFS minimal routing, all else fixed (OIHSA stack)?",
 		algos: func() []sched.Algorithm {

@@ -49,15 +49,33 @@ type Config struct {
 	Workers int
 }
 
-func (c Config) withDefaults() Config {
+// resolve rejects sweep axes the tables would misreport and fills the
+// remaining zero fields with the reduced defaults. A non-positive
+// processor count or CCR, or MaxTasks below MinTasks, is an error:
+// the instance generator would replace it, while the table printed
+// the requested value.
+func (c Config) resolve() (Config, error) {
+	for _, p := range c.Procs {
+		if p <= 0 {
+			return c, fmt.Errorf("experiment: processor count %d is not positive", p)
+		}
+	}
+	for _, ccr := range c.CCRs {
+		if ccr <= 0 {
+			return c, fmt.Errorf("experiment: CCR %g is not positive", ccr)
+		}
+	}
 	if c.Reps <= 0 {
 		c.Reps = 3
 	}
 	if c.MinTasks <= 0 {
 		c.MinTasks = 40
 	}
+	if c.MaxTasks <= 0 {
+		c.MaxTasks = max(1000, c.MinTasks)
+	}
 	if c.MaxTasks < c.MinTasks {
-		c.MaxTasks = 1000
+		return c, fmt.Errorf("experiment: max tasks %d below min tasks %d", c.MaxTasks, c.MinTasks)
 	}
 	if len(c.Procs) == 0 {
 		c.Procs = []int{4, 16}
@@ -68,7 +86,7 @@ func (c Config) withDefaults() Config {
 	if c.Algorithms == nil {
 		c.Algorithms = []sched.Algorithm{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()}
 	}
-	return c
+	return c, nil
 }
 
 // PaperConfig returns the full §6 configuration of the paper for the
@@ -243,7 +261,10 @@ func sweepOver(cfg Config, xLabel string, xs []float64, cells func(i int) []cell
 // sizes in cfg.Procs and all replications. Cells run concurrently up
 // to cfg.Workers.
 func CCRSweep(cfg Config) (*Sweep, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
 	return sweepOver(cfg, "CCR", cfg.CCRs, func(i int) []cellJob {
 		var out []cellJob
 		for _, procs := range cfg.Procs {
@@ -258,7 +279,10 @@ func CCRSweep(cfg Config) (*Sweep, error) {
 // averaged over all CCRs in cfg.CCRs and all replications. Cells run
 // concurrently up to cfg.Workers.
 func ProcSweep(cfg Config) (*Sweep, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
 	xs := make([]float64, len(cfg.Procs))
 	for i, p := range cfg.Procs {
 		xs[i] = float64(p)

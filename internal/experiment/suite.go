@@ -35,7 +35,11 @@ type SpecConfig struct {
 	Workers       int       `json:"workers,omitempty"`
 }
 
-func (sc SpecConfig) toConfig() Config {
+// Config converts the spec to a sweep configuration. It is the one
+// place the "zero means default" rules live: a zero Seed keeps the
+// base config's seed (the paper's with Full), and zero counts and
+// empty axes keep the defaults. Invalid axes are an error.
+func (sc SpecConfig) Config() (Config, error) {
 	var cfg Config
 	if sc.Full {
 		cfg = PaperConfig(sc.Heterogeneous)
@@ -61,7 +65,8 @@ func (sc SpecConfig) toConfig() Config {
 	if len(sc.CCRs) > 0 {
 		cfg.CCRs = sc.CCRs
 	}
-	return cfg
+	_, err := cfg.resolve()
+	return cfg, err
 }
 
 // FigureSpec declares one figure regeneration.
@@ -98,10 +103,16 @@ func LoadSuite(r io.Reader) (*SuiteSpec, error) {
 		if f.Figure < 1 || f.Figure > 4 {
 			return nil, fmt.Errorf("experiment: suite figure entry %d: figure %d does not exist", i, f.Figure)
 		}
+		if _, err := f.Config(); err != nil {
+			return nil, fmt.Errorf("experiment: suite figure entry %d: %w", i, err)
+		}
 	}
 	for i, a := range spec.Ablations {
 		if _, ok := ablations[a.Ablation]; !ok {
 			return nil, fmt.Errorf("experiment: suite ablation entry %d: unknown ablation %q", i, a.Ablation)
+		}
+		if _, err := a.Config(); err != nil {
+			return nil, fmt.Errorf("experiment: suite ablation entry %d: %w", i, err)
 		}
 	}
 	if len(spec.Figures) == 0 && len(spec.Ablations) == 0 {
@@ -118,7 +129,11 @@ func RunSuite(spec *SuiteSpec, outDir string, log io.Writer) error {
 		return fmt.Errorf("experiment: suite: %w", err)
 	}
 	for _, f := range spec.Figures {
-		sw, err := Figure(f.Figure, f.toConfig())
+		cfg, err := f.Config()
+		if err != nil {
+			return err
+		}
+		sw, err := Figure(f.Figure, cfg)
 		if err != nil {
 			return err
 		}
@@ -137,7 +152,11 @@ func RunSuite(spec *SuiteSpec, outDir string, log io.Writer) error {
 		fmt.Fprintf(log, "suite %s: %s done (%d instances) -> %s.txt\n", spec.Name, sw.Label, sw.Instances, base)
 	}
 	for _, a := range spec.Ablations {
-		res, err := Ablation(a.Ablation, a.toConfig())
+		cfg, err := a.Config()
+		if err != nil {
+			return err
+		}
+		res, err := Ablation(a.Ablation, cfg)
 		if err != nil {
 			return err
 		}

@@ -72,7 +72,13 @@ func TestRunSuite(t *testing.T) {
 
 func TestSpecConfigFullOverride(t *testing.T) {
 	sc := SpecConfig{Full: true, Reps: 2, Heterogeneous: true}
-	cfg := sc.toConfig()
+	cfg, err := sc.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Seed != 2006 {
+		t.Errorf("full config with seed 0 has seed %d, want the paper's 2006", cfg.Seed)
+	}
 	if len(cfg.CCRs) != 19 || len(cfg.Procs) != 7 {
 		t.Fatalf("full config not applied: %+v", cfg)
 	}
@@ -81,5 +87,46 @@ func TestSpecConfigFullOverride(t *testing.T) {
 	}
 	if !cfg.Heterogeneous {
 		t.Fatalf("hetero lost")
+	}
+}
+
+// TestInvalidAxesRejected pins that a sweep axis the generator would
+// silently replace is an error, whether it arrives through a Config, a
+// SpecConfig or a suite file, instead of a table row for a value that
+// never ran.
+func TestInvalidAxesRejected(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"negative procs":    {Reps: 1, Procs: []int{-3, 4}, CCRs: []float64{1}},
+		"zero procs":        {Reps: 1, Procs: []int{0}, CCRs: []float64{1}},
+		"zero CCR":          {Reps: 1, Procs: []int{4}, CCRs: []float64{0}},
+		"negative CCR":      {Reps: 1, Procs: []int{4}, CCRs: []float64{-2}},
+		"max below min":     {Reps: 1, Procs: []int{4}, CCRs: []float64{1}, MinTasks: 50, MaxTasks: 10},
+		"max below default": {Reps: 1, Procs: []int{4}, CCRs: []float64{1}, MaxTasks: 10},
+	} {
+		for n := 1; n <= 4; n++ {
+			if _, err := Figure(n, cfg); err == nil {
+				t.Errorf("%s: figure %d accepted %+v", name, n, cfg)
+			}
+		}
+		if _, err := Ablation("routing", cfg); err == nil {
+			t.Errorf("%s: ablation accepted %+v", name, cfg)
+		}
+	}
+	if _, err := (SpecConfig{CCRs: []float64{0}}).Config(); err == nil {
+		t.Error("SpecConfig accepted CCR 0")
+	}
+	for _, doc := range []string{
+		`{"name": "bad", "figures": [{"figure": 2, "procs": [-3, 4]}]}`,
+		`{"name": "bad", "ablations": [{"ablation": "routing", "ccrs": [0]}]}`,
+		`{"name": "bad", "ablations": [{"ablation": "routing", "minTasks": 50, "maxTasks": 10}]}`,
+	} {
+		if _, err := LoadSuite(strings.NewReader(doc)); err == nil {
+			t.Errorf("LoadSuite accepted %s", doc)
+		}
+	}
+	// A lone MinTasks above the default maximum is valid: every
+	// instance has exactly MinTasks tasks, as before.
+	if _, err := (Config{MinTasks: 1200}).resolve(); err != nil {
+		t.Errorf("min tasks above the default max rejected: %v", err)
 	}
 }

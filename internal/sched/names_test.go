@@ -1,0 +1,62 @@
+package sched_test
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/sched"
+)
+
+// TestByName pins the name table: every accepted spelling, in any case,
+// resolves to the algorithm whose Name() is the canonical one.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, canonical string
+	}{
+		{"BA", "BA"},
+		{"ba", "BA"},
+		{"BA-EFT", "BA-EFT"},
+		{"ba-eft", "BA-EFT"},
+		{"BASinnen", "BA-EFT"},
+		{"basinnen", "BA-EFT"},
+		{"OIHSA", "OIHSA"},
+		{"oihsa", "OIHSA"},
+		{"BBSA", "BBSA"},
+		{"bbsa", "BBSA"},
+		{"DLS", "DLS"},
+		{"dls", "DLS"},
+		{"CPOP", "CPOP"},
+		{"cpop", "CPOP"},
+		{"Classic", "Classic"},
+		{"classic", "Classic"},
+		{"Classic+Replay", "Classic+Replay"},
+		{"classic-replay", "Classic+Replay"},
+		{"replay", "Classic+Replay"},
+	} {
+		a, err := sched.ByName(tc.name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", tc.name, err)
+			continue
+		}
+		if a.Name() != tc.canonical {
+			t.Errorf("ByName(%q).Name() = %q, want %q", tc.name, a.Name(), tc.canonical)
+		}
+	}
+	for _, n := range sched.AlgorithmNames() {
+		if a, err := sched.ByName(n); err != nil || a.Name() != n {
+			t.Errorf("canonical name %q does not resolve to itself: %v", n, err)
+		}
+	}
+}
+
+func TestByNameUnknown(t *testing.T) {
+	_, err := sched.ByName("nope")
+	if err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	for _, n := range sched.AlgorithmNames() {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("error %q does not list %s", err, n)
+		}
+	}
+}
