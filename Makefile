@@ -20,12 +20,14 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# fuzz-smoke runs each link-ledger differential fuzzer for 30s: the
-# slab-pruned Timeline and BWTimeline kernels against their linear
-# references, bit for bit.
+# fuzz-smoke runs each differential fuzzer for 30s: the slab-pruned
+# Timeline and BWTimeline kernels against their linear references, bit
+# for bit, and the schedule JSON encoder against the encoding/json
+# reference, byte for byte.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTimelineDifferential -fuzztime 30s ./internal/linksched
 	$(GO) test -run '^$$' -fuzz FuzzBWTimelineDifferential -fuzztime 30s ./internal/linksched
+	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 30s ./internal/trace
 
 lint:
 	$(GO) run ./cmd/edgelint ./...

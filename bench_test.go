@@ -16,6 +16,7 @@ import (
 	"repro/internal/linksched"
 	"repro/internal/network"
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -333,6 +334,45 @@ func BenchmarkEngineColdSequential(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkEncodeScheduleJSON times one ?full=1 reply body as
+// edgeschedd builds it: AppendScheduleJSON into a buffer reused across
+// replies. The schedules have serve_full's shape: BBSA on a
+// 32-processor cluster with U(1, 10) speeds, 64 graphs of 101-201
+// tasks; each op encodes the next one.
+func BenchmarkEncodeScheduleJSON(b *testing.B) {
+	r := rand.New(rand.NewSource(2006))
+	net := network.RandomCluster(r, network.RandomClusterParams{
+		Processors: 32,
+		ProcSpeed:  network.UniformRange(r, 1, 10),
+		LinkSpeed:  network.UniformRange(r, 1, 10),
+	})
+	ss := make([]*sched.Schedule, engineFleet)
+	for i := range ss {
+		g := dag.RandomLayered(r, dag.RandomLayeredParams{
+			Tasks:    101 + i*101/engineFleet,
+			TaskCost: dag.CostDist{Lo: 1, Hi: 50},
+			EdgeCost: dag.CostDist{Lo: 1, Hi: 200},
+		})
+		s, err := sched.NewBBSA().Schedule(g, net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ss[i] = s
+	}
+	var buf []byte
+	var total int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = trace.AppendScheduleJSON(buf[:0], ss[i%len(ss)]); err != nil {
+			b.Fatal(err)
+		}
+		total += int64(len(buf))
+	}
+	b.ReportMetric(float64(total)/float64(b.N)/1024, "KB/reply")
 }
 
 // --- substrate micro benchmarks -------------------------------------

@@ -23,15 +23,18 @@
 //	GET  /stats         engine counters (requests, failures, cold states)
 //	GET  /healthz       200 once serving
 //
-// /schedule answers 400 for a malformed or invalid graph, 413 for a
-// body over maxBodyBytes, 500 when the engine's self-check fails, and
-// 503 when the engine is overloaded or draining.
+// /schedule answers 400 for a malformed or invalid graph (including one
+// with a task no processor can finish in finite time), 413 for a body
+// over maxBodyBytes, 500 when the engine's self-check fails or the
+// reply cannot be encoded, and 503 when the engine is overloaded or
+// draining.
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting,
 // in-flight requests finish, then the process exits 0.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,6 +46,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -208,13 +212,16 @@ type scheduler interface {
 // newServer wires the engine into an HTTP handler. Split from main so
 // the daemon's behaviour is testable with httptest.
 func newServer(eng scheduler, verifyEach bool) http.Handler {
+	// bufs holds reply buffers reused across requests, so a ?full=1
+	// reply of several hundred KB is encoded without growing a fresh
+	// buffer each time.
+	bufs := &sync.Pool{New: func() any { return new([]byte) }}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, eng.Stats())
+		writeJSON(w, bufs, eng.Stats())
 	})
 	mux.HandleFunc("/schedule", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -247,11 +254,8 @@ func newServer(eng scheduler, verifyEach bool) http.Handler {
 				return
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
 		if r.URL.Query().Get("full") != "" {
-			// edgelint:ignore errflow — mid-stream write errors mean the
-			// client went away; nothing useful can be reported to it.
-			trace.WriteScheduleJSON(w, s)
+			reply(w, bufs, func(b []byte) ([]byte, error) { return trace.AppendScheduleJSON(b, s) })
 			return
 		}
 		resp := scheduleResponse{Algorithm: s.Algorithm, Makespan: s.Makespan,
@@ -265,7 +269,7 @@ func newServer(eng scheduler, verifyEach bool) http.Handler {
 				resp.Edges++
 			}
 		}
-		writeJSON(w, resp)
+		writeJSON(w, bufs, resp)
 	})
 	return mux
 }
@@ -284,10 +288,32 @@ func statusOf(err error) int {
 	return http.StatusBadRequest
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	// edgelint:ignore errflow — mid-stream write errors mean the client
-	// went away; nothing useful can be reported to it.
-	json.NewEncoder(w).Encode(v)
+// writeJSON replies with v encoded by encoding/json.
+func writeJSON(w http.ResponseWriter, bufs *sync.Pool, v any) {
+	reply(w, bufs, func(b []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(b)
+		err := json.NewEncoder(buf).Encode(v)
+		return buf.Bytes(), err
+	})
+}
+
+// reply encodes a JSON body into a pooled buffer with encode, which
+// appends to the slice it is given, and writes it with one Write. The
+// body is complete before any byte goes out, so an encoding error still
+// answers 500.
+func reply(w http.ResponseWriter, bufs *sync.Pool, encode func([]byte) ([]byte, error)) {
+	bp := bufs.Get().(*[]byte)
+	defer bufs.Put(bp)
+	b, err := encode((*bp)[:0])
+	if err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	*bp = b
+	w.Header().Set("Content-Type", "application/json")
+	// edgelint:ignore errflow — a write error means the client went
+	// away; nothing useful can be reported to it.
+	w.Write(b)
 }
 
 func fatal(err error) {

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/graphio"
 	"repro/internal/network"
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
@@ -118,6 +122,59 @@ func TestScheduleEndpointFull(t *testing.T) {
 	}
 }
 
+// TestFullRepliesConcurrent pins the pooled reply buffers: replies
+// encoded at once by concurrent requests each carry exactly their own
+// schedule's document, the bytes trace.WriteScheduleJSON gives for a
+// cold run of the same graph.
+func TestFullRepliesConcurrent(t *testing.T) {
+	eng := testEngine(t)
+	srv := httptest.NewServer(newServer(eng, false))
+	defer srv.Close()
+	topo := network.Star(4, network.Uniform(1), network.Uniform(1))
+
+	const clients, perClient = 8, 4
+	bodies := make([][]byte, clients)
+	wants := make([][]byte, clients)
+	for c := range bodies {
+		var g *dag.Graph
+		bodies[c], g = testGraphJSON(t, int64(20+c))
+		s, err := sched.NewOIHSA().Schedule(g, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := verify.Verify(s); !res.OK() {
+			t.Fatal(res.Err())
+		}
+		var want bytes.Buffer
+		if err := trace.WriteScheduleJSON(&want, s); err != nil {
+			t.Fatal(err)
+		}
+		wants[c] = want.Bytes()
+	}
+	var wg sync.WaitGroup
+	for c := range bodies {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(srv.URL+"/schedule?full=1", "application/json", bytes.NewReader(bodies[c]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, wants[c]) {
+					t.Errorf("client %d request %d: status %d, err %v, body differs from the cold run's document",
+						c, i, resp.StatusCode, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
 func keys(m map[string]any) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -157,10 +214,13 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// stubEngine answers every request with one fixed error.
-type stubEngine struct{ err error }
+// stubEngine answers every request with one fixed schedule or error.
+type stubEngine struct {
+	s   *sched.Schedule
+	err error
+}
 
-func (s stubEngine) Schedule(*dag.Graph) (*sched.Schedule, error) { return nil, s.err }
+func (s stubEngine) Schedule(*dag.Graph) (*sched.Schedule, error) { return s.s, s.err }
 func (s stubEngine) Stats() sched.EngineStats                     { return sched.EngineStats{} }
 
 // TestStatusClasses pins the /schedule error classes: an invalid graph
@@ -177,8 +237,8 @@ func TestStatusClasses(t *testing.T) {
 		want int
 	}{
 		"invalid graph": {testEngine(t), cyclic, http.StatusBadRequest},
-		"self-check":    {stubEngine{fmt.Errorf("%w: schedule diverged from cold run", sched.ErrSelfCheck)}, body, http.StatusInternalServerError},
-		"overloaded":    {stubEngine{sched.ErrOverloaded}, body, http.StatusServiceUnavailable},
+		"self-check":    {stubEngine{err: fmt.Errorf("%w: schedule diverged from cold run", sched.ErrSelfCheck)}, body, http.StatusInternalServerError},
+		"overloaded":    {stubEngine{err: sched.ErrOverloaded}, body, http.StatusServiceUnavailable},
 		"draining":      {drained, body, http.StatusServiceUnavailable},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -200,6 +260,64 @@ func TestStatusClasses(t *testing.T) {
 				t.Fatalf("Retry-After %q, want %q", got, wantRetry)
 			}
 		})
+	}
+}
+
+// TestUnplaceableTaskIs400 pins that a graph whose task cannot finish
+// in finite time on the daemon's topology is the client's 400, not a
+// dropped connection: a cost of 1e300 on processors of speed 1e-10.
+func TestUnplaceableTaskIs400(t *testing.T) {
+	slow := network.Star(4, network.Uniform(1e-10), network.Uniform(1))
+	body := []byte(`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1e300}],"edges":[{"from":0,"to":1,"cost":1}]}`)
+	for _, algo := range []string{"BA", "BBSA"} {
+		ls, err := preset(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := sched.NewEngine(slow, sched.EngineOptions{Name: ls.AlgorithmName, Opts: ls.Opts, WarmRoutes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Drain()
+		srv := httptest.NewServer(newServer(eng, false))
+		defer srv.Close()
+		for _, path := range []string{"/schedule", "/schedule?full=1"} {
+			resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", algo, path, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "no finite finish time") {
+				t.Fatalf("%s %s: status %d %q, want 400 naming the unplaceable task", algo, path, resp.StatusCode, msg)
+			}
+		}
+	}
+}
+
+// TestEncodeFailureIs500 pins that a schedule the encoder rejects (a
+// NaN time) answers 500 with the encoding error, on both reply shapes,
+// instead of a 200 with an empty body.
+func TestEncodeFailureIs500(t *testing.T) {
+	_, g := testGraphJSON(t, 9)
+	s, err := sched.NewBA().Schedule(g, network.Star(4, network.Uniform(1), network.Uniform(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tasks[0].Finish = math.NaN()
+	body, _ := testGraphJSON(t, 9)
+	srv := httptest.NewServer(newServer(stubEngine{s: s}, false))
+	defer srv.Close()
+	for _, path := range []string{"/schedule", "/schedule?full=1"} {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "unsupported value: NaN") {
+			t.Fatalf("%s: status %d %q, want 500 with the encoding error", path, resp.StatusCode, msg)
+		}
 	}
 }
 

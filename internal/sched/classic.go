@@ -70,6 +70,9 @@ func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, erro
 				best = p
 			}
 		}
+		if best < 0 {
+			return nil, unplaceable(g, tid)
+		}
 		tasks[tid] = TaskPlacement{Task: tid, Proc: best, Start: bestStart, Finish: bestFinish}
 		procFinish[best] = bestFinish
 	}
@@ -146,7 +149,7 @@ func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.No
 		return nil, err
 	}
 	for _, tid := range order {
-		if _, err := s.placeTask(tid, assign[tid]); err != nil {
+		if err := s.commitTask(tid, assign[tid]); err != nil {
 			return nil, err
 		}
 	}

@@ -89,7 +89,7 @@ func (d *DLS) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
 				}
 			}
 		}
-		if _, err := s.placeTask(bestTask, bestProc); err != nil {
+		if err := s.commitTask(bestTask, bestProc); err != nil {
 			return nil, err
 		}
 		delete(ready, bestTask)
@@ -197,8 +197,11 @@ func (c *CPOP) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) 
 			proc = cpProc
 		} else {
 			proc = s.selectByEstimate(tid, true)
+			if proc < 0 {
+				return nil, unplaceable(g, tid)
+			}
 		}
-		if _, err := s.placeTask(tid, proc); err != nil {
+		if err := s.commitTask(tid, proc); err != nil {
 			return nil, err
 		}
 	}

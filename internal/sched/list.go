@@ -583,7 +583,7 @@ func scheduleOn(s *state, name string) (*Schedule, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.placeTask(tid, proc); err != nil {
+		if err := s.commitTask(tid, proc); err != nil {
 			return nil, err
 		}
 	}
@@ -609,18 +609,45 @@ func (s *state) result(name string) *Schedule {
 }
 
 // selectProcessor picks the processor for a ready task per the
-// configured policy.
+// configured policy. When no processor gives the task a finite score,
+// the selection folds find no winner and the task is unplaceable.
 func (s *state) selectProcessor(tid dag.TaskID) (network.NodeID, error) {
+	var proc network.NodeID
+	var err error
 	switch s.opts.ProcSelect {
 	case ProcSelectEstimate:
-		return s.selectByEstimate(tid, true), nil
+		proc = s.selectByEstimate(tid, true)
 	case ProcSelectNoComm:
-		return s.selectByEstimate(tid, false), nil
+		proc = s.selectByEstimate(tid, false)
 	case ProcSelectEFT:
-		return s.selectByEFT(tid)
+		proc, err = s.selectByEFT(tid)
 	default:
 		return -1, fmt.Errorf("sched: unknown processor selection %v", s.opts.ProcSelect)
 	}
+	if err == nil && proc < 0 {
+		err = unplaceable(s.g, tid)
+	}
+	return proc, err
+}
+
+// unplaceable is the error for a task with no finite finish time: its
+// cost or an incoming transfer overflows float64 time. Validation
+// admits such inputs (a cost up to 1e300 on a speed just above zero),
+// so it is the caller's error, never a placement.
+func unplaceable(g *dag.Graph, tid dag.TaskID) error {
+	return fmt.Errorf("sched: task %d (%s) has no finite finish time: its cost or an incoming transfer overflows",
+		tid, g.Task(tid).Name)
+}
+
+// commitTask places tid on proc for good, refusing a placement whose
+// finish time is not finite: a processor's estimate can be finite while
+// the transfers actually routed to it overflow.
+func (s *state) commitTask(tid dag.TaskID, proc network.NodeID) error {
+	finish, err := s.placeTask(tid, proc)
+	if err == nil && (math.IsInf(finish, 0) || math.IsNaN(finish)) {
+		err = unplaceable(s.g, tid)
+	}
+	return err
 }
 
 // selectByEstimate implements the closed-form processor criteria: the

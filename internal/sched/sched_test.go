@@ -3,6 +3,7 @@ package sched_test
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
@@ -760,6 +761,51 @@ func TestZeroCostEdgesAndTasks(t *testing.T) {
 			if !crossed {
 				t.Errorf("%s on %d nodes: no zero-cost edge took a multi-link route; the case tests nothing",
 					alg.Name(), net.NumNodes())
+			}
+		}
+	}
+}
+
+// TestInfiniteFinishIsAnError pins that a task no processor can finish
+// in finite time is an error from every scheduler, not a panic or an
+// infinite makespan. Validation admits both inputs: a cost of 1e300 on
+// processors of speed 1e-10 overflows every candidate's score, and
+// 1e300 of data over a 1e-10 link overflows a transfer that the
+// mean-link-speed estimate thought finite.
+func TestInfiniteFinishIsAnError(t *testing.T) {
+	slowProcs := dag.New()
+	a := slowProcs.AddTask("a", 1)
+	b := slowProcs.AddTask("b", 1e300)
+	slowProcs.AddEdge(a, b, 1)
+
+	slowLink := network.NewTopology()
+	hub := slowLink.AddSwitch("hub")
+	p0, p1 := slowLink.AddProcessor("", 1), slowLink.AddProcessor("", 1)
+	slowLink.AddDuplex(p0, hub, 1e-10)
+	slowLink.AddDuplex(p1, hub, 100)
+	bigData := dag.New()
+	x, y, z := bigData.AddTask("x", 1), bigData.AddTask("y", 1), bigData.AddTask("z", 1)
+	bigData.AddEdge(x, z, 1e300)
+	bigData.AddEdge(y, z, 1e300)
+
+	for _, c := range []struct {
+		name string
+		g    *dag.Graph
+		net  *network.Topology
+	}{
+		{"slow processors", slowProcs, network.Star(2, network.Uniform(1e-10), network.Uniform(1))},
+		{"slow link", bigData, slowLink},
+	} {
+		for _, name := range sched.AlgorithmNames() {
+			if c.name == "slow link" && (name == "CPOP" || name == "Classic") {
+				continue // both finish without crossing the slow link
+			}
+			alg, err := sched.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := alg.Schedule(c.g, c.net); err == nil || !strings.Contains(err.Error(), "no finite finish time") {
+				t.Errorf("%s on %s: err %v, want a no-finite-finish error", name, c.name, err)
 			}
 		}
 	}
