@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race fuzz-smoke lint lint-self check bench bench-smoke bench-check bench-module load-smoke
+.PHONY: build fmt-check vet test race fuzz-smoke lint lint-self check bench bench-smoke bench-check bench-module load-smoke examples
 
 build:
 	$(GO) build ./...
@@ -66,5 +66,14 @@ bench-module:
 load-smoke:
 	./scripts/load_smoke.sh
 
+# examples runs every example once. Each verifies the schedules it
+# builds and exits non-zero on failure, which go build alone would
+# never notice.
+examples:
+	@for d in examples/*/; do \
+		d=$${d%/}; echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+
 # check mirrors the CI pipeline (.github/workflows/ci.yml).
-check: build fmt-check vet test race fuzz-smoke lint lint-self bench-check bench-module load-smoke
+check: build fmt-check vet test race fuzz-smoke lint lint-self bench-check bench-module load-smoke examples

@@ -152,13 +152,9 @@ func main() {
 // re-checked at runtime). BandwidthEstimateFinish/segs=10000 is one
 // of them: at -benchtime 5x its ~2 µs probe times cold caches, and
 // unchanged code read +13% to +86% against its baseline.
-// ScheduleBASinnenLarge additionally carries an explicit @allocs entry
-// so its allocation count stays pinned even if the wall-time entry is
-// ever relaxed: its allocs/op is the flat-state series' headline
-// number.
 // BenchmarkEngineThroughput guards the serving path: its wall time is
 // the engine's whole value proposition (64 schedules on slot-owned
-// states with warm route caches), and its @allocs entry pins the
+// states with warm route caches), and its allocs/op pin the
 // steady-state allocations per wave — a leak in state reset or a slot
 // state rebuilt per request shows up here as a multiple, not a percent.
 // BenchmarkScheduleLongLinks guards the paper's own kernels where they
@@ -168,11 +164,11 @@ func main() {
 // BA's allocations are slab arrays (one per up to 64 slots, kept by
 // Reset and CopyFrom), so a store that allocated per split or per
 // insert would break the allocs bound.
-const defaultGate = "BenchmarkScheduleBA,BenchmarkScheduleBASinnen,BenchmarkScheduleBASinnenLarge,BenchmarkScheduleBASinnenLarge@allocs," +
+const defaultGate = "BenchmarkScheduleBA,BenchmarkScheduleBASinnen,BenchmarkScheduleBASinnenLarge," +
 	"BenchmarkScheduleBASinnenManyProcs,BenchmarkScheduleOIHSA,BenchmarkScheduleBBSA," +
 	"BenchmarkScheduleLongLinks/algo=BA,BenchmarkScheduleLongLinks/algo=OIHSA,BenchmarkScheduleLongLinks/algo=BBSA," +
 	"BenchmarkBandwidthAllocForward/jobs=10000,BenchmarkBandwidthEstimateFinish/segs=10000@allocs,BenchmarkTimelineProbeBasic/slots=10000@allocs," +
-	"BenchmarkEngineThroughput,BenchmarkEngineThroughput@allocs"
+	"BenchmarkEngineThroughput"
 
 // runBench shells out to go test -bench and returns its stdout.
 func runBench(bench string, count int, benchTime, timeOut, pkg string) (string, []string, error) {
@@ -207,7 +203,10 @@ func runCheck(dir, gate string, count int, benchTime, timeOut, pkg string, maxPc
 	if err != nil {
 		return err
 	}
-	entries := splitGate(gate)
+	entries, err := splitGate(gate)
+	if err != nil {
+		return err
+	}
 	if len(entries) == 0 {
 		return fmt.Errorf("-gate names no benchmarks")
 	}
@@ -322,14 +321,24 @@ func gateName(entry string) (name string, allocsOnly bool) {
 }
 
 // splitGate parses the comma-separated gate list, dropping empties.
-func splitGate(gate string) []string {
+// Two entries naming one benchmark are an error: every plain entry is
+// already gated on allocs/op, so a second entry adds no check, only a
+// second report line and a second count of the same violation.
+func splitGate(gate string) ([]string, error) {
 	var names []string
+	seen := map[string]bool{}
 	for _, n := range strings.Split(gate, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
+		if n = strings.TrimSpace(n); n == "" {
+			continue
 		}
+		name, _ := gateName(n)
+		if seen[name] {
+			return nil, fmt.Errorf("-gate names %s twice", name)
+		}
+		seen[name] = true
+		names = append(names, n)
 	}
-	return names
+	return names, nil
 }
 
 // gateViolations compares the gated benchmarks' best-of-count ns/op

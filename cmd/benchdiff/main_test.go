@@ -157,6 +157,12 @@ func TestGateViolationsAllocs(t *testing.T) {
 	if v := gateViolations(old, clean, []string{"BenchmarkZero", "BenchmarkSome"}, 50); len(v) != 0 {
 		t.Fatalf("clean allocs flagged: %v", v)
 	}
+	// A plain entry gates allocs/op itself: an allocs regression with
+	// steady wall time is reported exactly once.
+	leaky := map[string]Sample{"BenchmarkZero": {MinNsPerOp: 1000, AllocsPerOp: 3}}
+	if v := gateViolations(old, leaky, []string{"BenchmarkZero"}, 50); len(v) != 1 {
+		t.Fatalf("plain entry allocs regression: got %d violations %v, want 1", len(v), v)
+	}
 }
 
 func TestGateAllocsOnlyEntries(t *testing.T) {
@@ -185,12 +191,22 @@ func TestGateAllocsOnlyEntries(t *testing.T) {
 }
 
 func TestSplitGate(t *testing.T) {
-	got := splitGate(" BenchmarkA, ,BenchmarkB,")
-	if len(got) != 2 || got[0] != "BenchmarkA" || got[1] != "BenchmarkB" {
-		t.Fatalf("splitGate = %v", got)
+	got, err := splitGate(" BenchmarkA, ,BenchmarkB,")
+	if err != nil || len(got) != 2 || got[0] != "BenchmarkA" || got[1] != "BenchmarkB" {
+		t.Fatalf("splitGate = %v, %v", got, err)
 	}
-	if got := splitGate(""); got != nil {
-		t.Fatalf("splitGate(empty) = %v, want nil", got)
+	if got, err := splitGate(""); got != nil || err != nil {
+		t.Fatalf("splitGate(empty) = %v, %v, want nil", got, err)
+	}
+	// A benchmark named twice, with or without @allocs, is rejected.
+	for _, gate := range []string{
+		"BenchmarkA,BenchmarkB,BenchmarkA",
+		"BenchmarkA,BenchmarkA@allocs",
+		"BenchmarkX/n=1@allocs, BenchmarkX/n=1@allocs",
+	} {
+		if got, err := splitGate(gate); err == nil {
+			t.Errorf("splitGate(%q) = %v, want a duplicate error", gate, got)
+		}
 	}
 }
 
@@ -255,7 +271,11 @@ func TestDefaultGateNamesExistInSuite(t *testing.T) {
 	if err != nil {
 		t.Skipf("bench suite not readable: %v", err)
 	}
-	for _, entry := range splitGate(defaultGate) {
+	entries, err := splitGate(defaultGate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range entries {
 		name, _ := gateName(entry)
 		parts := strings.SplitN(name, "/", 2)
 		decl := "func " + parts[0] + "(b *testing.B)"

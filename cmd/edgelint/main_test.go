@@ -283,7 +283,8 @@ type catchRow struct {
 // caught by a test or by the race detector, and a write to a cached
 // route, which only its scheduler state reads, by a test. The last rows
 // give each of the floateq, seededrand, verifysched and errflow
-// analyzers a bug it must catch.
+// analyzers a bug it must catch, and noalloc one heap allocation per
+// package on a steady-state root that no test measures.
 var catchMatrix = []catchRow{{
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
@@ -391,6 +392,24 @@ var catchMatrix = []catchRow{{
 	old:      "\t\tif res := verify.Verify(s); !res.OK() {\n\t\t\tt.Fatalf(\"invalid: %v\", res.Err())\n\t\t}\n\t\treturn s\n",
 	new:      "\t\treturn s\n",
 	analyzer: "verifysched", pkg: "./internal/sched",
+}, {
+	bug:      "Timeline.ProbeOptimal copies the slot list for a consistency check",
+	file:     "internal/linksched/timeline.go",
+	old:      "\tw := t.walkOptimal(lb, req.Dur, slack)\n",
+	new:      "\tif len(t.Slots()) != t.st.n {\n\t\tpanic(\"linksched: slot count drift\")\n\t}\n\tw := t.walkOptimal(lb, req.Dur, slack)\n",
+	analyzer: "noalloc", pkg: "./internal/linksched",
+}, {
+	bug:      "Router.BFSRoute gives a self-route its own backing array",
+	file:     "internal/network/router.go",
+	old:      "\tif src == dst {\n\t\treturn Route{}, nil\n\t}\n",
+	new:      "\tif src == dst {\n\t\treturn make(Route, 0, 1), nil\n\t}\n",
+	analyzer: "noalloc", pkg: "./internal/network",
+}, {
+	bug:      "placeEdge copies the route before recording it",
+	file:     "internal/sched/txn.go",
+	old:      "\tst := &s.edges\n\tro := int32(len(st.routes))\n",
+	new:      "\troute = append(network.Route(nil), route...)\n\tst := &s.edges\n\tro := int32(len(st.routes))\n",
+	analyzer: "noalloc", pkg: "./internal/sched",
 }}
 
 // TestCatchMatrix plants every catchMatrix bug, one at a time, in a copy

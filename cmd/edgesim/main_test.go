@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/sched"
 )
 
@@ -30,7 +31,6 @@ func TestEvaluation(t *testing.T) {
 		{[]string{"-figure", "1"}, "Figure 1"},
 		{[]string{"-figure", "4", "-csv"}, "processors,base_mean_makespan"},
 		{[]string{"-ablation", "league"}, "OIHSA/task-ins"},
-		{[]string{"-ablation", "refiners"}, "Evolved(BBSA)"},
 	} {
 		if out := runOut(t, append(tc.args, tiny...)...); !strings.Contains(out, tc.want) {
 			t.Errorf("edgesim %v: output lacks %q:\n%s", tc.args, tc.want, out)
@@ -119,25 +119,26 @@ func TestSchedule(t *testing.T) {
 	}
 }
 
-// TestUnknownNames pins that a bad subcommand or algorithm fails with
-// every valid name listed.
+// TestUnknownNames pins that a bad subcommand, algorithm or ablation
+// fails with every valid name listed.
 func TestUnknownNames(t *testing.T) {
-	err := run([]string{"view"}, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("unknown subcommand accepted")
-	}
-	for _, n := range []string{"dag", "net", "schedule"} {
-		if !strings.Contains(err.Error(), n) {
-			t.Errorf("error %q does not list subcommand %s", err, n)
+	for _, tc := range []struct {
+		args  []string
+		names []string
+	}{
+		{[]string{"view"}, []string{"dag", "net", "schedule"}},
+		{[]string{"schedule", "-algo", "heft"}, sched.AlgorithmNames()},
+		{[]string{"-ablation", "refiners"}, experiment.AblationNames()},
+	} {
+		err := run(tc.args, &bytes.Buffer{})
+		if err == nil {
+			t.Errorf("edgesim %v accepted", tc.args)
+			continue
 		}
-	}
-	err = run([]string{"schedule", "-algo", "heft"}, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	for _, n := range sched.AlgorithmNames() {
-		if !strings.Contains(err.Error(), n) {
-			t.Errorf("error %q does not list algorithm %s", err, n)
+		for _, n := range tc.names {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("edgesim %v: error %q does not list %s", tc.args, err, n)
+			}
 		}
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/graphio"
 	"repro/internal/network"
-	"repro/internal/refine"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -245,19 +244,6 @@ func Analyze(s *Schedule) *AnalysisReport { return analysis.Analyze(s) }
 // WriteAnalysis renders an analysis report as readable text.
 func WriteAnalysis(w io.Writer, r *AnalysisReport) error { return analysis.WriteReport(w, r) }
 
-// ScheduleComparison quantifies how two schedules of one instance
-// differ (moved tasks, rerouted edges, load shift).
-type ScheduleComparison = analysis.Comparison
-
-// CompareSchedules computes the comparison of two schedules of the
-// same graph and network.
-func CompareSchedules(a, b *Schedule) (*ScheduleComparison, error) { return analysis.Compare(a, b) }
-
-// WriteComparison renders a schedule comparison as readable text.
-func WriteComparison(w io.Writer, c *ScheduleComparison) error {
-	return analysis.WriteComparison(w, c)
-}
-
 // WriteHTMLReport renders a self-contained HTML report of the
 // schedule: headline metrics, inline SVG Gantt, utilizations, and the
 // critical-chain analysis.
@@ -309,39 +295,6 @@ func PaperConfig(heterogeneous bool) ExperimentConfig {
 
 // GenerateInstance builds one reproducible §6 problem instance.
 func GenerateInstance(p WorkloadParams) Instance { return workload.Generate(p) }
-
-// Refinement facade.
-type (
-	// RefineOptions configures the iterated local search.
-	RefineOptions = refine.Options
-	// RefineStats reports what the search did.
-	RefineStats = refine.Stats
-)
-
-// Refine improves a schedule by iterated local search over the
-// task-to-processor assignment. The result is never worse than the
-// base algorithm's schedule.
-func Refine(g *Graph, net *Topology, opt RefineOptions) (*Schedule, RefineStats, error) {
-	return refine.Refine(g, net, opt)
-}
-
-// Metaheuristic refiner option types.
-type (
-	// SAOptions configures the simulated-annealing refiner.
-	SAOptions = refine.SAOptions
-	// GAOptions configures the genetic refiner.
-	GAOptions = refine.GAOptions
-)
-
-// Anneal refines an assignment by simulated annealing.
-func Anneal(g *Graph, net *Topology, opt SAOptions) (*Schedule, RefineStats, error) {
-	return refine.Anneal(g, net, opt)
-}
-
-// Evolve refines an assignment with a genetic algorithm.
-func Evolve(g *Graph, net *Topology, opt GAOptions) (*Schedule, RefineStats, error) {
-	return refine.Evolve(g, net, opt)
-}
 
 // ScheduleAssignment schedules the graph with a fixed task-to-processor
 // assignment under the given policies.

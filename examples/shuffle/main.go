@@ -1,7 +1,7 @@
 // Shuffle: a MapReduce all-to-all shuffle over a dumbbell network
 // (two racks joined by one trunk) — the classic network-bound
 // workload. Compares the three schedulers and the switching/packet
-// extensions on the same instance, then refines the best.
+// extensions on the same instance.
 package main
 
 import (
@@ -56,14 +56,4 @@ func main() {
 	eager := base
 	eager.CommStart = sched.CommAtSourceFinish
 	show("OIHSA eager-start", edgesched.Custom("OIHSA/eager", eager))
-
-	// Local search on top of the best constructive algorithm.
-	s, st, err := edgesched.Refine(g, net, edgesched.RefineOptions{
-		Base: edgesched.BBSA(), MaxIters: 300, Seed: 3,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-22s makespan %9.1f   (%+.1f%% over BBSA, %d evals)\n",
-		"BBSA + local search", s.Makespan, st.ImprovementPct(), st.Evaluations)
 }

@@ -6,9 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/dag"
-	"repro/internal/network"
-	"repro/internal/refine"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/verify"
@@ -93,7 +90,7 @@ func RunVariants(name, question string, cfg Config, algos []sched.Algorithm) (*A
 	return res, nil
 }
 
-// AblationNames lists the predefined ablations in DESIGN.md order.
+// AblationNames lists the predefined ablations sorted by name.
 func AblationNames() []string {
 	names := make([]string, 0, len(ablations))
 	for k := range ablations {
@@ -101,20 +98,6 @@ func AblationNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// refiner adapts a metaheuristic refiner, which starts from a BBSA
-// schedule, to sched.Algorithm.
-type refiner struct {
-	name string
-	run  func(*dag.Graph, *network.Topology) (*sched.Schedule, refine.Stats, error)
-}
-
-func (r refiner) Name() string { return r.name }
-
-func (r refiner) Schedule(g *dag.Graph, net *network.Topology) (*sched.Schedule, error) {
-	s, _, err := r.run(g, net)
-	return s, err
 }
 
 type ablationSpec struct {
@@ -144,23 +127,6 @@ var ablations = map[string]ablationSpec{
 				sched.NewCustom("OIHSA/eager", eager),
 				sched.NewCustom("OIHSA/packets", pkts),
 				sched.NewCustom("OIHSA/task-ins", ins),
-			}
-		},
-	},
-	"refiners": {
-		question: "How much do the metaheuristic refiners (local search, simulated annealing, genetic) improve on their BBSA seed schedule?",
-		algos: func() []sched.Algorithm {
-			return []sched.Algorithm{
-				sched.NewBBSA(),
-				refiner{"Refined(BBSA)", func(g *dag.Graph, net *network.Topology) (*sched.Schedule, refine.Stats, error) {
-					return refine.Refine(g, net, refine.Options{Seed: 7})
-				}},
-				refiner{"Annealed(BBSA)", func(g *dag.Graph, net *network.Topology) (*sched.Schedule, refine.Stats, error) {
-					return refine.Anneal(g, net, refine.SAOptions{Seed: 7})
-				}},
-				refiner{"Evolved(BBSA)", func(g *dag.Graph, net *network.Topology) (*sched.Schedule, refine.Stats, error) {
-					return refine.Evolve(g, net, refine.GAOptions{Seed: 7})
-				}},
 			}
 		},
 	},

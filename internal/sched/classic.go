@@ -130,7 +130,7 @@ func ReplayAssignment(g *dag.Graph, net *network.Topology, donor *Schedule, name
 // ScheduleAssignment schedules the graph with a fixed task-to-processor
 // assignment (indexed by TaskID) under the given edge-scheduling
 // policies, skipping processor selection entirely. It is the evaluation
-// primitive of replay baselines and the local-search refiner.
+// primitive of the replay baselines.
 func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.NodeID, opts Options, name string) (*Schedule, error) {
 	s, err := newState(g, net, opts)
 	if err != nil {
