@@ -6,6 +6,7 @@
 package edgesched
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/experiment"
+	"repro/internal/graphio"
 	"repro/internal/linksched"
 	"repro/internal/network"
 	"repro/internal/sched"
@@ -373,6 +375,42 @@ func BenchmarkEncodeScheduleJSON(b *testing.B) {
 		total += int64(len(buf))
 	}
 	b.ReportMetric(float64(total)/float64(b.N)/1024, "KB/reply")
+}
+
+// BenchmarkReadGraph times graphio.ReadGraph, which decodes every
+// edgeschedd request body and every batch instance, on two bodies: a
+// serve-sized graph (201 RandomLayered tasks with edgeload's cost
+// ranges) and a long_links-sized one (3000 tasks, 4 processors, CCR
+// 10).
+func BenchmarkReadGraph(b *testing.B) {
+	r := rand.New(rand.NewSource(2006))
+	serve := dag.RandomLayered(r, dag.RandomLayeredParams{
+		Tasks:    201,
+		TaskCost: dag.CostDist{Lo: 1, Hi: 50},
+		EdgeCost: dag.CostDist{Lo: 1, Hi: 200},
+	})
+	long := workload.Generate(workload.Params{
+		Processors: 4, CCR: 10, MinTasks: 3000, MaxTasks: 3000, Seed: 42,
+	}).Graph
+	for _, c := range []struct {
+		name string
+		g    *dag.Graph
+	}{{"body=serve", serve}, {"body=long_links", long}} {
+		var buf bytes.Buffer
+		if err := graphio.WriteGraph(&buf, c.g); err != nil {
+			b.Fatal(err)
+		}
+		body := buf.Bytes()
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := graphio.ReadGraph(bytes.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // --- substrate micro benchmarks -------------------------------------

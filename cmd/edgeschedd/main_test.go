@@ -184,15 +184,19 @@ func keys(m map[string]any) []string {
 }
 
 // TestBadRequests pins the error mapping: malformed and invalid graphs
-// are the client's fault (400), never a daemon crash.
+// are the client's fault (400), never a daemon crash. A body holding
+// two graphs is malformed too, rather than a schedule of the first.
 func TestBadRequests(t *testing.T) {
 	eng := testEngine(t)
 	srv := httptest.NewServer(newServer(eng, false))
 	defer srv.Close()
 
+	first, _ := testGraphJSON(t, 1)
+	second, _ := testGraphJSON(t, 2)
 	for name, body := range map[string]string{
-		"malformed": "{not json",
-		"cyclic":    `{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],"edges":[{"from":0,"to":1,"cost":1},{"from":1,"to":0,"cost":1}]}`,
+		"malformed":  "{not json",
+		"cyclic":     `{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],"edges":[{"from":0,"to":1,"cost":1},{"from":1,"to":0,"cost":1}]}`,
+		"two graphs": string(first) + string(second),
 	} {
 		resp, err := http.Post(srv.URL+"/schedule", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -6,10 +6,11 @@
 package dag
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // TaskID identifies a task within a Graph. IDs are dense indices
@@ -159,16 +160,25 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dag: task %d (%s) has invalid cost %v", t.ID, t.Name, t.Cost)
 		}
 	}
-	seen := make(map[[2]TaskID]bool, len(g.edges))
+	// dup marks an edge with the endpoints of a lower-numbered one.
+	// Each succ list is in edge order, and mark[to] holds from+1 once
+	// from has an edge to to.
+	dup := make([]bool, len(g.edges))
+	mark := make([]TaskID, len(g.tasks))
+	for from, out := range g.succ {
+		for _, eid := range out {
+			to := g.edges[eid].To
+			dup[eid] = mark[to] == TaskID(from)+1
+			mark[to] = TaskID(from) + 1
+		}
+	}
 	for _, e := range g.edges {
 		if e.Cost < 0 || math.IsNaN(e.Cost) || e.Cost > 1e300 {
 			return fmt.Errorf("dag: edge %d (%d->%d) has invalid cost %v", e.ID, e.From, e.To, e.Cost)
 		}
-		k := [2]TaskID{e.From, e.To}
-		if seen[k] {
+		if dup[e.ID] {
 			return fmt.Errorf("dag: duplicate edge %d->%d", e.From, e.To)
 		}
-		seen[k] = true
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		return err
@@ -328,28 +338,23 @@ func (g *Graph) PriorityOrder() ([]TaskID, error) {
 }
 
 // orderByKeyDesc sorts tasks by decreasing key, tie-broken by
-// topological rank (so any key that is non-increasing along edges
-// yields a valid topological order) and then by ID.
+// topological rank. The rank is unique, so the order is total, and any
+// key that is non-increasing along edges yields a valid topological
+// order.
 func (g *Graph) orderByKeyDesc(key []float64) ([]TaskID, error) {
-	topo, err := g.TopoOrder()
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	rank := make([]int, len(g.tasks))
-	for i, id := range topo {
+	for i, id := range order {
 		rank[id] = i
 	}
-	order := make([]TaskID, len(g.tasks))
-	copy(order, topo)
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if key[a] != key[b] {
-			return key[a] > key[b]
+	slices.SortFunc(order, func(a, b TaskID) int {
+		if c := cmp.Compare(key[b], key[a]); c != 0 {
+			return c
 		}
-		if rank[a] != rank[b] {
-			return rank[a] < rank[b]
-		}
-		return a < b
+		return cmp.Compare(rank[a], rank[b])
 	})
 	return order, nil
 }

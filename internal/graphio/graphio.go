@@ -44,14 +44,18 @@ func WriteGraph(w io.Writer, g *dag.Graph) error {
 	return enc.Encode(doc)
 }
 
-// ReadGraph parses a task graph from JSON and validates it.
+// ReadGraph parses a task graph from JSON and validates it. It reads
+// r to the end; a read error is returned wrapped.
 func ReadGraph(r io.Reader) (*dag.Graph, error) {
 	var doc graphDoc
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("graphio: %w", err)
+	if err := decode(r, &doc); err != nil {
+		return nil, err
 	}
+	return doc.build()
+}
+
+// build makes the graph a decoded document describes and validates it.
+func (doc *graphDoc) build() (*dag.Graph, error) {
 	g := dag.New()
 	for _, t := range doc.Tasks {
 		g.AddTask(t.Name, t.Cost)
@@ -124,14 +128,19 @@ func WriteTopology(w io.Writer, t *network.Topology) error {
 	return enc.Encode(doc)
 }
 
-// ReadTopology parses a topology from JSON and validates it.
+// ReadTopology parses a topology from JSON and validates it. It reads
+// r to the end; a read error is returned wrapped.
 func ReadTopology(r io.Reader) (*network.Topology, error) {
 	var doc topologyDoc
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("graphio: %w", err)
+	if err := decode(r, &doc); err != nil {
+		return nil, err
 	}
+	return doc.build()
+}
+
+// build makes the topology a decoded document describes and validates
+// it.
+func (doc *topologyDoc) build() (*network.Topology, error) {
 	t := network.NewTopology()
 	for i, n := range doc.Nodes {
 		switch n.Kind {

@@ -49,6 +49,8 @@ func TestGraphReadRejectsBadInput(t *testing.T) {
 		"cycle": `{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],
 			"edges":[{"from":0,"to":1,"cost":1},{"from":1,"to":0,"cost":1}]}`,
 		"negative cost": `{"tasks":[{"name":"a","cost":-5}],"edges":[]}`,
+		"trailing data": `{"tasks":[],"edges":[]} garbage`,
+		"two graphs":    `{"tasks":[{"name":"a","cost":1}]} {"tasks":[{"name":"b","cost":2}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadGraph(strings.NewReader(in)); err == nil {
@@ -136,6 +138,7 @@ func TestTopologyReadRejectsBadInput(t *testing.T) {
 			"links":[{"members":[0],"speed":1}]}`,
 		"disconnected": `{"nodes":[{"name":"a","kind":"processor","speed":1},
 			{"name":"b","kind":"processor","speed":1}],"links":[]}`,
+		"trailing data": `{"nodes":[{"name":"a","kind":"processor","speed":1}],"links":[]} junk`,
 	}
 	for name, in := range cases {
 		if _, err := ReadTopology(strings.NewReader(in)); err == nil {

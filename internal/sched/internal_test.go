@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -603,28 +604,36 @@ func TestRollbackWithoutTxnIsNoop(t *testing.T) {
 	s.rollback() // must not panic
 }
 
+// TestOrderedPreds pins the three edge orders, stable on equal costs,
+// and that a warm state sorts without allocating.
 func TestOrderedPreds(t *testing.T) {
 	g := dag.New()
 	a := g.AddTask("a", 1)
 	b := g.AddTask("b", 1)
 	c := g.AddTask("c", 1)
+	x := g.AddTask("x", 1)
 	d := g.AddTask("d", 1)
 	e1 := g.AddEdge(a, d, 10)
 	e2 := g.AddEdge(b, d, 30)
 	e3 := g.AddEdge(c, d, 20)
+	e4 := g.AddEdge(x, d, 20)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 
-	s := mkState(t, g, net, Options{EdgeOrder: EdgeOrderFIFO})
-	if got := s.orderedPreds(d); got[0] != e1 || got[1] != e2 || got[2] != e3 {
-		t.Fatalf("fifo order %v", got)
-	}
-	s = mkState(t, g, net, Options{EdgeOrder: EdgeOrderDescCost})
-	if got := s.orderedPreds(d); got[0] != e2 || got[1] != e3 || got[2] != e1 {
-		t.Fatalf("desc order %v", got)
-	}
-	s = mkState(t, g, net, Options{EdgeOrder: EdgeOrderAscCost})
-	if got := s.orderedPreds(d); got[0] != e1 || got[1] != e3 || got[2] != e2 {
-		t.Fatalf("asc order %v", got)
+	for _, c := range []struct {
+		order EdgeOrder
+		want  []dag.EdgeID
+	}{
+		{EdgeOrderFIFO, []dag.EdgeID{e1, e2, e3, e4}},
+		{EdgeOrderDescCost, []dag.EdgeID{e2, e3, e4, e1}},
+		{EdgeOrderAscCost, []dag.EdgeID{e1, e3, e4, e2}},
+	} {
+		s := mkState(t, g, net, Options{EdgeOrder: c.order})
+		if got := s.orderedPreds(d); !slices.Equal(got, c.want) {
+			t.Fatalf("order %v: %v, want %v", c.order, got, c.want)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { s.orderedPreds(d) }); allocs != 0 {
+			t.Fatalf("order %v: a warm orderedPreds allocates %v times, want 0", c.order, allocs)
+		}
 	}
 }
 

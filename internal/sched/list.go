@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/fptime"
@@ -792,12 +793,12 @@ func (s *state) orderedPreds(tid dag.TaskID) []dag.EdgeID {
 	case EdgeOrderFIFO:
 		// keep insertion order
 	case EdgeOrderDescCost:
-		sort.SliceStable(out, func(i, j int) bool {
-			return s.g.Edge(out[i]).Cost > s.g.Edge(out[j]).Cost
+		slices.SortStableFunc(out, func(a, b dag.EdgeID) int {
+			return cmp.Compare(s.g.Edge(b).Cost, s.g.Edge(a).Cost)
 		})
 	case EdgeOrderAscCost:
-		sort.SliceStable(out, func(i, j int) bool {
-			return s.g.Edge(out[i]).Cost < s.g.Edge(out[j]).Cost
+		slices.SortStableFunc(out, func(a, b dag.EdgeID) int {
+			return cmp.Compare(s.g.Edge(a).Cost, s.g.Edge(b).Cost)
 		})
 	}
 	return out
