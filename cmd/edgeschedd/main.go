@@ -168,7 +168,8 @@ func loadTopology(arg string) (*network.Topology, error) {
 }
 
 // preset resolves -algo through sched's name table. The engine runs
-// list-scheduler presets only, so DLS, CPOP and Classic are rejected.
+// list-scheduler presets only, so Classic and Classic+Replay are
+// rejected.
 func preset(name string) (*sched.ListScheduler, error) {
 	a, err := sched.ByName(name)
 	if ls, ok := a.(*sched.ListScheduler); ok {

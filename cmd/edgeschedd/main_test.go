@@ -386,8 +386,8 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestPreset pins -algo resolution: the four engine presets resolve in
-// any case, and an algorithm the engine cannot run (DLS) or an unknown
-// name is rejected with the presets listed.
+// any case, and an algorithm the engine cannot run (Classic) or an
+// unknown name is rejected with the presets listed.
 func TestPreset(t *testing.T) {
 	for name, want := range map[string]string{
 		"OIHSA": "OIHSA", "bbsa": "BBSA", "BASinnen": "BA-EFT", "basinnen": "BA-EFT", "ba": "BA",

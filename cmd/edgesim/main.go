@@ -99,7 +99,7 @@ func evaluate(args []string, stdout io.Writer) error {
 	fs.IntVar(&sc.MaxTasks, "max-tasks", 0, "maximum tasks per instance (0 = default)")
 	fs.BoolVar(&sc.Heterogeneous, "hetero", false, "heterogeneous speeds for ablations (figures fix this themselves)")
 	fs.BoolVar(&sc.Verify, "verify", false, "verify every produced schedule (slower)")
-	fs.IntVar(&sc.Workers, "workers", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&sc.Workers, "workers", 0, "concurrent sweep and ablation cells (0 = GOMAXPROCS, 1 = serial)")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: edgesim [flags], or edgesim dag|net|schedule [flags] (-h lists each one's flags)")
 		fs.PrintDefaults()

@@ -137,12 +137,6 @@ func OIHSA() Algorithm { return sched.NewOIHSA() }
 // BBSA returns the Bandwidth Based Scheduling Algorithm.
 func BBSA() Algorithm { return sched.NewBBSA() }
 
-// DLS returns contention-aware Dynamic Level Scheduling.
-func DLS() Algorithm { return sched.NewDLS() }
-
-// CPOP returns contention-aware Critical-Path-On-a-Processor.
-func CPOP() Algorithm { return sched.NewCPOP() }
-
 // Classic returns the contention-free ideal-model list scheduler.
 func Classic() Algorithm { return sched.NewClassic() }
 

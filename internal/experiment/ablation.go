@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/verify"
-	"repro/internal/workload"
 )
 
 // AblationResult compares a family of scheduler variants over a common
@@ -29,64 +27,36 @@ type AblationResult struct {
 
 // RunVariants schedules every algorithm on the instance grid defined
 // by cfg (all procs × all CCRs × reps) and aggregates. The first
-// algorithm is the reference.
+// algorithm is the reference. Cells run concurrently up to
+// cfg.Workers.
 func RunVariants(name, question string, cfg Config, algos []sched.Algorithm) (*AblationResult, error) {
 	cfg, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
 	cfg.Algorithms = algos
+	var jobs []cellJob
+	for _, procs := range cfg.Procs {
+		for _, ccr := range cfg.CCRs {
+			jobs = append(jobs, cellJob{procs: procs, ccr: ccr})
+		}
+	}
+	points, err := runCells(cfg, jobs, 1)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: ablation %s: %w", name, err)
+	}
+	ms := points[0]
 	res := &AblationResult{
 		Name:         name,
 		Question:     question,
 		MeanMakespan: map[string]float64{},
-		Improvement:  map[string]stats.Summary{},
+		Instances:    len(ms[0]),
 	}
-	for _, a := range algos {
+	for i, a := range algos {
 		res.Algorithms = append(res.Algorithms, a.Name())
+		res.MeanMakespan[a.Name()] = stats.Mean(ms[i])
 	}
-	sums := map[string][]float64{}
-	imps := map[string][]float64{}
-	for _, procs := range cfg.Procs {
-		for _, ccr := range cfg.CCRs {
-			for rep := 0; rep < cfg.Reps; rep++ {
-				seed := cfg.Seed*1000003 + int64(procs)*131 + int64(ccr*10)*7 + int64(rep)
-				inst := workload.Generate(workload.Params{
-					Processors:    procs,
-					CCR:           ccr,
-					Heterogeneous: cfg.Heterogeneous,
-					MinTasks:      cfg.MinTasks,
-					MaxTasks:      cfg.MaxTasks,
-					Seed:          seed,
-				})
-				var ref float64
-				for i, a := range algos {
-					s, err := a.Schedule(inst.Graph, inst.Net)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: ablation %s: %s: %w", name, a.Name(), err)
-					}
-					if cfg.Verify && !s.Ideal {
-						if err := verify.Verify(s).Err(); err != nil {
-							return nil, fmt.Errorf("experiment: ablation %s: %s: %w", name, a.Name(), err)
-						}
-					}
-					sums[a.Name()] = append(sums[a.Name()], s.Makespan)
-					if i == 0 {
-						ref = s.Makespan
-					} else {
-						imps[a.Name()] = append(imps[a.Name()], stats.ImprovementPct(ref, s.Makespan))
-					}
-				}
-				res.Instances++
-			}
-		}
-	}
-	for name, xs := range sums {
-		res.MeanMakespan[name] = stats.Mean(xs)
-	}
-	for name, xs := range imps {
-		res.Improvement[name] = stats.Summarize(xs)
-	}
+	res.Improvement = improvements(res.Algorithms, ms)
 	return res, nil
 }
 
@@ -121,8 +91,6 @@ var ablations = map[string]ablationSpec{
 				sched.NewBASinnen(),
 				sched.NewOIHSA(),
 				sched.NewBBSA(),
-				sched.NewDLS(),
-				sched.NewCPOP(),
 				sched.NewClassicReplay(),
 				sched.NewCustom("OIHSA/eager", eager),
 				sched.NewCustom("OIHSA/packets", pkts),

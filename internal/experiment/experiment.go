@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/dag"
+	"repro/internal/network"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/verify"
@@ -42,10 +44,10 @@ type Config struct {
 	// Algorithms are the contenders; the first is the baseline. Nil
 	// defaults to [BA, OIHSA, BBSA].
 	Algorithms []sched.Algorithm
-	// Workers bounds the number of sweep cells scheduled concurrently.
-	// 0 uses GOMAXPROCS; 1 forces a serial run. Instance seeds are
-	// derived from cell coordinates, so results are identical at any
-	// parallelism.
+	// Workers bounds the number of sweep or ablation cells scheduled
+	// concurrently. 0 uses GOMAXPROCS; 1 forces a serial run. Instance
+	// seeds are derived from cell coordinates, so results are identical
+	// at any parallelism.
 	Workers int
 }
 
@@ -126,53 +128,59 @@ type Sweep struct {
 	Instances  int // total instances scheduled
 }
 
-// cellResult holds the measurements of one (procs, ccr) sweep cell.
-type cellResult struct {
-	base []float64            // baseline makespans, one per rep
-	imp  map[string][]float64 // per-algorithm improvement percentages
-}
-
-// runCell schedules all algorithms on the instances of one sweep cell.
-// The instance seeds depend only on (cfg.Seed, procs, ccr, rep), so
-// cells can run in any order or concurrently with identical results.
-func runCell(cfg Config, procs int, ccr float64) (cellResult, error) {
-	baseline := cfg.Algorithms[0]
-	res := cellResult{imp: map[string][]float64{}}
+// runCell schedules all algorithms on the instances of one sweep cell
+// and returns their makespans: out[i][rep] is algorithm i's makespan
+// on the rep-th instance. The instance seeds depend only on (cfg.Seed,
+// procs, ccr, rep), so cells can run in any order or concurrently with
+// identical results.
+func runCell(cfg Config, procs int, ccr float64) ([][]float64, error) {
+	out := make([][]float64, len(cfg.Algorithms))
 	for rep := 0; rep < cfg.Reps; rep++ {
-		seed := cfg.Seed
-		seed = seed*1000003 + int64(procs)*131 + int64(ccr*10)*7 + int64(rep)
 		inst := workload.Generate(workload.Params{
 			Processors:    procs,
 			CCR:           ccr,
 			Heterogeneous: cfg.Heterogeneous,
 			MinTasks:      cfg.MinTasks,
 			MaxTasks:      cfg.MaxTasks,
-			Seed:          seed,
+			Seed:          cfg.Seed*1000003 + int64(procs)*131 + int64(ccr*10)*7 + int64(rep),
 		})
-		bs, err := baseline.Schedule(inst.Graph, inst.Net)
-		if err != nil {
-			return res, fmt.Errorf("experiment: %s: %w", baseline.Name(), err)
-		}
-		if cfg.Verify {
-			if err := verify.Verify(bs).Err(); err != nil {
-				return res, fmt.Errorf("experiment: %s: %w", baseline.Name(), err)
-			}
-		}
-		res.base = append(res.base, bs.Makespan)
-		for _, a := range cfg.Algorithms[1:] {
-			s, err := a.Schedule(inst.Graph, inst.Net)
-			if err != nil {
-				return res, fmt.Errorf("experiment: %s: %w", a.Name(), err)
-			}
-			if cfg.Verify {
-				if err := verify.Verify(s).Err(); err != nil {
-					return res, fmt.Errorf("experiment: %s: %w", a.Name(), err)
-				}
-			}
-			res.imp[a.Name()] = append(res.imp[a.Name()], stats.ImprovementPct(bs.Makespan, s.Makespan))
+		if err := measure(cfg.Algorithms, inst.Graph, inst.Net, cfg.Verify, out); err != nil {
+			return nil, err
 		}
 	}
-	return res, nil
+	return out, nil
+}
+
+// measure schedules g on net with every algorithm, verifies each
+// schedule when check is set, and appends algorithm i's makespan to
+// out[i].
+func measure(algos []sched.Algorithm, g *dag.Graph, net *network.Topology, check bool, out [][]float64) error {
+	for i, a := range algos {
+		s, err := a.Schedule(g, net)
+		if err == nil && check {
+			err = verify.Verify(s).Err()
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.Name(), err)
+		}
+		out[i] = append(out[i], s.Makespan)
+	}
+	return nil
+}
+
+// improvements summarizes, for every algorithm after the first, its
+// per-instance improvement percentages over the first, keyed by name;
+// ms[i][k] is algorithm i's makespan on instance k.
+func improvements(names []string, ms [][]float64) map[string]stats.Summary {
+	out := map[string]stats.Summary{}
+	for i := 1; i < len(ms); i++ {
+		imp := make([]float64, len(ms[i]))
+		for k, m := range ms[i] {
+			imp[k] = stats.ImprovementPct(ms[0][k], m)
+		}
+		out[names[i]] = stats.Summarize(imp)
+	}
+	return out
 }
 
 // cellJob identifies one cell and the x-point it belongs to.
@@ -183,8 +191,10 @@ type cellJob struct {
 }
 
 // runCells evaluates all cells with a bounded worker pool and returns
-// their results grouped by x-point, in deterministic order.
-func runCells(cfg Config, jobs []cellJob, points int) ([][]cellResult, error) {
+// the makespans of each x-point's cells concatenated in job order:
+// out[point][i] lists algorithm i's makespans. The result does not
+// depend on the worker count.
+func runCells(cfg Config, jobs []cellJob, points int) ([][][]float64, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -192,7 +202,7 @@ func runCells(cfg Config, jobs []cellJob, points int) ([][]cellResult, error) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	results := make([]cellResult, len(jobs))
+	results := make([][][]float64, len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -215,11 +225,16 @@ func runCells(cfg Config, jobs []cellJob, points int) ([][]cellResult, error) {
 			return nil, err
 		}
 	}
-	grouped := make([][]cellResult, points)
-	for i, job := range jobs {
-		grouped[job.point] = append(grouped[job.point], results[i])
+	out := make([][][]float64, points)
+	for p := range out {
+		out[p] = make([][]float64, len(cfg.Algorithms))
 	}
-	return grouped, nil
+	for i, job := range jobs {
+		for a, ms := range results[i] {
+			out[job.point][a] = append(out[job.point][a], ms...)
+		}
+	}
+	return out, nil
 }
 
 // sweepOver runs the generic sweep: xs are the x-axis values, and
@@ -233,25 +248,18 @@ func sweepOver(cfg Config, xLabel string, xs []float64, cells func(i int) []cell
 	for i := range xs {
 		jobs = append(jobs, cells(i)...)
 	}
-	grouped, err := runCells(cfg, jobs, len(xs))
+	points, err := runCells(cfg, jobs, len(xs))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	for i, x := range xs {
-		var base []float64
-		acc := map[string][]float64{}
-		for _, cell := range grouped[i] {
-			base = append(base, cell.base...)
-			for name, vs := range cell.imp {
-				acc[name] = append(acc[name], vs...)
-			}
-		}
-		pt := Point{X: x, BaseMakespan: stats.Summarize(base), Improvement: map[string]stats.Summary{}}
-		for name, vs := range acc {
-			pt.Improvement[name] = stats.Summarize(vs)
-		}
-		sw.Points = append(sw.Points, pt)
-		sw.Instances += len(base)
+		ms := points[i]
+		sw.Points = append(sw.Points, Point{
+			X:            x,
+			BaseMakespan: stats.Summarize(ms[0]),
+			Improvement:  improvements(sw.Algorithms, ms),
+		})
+		sw.Instances += len(ms[0])
 	}
 	return sw, nil
 }

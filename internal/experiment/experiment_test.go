@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -156,37 +158,6 @@ func TestCustomAlgorithmsInSweep(t *testing.T) {
 	}
 }
 
-func TestParallelEqualsSerial(t *testing.T) {
-	cfg := tiny()
-	cfg.Procs = []int{2, 4}
-	cfg.CCRs = []float64{0.5, 2, 8}
-	serial := cfg
-	serial.Workers = 1
-	parallel := cfg
-	parallel.Workers = 8
-	a, err := CCRSweep(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CCRSweep(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Points) != len(b.Points) {
-		t.Fatalf("point counts differ")
-	}
-	for i := range a.Points {
-		if a.Points[i].BaseMakespan != b.Points[i].BaseMakespan {
-			t.Fatalf("point %d base differs: %+v vs %+v", i, a.Points[i].BaseMakespan, b.Points[i].BaseMakespan)
-		}
-		for name, imp := range a.Points[i].Improvement {
-			if b.Points[i].Improvement[name] != imp {
-				t.Fatalf("point %d improvement for %s differs", i, name)
-			}
-		}
-	}
-}
-
 func TestPaperConfigShape(t *testing.T) {
 	cfg := PaperConfig(true)
 	if !cfg.Heterogeneous {
@@ -231,32 +202,89 @@ func TestFamilies(t *testing.T) {
 // the runner's determinism contract: instance seeds depend only on
 // (Seed, procs, ccr, rep) and results are indexed by job order, so a
 // serial run and a maximally parallel run must produce identical
-// sweeps. Run under -race in CI, this also shakes out data races in
-// the worker pool.
+// figures and ablations. Run under -race in CI, this also shakes out
+// data races in the worker pool and in schedulers shared across cells.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
+	wide := tiny()
+	wide.Procs = []int{2, 4}
+	wide.CCRs = []float64{0.5, 2, 8}
 	for _, run := range []struct {
-		name  string
-		sweep func(Config) (*Sweep, error)
+		name string
+		cfg  Config
+		run  func(Config) (any, error)
 	}{
-		{"ccr", CCRSweep},
-		{"proc", ProcSweep},
+		{"ccr", tiny(), func(c Config) (any, error) { return CCRSweep(c) }},
+		{"proc", tiny(), func(c Config) (any, error) { return ProcSweep(c) }},
+		{"ccr-wide", wide, func(c Config) (any, error) { return CCRSweep(c) }},
+		{"ablation", wide, func(c Config) (any, error) { return Ablation("league", c) }},
 	} {
 		t.Run(run.name, func(t *testing.T) {
-			serialCfg := tiny()
+			serialCfg := run.cfg
 			serialCfg.Workers = 1
-			parallelCfg := tiny()
+			parallelCfg := run.cfg
 			parallelCfg.Workers = 8
 
-			serial, err := run.sweep(serialCfg)
+			serial, err := run.run(serialCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := run.sweep(parallelCfg)
+			parallel, err := run.run(parallelCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Fatalf("Workers=1 and Workers=8 disagree:\n%#v\n%#v", serial, parallel)
+			}
+		})
+	}
+}
+
+// TestAblationsReproduceResults reruns every section of
+// results_ablations.txt, headed "=== <ablation> (<system>) ===", with
+// the config of the command EXPERIMENTS.md documents for it, and
+// requires the table to match the section byte for byte. It guards
+// the reported numbers and, with them, the extension paths no
+// benchmark digest covers: packets, store-and-forward, hop delay,
+// duplication, task insertion and priority schemes.
+func TestAblationsReproduceResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every reported ablation")
+	}
+	data, err := os.ReadFile("../../results_ablations.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	headers := regexp.MustCompile(`(?m)^=== (\S+) \((homogeneous|heterogeneous)\) ===\n`).FindAllStringSubmatchIndex(text, -1)
+	if len(headers) == 0 {
+		t.Fatal("results_ablations.txt has no sections")
+	}
+	for i, h := range headers {
+		name, system := text[h[2]:h[3]], text[h[4]:h[5]]
+		end := len(text)
+		if i+1 < len(headers) {
+			end = headers[i+1][0]
+		}
+		want := strings.TrimRight(text[h[1]:end], "\n") + "\n"
+		t.Run(name+"/"+system, func(t *testing.T) {
+			res, err := Ablation(name, Config{
+				Reps:          5,
+				Seed:          11,
+				MinTasks:      150,
+				MaxTasks:      400,
+				Procs:         []int{8, 32},
+				CCRs:          []float64{0.5, 2, 8},
+				Heterogeneous: system == "heterogeneous",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := res.WriteTable(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want {
+				t.Errorf("table differs from results_ablations.txt:\ngot:\n%s\nwant:\n%s", got.String(), want)
 			}
 		})
 	}

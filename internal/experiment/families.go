@@ -10,7 +10,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/verify"
 )
 
 // FamilyConfig controls the per-DAG-family comparison: the same
@@ -104,19 +103,19 @@ func familyGenerators(r *rand.Rand) []struct {
 	}
 }
 
-// Families runs the per-family comparison.
+// Families runs the per-family comparison. It runs sequentially: one
+// rand draws every random graph and machine in turn, so the instances
+// depend on the order they are generated in.
 func Families(cfg FamilyConfig) (*FamilyResult, error) {
 	cfg = cfg.withDefaults()
 	res := &FamilyResult{}
 	for _, a := range cfg.Algorithms {
 		res.Algorithms = append(res.Algorithms, a.Name())
 	}
-	baseline := cfg.Algorithms[0]
 	r := rand.New(rand.NewSource(cfg.Seed))
 	for _, fam := range familyGenerators(r) {
-		row := FamilyRow{Family: fam.name, Improvement: map[string]stats.Summary{}}
-		var base []float64
-		imps := map[string][]float64{}
+		row := FamilyRow{Family: fam.name}
+		ms := make([][]float64, len(cfg.Algorithms))
 		for rep := 0; rep < cfg.Reps; rep++ {
 			g := fam.gen()
 			g.ScaleToCCR(cfg.CCR)
@@ -131,33 +130,12 @@ func Families(cfg FamilyConfig) (*FamilyResult, error) {
 			net := network.RandomCluster(r, network.RandomClusterParams{
 				Processors: cfg.Processors, ProcSpeed: proc, LinkSpeed: link,
 			})
-			bs, err := baseline.Schedule(g, net)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: families: %s on %s: %w", baseline.Name(), fam.name, err)
-			}
-			if cfg.Verify {
-				if err := verify.Verify(bs).Err(); err != nil {
-					return nil, fmt.Errorf("experiment: families: %s on %s: %w", baseline.Name(), fam.name, err)
-				}
-			}
-			base = append(base, bs.Makespan)
-			for _, a := range cfg.Algorithms[1:] {
-				s, err := a.Schedule(g, net)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: families: %s on %s: %w", a.Name(), fam.name, err)
-				}
-				if cfg.Verify {
-					if err := verify.Verify(s).Err(); err != nil {
-						return nil, fmt.Errorf("experiment: families: %s on %s: %w", a.Name(), fam.name, err)
-					}
-				}
-				imps[a.Name()] = append(imps[a.Name()], stats.ImprovementPct(bs.Makespan, s.Makespan))
+			if err := measure(cfg.Algorithms, g, net, cfg.Verify, ms); err != nil {
+				return nil, fmt.Errorf("experiment: families: %s: %w", fam.name, err)
 			}
 		}
-		row.BaseMakespan = stats.Summarize(base)
-		for name, xs := range imps {
-			row.Improvement[name] = stats.Summarize(xs)
-		}
+		row.BaseMakespan = stats.Summarize(ms[0])
+		row.Improvement = improvements(res.Algorithms, ms)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -12,7 +12,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a network node (processor or switch).
@@ -309,15 +308,4 @@ func (t *Topology) Degrees() []int {
 func (t *Topology) String() string {
 	sw := len(t.nodes) - len(t.procs)
 	return fmt.Sprintf("net{procs:%d switches:%d links:%d}", len(t.procs), sw, len(t.links))
-}
-
-// SortedProcessorNames returns the processor names sorted
-// lexicographically; handy for stable test output.
-func (t *Topology) SortedProcessorNames() []string {
-	names := make([]string, 0, len(t.procs))
-	for _, p := range t.procs {
-		names = append(names, t.nodes[p].Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -35,15 +35,11 @@ func TestDuplicatesReachTheSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dls, err := (&sched.DLS{Opts: dup}).Schedule(g, net)
+	listed, err := sched.NewCustom("OIHSA+dup", dup).Schedule(g, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpop, err := (&sched.CPOP{Opts: dup}).Schedule(g, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*sched.Schedule{assigned, dls, cpop} {
+	for _, s := range []*sched.Schedule{assigned, listed} {
 		if res := verify.Verify(s); !res.OK() {
 			t.Fatalf("%s: invalid schedule: %v", s.Algorithm, res)
 		}

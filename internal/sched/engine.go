@@ -191,34 +191,6 @@ func (e *Engine) Schedule(g *dag.Graph) (*Schedule, error) {
 	return e.run(g, s)
 }
 
-// ScheduleBatch schedules the graphs in order on ONE worker slot and
-// its state, amortizing admission and journal resizing across many
-// small DAGs. Results align positionally with gs; the first error
-// aborts the batch. Each schedule is bit-identical to its own one-shot
-// run — batching shares warmth, not state: the state is fully reset
-// between graphs.
-func (e *Engine) ScheduleBatch(gs []*dag.Graph) ([]*Schedule, error) {
-	if err := e.begin(); err != nil {
-		return nil, err
-	}
-	defer e.inflight.Done()
-	st, err := e.acquire()
-	if err != nil {
-		e.rejected.Add(1)
-		return nil, err
-	}
-	defer e.release(st)
-	out := make([]*Schedule, len(gs))
-	for i, g := range gs {
-		s, err := e.run(g, st)
-		if err != nil {
-			return nil, fmt.Errorf("sched: batch graph %d: %w", i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // begin gates admission on the drain flag and registers the request
 // in-flight. The RWMutex pairs the closed check with inflight.Add so
 // Drain's Wait cannot race a late Add.

@@ -156,41 +156,6 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestEngineScheduleBatch pins that batching amortizes state reuse
-// without coupling the DAGs: every batched schedule verifies and is
-// bit-identical to its own individual engine run.
-func TestEngineScheduleBatch(t *testing.T) {
-	net := engineTopology()
-	eng, err := sched.NewEngine(net, sched.EngineOptions{
-		Name: "OIHSA", Opts: sched.NewOIHSA().Opts, WarmRoutes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Drain()
-	gs := make([]*dag.Graph, 5)
-	for i := range gs {
-		gs[i] = engineGraph(i)
-	}
-	batch, err := eng.ScheduleBatch(gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(gs) {
-		t.Fatalf("%d results for %d graphs", len(batch), len(gs))
-	}
-	for i, s := range batch {
-		mustVerify(t, s)
-		single, err := eng.Schedule(gs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := sched.DiffSchedules(single, s); d != "" {
-			t.Fatalf("batched graph %d diverged from individual run: %s", i, d)
-		}
-	}
-}
-
 // TestEngineDrain pins the lifecycle: Drain waits for in-flight work,
 // then every later request fails with ErrEngineClosed.
 func TestEngineDrain(t *testing.T) {
@@ -224,9 +189,6 @@ func TestEngineDrain(t *testing.T) {
 	}
 	if _, err := eng.Schedule(engineGraph(0)); !errors.Is(err, sched.ErrEngineClosed) {
 		t.Fatalf("post-drain Schedule: %v, want ErrEngineClosed", err)
-	}
-	if _, err := eng.ScheduleBatch([]*dag.Graph{engineGraph(0)}); !errors.Is(err, sched.ErrEngineClosed) {
-		t.Fatalf("post-drain ScheduleBatch: %v, want ErrEngineClosed", err)
 	}
 }
 

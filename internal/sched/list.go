@@ -457,7 +457,7 @@ type state struct {
 }
 
 // newState is the front door of every one-shot run — ListScheduler,
-// ScheduleAssignment, DLS, CPOP and the engine's self-check. It
+// ScheduleAssignment and the engine's self-check. It
 // validates the graph, topology and options once, then binds them to a
 // zero state, whose route cache starts empty, so the run starts cold.
 // (An Engine validates its topology and options once in NewEngine and

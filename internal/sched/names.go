@@ -16,8 +16,6 @@ var algorithms = []struct {
 	{[]string{"BA-EFT", "BASinnen"}, func() Algorithm { return NewBASinnen() }},
 	{[]string{"OIHSA"}, func() Algorithm { return NewOIHSA() }},
 	{[]string{"BBSA"}, func() Algorithm { return NewBBSA() }},
-	{[]string{"DLS"}, func() Algorithm { return NewDLS() }},
-	{[]string{"CPOP"}, func() Algorithm { return NewCPOP() }},
 	{[]string{"Classic"}, func() Algorithm { return NewClassic() }},
 	{[]string{"Classic+Replay", "classic-replay", "replay"}, func() Algorithm { return NewClassicReplay() }},
 }

@@ -746,11 +746,13 @@ func TestZeroCostEdgesAndTasks(t *testing.T) {
 		fan.AddEdge(root, c, 0)
 		fan.AddEdge(c, sink, float64(i%2))
 	}
+	eft := sched.NewOIHSA().Opts
+	eft.ProcSelect = sched.ProcSelectEFT
 	for _, net := range []*network.Topology{
 		network.Star(3, network.Uniform(1), network.Uniform(1)),
 		network.Line(3, network.Uniform(1), network.Uniform(1)),
 	} {
-		for _, alg := range []sched.Algorithm{sched.NewOIHSA(), sched.NewDLS(), sched.NewCPOP()} {
+		for _, alg := range []sched.Algorithm{sched.NewOIHSA(), sched.NewCustom("OIHSA/eft", eft)} {
 			s := mustSchedule(t, alg, fan, net)
 			crossed := false
 			for eid, es := range s.Edges {
@@ -797,8 +799,8 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 		{"slow link", bigData, slowLink},
 	} {
 		for _, name := range sched.AlgorithmNames() {
-			if c.name == "slow link" && (name == "CPOP" || name == "Classic") {
-				continue // both finish without crossing the slow link
+			if c.name == "slow link" && name == "Classic" {
+				continue // finishes without crossing the slow link
 			}
 			alg, err := sched.ByName(name)
 			if err != nil {

@@ -80,9 +80,6 @@ type Schedule struct {
 	Duplicates []TaskPlacement
 }
 
-// TaskOn returns the placement of the given task.
-func (s *Schedule) TaskOn(id dag.TaskID) TaskPlacement { return s.Tasks[id] }
-
 // ProcOf returns the processor the task was mapped to.
 func (s *Schedule) ProcOf(id dag.TaskID) network.NodeID { return s.Tasks[id].Proc }
 

@@ -35,9 +35,7 @@ func checkSlackColumn(t *testing.T, s *state, ctx string) {
 // transaction with the rollback oracle armed on each one, so rolled-
 // back placements must leave the column exactly as they found it; the
 // hop-delay, store-and-forward and task-insertion variants change the
-// slack formula's inputs. DLS and CPOP choose processors their own way
-// but share this placement path, so they are driven with their options
-// through the common loop.
+// slack formula's inputs.
 //
 // edgelint:ignore verifysched — in-package (verify would cycle); the
 // same presets run under the full validator in sched_test.go.
@@ -54,8 +52,6 @@ func TestSlackColumnMatchesClosure(t *testing.T) {
 	ins.TaskPolicy = TaskInsertion
 	cases := map[string]Options{
 		"OIHSA":             oihsa,
-		"DLS":               NewDLS().Opts,
-		"CPOP":              NewCPOP().Opts,
 		"EFT-optimal":       eft,
 		"hop-delay":         hop,
 		"store-and-forward": saf,
