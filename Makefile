@@ -23,14 +23,17 @@ race:
 # fuzz-smoke runs each differential fuzzer for 30s: the slab-pruned
 # Timeline and BWTimeline kernels against their linear references, bit
 # for bit, the schedule JSON encoder against the encoding/json
-# reference, byte for byte, and the graph and topology decoders against
-# their encoding/json references, accept set and result.
+# reference, byte for byte, the graph and topology decoders against
+# their encoding/json references, accept set and result, and the
+# dead-end-pruned Dijkstra route search against the unpruned one, route,
+# label and error.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTimelineDifferential -fuzztime 30s ./internal/linksched
 	$(GO) test -run '^$$' -fuzz FuzzBWTimelineDifferential -fuzztime 30s ./internal/linksched
 	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadGraph -fuzztime 30s ./internal/graphio
 	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 30s ./internal/graphio
+	$(GO) test -run '^$$' -fuzz FuzzDijkstraRoute -fuzztime 30s ./internal/network
 
 lint:
 	$(GO) run ./cmd/edgelint ./...

@@ -284,7 +284,9 @@ type catchRow struct {
 // route, which only its scheduler state reads, by a test. The last rows
 // give each of the floateq, seededrand, verifysched and errflow
 // analyzers a bug it must catch, and noalloc one heap allocation per
-// package on a steady-state root that no test measures.
+// package on a steady-state root that no test measures, plus a fresh
+// route per Router.DijkstraRoute search (which
+// TestDijkstraRouteIsAllocationFree also measures).
 var catchMatrix = []catchRow{{
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
@@ -368,6 +370,12 @@ var catchMatrix = []catchRow{{
 		"\t\tc.store(src, dst, route, err)\n\t\treturn route, l, err\n\t}\n",
 	pkg: "./internal/network", run: "^TestDijkstraRoutesAreNeverCached$",
 }, {
+	bug:  "the dead-end prune drops the destination exemption",
+	file: "internal/network/router.go",
+	old:  "if r.closed[h.To] == e || (h.To != dst && r.deadEnd(h.To, e)) {",
+	new:  "if r.closed[h.To] == e || r.deadEnd(h.To, e) {",
+	pkg:  "./internal/network", run: "^FuzzDijkstraRoute$",
+}, {
 	bug:       "edgesim dag seeds its generator from the clock",
 	file:      "cmd/edgesim/inspect.go",
 	old:       "\tr := rand.New(rand.NewSource(*seed))\n\tvar g *dag.Graph\n",
@@ -403,6 +411,12 @@ var catchMatrix = []catchRow{{
 	file:     "internal/network/router.go",
 	old:      "\tif src == dst {\n\t\treturn Route{}, nil\n\t}\n",
 	new:      "\tif src == dst {\n\t\treturn make(Route, 0, 1), nil\n\t}\n",
+	analyzer: "noalloc", pkg: "./internal/network",
+}, {
+	bug:      "DijkstraRoute unwinds into a fresh slice",
+	file:     "internal/network/router.go",
+	old:      "return fillRoute(r.path[:k:k], r.prev, dst)",
+	new:      "return fillRoute(make(Route, k), r.prev, dst)",
 	analyzer: "noalloc", pkg: "./internal/network",
 }, {
 	bug:      "placeEdge copies the route before recording it",

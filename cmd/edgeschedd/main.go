@@ -68,7 +68,7 @@ func main() {
 		maxQueue  = flag.Int("max-queue", 256, "max requests waiting for a slot before 503 (0 = unbounded)")
 		selfCheck = flag.Int("self-check-every", 1000, "re-run every Nth request cold and require bit-identical output (0 = off)")
 		doVerify  = flag.Bool("verify", false, "run the full schedule validator on every response (slower)")
-		rdTimeout = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout")
+		rdTimeout = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout, for the headers and for the whole request")
 	)
 	flag.Parse()
 	if *topoPath == "" {
@@ -105,7 +105,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	srv := &http.Server{Handler: newServer(eng, *doVerify), ReadTimeout: *rdTimeout}
+	srv := newHTTPServer(newServer(eng, *doVerify), *rdTimeout)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -131,6 +131,14 @@ func main() {
 	st := eng.Stats()
 	fmt.Fprintf(os.Stderr, "edgeschedd: drained after %d requests (%d failed)\n",
 		st.Requests, st.Failures)
+}
+
+// newHTTPServer returns the daemon's HTTP server. readTimeout bounds
+// the header read as well as the whole request, so a client that
+// stalls inside its request line is disconnected as soon as one that
+// stalls inside its body.
+func newHTTPServer(h http.Handler, readTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadTimeout: readTimeout, ReadHeaderTimeout: readTimeout}
 }
 
 // loadTopology resolves -topology: a builder spec like "star:8"

@@ -7,11 +7,13 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/graphio"
@@ -408,5 +410,46 @@ func TestPreset(t *testing.T) {
 				t.Errorf("preset(%q) error %q does not list %s", name, err, p)
 			}
 		}
+	}
+}
+
+// TestStalledRequestLineIsDisconnected pins the header read timeout: a
+// client that sends half a request line and then stalls is
+// disconnected once the read timeout passes (net/http may first write
+// an error status).
+func TestStalledRequestLineIsDisconnected(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(newServer(testEngine(t), false), timeout)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /sche"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	// The client-side deadline only bounds the test: a server that never
+	// times out shows up as a deadline error, not as a hang.
+	if err := conn.SetReadDeadline(start.Add(timeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	waited := time.Since(start)
+	if err != nil {
+		t.Fatalf("read %q, then %v after %v; want the server to close the connection", reply, err, waited)
+	}
+	if bytes.HasPrefix(reply, []byte("HTTP/1.1 2")) {
+		t.Fatalf("server replied %q to half a request line", reply)
+	}
+	if waited < timeout/2 {
+		t.Fatalf("server closed after %v, before the %v timeout", waited, timeout)
 	}
 }

@@ -1,0 +1,51 @@
+package network
+
+// referenceDijkstraRoute is the modified Dijkstra search as it was
+// before the dead-end prune and the Router-owned path buffer, kept as
+// the reference FuzzDijkstraRoute compares Router.DijkstraRoute
+// against: it relaxes every link into every node that is not yet
+// closed, and unwinds into a fresh route. Fresh scratch per call, so
+// nothing is shared with the Router under test.
+func referenceDijkstraRoute(t *Topology, src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
+	t.checkNode(src)
+	t.checkNode(dst)
+	if src == dst {
+		return Route{}, init, nil
+	}
+	n := len(t.nodes)
+	open := make([]bool, n)
+	closed := make([]bool, n)
+	prev := make([]hop, n)
+	best := make([]Label, n)
+	var pq labelQueue
+	best[src] = init
+	open[src] = true
+	pq.push(labelItem{node: src, label: init})
+	for len(pq) > 0 {
+		it := pq.pop()
+		if closed[it.node] {
+			continue
+		}
+		if best[it.node].Less(it.label) {
+			continue // stale entry
+		}
+		closed[it.node] = true
+		if it.node == dst {
+			return unwind(prev, src, dst), best[dst], nil
+		}
+		for _, h := range t.adj[it.node] {
+			if closed[h.To] {
+				continue
+			}
+			nl := relax(t.links[h.Link], best[it.node])
+			nl.Hops = best[it.node].Hops + 1
+			if !open[h.To] || nl.Less(best[h.To]) {
+				best[h.To] = nl
+				prev[h.To] = hop{Link: h.Link, To: it.node}
+				open[h.To] = true
+				pq.push(labelItem{node: h.To, label: nl})
+			}
+		}
+	}
+	return nil, Label{}, &ErrNoRoute{From: src, To: dst}
+}

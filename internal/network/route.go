@@ -27,14 +27,26 @@ func (t *Topology) BFSRoute(src, dst NodeID) (Route, error) {
 	return t.NewRouter(nil).BFSRoute(src, dst)
 }
 
-func (t *Topology) unwind(prev []hop, src, dst NodeID) Route {
-	var rev []LinkID
+// unwind returns the route to dst along the predecessor chain from src
+// in a fresh slice, which a route cache may keep.
+func unwind(prev []hop, src, dst NodeID) Route {
+	return fillRoute(make(Route, routeLen(prev, src, dst)), prev, dst)
+}
+
+// routeLen counts the links on the predecessor chain from src to dst.
+func routeLen(prev []hop, src, dst NodeID) int {
+	k := 0
 	for n := dst; n != src; n = prev[n].To {
-		rev = append(rev, prev[n].Link)
+		k++
 	}
-	route := make(Route, len(rev))
-	for i := range rev {
-		route[i] = rev[len(rev)-1-i]
+	return k
+}
+
+// fillRoute writes the last len(route) links of the predecessor chain
+// ending at dst into route, in travel order, and returns it.
+func fillRoute(route Route, prev []hop, dst NodeID) Route {
+	for i, n := len(route)-1, dst; i >= 0; i, n = i-1, prev[n].To {
+		route[i] = prev[n].Link
 	}
 	return route
 }
@@ -77,7 +89,8 @@ type RelaxFunc func(l Link, cur Label) Label
 // of the edge on each link by basic insertion". init is the label at
 // the source node (its Finish is normally the source task's finish
 // time, Start likewise). src == dst yields an empty route. Each call
-// builds a fresh Router (see NewRouter for a reusable one).
+// builds a fresh Router (see NewRouter for a reusable one), so the
+// route is the caller's own.
 func (t *Topology) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
 	return t.NewRouter(nil).DijkstraRoute(src, dst, init, relax)
 }

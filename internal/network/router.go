@@ -6,9 +6,8 @@ package network
 // probe loops. A Router and its RouteCache are NOT safe for concurrent
 // use: every scheduler state owns one of each.
 //
-// The search algorithms are byte-for-byte the same as the Topology
-// convenience methods — same traversal order, same deterministic
-// tie-breaking — so routes are identical whichever entry point is
+// The Topology convenience methods build a fresh Router per call, so
+// routes, labels and errors are the same whichever entry point is
 // used. An attached RouteCache serves BFSRoute only; DijkstraRoute
 // always searches, because its labels depend on link state (see
 // RouteCache).
@@ -27,6 +26,7 @@ type Router struct {
 	queue []NodeID
 	best  []Label
 	pq    labelQueue
+	path  Route // DijkstraRoute's result, valid until the next search
 }
 
 // NewRouter returns a Router over the topology, sized to its current
@@ -42,6 +42,7 @@ func (t *Topology) NewRouter(cache *RouteCache) *Router {
 		closed: make([]uint64, n),
 		prev:   make([]hop, n),
 		best:   make([]Label, n),
+		path:   make(Route, 0, n), // a route visits each node at most once
 	}
 }
 
@@ -80,7 +81,7 @@ func (r *Router) Warm(nodes []NodeID) {
 			switch {
 			case dst == src:
 			case r.seen[dst] == r.epoch:
-				r.cache.store(src, dst, r.top.unwind(r.prev, src, dst), nil)
+				r.cache.store(src, dst, unwind(r.prev, src, dst), nil)
 			default:
 				r.cache.store(src, dst, nil, &ErrNoRoute{From: src, To: dst})
 			}
@@ -134,7 +135,7 @@ func (r *Router) bfs(src, dst NodeID) (Route, error) {
 			r.prev[h.To] = hop{Link: h.Link, To: n}
 			if h.To == dst {
 				r.queue = queue
-				return t.unwind(r.prev, src, dst), nil
+				return unwind(r.prev, src, dst), nil
 			}
 			queue = append(queue, h.To)
 		}
@@ -145,7 +146,19 @@ func (r *Router) bfs(src, dst NodeID) (Route, error) {
 
 // DijkstraRoute finds the route from src to dst minimizing the final
 // label under the given relaxation. Semantics are identical to
-// Topology.DijkstraRoute; only the scratch state is reused.
+// Topology.DijkstraRoute; only the scratch state is reused. The
+// returned route is the Router's own buffer: it is valid until the
+// Router's next search, so a caller that keeps it copies it.
+//
+// The search never relaxes into a node other than dst whose every
+// outgoing hop leads to a closed node (a leaf processor reached from
+// its switch is the common case). Popped, such a node could relax
+// nothing, and the queue pops in a strict total order on (label, node
+// ID), so dropping its entries leaves every other pop, dst's
+// predecessor chain and its label exactly as a search without the
+// prune finds them — only the relax calls into dead ends are saved.
+//
+// edgelint:noalloc
 func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
 	t := r.top
 	t.checkNode(src)
@@ -170,10 +183,10 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 		}
 		r.closed[it.node] = e
 		if it.node == dst {
-			return t.unwind(r.prev, src, dst), r.best[dst], nil
+			return r.unwindPath(src, dst), r.best[dst], nil
 		}
 		for _, h := range t.adj[it.node] {
-			if r.closed[h.To] == e {
+			if r.closed[h.To] == e || (h.To != dst && r.deadEnd(h.To, e)) {
 				continue
 			}
 			nl := relax(t.links[h.Link], r.best[it.node])
@@ -186,5 +199,28 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 			}
 		}
 	}
+	// edgelint:coldpath — an unroutable pair fails the schedule.
 	return nil, Label{}, &ErrNoRoute{From: src, To: dst}
+}
+
+// deadEnd reports whether every outgoing hop of n leads to a node the
+// search of epoch e has closed. The closed set only grows, so a dead
+// end stays one for the rest of the search.
+func (r *Router) deadEnd(n NodeID, e uint64) bool {
+	for _, h := range r.top.adj[n] {
+		if r.closed[h.To] != e {
+			return false
+		}
+	}
+	return true
+}
+
+// unwindPath writes the route to dst into the Router's path buffer. A
+// predecessor chain visits each node at most once, so the buffer's
+// capacity (the node count) always suffices. The result's capacity
+// ends at its length, so an append by the caller copies instead of
+// writing into the buffer.
+func (r *Router) unwindPath(src, dst NodeID) Route {
+	k := routeLen(r.prev, src, dst)
+	return fillRoute(r.path[:k:k], r.prev, dst)
 }

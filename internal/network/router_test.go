@@ -1,8 +1,10 @@
 package network
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -236,5 +238,149 @@ func TestDijkstraRoutesAreNeverCached(t *testing.T) {
 				t.Fatalf("pass %d via %s: finish %v, want 2", pass, top.Node(sw).Name, label.Finish)
 			}
 		}
+	}
+}
+
+// fuzzNet decodes a fuzz input into a topology and the per-link
+// parameters of a relaxation. The shapes cover one-way links, parallel
+// duplex links, buses, nodes wired to several switches and nodes no
+// link reaches; link costs of 0, 1 or 2 and busy-until times of 0..3
+// make zero-cost links and equal labels common, so the queue's node-ID
+// tie-break is exercised.
+type fuzzNet struct {
+	top         *Topology
+	cost, until []float64
+	data        []byte
+}
+
+func (f *fuzzNet) next() int {
+	if len(f.data) == 0 {
+		return 0
+	}
+	b := f.data[0]
+	f.data = f.data[1:]
+	return int(b)
+}
+
+func newFuzzNet(data []byte) *fuzzNet {
+	f := &fuzzNet{top: NewTopology(), data: data}
+	n := 2 + f.next()%10
+	for i := 0; i < n; i++ {
+		if f.next()%3 == 0 {
+			f.top.AddSwitch("")
+		} else {
+			f.top.AddProcessor("", 1)
+		}
+	}
+	for m := f.next() % 24; m > 0; m-- {
+		kind := f.next() % 8
+		a, b, c := NodeID(f.next()%n), NodeID(f.next()%n), NodeID(f.next()%n)
+		if a == b {
+			continue
+		}
+		switch {
+		case kind < 3:
+			f.top.AddLink(a, b, 1)
+		case kind < 6:
+			f.top.AddDuplex(a, b, 1)
+		case kind == 6: // parallel cables between the same pair
+			f.top.AddDuplex(a, b, 1)
+			f.top.AddDuplex(a, b, 1)
+		case c != a && c != b:
+			f.top.AddBus([]NodeID{a, b, c}, 1)
+		}
+	}
+	for range f.top.Links() {
+		f.cost = append(f.cost, float64(f.next()%3))
+		f.until = append(f.until, float64(f.next()%4))
+	}
+	return f
+}
+
+// relax returns one of two relaxations, both monotone (a worse input
+// label never yields a better output): store-and-forward on a link
+// busy until until[l] (mode 0), or a fixed cost per link that keeps
+// the start, so equal finishes are ordered by start (mode 1).
+func (f *fuzzNet) relax(mode int, calls *int) RelaxFunc {
+	return func(l Link, cur Label) Label {
+		*calls++
+		if mode == 1 {
+			return Label{Start: cur.Start, Finish: cur.Finish + f.cost[l.ID]}
+		}
+		start := max(cur.Finish, f.until[l.ID])
+		return Label{Start: start, Finish: start + f.cost[l.ID]}
+	}
+}
+
+// FuzzDijkstraRoute requires the pruned Router.DijkstraRoute to find
+// exactly what the unpruned reference finds — the same route, the same
+// label bit for bit, the same error — with no more relax calls, over a
+// sequence of searches on one Router.
+func FuzzDijkstraRoute(f *testing.F) {
+	// A star: switch 0, processors 1-3; every leaf is a dead end
+	// once the switch is closed.
+	f.Add([]byte{
+		2, 0, 1, 1, 1, // 4 nodes
+		3, 3, 0, 1, 0, 3, 0, 2, 0, 3, 0, 3, 0, // 3 duplex cables
+		1, 0, 1, 1, 1, 0, 0, 0, 1, 2, 1, 0, // cost, until per link
+		2, 1, 2, 0, 0, 0, 2, 3, 1, 1, 1, 3, 1, 0, 2, 0, // 3 searches: src, dst, mode, finish, start offset
+	})
+	// Switches 0 and 1, processors 2-4 (3 on both switches), a one-way
+	// link, a bus, and a query from a switch.
+	f.Add([]byte{
+		3, 0, 0, 1, 1, 1, // 5 nodes
+		7, 3, 0, 1, 0, 3, 0, 2, 0, 3, 0, 3, 0, 3, 1, 3, 0, 3, 1, 4, 0, 0, 2, 4, 0, 7, 2, 3, 4,
+		0, 0, 1, 0, 0, 1, 1, 0, 2, 0, 0, 0, 1, 1, 0, 2, 1, 0, 0, 3, 0, 0, 2, 2,
+		5, 2, 4, 0, 1, 0, 4, 2, 1, 1, 1, 3, 2, 0, 2, 0, 3, 2, 1, 0, 0, 0, 4, 0, 0, 1, 4, 3, 1, 2, 1,
+	})
+	f.Add([]byte{3, 1, 1, 1, 1, 0, 0, 1, 2, 3, 0, 0, 0, 2, 0, 1, 0, 2, 1}) // unreachable pairs
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net := newFuzzNet(data)
+		top, n := net.top, net.top.NumNodes()
+		router := top.NewRouter(nil)
+		for q := 1 + net.next()%16; q > 0; q-- {
+			src, dst := NodeID(net.next()%n), NodeID(net.next()%n)
+			mode, f0 := net.next()%2, float64(net.next()%3)
+			init := Label{Start: f0 - float64(net.next()%2), Finish: f0}
+			var got, want int
+			route, label, err := router.DijkstraRoute(src, dst, init, net.relax(mode, &got))
+			wroute, wlabel, werr := referenceDijkstraRoute(top, src, dst, init, net.relax(mode, &want))
+			if !reflect.DeepEqual(err, werr) {
+				t.Fatalf("%v->%v: error %v, reference %v", src, dst, err, werr)
+			}
+			if !slices.Equal(route, wroute) {
+				t.Fatalf("%v->%v: route %v, reference %v", src, dst, route, wroute)
+			}
+			if math.Float64bits(label.Start) != math.Float64bits(wlabel.Start) ||
+				math.Float64bits(label.Finish) != math.Float64bits(wlabel.Finish) || label.Hops != wlabel.Hops {
+				t.Fatalf("%v->%v: label %+v, reference %+v", src, dst, label, wlabel)
+			}
+			if got > want {
+				t.Fatalf("%v->%v: %d relax calls, reference %d", src, dst, got, want)
+			}
+		}
+	})
+}
+
+// TestDijkstraRouteIsAllocationFree pins the noalloc claim on
+// Router.DijkstraRoute at runtime: once the queue has grown, a search
+// allocates nothing, its route included.
+func TestDijkstraRouteIsAllocationFree(t *testing.T) {
+	top := RandomCluster(rand.New(rand.NewSource(3)), RandomClusterParams{Processors: 32})
+	router := top.NewRouter(nil)
+	relax := func(l Link, cur Label) Label {
+		return Label{Start: cur.Finish, Finish: cur.Finish + 10/l.Speed}
+	}
+	ps := top.Processors()
+	search := func() {
+		for i, src := range ps {
+			if _, _, err := router.DijkstraRoute(src, ps[(i*7+3)%len(ps)], Label{}, relax); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	search() // grow the queue
+	if allocs := testing.AllocsPerRun(10, search); allocs != 0 {
+		t.Fatalf("%v allocations per %d warm searches, want 0", allocs, len(ps))
 	}
 }
