@@ -340,9 +340,10 @@ func BenchmarkEngineColdSequential(b *testing.B) {
 
 // BenchmarkEncodeScheduleJSON times one ?full=1 reply body as
 // edgeschedd builds it: AppendScheduleJSON into a buffer reused across
-// replies. The schedules have serve_full's shape: BBSA on a
-// 32-processor cluster with U(1, 10) speeds, 64 graphs of 101-201
-// tasks; each op encodes the next one.
+// replies, grown to the largest reply before the timer starts, as a
+// serving buffer is after its first requests. The schedules have
+// serve_full's shape: BBSA on a 32-processor cluster with U(1, 10)
+// speeds, 64 graphs of 101-201 tasks; each op encodes the next one.
 func BenchmarkEncodeScheduleJSON(b *testing.B) {
 	r := rand.New(rand.NewSource(2006))
 	net := network.RandomCluster(r, network.RandomClusterParams{
@@ -364,6 +365,12 @@ func BenchmarkEncodeScheduleJSON(b *testing.B) {
 		ss[i] = s
 	}
 	var buf []byte
+	for _, s := range ss {
+		var err error
+		if buf, err = trace.AppendScheduleJSON(buf[:0], s); err != nil {
+			b.Fatal(err)
+		}
+	}
 	var total int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -511,7 +518,7 @@ func BenchmarkBandwidthAllocForward(b *testing.B) {
 				down := linksched.NewBWTimeline()
 				for j, jb := range jobs {
 					cs := up.Alloc(linksched.Owner{Edge: j, Leg: 0}, jb.es, jb.vol, 2, 0)
-					down.Forward(linksched.Owner{Edge: j, Leg: 1}, cs, 2, 1, 0)
+					down.Forward(nil, linksched.Owner{Edge: j, Leg: 1}, cs, 2, 1, 0)
 				}
 			}
 		})

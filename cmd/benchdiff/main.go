@@ -169,12 +169,19 @@ func main() {
 // stopped allocating a route per search (about 450 allocs/op for OIHSA
 // on long links, down from 16k): the nonzero-baseline bound is
 // relative, so only a baseline at the lower count keeps a fresh route
-// per search from creeping back.
+// per search from creeping back. The BBSA presets need the same once
+// a snapshot is taken since the bandwidth ledger stopped allocating a
+// use list and a chunk list per booking (ScheduleBBSA from about 8,000
+// allocs/op to about 600); until then the sched package's
+// TestBBSAAllocatesPerLedgerNotPerBooking holds the long-link count.
+// BenchmarkEncodeScheduleJSON guards the ?full=1 reply encoder:
+// at most a millisecond per op it is stable enough to time, and its
+// zero allocs/op pin the encoder's point.
 const defaultGate = "BenchmarkScheduleBA,BenchmarkScheduleBASinnen,BenchmarkScheduleBASinnenLarge," +
 	"BenchmarkScheduleBASinnenManyProcs,BenchmarkScheduleOIHSA,BenchmarkScheduleBBSA," +
 	"BenchmarkScheduleLongLinks/algo=BA,BenchmarkScheduleLongLinks/algo=OIHSA,BenchmarkScheduleLongLinks/algo=BBSA," +
 	"BenchmarkBandwidthAllocForward/jobs=10000,BenchmarkBandwidthEstimateFinish/segs=10000@allocs,BenchmarkTimelineProbeBasic/slots=10000@allocs," +
-	"BenchmarkEngineThroughput"
+	"BenchmarkEngineThroughput,BenchmarkEncodeScheduleJSON"
 
 // runBench shells out to go test -bench and returns its stdout.
 func runBench(bench string, count int, benchTime, timeOut, pkg string) (string, []string, error) {

@@ -286,7 +286,11 @@ type catchRow struct {
 // analyzers a bug it must catch, and noalloc one heap allocation per
 // package on a steady-state root that no test measures, plus a fresh
 // route per Router.DijkstraRoute search (which
-// TestDijkstraRouteIsAllocationFree also measures).
+// TestDijkstraRouteIsAllocationFree also measures) and a use slice of
+// its own per new bandwidth segment (which TestResetKeepsSlabs also
+// measures). The schedule encoder's float memo has a row of its own: a
+// hit that trusts the slot without comparing the float's bits prints
+// another float's text.
 var catchMatrix = []catchRow{{
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
@@ -356,7 +360,7 @@ var catchMatrix = []catchRow{{
 }, {
 	bug:  "slab store copyFrom aliases the source's slab arrays",
 	file: "internal/linksched/slab.go",
-	old:  "\t\tst.slabs[k].items = copyItems(st.slabs[k].items, src.slabs[k].items)\n",
+	old:  "\t\tst.slabs[k].items = append(st.slabs[k].items[:0], src.slabs[k].items...)\n",
 	new:  "\t\tst.slabs[k].items = src.slabs[k].items\n",
 	pkg:  "./internal/linksched", run: "^TestLedgerCopyIndependence$",
 }, {
@@ -375,6 +379,12 @@ var catchMatrix = []catchRow{{
 	old:  "if r.closed[h.To] == e || (h.To != dst && r.deadEnd(h.To, e)) {",
 	new:  "if r.closed[h.To] == e || r.deadEnd(h.To, e) {",
 	pkg:  "./internal/network", run: "^FuzzDijkstraRoute$",
+}, {
+	bug:  "the float memo hits on the slot without comparing bits",
+	file: "internal/trace/json.go",
+	old:  "if m.n > 0 && m.bits == bits {",
+	new:  "if m.n > 0 {",
+	pkg:  "./internal/trace", run: "^(TestAppendScheduleJSONMatchesReference|TestAppendScheduleJSONMemo)$",
 }, {
 	bug:       "edgesim dag seeds its generator from the clock",
 	file:      "cmd/edgesim/inspect.go",
@@ -418,6 +428,12 @@ var catchMatrix = []catchRow{{
 	old:      "return fillRoute(r.path[:k:k], r.prev, dst)",
 	new:      "return fillRoute(make(Route, k), r.prev, dst)",
 	analyzer: "noalloc", pkg: "./internal/network",
+}, {
+	bug:      "reserve gives a new segment its own use slice",
+	file:     "internal/linksched/bandwidth.go",
+	old:      "\t\tt.addUse(&ns, use{owner: owner, rate: rate})\n",
+	new:      "\t\tt.uses = append(t.uses, []use{{owner: owner, rate: rate}}...)\n\t\tns.uses.n = 1\n",
+	analyzer: "noalloc", pkg: "./internal/linksched",
 }, {
 	bug:      "placeEdge copies the route before recording it",
 	file:     "internal/sched/txn.go",

@@ -68,7 +68,7 @@ func main() {
 		maxQueue  = flag.Int("max-queue", 256, "max requests waiting for a slot before 503 (0 = unbounded)")
 		selfCheck = flag.Int("self-check-every", 1000, "re-run every Nth request cold and require bit-identical output (0 = off)")
 		doVerify  = flag.Bool("verify", false, "run the full schedule validator on every response (slower)")
-		rdTimeout = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout, for the headers and for the whole request")
+		rdTimeout = flag.Duration("read-timeout", 30*time.Second, "HTTP timeout for the headers, for the whole request, and for writing each reply")
 	)
 	flag.Parse()
 	if *topoPath == "" {
@@ -105,7 +105,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	srv := newHTTPServer(newServer(eng, *doVerify), *rdTimeout)
+	srv := newHTTPServer(newServer(eng, *doVerify, *rdTimeout), *rdTimeout)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -136,7 +136,9 @@ func main() {
 // newHTTPServer returns the daemon's HTTP server. readTimeout bounds
 // the header read as well as the whole request, so a client that
 // stalls inside its request line is disconnected as soon as one that
-// stalls inside its body.
+// stalls inside its body. Replies are bounded by newServer instead of
+// WriteTimeout, whose deadline would also run through the queue wait
+// and scheduling.
 func newHTTPServer(h http.Handler, readTimeout time.Duration) *http.Server {
 	return &http.Server{Handler: h, ReadTimeout: readTimeout, ReadHeaderTimeout: readTimeout}
 }
@@ -219,18 +221,21 @@ type scheduler interface {
 }
 
 // newServer wires the engine into an HTTP handler. Split from main so
-// the daemon's behaviour is testable with httptest.
-func newServer(eng scheduler, verifyEach bool) http.Handler {
-	// bufs holds reply buffers reused across requests, so a ?full=1
+// the daemon's behaviour is testable with httptest. replyTimeout, when
+// positive, bounds the write of each reply, so a client that stops
+// reading a large ?full=1 reply is disconnected and its handler
+// goroutine and pooled buffer are released.
+func newServer(eng scheduler, verifyEach bool, replyTimeout time.Duration) http.Handler {
+	// The pool holds reply buffers reused across requests, so a ?full=1
 	// reply of several hundred KB is encoded without growing a fresh
 	// buffer each time.
-	bufs := &sync.Pool{New: func() any { return new([]byte) }}
+	rp := &replier{bufs: sync.Pool{New: func() any { return new([]byte) }}, timeout: replyTimeout}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, bufs, eng.Stats())
+		rp.json(w, eng.Stats())
 	})
 	mux.HandleFunc("/schedule", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -264,7 +269,7 @@ func newServer(eng scheduler, verifyEach bool) http.Handler {
 			}
 		}
 		if r.URL.Query().Get("full") != "" {
-			reply(w, bufs, func(b []byte) ([]byte, error) { return trace.AppendScheduleJSON(b, s) })
+			rp.reply(w, func(b []byte) ([]byte, error) { return trace.AppendScheduleJSON(b, s) })
 			return
 		}
 		resp := scheduleResponse{Algorithm: s.Algorithm, Makespan: s.Makespan,
@@ -278,7 +283,7 @@ func newServer(eng scheduler, verifyEach bool) http.Handler {
 				resp.Edges++
 			}
 		}
-		writeJSON(w, bufs, resp)
+		rp.json(w, resp)
 	})
 	return mux
 }
@@ -297,9 +302,16 @@ func statusOf(err error) int {
 	return http.StatusBadRequest
 }
 
-// writeJSON replies with v encoded by encoding/json.
-func writeJSON(w http.ResponseWriter, bufs *sync.Pool, v any) {
-	reply(w, bufs, func(b []byte) ([]byte, error) {
+// replier writes JSON replies from pooled buffers, each write bounded
+// by timeout when it is positive.
+type replier struct {
+	bufs    sync.Pool
+	timeout time.Duration
+}
+
+// json replies with v encoded by encoding/json.
+func (rp *replier) json(w http.ResponseWriter, v any) {
+	rp.reply(w, func(b []byte) ([]byte, error) {
 		buf := bytes.NewBuffer(b)
 		err := json.NewEncoder(buf).Encode(v)
 		return buf.Bytes(), err
@@ -309,10 +321,14 @@ func writeJSON(w http.ResponseWriter, bufs *sync.Pool, v any) {
 // reply encodes a JSON body into a pooled buffer with encode, which
 // appends to the slice it is given, and writes it with one Write. The
 // body is complete before any byte goes out, so an encoding error still
-// answers 500.
-func reply(w http.ResponseWriter, bufs *sync.Pool, encode func([]byte) ([]byte, error)) {
-	bp := bufs.Get().(*[]byte)
-	defer bufs.Put(bp)
+// answers 500. The write deadline is set just before the Write, so it
+// bounds the reply alone: the request read, the queue wait and
+// scheduling do not count against it. net/http clears it once the
+// response is finished, so it does not carry over to the next request
+// on a keep-alive connection.
+func (rp *replier) reply(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
+	bp := rp.bufs.Get().(*[]byte)
+	defer rp.bufs.Put(bp)
 	b, err := encode((*bp)[:0])
 	if err != nil {
 		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
@@ -320,8 +336,14 @@ func reply(w http.ResponseWriter, bufs *sync.Pool, encode func([]byte) ([]byte, 
 	}
 	*bp = b
 	w.Header().Set("Content-Type", "application/json")
+	if rp.timeout > 0 {
+		// edgelint:ignore errflow — a writer without deadlines still
+		// gets the reply, unbounded, as with a zero timeout.
+		http.NewResponseController(w).SetWriteDeadline(time.Now().Add(rp.timeout))
+	}
 	// edgelint:ignore errflow — a write error means the client went
-	// away; nothing useful can be reported to it.
+	// away or stalled past the deadline; nothing useful can be
+	// reported to it.
 	w.Write(b)
 }
 

@@ -57,7 +57,7 @@ func testGraphJSON(t *testing.T, seed int64) ([]byte, *dag.Graph) {
 // verifier accepts the direct run.
 func TestScheduleEndpoint(t *testing.T) {
 	eng := testEngine(t)
-	srv := httptest.NewServer(newServer(eng, true))
+	srv := httptest.NewServer(newServer(eng, true, 0))
 	defer srv.Close()
 
 	body, g := testGraphJSON(t, 5)
@@ -101,7 +101,7 @@ func TestScheduleEndpoint(t *testing.T) {
 // schedule JSON parses and carries per-edge placements.
 func TestScheduleEndpointFull(t *testing.T) {
 	eng := testEngine(t)
-	srv := httptest.NewServer(newServer(eng, false))
+	srv := httptest.NewServer(newServer(eng, false, 0))
 	defer srv.Close()
 
 	body, _ := testGraphJSON(t, 6)
@@ -130,7 +130,7 @@ func TestScheduleEndpointFull(t *testing.T) {
 // cold run of the same graph.
 func TestFullRepliesConcurrent(t *testing.T) {
 	eng := testEngine(t)
-	srv := httptest.NewServer(newServer(eng, false))
+	srv := httptest.NewServer(newServer(eng, false, 0))
 	defer srv.Close()
 	topo := network.Star(4, network.Uniform(1), network.Uniform(1))
 
@@ -190,7 +190,7 @@ func keys(m map[string]any) []string {
 // two graphs is malformed too, rather than a schedule of the first.
 func TestBadRequests(t *testing.T) {
 	eng := testEngine(t)
-	srv := httptest.NewServer(newServer(eng, false))
+	srv := httptest.NewServer(newServer(eng, false, 0))
 	defer srv.Close()
 
 	first, _ := testGraphJSON(t, 1)
@@ -248,7 +248,7 @@ func TestStatusClasses(t *testing.T) {
 		"draining":      {drained, body, http.StatusServiceUnavailable},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv := httptest.NewServer(newServer(c.eng, false))
+			srv := httptest.NewServer(newServer(c.eng, false, 0))
 			defer srv.Close()
 			resp, err := http.Post(srv.URL+"/schedule", "application/json", bytes.NewReader(c.body))
 			if err != nil {
@@ -285,7 +285,7 @@ func TestUnplaceableTaskIs400(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Drain()
-		srv := httptest.NewServer(newServer(eng, false))
+		srv := httptest.NewServer(newServer(eng, false, 0))
 		defer srv.Close()
 		for _, path := range []string{"/schedule", "/schedule?full=1"} {
 			resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
@@ -312,7 +312,7 @@ func TestEncodeFailureIs500(t *testing.T) {
 	}
 	s.Tasks[0].Finish = math.NaN()
 	body, _ := testGraphJSON(t, 9)
-	srv := httptest.NewServer(newServer(stubEngine{s: s}, false))
+	srv := httptest.NewServer(newServer(stubEngine{s: s}, false, 0))
 	defer srv.Close()
 	for _, path := range []string{"/schedule", "/schedule?full=1"} {
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
@@ -331,7 +331,7 @@ func TestEncodeFailureIs500(t *testing.T) {
 // refused with 413 before the engine sees it.
 func TestOversizedBody(t *testing.T) {
 	eng := testEngine(t)
-	srv := httptest.NewServer(newServer(eng, false))
+	srv := httptest.NewServer(newServer(eng, false, 0))
 	defer srv.Close()
 
 	body := `{"tasks":[{"name":"` + strings.Repeat("a", maxBodyBytes) + `","cost":1}],"edges":[]}`
@@ -354,7 +354,7 @@ func TestOversizedBody(t *testing.T) {
 // TestStatsEndpoint pins that the counters are served and move.
 func TestStatsEndpoint(t *testing.T) {
 	eng := testEngine(t)
-	srv := httptest.NewServer(newServer(eng, false))
+	srv := httptest.NewServer(newServer(eng, false, 0))
 	defer srv.Close()
 
 	body, _ := testGraphJSON(t, 7)
@@ -423,7 +423,7 @@ func TestStalledRequestLineIsDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newHTTPServer(newServer(testEngine(t), false), timeout)
+	srv := newHTTPServer(newServer(testEngine(t), false, timeout), timeout)
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 
@@ -451,5 +451,157 @@ func TestStalledRequestLineIsDisconnected(t *testing.T) {
 	}
 	if waited < timeout/2 {
 		t.Fatalf("server closed after %v, before the %v timeout", waited, timeout)
+	}
+}
+
+// smallSendBuffers shrinks every accepted connection's send buffer, so a
+// reply of a few MB cannot sit in the kernel while the client reads
+// nothing.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		if err := tc.SetWriteBuffer(8 << 10); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
+	return c, err
+}
+
+// TestStalledReplyIsDisconnected pins the reply timeout: a client that
+// posts a large ?full=1 request and never reads the reply, which is far
+// larger than the socket buffers, is disconnected once the timeout
+// passes, before the whole reply has gone out. Without the timeout the
+// handler would block in Write for as long as the client stays.
+func TestStalledReplyIsDisconnected(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	topo := network.Star(4, network.Uniform(1), network.Uniform(1))
+	eng, err := sched.NewEngine(topo, sched.EngineOptions{Name: "BBSA", Opts: sched.NewBBSA().Opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Drain)
+	g := dag.RandomLayered(rand.New(rand.NewSource(3)), dag.RandomLayeredParams{
+		Tasks:    1000,
+		TaskCost: dag.CostDist{Lo: 1, Hi: 40},
+		EdgeCost: dag.CostDist{Lo: 1, Hi: 150},
+	})
+	var body bytes.Buffer
+	if err := graphio.WriteGraph(&body, g); err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.NewBBSA().Schedule(g, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := trace.AppendScheduleJSON(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(newServer(eng, false, timeout), timeout)
+	go srv.Serve(smallSendBuffers{ln})
+	t.Cleanup(func() { srv.Close() })
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := c.(*net.TCPConn)
+	defer conn.Close()
+	if err := conn.SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "POST /schedule?full=1 HTTP/1.1\r\nHost: edgeschedd\r\n"+
+		"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n", body.Len())
+	if _, err := conn.Write(body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	// Read nothing until the timeout has passed, with time to spare for
+	// scheduling the graph (tens of milliseconds), then drain what the
+	// server sent.
+	time.Sleep(timeout + time.Second)
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("read %d bytes, then the connection stayed open; want the server to close it", len(got))
+	}
+	if len(got) >= len(full) {
+		t.Fatalf("received %d bytes, the whole %d-byte reply; want the write cut off by the timeout",
+			len(got), len(full))
+	}
+}
+
+// slowEngine answers with a fixed schedule after a delay.
+type slowEngine struct {
+	stubEngine
+	delay time.Duration
+}
+
+func (s slowEngine) Schedule(g *dag.Graph) (*sched.Schedule, error) {
+	time.Sleep(s.delay)
+	return s.stubEngine.Schedule(g)
+}
+
+// TestSlowScheduleIsAnswered pins that the reply timeout bounds the
+// write alone: a request whose scheduling takes longer than the timeout
+// still gets its whole reply, compact and ?full=1, and a bad request
+// that follows on the same keep-alive connection after a wait past the
+// timeout gets its error status. (A POST, because the client would
+// quietly retry a failed GET on a fresh connection.)
+func TestSlowScheduleIsAnswered(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	body, g := testGraphJSON(t, 5)
+	s, err := sched.NewBBSA().Schedule(g, network.Star(4, network.Uniform(1), network.Uniform(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := trace.AppendScheduleJSON(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(newServer(slowEngine{stubEngine{s: s}, 2 * timeout}, false, timeout), timeout)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	for _, path := range []string{"/schedule?full=1", "/schedule"} {
+		resp, err := client.Post("http://"+ln.Addr().String()+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, read error %v", path, resp.StatusCode, err)
+		}
+		if path == "/schedule?full=1" && !bytes.Equal(got, full) {
+			t.Fatalf("%s: reply of %d bytes differs from the %d-byte encoding", path, len(got), len(full))
+		}
+		// Idle past the timeout before the next request on this
+		// connection, so a deadline left over from this reply would
+		// cut off the next one that does not set its own.
+		time.Sleep(2 * timeout)
+	}
+	resp, err := client.Post("http://"+ln.Addr().String()+"/schedule", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatalf("bad graph after the replies: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad graph after the replies: status %d, want %d", resp.StatusCode, http.StatusBadRequest)
 	}
 }

@@ -29,8 +29,14 @@ type use struct {
 type seg struct {
 	start, end float64
 	avail      float64 // remaining bandwidth fraction in [0, 1]
-	uses       []use
+	uses       useSpan
 }
+
+// useSpan addresses a segment's shares in its ledger's use arena:
+// BWTimeline.uses[off : off+n]. Segments hold no pointers, so the slab
+// arrays are plain memory to the garbage collector and a slab copy is
+// one memmove.
+type useSpan struct{ off, n int32 }
 
 // hoppable is the BWTimeline's fold: the hop flag of segs. The flag
 // says that skipSaturated's per-segment walk, once it has entered the
@@ -59,26 +65,6 @@ func hoppable(segs []seg) bool {
 	return true
 }
 
-// cloneSegs deep-copies one slab's segments into a reused array,
-// reusing the per-segment use buffers it already holds. The slab store
-// never lets two entries share a use buffer, so the element-wise copy
-// cannot alias.
-func cloneSegs(dst, src []seg) []seg {
-	n := len(src)
-	if cap(dst) < n {
-		// edgelint:coldpath — one-time snapshot-buffer growth; the
-		// capacity persists across transactions via the stale snapshot.
-		dst = append(dst[:cap(dst)], make([]seg, n-cap(dst))...)
-	}
-	dst = dst[:n]
-	for i := range src {
-		s := &src[i]
-		dst[i].start, dst[i].end, dst[i].avail = s.start, s.end, s.avail
-		dst[i].uses = append(dst[i].uses[:0], s.uses...)
-	}
-	return dst
-}
-
 // endAtMost is the BWTimeline's order predicate: e ends at or before y.
 func endAtMost(e *seg, y float64) bool {
 	// edgelint:ignore floateq — exact order predicate of the two-level
@@ -98,9 +84,25 @@ func endAtMost(e *seg, y float64) bool {
 // the steps the linear walk would, enforced by the differential sweeps
 // and FuzzBWTimelineDifferential.
 //
+// Each segment's shares live in one arena per ledger, uses, addressed
+// by the segment's useSpan. The arena only grows: a share is appended
+// in place when the segment's span ends at the arena's tail, and
+// otherwise the span is first copied to the tail. Written entries are
+// therefore never overwritten, which lets split give both halves of a
+// segment the same span: whichever half grows first moves the tail
+// past the other's span, so the other's next share copies its span
+// away instead of growing into the first's. The copies a span leaves
+// behind are dead. Reset drops them all; CopyFrom, which snapshots and
+// restores, copies only the live spans; and a full arena is compacted
+// into a spare one (compactUses), so a ledger that is never reset or
+// restored holds arenas of a few times its live shares, not of every
+// share it ever copied.
+//
 // The zero value is an idle timeline ready for use.
 type BWTimeline struct {
-	st slabStore[seg, bool]
+	st    slabStore[seg, bool]
+	uses  []use
+	spare []use // compactUses' target, swapped with uses
 }
 
 // NewBWTimeline returns an idle bandwidth timeline.
@@ -109,7 +111,78 @@ func NewBWTimeline() *BWTimeline { return &BWTimeline{} }
 // Reset empties the ledger in place, retaining the slab arrays so a
 // reused scheduler state keeps them for its next request. The result
 // is indistinguishable from a fresh zero-value ledger.
-func (t *BWTimeline) Reset() { t.st.reset() }
+func (t *BWTimeline) Reset() {
+	t.st.reset()
+	t.uses = t.uses[:0]
+}
+
+// usesOf returns the shares of segment s.
+func (t *BWTimeline) usesOf(s *seg) []use { return t.uses[s.uses.off : s.uses.off+s.uses.n] }
+
+// addUse appends u to segment s's shares: in place when s's span ends
+// at the arena's tail, otherwise after copying the span to the tail.
+// An arena without room for that is compacted first.
+func (t *BWTimeline) addUse(s *seg, u use) {
+	n := int(s.uses.n)
+	room := n + 1
+	if int(s.uses.off)+n == len(t.uses) {
+		room = 1
+	}
+	if cap(t.uses)-len(t.uses) < room {
+		t.compactUses(n + 1)
+	}
+	from, off := int(s.uses.off), len(t.uses)
+	if from+n == off {
+		off = from
+	}
+	t.uses = t.uses[:off+n+1]
+	if off != from {
+		copy(t.uses[off:off+n], t.uses[from:from+n])
+	}
+	t.uses[off+n] = u
+	s.uses = useSpan{off: int32(off), n: int32(n + 1)}
+}
+
+// compactUses moves every segment's span into the spare arena, which
+// then becomes the arena, and leaves room for at least extra more
+// shares. The target holds twice the live shares plus extra, so the
+// next compaction comes only after at least as many appends as this
+// one copies, and the dead copies of a ledger that is never reset or
+// restored stay within a small multiple of its live shares.
+//
+// edgelint:coldpath — amortized growth of the use arenas, which Reset
+// and CopyFrom keep.
+func (t *BWTimeline) compactUses(extra int) {
+	live := 0
+	for k := range t.st.slabs {
+		for _, s := range t.st.slabs[k].items {
+			live += int(s.uses.n)
+		}
+	}
+	if need := 2 * (live + extra); cap(t.spare) < need {
+		t.spare = make([]use, 0, max(need, 2*slabBlock))
+	}
+	t.uses, t.spare = t.relocateUses(t.spare[:0], t.uses), t.uses
+}
+
+// relocateUses appends the span of every segment, read from the arena
+// from, to dst, points each segment at its new place and returns dst.
+// Halves of a split that shared a span get a copy each.
+func (t *BWTimeline) relocateUses(dst, from []use) []use {
+	for k := range t.st.slabs {
+		segs := t.st.slabs[k].items
+		for i := range segs {
+			s := &segs[i]
+			off := len(dst)
+			// edgelint:coldpath — amortized growth of dst; CopyFrom's
+			// target keeps its arena across transactions and
+			// compactUses sizes its target beforehand.
+			dst = append(dst, from[s.uses.off:s.uses.off+s.uses.n]...)
+			s.uses.off = int32(off)
+		}
+	}
+	return dst
+}
 
 // SegmentInfo exposes one segment for verification and display.
 type SegmentInfo struct {
@@ -130,7 +203,7 @@ func (t *BWTimeline) Segments() []SegmentInfo {
 	for k := range t.st.slabs {
 		for _, s := range t.st.slabs[k].items {
 			info := SegmentInfo{Start: s.start, End: s.end, Avail: s.avail}
-			for _, u := range s.uses {
+			for _, u := range t.usesOf(&s) {
 				info.Uses = append(info.Uses, SegmentUse{Owner: u.owner, Rate: u.rate})
 			}
 			out = append(out, info)
@@ -216,7 +289,8 @@ func (t *BWTimeline) split(x float64) {
 	if fptime.GeqEps(s.start, x) || fptime.LeqEps(s.end, x) {
 		return // boundary already (approximately) present
 	}
-	left := seg{start: s.start, end: x, avail: s.avail, uses: append([]use(nil), s.uses...)}
+	// The halves share s's span; see BWTimeline.
+	left := seg{start: s.start, end: x, avail: s.avail, uses: s.uses}
 	s.start = x
 	t.st.insert(c, left, hoppable)
 }
@@ -247,7 +321,7 @@ func (t *BWTimeline) reserve(owner Owner, a, b, rate float64) {
 			if s.avail < 0 {
 				s.avail = 0
 			}
-			s.uses = append(s.uses, use{owner: owner, rate: rate})
+			t.addUse(s, use{owner: owner, rate: rate})
 			t.st.refresh(c.s, hoppable)
 			cur = end
 			c = t.st.next(c)
@@ -258,7 +332,8 @@ func (t *BWTimeline) reserve(owner Owner, a, b, rate float64) {
 		if c.s < len(t.st.slabs) && t.st.at(c).start < gapEnd {
 			gapEnd = t.st.at(c).start
 		}
-		ns := seg{start: cur, end: gapEnd, avail: 1 - rate, uses: []use{{owner: owner, rate: rate}}}
+		ns := seg{start: cur, end: gapEnd, avail: 1 - rate, uses: useSpan{off: int32(len(t.uses))}}
+		t.addUse(&ns, use{owner: owner, rate: rate})
 		c = t.st.next(t.st.insert(c, ns, hoppable))
 		cur = gapEnd
 	}
@@ -285,13 +360,22 @@ func (t *BWTimeline) availAt(x float64) (avail, until float64) {
 // owner and returns the chunks produced. A zero or negative volume
 // yields a single empty chunk at es.
 func (t *BWTimeline) Alloc(owner Owner, es, volume, speed, cap float64) []Chunk {
+	return t.AppendAlloc(nil, owner, es, volume, speed, cap)
+}
+
+// AppendAlloc is Alloc appending its chunks to dst; the chunks already
+// in dst are neither read nor merged with.
+//
+// edgelint:noalloc
+func (t *BWTimeline) AppendAlloc(dst []Chunk, owner Owner, es, volume, speed, cap float64) []Chunk {
 	if cap <= 0 || cap > 1 {
 		cap = 1
 	}
 	if volume <= Eps {
-		return []Chunk{{Start: es, End: es, Rate: 0, Volume: 0}}
+		// edgelint:coldpath — amortized growth of the caller's buffer.
+		return append(dst, Chunk{Start: es, End: es, Rate: 0, Volume: 0})
 	}
-	var out []Chunk
+	base, out := len(dst), dst
 	cur := math.Max(es, 0)
 	remaining := volume
 	for remaining > volume*1e-9+Eps/2 {
@@ -327,16 +411,18 @@ func (t *BWTimeline) Alloc(owner Owner, es, volume, speed, cap float64) []Chunk 
 			moved = remaining
 		}
 		t.reserve(owner, cur, end, rate)
-		out = appendChunk(out, Chunk{Start: cur, End: end, Rate: rate, Volume: moved})
+		out = appendChunk(out, base, Chunk{Start: cur, End: end, Rate: rate, Volume: moved})
 		remaining -= moved
 		cur = end
 	}
 	return out
 }
 
-// appendChunk merges chunks that are contiguous with equal rate.
-func appendChunk(cs []Chunk, c Chunk) []Chunk {
-	if n := len(cs); n > 0 {
+// appendChunk appends c to cs, merging it into cs's last chunk when
+// that lies at index from or later and is contiguous with c at an equal
+// rate.
+func appendChunk(cs []Chunk, from int, c Chunk) []Chunk {
+	if n := len(cs); n > from {
 		last := &cs[n-1]
 		if math.Abs(last.End-c.Start) <= Eps && math.Abs(last.Rate-c.Rate) <= Eps {
 			last.End = c.End
@@ -344,6 +430,7 @@ func appendChunk(cs []Chunk, c Chunk) []Chunk {
 			return cs
 		}
 	}
+	// edgelint:coldpath — amortized growth of the caller's buffer.
 	return append(cs, c)
 }
 
@@ -413,29 +500,38 @@ func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish fl
 //	min(rbr, prevRate · prevSpeed / speed)        (paper formula 4)
 //
 // so that the cumulative outflow never exceeds the cumulative inflow
-// (Theorem 3). It reserves bandwidth for owner and returns the chunks
-// produced on this link.
-func (t *BWTimeline) Forward(owner Owner, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
-	var out []Chunk
+// (Theorem 3). It reserves bandwidth for owner and appends the chunks
+// produced on this link to dst, which must not overlap in.
+//
+// edgelint:noalloc
+func (t *BWTimeline) Forward(dst []Chunk, owner Owner, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
+	base, out := len(dst), dst
 	cursor := 0.0
 	for _, c := range in {
 		if c.Volume <= Eps {
-			if len(out) == 0 {
+			if len(out) == base {
+				// edgelint:coldpath — amortized growth of the caller's buffer.
 				out = append(out, Chunk{Start: c.Start + hopDelay, End: c.Start + hopDelay})
 			}
 			continue
 		}
 		es := math.Max(cursor, c.Start+hopDelay)
 		cap := c.Rate * prevSpeed / speed
-		cs := t.Alloc(owner, es, c.Volume, speed, cap)
-		for _, oc := range cs {
-			out = appendChunk(out, oc)
+		// Each Alloc's chunks are merged among themselves past out's
+		// end, then folded into out one at a time, in place: the fold
+		// writes at or below the chunk it reads.
+		n0 := len(out)
+		all := t.AppendAlloc(out, owner, es, c.Volume, speed, cap)
+		out = all[:n0]
+		for _, ac := range all[n0:] {
+			out = appendChunk(out, base, ac)
 		}
-		if n := len(out); n > 0 {
+		if n := len(out); n > base {
 			cursor = out[n-1].End
 		}
 	}
-	if len(out) == 0 {
+	if len(out) == base {
+		// edgelint:coldpath — amortized growth of the caller's buffer.
 		out = append(out, Chunk{})
 	}
 	return out
@@ -463,7 +559,7 @@ func (t *BWTimeline) Validate() error {
 				return fmt.Errorf("linksched: bw segment %d end %v not increasing past %v", i, s.end, prevEnd)
 			}
 			sum := 0.0
-			for _, u := range s.uses {
+			for _, u := range t.usesOf(&s) {
 				if u.rate <= 0 || u.rate > 1+Eps {
 					return fmt.Errorf("linksched: bw segment %d has invalid share %v", i, u.rate)
 				}
@@ -494,7 +590,7 @@ func (t *BWTimeline) Snapshot() BWSnapshot {
 
 // SnapshotInto captures the current state reusing the buffers of a
 // stale snapshot (one that will never be restored again), including the
-// slab arrays and per-segment use slices. See Timeline.SnapshotInto.
+// slab arrays and the use arena. See Timeline.SnapshotInto.
 //
 // edgelint:noalloc
 func (t *BWTimeline) SnapshotInto(old BWSnapshot) BWSnapshot {
@@ -509,10 +605,14 @@ func (t *BWTimeline) SnapshotInto(old BWSnapshot) BWSnapshot {
 func (t *BWTimeline) Restore(s BWSnapshot) { t.CopyFrom(&s.tl) }
 
 // CopyFrom makes t an independent deep copy of src, reusing t's slab
-// arrays and use buffers when they have capacity (see cloneSegs). The
-// warm path — journaling into a stale snapshot, or restoring from one
-// — does not allocate.
-func (t *BWTimeline) CopyFrom(src *BWTimeline) { t.st.copyFrom(&src.st, cloneSegs) }
+// arrays and use arena when they have capacity. Only the live spans are
+// copied, each to its own place in t's arena, so the copy drops the
+// dead ones. The warm path — journaling into a stale snapshot, or
+// restoring from one — does not allocate.
+func (t *BWTimeline) CopyFrom(src *BWTimeline) {
+	t.st.copyFrom(&src.st)
+	t.uses = t.relocateUses(t.uses[:0], src.uses)
+}
 
 // NumSegments reports the number of segments (for tests/statistics).
 func (t *BWTimeline) NumSegments() int { return t.st.n }

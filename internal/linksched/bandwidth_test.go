@@ -105,7 +105,7 @@ func TestForwardSameSpeedIdleLink(t *testing.T) {
 	up := NewBWTimeline()
 	down := NewBWTimeline()
 	in := up.Alloc(o(0, 0), 0, 10, 1, 0) // [0,10] rate 1
-	out := down.Forward(o(0, 1), in, 1, 1, 0)
+	out := down.Forward(nil, o(0, 1), in, 1, 1, 0)
 	// Cut-through at equal speed: downstream mirrors upstream.
 	if len(out) != 1 || out[0].Start != 0 || math.Abs(out[0].End-10) > Eps {
 		t.Fatalf("out %+v", out)
@@ -119,7 +119,7 @@ func TestForwardFasterLinkIsRateCapped(t *testing.T) {
 	up := NewBWTimeline()
 	down := NewBWTimeline()
 	in := up.Alloc(o(0, 0), 0, 10, 1, 0) // rate 1 at speed 1 → 10s
-	out := down.Forward(o(0, 1), in, 1, 2, 0)
+	out := down.Forward(nil, o(0, 1), in, 1, 2, 0)
 	// Downstream speed 2 but inflow is 1 byte/s → rate 0.5, same 10s.
 	if len(out) != 1 {
 		t.Fatalf("out %+v", out)
@@ -133,7 +133,7 @@ func TestForwardSlowerLinkStretches(t *testing.T) {
 	up := NewBWTimeline()
 	down := NewBWTimeline()
 	in := up.Alloc(o(0, 0), 0, 10, 2, 0) // [0,5] at speed 2
-	out := down.Forward(o(0, 1), in, 2, 1, 0)
+	out := down.Forward(nil, o(0, 1), in, 2, 1, 0)
 	// Downstream speed 1: takes 10s even though data arrives in 5.
 	if math.Abs(out[len(out)-1].End-10) > Eps {
 		t.Fatalf("out %+v, want end 10", out)
@@ -157,7 +157,7 @@ func TestForwardNeverOutrunsInflow(t *testing.T) {
 		speedUp := r.Float64()*9 + 1
 		speedDown := r.Float64()*9 + 1
 		in := up.Alloc(o(0, 0), r.Float64()*10, vol, speedUp, 0)
-		out := down.Forward(o(0, 1), in, speedUp, speedDown, 0)
+		out := down.Forward(nil, o(0, 1), in, speedUp, speedDown, 0)
 		if math.Abs(totalVolume(out)-vol) > 1e-6*vol+1e-9 {
 			t.Fatalf("trial %d: forwarded %v of %v", trial, totalVolume(out), vol)
 		}
@@ -316,12 +316,12 @@ func TestSegmentsExposure(t *testing.T) {
 func TestForwardZeroVolumeChunks(t *testing.T) {
 	down := NewBWTimeline()
 	// All-empty input yields a single empty output chunk.
-	out := down.Forward(o(0, 1), []Chunk{{Start: 5, End: 5}}, 1, 1, 0)
+	out := down.Forward(nil, o(0, 1), []Chunk{{Start: 5, End: 5}}, 1, 1, 0)
 	if len(out) != 1 || out[0].Volume != 0 {
 		t.Fatalf("out %+v", out)
 	}
 	// Entirely empty input also yields a placeholder.
-	out = down.Forward(o(1, 1), nil, 1, 1, 0)
+	out = down.Forward(nil, o(1, 1), nil, 1, 1, 0)
 	if len(out) != 1 {
 		t.Fatalf("out %+v", out)
 	}
@@ -331,7 +331,7 @@ func TestForwardWithHopDelayShiftsStart(t *testing.T) {
 	up := NewBWTimeline()
 	down := NewBWTimeline()
 	in := up.Alloc(o(0, 0), 0, 10, 1, 0) // [0,10]
-	out := down.Forward(o(0, 1), in, 1, 1, 3)
+	out := down.Forward(nil, o(0, 1), in, 1, 1, 3)
 	if out[0].Start < 3-Eps {
 		t.Fatalf("hop delay ignored: start %v", out[0].Start)
 	}
@@ -350,11 +350,12 @@ func TestBWValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("inconsistent avail accepted")
 	}
 	s0.avail = 0.5
-	s0.uses[0].rate = 1.5
+	u0 := &bw.usesOf(s0)[0]
+	u0.rate = 1.5
 	if err := bw.Validate(); err == nil {
 		t.Fatal("share > 1 accepted")
 	}
-	s0.uses[0].rate = 0.5
+	u0.rate = 0.5
 	end := s0.end
 	s0.end = s0.start - 1
 	if err := bw.Validate(); err == nil {
@@ -404,5 +405,34 @@ func TestSkipSaturatedHopsAtLargeMagnitudes(t *testing.T) {
 		if s != cur || f != cur+1 {
 			t.Fatalf("mag %g: EstimateFinish = (%v, %v), want (%v, %v)", mag, s, f, cur, cur+1)
 		}
+	}
+}
+
+// TestUseArenaStaysBounded pins compactUses: a ledger that is never
+// reset or restored, whose bookings keep copying long spans to the use
+// arena's tail, holds arenas of a few times its live shares rather than
+// of every share it ever copied.
+func TestUseArenaStaysBounded(t *testing.T) {
+	const segs, rounds = 100, 50
+	var bw BWTimeline
+	for i := 0; i < segs; i++ {
+		bw.Alloc(o(i, 0), float64(2*i), 1, 1, 0.5) // one half-rate segment each
+	}
+	for r := 0; r < rounds; r++ {
+		// A thin share across every segment copies each span once.
+		bw.Alloc(o(segs+r, 0), 0, float64(2*segs)*0.005, 1, 0.005)
+	}
+	if err := bw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, s := range bw.Segments() {
+		live += len(s.Uses)
+	}
+	if live < segs*rounds {
+		t.Fatalf("%d live shares; the case needs every round to cross every segment", live)
+	}
+	if held := cap(bw.uses) + cap(bw.spare); held > 10*live {
+		t.Fatalf("use arenas hold %d entries for %d live shares", held, live)
 	}
 }

@@ -89,7 +89,7 @@ func TestLedgerCopyIndependence(t *testing.T) {
 			// A thin share across the whole span appends to the use list
 			// of every segment.
 			l.Alloc(o(edge, 0), 0, 700, 1, 0.1)
-			l.Forward(o(edge+1, 0), []Chunk{{Start: 0, End: 4, Rate: 0.25, Volume: 1}}, 1, 1, 0.5)
+			l.Forward(nil, o(edge+1, 0), []Chunk{{Start: 0, End: 4, Rate: 0.25, Volume: 1}}, 1, 1, 0.5)
 		},
 		state: func(l *BWTimeline) any { return l.Segments() },
 		slabs: func(l *BWTimeline) int { return len(l.st.slabs) },

@@ -1,6 +1,7 @@
 package linksched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -304,28 +305,46 @@ func chunksEqual(a, b []Chunk) bool {
 	return true
 }
 
+// mergeBait is a chunk that would merge with cs[0] if it came right
+// before it in one chunk list: it ends where cs[0] starts, at its rate.
+// The appending kernels get it as dst's last chunk and must leave it
+// alone.
+func mergeBait(cs []Chunk) []Chunk {
+	if len(cs) == 0 {
+		return []Chunk{{Start: -2, End: -1, Rate: 1, Volume: 1}}
+	}
+	return []Chunk{{Start: cs[0].Start - 1, End: cs[0].Start, Rate: cs[0].Rate, Volume: 1}}
+}
+
+// checkAppended requires got to be dst's chunks, untouched, followed by
+// want.
+func checkAppended(t *testing.T, op string, dst, got, want []Chunk, segs int) {
+	t.Helper()
+	if len(got) < len(dst) || !chunksEqual(got[:len(dst)], dst) || !chunksEqual(got[len(dst):], want) {
+		t.Fatalf("%s appended to %+v = %+v, reference %+v at %d segments", op, dst, got, want, segs)
+	}
+}
+
 func (p *bwPair) alloc(t *testing.T, owner Owner, es, vol, speed, cap float64) []Chunk {
 	t.Helper()
-	got := p.bw.Alloc(owner, es, vol, speed, cap)
 	want := p.ref.alloc(owner, es, vol, speed, cap)
-	if !chunksEqual(got, want) {
-		t.Fatalf("Alloc(es=%v, vol=%v, speed=%v, cap=%v) = %+v, reference %+v at %d segments",
-			es, vol, speed, cap, got, want, p.bw.NumSegments())
-	}
+	dst := mergeBait(want)
+	got := p.bw.AppendAlloc(append([]Chunk(nil), dst...), owner, es, vol, speed, cap)
+	checkAppended(t, fmt.Sprintf("AppendAlloc(es=%v, vol=%v, speed=%v, cap=%v)", es, vol, speed, cap),
+		dst, got, want, p.bw.NumSegments())
 	p.checkState(t, "after Alloc")
-	return got
+	return got[len(dst):]
 }
 
 func (p *bwPair) forward(t *testing.T, owner Owner, in []Chunk, prevSpeed, speed, hop float64) []Chunk {
 	t.Helper()
-	got := p.bw.Forward(owner, in, prevSpeed, speed, hop)
 	want := p.ref.forward(owner, in, prevSpeed, speed, hop)
-	if !chunksEqual(got, want) {
-		t.Fatalf("Forward(%d chunks, prevSpeed=%v, speed=%v, hop=%v) = %+v, reference %+v",
-			len(in), prevSpeed, speed, hop, got, want)
-	}
+	dst := mergeBait(want)
+	got := p.bw.Forward(append([]Chunk(nil), dst...), owner, in, prevSpeed, speed, hop)
+	checkAppended(t, fmt.Sprintf("Forward(%d chunks, prevSpeed=%v, speed=%v, hop=%v)", len(in), prevSpeed, speed, hop),
+		dst, got, want, p.bw.NumSegments())
 	p.checkState(t, "after Forward")
-	return got
+	return got[len(dst):]
 }
 
 func (p *bwPair) estimate(t *testing.T, es, vol, speed float64) {
@@ -424,12 +443,12 @@ func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
 		p.alloc(t, Owner{Edge: i}, r.Float64()*span, r.Float64()*20+1, 2, 0)
 	}
 	snap := p.bw.Snapshot()
-	refSnap := cloneSegs(nil, p.ref.segs)
+	refSnap := cloneRefSegs(p.ref.segs)
 	for i := 0; i < 50; i++ {
 		p.bw.Alloc(Owner{Edge: 1000 + i}, r.Float64()*span, 5, 1, 0)
 	}
 	p.bw.Restore(snap)
-	p.ref.segs = cloneSegs(p.ref.segs, refSnap)
+	p.ref.segs = cloneRefSegs(refSnap)
 	p.checkState(t, "after restore")
 	// A copy's mutations must not leak back, and the copy itself must
 	// keep a valid slab store.
@@ -461,7 +480,7 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newBWPair()
 		var snap BWSnapshot
-		var refSnap []seg
+		var refSnap []refSeg
 		haveSnap := false
 		for i := 0; i+6 <= len(data); i += 6 {
 			op := data[i] % 8
@@ -481,12 +500,12 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 				p.estimate(t, es, vol, speed)
 			case 5:
 				snap = p.bw.SnapshotInto(snap)
-				refSnap = cloneSegs(refSnap, p.ref.segs)
+				refSnap = cloneRefSegs(p.ref.segs)
 				haveSnap = true
 			default:
 				if haveSnap {
 					p.bw.Restore(snap)
-					p.ref.segs = cloneSegs(p.ref.segs, refSnap)
+					p.ref.segs = cloneRefSegs(refSnap)
 				} else {
 					p.alloc(t, owner, es, vol, speed, 0)
 				}

@@ -103,7 +103,26 @@ func probeOptimalLinear(slots []Slot, req Request, slack SlackFunc) (start, fini
 // sequences and compare with exact float equality.
 
 type bwRef struct {
-	segs []seg
+	segs []refSeg
+}
+
+// refSeg is the reference's segment: the pre-arena layout, each
+// segment owning its use slice, so the oracle shares no storage scheme
+// with the ledger it checks.
+type refSeg struct {
+	start, end float64
+	avail      float64
+	uses       []use
+}
+
+// cloneRefSegs deep-copies segments, each with its own use slice.
+func cloneRefSegs(src []refSeg) []refSeg {
+	dst := make([]refSeg, len(src))
+	for i, s := range src {
+		dst[i] = s
+		dst[i].uses = append([]use(nil), s.uses...)
+	}
+	return dst
 }
 
 // refSplit ensures a segment boundary exists at time x and returns the
@@ -118,9 +137,9 @@ func (t *bwRef) split(x float64) int {
 	if fptime.GeqEps(s.start, x) || fptime.LeqEps(s.end, x) {
 		return i // boundary already (approximately) present
 	}
-	left := seg{start: s.start, end: x, avail: s.avail, uses: append([]use(nil), s.uses...)}
+	left := refSeg{start: s.start, end: x, avail: s.avail, uses: append([]use(nil), s.uses...)}
 	s.start = x
-	t.segs = append(t.segs, seg{})
+	t.segs = append(t.segs, refSeg{})
 	copy(t.segs[i+1:], t.segs[i:])
 	t.segs[i] = left
 	return i + 1 // the right half, now starting at x
@@ -162,8 +181,8 @@ func (t *bwRef) reserve(owner Owner, a, b, rate float64) {
 		if i < len(t.segs) && t.segs[i].start < gapEnd {
 			gapEnd = t.segs[i].start
 		}
-		ns := seg{start: cur, end: gapEnd, avail: 1 - rate, uses: []use{{owner: owner, rate: rate}}}
-		t.segs = append(t.segs, seg{})
+		ns := refSeg{start: cur, end: gapEnd, avail: 1 - rate, uses: []use{{owner: owner, rate: rate}}}
+		t.segs = append(t.segs, refSeg{})
 		copy(t.segs[i+1:], t.segs[i:])
 		t.segs[i] = ns
 		cur = gapEnd
@@ -218,7 +237,7 @@ func (t *bwRef) alloc(owner Owner, es, volume, speed, cap float64) []Chunk {
 			moved = remaining
 		}
 		t.reserve(owner, cur, end, rate)
-		out = appendChunk(out, Chunk{Start: cur, End: end, Rate: rate, Volume: moved})
+		out = appendChunk(out, 0, Chunk{Start: cur, End: end, Rate: rate, Volume: moved})
 		remaining -= moved
 		cur = end
 	}
@@ -294,7 +313,7 @@ func (t *bwRef) forward(owner Owner, in []Chunk, prevSpeed, speed, hopDelay floa
 		cap := c.Rate * prevSpeed / speed
 		cs := t.alloc(owner, es, c.Volume, speed, cap)
 		for _, oc := range cs {
-			out = appendChunk(out, oc)
+			out = appendChunk(out, 0, oc)
 		}
 		if n := len(out); n > 0 {
 			cursor = out[n-1].End

@@ -40,11 +40,11 @@ type cursor struct{ s, i int }
 // ledger's order predicate, and every mutation takes the fold that
 // computes a slab's summary.
 //
-// Slab arrays are never shared: a split copies its upper half into
-// another slab's array and clears the vacated region, and copyFrom
-// copies entry by entry. Arrays outlive their slabs in the capacity
-// region of the header slice, where reset and copyFrom leave them and
-// a later split or copy picks them up again.
+// Entries are plain values, and slab arrays are never shared: a split
+// copies its upper half into another slab's array, and copyFrom copies
+// each slab into an array of its own. Arrays outlive their slabs in the
+// capacity region of the header slice, where reset and copyFrom leave
+// them and a later split or copy picks them up again.
 //
 // The zero value is an empty store.
 type slabStore[E any, S comparable] struct {
@@ -139,9 +139,6 @@ func (st *slabStore[E, S]) split(s int) {
 	left := &st.slabs[s]
 	right.items = fullArray(right.items)[:slabBlock]
 	copy(right.items, left.items[slabBlock:])
-	// The moved entries must not stay behind in the left array's
-	// capacity region: copyFrom reuses entries' own buffers there.
-	clear(left.items[slabBlock:])
 	left.items = left.items[:slabBlock]
 }
 
@@ -179,11 +176,9 @@ func (st *slabStore[E, S]) reset() {
 	st.n = 0
 }
 
-// copyFrom makes st an independent deep copy of src, reusing st's
-// headers and slab arrays, including those retained past the live
-// ones. copyItems copies one slab's entries into a reused array and
-// returns it; it must not let the copy share buffers with src.
-func (st *slabStore[E, S]) copyFrom(src *slabStore[E, S], copyItems func(dst, src []E) []E) {
+// copyFrom makes st an independent copy of src, reusing st's headers
+// and slab arrays, including those retained past the live ones.
+func (st *slabStore[E, S]) copyFrom(src *slabStore[E, S]) {
 	n := len(src.slabs)
 	if cap(st.slabs) < n {
 		// edgelint:coldpath — one-time header growth; the capacity
@@ -192,7 +187,7 @@ func (st *slabStore[E, S]) copyFrom(src *slabStore[E, S], copyItems func(dst, sr
 	}
 	st.slabs = st.slabs[:n]
 	for k := range src.slabs {
-		st.slabs[k].items = copyItems(st.slabs[k].items, src.slabs[k].items)
+		st.slabs[k].items = append(st.slabs[k].items[:0], src.slabs[k].items...)
 		st.slabs[k].sum = src.slabs[k].sum
 	}
 	st.n = src.n

@@ -67,7 +67,7 @@ func TestSlabStoreValidateCatchesCorruption(t *testing.T) {
 		{"count mismatch", func(st *slabStore[float64, float64]) { st.n++ }},
 	} {
 		var bad slabStore[float64, float64]
-		bad.copyFrom(&st, func(dst, src []float64) []float64 { return append(dst[:0], src...) })
+		bad.copyFrom(&st)
 		c.corrupt(&bad)
 		if err := bad.validate(maxFold); err == nil {
 			t.Errorf("%s accepted", c.name)
@@ -107,10 +107,10 @@ func TestSlabSplitKeepsHalvesApart(t *testing.T) {
 	}
 }
 
-// TestResetKeepsSlabs pins that Reset keeps every slab array: refilling
-// a reset Timeline allocates nothing, and refilling a reset BWTimeline
-// allocates only what each booking returns or records — its segment's
-// use list and its chunk list — and no slab arrays.
+// TestResetKeepsSlabs pins that Reset keeps every slab array, and on a
+// BWTimeline the use arena: refilling either reset ledger allocates
+// nothing, the BWTimeline's bookings appending their chunks to a sized
+// buffer.
 func TestResetKeepsSlabs(t *testing.T) {
 	const n = 10 * slabBlock
 	order := rand.New(rand.NewSource(1)).Perm(n) // mid-ledger inserts: splits
@@ -132,18 +132,23 @@ func TestResetKeepsSlabs(t *testing.T) {
 	})
 	t.Run("BWTimeline", func(t *testing.T) {
 		var bw BWTimeline
+		var chunks []Chunk
 		refill := func() {
 			bw.Reset()
+			chunks = chunks[:0]
 			for _, i := range order {
-				bw.Alloc(o(i, 0), float64(3*i), 2, 1, 0) // one idle interval each
+				// One idle interval each, then a thin share over it and
+				// its neighbours: splits, and spans copied to the tail.
+				chunks = bw.AppendAlloc(chunks, o(i, 0), float64(3*i), 2, 1, 0)
+				chunks = bw.AppendAlloc(chunks, o(i, 1), float64(3*i)-1, 0.5, 1, 0.1)
 			}
 		}
 		refill()
 		if len(bw.st.slabs) < 3 {
 			t.Fatalf("%d slabs; the case needs several", len(bw.st.slabs))
 		}
-		if allocs := testing.AllocsPerRun(20, refill); allocs != 2*n {
-			t.Fatalf("refilling a reset BWTimeline allocates %v times, want %d (a use list and a chunk list per booking)", allocs, 2*n)
+		if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+			t.Fatalf("refilling a reset BWTimeline allocates %v times, want 0", allocs)
 		}
 	})
 }

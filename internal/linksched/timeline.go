@@ -66,9 +66,6 @@ func foldSlots(es []slotEntry) slotSum {
 	return sum
 }
 
-// copySlotEntries copies one slab's entries into a reused array.
-func copySlotEntries(dst, src []slotEntry) []slotEntry { return append(dst[:0], src...) }
-
 // startBefore is the Timeline's order predicate: e starts before x.
 func startBefore(e *slotEntry, x float64) bool { return e.Start < x }
 
@@ -590,7 +587,7 @@ func (t *Timeline) Restore(s Snapshot) { t.CopyFrom(&s.tl) }
 // stale snapshot, or restoring from one — is one copy per slab and no
 // allocation.
 func (t *Timeline) CopyFrom(src *Timeline) {
-	t.st.copyFrom(&src.st, copySlotEntries)
+	t.st.copyFrom(&src.st)
 	t.maxAbs = src.maxAbs
 }
 

@@ -443,8 +443,12 @@ type state struct {
 
 	predBuf  []dag.EdgeID        // orderedPreds scratch
 	pktBuf   []float64           // placeEdgePackets scratch
-	chunkBuf []linksched.Chunk   // placeEdgePackets per-leg chunk scratch
 	shiftBuf []linksched.Shifted // InsertOptimal's shift list, reused
+	// legBufs hold one leg's chunks before they are copied into the
+	// edge arena: placeEdgePackets uses legBufs[0], placeEdgeBandwidth
+	// alternates, the previous leg's chunks in one buffer and the
+	// current leg's in the other.
+	legBufs [2][]linksched.Chunk
 
 	// relaxFn is the cached Dijkstra relaxation closure: built once per
 	// state on first use (it captures only s), so route searches on the
@@ -1044,7 +1048,7 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 		link := s.net.Link(lid)
 		var legStart, legFinish float64
 		lastOnLink := 0.0 // finish of packet p-1 on this link
-		legChunks := s.chunkBuf[:0]
+		legChunks := s.legBufs[0][:0]
 		for p := 0; p < nPkts; p++ {
 			vol := size
 			if p == nPkts-1 {
@@ -1074,7 +1078,7 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 				Start: start, End: finish, Rate: rate, Volume: vol,
 			})
 		}
-		s.chunkBuf = legChunks
+		s.legBufs[0] = legChunks
 		s.setLeg(eid, leg, legMeta{
 			link:   lid,
 			start:  legStart,
@@ -1087,22 +1091,24 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 // placeEdgeBandwidth transfers the edge's volume over the route using
 // fractional bandwidth per BBSA.
 func (s *state) placeEdgeBandwidth(eid dag.EdgeID, e dag.Edge, route network.Route, base float64) {
-	var chunks []linksched.Chunk
+	var chunks []linksched.Chunk // the previous leg's, in legBufs[(leg-1)%2]
 	prevSpeed := 0.0
 	for leg, lid := range route {
 		link := s.net.Link(lid)
 		owner := linksched.Owner{Edge: int(eid), Leg: leg}
+		out := s.legBufs[leg%2][:0]
 		switch {
 		case leg == 0:
-			chunks = s.linkBW(lid).Alloc(owner, base, e.Cost, link.Speed, 0)
+			out = s.linkBW(lid).AppendAlloc(out, owner, base, e.Cost, link.Speed, 0)
 		case s.opts.Switching == StoreAndForward:
 			// The whole message is buffered at the station; the next
 			// link transfers it afresh, unconstrained by arrival rate.
 			arrived := chunks[len(chunks)-1].End
-			chunks = s.linkBW(lid).Alloc(owner, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
+			out = s.linkBW(lid).AppendAlloc(out, owner, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
 		default:
-			chunks = s.linkBW(lid).Forward(owner, chunks, prevSpeed, link.Speed, s.opts.HopDelay)
+			out = s.linkBW(lid).Forward(out, owner, chunks, prevSpeed, link.Speed, s.opts.HopDelay)
 		}
+		s.legBufs[leg%2], chunks = out, out
 		start, finish := base, base
 		if len(chunks) > 0 {
 			start = chunks[0].Start

@@ -10,6 +10,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/sched"
 	"repro/internal/verify"
+	"repro/internal/workload"
 )
 
 func algorithms() []sched.Algorithm {
@@ -810,5 +811,25 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 				t.Errorf("%s on %s: err %v, want a no-finite-finish error", name, c.name, err)
 			}
 		}
+	}
+}
+
+// TestBBSAAllocatesPerLedgerNotPerBooking pins the pointer-free
+// bandwidth ledger: BBSA on a long-link instance (3000 tasks, 4
+// processors, CCR 10) allocates for its state, slab arrays and use
+// arenas, a few hundred times in all, not a use list and a chunk list
+// per booking as it did before (35,065 times on this instance).
+func TestBBSAAllocatesPerLedgerNotPerBooking(t *testing.T) {
+	inst := workload.Generate(workload.Params{
+		Processors: 4, CCR: 10, MinTasks: 3000, MaxTasks: 3000, Seed: 42,
+	})
+	a := sched.NewBBSA()
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := a.Schedule(inst.Graph, inst.Net); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("BBSA allocates %v times on the long-link instance, want at most 1000", allocs)
 	}
 }

@@ -151,10 +151,30 @@ func AppendScheduleJSON(dst []byte, s *sched.Schedule) ([]byte, error) {
 }
 
 // jsonAppender appends JSON tokens to b, keeping the first encoding
-// error; AppendScheduleJSON discards b when err is set.
+// error; AppendScheduleJSON discards b when err is set. memo remembers
+// where b already holds recently printed floats (see float).
 type jsonAppender struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	memo [1 << floatMemoBits]floatMemo
+}
+
+// floatMemoBits sets the size of the per-document float memo, 2^bits
+// slots. Most of a BBSA document's floats repeat one printed shortly
+// before (a chunk starts where the previous one ended, a leg finishes
+// where its last chunk does), so a small direct-mapped table catches
+// them.
+const floatMemoBits = 10
+
+// floatSlot is the memo slot of a float's bits: a Fibonacci hash, so
+// floats that differ only in low mantissa bits still spread out.
+func floatSlot(bits uint64) uint64 { return (bits * 0x9e3779b97f4a7c15) >> (64 - floatMemoBits) }
+
+// floatMemo records that b[off:off+n] is the JSON text of the float
+// whose bits are bits; n == 0 marks an empty slot.
+type floatMemo struct {
+	bits   uint64
+	off, n int
 }
 
 func (e *jsonAppender) raw(s string) { e.b = append(e.b, s...) }
@@ -174,6 +194,9 @@ func (e *jsonAppender) int(v int) { e.b = strconv.AppendInt(e.b, int64(v), 10) }
 // float appends f as encoding/json does: the shortest representation
 // that round-trips, in exponent form below 1e-6 and from 1e21 up, with
 // a single-digit negative exponent written without its leading zero.
+// NaN and ±Inf are rejected before the memo is consulted, so they are
+// never remembered. A slot (floatSlot) holds the last float printed
+// there; a hit requires equal bits.
 func (e *jsonAppender) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if e.err == nil {
@@ -181,6 +204,15 @@ func (e *jsonAppender) float(f float64) {
 		}
 		return
 	}
+	// A float's text is a function of its bits alone, so text already
+	// in b for the same bits can be copied instead of formatted again.
+	bits := math.Float64bits(f)
+	m := &e.memo[floatSlot(bits)]
+	if m.n > 0 && m.bits == bits {
+		e.b = append(e.b, e.b[m.off:m.off+m.n]...)
+		return
+	}
+	off := len(e.b)
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -193,6 +225,7 @@ func (e *jsonAppender) float(f float64) {
 			e.b = e.b[:n-1]
 		}
 	}
+	*m = floatMemo{bits: bits, off: off, n: len(e.b) - off}
 }
 
 // str appends s as a JSON string. Printable ASCII other than the

@@ -135,6 +135,69 @@ func TestAppendScheduleJSONNoAllocs(t *testing.T) {
 	}
 }
 
+// floatsSchedule is a schedule whose makespan and task times are fs in
+// order, so the encoder prints fs as one sequence (the commStats floats
+// follow; there are no routed edges).
+func floatsSchedule(fs []float64) *sched.Schedule {
+	g := dag.New()
+	net := network.Star(1, network.Uniform(1), network.Uniform(1))
+	s := &sched.Schedule{Algorithm: "memo", Graph: g, Net: net, Makespan: fs[0]}
+	for i := 1; i < len(fs); i += 2 {
+		tp := sched.TaskPlacement{Task: g.AddTask("t", 1), Proc: net.Processors()[0], Start: fs[i]}
+		if i+1 < len(fs) {
+			tp.Finish = fs[i+1]
+		}
+		s.Tasks = append(s.Tasks, tp)
+	}
+	return s
+}
+
+// slotMate returns a float other than f, in f's memo slot: the first
+// collision among the multiples of a small odd step.
+func slotMate(t *testing.T, f float64) float64 {
+	t.Helper()
+	want := floatSlot(math.Float64bits(f))
+	for i := 1; i < 1<<20; i++ {
+		g := float64(i) * 0.37
+		if math.Float64bits(g) != math.Float64bits(f) && floatSlot(math.Float64bits(g)) == want {
+			return g
+		}
+	}
+	t.Fatalf("no memo slot mate for %v", f)
+	return 0
+}
+
+// TestAppendScheduleJSONMemo pins the float memo's exactness against
+// the reference encoder. Each value is printed, evicted by a different
+// float of the same slot, and printed again, several times over, so a
+// hit that trusted the slot without comparing bits prints the wrong
+// text. The values include +0 as the document's first float (bits 0,
+// an empty slot's bits), -0, the smallest subnormal, both sides of the
+// 1e-6 and 1e21 format switches, and pairs of ordinary times.
+func TestAppendScheduleJSONMemo(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324,
+		1e-6, math.Nextafter(1e-6, 0), 9.99e-7, -1e-7,
+		1e21, math.Nextafter(1e21, 0), 1e20, -1e21, 1.5e300,
+		0.1, 0.2, 0.30000000000000004, 123456789.125, 2.5,
+	}
+	var fs []float64
+	for _, f := range special {
+		mate := slotMate(t, f)
+		fs = append(fs, f, f, mate, f, mate, mate, f)
+	}
+	for i := range 200 {
+		// Distinct floats alternated in one slot, found by search.
+		a := float64(i) + 0.125
+		b := slotMate(t, a)
+		fs = append(fs, a, b, a, b, b, a)
+	}
+	// The same values again, now each a hit on whatever the slot holds.
+	fs = append(fs, special...)
+	fs = append(fs, special...)
+	checkMatchesReference(t, "memo", floatsSchedule(fs))
+}
+
 // fuzzBase is a three-task fork scheduled by BBSA on two processors, so
 // it has a routed edge whose leg carries bandwidth chunks.
 func fuzzBase(t testing.TB) *sched.Schedule {
@@ -159,8 +222,10 @@ func fuzzBase(t testing.TB) *sched.Schedule {
 // with hostile names (HTML-significant characters, quotes, backslashes,
 // control bytes, invalid UTF-8, U+2028/U+2029) and edge-case floats
 // (-0, the smallest subnormal, both sides of the 1e-6 and 1e21 format
-// switches, NaN, ±Inf) in a task, a leg and a chunk. The outputs must
-// be identical bytes, or the same error with nothing written.
+// switches, NaN, ±Inf) in a task, a leg and a chunk. Each float is
+// written at two or three places of the document, so the encoder's
+// float memo prints its repeats from a hit. The outputs must be
+// identical bytes, or the same error with nothing written.
 func FuzzScheduleJSON(f *testing.F) {
 	base := fuzzBase(f)
 	seeds := []struct {
@@ -195,7 +260,7 @@ func FuzzScheduleJSON(f *testing.F) {
 		s := *base
 		s.Algorithm, s.Graph = algo, g
 		s.Tasks = append([]sched.TaskPlacement(nil), base.Tasks...)
-		s.Tasks[1].Start = x
+		s.Tasks[1].Start, s.Tasks[1].Finish = x, y
 		s.Edges = append([]*sched.EdgeSchedule(nil), base.Edges...)
 		for i, es := range s.Edges {
 			if es == nil || len(es.Placements) == 0 || len(es.Placements[0].Chunks) == 0 {
@@ -203,9 +268,12 @@ func FuzzScheduleJSON(f *testing.F) {
 			}
 			c := *es
 			c.Placements = append([]sched.EdgePlacement(nil), es.Placements...)
+			c.Arrival = z
 			c.Placements[0].Finish = y
 			c.Placements[0].Chunks = append(c.Placements[0].Chunks[:0:0], es.Placements[0].Chunks...)
+			c.Placements[0].Chunks[0].End = x
 			c.Placements[0].Chunks[0].Rate = z
+			c.Placements[0].Chunks[0].Volume = z
 			s.Edges[i] = &c
 			break
 		}
