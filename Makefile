@@ -26,14 +26,17 @@ race:
 # reference, byte for byte, the graph and topology decoders against
 # their encoding/json references, accept set and result, and the
 # dead-end-pruned Dijkstra route search against the unpruned one, route,
-# label and error.
+# label and error. -fuzzminimizetime 0 turns off the minimization of
+# each new-coverage input, which by default runs up to 60s with no
+# executions counted and took most of a 30s budget; a failing input is
+# then written out as found, not minimized.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzTimelineDifferential -fuzztime 30s ./internal/linksched
-	$(GO) test -run '^$$' -fuzz FuzzBWTimelineDifferential -fuzztime 30s ./internal/linksched
-	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 30s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzReadGraph -fuzztime 30s ./internal/graphio
-	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 30s ./internal/graphio
-	$(GO) test -run '^$$' -fuzz FuzzDijkstraRoute -fuzztime 30s ./internal/network
+	$(GO) test -run '^$$' -fuzz FuzzTimelineDifferential -fuzztime 30s -fuzzminimizetime 0 ./internal/linksched
+	$(GO) test -run '^$$' -fuzz FuzzBWTimelineDifferential -fuzztime 30s -fuzzminimizetime 0 ./internal/linksched
+	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 30s -fuzzminimizetime 0 ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzReadGraph -fuzztime 30s -fuzzminimizetime 0 ./internal/graphio
+	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 30s -fuzzminimizetime 0 ./internal/graphio
+	$(GO) test -run '^$$' -fuzz FuzzDijkstraRoute -fuzztime 30s -fuzzminimizetime 0 ./internal/network
 
 lint:
 	$(GO) run ./cmd/edgelint ./...

@@ -281,16 +281,20 @@ type catchRow struct {
 // analyzer is needed for the read-only inputs: every write to the
 // graph or the topology below, which concurrent requests share, is
 // caught by a test or by the race detector, and a write to a cached
-// route, which only its scheduler state reads, by a test. The last rows
-// give each of the floateq, seededrand, verifysched and errflow
-// analyzers a bug it must catch, and noalloc one heap allocation per
-// package on a steady-state root that no test measures, plus a fresh
-// route per Router.DijkstraRoute search (which
-// TestDijkstraRouteIsAllocationFree also measures) and a use slice of
-// its own per new bandwidth segment (which TestResetKeepsSlabs also
-// measures). The schedule encoder's float memo has a row of its own: a
-// hit that trusts the slot without comparing the float's bits prints
-// another float's text.
+// route, which only its scheduler state reads, by a test. It is also
+// the evidence that probe transactions need no runtime guard: a
+// scheduler store that bypasses its journaling mutator (a booking, a
+// slack entry, a processor clock) is caught by the probe property
+// test, and a reset that leaves the previous run's journal sizes or
+// clocks by the state-reuse tests. The last rows give each of the
+// floateq, seededrand, verifysched and errflow analyzers a bug it must
+// catch, and noalloc one heap allocation per package on a steady-state
+// root that no test measures, plus a fresh route per
+// Router.DijkstraRoute search (which TestDijkstraRouteIsAllocationFree
+// also measures) and a use slice of its own per new bandwidth segment
+// (which TestResetKeepsSlabs also measures). The schedule encoder's
+// float memo has a row of its own: a hit that trusts the slot without
+// comparing the float's bits prints another float's text.
 var catchMatrix = []catchRow{{
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
@@ -345,6 +349,36 @@ var catchMatrix = []catchRow{{
 	old:  "\told.tl.CopyFrom(t)\n\treturn old\n",
 	new:  "\told.tl = Timeline{}\n\told.tl.CopyFrom(t)\n\treturn old\n",
 	pkg:  "./internal/sched", run: "^TestProbeJournalingIsAllocationFree$",
+}, {
+	bug:  "placeEdgeBandwidth books through s.bw, bypassing linkBW",
+	file: "internal/sched/list.go",
+	old:  "out = s.linkBW(lid).AppendAlloc(out, owner, base, e.Cost, link.Speed, 0)",
+	new:  "out = s.bw[lid].AppendAlloc(out, owner, base, e.Cost, link.Speed, 0)",
+	pkg:  "./internal/sched", run: "^TestClonePlacementEqualsTxnProbe$",
+}, {
+	bug:  "placeTask stores the processor clock without setProcFinish",
+	file: "internal/sched/list.go",
+	old:  "\t\ts.setProcFinish(proc, finish)\n",
+	new:  "\t\ts.procFinish[proc] = finish\n",
+	pkg:  "./internal/sched", run: "^TestClonePlacementEqualsTxnProbe$",
+}, {
+	bug:  "storeSlack writes the slack column through s.tl, bypassing linkTL",
+	file: "internal/sched/list.go",
+	old:  "s.linkTL(lid).SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))",
+	new:  "s.tl[lid].SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))",
+	pkg:  "./internal/sched", run: "^TestClonePlacementEqualsTxnProbe$",
+}, {
+	bug:  "reset leaves the journals sized for the previous run",
+	file: "internal/sched/list.go",
+	old:  "\tif s.txFree != nil {\n\t\ts.sizeJournals(s.txFree)\n\t}\n",
+	new:  "",
+	pkg:  "./internal/sched", run: "^TestResetForNoResidue$",
+}, {
+	bug:  "reset keeps the previous run's processor clocks",
+	file: "internal/sched/list.go",
+	old:  "\tclear(s.procFinish)\n",
+	new:  "",
+	pkg:  "./internal/sched", run: "^TestEngineMatchesColdRun$",
 }, {
 	bug:  "deferral cascade refreshes only the slab it started in",
 	file: "internal/linksched/timeline.go",

@@ -11,7 +11,7 @@ import (
 // against the retained linear reference kernels (reference_test.go). The
 // contract is bit-identity, not closeness: every comparison below is
 // exact float equality, because the scheduler's determinism guarantees
-// (Workers-1-vs-8, rollback oracle) assume probes are pure functions of
+// (Workers-1-vs-8, probe rollback) assume probes are pure functions of
 // the slots regardless of how the search is organized.
 
 // buildRandomTimeline grows a timeline to n slots with the given source of

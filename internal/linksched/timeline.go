@@ -86,8 +86,7 @@ func startBefore(e *slotEntry, x float64) bool { return e.Start < x }
 //
 // The summaries are maintained on every mutation — never rebuilt
 // lazily inside a probe — so probes stay strictly read-only: the txn
-// journal and the rollback oracle both rely on Probe* not writing
-// through the receiver.
+// journal relies on Probe* not writing through the receiver.
 //
 // The zero value is an empty timeline ready for use.
 type Timeline struct {

@@ -8,12 +8,11 @@ import (
 
 // The columnar edge store. Edge schedules used to live as one heap
 // *EdgeSchedule per edge with nested Route/Placements/Chunks slices —
-// O(|E|·route length) small allocations per run and the same again for
-// the rollback fingerprint. Here the records are struct-of-arrays: one
-// fixed-width edgeMeta per edge ID in a flat column, with the
-// variable-length route, per-leg placement and bandwidth-chunk data
-// appended to shared arena slices and addressed by (offset, length)
-// spans. Rolling back a probe transaction is restoring the journaled
+// O(|E|·route length) small allocations per run. Here the records are
+// struct-of-arrays: one fixed-width edgeMeta per edge ID in a flat
+// column, with the variable-length route, per-leg placement and
+// bandwidth-chunk data appended to shared arena slices and addressed by
+// (offset, length) spans. Rolling back a probe transaction is restoring the journaled
 // edgeMeta values and truncating the arenas to their begin-time
 // watermarks (committed data is never appended inside a transaction's
 // tail, so truncation can only discard transaction-private entries).

@@ -24,7 +24,10 @@ func eftInstance(seed int64) (*dag.Graph, *network.Topology) {
 }
 
 // eftOptionSets are the engine/policy combinations the probe tests
-// cover.
+// cover: every engine under both task policies (the insertion rows of
+// optimal insertion and the bandwidth ledger route with Dijkstra, whose
+// relaxation reads the timelines a probe has written), plus
+// duplication, which requires append placement.
 func eftOptionSets() map[string]Options {
 	return map[string]Options{
 		"slots-basic":   {ProcSelect: ProcSelectEFT},
@@ -32,124 +35,75 @@ func eftOptionSets() map[string]Options {
 		"bandwidth":     {ProcSelect: ProcSelectEFT, Engine: EngineBandwidth},
 		"packets":       {ProcSelect: ProcSelectEFT, Engine: EnginePackets, PacketSize: 40},
 		"insertion":     {ProcSelect: ProcSelectEFT, TaskPolicy: TaskInsertion},
-		"duplication":   {ProcSelect: ProcSelectEFT, Duplication: true},
+		"optimal-insertion": {Routing: RoutingDijkstra, ProcSelect: ProcSelectEFT, Insertion: InsertionOptimal,
+			EdgeOrder: EdgeOrderDescCost, TaskPolicy: TaskInsertion},
+		"bandwidth-insertion": {Routing: RoutingDijkstra, ProcSelect: ProcSelectEFT, Engine: EngineBandwidth,
+			TaskPolicy: TaskInsertion},
+		"packets-insertion": {ProcSelect: ProcSelectEFT, Engine: EnginePackets, PacketSize: 40,
+			TaskPolicy: TaskInsertion},
+		"duplication": {ProcSelect: ProcSelectEFT, Duplication: true},
 	}
-}
-
-// captureState snapshots everything placeTask can mutate.
-type stateSnap struct {
-	tasks      []TaskPlacement
-	dups       []TaskPlacement
-	procFinish []float64
-	slots      [][]float64
-	bwSegs     []int
-}
-
-func captureSnap(s *state) stateSnap {
-	sn := stateSnap{
-		tasks:      append([]TaskPlacement(nil), s.tasks...),
-		dups:       append([]TaskPlacement(nil), s.dups...),
-		procFinish: append([]float64(nil), s.procFinish...),
-	}
-	for _, tl := range s.tl {
-		var times []float64
-		for _, slot := range tl.Slots() {
-			times = append(times, slot.Start, slot.End)
-		}
-		sn.slots = append(sn.slots, times)
-	}
-	for _, bw := range s.bw {
-		sn.bwSegs = append(sn.bwSegs, bw.NumSegments())
-	}
-	return sn
-}
-
-func snapsEqual(a, b stateSnap) bool {
-	if len(a.tasks) != len(b.tasks) || len(a.dups) != len(b.dups) {
-		return false
-	}
-	for i := range a.tasks {
-		if a.tasks[i] != b.tasks[i] {
-			return false
-		}
-	}
-	for i := range a.dups {
-		if a.dups[i] != b.dups[i] {
-			return false
-		}
-	}
-	for i := range a.procFinish {
-		if a.procFinish[i] != b.procFinish[i] {
-			return false
-		}
-	}
-	for i := range a.slots {
-		if len(a.slots[i]) != len(b.slots[i]) {
-			return false
-		}
-		for j := range a.slots[i] {
-			if a.slots[i][j] != b.slots[i][j] {
-				return false
-			}
-		}
-	}
-	for i := range a.bwSegs {
-		if a.bwSegs[i] != b.bwSegs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestClonePlacementEqualsTxnProbe is the probe property test: at
 // every scheduling step, placing the task for real on a clone of the
 // state — a second state rebuilt by replaying the committed placements
 // — must yield exactly the finish time the original computes with a
-// transaction probe, and the probes must leave the original untouched.
+// transaction probe, and the probes must leave the original bit-for-bit
+// untouched (an empty fingerprint diff). A store that bypasses its
+// journaling mutator fails one of the two: the probe reads its own
+// stale write, or rollback leaves it behind.
 func TestClonePlacementEqualsTxnProbe(t *testing.T) {
 	type commit struct {
 		tid  dag.TaskID
 		proc network.NodeID
 	}
+	// The line's routes run up to five links, so an optimal insertion
+	// can shift a middle leg and rewrite the slack of the leg before it,
+	// on a link the probe does not otherwise touch: a slack store that
+	// bypasses linkTL shows only there.
+	line := network.Line(6, network.Uniform(1), network.Uniform(1))
 	for name, opts := range eftOptionSets() {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				g, net := eftInstance(seed)
-				s := mkState(t, g, net, opts)
-				order, err := g.PriorityOrder()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var committed []commit
-				for _, tid := range order {
-					before := captureSnap(s)
-					for _, p := range net.Processors() {
-						want, werr := s.probe(tid, p)
-						c := mkState(t, g, net, opts)
-						for _, cm := range committed {
-							if _, err := c.placeTask(cm.tid, cm.proc); err != nil {
-								t.Fatal(err)
-							}
-						}
-						got, gerr := c.placeTask(tid, p)
-						if (werr == nil) != (gerr == nil) {
-							t.Fatalf("seed %d task %d proc %v: clone err %v, probe err %v", seed, tid, p, gerr, werr)
-						}
-						if werr == nil && got != want {
-							t.Fatalf("seed %d task %d proc %v: clone finish %v, probe finish %v", seed, tid, p, got, want)
-						}
-					}
-					if after := captureSnap(s); !snapsEqual(before, after) {
-						t.Fatalf("seed %d task %d: probing mutated the original state", seed, tid)
-					}
-					proc, err := s.selectProcessor(tid)
+				g, star := eftInstance(seed)
+				for _, net := range []*network.Topology{star, line} {
+					s := mkState(t, g, net, opts)
+					order, err := g.PriorityOrder()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := s.placeTask(tid, proc); err != nil {
-						t.Fatal(err)
+					var committed []commit
+					for _, tid := range order {
+						fp := s.captureFingerprint()
+						for _, p := range net.Processors() {
+							want, werr := s.probe(tid, p)
+							c := mkState(t, g, net, opts)
+							for _, cm := range committed {
+								if _, err := c.placeTask(cm.tid, cm.proc); err != nil {
+									t.Fatal(err)
+								}
+							}
+							got, gerr := c.placeTask(tid, p)
+							if (werr == nil) != (gerr == nil) {
+								t.Fatalf("seed %d task %d proc %v: clone err %v, probe err %v", seed, tid, p, gerr, werr)
+							}
+							if werr == nil && got != want {
+								t.Fatalf("seed %d task %d proc %v: clone finish %v, probe finish %v", seed, tid, p, got, want)
+							}
+						}
+						if d := fp.diff(s); d != "" {
+							t.Fatalf("seed %d task %d: probing mutated the original state: %s", seed, tid, d)
+						}
+						proc, err := s.selectProcessor(tid)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := s.placeTask(tid, proc); err != nil {
+							t.Fatal(err)
+						}
+						committed = append(committed, commit{tid, proc})
 					}
-					committed = append(committed, commit{tid, proc})
 				}
 			}
 		})

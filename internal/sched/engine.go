@@ -265,9 +265,8 @@ func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 
 // selfCheck re-runs the request cold — fresh state, empty route
 // cache — and fails with ErrSelfCheck if the engine's schedule is not
-// bit-identical. This is the serving-path twin of the rollback oracle:
-// it turns "state reuse and sharing change nothing" into a checked
-// runtime contract.
+// bit-identical. It turns "state reuse and sharing change nothing" into
+// a checked runtime contract.
 func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 	e.selfChecks.Add(1)
 	s, err := newState(g, e.net, e.opts)

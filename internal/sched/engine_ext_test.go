@@ -199,7 +199,7 @@ func TestEngineDrain(t *testing.T) {
 func TestEngineSlotReuse(t *testing.T) {
 	net := engineTopology()
 	opts := sched.Options{ProcSelect: sched.ProcSelectEFT, Insertion: sched.InsertionOptimal,
-		EdgeOrder: sched.EdgeOrderDescCost, VerifyRollbackEvery: 5}
+		EdgeOrder: sched.EdgeOrderDescCost}
 	eng, err := sched.NewEngine(net, sched.EngineOptions{Opts: opts, MaxConcurrent: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,11 +12,11 @@ import (
 )
 
 // State-reuse hygiene tests. These live in the package so they can
-// drive reset directly and point the rollback oracle's fingerprint
-// machinery at the reused state: the contract is that a state which
-// served run N and was reset for run N+1 is indistinguishable — bit for
-// bit, arenas, journals, timelines — from a state built cold for run
-// N+1, whatever topology or policies run N had.
+// drive reset directly and point the fingerprint diff at the reused
+// state: the contract is that a state which served run N and was reset
+// for run N+1 is indistinguishable — bit for bit, arenas, journals,
+// timelines — from a state built cold for run N+1, whatever topology or
+// policies run N had.
 
 // hygieneOptions are the policy sets whose states exercise every
 // column family: slot timelines with insertion + duplication, and
@@ -101,21 +102,6 @@ func TestResetForNoResidue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Shape first: the oracle's diff indexes by the fresh
-			// state's entity counts, so any size residue is named here.
-			if len(reused.tasks) != len(fresh.tasks) ||
-				len(reused.procFinish) != len(fresh.procFinish) ||
-				len(reused.edges.meta) != len(fresh.edges.meta) ||
-				len(reused.tl) != len(fresh.tl) ||
-				len(reused.bw) != len(fresh.bw) ||
-				len(reused.ptl) != len(fresh.ptl) {
-				t.Fatalf("reset state shape differs from cold state")
-			}
-			if len(reused.edges.routes) != 0 || len(reused.edges.legs) != 0 ||
-				len(reused.edges.chunks) != 0 {
-				t.Fatalf("arena residue after reset: %d routes, %d legs, %d chunks",
-					len(reused.edges.routes), len(reused.edges.legs), len(reused.edges.chunks))
-			}
 			if d := fresh.captureFingerprint().diff(reused); d != "" {
 				t.Fatalf("run N residue visible to run N+1: %s", d)
 			}
@@ -139,8 +125,8 @@ func TestResetForNoResidue(t *testing.T) {
 
 // TestResetForJournalSizes pins that reset resizes the reusable
 // transaction journals to the new graph's census — otherwise the first
-// probe of the next request would trip begin's size-drift panic (or
-// worse, index out of bounds).
+// probe of the next request would index journal.put's marks out of
+// bounds, or journal IDs into marks of another entity census.
 func TestResetForJournalSizes(t *testing.T) {
 	net := network.Star(4, network.Uniform(1), network.Uniform(1))
 	opts := Options{ProcSelect: ProcSelectEFT}
@@ -156,7 +142,13 @@ func TestResetForJournalSizes(t *testing.T) {
 	}
 	g2 := hygieneGraph(12, 50) // larger: journals must grow
 	s.reset(g2, net, opts)
-	s.checkJournalSizes(s.txFree) // panics on drift
+	tx := s.txFree
+	got := []int{len(tx.taskOld.mark), len(tx.procOld.mark), len(tx.edgeOld.mark),
+		len(tx.tlSnaps.mark), len(tx.bwSnaps.mark), len(tx.ptlSnaps.mark)}
+	want := []int{len(s.tasks), len(s.procFinish), len(s.edges.meta), len(s.tl), len(s.bw), len(s.ptl)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("journals sized %v after reset, state has %v", got, want)
+	}
 	if _, err := scheduleOn(s, "x"); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
@@ -113,30 +114,7 @@ func TestTxnRollbackRestoresEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Snapshot observable state.
-	type snap struct {
-		tasks      []TaskPlacement
-		procFinish []float64
-		slotCounts []int
-		placements map[dag.EdgeID][]EdgePlacement
-	}
-	capture := func() snap {
-		sn := snap{
-			tasks:      append([]TaskPlacement(nil), s.tasks...),
-			procFinish: append([]float64(nil), s.procFinish...),
-			placements: map[dag.EdgeID][]EdgePlacement{},
-		}
-		for _, tl := range s.tl {
-			sn.slotCounts = append(sn.slotCounts, tl.Len())
-		}
-		for i, es := range s.edges.materialize() {
-			if es != nil {
-				sn.placements[dag.EdgeID(i)] = append([]EdgePlacement(nil), es.Placements...)
-			}
-		}
-		return sn
-	}
-	before := capture()
+	before := s.captureFingerprint()
 	// Tentatively place the next task on every processor and roll back.
 	next := order[half]
 	for _, p := range net.Processors() {
@@ -145,32 +123,8 @@ func TestTxnRollbackRestoresEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.rollback()
-	}
-	after := capture()
-	for i := range before.tasks {
-		if before.tasks[i] != after.tasks[i] {
-			t.Fatalf("task %d placement changed by rollback: %+v -> %+v", i, before.tasks[i], after.tasks[i])
-		}
-	}
-	for i := range before.procFinish {
-		if before.procFinish[i] != after.procFinish[i] {
-			t.Fatalf("proc %d clock changed by rollback", i)
-		}
-	}
-	for i := range before.slotCounts {
-		if before.slotCounts[i] != after.slotCounts[i] {
-			t.Fatalf("link %d slot count changed by rollback", i)
-		}
-	}
-	for id, pls := range before.placements {
-		got := after.placements[id]
-		if len(got) != len(pls) {
-			t.Fatalf("edge %d placements changed by rollback", id)
-		}
-		for i := range pls {
-			if pls[i].Link != got[i].Link || pls[i].Start != got[i].Start || pls[i].Finish != got[i].Finish {
-				t.Fatalf("edge %d leg %d changed by rollback: %+v -> %+v", id, i, pls[i], got[i])
-			}
+		if d := before.diff(s); d != "" {
+			t.Fatalf("rollback of the probe on %v left state changed: %s", p, d)
 		}
 	}
 }
@@ -261,12 +215,12 @@ func TestCowEdgeLegsJournalsUntouchedEdge(t *testing.T) {
 func TestProbePanicSafe(t *testing.T) {
 	g := dag.Chain(2, 1, 10)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
-	s := mkState(t, g, net, Options{VerifyRollbackEvery: 1})
+	s := mkState(t, g, net, Options{})
 	p := net.Processors()
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
 	}
-	before := captureSnap(s)
+	before := s.captureFingerprint()
 
 	func() {
 		defer func() {
@@ -280,8 +234,8 @@ func TestProbePanicSafe(t *testing.T) {
 	if s.tx != nil {
 		t.Fatal("panicking probe left the transaction open")
 	}
-	if after := captureSnap(s); !snapsEqual(before, after) {
-		t.Fatal("panicking probe left the state mutated")
+	if d := before.diff(s); d != "" {
+		t.Fatalf("panicking probe left the state mutated: %s", d)
 	}
 	// The replica must still be usable: a later probe and commit work.
 	if _, err := s.probe(1, p[1]); err != nil {
@@ -292,45 +246,47 @@ func TestProbePanicSafe(t *testing.T) {
 	}
 }
 
-// TestRollbackOracleDetectsUnjournaledWrites arms the oracle on every
-// transaction and commits un-journaled writes inside one, one per
-// journaled column: rollback must panic and name the corrupted field.
-// The oracle is the only guard that the journaling mutators cover their
-// stores, so it must see every column.
+// TestRollbackOracleDetectsUnjournaledWrites pins the reach of the
+// tests' rollback oracle, the fingerprint diff: a direct write to any
+// journaled column, bypassing its journaling mutator, must give a diff
+// that names the column. The probe and rollback tests compare
+// fingerprints, so a column the diff did not see would be a column
+// whose un-journaled writes no test catches.
 func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 	corrupt := map[string]struct {
 		opts   Options
 		mutate func(s *state)
+		want   string // a substring of the diff that names the column
 	}{
-		"task": {mutate: func(s *state) {
+		"task": {want: "task 0 placement", mutate: func(s *state) {
 			s.tasks[0] = TaskPlacement{Task: 0, Proc: 0, Start: 1, Finish: 2}
 		}},
-		"processor": {mutate: func(s *state) {
+		"processor": {want: "clock", mutate: func(s *state) {
 			s.procFinish[0] += 5
 		}},
-		"edge": {mutate: func(s *state) {
+		"edge": {want: "edge leg arena", mutate: func(s *state) {
 			// In-place write of a committed leg record, bypassing
 			// setLeg's copy-on-write — the span-level silent-rollback
 			// hole.
 			s.edges.legs[s.edges.meta[0].legs.off].start += 3
 		}},
-		"link": {mutate: func(s *state) {
+		"link": {want: "link 0 slot count", mutate: func(s *state) {
 			s.tl[0].InsertBasic(linksched.Owner{Edge: 99, Leg: 0}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
-		"slack": {mutate: func(s *state) {
+		"slack": {want: "slack", mutate: func(s *state) {
 			// A slack-column write that bypasses linkTL.
 			lid := s.edges.routeAt(0, 0)
 			sl := s.tl[lid].Slots()[0]
 			s.tl[lid].SetSlack(sl.Owner, sl.Start, 42)
 		}},
-		"bandwidth": {opts: Options{Engine: EngineBandwidth}, mutate: func(s *state) {
+		"bandwidth": {opts: Options{Engine: EngineBandwidth}, want: "bandwidth link 0", mutate: func(s *state) {
 			s.bw[0].Alloc(linksched.Owner{Edge: 99, Leg: 0}, 500, 10, 1, 0)
 		}},
-		"proctimeline": {opts: Options{TaskPolicy: TaskInsertion}, mutate: func(s *state) {
+		"proctimeline": {opts: Options{TaskPolicy: TaskInsertion}, want: "processor timeline", mutate: func(s *state) {
 			p := s.net.Processors()[0]
 			s.ptl[p].InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
-		"duplicate": {opts: Options{Duplication: true}, mutate: func(s *state) {
+		"duplicate": {opts: Options{Duplication: true}, want: "duplicates count", mutate: func(s *state) {
 			// An append that bypasses addDup: rollback has no length
 			// to truncate back to.
 			s.dups = append(s.dups, TaskPlacement{Task: 0, Proc: s.net.Processors()[0], Start: 7, Finish: 8})
@@ -340,9 +296,7 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := dag.Chain(2, 1, 100)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
-			opts := c.opts
-			opts.VerifyRollbackEvery = 1
-			s := mkState(t, g, net, opts)
+			s := mkState(t, g, net, c.opts)
 			p := net.Processors()
 			if _, err := s.placeTask(0, p[0]); err != nil {
 				t.Fatal(err)
@@ -350,25 +304,22 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 			if _, err := s.placeTask(1, p[1]); err != nil {
 				t.Fatal(err)
 			}
-			s.begin()
+			fp := s.captureFingerprint()
 			c.mutate(s)
-			defer func() {
-				if r := recover(); r == nil {
-					t.Fatal("rollback oracle missed an un-journaled write")
-				}
-			}()
-			s.rollback()
+			if d := fp.diff(s); !strings.Contains(d, c.want) {
+				t.Fatalf("diff %q does not name the written column (want %q)", d, c.want)
+			}
 		})
 	}
 }
 
 // TestMutatorsRollBack drives every journaling mutator on committed
-// state inside a transaction with the rollback oracle armed. Each write
-// must change the state (so the row is not vacuous) and rollback must
-// undo it exactly, or the oracle panics naming the field: a mutator
-// whose journal step is lost fails its row here, including the ones
-// (sealEdge, clearEdge of a scheduled edge) that the schedulers only
-// reach with the record already journaled.
+// state inside a transaction. Each write must change the state (so the
+// row is not vacuous) and rollback must undo it exactly, or the
+// fingerprint diff names the field: a mutator whose journal step is
+// lost fails its row here, including the ones (sealEdge, clearEdge of
+// a scheduled edge) that the schedulers only reach with the record
+// already journaled.
 func TestMutatorsRollBack(t *testing.T) {
 	rows := map[string]struct {
 		opts   Options
@@ -427,9 +378,7 @@ func TestMutatorsRollBack(t *testing.T) {
 			g.AddEdge(a, b, 100)
 			g.AddEdge(a, c, 100)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
-			opts := r.opts
-			opts.VerifyRollbackEvery = 1
-			s := mkState(t, g, net, opts)
+			s := mkState(t, g, net, r.opts)
 			p := net.Processors()
 			for _, pl := range []struct {
 				tid  dag.TaskID
@@ -439,17 +388,16 @@ func TestMutatorsRollBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			fp := s.captureFingerprint()
 			s.begin()
 			r.mutate(s)
-			if s.tx.fp.diff(s) == "" {
+			if fp.diff(s) == "" {
 				t.Fatal("the mutator left the state unchanged")
 			}
-			defer func() {
-				if err := recover(); err != nil {
-					t.Fatal(err)
-				}
-			}()
 			s.rollback()
+			if d := fp.diff(s); d != "" {
+				t.Fatalf("incomplete rollback (un-journaled write?): %s", d)
+			}
 		})
 	}
 }
@@ -543,45 +491,6 @@ func TestCallbackClosuresAreCached(t *testing.T) {
 	if s.relaxEdgeCost != e2.Cost {
 		t.Fatalf("relaxEdgeCost %v, want %v", s.relaxEdgeCost, e2.Cost)
 	}
-}
-
-// TestVerifyRollbackEverySamples pins the sampled oracle's cadence:
-// with VerifyRollbackEvery=3, transactions 0, 3, 6, ... capture a
-// fingerprint and the others must not.
-func TestVerifyRollbackEverySamples(t *testing.T) {
-	g := dag.Chain(2, 1, 10)
-	net := network.Line(2, network.Uniform(1), network.Uniform(1))
-	s := mkState(t, g, net, Options{VerifyRollbackEvery: 3})
-	for i := 0; i < 9; i++ {
-		s.begin()
-		got := s.tx.fp != nil
-		want := i%3 == 0
-		if got != want {
-			t.Fatalf("transaction %d: fingerprint captured = %v, want %v", i, got, want)
-		}
-		s.rollback()
-	}
-}
-
-// TestVerifyRollbackEveryDetects arms the sampled oracle at N=1 (every
-// transaction) via the sampling path and checks it still catches an
-// un-journaled write — the sampled mode must lose cadence, not teeth.
-func TestVerifyRollbackEveryDetects(t *testing.T) {
-	g := dag.Chain(2, 1, 100)
-	net := network.Line(2, network.Uniform(1), network.Uniform(1))
-	s := mkState(t, g, net, Options{VerifyRollbackEvery: 1})
-	p := net.Processors()
-	if _, err := s.placeTask(0, p[0]); err != nil {
-		t.Fatal(err)
-	}
-	s.begin()
-	s.tl[0].InsertBasic(linksched.Owner{Edge: 7, Leg: 0}, linksched.Request{ES: 50, PF: 50, Dur: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("sampled rollback oracle missed an un-journaled write")
-		}
-	}()
-	s.rollback()
 }
 
 func TestNestedTxnPanics(t *testing.T) {

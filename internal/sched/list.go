@@ -299,16 +299,6 @@ type Options struct {
 	// the predecessor is duplicated onto the destination processor and
 	// the communication is dropped. Requires TaskAppend placement.
 	Duplication bool
-	// VerifyRollbackEvery arms the rollback oracle: when N > 0, every
-	// Nth probe transaction captures a deep fingerprint of the
-	// scheduler state at begin and re-checks it after rollback,
-	// panicking with the offending field/link ID on any difference; 1
-	// checks every transaction. An un-journaled write on any probe of a
-	// deterministic schedule run repeats on the sampled ones, so
-	// sampling keeps the detection power at 1/N of the O(state)
-	// per-probe cost. A debugging and property-test aid — leave it off
-	// in production runs.
-	VerifyRollbackEvery int
 }
 
 // validate rejects policy sets no run can execute. It is the one
@@ -424,9 +414,6 @@ type state struct {
 	// slice-backed journals are allocated once per state, not per
 	// probe, and their snapshot buffers recycle across probes.
 	txFree *txn
-	// txSeq counts opened transactions, driving the sampled rollback
-	// oracle (Options.VerifyRollbackEvery).
-	txSeq uint64
 
 	// router performs route searches with reused scratch buffers sized
 	// to net, and memoizes the static BFS routes in a route cache that
@@ -499,8 +486,8 @@ func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error)
 //     zeroed;
 //   - the task column is rebuilt fresh and unplaced (the previous run's
 //     Schedule owns the old one) and the duplicates dropped;
-//   - the reusable journals are resized to the new entity counts, which
-//     keeps the size-drift check in begin honest.
+//   - the reusable journals are resized to the new entity counts, since
+//     journal.put indexes its marks by entity ID unchecked.
 func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (rebound bool) {
 	if s.tx != nil {
 		panic("sched: reset inside a transaction")
@@ -537,7 +524,6 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (reboun
 	s.dups = nil
 	s.edges.init(g.NumEdges())
 
-	s.txSeq = 0
 	if s.txFree != nil {
 		s.sizeJournals(s.txFree)
 	}

@@ -32,10 +32,9 @@ func checkSlackColumn(t *testing.T, s *state, ctx string) {
 // TestSlackColumnMatchesClosure places random DAGs task by task under
 // every optimal-insertion option set and checks the slack column after
 // each placement. The EFT preset probes every processor inside a
-// transaction with the rollback oracle armed on each one, so rolled-
-// back placements must leave the column exactly as they found it; the
-// hop-delay, store-and-forward and task-insertion variants change the
-// slack formula's inputs.
+// transaction, so rolled-back placements must leave the column exactly
+// as they found it; the hop-delay, store-and-forward and task-insertion
+// variants change the slack formula's inputs.
 //
 // edgelint:ignore verifysched — in-package (verify would cycle); the
 // same presets run under the full validator in sched_test.go.
@@ -43,7 +42,6 @@ func TestSlackColumnMatchesClosure(t *testing.T) {
 	oihsa := NewOIHSA().Opts
 	eft := oihsa
 	eft.ProcSelect = ProcSelectEFT
-	eft.VerifyRollbackEvery = 1
 	hop := oihsa
 	hop.HopDelay = 0.5
 	saf := oihsa

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"repro/internal/dag"
 	"repro/internal/linksched"
 	"repro/internal/network"
@@ -32,11 +30,6 @@ type txn struct {
 	// all live below the marks, so restoring the journaled edgeMeta
 	// values plus this truncation restores the store exactly.
 	marks arenaMarks
-	// fp is the rollback oracle's deep fingerprint of the whole state,
-	// captured at begin on every Options.VerifyRollbackEvery'th
-	// transaction; rollback re-fingerprints after restoring and panics
-	// on any difference, naming the corrupted field and ID.
-	fp *fingerprint
 }
 
 // begin opens a transaction. Transactions do not nest. The journal
@@ -50,16 +43,10 @@ func (s *state) begin() {
 	}
 	if s.txFree == nil {
 		s.txFree = s.newTxn()
-	} else {
-		s.checkJournalSizes(s.txFree)
 	}
 	s.tx = s.txFree
 	s.tx.dupsLen = -1
 	s.tx.marks = s.edges.marks()
-	if n := s.opts.VerifyRollbackEvery; n > 0 && s.txSeq%uint64(n) == 0 {
-		s.tx.fp = s.captureFingerprint()
-	}
-	s.txSeq++
 }
 
 // newTxn builds the state's reusable transaction journal. Runs once per
@@ -83,37 +70,6 @@ func (s *state) sizeJournals(tx *txn) {
 	tx.tlSnaps.resize(len(s.tl))
 	tx.bwSnaps.resize(len(s.bw))
 	tx.ptlSnaps.resize(len(s.ptl))
-}
-
-// checkJournalSizes verifies that the reusable journals still match the
-// state's entity counts: journal.put indexes mark[id] unchecked, so a
-// journal sized for a different entity census would corrupt memory or
-// panic opaquely deep inside a probe. Drift can only come from a bug in
-// the pool plumbing (reset resizes the journals), so this
-// fails loudly with a named panic rather than limping on.
-//
-// edgelint:noalloc
-func (s *state) checkJournalSizes(tx *txn) {
-	if len(tx.taskOld.mark) != len(s.tasks) ||
-		len(tx.procOld.mark) != len(s.procFinish) ||
-		len(tx.edgeOld.mark) != len(s.edges.meta) ||
-		len(tx.tlSnaps.mark) != len(s.tl) ||
-		len(tx.bwSnaps.mark) != len(s.bw) ||
-		len(tx.ptlSnaps.mark) != len(s.ptl) {
-		s.journalSizeDrift(tx)
-	}
-}
-
-// journalSizeDrift formats the named size-drift panic off the hot path.
-//
-// edgelint:coldpath — panic formatting, unreachable unless state is corrupt
-func (s *state) journalSizeDrift(tx *txn) {
-	panic(fmt.Sprintf("sched: journal size drift: journals sized for "+
-		"%d tasks/%d procs/%d edges/%d tl/%d bw/%d ptl, state has %d/%d/%d/%d/%d/%d",
-		len(tx.taskOld.mark), len(tx.procOld.mark), len(tx.edgeOld.mark),
-		len(tx.tlSnaps.mark), len(tx.bwSnaps.mark), len(tx.ptlSnaps.mark),
-		len(s.tasks), len(s.procFinish), len(s.edges.meta),
-		len(s.tl), len(s.bw), len(s.ptl)))
 }
 
 // rollback restores everything the transaction touched and closes it.
@@ -149,13 +105,6 @@ func (s *state) rollback() {
 	if tx.dupsLen >= 0 {
 		s.dups = s.dups[:tx.dupsLen]
 	}
-	if tx.fp != nil {
-		fp := tx.fp
-		tx.fp = nil
-		if d := fp.diff(s); d != "" {
-			panic("sched: incomplete rollback (un-journaled write?): " + d)
-		}
-	}
 	tx.taskOld.reset()
 	tx.procOld.reset()
 	tx.edgeOld.reset()
@@ -171,8 +120,9 @@ func (s *state) rollback() {
 // Outside a transaction (committed placements) the journal step is one
 // nil check. Reads stay plain column indexing; the only other stores
 // are rollback's restores and reset, which run outside
-// transactions. The rollback oracle (Options.VerifyRollbackEvery)
-// checks at runtime that each mutator's journal step covers its store.
+// transactions. TestMutatorsRollBack checks that each mutator's journal
+// step covers its store, and TestClonePlacementEqualsTxnProbe that the
+// schedulers write only through them.
 
 // setTask journals task id's placement, then stores p.
 //
