@@ -195,7 +195,11 @@ func BenchmarkScheduleBBSA(b *testing.B) { benchAlgorithm(b, sched.NewBBSA()) }
 // 3000-task instance over 4 processors at CCR 10: few links carrying
 // long slot queues and bandwidth ledgers (1.5-2k entries per link), so
 // OIHSA's optimal insertion and BBSA's saturated-run walk dominate
-// rather than routing or processor choice.
+// rather than routing or processor choice. Each op is one one-shot
+// Schedule call, which after the first op draws the warm state of the
+// previous one from the one-shot pool: the op times the scheduling
+// itself, and its allocations are the Schedule the call returns plus
+// whatever the pooled state still had to grow, not a fresh state.
 func BenchmarkScheduleLongLinks(b *testing.B) {
 	inst := workload.Generate(workload.Params{
 		Processors: 4, CCR: 10, MinTasks: 3000, MaxTasks: 3000, Seed: 42,
@@ -250,7 +254,7 @@ func BenchmarkAblationDuplication(b *testing.B) { benchAblation(b, "duplication"
 
 // engineFleet is the request wave size of the serving benchmarks: one
 // benchmark op schedules all 64 DAGs, so ns/op is directly comparable
-// between the engine and the cold sequential baseline.
+// between the engine and the sequential one-shot baseline.
 const engineFleet = 64
 
 // engineBenchWorld builds the shared serving workload: one 32-processor
@@ -272,11 +276,12 @@ func engineBenchWorld() (*network.Topology, []*dag.Graph) {
 // BenchmarkEngineThroughput serves the 64-DAG wave concurrently from a
 // warmed engine: GOMAXPROCS worker slots, each owning one reusable
 // scheduler state and its warmed route cache. Against
-// BenchmarkEngineColdSequential this measures exactly what the engine
-// amortizes — on any machine the steady-state allocations per request
-// collapse (slot-owned columns, warm caches), and at GOMAXPROCS > 1 the
-// wave additionally overlaps on the cores. Schedules are bit-identical
-// to the cold runs throughout (see TestEngineMatchesColdRun).
+// BenchmarkEngineColdSequential, whose one-shot calls reuse pooled
+// states too, this measures what the engine adds: per-topology
+// validation done once, route caches warmed up front, and at
+// GOMAXPROCS > 1 the wave overlapping on the cores. Schedules are
+// bit-identical to one-shot runs throughout (see
+// TestEngineMatchesColdRun).
 func BenchmarkEngineThroughput(b *testing.B) {
 	net, gs := engineBenchWorld()
 	eng, err := sched.NewEngine(net, sched.EngineOptions{
@@ -317,9 +322,12 @@ func runEngineWave(b *testing.B, eng *sched.Engine, gs []*dag.Graph) {
 }
 
 // BenchmarkEngineColdSequential is the baseline the engine is measured
-// against: the same 64-DAG wave scheduled by cold one-shot calls — a
-// fresh state, fresh columns and a fresh route cache per request, one
-// request at a time.
+// against: the same 64-DAG wave scheduled by one-shot calls, one
+// request at a time. Despite the name no call starts cold: each draws
+// a warm state from the one-shot pool, and validates the topology and
+// options again; against
+// BenchmarkEngineThroughput the difference is the engine's admission,
+// its warmed route caches and, at GOMAXPROCS > 1, its parallelism.
 func BenchmarkEngineColdSequential(b *testing.B) {
 	net, gs := engineBenchWorld()
 	a := sched.NewBA()

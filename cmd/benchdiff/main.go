@@ -18,6 +18,11 @@
 // noise on most machines — read the direction of the whole table, not a
 // single row.
 //
+// Snapshots record the host's CPU model, and -check reports the
+// baseline's host beside this one with the ratio of an unchanged
+// benchmark's time on each (hostReport), so a gate run on a host of
+// another speed shows as one.
+//
 // The -check mode is the non-flaky smoke gate: it re-runs only the
 // benchmarks named by -gate, compares their best-of-count ns/op (the
 // min is far less noisy than the mean on shared CI machines) against
@@ -64,6 +69,7 @@ type Sample struct {
 type Snapshot struct {
 	Created    string            `json:"created"`
 	GoVersion  string            `json:"go_version"`
+	CPU        string            `json:"cpu,omitempty"` // host CPU model; empty where unknown
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Command    string            `json:"command"`
 	Benchmarks map[string]Sample `json:"benchmarks"`
@@ -137,8 +143,9 @@ func main() {
 }
 
 // defaultGate lists the benchmarks the -check gate guards: the four
-// end-to-end scheduler presets plus the large-graph EFT baseline (the
-// macro paths every kernel change flows through) and the 10^4-job
+// end-to-end scheduler presets, one-shot calls on pooled warm states,
+// plus the large-graph EFT baseline (the macro paths every kernel
+// change flows through) and the 10^4-job
 // bandwidth sweep, whose tens of milliseconds per op make it
 // regression-stable and which is exactly where a lost index or a
 // reintroduced linear rescan in the BBSA ledger shows up first.
@@ -159,11 +166,12 @@ func main() {
 // state rebuilt per request shows up here as a multiple, not a percent.
 // BenchmarkScheduleLongLinks guards the paper's own kernels where they
 // dominate: on 1.5-2k-entry link queues a lost slack column or a
-// disabled slab hop costs OIHSA or BBSA a third of its time. Its
-// allocs/op also guard the slab store both link ledgers share: most of
-// BA's allocations are slab arrays (one per up to 64 slots, kept by
-// Reset and CopyFrom), so a store that allocated per split or per
-// insert would break the allocs bound. The Dijkstra-routed presets
+// disabled slab hop costs OIHSA or BBSA a third of its time. Like every
+// Schedule* benchmark it times one-shot calls, which run on a warm
+// state from the one-shot pool after the first op, so its allocs/op
+// count the returned Schedule and the pooled state's growth: a pool
+// that stopped handing states back, or a store that allocated per
+// split or per insert, multiplies them and breaks the allocs bound. The Dijkstra-routed presets
 // (ScheduleOIHSA, ScheduleBBSA, ScheduleLongLinks/algo=OIHSA and
 // algo=BBSA) are gated against a baseline taken since the route search
 // stopped allocating a route per search (about 450 allocs/op for OIHSA
@@ -224,7 +232,7 @@ func runCheck(dir, gate string, count int, benchTime, timeOut, pkg string, maxPc
 		return fmt.Errorf("-gate names no benchmarks")
 	}
 	cur := map[string]Sample{}
-	for _, group := range gateGroups(entries) {
+	for _, group := range gateGroups(append(entries, hostProbe)) {
 		out, _, err := runBench(gatePattern(group), count, benchTime, timeOut, pkg)
 		if err != nil {
 			return err
@@ -252,6 +260,7 @@ func runCheck(dir, gate string, count int, benchTime, timeOut, pkg string, maxPc
 				o.AllocsPerOp, n.AllocsPerOp)
 		}
 	}
+	fmt.Print(hostReport(old, cur))
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "benchdiff: REGRESSION "+v)
@@ -392,10 +401,58 @@ func gateViolations(old, cur map[string]Sample, names []string, maxPct float64) 
 	return out
 }
 
+// hostProbe is the benchmark -check times beside the gate to compare
+// hosts: §6 instance generation, which no scheduler change touches, so
+// its ratio to the baseline's value is the speed of this host against
+// the baseline's, not a regression.
+const hostProbe = "BenchmarkWorkloadGenerate"
+
+// hostReport prints the baseline's host and this one, and hostProbe's
+// mean ns/op on each with their ratio. A ratio far from 1 means the
+// gate's wall-time comparisons ran on hosts of different speed: read
+// every ns/op change in their light. It is a report only, not a bound.
+func hostReport(old *Snapshot, cur map[string]Sample) string {
+	name := func(cpu string) string {
+		if cpu == "" {
+			return "unknown CPU"
+		}
+		return cpu
+	}
+	line := fmt.Sprintf("host: baseline %s; this run %s", name(old.CPU), name(cpuModel()))
+	o, inOld := old.Benchmarks[hostProbe]
+	n, inCur := cur[hostProbe]
+	if !inOld || !inCur || o.NsPerOp == 0 {
+		return line + fmt.Sprintf("; %s not in both runs\n", hostProbe)
+	}
+	return line + fmt.Sprintf("; %s %.0f -> %.0f ns/op, ratio %.2f\n",
+		hostProbe, o.NsPerOp, n.NsPerOp, n.NsPerOp/o.NsPerOp)
+}
+
+// cpuModel returns the host's CPU model name as /proc/cpuinfo reports
+// it, or "" where that file does not exist or names none.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	return parseCPUModel(string(data))
+}
+
+// parseCPUModel returns the first "model name" value of a cpuinfo text.
+func parseCPUModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
+}
+
 func newSnapshot(command string) *Snapshot {
 	return &Snapshot{
 		Created:    time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
+		CPU:        cpuModel(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Command:    command,
 		Benchmarks: map[string]Sample{},

@@ -294,3 +294,32 @@ func TestDefaultGateNamesExistInSuite(t *testing.T) {
 		}
 	}
 }
+
+func TestParseCPUModel(t *testing.T) {
+	info := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n\nprocessor\t: 1\nmodel name\t: other\n"
+	if got := parseCPUModel(info); got != "Intel(R) Xeon(R) CPU @ 2.20GHz" {
+		t.Fatalf("parseCPUModel = %q", got)
+	}
+	if got := parseCPUModel("processor\t: 0\n"); got != "" {
+		t.Fatalf("parseCPUModel without a model name = %q, want empty", got)
+	}
+}
+
+// TestHostReport pins the -check host line: both hosts, and the host
+// probe's baseline and current mean ns/op with their ratio, or a note
+// when either run lacks the probe.
+func TestHostReport(t *testing.T) {
+	old := &Snapshot{CPU: "Old CPU", Benchmarks: map[string]Sample{hostProbe: {NsPerOp: 250000}}}
+	got := hostReport(old, map[string]Sample{hostProbe: {NsPerOp: 500000}})
+	for _, want := range []string{"baseline Old CPU", "250000 -> 500000 ns/op, ratio 2.00"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("hostReport = %q, want it to contain %q", got, want)
+		}
+	}
+	got = hostReport(&Snapshot{}, map[string]Sample{})
+	for _, want := range []string{"baseline unknown CPU", hostProbe + " not in both runs"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("hostReport = %q, want it to contain %q", got, want)
+		}
+	}
+}

@@ -286,7 +286,12 @@ type catchRow struct {
 // scheduler store that bypasses its journaling mutator (a booking, a
 // slack entry, a processor clock) is caught by the probe property
 // test, and a reset that leaves the previous run's journal sizes or
-// clocks by the state-reuse tests. The last rows give each of the
+// clocks by the state-reuse tests, and a state the one-shot pool or an
+// engine slot takes back with the finished run's graph and columns, or
+// from inside a transaction, by the release test. The link ledgers'
+// mutations at their walks' positions have rows of their own: an insert
+// at the walk's stop instead of the search's place, and a cursor kept
+// across the slab split an insert made. The last rows give each of the
 // floateq, seededrand, verifysched and errflow analyzers a bug it must
 // catch, and noalloc one heap allocation per package on a steady-state
 // root that no test measures, plus a fresh route per
@@ -379,6 +384,30 @@ var catchMatrix = []catchRow{{
 	old:  "\tclear(s.procFinish)\n",
 	new:  "",
 	pkg:  "./internal/sched", run: "^TestEngineMatchesColdRun$",
+}, {
+	bug:  "a released state keeps its graph, tasks and dups",
+	file: "internal/sched/list.go",
+	old:  "\ts.g, s.tasks, s.dups = nil, nil, nil\n\treturn true\n",
+	new:  "\treturn true\n",
+	pkg:  "./internal/sched", run: "^TestReleaseDropsRunAndTransaction$",
+}, {
+	bug:  "a state left inside a transaction goes back to the pool",
+	file: "internal/sched/list.go",
+	old:  "\tif s.tx != nil {\n\t\treturn false\n\t}\n",
+	new:  "",
+	pkg:  "./internal/sched", run: "^TestReleaseDropsRunAndTransaction$",
+}, {
+	bug:  "InsertBasic inserts past a zero-length slot at the gap start",
+	file: "internal/linksched/timeline.go",
+	old:  "t.st.insert(t.st.seek(c, startBefore, s.Start), slotEntry{Slot: s}, foldSlots)",
+	new:  "t.st.insert(c, slotEntry{Slot: s}, foldSlots)",
+	pkg:  "./internal/linksched", run: "^TestInsertPlacesLikeSearch$",
+}, {
+	bug:  "AppendAlloc keeps a cursor across a slab split",
+	file: "internal/linksched/bandwidth.go",
+	old:  "\treturn t.st.insert(c, left, hoppable)\n",
+	new:  "\tt.st.insert(c, left, hoppable)\n\treturn c\n",
+	pkg:  "./internal/linksched", run: "^FuzzBWTimelineDifferential$",
 }, {
 	bug:  "deferral cascade refreshes only the slab it started in",
 	file: "internal/linksched/timeline.go",

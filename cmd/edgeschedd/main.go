@@ -4,7 +4,7 @@
 // slot owns one reusable scheduler state, whose route cache is warmed
 // at startup — so steady-state requests pay only for the work that is
 // genuinely theirs, and throughput scales with concurrent clients while
-// every schedule stays bit-identical to a cold one-shot run
+// every schedule stays bit-identical to a run on a fresh state
 // (spot-checked at runtime via -self-check-every).
 //
 // Usage:

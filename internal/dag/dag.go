@@ -180,10 +180,36 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dag: duplicate edge %d->%d", e.From, e.To)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
+	if !g.acyclic() {
+		return ErrCycle
 	}
 	return nil
+}
+
+// acyclic reports whether Kahn's algorithm drains every task: any
+// order of the ready tasks does, on an acyclic graph, so a plain stack
+// serves where TopoOrder keeps a heap for its deterministic order.
+func (g *Graph) acyclic() bool {
+	indeg := make([]int, len(g.tasks))
+	ready := make([]TaskID, 0, len(g.tasks))
+	for i := range g.tasks {
+		if indeg[i] = len(g.pred[i]); indeg[i] == 0 {
+			ready = append(ready, TaskID(i))
+		}
+	}
+	drained := 0
+	for len(ready) > 0 {
+		id := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		drained++
+		for _, eid := range g.succ[id] {
+			to := g.edges[eid].To
+			if indeg[to]--; indeg[to] == 0 {
+				ready = append(ready, to)
+			}
+		}
+	}
+	return drained == len(g.tasks)
 }
 
 // TopoOrder returns the task IDs in a topological order (Kahn's
@@ -270,19 +296,29 @@ func (g *Graph) BottomLevels() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return g.bottomLevels(order, true), nil
+}
+
+// bottomLevels computes the bottom levels over a topological order,
+// with the edge costs when comm is set and without them otherwise.
+func (g *Graph) bottomLevels(order []TaskID, comm bool) []float64 {
 	bl := make([]float64, len(g.tasks))
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0.0
 		for _, eid := range g.succ[id] {
 			e := g.edges[eid]
-			if v := e.Cost + bl[e.To]; v > best {
+			v := bl[e.To]
+			if comm {
+				v = e.Cost + bl[e.To]
+			}
+			if v > best {
 				best = v
 			}
 		}
 		bl[id] = g.tasks[id].Cost + best
 	}
-	return bl, nil
+	return bl
 }
 
 // TopLevels computes tl(n) = max over predecessors of
@@ -293,6 +329,11 @@ func (g *Graph) TopLevels() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return g.topLevels(order), nil
+}
+
+// topLevels computes the top levels over a topological order.
+func (g *Graph) topLevels(order []TaskID) []float64 {
 	tl := make([]float64, len(g.tasks))
 	for _, id := range order {
 		best := 0.0
@@ -304,7 +345,7 @@ func (g *Graph) TopLevels() ([]float64, error) {
 		}
 		tl[id] = best
 	}
-	return tl, nil
+	return tl
 }
 
 // CriticalPathLength returns the length of the longest path through the
@@ -330,22 +371,18 @@ func (g *Graph) CriticalPathLength() (float64, error) {
 // decreases along edges); ties from zero-cost tasks are resolved by the
 // topological rank so the property holds for all valid graphs.
 func (g *Graph) PriorityOrder() ([]TaskID, error) {
-	bl, err := g.BottomLevels()
-	if err != nil {
-		return nil, err
-	}
-	return g.orderByKeyDesc(bl)
-}
-
-// orderByKeyDesc sorts tasks by decreasing key, tie-broken by
-// topological rank. The rank is unique, so the order is total, and any
-// key that is non-increasing along edges yields a valid topological
-// order.
-func (g *Graph) orderByKeyDesc(key []float64) ([]TaskID, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	return g.orderByKeyDesc(order, g.bottomLevels(order, true)), nil
+}
+
+// orderByKeyDesc sorts the topological order in place by decreasing
+// key, tie-broken by topological rank, and returns it. The rank is
+// unique, so the order is total, and any key that is non-increasing
+// along edges yields a valid topological order.
+func (g *Graph) orderByKeyDesc(order []TaskID, key []float64) []TaskID {
 	rank := make([]int, len(g.tasks))
 	for i, id := range order {
 		rank[id] = i
@@ -356,7 +393,7 @@ func (g *Graph) orderByKeyDesc(key []float64) ([]TaskID, error) {
 		}
 		return cmp.Compare(rank[a], rank[b])
 	})
-	return order, nil
+	return order
 }
 
 // CompPriorityOrder returns the tasks sorted by decreasing
@@ -366,18 +403,7 @@ func (g *Graph) CompPriorityOrder() ([]TaskID, error) {
 	if err != nil {
 		return nil, err
 	}
-	bl := make([]float64, len(g.tasks))
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		best := 0.0
-		for _, eid := range g.succ[id] {
-			if v := bl[g.edges[eid].To]; v > best {
-				best = v
-			}
-		}
-		bl[id] = g.tasks[id].Cost + best
-	}
-	return g.orderByKeyDesc(bl)
+	return g.orderByKeyDesc(order, g.bottomLevels(order, false)), nil
 }
 
 // CriticalityPriorityOrder returns the tasks sorted by decreasing
@@ -390,21 +416,13 @@ func (g *Graph) CompPriorityOrder() ([]TaskID, error) {
 // keys — therefore the key is clamped to be non-increasing along the
 // topological order first.
 func (g *Graph) CriticalityPriorityOrder() ([]TaskID, error) {
-	bl, err := g.BottomLevels()
-	if err != nil {
-		return nil, err
-	}
-	tl, err := g.TopLevels()
-	if err != nil {
-		return nil, err
-	}
 	topo, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	key := make([]float64, len(g.tasks))
-	for i := range key {
-		key[i] = bl[i] + tl[i]
+	key := g.bottomLevels(topo, true)
+	for i, t := range g.topLevels(topo) {
+		key[i] += t
 	}
 	// Clamp: a task's key must not exceed any predecessor's key, so
 	// that sorting by decreasing key is a topological order.
@@ -415,7 +433,7 @@ func (g *Graph) CriticalityPriorityOrder() ([]TaskID, error) {
 			}
 		}
 	}
-	return g.orderByKeyDesc(key)
+	return g.orderByKeyDesc(topo, key), nil
 }
 
 // TotalTaskCost returns the sum of all computation costs.

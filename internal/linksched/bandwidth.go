@@ -216,7 +216,11 @@ func (t *BWTimeline) Segments() []SegmentInfo {
 // end lies beyond x+Eps. Segment ends increase strictly across the
 // whole store (Validate enforces this exactly), so the store's
 // two-level search lands where a flat binary search would. The cursor
-// convention lives here and in advanceEps only.
+// convention lives here, in advanceEps, and in the seeks from a known
+// position (slabStore.seek with endAtMost at x+Eps) of alloc and
+// reserve. Each kernel searches once per call — EstimateFinish, and
+// AppendAlloc and Forward for their first chunk — and moves its
+// cursor from there.
 func (t *BWTimeline) seekEps(x float64) cursor { return t.st.search(endAtMost, x+Eps) }
 
 // advanceEps advances the cursor past every segment ending at or before
@@ -278,38 +282,43 @@ func (t *BWTimeline) skipSaturated(c cursor, cur float64) (cursor, float64) {
 }
 
 // split ensures a segment boundary exists at time x. Only called for x
-// within or at the edge of existing segments; callers re-seek rather
-// than keep a cursor, since a slab split relocates segments.
-func (t *BWTimeline) split(x float64) {
-	c := t.st.search(endAtMost, x)
+// within or at the edge of existing segments. It seeks the segment
+// split would cut from c, a position near x, and returns a position
+// near x that is valid after the split: the new left half's, or the
+// seek's when no split was needed.
+func (t *BWTimeline) split(c cursor, x float64) cursor {
+	c = t.st.seek(c, endAtMost, x)
 	if c.s == len(t.st.slabs) {
-		return
+		return c
 	}
 	s := t.st.at(c)
 	if fptime.GeqEps(s.start, x) || fptime.LeqEps(s.end, x) {
-		return // boundary already (approximately) present
+		return c // boundary already (approximately) present
 	}
 	// The halves share s's span; see BWTimeline.
 	left := seg{start: s.start, end: x, avail: s.avail, uses: s.uses}
 	s.start = x
-	t.st.insert(c, left, hoppable)
+	return t.st.insert(c, left, hoppable)
 }
 
 // reserve books rate bandwidth for owner over [a, b], splitting
 // segments and creating new segments over idle time as needed. The
-// caller must have verified availability.
-func (t *BWTimeline) reserve(owner Owner, a, b, rate float64) {
+// caller must have verified availability. c is a position near a, and
+// the result is a position near b that is valid after every insert
+// reserve made: each step moves on from the position the last insert
+// returned, since a slab split relocates segments.
+func (t *BWTimeline) reserve(c cursor, owner Owner, a, b, rate float64) cursor {
 	if b-a <= Eps || rate <= Eps {
-		return
+		return c
 	}
-	t.split(a)
-	t.split(b)
+	c = t.split(c, a)
+	c = t.split(c, b)
 	// Walk from a to b covering idle gaps with fresh segments, starting
 	// at the first segment still relevant past a — the same cursor the
 	// linear kernel derived by advancing its split index over segments
 	// ending at or before a+Eps.
 	cur := a
-	c := t.seekEps(a)
+	c = t.st.seek(c, endAtMost, a+Eps)
 	for fptime.LessEps(cur, b) {
 		if c.s < len(t.st.slabs) && fptime.LeqEps(t.st.at(c).start, cur) {
 			s := t.st.at(c)
@@ -337,12 +346,13 @@ func (t *BWTimeline) reserve(owner Owner, a, b, rate float64) {
 		c = t.st.next(t.st.insert(c, ns, hoppable))
 		cur = gapEnd
 	}
+	return c
 }
 
 // availAt returns the remaining bandwidth fraction at time x and the
-// time at which that fraction next changes (availability horizon).
-func (t *BWTimeline) availAt(x float64) (avail, until float64) {
-	c := t.seekEps(x)
+// time at which that fraction next changes (availability horizon),
+// reading the segment at c, which must be seekEps(x).
+func (t *BWTimeline) availAt(c cursor, x float64) (avail, until float64) {
 	if c.s == len(t.st.slabs) {
 		return 1, math.Inf(1)
 	}
@@ -368,18 +378,30 @@ func (t *BWTimeline) Alloc(owner Owner, es, volume, speed, cap float64) []Chunk 
 //
 // edgelint:noalloc
 func (t *BWTimeline) AppendAlloc(dst []Chunk, owner Owner, es, volume, speed, cap float64) []Chunk {
-	if cap <= 0 || cap > 1 {
-		cap = 1
-	}
 	if volume <= Eps {
 		// edgelint:coldpath — amortized growth of the caller's buffer.
 		return append(dst, Chunk{Start: es, End: es, Rate: 0, Volume: 0})
+	}
+	out, _ := t.alloc(dst, t.seekEps(math.Max(es, 0)), owner, es, volume, speed, cap)
+	return out
+}
+
+// alloc is AppendAlloc for a volume above Eps, walking one cursor: c
+// is any position near seekEps(max(es, 0)) — one seek by the caller,
+// or where the caller's previous alloc on this ledger left off — and
+// the availability lookup, the splits and the booking of every step
+// each move it on from where the last one left it. It returns the
+// chunks and the final cursor.
+func (t *BWTimeline) alloc(dst []Chunk, c cursor, owner Owner, es, volume, speed, cap float64) ([]Chunk, cursor) {
+	if cap <= 0 || cap > 1 {
+		cap = 1
 	}
 	base, out := len(dst), dst
 	cur := math.Max(es, 0)
 	remaining := volume
 	for remaining > volume*1e-9+Eps/2 {
-		avail, until := t.availAt(cur)
+		c = t.st.seek(c, endAtMost, cur+Eps)
+		avail, until := t.availAt(c, cur)
 		rate := math.Min(avail, cap)
 		if rate <= Eps {
 			// Link saturated here; wait for the next change point,
@@ -388,7 +410,7 @@ func (t *BWTimeline) AppendAlloc(dst []Chunk, owner Owner, es, volume, speed, ca
 			// availability, so there is nothing to skip to.)
 			cur = until
 			if cap > Eps {
-				_, cur = t.skipSaturated(t.seekEps(cur), cur)
+				c, cur = t.skipSaturated(c, cur)
 			}
 			continue
 		}
@@ -410,12 +432,12 @@ func (t *BWTimeline) AppendAlloc(dst []Chunk, owner Owner, es, volume, speed, ca
 		if moved > remaining {
 			moved = remaining
 		}
-		t.reserve(owner, cur, end, rate)
+		c = t.reserve(c, owner, cur, end, rate)
 		out = appendChunk(out, base, Chunk{Start: cur, End: end, Rate: rate, Volume: moved})
 		remaining -= moved
 		cur = end
 	}
-	return out
+	return out, c
 }
 
 // appendChunk appends c to cs, merging it into cs's last chunk when
@@ -450,17 +472,10 @@ func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish fl
 	// Monotone segment cursor: one seek seeds the walk, each iteration
 	// advances in amortized O(1), and saturated stretches are hopped
 	// slab-by-slab via their hop flags — the availability answers
-	// are the ones availAt would give at every step.
+	// are availAt's at a fresh seekEps, at every step.
 	c := t.seekEps(cur)
 	for remaining > volume*1e-9+Eps/2 {
-		avail, until := 1.0, math.Inf(1)
-		if c.s < len(t.st.slabs) {
-			if s := t.st.at(c); s.start > cur+Eps {
-				avail, until = 1, s.start // idle gap before the segment
-			} else {
-				avail, until = s.avail, s.end
-			}
-		}
+		avail, until := t.availAt(c, cur)
 		if avail <= Eps {
 			cur = until
 			c, cur = t.skipSaturated(c, cur)
@@ -506,7 +521,12 @@ func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish fl
 // edgelint:noalloc
 func (t *BWTimeline) Forward(dst []Chunk, owner Owner, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
 	base, out := len(dst), dst
-	cursor := 0.0
+	ready := 0.0
+	// One ledger cursor serves the whole leg: seeded by one seek at the
+	// first chunk with volume, then carried from each chunk's alloc to
+	// the next, whose start is close to where the last one ended.
+	var pos cursor
+	sought := false
 	for _, c := range in {
 		if c.Volume <= Eps {
 			if len(out) == base {
@@ -515,19 +535,23 @@ func (t *BWTimeline) Forward(dst []Chunk, owner Owner, in []Chunk, prevSpeed, sp
 			}
 			continue
 		}
-		es := math.Max(cursor, c.Start+hopDelay)
+		es := math.Max(ready, c.Start+hopDelay)
+		if !sought {
+			pos, sought = t.seekEps(math.Max(es, 0)), true
+		}
 		cap := c.Rate * prevSpeed / speed
-		// Each Alloc's chunks are merged among themselves past out's
+		// Each alloc's chunks are merged among themselves past out's
 		// end, then folded into out one at a time, in place: the fold
 		// writes at or below the chunk it reads.
 		n0 := len(out)
-		all := t.AppendAlloc(out, owner, es, c.Volume, speed, cap)
+		var all []Chunk
+		all, pos = t.alloc(out, pos, owner, es, c.Volume, speed, cap)
 		out = all[:n0]
 		for _, ac := range all[n0:] {
 			out = appendChunk(out, base, ac)
 		}
 		if n := len(out); n > base {
-			cursor = out[n-1].End
+			ready = out[n-1].End
 		}
 	}
 	if len(out) == base {

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+
+	"repro/internal/fptime"
 )
 
 // This file cross-checks the slab-pruned probe kernels (timeline.go)
@@ -129,7 +133,7 @@ func TestProbeDifferentialAdversarial(t *testing.T) {
 			}
 			durS := base/50 + float64(r.Intn(3))*base/200
 			cur += gap
-			tl.insertSorted(Slot{Start: cur, End: cur + durS, Owner: Owner{Edge: i}})
+			tl.insertAt(tl.st.end(), Slot{Start: cur, End: cur + durS, Owner: Owner{Edge: i}})
 			cur += durS
 		}
 		storeSlackColumn(tl, slack)
@@ -181,9 +185,13 @@ func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
 // FuzzTimelineDifferential fuzzes operation sequences against the
 // reference kernels: every probe must match the linear scan exactly —
 // the optimal one over the stored slack column and over the callback
-// alike — and the slab store must stay consistent after every mutation.
-// Set-slack operations give slots arbitrary deferrable times, mirrored
-// in the map the callback reads.
+// alike — every insertion must leave the slots of a flat reference list
+// that inserts where a binary search over the starts finds (ties go
+// before equal starts) and shifts as InsertOptimal's cascade does, and
+// the slab store must stay consistent after every mutation. Set-slack
+// operations give slots arbitrary deferrable times, mirrored in the map
+// the callback reads. A duration byte of 0 asks for a zero-length
+// transfer and 1 for a sub-Eps one.
 func FuzzTimelineDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0xfe, 0x55, 0xaa})
@@ -192,15 +200,33 @@ func FuzzTimelineDifferential(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed)
+	// A zero-length request, then sub-Eps slots from one bound, each
+	// at the start of the idle tail after [4, 6.01] and its
+	// predecessors.
+	f.Add([]byte{0, 1, 0, 16, 32, 0, 0, 1, 0, 16, 0, 1, 0, 1, 0, 16, 1, 2, 1, 1, 0, 16, 1, 3, 0, 1, 0, 16, 1, 0})
+	// Equal starts: sub-Eps slots from one bound before and after an
+	// optimal insertion at that bound, then a slack and a re-probe.
+	f.Add([]byte{0, 3, 0, 0, 1, 0, 2, 3, 0, 0, 1, 1, 1, 3, 0, 0, 1, 2, 2, 3, 0, 0, 64, 3, 4, 0, 0, 8, 0, 0, 0, 3, 0, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl := NewTimeline()
+		var ref []Slot
 		slacks := map[Owner]float64{}
 		slack := func(o Owner) float64 { return slacks[o] }
+		insertRef := func(s Slot) {
+			k := sort.Search(len(ref), func(k int) bool { return ref[k].Start >= s.Start })
+			ref = slices.Insert(ref, k, s)
+		}
 		for i := 0; i+6 <= len(data); i += 6 {
 			op := data[i] % 5
 			es := float64(data[i+1])*4 + float64(data[i+2])/64
 			pf := es + float64(data[i+3])/8
 			dur := float64(data[i+4])/16 + 0.01
+			switch data[i+4] {
+			case 0:
+				dur = 0
+			case 1:
+				dur = Eps / 4
+			}
 			req := Request{ES: es, PF: pf, Dur: dur}
 			owner := Owner{Edge: i, Leg: int(data[i+5] % 4)}
 			switch op {
@@ -211,7 +237,9 @@ func FuzzTimelineDifferential(f *testing.F) {
 				if gs != ws {
 					t.Fatalf("op %d: ProbeBasic %v != reference %v", i, gs, ws)
 				}
-				tl.InsertBasic(owner, req)
+				if s, f := tl.InsertBasic(owner, req); dur > 0 {
+					insertRef(Slot{Start: s, End: f, Owner: owner})
+				}
 			case 2:
 				rs, _, rp := probeOptimalLinear(tl.Slots(), req, slack)
 				cs, _, cp := tl.ProbeOptimal(req, slack)
@@ -221,7 +249,17 @@ func FuzzTimelineDifferential(f *testing.F) {
 					t.Fatalf("op %d: ProbeOptimal callback (%v, %d), stored (%v, %d) != reference (%v, %d)",
 						i, cs, cp, ss, sp, rs, rp)
 				}
-				tl.InsertOptimal(owner, req, nil)
+				s, f, _ := tl.InsertOptimal(owner, req, nil)
+				if dur > 0 {
+					need := f
+					for k := rp; k < len(ref) && !fptime.GeqEps(ref[k].Start, need); k++ {
+						delta := need - ref[k].Start
+						ref[k].Start += delta
+						ref[k].End += delta
+						need = ref[k].End
+					}
+					insertRef(Slot{Start: s, End: f, Owner: owner})
+				}
 			case 3:
 				snap := tl.Snapshot()
 				tl.InsertBasic(owner, req)
@@ -237,6 +275,10 @@ func FuzzTimelineDifferential(f *testing.F) {
 			}
 			if err := tl.Validate(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
+			}
+			// edgelint:ignore floateq — bit-identity contract.
+			if got := tl.Slots(); !slices.Equal(got, ref) {
+				t.Fatalf("op %d: slots %v, reference %v", i, got, ref)
 			}
 		}
 	})
@@ -477,6 +519,14 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 		seed[i] = byte(i * 53)
 	}
 	f.Add(seed)
+	// Multi-chunk forwards only, over a few overlapping windows at
+	// partial rates: the ledger fragments past several slab splits
+	// while every Forward carries its cursor from chunk to chunk.
+	fwd := make([]byte, 0, 6*3*slabBlock)
+	for j := 0; j < 3*slabBlock; j++ {
+		fwd = append(fwd, 3, byte(j*5%64), byte(3+j%4), byte(8+j%23), byte(j%5), byte(j))
+	}
+	f.Add(fwd)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newBWPair()
 		var snap BWSnapshot
@@ -493,8 +543,13 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 			case 0, 1, 2:
 				p.alloc(t, owner, es, vol, speed, cap)
 			case 3:
+				// 1 to 4 input chunks, spaced by up to 2 idle units.
 				rate := 0.25 + cap/2
-				in := []Chunk{{Start: es, End: es + vol, Rate: rate, Volume: vol * rate * speed}}
+				in := make([]Chunk, 1+data[i+2]%4)
+				for j := range in {
+					st := es + float64(j)*(vol+float64(data[i+5]%3))
+					in[j] = Chunk{Start: st, End: st + vol, Rate: rate, Volume: vol * rate * speed}
+				}
 				p.forward(t, owner, in, speed, 1, float64(data[i+4]%3))
 			case 4:
 				p.estimate(t, es, vol, speed)

@@ -66,6 +66,43 @@ func (st *slabStore[E, S]) next(c cursor) cursor {
 	return c
 }
 
+// seek returns search(before, x), walking there from c, a position the
+// caller already holds near the answer — typically where its own walk
+// stopped, or where its last mutation left off. It backs up over
+// entries for which before is false and advances over entries for which
+// it is true, hopping whole slabs either way, so it costs the distance
+// from c to the answer, not a binary search. The result is search's
+// cursor exactly, ties included, since before is monotone.
+func (st *slabStore[E, S]) seek(c cursor, before func(e *E, x float64) bool, x float64) cursor {
+	for c.s > 0 || c.i > 0 {
+		if c.i == 0 && c.s > 0 && !before(&st.slabs[c.s-1].items[0], x) {
+			c.s-- // the whole previous slab lies at or past the answer
+			continue
+		}
+		p := c
+		if p.i == 0 {
+			p = cursor{p.s - 1, len(st.slabs[p.s-1].items)}
+		}
+		p.i--
+		if before(st.at(p), x) {
+			break
+		}
+		c = p
+	}
+	for c.s < len(st.slabs) {
+		items := st.slabs[c.s].items
+		if c.i == 0 && before(&items[len(items)-1], x) {
+			c.s++ // the whole slab lies before the answer
+			continue
+		}
+		if !before(&items[c.i], x) {
+			break
+		}
+		c = st.next(c)
+	}
+	return c
+}
+
 // search returns the first entry e for which before(e, x) is false, or
 // end() when there is none. before must be monotone over the store's
 // order (true on a prefix, false after), so the two-level binary

@@ -152,3 +152,33 @@ func TestResetKeepsSlabs(t *testing.T) {
 		}
 	})
 }
+
+// TestSeekMatchesSearch pins slabStore.seek, the insertion kernels'
+// positioning from where their walk ended: from every position of a
+// store of several slabs, with ties of equal entries inside and across
+// slab boundaries, the seek for every probe value lands exactly where
+// search does.
+func TestSeekMatchesSearch(t *testing.T) {
+	var st slabStore[float64, float64]
+	var xs []float64
+	for i := 0; i < 5*slabBlock; i++ {
+		xs = append(xs, float64(i/3)) // runs of three equal entries
+	}
+	fillStore(&st, xs...)
+	if len(st.slabs) < 3 {
+		t.Fatalf("%d slabs; the case spans too few", len(st.slabs))
+	}
+	var from []cursor
+	for c := (cursor{}); c != st.end(); c = st.next(c) {
+		from = append(from, c)
+	}
+	from = append(from, st.end())
+	for x := -1.0; x <= xs[len(xs)-1]+1; x += 0.5 {
+		want := st.search(below, x)
+		for _, c := range from {
+			if got := st.seek(c, below, x); got != want {
+				t.Fatalf("seek(%v, %v) = %v, search = %v", c, x, got, want)
+			}
+		}
+	}
+}

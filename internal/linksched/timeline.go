@@ -181,13 +181,14 @@ func (t *Timeline) ProbeBasic(req Request) (start, finish float64) {
 	if req.Dur <= 0 {
 		return lb, lb
 	}
-	start = t.earliestGap(lb, req.Dur)
+	start, _ = t.earliestGap(lb, req.Dur)
 	return start, start + req.Dur
 }
 
 // earliestGap finds the start of the earliest idle interval of length
-// dur beginning at or after lb, using the slab summaries to skip slabs
-// that cannot contain an admissible gap. Skipping is decided by two
+// dur beginning at or after lb, and the position of the slot the gap
+// ends at (end() for the idle tail), using the slab summaries to skip
+// slabs that cannot contain an admissible gap. Skipping is decided by two
 // sufficient conditions, each provably implied by the reference test
 // fptime.LeqEps(gapStart+dur, Start_i):
 //
@@ -209,7 +210,7 @@ func (t *Timeline) ProbeBasic(req Request) (start, finish float64) {
 // fold of float64 max, which is order-insensitive, so the running value
 // equals the sequential scan's exactly and the returned start is
 // bit-identical to the reference.
-func (t *Timeline) earliestGap(lb, dur float64) float64 {
+func (t *Timeline) earliestGap(lb, dur float64) (float64, cursor) {
 	lbDur := lb + dur
 	mag := t.maxAbs
 	if m := math.Abs(lbDur); m > mag {
@@ -244,7 +245,7 @@ func (t *Timeline) earliestGap(lb, dur float64) float64 {
 				gapStart = lb
 			}
 			if fptime.LeqEps(gapStart+dur, s.Start) {
-				return gapStart
+				return gapStart, cursor{k, i}
 			}
 			if s.End > prevEnd {
 				prevEnd = s.End
@@ -252,9 +253,9 @@ func (t *Timeline) earliestGap(lb, dur float64) float64 {
 		}
 	}
 	if prevEnd < lb {
-		return lb
+		return lb, t.st.end()
 	}
-	return prevEnd
+	return prevEnd, t.st.end()
 }
 
 // InsertBasic allocates a slot by the basic insertion policy and
@@ -262,18 +263,24 @@ func (t *Timeline) earliestGap(lb, dur float64) float64 {
 //
 // edgelint:noalloc
 func (t *Timeline) InsertBasic(owner Owner, req Request) (start, finish float64) {
-	start, finish = t.ProbeBasic(req)
+	lb := req.lowerBound()
 	if req.Dur <= 0 {
-		return start, finish
+		return lb, lb
 	}
-	t.insertSorted(Slot{Start: start, End: finish, Owner: owner})
+	start, c := t.earliestGap(lb, req.Dur)
+	finish = start + req.Dur
+	t.insertAt(c, Slot{Start: start, End: finish, Owner: owner})
 	return start, finish
 }
 
-// insertSorted inserts s in start order with slack 0 — a new slot's
-// owner has not been sealed yet.
-func (t *Timeline) insertSorted(s Slot) {
-	t.st.insert(t.st.search(startBefore, s.Start), slotEntry{Slot: s}, foldSlots)
+// insertAt inserts s, with slack 0 — a new slot's owner has not been
+// sealed yet — where a search for s.Start in start order would: before
+// the first slot starting at or after it. The insertion kernels pass
+// the position their own walk ended at, so the seek from there costs
+// the few slots between it and that place (almost always none), not a
+// search.
+func (t *Timeline) insertAt(c cursor, s Slot) {
+	t.st.insert(t.st.seek(c, startBefore, s.Start), slotEntry{Slot: s}, foldSlots)
 	t.noteAbs(s)
 }
 
@@ -517,7 +524,7 @@ func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (sta
 			break
 		}
 	}
-	t.insertSorted(Slot{Start: start, End: finish, Owner: owner})
+	t.insertAt(w.best, Slot{Start: start, End: finish, Owner: owner})
 	return start, finish, moved
 }
 

@@ -13,6 +13,7 @@ package network
 // RouteCache).
 type Router struct {
 	top   *Topology
+	links int         // len(top.links) when the Router was built
 	cache *RouteCache // optional; memoizes BFS (static) routes only
 
 	// epoch-stamped visit marks: mark[n] == epoch means "touched in
@@ -36,6 +37,7 @@ func (t *Topology) NewRouter(cache *RouteCache) *Router {
 	n := len(t.nodes)
 	return &Router{
 		top:    t,
+		links:  len(t.links),
 		cache:  cache,
 		seen:   make([]uint64, n),
 		open:   make([]uint64, n),
@@ -48,6 +50,14 @@ func (t *Topology) NewRouter(cache *RouteCache) *Router {
 
 // Topology returns the topology the Router searches.
 func (r *Router) Topology() *Topology { return r.top }
+
+// Fits reports whether r searches t as t is now. Topologies only grow
+// (AddProcessor, AddSwitch, AddLink, AddBus), so a Router built for t
+// before it gained a node or a link has scratch sized too small and may
+// cache routes the new links would shorten: it does not fit.
+func (r *Router) Fits(t *Topology) bool {
+	return r.top == t && len(r.seen) == len(t.nodes) && r.links == len(t.links)
+}
 
 // CachedRoutes reports how many pairs the attached route cache holds
 // (0 without one).

