@@ -25,8 +25,8 @@ race:
 # for bit, the schedule JSON encoder against the encoding/json
 # reference, byte for byte, the graph and topology decoders against
 # their encoding/json references, accept set and result, and the
-# dead-end-pruned Dijkstra route search against the unpruned one, route,
-# label and error. -fuzzminimizetime 0 turns off the minimization of
+# block-restricted Dijkstra route search against the unrestricted one,
+# route, label and error, with every forced pair's brute-force count. -fuzzminimizetime 0 turns off the minimization of
 # each new-coverage input, which by default runs up to 60s with no
 # executions counted and took most of a 30s budget; a failing input is
 # then written out as found, not minimized.

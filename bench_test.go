@@ -591,22 +591,51 @@ func BenchmarkBFSRoute(b *testing.B) {
 }
 
 // BenchmarkDijkstraRoute measures modified-Dijkstra routing with an
-// arithmetic relax on the same WAN and one reused Router.
+// arithmetic relax on one reused Router per network: the WAN above,
+// the serve workloads' 32-processor cluster (seed 2006) and a
+// 4-processor single-switch cluster, on which every pair is forced.
+// entry=DijkstraRoute searches every pair; entry=Route answers forced
+// pairs with their cached BFS route. relaxes/op counts relax calls,
+// which do not depend on the host.
 func BenchmarkDijkstraRoute(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	top := network.RandomCluster(r, network.RandomClusterParams{Processors: 64})
-	router := top.NewRouter(nil)
-	ps := top.Processors()
-	relax := func(l network.Link, cur network.Label) network.Label {
-		f := cur.Finish + 10/l.Speed
-		return network.Label{Start: cur.Start, Finish: f}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := ps[i%len(ps)]
-		dst := ps[(i*7+3)%len(ps)]
-		if _, _, err := router.DijkstraRoute(src, dst, network.Label{}, relax); err != nil {
-			b.Fatal(err)
+	serve := rand.New(rand.NewSource(2006))
+	for _, n := range []struct {
+		name string
+		top  *network.Topology
+	}{
+		{"wan64", network.RandomCluster(rand.New(rand.NewSource(1)), network.RandomClusterParams{Processors: 64})},
+		{"serve32", network.RandomCluster(serve, network.RandomClusterParams{
+			Processors: 32,
+			ProcSpeed:  network.UniformRange(serve, 1, 10),
+			LinkSpeed:  network.UniformRange(serve, 1, 10),
+		})},
+		{"switch4", network.RandomCluster(rand.New(rand.NewSource(1)), network.RandomClusterParams{Processors: 4})},
+	} {
+		for _, entry := range []string{"DijkstraRoute", "Route"} {
+			b.Run("net="+n.name+"/entry="+entry, func(b *testing.B) {
+				router := n.top.NewRouter(network.NewRouteCache())
+				ps := n.top.Processors()
+				relaxes := 0
+				relax := func(l network.Link, cur network.Label) network.Label {
+					relaxes++
+					return network.Label{Start: cur.Start, Finish: cur.Finish + 10/l.Speed}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src := ps[i%len(ps)]
+					dst := ps[(i*7+3)%len(ps)]
+					var err error
+					if entry == "Route" {
+						_, err = router.Route(src, dst, network.Label{}, relax)
+					} else {
+						_, _, err = router.DijkstraRoute(src, dst, network.Label{}, relax)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(relaxes)/float64(b.N), "relaxes/op")
+			})
 		}
 	}
 }

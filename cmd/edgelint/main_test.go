@@ -299,7 +299,10 @@ type catchRow struct {
 // also measures) and a use slice of its own per new bandwidth segment
 // (which TestResetKeepsSlabs also measures). The schedule encoder's
 // float memo has a row of its own: a hit that trusts the slot without
-// comparing the float's bits prints another float's text.
+// comparing the float's bits prints another float's text. So do the
+// route search's blocks: a block path that leaves dst's own block
+// unmarked, and a block of two nodes with parallel links each way
+// taken for a bridge, whose pairs then skip a search that had a choice.
 var catchMatrix = []catchRow{{
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
@@ -437,11 +440,17 @@ var catchMatrix = []catchRow{{
 		"\t\tc.store(src, dst, route, err)\n\t\treturn route, l, err\n\t}\n",
 	pkg: "./internal/network", run: "^TestDijkstraRoutesAreNeverCached$",
 }, {
-	bug:  "the dead-end prune drops the destination exemption",
-	file: "internal/network/router.go",
-	old:  "if r.closed[h.To] == e || (h.To != dst && r.deadEnd(h.To, e)) {",
-	new:  "if r.closed[h.To] == e || r.deadEnd(h.To, e) {",
+	bug:  "the block path stops one block short of dst",
+	file: "internal/network/blocks.go",
+	old:  "\tforced := true\n\tfor src != dst {\n",
+	new:  "\tforced := true\n\tif b := bt.up[dst]; b >= 0 && src != dst {\n\t\tdst = NodeID(bt.blocks[b].head)\n\t}\n\tfor src != dst {\n",
 	pkg:  "./internal/network", run: "^FuzzDijkstraRoute$",
+}, {
+	bug:  "a two-node block with two links each way counts as a bridge",
+	file: "internal/network/blocks.go",
+	old:  "fwd[b] <= 1 && bwd[b] <= 1",
+	new:  "fwd[b] <= 2 && bwd[b] <= 2",
+	pkg:  "./internal/network", run: "^TestForcedPairsHaveOneSimpleRoute$",
 }, {
 	bug:  "the float memo hits on the slot without comparing bits",
 	file: "internal/trace/json.go",

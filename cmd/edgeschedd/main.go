@@ -20,14 +20,14 @@
 //
 //	POST /schedule      task graph JSON in, schedule summary out
 //	POST /schedule?full=1   full schedule JSON out (tasks, edges, routes)
-//	GET  /stats         engine counters (requests, failures, cold states)
+//	GET  /stats         engine counters (requests, failures, panics, cold states)
 //	GET  /healthz       200 once serving
 //
 // /schedule answers 400 for a malformed or invalid graph (including one
 // with a task no processor can finish in finite time), 413 for a body
-// over maxBodyBytes, 500 when the engine's self-check fails or the
-// reply cannot be encoded, and 503 when the engine is overloaded or
-// draining.
+// over maxBodyBytes, 500 when the engine's self-check fails, the run
+// panicked (the engine contains the panic) or the reply cannot be
+// encoded, and 503 when the engine is overloaded or draining.
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting,
 // in-flight requests finish, then the process exits 0.
@@ -129,8 +129,8 @@ func main() {
 	}
 	<-done
 	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "edgeschedd: drained after %d requests (%d failed)\n",
-		st.Requests, st.Failures)
+	fmt.Fprintf(os.Stderr, "edgeschedd: drained after %d requests (%d failed, %d panicked)\n",
+		st.Requests, st.Failures, st.Panics)
 }
 
 // newHTTPServer returns the daemon's HTTP server. readTimeout bounds
@@ -289,14 +289,14 @@ func newServer(eng scheduler, verifyEach bool, replyTimeout time.Duration) http.
 }
 
 // statusOf maps engine errors to HTTP statuses: overload and drain are
-// the retryable 503s (sent with Retry-After: 1), a failed self-check is
-// the server's fault (500), and everything else is the client's graph
-// (400).
+// the retryable 503s (sent with Retry-After: 1), a failed self-check or
+// a contained panic is the server's fault (500), and everything else is
+// the client's graph (400).
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, sched.ErrOverloaded), errors.Is(err, sched.ErrEngineClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, sched.ErrSelfCheck):
+	case errors.Is(err, sched.ErrSelfCheck), errors.Is(err, sched.ErrInternal):
 		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest

@@ -230,8 +230,9 @@ func (s stubEngine) Schedule(*dag.Graph) (*sched.Schedule, error) { return s.s, 
 func (s stubEngine) Stats() sched.EngineStats                     { return sched.EngineStats{} }
 
 // TestStatusClasses pins the /schedule error classes: an invalid graph
-// is the client's fault (400), a failed engine self-check the server's
-// (500), and overload or drain a retryable 503 carrying Retry-After.
+// is the client's fault (400), a failed engine self-check or a panic
+// the engine contained the server's (500), and overload or drain a
+// retryable 503 carrying Retry-After.
 func TestStatusClasses(t *testing.T) {
 	body, _ := testGraphJSON(t, 8)
 	cyclic := []byte(`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],"edges":[{"from":0,"to":1,"cost":1},{"from":1,"to":0,"cost":1}]}`)
@@ -244,6 +245,7 @@ func TestStatusClasses(t *testing.T) {
 	}{
 		"invalid graph": {testEngine(t), cyclic, http.StatusBadRequest},
 		"self-check":    {stubEngine{err: fmt.Errorf("%w: schedule diverged from cold run", sched.ErrSelfCheck)}, body, http.StatusInternalServerError},
+		"panic":         {stubEngine{err: fmt.Errorf("%w: panic: planted", sched.ErrInternal)}, body, http.StatusInternalServerError},
 		"overloaded":    {stubEngine{err: sched.ErrOverloaded}, body, http.StatusServiceUnavailable},
 		"draining":      {drained, body, http.StatusServiceUnavailable},
 	} {

@@ -1,10 +1,10 @@
 package network
 
-// referenceDijkstraRoute is the modified Dijkstra search as it was
-// before the dead-end prune and the Router-owned path buffer, kept as
-// the reference FuzzDijkstraRoute compares Router.DijkstraRoute
-// against: it relaxes every link into every node that is not yet
-// closed, and unwinds into a fresh route. Fresh scratch per call, so
+// referenceDijkstraRoute is the modified Dijkstra search without the
+// block restriction and the Router-owned path buffer, kept as the
+// reference FuzzDijkstraRoute compares Router.DijkstraRoute against:
+// it relaxes every link into every node that is not yet closed, and
+// unwinds into a fresh route. Fresh scratch per call, so
 // nothing is shared with the Router under test.
 func referenceDijkstraRoute(t *Topology, src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
 	t.checkNode(src)

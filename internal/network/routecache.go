@@ -21,7 +21,9 @@ const routeCacheCap = 1 << 14
 // Only BFS routes are cached. The modified Dijkstra routes of §4.3 never
 // are: their labels are finish times over the current link state (the
 // slots already booked on each link), so the same (src, dst) pair can
-// take a different route on every call.
+// take a different route on every call. A forced pair (Router.Route),
+// joined only through bridges, has one route whatever the link state:
+// its BFS route, which Route takes from the cache.
 type RouteCache struct {
 	routes map[routeKey]routeEntry
 }

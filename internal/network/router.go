@@ -8,9 +8,9 @@ package network
 //
 // The Topology convenience methods build a fresh Router per call, so
 // routes, labels and errors are the same whichever entry point is
-// used. An attached RouteCache serves BFSRoute only; DijkstraRoute
-// always searches, because its labels depend on link state (see
-// RouteCache).
+// used. An attached RouteCache serves BFSRoute, and Route for a forced
+// pair; DijkstraRoute always searches, because its labels depend on
+// link state (see RouteCache).
 type Router struct {
 	top   *Topology
 	links int         // len(top.links) when the Router was built
@@ -28,11 +28,17 @@ type Router struct {
 	best  []Label
 	pq    labelQueue
 	path  Route // DijkstraRoute's result, valid until the next search
+
+	// bt is the topology's block-cut tree: a search relaxes only the
+	// links of the blocks between its ends, which it marks with its
+	// epoch (blocks.go).
+	bt blockTree
 }
 
 // NewRouter returns a Router over the topology, sized to its current
-// node count. cache may be nil; a non-nil cache is consulted and filled
-// by BFSRoute and belongs to this Router alone.
+// node count, with the topology's block-cut tree. cache may be nil; a
+// non-nil cache is consulted and filled by BFSRoute and belongs to this
+// Router alone.
 func (t *Topology) NewRouter(cache *RouteCache) *Router {
 	n := len(t.nodes)
 	return &Router{
@@ -45,6 +51,7 @@ func (t *Topology) NewRouter(cache *RouteCache) *Router {
 		prev:   make([]hop, n),
 		best:   make([]Label, n),
 		path:   make(Route, 0, n), // a route visits each node at most once
+		bt:     newBlockTree(t),
 	}
 }
 
@@ -160,24 +167,53 @@ func (r *Router) bfs(src, dst NodeID) (Route, error) {
 // returned route is the Router's own buffer: it is valid until the
 // Router's next search, so a caller that keeps it copies it.
 //
-// The search never relaxes into a node other than dst whose every
-// outgoing hop leads to a closed node (a leaf processor reached from
-// its switch is the common case). Popped, such a node could relax
-// nothing, and the queue pops in a strict total order on (label, node
-// ID), so dropping its entries leaves every other pop, dst's
-// predecessor chain and its label exactly as a search without the
-// prune finds them — only the relax calls into dead ends are saved.
+// The search relaxes only links of the blocks on the block-cut tree
+// path between src and dst. Any other node hangs off a cut vertex c of
+// those blocks: it gets no label before c is closed, and its hops then
+// lead only inside its component or back to the closed c. So it never
+// changes the label or predecessor of a node on the path, and the
+// queue pops in a strict total order on (label, node ID): the route,
+// the label and the error are exactly those of a search of every link,
+// and the relax calls are a subsequence of that search's.
 //
 // edgelint:noalloc
 func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
-	t := r.top
-	t.checkNode(src)
-	t.checkNode(dst)
+	r.begin(src, dst)
 	if src == dst {
 		return Route{}, init, nil
 	}
+	return r.search(src, dst, init, relax)
+}
+
+// Route returns the route DijkstraRoute finds from src to dst, and its
+// error, without the label. When every block between src and dst is a
+// bridge, the pair has at most one route, the one BFSRoute finds, so
+// Route returns that (from the route cache when one is attached) and
+// calls no relax.
+//
+// edgelint:noalloc
+func (r *Router) Route(src, dst NodeID, init Label, relax RelaxFunc) (Route, error) {
+	if r.begin(src, dst) {
+		return r.BFSRoute(src, dst)
+	}
+	route, _, err := r.search(src, dst, init, relax)
+	return route, err
+}
+
+// begin checks both ends of a search, starts its epoch and marks the
+// blocks between them. It reports whether the pair is forced: src ==
+// dst, or joined through bridges only.
+func (r *Router) begin(src, dst NodeID) bool {
+	r.top.checkNode(src)
+	r.top.checkNode(dst)
 	r.epoch++
-	e := r.epoch
+	return r.bt.markPath(src, dst, r.epoch)
+}
+
+// search is the modified Dijkstra from src to dst over the blocks
+// begin marked.
+func (r *Router) search(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
+	t, e := r.top, r.epoch
 	r.pq = r.pq[:0]
 	pq := &r.pq
 	r.best[src] = init
@@ -196,7 +232,7 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 			return r.unwindPath(src, dst), r.best[dst], nil
 		}
 		for _, h := range t.adj[it.node] {
-			if r.closed[h.To] == e || (h.To != dst && r.deadEnd(h.To, e)) {
+			if r.closed[h.To] == e || r.bt.mark[r.bt.link[h.Link]] != e {
 				continue
 			}
 			nl := relax(t.links[h.Link], r.best[it.node])
@@ -211,18 +247,6 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 	}
 	// edgelint:coldpath — an unroutable pair fails the schedule.
 	return nil, Label{}, &ErrNoRoute{From: src, To: dst}
-}
-
-// deadEnd reports whether every outgoing hop of n leads to a node the
-// search of epoch e has closed. The closed set only grows, so a dead
-// end stays one for the rest of the search.
-func (r *Router) deadEnd(n NodeID, e uint64) bool {
-	for _, h := range r.top.adj[n] {
-		if r.closed[h.To] != e {
-			return false
-		}
-	}
-	return true
 }
 
 // unwindPath writes the route to dst into the Router's path buffer. A

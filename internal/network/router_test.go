@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -312,13 +313,17 @@ func (f *fuzzNet) relax(mode int, calls *int) RelaxFunc {
 	}
 }
 
-// FuzzDijkstraRoute requires the pruned Router.DijkstraRoute to find
-// exactly what the unpruned reference finds — the same route, the same
-// label bit for bit, the same error — with no more relax calls, over a
-// sequence of searches on one Router.
+// FuzzDijkstraRoute requires the block-restricted Router.DijkstraRoute
+// to find exactly what the unrestricted reference finds — the same
+// route, the same label bit for bit, the same error — with no more
+// relax calls, over a sequence of searches on one Router; Router.Route
+// must return the same route and error with no more relax calls than
+// DijkstraRoute. Every input also checks, for every ordered pair of
+// nodes, that the Router calls a pair forced exactly when it has one
+// simple route.
 func FuzzDijkstraRoute(f *testing.F) {
-	// A star: switch 0, processors 1-3; every leaf is a dead end
-	// once the switch is closed.
+	// A star: switch 0, processors 1-3; every leaf hangs off the
+	// switch, so every pair is forced.
 	f.Add([]byte{
 		2, 0, 1, 1, 1, // 4 nodes
 		3, 3, 0, 1, 0, 3, 0, 2, 0, 3, 0, 3, 0, // 3 duplex cables
@@ -334,15 +339,49 @@ func FuzzDijkstraRoute(f *testing.F) {
 		5, 2, 4, 0, 1, 0, 4, 2, 1, 1, 1, 3, 2, 0, 2, 0, 3, 2, 1, 0, 0, 0, 4, 0, 0, 1, 4, 3, 1, 2, 1,
 	})
 	f.Add([]byte{3, 1, 1, 1, 1, 0, 0, 1, 2, 3, 0, 0, 0, 2, 0, 1, 0, 2, 1}) // unreachable pairs
+	// A cycle of switches 0, 3 and 4 dangling off switch 0, the cut
+	// vertex between processors 1 and 2.
+	f.Add([]byte{
+		3, 0, 1, 1, 0, 0, // 5 nodes
+		5, 3, 1, 0, 0, 3, 0, 2, 0, 3, 0, 3, 0, 3, 3, 4, 0, 3, 4, 0, 0, // 5 duplex cables
+		1, 0, 1, 1, 0, 2, 2, 0, 1, 0, 1, 3, 2, 1, 0, 0, 1, 2, 1, 0,
+		3, 1, 2, 0, 1, 0, 1, 3, 1, 0, 0, 3, 2, 0, 2, 1, 4, 1, 1, 1, 0,
+	})
+	// Parallel duplex trunks between switches 0 and 1, processors 2 and
+	// 3 on either side: the trunk is a block of two nodes with two links
+	// each way, so no pair across it is forced.
+	f.Add([]byte{
+		2, 0, 0, 1, 1, // 4 nodes
+		3, 3, 2, 0, 0, 6, 0, 1, 0, 3, 3, 1, 0,
+		1, 0, 1, 0, 2, 0, 2, 0, 1, 1, 1, 0, 1, 0, 1, 0,
+		2, 2, 3, 0, 0, 0, 3, 2, 1, 1, 1, 2, 3, 1, 0, 0,
+	})
+	// A one-way link from switch 0 to processor 2 breaks the otherwise
+	// unique path back to processor 1: 2->1 is forced and unroutable.
+	f.Add([]byte{
+		1, 0, 1, 1, // 3 nodes
+		2, 3, 1, 0, 0, 0, 0, 2, 0,
+		1, 0, 1, 0, 1, 0,
+		1, 2, 1, 0, 0, 0, 1, 2, 0, 1, 0,
+	})
+	// A bus of processors 0 and 1 and switch 2 beside a duplex cable
+	// between 0 and 1, and processor 3 on the switch.
+	f.Add([]byte{
+		2, 1, 1, 0, 1, // 4 nodes
+		3, 7, 0, 1, 2, 3, 0, 1, 0, 3, 2, 3, 0,
+		2, 0, 1, 1, 0, 0, 1, 0, 1, 2,
+		3, 0, 1, 0, 0, 0, 3, 0, 1, 1, 0, 1, 3, 0, 2, 1, 0, 3, 1, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net := newFuzzNet(data)
 		top, n := net.top, net.top.NumNodes()
-		router := top.NewRouter(nil)
+		router := top.NewRouter(NewRouteCache())
+		checkForcedPairs(t, router)
 		for q := 1 + net.next()%16; q > 0; q-- {
 			src, dst := NodeID(net.next()%n), NodeID(net.next()%n)
 			mode, f0 := net.next()%2, float64(net.next()%3)
 			init := Label{Start: f0 - float64(net.next()%2), Finish: f0}
-			var got, want int
+			var got, want, routed int
 			route, label, err := router.DijkstraRoute(src, dst, init, net.relax(mode, &got))
 			wroute, wlabel, werr := referenceDijkstraRoute(top, src, dst, init, net.relax(mode, &want))
 			if !reflect.DeepEqual(err, werr) {
@@ -358,23 +397,146 @@ func FuzzDijkstraRoute(f *testing.F) {
 			if got > want {
 				t.Fatalf("%v->%v: %d relax calls, reference %d", src, dst, got, want)
 			}
+			// DijkstraRoute's route is the Router's buffer, which Route
+			// may reuse: compare with the reference's equal copy.
+			rroute, rerr := router.Route(src, dst, init, net.relax(mode, &routed))
+			if !reflect.DeepEqual(rerr, werr) || !slices.Equal(rroute, wroute) {
+				t.Fatalf("%v->%v: Route gave %v (error %v), DijkstraRoute %v (error %v)", src, dst, rroute, rerr, wroute, werr)
+			}
+			if routed > got {
+				t.Fatalf("%v->%v: Route made %d relax calls, DijkstraRoute %d", src, dst, routed, got)
+			}
 		}
 	})
 }
 
-// TestDijkstraRouteIsAllocationFree pins the noalloc claim on
-// Router.DijkstraRoute at runtime: once the queue has grown, a search
-// allocates nothing, its route included.
+// checkForcedPairs requires, for every ordered pair of r's nodes, that
+// r finds the pair forced exactly when simpleRoutes counts one route.
+func checkForcedPairs(t *testing.T, r *Router) {
+	t.Helper()
+	n := NodeID(r.top.NumNodes())
+	for src := range n {
+		for dst := range n {
+			want := simpleRoutes(r.top, src, dst) == 1
+			if got := r.begin(src, dst); got != want {
+				t.Fatalf("%v->%v: forced %v, but %d simple routes", src, dst, got, simpleRoutes(r.top, src, dst))
+			}
+		}
+	}
+}
+
+// simpleRoutes counts, by brute force and up to 2, the simple paths
+// from src to dst in the undirected view of top, where nodes u and v
+// are joined by as many parallel edges as the larger of their link
+// counts u->v and v->u (a bus joins each pair of its members once each
+// way). The empty path makes src == dst count 1.
+func simpleRoutes(top *Topology, src, dst NodeID) int {
+	n := top.NumNodes()
+	links := make([][]int, n) // links[u][v]: links usable from u to v
+	for u := range links {
+		links[u] = make([]int, n)
+	}
+	for u, hs := range top.adj {
+		for _, h := range hs {
+			links[u][h.To]++
+		}
+	}
+	edges := func(u, v int) int { return max(links[u][v], links[v][u]) }
+	onPath := make([]bool, n)
+	// reaches reports whether dst is reachable from v off the path, so
+	// every branch count takes ends in a path and two paths end it.
+	reaches := func(v int) bool {
+		seen := slices.Clone(onPath)
+		seen[v] = true
+		for queue := []int{v}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			if u == int(dst) {
+				return true
+			}
+			for w := range n {
+				if !seen[w] && edges(u, w) > 0 {
+					seen[w] = true
+					queue = append(queue, w)
+				}
+			}
+		}
+		return false
+	}
+	var count func(u int) int
+	count = func(u int) int {
+		if u == int(dst) {
+			return 1
+		}
+		onPath[u] = true
+		defer func() { onPath[u] = false }()
+		total := 0
+		for v := range n {
+			if k := edges(u, v); k > 0 && !onPath[v] && reaches(v) {
+				if total += k * count(v); total >= 2 {
+					return 2
+				}
+			}
+		}
+		return total
+	}
+	return count(int(src))
+}
+
+// TestForcedPairsHaveOneSimpleRoute checks the Router's forced pairs
+// against the brute-force count over the equivalence topologies and
+// the block-cut tree's corner cases: a cycle dangling off a cut vertex
+// between two processors, parallel duplex trunks, a one-way link that
+// breaks an otherwise unique path, and a three-member bus beside a
+// parallel cable.
+func TestForcedPairsHaveOneSimpleRoute(t *testing.T) {
+	dangling := Star(2, Uniform(1), Uniform(1))
+	x, y := dangling.AddSwitch("x"), dangling.AddSwitch("y")
+	dangling.AddDuplex(0, x, 1)
+	dangling.AddDuplex(x, y, 1)
+	dangling.AddDuplex(y, 0, 1)
+
+	trunks := NewTopology()
+	s0, s1 := trunks.AddSwitch(""), trunks.AddSwitch("")
+	trunks.AddDuplex(trunks.AddProcessor("", 1), s0, 1)
+	trunks.AddDuplex(s0, s1, 1)
+	trunks.AddDuplex(s0, s1, 1)
+	trunks.AddDuplex(trunks.AddProcessor("", 1), s1, 1)
+
+	oneWay := NewTopology()
+	hub := oneWay.AddSwitch("")
+	oneWay.AddDuplex(oneWay.AddProcessor("", 1), hub, 1)
+	oneWay.AddLink(hub, oneWay.AddProcessor("", 1), 1)
+
+	bus := NewTopology()
+	a, b, sw := bus.AddProcessor("", 1), bus.AddProcessor("", 1), bus.AddSwitch("")
+	bus.AddBus([]NodeID{a, b, sw}, 1)
+	bus.AddDuplex(a, b, 1)
+	bus.AddDuplex(sw, bus.AddProcessor("", 1), 1)
+
+	shapes := append(routerTopologies(rand.New(rand.NewSource(5))), dangling, trunks, oneWay, bus)
+	for i, top := range shapes {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { checkForcedPairs(t, top.NewRouter(nil)) })
+	}
+}
+
+// TestDijkstraRouteIsAllocationFree pins the noalloc claims on
+// Router.DijkstraRoute and Router.Route at runtime: once the queue has
+// grown and the forced pairs' routes are cached, a search allocates
+// nothing, its route included.
 func TestDijkstraRouteIsAllocationFree(t *testing.T) {
 	top := RandomCluster(rand.New(rand.NewSource(3)), RandomClusterParams{Processors: 32})
-	router := top.NewRouter(nil)
+	router := top.NewRouter(NewRouteCache())
 	relax := func(l Link, cur Label) Label {
 		return Label{Start: cur.Finish, Finish: cur.Finish + 10/l.Speed}
 	}
 	ps := top.Processors()
 	search := func() {
 		for i, src := range ps {
-			if _, _, err := router.DijkstraRoute(src, ps[(i*7+3)%len(ps)], Label{}, relax); err != nil {
+			dst := ps[(i*7+3)%len(ps)]
+			if _, _, err := router.DijkstraRoute(src, dst, Label{}, relax); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := router.Route(src, dst, Label{}, relax); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -52,6 +52,11 @@ var ErrOverloaded = errors.New("sched: engine overloaded")
 // the request.
 var ErrSelfCheck = errors.New("sched: engine self-check failed")
 
+// ErrInternal marks a request whose run panicked: a fault in the
+// engine, not in the request. The engine contains the panic, counts it
+// and replaces the worker slot's state.
+var ErrInternal = errors.New("sched: internal error")
+
 // EngineOptions configures a scheduling engine.
 type EngineOptions struct {
 	// Name is the display name stamped on produced schedules. Empty
@@ -92,6 +97,7 @@ type EngineStats struct {
 	ColdState int64 // requests whose slot state was bound afresh (at most MaxConcurrent)
 
 	SelfChecks int64 // cold re-runs performed by the determinism oracle
+	Panics     int64 // requests whose run panicked (counted in Failures too)
 }
 
 // Engine is a long-lived, concurrency-safe scheduling engine: it loads
@@ -121,6 +127,7 @@ type Engine struct {
 	active     atomic.Int64
 	coldStates atomic.Int64
 	selfChecks atomic.Int64
+	panics     atomic.Int64
 	reqSeq     atomic.Uint64
 }
 
@@ -187,8 +194,12 @@ func (e *Engine) Schedule(g *dag.Graph) (*Schedule, error) {
 		e.rejected.Add(1)
 		return nil, err
 	}
-	defer e.release(s)
-	return e.run(g, s)
+	out, err := e.run(g, s)
+	if errors.Is(err, ErrInternal) {
+		s = new(state) // the panic may have left s half-updated
+	}
+	e.release(s)
+	return out, err
 }
 
 // begin gates admission on the drain flag and registers the request
@@ -222,10 +233,9 @@ func (e *Engine) acquire() (*state, error) {
 	return s, nil
 }
 
-// release hands the slot back with its state. It is always deferred,
-// so it runs even when a request panics: a state the run left unfit
-// for reuse (state.release) is replaced by a zero state, so the slot is
-// never lost and the next request never gets a broken state.
+// release hands the slot back with its state. A state the run left
+// unfit for reuse (state.release) is replaced by a zero state, so the
+// slot is never lost and the next request never gets a broken state.
 func (e *Engine) release(s *state) {
 	if !s.release() {
 		s = new(state)
@@ -237,9 +247,18 @@ func (e *Engine) release(s *state) {
 // run schedules one graph on s, the state of the caller's worker slot:
 // state.run rebinds it to the engine's topology and options (a state
 // bound for the first time counts as cold), and every SelfCheckEvery'th
-// request is re-run cold by the oracle.
-func (e *Engine) run(g *dag.Graph, s *state) (*Schedule, error) {
+// request is re-run cold by the oracle. A panic in either is contained:
+// it fails the request with an error wrapping ErrInternal, counted in
+// Failures and Panics, and the caller discards s.
+func (e *Engine) run(g *dag.Graph, s *state) (out *Schedule, err error) {
 	e.requests.Add(1)
+	defer func() {
+		if p := recover(); p != nil {
+			e.panics.Add(1)
+			e.failures.Add(1)
+			out, err = nil, fmt.Errorf("%w: panic: %v", ErrInternal, p)
+		}
+	}()
 	seq := e.reqSeq.Add(1)
 	out, rebound, err := s.run(g, e.net, e.opts, e.name, nil)
 	if rebound {
@@ -284,6 +303,7 @@ func (e *Engine) Stats() EngineStats {
 		InFlight:   e.active.Load(),
 		ColdState:  e.coldStates.Load(),
 		SelfChecks: e.selfChecks.Load(),
+		Panics:     e.panics.Load(),
 	}
 }
 

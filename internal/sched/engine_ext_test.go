@@ -277,7 +277,10 @@ func TestEngineSharedInputsRace(t *testing.T) {
 	// outlives a time slice: the requests run interleaved even on one
 	// core, instead of back to back with every access ordered.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(goroutines))
-	net := engineTopology()
+	// A ring, not engineTopology's star: on a star every pair has one
+	// route, which OIHSA takes without a search (Router.Route), while
+	// every ring pair has two for the search to choose between.
+	net := network.Ring(6, network.Uniform(1), network.Uniform(1))
 	g := dag.RandomLayered(rand.New(rand.NewSource(5)), dag.RandomLayeredParams{
 		Tasks:    200,
 		TaskCost: dag.CostDist{Lo: 1, Hi: 40},

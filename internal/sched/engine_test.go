@@ -285,6 +285,58 @@ func TestEngineReleaseReplacesStateInTxn(t *testing.T) {
 	}
 }
 
+// TestEnginePanicIsContained forces a panic inside a request's run —
+// a relaxation planted on the slot's state panics at the first route
+// search with a choice — and requires the engine to fail the request
+// with ErrInternal, count it in Failures and Panics, give the slot a
+// new state, and serve the next request as a cold run would.
+//
+// edgelint:ignore verifysched — in-package (verify would cycle); the
+// schedule is compared bit-for-bit against a cold run, and the same
+// engine paths run under the full validator in engine_ext_test.go.
+func TestEnginePanicIsContained(t *testing.T) {
+	net := network.Ring(4, network.Uniform(1), network.Uniform(1)) // no forced pair
+	e, err := NewEngine(net, EngineOptions{Name: "OIHSA", Opts: NewOIHSA().Opts, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := hygieneGraph(5, 20)
+	planted, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted.opts = e.opts // so reset keeps the planted relaxation
+	planted.relaxFn = func(network.Link, network.Label) network.Label { panic("planted") }
+	e.release(planted)
+
+	if _, err := e.Schedule(g); !errors.Is(err, ErrInternal) {
+		t.Fatalf("a panicking run returned %v, want ErrInternal", err)
+	}
+	st := e.Stats()
+	if st.Requests != 1 || st.Failures != 1 || st.Panics != 1 || st.InFlight != 0 {
+		t.Fatalf("stats after the panic: %+v, want 1 request, 1 failure, 1 panic, none in flight", st)
+	}
+	next, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == planted {
+		t.Fatal("the slot kept the state of the run that panicked")
+	}
+	e.release(next)
+	got, err := e.Schedule(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewOIHSA().Schedule(g, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DiffSchedules(want, got); d != "" {
+		t.Fatalf("the replacement state's schedule diverged from a cold run: %s", d)
+	}
+}
+
 // TestSelfCheckDivergenceIsErrSelfCheck pins the error class of the
 // determinism oracle: a schedule that differs from the cold re-run
 // fails with ErrSelfCheck, which the daemon maps to a server error.

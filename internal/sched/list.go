@@ -902,8 +902,7 @@ func (s *state) findRoute(e dag.Edge, src, dst network.NodeID, base float64) (ne
 		return s.router.BFSRoute(src, dst)
 	case RoutingDijkstra:
 		init := network.Label{Start: base, Finish: base}
-		route, _, err := s.router.DijkstraRoute(src, dst, init, s.relaxFunc(e))
-		return route, err
+		return s.router.Route(src, dst, init, s.relaxFunc(e))
 	default:
 		return nil, fmt.Errorf("sched: unknown routing %v", s.opts.Routing)
 	}
