@@ -526,7 +526,7 @@ func BenchmarkBandwidthAllocForward(b *testing.B) {
 				down := linksched.NewBWTimeline()
 				for j, jb := range jobs {
 					cs := up.Alloc(linksched.Owner{Edge: j, Leg: 0}, jb.es, jb.vol, 2, 0)
-					down.Forward(nil, linksched.Owner{Edge: j, Leg: 1}, cs, 2, 1, 0)
+					down.Forward(nil, cs, 2, 1, 0)
 				}
 			}
 		})

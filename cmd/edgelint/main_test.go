@@ -291,13 +291,15 @@ type catchRow struct {
 // from inside a transaction, by the release test. The link ledgers'
 // mutations at their walks' positions have rows of their own: an insert
 // at the walk's stop instead of the search's place, and a cursor kept
-// across the slab split an insert made. The last rows give each of the
+// across the slab split an insert made; so does the bandwidth ledger's
+// booking rate, whose over-booking no Validate sees: a booking at the
+// cap whatever the link has left. The last rows give each of the
 // floateq, seededrand, verifysched and errflow analyzers a bug it must
 // catch, and noalloc one heap allocation per package on a steady-state
 // root that no test measures, plus a fresh route per
 // Router.DijkstraRoute search (which TestDijkstraRouteIsAllocationFree
-// also measures) and a use slice of its own per new bandwidth segment
-// (which TestResetKeepsSlabs also measures). The schedule encoder's
+// also measures) and a gap segment built through its address per
+// bandwidth booking, which noalloc charges as an allocation by rule. The schedule encoder's
 // float memo has a row of its own: a hit that trusts the slot without
 // comparing the float's bits prints another float's text. So do the
 // route search's blocks: a block path that leaves dst's own block
@@ -352,16 +354,16 @@ var catchMatrix = []catchRow{{
 	new:      "if f < bestFinish {",
 	analyzer: "detfold", pkg: "./internal/sched",
 }, {
-	bug:  "Timeline.SnapshotInto drops the stale snapshot's buffers",
-	file: "internal/linksched/timeline.go",
-	old:  "\told.tl.CopyFrom(t)\n\treturn old\n",
-	new:  "\told.tl = Timeline{}\n\told.tl.CopyFrom(t)\n\treturn old\n",
+	bug:  "linkTL drops the stale journal copy's buffers",
+	file: "internal/sched/txn.go",
+	old:  "\t\told := tx.tlSnaps.stale(int(id))\n",
+	new:  "\t\told := linksched.Timeline{}\n",
 	pkg:  "./internal/sched", run: "^TestProbeJournalingIsAllocationFree$",
 }, {
 	bug:  "placeEdgeBandwidth books through s.bw, bypassing linkBW",
 	file: "internal/sched/list.go",
-	old:  "out = s.linkBW(lid).AppendAlloc(out, owner, base, e.Cost, link.Speed, 0)",
-	new:  "out = s.bw[lid].AppendAlloc(out, owner, base, e.Cost, link.Speed, 0)",
+	old:  "out = s.linkBW(lid).AppendAlloc(out, base, e.Cost, link.Speed, 0)",
+	new:  "out = s.bw[lid].AppendAlloc(out, base, e.Cost, link.Speed, 0)",
 	pkg:  "./internal/sched", run: "^TestClonePlacementEqualsTxnProbe$",
 }, {
 	bug:  "placeTask stores the processor clock without setProcFinish",
@@ -410,6 +412,12 @@ var catchMatrix = []catchRow{{
 	file: "internal/linksched/bandwidth.go",
 	old:  "\treturn t.st.insert(c, left, hoppable)\n",
 	new:  "\tt.st.insert(c, left, hoppable)\n\treturn c\n",
+	pkg:  "./internal/linksched", run: "^FuzzBWTimelineDifferential$",
+}, {
+	bug:  "alloc books its cap, not the remaining bandwidth",
+	file: "internal/linksched/bandwidth.go",
+	old:  "\t\trate := math.Min(avail, cap)\n",
+	new:  "\t\trate, _ := cap, avail\n",
 	pkg:  "./internal/linksched", run: "^FuzzBWTimelineDifferential$",
 }, {
 	bug:  "deferral cascade refreshes only the slab it started in",
@@ -501,10 +509,10 @@ var catchMatrix = []catchRow{{
 	new:      "return fillRoute(make(Route, k), r.prev, dst)",
 	analyzer: "noalloc", pkg: "./internal/network",
 }, {
-	bug:      "reserve gives a new segment its own use slice",
+	bug:      "reserve takes the address of a fresh gap segment",
 	file:     "internal/linksched/bandwidth.go",
-	old:      "\t\tt.addUse(&ns, use{owner: owner, rate: rate})\n",
-	new:      "\t\tt.uses = append(t.uses, []use{{owner: owner, rate: rate}}...)\n\t\tns.uses.n = 1\n",
+	old:      "\t\tns := seg{start: cur, end: gapEnd, avail: 1 - rate}\n\t\tc = t.st.next(t.st.insert(c, ns, hoppable))\n",
+	new:      "\t\tns := &seg{start: cur, end: gapEnd, avail: 1 - rate}\n\t\tc = t.st.next(t.st.insert(c, *ns, hoppable))\n",
 	analyzer: "noalloc", pkg: "./internal/linksched",
 }, {
 	bug:      "placeEdge copies the route before recording it",

@@ -5,7 +5,11 @@
 // measurement), round-robins them across N closed-loop clients for a
 // fixed duration, and exits non-zero if any request failed or the
 // measured throughput is zero — which makes it directly usable as a
-// smoke gate in CI (see `make load-smoke`).
+// smoke gate in CI (see `make load-smoke`). Throughput is the
+// successful requests over the measured wall time, from the clients'
+// start until the last one's final request returns. A flag that
+// leaves nothing to measure (fewer than one client, graph or task, or
+// a duration of zero or less) is a usage error: exit 2.
 //
 // Usage:
 //
@@ -48,6 +52,11 @@ func main() {
 		out      = flag.String("out", "", "write a benchdiff-style snapshot to this file")
 	)
 	flag.Parse()
+	if err := checkFlags(*clients, *graphs, *tasks, *duration); err != nil {
+		fmt.Fprintln(os.Stderr, "edgeload:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	bodies := makeBodies(*graphs, *tasks, *seed)
 
@@ -66,7 +75,8 @@ func main() {
 		latMu    sync.Mutex
 		lats     []time.Duration
 	)
-	deadline := time.Now().Add(*duration)
+	begin := time.Now()
+	deadline := begin.Add(*duration)
 	var wg sync.WaitGroup
 	for c := 0; c < *clients; c++ {
 		wg.Add(1)
@@ -91,14 +101,14 @@ func main() {
 		}(c)
 	}
 	wg.Wait()
+	elapsed := time.Since(begin)
 
 	n := requests.Load()
 	fails := failures.Load()
-	elapsed := *duration
 	throughput := float64(n-fails) / elapsed.Seconds()
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 
-	fmt.Printf("edgeload: %d clients x %v against %s\n", *clients, elapsed, *url)
+	fmt.Printf("edgeload: %d clients x %v (measured %v) against %s\n", *clients, *duration, elapsed.Round(time.Millisecond), *url)
 	fmt.Printf("  requests    %d (%d failed)\n", n, fails)
 	fmt.Printf("  throughput  %.1f schedules/sec\n", throughput)
 	if len(lats) > 0 {
@@ -117,6 +127,22 @@ func main() {
 	if fails > 0 || throughput == 0 {
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects the settings that leave nothing to measure: no
+// client, no graph to send, no task in a graph, or no time to send in.
+func checkFlags(clients, graphs, tasks int, duration time.Duration) error {
+	switch {
+	case clients < 1:
+		return fmt.Errorf("-clients %d: want at least 1", clients)
+	case graphs < 1:
+		return fmt.Errorf("-graphs %d: want at least 1", graphs)
+	case tasks < 1:
+		return fmt.Errorf("-tasks %d: want at least 1", tasks)
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: want more than 0", duration)
+	}
+	return nil
 }
 
 // makeBodies pre-generates the request payloads: distinct layered DAGs

@@ -17,26 +17,15 @@ type Chunk struct {
 	Volume float64 // data moved: Rate * linkSpeed * (End-Start)
 }
 
-// use records one owner's bandwidth share within a segment.
-type use struct {
-	owner Owner
-	rate  float64
-}
-
-// seg is a maximal interval of a bandwidth timeline with a constant set
-// of bandwidth shares. Segments are sorted, non-overlapping; time not
-// covered by any segment is fully idle.
+// seg is an interval of a bandwidth timeline with constant remaining
+// bandwidth. Segments are sorted, non-overlapping; time not covered by
+// any segment is fully idle. Segments hold no pointers, so the slab
+// arrays are plain memory to the garbage collector and a slab copy is
+// one memmove.
 type seg struct {
 	start, end float64
 	avail      float64 // remaining bandwidth fraction in [0, 1]
-	uses       useSpan
 }
-
-// useSpan addresses a segment's shares in its ledger's use arena:
-// BWTimeline.uses[off : off+n]. Segments hold no pointers, so the slab
-// arrays are plain memory to the garbage collector and a slab copy is
-// one memmove.
-type useSpan struct{ off, n int32 }
 
 // hoppable is the BWTimeline's fold: the hop flag of segs. The flag
 // says that skipSaturated's per-segment walk, once it has entered the
@@ -76,6 +65,12 @@ func endAtMost(e *seg, y float64) bool {
 // communications may share a link concurrently as long as their
 // bandwidth fractions sum to at most 1.
 //
+// The ledger books availability only: each segment holds the fraction
+// of the link still free over its interval, which is all BBSA's chunk
+// sizing (§5, formula 4) reads. Who holds the rest is recorded in the
+// chunks Alloc and Forward return, and the schedule verifier checks
+// link capacity from those.
+//
 // Segments live in a slab store (slab.go), so reserve's splits and
 // gap-fills cost O(slabBlock), and each slab's summary is its hop flag
 // (hoppable), which lets Alloc/EstimateFinish skip saturated stretches
@@ -84,25 +79,9 @@ func endAtMost(e *seg, y float64) bool {
 // the steps the linear walk would, enforced by the differential sweeps
 // and FuzzBWTimelineDifferential.
 //
-// Each segment's shares live in one arena per ledger, uses, addressed
-// by the segment's useSpan. The arena only grows: a share is appended
-// in place when the segment's span ends at the arena's tail, and
-// otherwise the span is first copied to the tail. Written entries are
-// therefore never overwritten, which lets split give both halves of a
-// segment the same span: whichever half grows first moves the tail
-// past the other's span, so the other's next share copies its span
-// away instead of growing into the first's. The copies a span leaves
-// behind are dead. Reset drops them all; CopyFrom, which snapshots and
-// restores, copies only the live spans; and a full arena is compacted
-// into a spare one (compactUses), so a ledger that is never reset or
-// restored holds arenas of a few times its live shares, not of every
-// share it ever copied.
-//
 // The zero value is an idle timeline ready for use.
 type BWTimeline struct {
-	st    slabStore[seg, bool]
-	uses  []use
-	spare []use // compactUses' target, swapped with uses
+	st slabStore[seg, bool]
 }
 
 // NewBWTimeline returns an idle bandwidth timeline.
@@ -111,90 +90,12 @@ func NewBWTimeline() *BWTimeline { return &BWTimeline{} }
 // Reset empties the ledger in place, retaining the slab arrays so a
 // reused scheduler state keeps them for its next request. The result
 // is indistinguishable from a fresh zero-value ledger.
-func (t *BWTimeline) Reset() {
-	t.st.reset()
-	t.uses = t.uses[:0]
-}
-
-// usesOf returns the shares of segment s.
-func (t *BWTimeline) usesOf(s *seg) []use { return t.uses[s.uses.off : s.uses.off+s.uses.n] }
-
-// addUse appends u to segment s's shares: in place when s's span ends
-// at the arena's tail, otherwise after copying the span to the tail.
-// An arena without room for that is compacted first.
-func (t *BWTimeline) addUse(s *seg, u use) {
-	n := int(s.uses.n)
-	room := n + 1
-	if int(s.uses.off)+n == len(t.uses) {
-		room = 1
-	}
-	if cap(t.uses)-len(t.uses) < room {
-		t.compactUses(n + 1)
-	}
-	from, off := int(s.uses.off), len(t.uses)
-	if from+n == off {
-		off = from
-	}
-	t.uses = t.uses[:off+n+1]
-	if off != from {
-		copy(t.uses[off:off+n], t.uses[from:from+n])
-	}
-	t.uses[off+n] = u
-	s.uses = useSpan{off: int32(off), n: int32(n + 1)}
-}
-
-// compactUses moves every segment's span into the spare arena, which
-// then becomes the arena, and leaves room for at least extra more
-// shares. The target holds twice the live shares plus extra, so the
-// next compaction comes only after at least as many appends as this
-// one copies, and the dead copies of a ledger that is never reset or
-// restored stay within a small multiple of its live shares.
-//
-// edgelint:coldpath — amortized growth of the use arenas, which Reset
-// and CopyFrom keep.
-func (t *BWTimeline) compactUses(extra int) {
-	live := 0
-	for k := range t.st.slabs {
-		for _, s := range t.st.slabs[k].items {
-			live += int(s.uses.n)
-		}
-	}
-	if need := 2 * (live + extra); cap(t.spare) < need {
-		t.spare = make([]use, 0, max(need, 2*slabBlock))
-	}
-	t.uses, t.spare = t.relocateUses(t.spare[:0], t.uses), t.uses
-}
-
-// relocateUses appends the span of every segment, read from the arena
-// from, to dst, points each segment at its new place and returns dst.
-// Halves of a split that shared a span get a copy each.
-func (t *BWTimeline) relocateUses(dst, from []use) []use {
-	for k := range t.st.slabs {
-		segs := t.st.slabs[k].items
-		for i := range segs {
-			s := &segs[i]
-			off := len(dst)
-			// edgelint:coldpath — amortized growth of dst; CopyFrom's
-			// target keeps its arena across transactions and
-			// compactUses sizes its target beforehand.
-			dst = append(dst, from[s.uses.off:s.uses.off+s.uses.n]...)
-			s.uses.off = int32(off)
-		}
-	}
-	return dst
-}
+func (t *BWTimeline) Reset() { t.st.reset() }
 
 // SegmentInfo exposes one segment for verification and display.
 type SegmentInfo struct {
 	Start, End float64
 	Avail      float64
-	Uses       []SegmentUse
-}
-
-// SegmentUse is one owner's share within a segment.
-type SegmentUse struct {
-	Owner Owner
-	Rate  float64
 }
 
 // Segments returns a copy of the current segments in time order.
@@ -202,11 +103,7 @@ func (t *BWTimeline) Segments() []SegmentInfo {
 	out := make([]SegmentInfo, 0, t.st.n)
 	for k := range t.st.slabs {
 		for _, s := range t.st.slabs[k].items {
-			info := SegmentInfo{Start: s.start, End: s.end, Avail: s.avail}
-			for _, u := range t.usesOf(&s) {
-				info.Uses = append(info.Uses, SegmentUse{Owner: u.owner, Rate: u.rate})
-			}
-			out = append(out, info)
+			out = append(out, SegmentInfo{Start: s.start, End: s.end, Avail: s.avail})
 		}
 	}
 	return out
@@ -295,19 +192,18 @@ func (t *BWTimeline) split(c cursor, x float64) cursor {
 	if fptime.GeqEps(s.start, x) || fptime.LeqEps(s.end, x) {
 		return c // boundary already (approximately) present
 	}
-	// The halves share s's span; see BWTimeline.
-	left := seg{start: s.start, end: x, avail: s.avail, uses: s.uses}
+	left := seg{start: s.start, end: x, avail: s.avail}
 	s.start = x
 	return t.st.insert(c, left, hoppable)
 }
 
-// reserve books rate bandwidth for owner over [a, b], splitting
-// segments and creating new segments over idle time as needed. The
-// caller must have verified availability. c is a position near a, and
-// the result is a position near b that is valid after every insert
-// reserve made: each step moves on from the position the last insert
-// returned, since a slab split relocates segments.
-func (t *BWTimeline) reserve(c cursor, owner Owner, a, b, rate float64) cursor {
+// reserve books rate bandwidth over [a, b], splitting segments and
+// creating new segments over idle time as needed. The caller must have
+// verified availability. c is a position near a, and the result is a
+// position near b that is valid after every insert reserve made: each
+// step moves on from the position the last insert returned, since a
+// slab split relocates segments.
+func (t *BWTimeline) reserve(c cursor, a, b, rate float64) cursor {
 	if b-a <= Eps || rate <= Eps {
 		return c
 	}
@@ -330,7 +226,6 @@ func (t *BWTimeline) reserve(c cursor, owner Owner, a, b, rate float64) cursor {
 			if s.avail < 0 {
 				s.avail = 0
 			}
-			t.addUse(s, use{owner: owner, rate: rate})
 			t.st.refresh(c.s, hoppable)
 			cur = end
 			c = t.st.next(c)
@@ -341,8 +236,7 @@ func (t *BWTimeline) reserve(c cursor, owner Owner, a, b, rate float64) cursor {
 		if c.s < len(t.st.slabs) && t.st.at(c).start < gapEnd {
 			gapEnd = t.st.at(c).start
 		}
-		ns := seg{start: cur, end: gapEnd, avail: 1 - rate, uses: useSpan{off: int32(len(t.uses))}}
-		t.addUse(&ns, use{owner: owner, rate: rate})
+		ns := seg{start: cur, end: gapEnd, avail: 1 - rate}
 		c = t.st.next(t.st.insert(c, ns, hoppable))
 		cur = gapEnd
 	}
@@ -366,23 +260,25 @@ func (t *BWTimeline) availAt(c cursor, x float64) (avail, until float64) {
 // Alloc transfers volume units of data starting no earlier than es,
 // using at each instant min(cap, remaining bandwidth) of the link whose
 // transfer speed is speed. cap ≤ 0 means uncapped (full remaining
-// bandwidth, as on the first route link). It reserves the bandwidth for
-// owner and returns the chunks produced. A zero or negative volume
-// yields a single empty chunk at es.
+// bandwidth, as on the first route link). It reserves the bandwidth and
+// returns the chunks produced. A zero or negative volume yields a
+// single empty chunk at es. The owner is not recorded: the ledger books
+// availability only (see BWTimeline), and the returned chunks are the
+// record of the transfer.
 func (t *BWTimeline) Alloc(owner Owner, es, volume, speed, cap float64) []Chunk {
-	return t.AppendAlloc(nil, owner, es, volume, speed, cap)
+	return t.AppendAlloc(nil, es, volume, speed, cap)
 }
 
 // AppendAlloc is Alloc appending its chunks to dst; the chunks already
 // in dst are neither read nor merged with.
 //
 // edgelint:noalloc
-func (t *BWTimeline) AppendAlloc(dst []Chunk, owner Owner, es, volume, speed, cap float64) []Chunk {
+func (t *BWTimeline) AppendAlloc(dst []Chunk, es, volume, speed, cap float64) []Chunk {
 	if volume <= Eps {
 		// edgelint:coldpath — amortized growth of the caller's buffer.
 		return append(dst, Chunk{Start: es, End: es, Rate: 0, Volume: 0})
 	}
-	out, _ := t.alloc(dst, t.seekEps(math.Max(es, 0)), owner, es, volume, speed, cap)
+	out, _ := t.alloc(dst, t.seekEps(math.Max(es, 0)), es, volume, speed, cap)
 	return out
 }
 
@@ -392,7 +288,7 @@ func (t *BWTimeline) AppendAlloc(dst []Chunk, owner Owner, es, volume, speed, ca
 // the availability lookup, the splits and the booking of every step
 // each move it on from where the last one left it. It returns the
 // chunks and the final cursor.
-func (t *BWTimeline) alloc(dst []Chunk, c cursor, owner Owner, es, volume, speed, cap float64) ([]Chunk, cursor) {
+func (t *BWTimeline) alloc(dst []Chunk, c cursor, es, volume, speed, cap float64) ([]Chunk, cursor) {
 	if cap <= 0 || cap > 1 {
 		cap = 1
 	}
@@ -432,7 +328,7 @@ func (t *BWTimeline) alloc(dst []Chunk, c cursor, owner Owner, es, volume, speed
 		if moved > remaining {
 			moved = remaining
 		}
-		c = t.reserve(c, owner, cur, end, rate)
+		c = t.reserve(c, cur, end, rate)
 		out = appendChunk(out, base, Chunk{Start: cur, End: end, Rate: rate, Volume: moved})
 		remaining -= moved
 		cur = end
@@ -515,11 +411,11 @@ func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish fl
 //	min(rbr, prevRate · prevSpeed / speed)        (paper formula 4)
 //
 // so that the cumulative outflow never exceeds the cumulative inflow
-// (Theorem 3). It reserves bandwidth for owner and appends the chunks
+// (Theorem 3). It reserves the bandwidth and appends the chunks
 // produced on this link to dst, which must not overlap in.
 //
 // edgelint:noalloc
-func (t *BWTimeline) Forward(dst []Chunk, owner Owner, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
+func (t *BWTimeline) Forward(dst []Chunk, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
 	base, out := len(dst), dst
 	ready := 0.0
 	// One ledger cursor serves the whole leg: seeded by one seek at the
@@ -545,7 +441,7 @@ func (t *BWTimeline) Forward(dst []Chunk, owner Owner, in []Chunk, prevSpeed, sp
 		// writes at or below the chunk it reads.
 		n0 := len(out)
 		var all []Chunk
-		all, pos = t.alloc(out, pos, owner, es, c.Volume, speed, cap)
+		all, pos = t.alloc(out, pos, es, c.Volume, speed, cap)
 		out = all[:n0]
 		for _, ac := range all[n0:] {
 			out = appendChunk(out, base, ac)
@@ -563,9 +459,11 @@ func (t *BWTimeline) Forward(dst []Chunk, owner Owner, in []Chunk, prevSpeed, sp
 
 // Validate checks the ledger invariants: segments sorted, non-
 // overlapping, with strictly increasing ends (the two-level search and
-// the slab hops rely on that exactly); each segment's shares summing to
-// 1-avail with avail ∈ [0, 1]; and the slab store's structure and hop
-// flags consistent with the segments.
+// the slab hops rely on that exactly); avail ∈ [0, 1]; and the slab
+// store's structure and hop flags consistent with the segments. An
+// over-booking does not show here, since reserve clamps avail at 0;
+// the chunks' rates summed per instant show it (verify's link capacity
+// check).
 func (t *BWTimeline) Validate() error {
 	i := 0
 	prevEnd := math.Inf(-1)
@@ -582,18 +480,8 @@ func (t *BWTimeline) Validate() error {
 			if s.end <= prevEnd {
 				return fmt.Errorf("linksched: bw segment %d end %v not increasing past %v", i, s.end, prevEnd)
 			}
-			sum := 0.0
-			for _, u := range t.usesOf(&s) {
-				if u.rate <= 0 || u.rate > 1+Eps {
-					return fmt.Errorf("linksched: bw segment %d has invalid share %v", i, u.rate)
-				}
-				sum += u.rate
-			}
-			if sum > 1+1e-6 {
-				return fmt.Errorf("linksched: bw segment %d oversubscribed: shares sum to %v", i, sum)
-			}
-			if math.Abs((1-sum)-s.avail) > 1e-6 {
-				return fmt.Errorf("linksched: bw segment %d avail %v inconsistent with shares %v", i, s.avail, sum)
+			if !(s.avail >= 0 && s.avail <= 1) {
+				return fmt.Errorf("linksched: bw segment %d avail %v outside [0, 1]", i, s.avail)
 			}
 			prevEnd = s.end
 			i++
@@ -602,41 +490,13 @@ func (t *BWTimeline) Validate() error {
 	return t.st.validate(hoppable)
 }
 
-// BWSnapshot captures a BWTimeline for later Restore.
-type BWSnapshot struct {
-	tl BWTimeline
-}
-
-// Snapshot returns a restorable deep copy of the current state.
-func (t *BWTimeline) Snapshot() BWSnapshot {
-	return t.SnapshotInto(BWSnapshot{})
-}
-
-// SnapshotInto captures the current state reusing the buffers of a
-// stale snapshot (one that will never be restored again), including the
-// slab arrays and the use arena. See Timeline.SnapshotInto.
+// CopyFrom makes t an independent deep copy of src, hop flags
+// included, reusing t's slab arrays when they have capacity. The warm
+// path — journaling into a stale copy, or restoring from one — is one
+// copy per slab and no allocation.
 //
 // edgelint:noalloc
-func (t *BWTimeline) SnapshotInto(old BWSnapshot) BWSnapshot {
-	old.tl.CopyFrom(t)
-	return old
-}
-
-// Restore resets the timeline to a previously captured snapshot,
-// including the hop flags — no refresh needed.
-//
-// edgelint:noalloc
-func (t *BWTimeline) Restore(s BWSnapshot) { t.CopyFrom(&s.tl) }
-
-// CopyFrom makes t an independent deep copy of src, reusing t's slab
-// arrays and use arena when they have capacity. Only the live spans are
-// copied, each to its own place in t's arena, so the copy drops the
-// dead ones. The warm path — journaling into a stale snapshot, or
-// restoring from one — does not allocate.
-func (t *BWTimeline) CopyFrom(src *BWTimeline) {
-	t.st.copyFrom(&src.st)
-	t.uses = t.relocateUses(t.uses[:0], src.uses)
-}
+func (t *BWTimeline) CopyFrom(src *BWTimeline) { t.st.copyFrom(&src.st) }
 
 // NumSegments reports the number of segments (for tests/statistics).
 func (t *BWTimeline) NumSegments() int { return t.st.n }

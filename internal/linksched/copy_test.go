@@ -61,8 +61,7 @@ type timelineState struct {
 
 // TestLedgerCopyIndependence pins that CopyFrom makes a deep copy on
 // both ledgers, whatever slab arrays the destination held before: a
-// copy that shares a slab array or a segment's use buffer with its
-// source fails here.
+// copy that shares a slab array with its source fails here.
 func TestLedgerCopyIndependence(t *testing.T) {
 	t.Run("Timeline", ledgerKit[Timeline]{
 		fill: func(l *Timeline, n, edge0 int) {
@@ -86,10 +85,10 @@ func TestLedgerCopyIndependence(t *testing.T) {
 			}
 		},
 		mutate: func(l *BWTimeline, edge int) {
-			// A thin share across the whole span appends to the use list
+			// A thin share across the whole span lowers the availability
 			// of every segment.
 			l.Alloc(o(edge, 0), 0, 700, 1, 0.1)
-			l.Forward(nil, o(edge+1, 0), []Chunk{{Start: 0, End: 4, Rate: 0.25, Volume: 1}}, 1, 1, 0.5)
+			l.Forward(nil, []Chunk{{Start: 0, End: 4, Rate: 0.25, Volume: 1}}, 1, 1, 0.5)
 		},
 		state: func(l *BWTimeline) any { return l.Segments() },
 		slabs: func(l *BWTimeline) int { return len(l.st.slabs) },

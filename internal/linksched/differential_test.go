@@ -152,18 +152,18 @@ func TestProbeDifferentialAdversarial(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripKeepsIndex pins that Snapshot/Restore and
-// CopyFrom carry the slab summaries: after a round trip they must
-// validate and probes must agree with the reference on the restored
-// slots.
+// TestSnapshotRoundTripKeepsIndex pins that CopyFrom carries the slab
+// summaries: after a copy out and back the timeline must validate and
+// probes must agree with the reference on the restored slots.
 func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tl := buildRandomTimeline(r, 500)
-	snap := tl.Snapshot()
+	var snap Timeline
+	snap.CopyFrom(tl)
 	for i := 0; i < 100; i++ {
 		tl.InsertBasic(Owner{Edge: 1000 + i}, Request{ES: r.Float64() * 2000, Dur: 1})
 	}
-	tl.Restore(snap)
+	tl.CopyFrom(&snap)
 	if err := tl.Validate(); err != nil {
 		t.Fatalf("after restore: %v", err)
 	}
@@ -261,9 +261,10 @@ func FuzzTimelineDifferential(f *testing.F) {
 					insertRef(Slot{Start: s, End: f, Owner: owner})
 				}
 			case 3:
-				snap := tl.Snapshot()
+				var snap Timeline
+				snap.CopyFrom(tl)
 				tl.InsertBasic(owner, req)
-				tl.Restore(snap)
+				tl.CopyFrom(&snap)
 			case 4:
 				if tl.Len() == 0 {
 					continue
@@ -321,15 +322,6 @@ func (p *bwPair) checkState(t *testing.T, ctx string) {
 			t.Fatalf("%s: segment %d = (%v, %v, avail %v), reference (%v, %v, avail %v)",
 				ctx, i, g.Start, g.End, g.Avail, rs.start, rs.end, rs.avail)
 		}
-		if len(g.Uses) != len(rs.uses) {
-			t.Fatalf("%s: segment %d has %d uses, reference %d", ctx, i, len(g.Uses), len(rs.uses))
-		}
-		for j, u := range rs.uses {
-			// edgelint:ignore floateq — bit-identity contract.
-			if g.Uses[j].Owner != u.owner || g.Uses[j].Rate != u.rate {
-				t.Fatalf("%s: segment %d use %d = %+v, reference %+v", ctx, i, j, g.Uses[j], u)
-			}
-		}
 	}
 }
 
@@ -367,22 +359,22 @@ func checkAppended(t *testing.T, op string, dst, got, want []Chunk, segs int) {
 	}
 }
 
-func (p *bwPair) alloc(t *testing.T, owner Owner, es, vol, speed, cap float64) []Chunk {
+func (p *bwPair) alloc(t *testing.T, es, vol, speed, cap float64) []Chunk {
 	t.Helper()
-	want := p.ref.alloc(owner, es, vol, speed, cap)
+	want := p.ref.alloc(es, vol, speed, cap)
 	dst := mergeBait(want)
-	got := p.bw.AppendAlloc(append([]Chunk(nil), dst...), owner, es, vol, speed, cap)
+	got := p.bw.AppendAlloc(append([]Chunk(nil), dst...), es, vol, speed, cap)
 	checkAppended(t, fmt.Sprintf("AppendAlloc(es=%v, vol=%v, speed=%v, cap=%v)", es, vol, speed, cap),
 		dst, got, want, p.bw.NumSegments())
 	p.checkState(t, "after Alloc")
 	return got[len(dst):]
 }
 
-func (p *bwPair) forward(t *testing.T, owner Owner, in []Chunk, prevSpeed, speed, hop float64) []Chunk {
+func (p *bwPair) forward(t *testing.T, in []Chunk, prevSpeed, speed, hop float64) []Chunk {
 	t.Helper()
-	want := p.ref.forward(owner, in, prevSpeed, speed, hop)
+	want := p.ref.forward(in, prevSpeed, speed, hop)
 	dst := mergeBait(want)
-	got := p.bw.Forward(append([]Chunk(nil), dst...), owner, in, prevSpeed, speed, hop)
+	got := p.bw.Forward(append([]Chunk(nil), dst...), in, prevSpeed, speed, hop)
 	checkAppended(t, fmt.Sprintf("Forward(%d chunks, prevSpeed=%v, speed=%v, hop=%v)", len(in), prevSpeed, speed, hop),
 		dst, got, want, p.bw.NumSegments())
 	p.checkState(t, "after Forward")
@@ -410,22 +402,21 @@ func TestBWDifferential(t *testing.T) {
 		p := newBWPair()
 		span := float64(n)*2 + 10
 		for i := 0; i < n; i++ {
-			owner := Owner{Edge: i, Leg: 0}
 			es := r.Float64() * span
 			vol := r.Float64()*50 + 1
 			switch i % 5 {
 			case 0, 1, 2:
-				p.alloc(t, owner, es, vol, 2, 0)
+				p.alloc(t, es, vol, 2, 0)
 			case 3:
 				// Capped: partial rates fragment the ledger into
 				// partially available segments.
-				p.alloc(t, owner, es, vol, 1, 0.25+r.Float64()*0.5)
+				p.alloc(t, es, vol, 1, 0.25+r.Float64()*0.5)
 			case 4:
 				in := []Chunk{
 					{Start: es, End: es + vol/2, Rate: 0.5, Volume: vol / 4},
 					{Start: es + vol/2 + 1, End: es + vol/2 + 1 + vol/4, Rate: 1, Volume: vol / 2},
 				}
-				p.forward(t, owner, in, 2, 1, r.Float64())
+				p.forward(t, in, 2, 1, r.Float64())
 			}
 		}
 		// Probe-only estimates within, across, and beyond the ledger.
@@ -459,7 +450,7 @@ func TestBWDifferentialAdversarial(t *testing.T) {
 			}
 			vol := base/8 + float64(r.Intn(4))*base/32
 			// Uncapped at speed 1: rate 1, fully saturating [es, es+vol].
-			cs := p.alloc(t, Owner{Edge: i}, es, vol, 1, 0)
+			cs := p.alloc(t, es, vol, 1, 0)
 			cur = cs[len(cs)-1].End
 		}
 		// Estimates that must crawl or hop through the saturated runs.
@@ -468,29 +459,30 @@ func TestBWDifferentialAdversarial(t *testing.T) {
 		}
 		// Capped allocations skip the same runs on the mutating path.
 		for i := 0; i < 10; i++ {
-			p.alloc(t, Owner{Edge: n + i, Leg: 1}, r.Float64()*cur, base/32, 1, 0.5)
+			p.alloc(t, r.Float64()*cur, base/32, 1, 0.5)
 		}
 	}
 }
 
-// TestBWSnapshotRoundTripKeepsIndex pins that Snapshot/Restore and
-// CopyFrom carry the slab store and its hop flags: after a round
-// trip the store must validate (summaries recomputed exactly) and
-// further operations must still track the reference.
+// TestBWSnapshotRoundTripKeepsIndex pins that CopyFrom carries the
+// slab store and its hop flags: after a copy out and back the store
+// must validate (summaries recomputed exactly) and further operations
+// must still track the reference.
 func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	p := newBWPair()
 	const span = 500.0
 	for i := 0; i < 200; i++ {
-		p.alloc(t, Owner{Edge: i}, r.Float64()*span, r.Float64()*20+1, 2, 0)
+		p.alloc(t, r.Float64()*span, r.Float64()*20+1, 2, 0)
 	}
-	snap := p.bw.Snapshot()
-	refSnap := cloneRefSegs(p.ref.segs)
+	var snap BWTimeline
+	snap.CopyFrom(p.bw)
+	refSnap := slices.Clone(p.ref.segs)
 	for i := 0; i < 50; i++ {
 		p.bw.Alloc(Owner{Edge: 1000 + i}, r.Float64()*span, 5, 1, 0)
 	}
-	p.bw.Restore(snap)
-	p.ref.segs = cloneRefSegs(refSnap)
+	p.bw.CopyFrom(&snap)
+	p.ref.segs = slices.Clone(refSnap)
 	p.checkState(t, "after restore")
 	// A copy's mutations must not leak back, and the copy itself must
 	// keep a valid slab store.
@@ -503,12 +495,12 @@ func TestBWSnapshotRoundTripKeepsIndex(t *testing.T) {
 	}
 	// The restored original keeps tracking the reference.
 	for i := 0; i < 50; i++ {
-		p.alloc(t, Owner{Edge: 2000 + i, Leg: 1}, r.Float64()*span, r.Float64()*10+1, 1, 0.5)
+		p.alloc(t, r.Float64()*span, r.Float64()*10+1, 1, 0.5)
 	}
 }
 
 // FuzzBWTimelineDifferential fuzzes Alloc/Forward/EstimateFinish/
-// Snapshot/Restore sequences against the linear reference: chunks,
+// CopyFrom sequences against the linear reference: chunks,
 // estimates, and the full segment state must match exactly and the
 // slab store's invariants must hold after every operation.
 func FuzzBWTimelineDifferential(f *testing.F) {
@@ -529,7 +521,7 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 	f.Add(fwd)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newBWPair()
-		var snap BWSnapshot
+		var snap BWTimeline
 		var refSnap []refSeg
 		haveSnap := false
 		for i := 0; i+6 <= len(data); i += 6 {
@@ -538,10 +530,9 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 			vol := float64(data[i+3])/4 + 0.01
 			cap := float64(data[i+4]%5) / 4 // 0 = uncapped .. 1
 			speed := 1 + float64(data[i+5]%4)
-			owner := Owner{Edge: i, Leg: int(data[i+5] % 2)}
 			switch op {
 			case 0, 1, 2:
-				p.alloc(t, owner, es, vol, speed, cap)
+				p.alloc(t, es, vol, speed, cap)
 			case 3:
 				// 1 to 4 input chunks, spaced by up to 2 idle units.
 				rate := 0.25 + cap/2
@@ -550,19 +541,19 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 					st := es + float64(j)*(vol+float64(data[i+5]%3))
 					in[j] = Chunk{Start: st, End: st + vol, Rate: rate, Volume: vol * rate * speed}
 				}
-				p.forward(t, owner, in, speed, 1, float64(data[i+4]%3))
+				p.forward(t, in, speed, 1, float64(data[i+4]%3))
 			case 4:
 				p.estimate(t, es, vol, speed)
 			case 5:
-				snap = p.bw.SnapshotInto(snap)
-				refSnap = cloneRefSegs(p.ref.segs)
+				snap.CopyFrom(p.bw)
+				refSnap = slices.Clone(p.ref.segs)
 				haveSnap = true
 			default:
 				if haveSnap {
-					p.bw.Restore(snap)
-					p.ref.segs = cloneRefSegs(refSnap)
+					p.bw.CopyFrom(&snap)
+					p.ref.segs = slices.Clone(refSnap)
 				} else {
-					p.alloc(t, owner, es, vol, speed, 0)
+					p.alloc(t, es, vol, speed, 0)
 				}
 			}
 			if i%30 == 0 || op >= 5 {

@@ -106,23 +106,11 @@ type bwRef struct {
 	segs []refSeg
 }
 
-// refSeg is the reference's segment: the pre-arena layout, each
-// segment owning its use slice, so the oracle shares no storage scheme
-// with the ledger it checks.
+// refSeg is the reference's segment, declared apart from seg so the
+// oracle shares no type with the ledger it checks.
 type refSeg struct {
 	start, end float64
 	avail      float64
-	uses       []use
-}
-
-// cloneRefSegs deep-copies segments, each with its own use slice.
-func cloneRefSegs(src []refSeg) []refSeg {
-	dst := make([]refSeg, len(src))
-	for i, s := range src {
-		dst[i] = s
-		dst[i].uses = append([]use(nil), s.uses...)
-	}
-	return dst
 }
 
 // refSplit ensures a segment boundary exists at time x and returns the
@@ -137,7 +125,7 @@ func (t *bwRef) split(x float64) int {
 	if fptime.GeqEps(s.start, x) || fptime.LeqEps(s.end, x) {
 		return i // boundary already (approximately) present
 	}
-	left := refSeg{start: s.start, end: x, avail: s.avail, uses: append([]use(nil), s.uses...)}
+	left := refSeg{start: s.start, end: x, avail: s.avail}
 	s.start = x
 	t.segs = append(t.segs, refSeg{})
 	copy(t.segs[i+1:], t.segs[i:])
@@ -145,9 +133,9 @@ func (t *bwRef) split(x float64) int {
 	return i + 1 // the right half, now starting at x
 }
 
-// reserve books rate bandwidth for owner over [a, b] with the original
-// linear walk and memmove inserts.
-func (t *bwRef) reserve(owner Owner, a, b, rate float64) {
+// reserve books rate bandwidth over [a, b] with the original linear
+// walk and memmove inserts.
+func (t *bwRef) reserve(a, b, rate float64) {
 	if b-a <= Eps || rate <= Eps {
 		return
 	}
@@ -171,7 +159,6 @@ func (t *bwRef) reserve(owner Owner, a, b, rate float64) {
 			if s.avail < 0 {
 				s.avail = 0
 			}
-			s.uses = append(s.uses, use{owner: owner, rate: rate})
 			cur = end
 			i++
 			continue
@@ -181,7 +168,7 @@ func (t *bwRef) reserve(owner Owner, a, b, rate float64) {
 		if i < len(t.segs) && t.segs[i].start < gapEnd {
 			gapEnd = t.segs[i].start
 		}
-		ns := refSeg{start: cur, end: gapEnd, avail: 1 - rate, uses: []use{{owner: owner, rate: rate}}}
+		ns := refSeg{start: cur, end: gapEnd, avail: 1 - rate}
 		t.segs = append(t.segs, refSeg{})
 		copy(t.segs[i+1:], t.segs[i:])
 		t.segs[i] = ns
@@ -204,7 +191,7 @@ func (t *bwRef) availAt(x float64) (avail, until float64) {
 }
 
 // alloc is BWTimeline.Alloc over the reference kernels.
-func (t *bwRef) alloc(owner Owner, es, volume, speed, cap float64) []Chunk {
+func (t *bwRef) alloc(es, volume, speed, cap float64) []Chunk {
 	if cap <= 0 || cap > 1 {
 		cap = 1
 	}
@@ -236,7 +223,7 @@ func (t *bwRef) alloc(owner Owner, es, volume, speed, cap float64) []Chunk {
 		if moved > remaining {
 			moved = remaining
 		}
-		t.reserve(owner, cur, end, rate)
+		t.reserve(cur, end, rate)
 		out = appendChunk(out, 0, Chunk{Start: cur, End: end, Rate: rate, Volume: moved})
 		remaining -= moved
 		cur = end
@@ -299,7 +286,7 @@ func (t *bwRef) estimateFinish(es, volume, speed float64) (start, finish float64
 }
 
 // forward is BWTimeline.Forward over the reference alloc.
-func (t *bwRef) forward(owner Owner, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
+func (t *bwRef) forward(in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
 	var out []Chunk
 	cursor := 0.0
 	for _, c := range in {
@@ -311,7 +298,7 @@ func (t *bwRef) forward(owner Owner, in []Chunk, prevSpeed, speed, hopDelay floa
 		}
 		es := math.Max(cursor, c.Start+hopDelay)
 		cap := c.Rate * prevSpeed / speed
-		cs := t.alloc(owner, es, c.Volume, speed, cap)
+		cs := t.alloc(es, c.Volume, speed, cap)
 		for _, oc := range cs {
 			out = appendChunk(out, 0, oc)
 		}

@@ -219,7 +219,7 @@ func (st *slabStore[E, S]) copyFrom(src *slabStore[E, S]) {
 	n := len(src.slabs)
 	if cap(st.slabs) < n {
 		// edgelint:coldpath — one-time header growth; the capacity
-		// persists across transactions via the stale snapshot.
+		// persists across transactions in the journal's stale copy.
 		st.slabs = append(st.slabs[:cap(st.slabs)], make([]slab[E, S], n-cap(st.slabs))...)
 	}
 	st.slabs = st.slabs[:n]

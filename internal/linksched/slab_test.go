@@ -107,10 +107,9 @@ func TestSlabSplitKeepsHalvesApart(t *testing.T) {
 	}
 }
 
-// TestResetKeepsSlabs pins that Reset keeps every slab array, and on a
-// BWTimeline the use arena: refilling either reset ledger allocates
-// nothing, the BWTimeline's bookings appending their chunks to a sized
-// buffer.
+// TestResetKeepsSlabs pins that Reset keeps every slab array:
+// refilling either reset ledger allocates nothing, the BWTimeline's
+// bookings appending their chunks to a sized buffer.
 func TestResetKeepsSlabs(t *testing.T) {
 	const n = 10 * slabBlock
 	order := rand.New(rand.NewSource(1)).Perm(n) // mid-ledger inserts: splits
@@ -138,9 +137,9 @@ func TestResetKeepsSlabs(t *testing.T) {
 			chunks = chunks[:0]
 			for _, i := range order {
 				// One idle interval each, then a thin share over it and
-				// its neighbours: splits, and spans copied to the tail.
-				chunks = bw.AppendAlloc(chunks, o(i, 0), float64(3*i), 2, 1, 0)
-				chunks = bw.AppendAlloc(chunks, o(i, 1), float64(3*i)-1, 0.5, 1, 0.1)
+				// its neighbours: splits and gap segments.
+				chunks = bw.AppendAlloc(chunks, float64(3*i), 2, 1, 0)
+				chunks = bw.AppendAlloc(chunks, float64(3*i)-1, 0.5, 1, 0.1)
 			}
 		}
 		refill()

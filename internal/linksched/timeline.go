@@ -559,39 +559,14 @@ func (t *Timeline) Validate() error {
 	return t.st.validate(foldSlots)
 }
 
-// Snapshot captures the timeline state for later Restore. The snapshot
-// is a value copy; subsequent timeline mutations do not affect it. The
-// slab summaries and the slack travel with the slots so a Restore
-// rewinds them all in one copy instead of a rebuild.
-type Snapshot struct {
-	tl Timeline
-}
-
-// Snapshot returns a restorable copy of the current state.
-func (t *Timeline) Snapshot() Snapshot {
-	return t.SnapshotInto(Snapshot{})
-}
-
-// SnapshotInto captures the current state reusing the buffers of a
-// stale snapshot (one that will never be restored again). The probe
-// transaction journal calls it with the snapshot left over from the
-// previous transaction, making steady-state journaling allocation-free.
-//
-// edgelint:noalloc
-func (t *Timeline) SnapshotInto(old Snapshot) Snapshot {
-	old.tl.CopyFrom(t)
-	return old
-}
-
-// Restore resets the timeline to a previously captured snapshot.
-//
-// edgelint:noalloc
-func (t *Timeline) Restore(s Snapshot) { t.CopyFrom(&s.tl) }
-
-// CopyFrom makes t an independent deep copy of src, reusing t's slab
-// arrays when they have capacity. The warm path — journaling into a
-// stale snapshot, or restoring from one — is one copy per slab and no
+// CopyFrom makes t an independent deep copy of src — slots, slack
+// column and slab summaries in one copy, no rebuild — reusing t's slab
+// arrays when they have capacity. The probe journal copies a timeline
+// into the copy a previous transaction left in its slot, and a
+// rollback copies it back: the warm path is one copy per slab and no
 // allocation.
+//
+// edgelint:noalloc
 func (t *Timeline) CopyFrom(src *Timeline) {
 	t.st.copyFrom(&src.st)
 	t.maxAbs = src.maxAbs

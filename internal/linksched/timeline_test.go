@@ -214,13 +214,14 @@ func TestOptimalPrefersEarliestFeasiblePosition(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	tl := NewTimeline()
 	tl.InsertBasic(o(0, 0), Request{ES: 0, PF: 0, Dur: 2})
-	snap := tl.Snapshot()
+	var snap Timeline
+	snap.CopyFrom(tl)
 	tl.InsertBasic(o(1, 0), Request{ES: 0, PF: 0, Dur: 2})
 	tl.InsertOptimal(o(2, 0), Request{ES: 0, PF: 0, Dur: 1}, nil)
 	if tl.Len() != 3 {
 		t.Fatalf("len=%d, want 3", tl.Len())
 	}
-	tl.Restore(snap)
+	tl.CopyFrom(&snap)
 	if tl.Len() != 1 {
 		t.Fatalf("after restore len=%d, want 1", tl.Len())
 	}
@@ -385,12 +386,13 @@ func TestTimelineValidateCatchesCorruption(t *testing.T) {
 			s[len(s)-1].End += 0.25
 		}},
 	} {
-		saved := tl.Snapshot()
+		var saved Timeline
+		saved.CopyFrom(tl)
 		c.corrupt(sl.items)
 		if err := tl.Validate(); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
-		tl.Restore(saved)
+		tl.CopyFrom(&saved)
 		if err := tl.Validate(); err != nil {
 			t.Fatalf("after %s, the restored timeline is rejected: %v", c.name, err)
 		}
@@ -434,11 +436,12 @@ func TestInsertOptimalIsAllocationFree(t *testing.T) {
 	for i, s := range tl.Slots() {
 		tl.SetSlack(s.Owner, s.Start, float64(i%4))
 	}
-	snap := tl.Snapshot()
+	var snap Timeline
+	snap.CopyFrom(tl)
 	var moved []Shifted
 	insert := func() {
 		_, _, moved = tl.InsertOptimal(o(-1, 0), Request{ES: 1000, PF: 1000, Dur: 5}, moved)
-		tl.Restore(snap)
+		tl.CopyFrom(&snap)
 	}
 	insert() // warm up: grow the shift buffer and the slot capacity
 	if len(moved) == 0 {

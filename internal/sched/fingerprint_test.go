@@ -200,14 +200,6 @@ func diffSegments(id int, want, got []linksched.SegmentInfo) string {
 			return fmt.Sprintf("bandwidth link %d segment %d: [%v,%v] avail %v -> [%v,%v] avail %v",
 				id, i, w.Start, w.End, w.Avail, g.Start, g.End, g.Avail)
 		}
-		if len(g.Uses) != len(w.Uses) {
-			return fmt.Sprintf("bandwidth link %d segment %d use count: %d -> %d", id, i, len(w.Uses), len(g.Uses))
-		}
-		for u := range w.Uses {
-			if g.Uses[u] != w.Uses[u] {
-				return fmt.Sprintf("bandwidth link %d segment %d use %d: %+v -> %+v", id, i, u, w.Uses[u], g.Uses[u])
-			}
-		}
 	}
 	return ""
 }

@@ -440,9 +440,11 @@ func TestBeginReusesJournals(t *testing.T) {
 // from empty transactions to ones that journal real state: after one
 // warm-up round has sized the journal value slots, a transaction that
 // journals every timeline, a task and a processor clock — then rolls
-// back — must not allocate. This pins the SnapshotInto buffer
-// recycling: before it, every timeline journal allocated a fresh
-// snapshot slot copy, the dominant allocation of the EFT probe loop.
+// back — must not allocate. This pins the recycling of the journal's
+// timeline copies: linkTL copies into the copy its value slot kept
+// from an earlier transaction; without that, every timeline journal
+// allocated fresh slab arrays, the dominant allocation of the EFT probe
+// loop.
 func TestProbeJournalingIsAllocationFree(t *testing.T) {
 	g := dag.Chain(4, 1, 10)
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
@@ -463,7 +465,7 @@ func TestProbeJournalingIsAllocationFree(t *testing.T) {
 		s.setProcFinish(p[1], s.procFinish[p[1]])
 		s.rollback()
 	}
-	journalAll() // warm up: allocate journal arrays and snapshot buffers
+	journalAll() // warm up: allocate journal arrays and timeline copies
 	if allocs := testing.AllocsPerRun(50, journalAll); allocs != 0 {
 		t.Fatalf("journaling allocates %v times per transaction, want 0", allocs)
 	}

@@ -6,8 +6,8 @@ package sched
 // (an index into the state's backing slice), so the journal stores
 // prior values in a flat array indexed by ID instead of a map: no
 // hashing on the probe hot path, no per-transaction bucket clearing,
-// and the value slots persist across transactions so snapshot buffers
-// can be reused (see Timeline.SnapshotInto).
+// and the value slots persist across transactions so a timeline's
+// copy can reuse the slab arrays of the one before (see linkTL).
 //
 // Membership is tracked by an epoch stamp per ID: an ID belongs to the
 // open transaction iff mark[id] equals the current epoch. Closing a
@@ -21,8 +21,8 @@ type journal[V any] struct {
 }
 
 // resize sizes the journal for IDs in [0, n), keeping whatever buffers
-// it can: the value slots persist (their snapshot buffers stay reusable
-// via stale) and the touched-ID list keeps its capacity. Epochs start
+// it can: the value slots persist (a timeline copy's slab arrays stay
+// reusable via stale) and the touched-ID list keeps its capacity. Epochs start
 // at 1 so a cleared mark array means "nothing journaled". The marks are
 // cleared on any length change — shrinking and re-growing within
 // capacity would otherwise re-expose epoch stamps from a previous life

@@ -413,7 +413,8 @@ type state struct {
 	// txFree is the reusable transaction journal: begin takes it,
 	// rollback resets it and leaves it for the next probe, so the six
 	// slice-backed journals are allocated once per state, not per
-	// probe, and their snapshot buffers recycle across probes.
+	// probe, and their timeline copies' slab arrays recycle across
+	// probes.
 	txFree *txn
 
 	// router performs route searches with reused scratch buffers sized
@@ -1135,18 +1136,17 @@ func (s *state) placeEdgeBandwidth(eid dag.EdgeID, e dag.Edge, route network.Rou
 	prevSpeed := 0.0
 	for leg, lid := range route {
 		link := s.net.Link(lid)
-		owner := linksched.Owner{Edge: int(eid), Leg: leg}
 		out := s.legBufs[leg%2][:0]
 		switch {
 		case leg == 0:
-			out = s.linkBW(lid).AppendAlloc(out, owner, base, e.Cost, link.Speed, 0)
+			out = s.linkBW(lid).AppendAlloc(out, base, e.Cost, link.Speed, 0)
 		case s.opts.Switching == StoreAndForward:
 			// The whole message is buffered at the station; the next
 			// link transfers it afresh, unconstrained by arrival rate.
 			arrived := chunks[len(chunks)-1].End
-			out = s.linkBW(lid).AppendAlloc(out, owner, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
+			out = s.linkBW(lid).AppendAlloc(out, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
 		default:
-			out = s.linkBW(lid).Forward(out, owner, chunks, prevSpeed, link.Speed, s.opts.HopDelay)
+			out = s.linkBW(lid).Forward(out, chunks, prevSpeed, link.Speed, s.opts.HopDelay)
 		}
 		s.legBufs[leg%2], chunks = out, out
 		start, finish := base, base

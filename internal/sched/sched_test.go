@@ -816,9 +816,9 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 
 // TestBBSAAllocatesPerLedgerNotPerBooking pins the pointer-free
 // bandwidth ledger: BBSA on a long-link instance (3000 tasks, 4
-// processors, CCR 10) allocates for its state, slab arrays and use
-// arenas, a few hundred times in all, not a use list and a chunk list
-// per booking as it did before (35,065 times on this instance).
+// processors, CCR 10) allocates for its state and slab arrays, a few
+// hundred times in all, not a use list and a chunk list per booking as
+// it did before (35,065 times on this instance).
 func TestBBSAAllocatesPerLedgerNotPerBooking(t *testing.T) {
 	inst := workload.Generate(workload.Params{
 		Processors: 4, CCR: 10, MinTasks: 3000, MaxTasks: 3000, Seed: 42,

@@ -11,15 +11,15 @@ import (
 // can be rolled back cheaply: only the timelines, task/edge records and
 // processor clocks actually modified are saved (copy-on-write), not the
 // whole network. The journals are slice-backed (see journal) and their
-// snapshot buffers are recycled across transactions, so a steady-state
-// probe journals without allocating.
+// timeline copies' slab arrays are recycled across transactions, so a
+// steady-state probe journals without allocating.
 type txn struct {
 	taskOld  journal[TaskPlacement]
 	procOld  journal[float64]
 	edgeOld  journal[edgeMeta]
-	tlSnaps  journal[linksched.Snapshot]
-	bwSnaps  journal[linksched.BWSnapshot]
-	ptlSnaps journal[linksched.Snapshot]
+	tlSnaps  journal[linksched.Timeline]
+	bwSnaps  journal[linksched.BWTimeline]
+	ptlSnaps journal[linksched.Timeline]
 	// dupsLen is the duplicates count before the transaction's first
 	// addDup, or -1 if it appended none; rollback truncates to it
 	// (duplicates are append-only).
@@ -94,13 +94,13 @@ func (s *state) rollback() {
 	}
 	s.edges.truncate(tx.marks)
 	for _, id := range tx.tlSnaps.ids {
-		s.tl[id].Restore(tx.tlSnaps.vals[id])
+		s.tl[id].CopyFrom(&tx.tlSnaps.vals[id])
 	}
 	for _, id := range tx.bwSnaps.ids {
-		s.bw[id].Restore(tx.bwSnaps.vals[id])
+		s.bw[id].CopyFrom(&tx.bwSnaps.vals[id])
 	}
 	for _, id := range tx.ptlSnaps.ids {
-		s.ptl[id].Restore(tx.ptlSnaps.vals[id])
+		s.ptl[id].CopyFrom(&tx.ptlSnaps.vals[id])
 	}
 	if tx.dupsLen >= 0 {
 		s.dups = s.dups[:tx.dupsLen]
@@ -251,27 +251,31 @@ func (s *state) setLeg(id dag.EdgeID, leg int, lm legMeta) {
 }
 
 // linkTL journals link id's slot timeline and returns it for one
-// mutating call. The snapshot reuses the buffers left in the journal's
+// mutating call. The copy reuses the slab arrays left in the journal's
 // value slot by an earlier transaction, so steady-state journaling is
 // allocation-free.
 //
 // edgelint:noalloc
 func (s *state) linkTL(id network.LinkID) *linksched.Timeline {
 	if tx := s.tx; tx != nil && !tx.tlSnaps.has(int(id)) {
-		tx.tlSnaps.put(int(id), s.tl[id].SnapshotInto(tx.tlSnaps.stale(int(id))))
+		old := tx.tlSnaps.stale(int(id))
+		old.CopyFrom(&s.tl[id])
+		tx.tlSnaps.put(int(id), old)
 	}
 	return &s.tl[id]
 }
 
 // linkBW journals link id's bandwidth timeline and returns it for one
-// mutating call. The snapshot carries the chunked slabs and their block
-// summaries wholesale, so a rollback restores the availability index
-// without any reindexing.
+// mutating call. The copy carries the slabs and their hop flags
+// wholesale, so a rollback restores the availability index without any
+// reindexing.
 //
 // edgelint:noalloc
 func (s *state) linkBW(id network.LinkID) *linksched.BWTimeline {
 	if tx := s.tx; tx != nil && !tx.bwSnaps.has(int(id)) {
-		tx.bwSnaps.put(int(id), s.bw[id].SnapshotInto(tx.bwSnaps.stale(int(id))))
+		old := tx.bwSnaps.stale(int(id))
+		old.CopyFrom(&s.bw[id])
+		tx.bwSnaps.put(int(id), old)
 	}
 	return &s.bw[id]
 }
@@ -282,7 +286,9 @@ func (s *state) linkBW(id network.LinkID) *linksched.BWTimeline {
 // edgelint:noalloc
 func (s *state) procTL(id network.NodeID) *linksched.Timeline {
 	if tx := s.tx; tx != nil && !tx.ptlSnaps.has(int(id)) {
-		tx.ptlSnaps.put(int(id), s.ptl[id].SnapshotInto(tx.ptlSnaps.stale(int(id))))
+		old := tx.ptlSnaps.stale(int(id))
+		old.CopyFrom(&s.ptl[id])
+		tx.ptlSnaps.put(int(id), old)
 	}
 	return &s.ptl[id]
 }
