@@ -24,9 +24,11 @@ race:
 # Timeline and BWTimeline kernels against their linear references, bit
 # for bit, the schedule JSON encoder against the encoding/json
 # reference, byte for byte, the graph and topology decoders against
-# their encoding/json references, accept set and result, and the
+# their encoding/json references, accept set and result, the
 # block-restricted Dijkstra route search against the unrestricted one,
-# route, label and error, with every forced pair's brute-force count. -fuzzminimizetime 0 turns off the minimization of
+# route, label and error, with every forced pair's brute-force count,
+# and every pair's BFS route from the Router's trees against the
+# per-pair reference search. -fuzzminimizetime 0 turns off the minimization of
 # each new-coverage input, which by default runs up to 60s with no
 # executions counted and took most of a 30s budget; a failing input is
 # then written out as found, not minimized.

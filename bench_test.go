@@ -275,17 +275,17 @@ func engineBenchWorld() (*network.Topology, []*dag.Graph) {
 
 // BenchmarkEngineThroughput serves the 64-DAG wave concurrently from a
 // warmed engine: GOMAXPROCS worker slots, each owning one reusable
-// scheduler state and its warmed route cache. Against
+// scheduler state and the BFS trees its router has grown. Against
 // BenchmarkEngineColdSequential, whose one-shot calls reuse pooled
 // states too, this measures what the engine adds: per-topology
-// validation done once, route caches warmed up front, and at
-// GOMAXPROCS > 1 the wave overlapping on the cores. Schedules are
+// validation done once, and at GOMAXPROCS > 1 the wave overlapping on
+// the cores. Schedules are
 // bit-identical to one-shot runs throughout (see
 // TestEngineMatchesColdRun).
 func BenchmarkEngineThroughput(b *testing.B) {
 	net, gs := engineBenchWorld()
 	eng, err := sched.NewEngine(net, sched.EngineOptions{
-		Name: "BA", Opts: sched.NewBA().Opts, WarmRoutes: true,
+		Name: "BA", Opts: sched.NewBA().Opts,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -326,8 +326,8 @@ func runEngineWave(b *testing.B, eng *sched.Engine, gs []*dag.Graph) {
 // request at a time. Despite the name no call starts cold: each draws
 // a warm state from the one-shot pool, and validates the topology and
 // options again; against
-// BenchmarkEngineThroughput the difference is the engine's admission,
-// its warmed route caches and, at GOMAXPROCS > 1, its parallelism.
+// BenchmarkEngineThroughput the difference is the engine's admission
+// and, at GOMAXPROCS > 1, its parallelism.
 func BenchmarkEngineColdSequential(b *testing.B) {
 	net, gs := engineBenchWorld()
 	a := sched.NewBA()
@@ -573,8 +573,10 @@ func BenchmarkBandwidthEstimateFinish(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSRoute measures minimal routing on a 64-processor WAN, on
-// one Router without a route cache, so it times the search itself.
+// BenchmarkBFSRoute measures minimal routing on a 64-processor WAN on
+// one Router. The first route from each source grows that source's BFS
+// tree; every later op unwinds a route from a grown tree, which is
+// what nearly every op times.
 func BenchmarkBFSRoute(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	top := network.RandomCluster(r, network.RandomClusterParams{Processors: 64})
@@ -595,7 +597,7 @@ func BenchmarkBFSRoute(b *testing.B) {
 // the serve workloads' 32-processor cluster (seed 2006) and a
 // 4-processor single-switch cluster, on which every pair is forced.
 // entry=DijkstraRoute searches every pair; entry=Route answers forced
-// pairs with their cached BFS route. relaxes/op counts relax calls,
+// pairs with the BFS route unwound from the source's tree. relaxes/op counts relax calls,
 // which do not depend on the host.
 func BenchmarkDijkstraRoute(b *testing.B) {
 	serve := rand.New(rand.NewSource(2006))
@@ -613,7 +615,7 @@ func BenchmarkDijkstraRoute(b *testing.B) {
 	} {
 		for _, entry := range []string{"DijkstraRoute", "Route"} {
 			b.Run("net="+n.name+"/entry="+entry, func(b *testing.B) {
-				router := n.top.NewRouter(network.NewRouteCache())
+				router := n.top.NewRouter(nil)
 				ps := n.top.Processors()
 				relaxes := 0
 				relax := func(l network.Link, cur network.Label) network.Label {

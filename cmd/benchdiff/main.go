@@ -161,7 +161,7 @@ func main() {
 // unchanged code read +13% to +86% against its baseline.
 // BenchmarkEngineThroughput guards the serving path: its wall time is
 // the engine's whole value proposition (64 schedules on slot-owned
-// states with warm route caches), and its allocs/op pin the
+// states with grown BFS trees), and its allocs/op pin the
 // steady-state allocations per wave — a leak in state reset or a slot
 // state rebuilt per request shows up here as a multiple, not a percent.
 // BenchmarkScheduleLongLinks guards the paper's own kernels where they

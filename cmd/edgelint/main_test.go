@@ -280,8 +280,8 @@ type catchRow struct {
 // names the cheapest guard that catches it. It is the evidence that no
 // analyzer is needed for the read-only inputs: every write to the
 // graph or the topology below, which concurrent requests share, is
-// caught by a test or by the race detector, and a write to a cached
-// route, which only its scheduler state reads, by a test. It is also
+// caught by a test or by the race detector, and a write to a route,
+// which only its scheduler state reads, by a test. It is also
 // the evidence that probe transactions need no runtime guard: a
 // scheduler store that bypasses its journaling mutator (a booking, a
 // slack entry, a processor clock) is caught by the probe property
@@ -296,15 +296,19 @@ type catchRow struct {
 // cap whatever the link has left. The last rows give each of the
 // floateq, seededrand, verifysched and errflow analyzers a bug it must
 // catch, and noalloc one heap allocation per package on a steady-state
-// root that no test measures, plus a fresh route per
-// Router.DijkstraRoute search (which TestDijkstraRouteIsAllocationFree
-// also measures) and a gap segment built through its address per
-// bandwidth booking, which noalloc charges as an allocation by rule. The schedule encoder's
+// root that no test measures, plus a fresh route per Router search
+// (which TestDijkstraRouteIsAllocationFree also measures) and a gap
+// segment built through its address per bandwidth booking, which noalloc charges as an allocation by rule. The schedule encoder's
 // float memo has a row of its own: a hit that trusts the slot without
 // comparing the float's bits prints another float's text. So do the
 // route search's blocks: a block path that leaves dst's own block
 // unmarked, and a block of two nodes with parallel links each way
 // taken for a bridge, whose pairs then skip a search that had a choice.
+// The BFS trees have two: Route answering a pair that has a choice from
+// the tree, which the Dijkstra contract test sees, and a traversal that
+// stops at its first processor, which the BFS reference sees. One row is
+// benchdiff's own: a zero-alloc gate pin that lets one allocation
+// through.
 var catchMatrix = []catchRow{{
 	bug:  "Graph.Clone shares the task slice",
 	file: "internal/dag/dag.go",
@@ -312,7 +316,7 @@ var catchMatrix = []catchRow{{
 	new:  "tasks: g.tasks,",
 	pkg:  "./internal/dag", run: "^TestCloneIsDeep$",
 }, {
-	bug:  "findRoute swaps a cached BFS route's ends in place",
+	bug:  "findRoute swaps a BFS route's ends in place",
 	file: "internal/sched/list.go",
 	old:  "\t\treturn s.router.BFSRoute(src, dst)\n",
 	new:  "\t\tr, err := s.router.BFSRoute(src, dst)\n\t\tif len(r) > 1 {\n\t\t\tr[0], r[len(r)-1] = r[len(r)-1], r[0]\n\t\t}\n\t\treturn r, err\n",
@@ -438,15 +442,17 @@ var catchMatrix = []catchRow{{
 	new:  "\t\tst.slabs[k].items = src.slabs[k].items\n",
 	pkg:  "./internal/linksched", run: "^TestLedgerCopyIndependence$",
 }, {
-	bug:  "Router.DijkstraRoute memoizes through the route cache",
+	bug:  "Route answers a pair the block path does not force from the BFS tree",
 	file: "internal/network/router.go",
-	old:  "\tif src == dst {\n\t\treturn Route{}, init, nil\n\t}\n",
-	new: "\tif src == dst {\n\t\treturn Route{}, init, nil\n\t}\n" +
-		"\tif c := r.cache; c != nil {\n" +
-		"\t\tif route, err, ok := c.lookup(src, dst); ok {\n\t\t\treturn route, init, err\n\t\t}\n" +
-		"\t\tr.cache = nil\n\t\troute, l, err := r.DijkstraRoute(src, dst, init, relax)\n\t\tr.cache = c\n" +
-		"\t\tc.store(src, dst, route, err)\n\t\treturn route, l, err\n\t}\n",
-	pkg: "./internal/network", run: "^TestDijkstraRoutesAreNeverCached$",
+	old:  "\tif r.begin(src, dst) {\n\t\treturn r.BFSRoute(src, dst)\n\t}\n",
+	new:  "\tif r.begin(src, dst) || r.tree[src] >= 0 {\n\t\treturn r.BFSRoute(src, dst)\n\t}\n",
+	pkg:  "./internal/network", run: "^TestDijkstraRoutesAreNeverCached$",
+}, {
+	bug:  "grow stops at the first destination it reaches",
+	file: "internal/network/router.go",
+	old:  "\t\t\tprev[h.To] = hop{Link: h.Link, To: u}\n\t\t\tqueue = append(queue, h.To)\n",
+	new:  "\t\t\tprev[h.To] = hop{Link: h.Link, To: u}\n\t\t\tif r.top.nodes[h.To].Kind == Processor {\n\t\t\t\tr.tree[src] = off\n\t\t\t\treturn off\n\t\t\t}\n\t\t\tqueue = append(queue, h.To)\n",
+	pkg:  "./internal/network", run: "^TestRouterMatchesTopologyBFS$",
 }, {
 	bug:  "the block path stops one block short of dst",
 	file: "internal/network/blocks.go",
@@ -459,6 +465,12 @@ var catchMatrix = []catchRow{{
 	old:  "fwd[b] <= 1 && bwd[b] <= 1",
 	new:  "fwd[b] <= 2 && bwd[b] <= 2",
 	pkg:  "./internal/network", run: "^TestForcedPairsHaveOneSimpleRoute$",
+}, {
+	bug:  "benchdiff lets a zero-alloc baseline rise to one alloc/op",
+	file: "cmd/benchdiff/main.go",
+	old:  "case o.AllocsPerOp == 0 && n.AllocsPerOp > 0:",
+	new:  "case o.AllocsPerOp == 0 && n.AllocsPerOp > 1:",
+	pkg:  "./cmd/benchdiff", run: "^TestGateViolationsAllocs$",
 }, {
 	bug:  "the float memo hits on the slot without comparing bits",
 	file: "internal/trace/json.go",
@@ -505,8 +517,8 @@ var catchMatrix = []catchRow{{
 }, {
 	bug:      "DijkstraRoute unwinds into a fresh slice",
 	file:     "internal/network/router.go",
-	old:      "return fillRoute(r.path[:k:k], r.prev, dst)",
-	new:      "return fillRoute(make(Route, k), r.prev, dst)",
+	old:      "return fillRoute(r.path[:k:k], prev, dst)",
+	new:      "return fillRoute(make(Route, k), prev, dst)",
 	analyzer: "noalloc", pkg: "./internal/network",
 }, {
 	bug:      "reserve takes the address of a fresh gap segment",

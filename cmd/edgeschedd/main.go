@@ -1,11 +1,11 @@
 // Command edgeschedd is the scheduling daemon: it loads one network
 // topology at startup, builds a long-lived sched.Engine for a chosen
 // algorithm, and serves scheduling requests over HTTP/JSON. Each worker
-// slot owns one reusable scheduler state, whose route cache is warmed
-// at startup — so steady-state requests pay only for the work that is
-// genuinely theirs, and throughput scales with concurrent clients while
-// every schedule stays bit-identical to a run on a fresh state
-// (spot-checked at runtime via -self-check-every).
+// slot owns one reusable scheduler state, whose router keeps the BFS
+// trees of earlier requests — so steady-state requests pay only for the
+// work that is genuinely theirs, and throughput scales with concurrent
+// clients while every schedule stays bit-identical to a run on a fresh
+// state (spot-checked at runtime via -self-check-every).
 //
 // Usage:
 //
@@ -89,7 +89,6 @@ func main() {
 		Opts:           ls.Opts,
 		MaxConcurrent:  *maxConc,
 		MaxQueue:       *maxQueue,
-		WarmRoutes:     true,
 		SelfCheckEvery: *selfCheck,
 	})
 	if err != nil {

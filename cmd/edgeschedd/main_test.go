@@ -27,7 +27,7 @@ func testEngine(t *testing.T) *sched.Engine {
 	t.Helper()
 	topo := network.Star(4, network.Uniform(1), network.Uniform(1))
 	eng, err := sched.NewEngine(topo, sched.EngineOptions{
-		Name: "OIHSA", Opts: sched.NewOIHSA().Opts, WarmRoutes: true, SelfCheckEvery: 1,
+		Name: "OIHSA", Opts: sched.NewOIHSA().Opts, SelfCheckEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestUnplaceableTaskIs400(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := sched.NewEngine(slow, sched.EngineOptions{Name: ls.AlgorithmName, Opts: ls.Opts, WarmRoutes: true})
+		eng, err := sched.NewEngine(slow, sched.EngineOptions{Name: ls.AlgorithmName, Opts: ls.Opts})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -195,13 +195,14 @@ func runNet(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "mean link speed (MLS) = %.4g\n", t.MeanLinkSpeed())
 	// Route-length statistics between the first few processor pairs.
 	ps := t.Processors()
+	router := t.NewRouter(nil)
 	var totalHops, pairs int
 	for i := 0; i < len(ps) && i < 8; i++ {
 		for j := 0; j < len(ps) && j < 8; j++ {
 			if i == j {
 				continue
 			}
-			route, err := t.BFSRoute(ps[i], ps[j])
+			route, err := router.BFSRoute(ps[i], ps[j])
 			if err != nil {
 				return err
 			}

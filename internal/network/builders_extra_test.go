@@ -18,7 +18,7 @@ func TestTorus3D(t *testing.T) {
 		t.Fatalf("links %d, want 162", top.NumLinks())
 	}
 	// Wraparound shortens corner-to-corner routes to ≤ 3 hops.
-	route, err := top.BFSRoute(0, 26)
+	route, err := top.NewRouter(nil).BFSRoute(0, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSwitchTree(t *testing.T) {
 	}
 	// Processors under different leaves route through the tree.
 	ps := top.Processors()
-	route, err := top.BFSRoute(ps[0], ps[11])
+	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[11])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDumbbell(t *testing.T) {
 	}
 	// Cross-cluster routes pass the trunk: 3 hops.
 	ps := top.Processors()
-	route, err := top.BFSRoute(ps[0], ps[3])
+	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestButterflyNet(t *testing.T) {
 	}
 	// Any pair of processors is connected.
 	ps := top.Processors()
-	if _, err := top.BFSRoute(ps[0], ps[7]); err != nil {
+	if _, err := top.NewRouter(nil).BFSRoute(ps[0], ps[7]); err != nil {
 		t.Fatal(err)
 	}
 }

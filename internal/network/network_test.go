@@ -97,7 +97,7 @@ func TestMeanLinkSpeed(t *testing.T) {
 func TestBFSRouteLine(t *testing.T) {
 	top := Line(4, Uniform(1), Uniform(1))
 	ps := top.Processors()
-	route, err := top.BFSRoute(ps[0], ps[3])
+	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBFSRouteLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Self-route is empty.
-	r0, err := top.BFSRoute(ps[1], ps[1])
+	r0, err := top.NewRouter(nil).BFSRoute(ps[1], ps[1])
 	if err != nil || len(r0) != 0 {
 		t.Fatalf("self route %v, %v", r0, err)
 	}
@@ -119,7 +119,7 @@ func TestBFSRouteNoPath(t *testing.T) {
 	a := top.AddProcessor("a", 1)
 	b := top.AddProcessor("b", 1)
 	top.AddLink(a, b, 1) // one-way only
-	if _, err := top.BFSRoute(b, a); err == nil {
+	if _, err := top.NewRouter(nil).BFSRoute(b, a); err == nil {
 		t.Fatal("expected no-route error")
 	} else if _, ok := err.(*ErrNoRoute); !ok {
 		t.Fatalf("error type %T", err)
@@ -135,7 +135,7 @@ func TestBFSRoutePrefersFewestHops(t *testing.T) {
 	top.AddDuplex(a, b, 1)
 	top.AddDuplex(b, c, 1)
 	top.AddDuplex(a, c, 1)
-	route, err := top.BFSRoute(a, c)
+	route, err := top.NewRouter(nil).BFSRoute(a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDijkstraRoutePrefersFastPath(t *testing.T) {
 		}
 		return Label{Start: start, Finish: finish}
 	}
-	route, label, err := top.DijkstraRoute(a, c, Label{}, relax)
+	route, label, err := top.NewRouter(nil).DijkstraRoute(a, c, Label{}, relax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestDijkstraEqualsBFSHopsOnUniformRelax(t *testing.T) {
 	ps := top.Processors()
 	for i := 0; i < 10; i++ {
 		a, b := ps[r.Intn(len(ps))], ps[r.Intn(len(ps))]
-		bfs, err := top.BFSRoute(a, b)
+		bfs, err := top.NewRouter(nil).BFSRoute(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dij, _, err := top.DijkstraRoute(a, b, Label{}, relax)
+		dij, _, err := top.NewRouter(nil).DijkstraRoute(a, b, Label{}, relax)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestDijkstraEqualsBFSHopsOnUniformRelax(t *testing.T) {
 func TestRouteNodesRejectsBrokenRoute(t *testing.T) {
 	top := Line(3, Uniform(1), Uniform(1))
 	ps := top.Processors()
-	route, err := top.BFSRoute(ps[0], ps[2])
+	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestBusRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := top.Processors()
-	route, err := top.BFSRoute(ps[0], ps[2])
+	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestTorusWraparound(t *testing.T) {
 		t.Fatalf("links %d, want 36", top.NumLinks())
 	}
 	// Opposite corner reachable in ≤ 2 hops thanks to wraparound.
-	route, err := top.BFSRoute(0, 8)
+	route, err := top.NewRouter(nil).BFSRoute(0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

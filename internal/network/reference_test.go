@@ -1,5 +1,44 @@
 package network
 
+// referenceBFSRoute is the per-pair breadth-first search without the
+// Router's BFS trees and path buffer, kept as the reference the
+// Router's BFSRoute and forced-pair routes are compared against: it
+// stops when it first reaches dst and unwinds into a fresh route.
+// Fresh scratch per call, so nothing is shared with the Router under
+// test.
+func referenceBFSRoute(t *Topology, src, dst NodeID) (Route, error) {
+	t.checkNode(src)
+	t.checkNode(dst)
+	if src == dst {
+		return Route{}, nil
+	}
+	seen := make([]bool, len(t.nodes))
+	prev := make([]hop, len(t.nodes))
+	seen[src] = true
+	queue := []NodeID{src}
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		for _, h := range t.adj[n] {
+			if seen[h.To] {
+				continue
+			}
+			seen[h.To] = true
+			prev[h.To] = hop{Link: h.Link, To: n}
+			if h.To == dst {
+				return unwind(prev, src, dst), nil
+			}
+			queue = append(queue, h.To)
+		}
+	}
+	return nil, &ErrNoRoute{From: src, To: dst}
+}
+
+// unwind returns the route to dst along the predecessor chain from src
+// in a fresh slice.
+func unwind(prev []hop, src, dst NodeID) Route {
+	return fillRoute(make(Route, routeLen(prev, src, dst)), prev, dst)
+}
+
 // referenceDijkstraRoute is the modified Dijkstra search without the
 // block restriction and the Router-owned path buffer, kept as the
 // reference FuzzDijkstraRoute compares Router.DijkstraRoute against:

@@ -4,9 +4,7 @@ import "fmt"
 
 // Route is a path through the network: the ordered list of links an
 // edge's communication traverses from a source processor to a target
-// processor. An intra-processor route is the empty slice. A route
-// handed out by a route cache is shared by every later lookup of the
-// same pair and must never be written after it is built.
+// processor. An intra-processor route is the empty slice.
 type Route []LinkID
 
 // ErrNoRoute is returned when no path exists between two nodes.
@@ -16,21 +14,6 @@ type ErrNoRoute struct {
 
 func (e *ErrNoRoute) Error() string {
 	return fmt.Sprintf("network: no route from node %d to node %d", e.From, e.To)
-}
-
-// BFSRoute returns a minimal route (fewest links) from src to dst using
-// breadth-first search with deterministic tie-breaking by link
-// insertion order, as used by the Basic Algorithm. src == dst yields an
-// empty route. Each call builds a fresh Router; hold one (see
-// NewRouter) to reuse its scratch buffers and a route cache.
-func (t *Topology) BFSRoute(src, dst NodeID) (Route, error) {
-	return t.NewRouter(nil).BFSRoute(src, dst)
-}
-
-// unwind returns the route to dst along the predecessor chain from src
-// in a fresh slice, which a route cache may keep.
-func unwind(prev []hop, src, dst NodeID) Route {
-	return fillRoute(make(Route, routeLen(prev, src, dst)), prev, dst)
 }
 
 // routeLen counts the links on the predecessor chain from src to dst.
@@ -82,18 +65,6 @@ func (l Label) Less(m Label) bool {
 // feasible slot honouring the link causality condition. It must be
 // monotone: a worse input label must not produce a better output label.
 type RelaxFunc func(l Link, cur Label) Label
-
-// DijkstraRoute finds the route from src to dst minimizing the final
-// label under the given relaxation, implementing the paper's modified
-// routing algorithm (§4.3): "the minimal criterion is the finish time
-// of the edge on each link by basic insertion". init is the label at
-// the source node (its Finish is normally the source task's finish
-// time, Start likewise). src == dst yields an empty route. Each call
-// builds a fresh Router (see NewRouter for a reusable one), so the
-// route is the caller's own.
-func (t *Topology) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
-	return t.NewRouter(nil).DijkstraRoute(src, dst, init, relax)
-}
 
 type labelItem struct {
 	node  NodeID

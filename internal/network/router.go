@@ -1,33 +1,58 @@
 package network
 
+// treeArenaCap bounds a Router's BFS trees, in hops (16 bytes each, so
+// 8 MiB): 48 sources of a 10,001-node star fit. A tree that would pass
+// the cap empties the arena first, and the trees refill on demand,
+// which changes no route. A topology with more nodes than the cap keeps
+// one tree at a time.
+const treeArenaCap = 1 << 19
+
+// RouteCache is an empty placeholder kept for NewRouter's signature: a
+// Router memoizes its BFS routes itself.
+//
+// Deprecated: pass nil to NewRouter.
+type RouteCache struct{}
+
 // Router runs route searches over one topology with reusable scratch
 // buffers, eliminating the per-call allocations (visit marks,
 // predecessor arrays, label heaps) that dominate the schedulers' hot
-// probe loops. A Router and its RouteCache are NOT safe for concurrent
-// use: every scheduler state owns one of each.
+// probe loops. A Router is NOT safe for concurrent use: every scheduler
+// state owns one.
 //
-// The Topology convenience methods build a fresh Router per call, so
-// routes, labels and errors are the same whichever entry point is
-// used. An attached RouteCache serves BFSRoute, and Route for a forced
-// pair; DijkstraRoute always searches, because its labels depend on
-// link state (see RouteCache).
+// BFS routes are a pure function of the topology, so the Router keeps
+// one BFS predecessor tree per source it has been asked about and
+// unwinds every later route from src out of src's tree. Modified
+// Dijkstra routes (§4.3) are never kept: their labels are finish times
+// over the current link state (the slots already booked on each link),
+// so the same (src, dst) pair can take a different route on every call.
+// A forced pair (Route), joined only through bridges, has one route
+// whatever the link state: its BFS route, which Route unwinds from the
+// tree.
+//
+// Every route a Router returns is its own buffer, valid until its next
+// search: a caller that keeps a route copies it.
 type Router struct {
 	top   *Topology
-	links int         // len(top.links) when the Router was built
-	cache *RouteCache // optional; memoizes BFS (static) routes only
+	links int // len(top.links) when the Router was built
 
 	// epoch-stamped visit marks: mark[n] == epoch means "touched in
 	// the current search", so buffers never need clearing.
 	epoch  uint64
-	seen   []uint64 // BFS visited
 	open   []uint64 // Dijkstra open set
 	closed []uint64 // Dijkstra closed set
 
-	prev  []hop
+	prev  []hop // Dijkstra predecessors
 	queue []NodeID
 	best  []Label
 	pq    labelQueue
-	path  Route // DijkstraRoute's result, valid until the next search
+	path  Route // the last search's route, valid until the next search
+
+	// tree[src] is the offset in hops of src's BFS predecessor tree, or
+	// -1 before the first BFSRoute from src (and after the arena last
+	// emptied). A tree holds one hop per node: the link and node its
+	// route arrives through, or Link -1 where src reaches nothing.
+	tree []int
+	hops []hop
 
 	// bt is the topology's block-cut tree: a search relaxes only the
 	// links of the blocks between its ends, which it marks with its
@@ -36,21 +61,23 @@ type Router struct {
 }
 
 // NewRouter returns a Router over the topology, sized to its current
-// node count, with the topology's block-cut tree. cache may be nil; a
-// non-nil cache is consulted and filled by BFSRoute and belongs to this
-// Router alone.
-func (t *Topology) NewRouter(cache *RouteCache) *Router {
+// node count, with the topology's block-cut tree and no BFS tree yet.
+// The argument is ignored.
+func (t *Topology) NewRouter(_ *RouteCache) *Router {
 	n := len(t.nodes)
+	tree := make([]int, n)
+	for i := range tree {
+		tree[i] = -1
+	}
 	return &Router{
 		top:    t,
 		links:  len(t.links),
-		cache:  cache,
-		seen:   make([]uint64, n),
 		open:   make([]uint64, n),
 		closed: make([]uint64, n),
 		prev:   make([]hop, n),
 		best:   make([]Label, n),
 		path:   make(Route, 0, n), // a route visits each node at most once
+		tree:   tree,
 		bt:     newBlockTree(t),
 	}
 }
@@ -61,57 +88,18 @@ func (r *Router) Topology() *Topology { return r.top }
 // Fits reports whether r searches t as t is now. Topologies only grow
 // (AddProcessor, AddSwitch, AddLink, AddBus), so a Router built for t
 // before it gained a node or a link has scratch sized too small and may
-// cache routes the new links would shorten: it does not fit.
+// hold BFS trees the new links would shorten: it does not fit.
 func (r *Router) Fits(t *Topology) bool {
-	return r.top == t && len(r.seen) == len(t.nodes) && r.links == len(t.links)
+	return r.top == t && len(r.tree) == len(t.nodes) && r.links == len(t.links)
 }
 
-// CachedRoutes reports how many pairs the attached route cache holds
-// (0 without one).
-func (r *Router) CachedRoutes() int {
-	if r.cache == nil {
-		return 0
-	}
-	return len(r.cache.routes)
-}
-
-// Warm fills the route cache with the BFS route of every ordered pair
-// of nodes. Routes are pure functions of the topology, so warming
-// changes nothing but the latency of the first searches. It does
-// nothing without a cache, or when the pairs would not all fit (the
-// cache would only empty itself again).
+// BFSRoute returns a minimal route (fewest links) from src to dst using
+// breadth-first search with deterministic tie-breaking by link
+// insertion order, as used by the Basic Algorithm. src == dst yields an
+// empty route. The first call from src grows src's tree; the route is
+// the Router's buffer, valid until its next search.
 //
-// One traversal per source serves every destination: a search for one
-// pair stops when it first reaches dst, and each predecessor it has set
-// by then, those on dst's route among them, is the one a traversal of
-// the whole topology sets, so the unwound routes are exactly
-// BFSRoute's.
-func (r *Router) Warm(nodes []NodeID) {
-	if r.cache == nil || len(nodes)*(len(nodes)-1) > routeCacheCap {
-		return
-	}
-	for _, src := range nodes {
-		// edgelint:ignore errflow — no node is -1, so the traversal
-		// covers everything reachable and its error names no pair.
-		_, _ = r.bfs(src, -1)
-		for _, dst := range nodes {
-			switch {
-			case dst == src:
-			case r.seen[dst] == r.epoch:
-				r.cache.store(src, dst, unwind(r.prev, src, dst), nil)
-			default:
-				r.cache.store(src, dst, nil, &ErrNoRoute{From: src, To: dst})
-			}
-		}
-	}
-}
-
-// BFSRoute returns a minimal route (fewest links) from src to dst,
-// consulting the route cache first when one is attached. Semantics are
-// identical to Topology.BFSRoute.
-//
-// edgelint:noalloc — the steady-state path is a cache hit; the miss
-// path (bfs + store) is cold, amortized by the route cache.
+// edgelint:noalloc
 func (r *Router) BFSRoute(src, dst NodeID) (Route, error) {
 	t := r.top
 	t.checkNode(src)
@@ -119,53 +107,69 @@ func (r *Router) BFSRoute(src, dst NodeID) (Route, error) {
 	if src == dst {
 		return Route{}, nil
 	}
-	if r.cache != nil {
-		if route, err, ok := r.cache.lookup(src, dst); ok {
-			return route, err
-		}
+	off := r.tree[src]
+	if off < 0 {
+		off = r.grow(src)
 	}
-	route, err := r.bfs(src, dst)
-	if r.cache != nil {
-		r.cache.store(src, dst, route, err)
+	prev := r.hops[off : off+len(r.tree)]
+	if prev[dst].Link < 0 {
+		// edgelint:coldpath — an unroutable pair fails the schedule.
+		return nil, &ErrNoRoute{From: src, To: dst}
 	}
-	return route, err
+	return r.unwindPath(prev, src, dst), nil
 }
 
-// bfs is the uncached breadth-first search over the Router's reused
-// scratch arrays.
+// grow runs one breadth-first traversal of everything src reaches and
+// stores its predecessor tree in the arena, returning the tree's
+// offset. A search for one pair that stops when it first reaches dst
+// sets the same predecessor on every node it has reached by then, those
+// on dst's route among them, so every route unwound from the tree is
+// that search's.
 //
-// edgelint:coldpath — runs once per (src, dst) pair; the route cache
-// serves every later request.
-func (r *Router) bfs(src, dst NodeID) (Route, error) {
-	t := r.top
-	r.epoch++
-	e := r.epoch
-	r.seen[src] = e
+// edgelint:coldpath — once per source, until the arena empties.
+func (r *Router) grow(src NodeID) int {
+	n := len(r.tree)
+	if len(r.hops)+n > max(treeArenaCap, n) {
+		r.hops = r.hops[:0]
+		for i := range r.tree {
+			r.tree[i] = -1
+		}
+	}
+	off := len(r.hops)
+	if off+n > cap(r.hops) {
+		grown := make([]hop, off, min(max(2*cap(r.hops), off+n), max(treeArenaCap, n)))
+		copy(grown, r.hops)
+		r.hops = grown
+	}
+	r.hops = r.hops[:off+n]
+	prev := r.hops[off:]
+	for i := range prev {
+		prev[i] = hop{Link: -1}
+	}
+	adj := r.top.adj
 	queue := append(r.queue[:0], src)
 	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		for _, h := range t.adj[n] {
-			if r.seen[h.To] == e {
+		u := queue[head]
+		for _, h := range adj[u] {
+			if h.To == src || prev[h.To].Link >= 0 {
 				continue
 			}
-			r.seen[h.To] = e
-			r.prev[h.To] = hop{Link: h.Link, To: n}
-			if h.To == dst {
-				r.queue = queue
-				return unwind(r.prev, src, dst), nil
-			}
+			prev[h.To] = hop{Link: h.Link, To: u}
 			queue = append(queue, h.To)
 		}
 	}
 	r.queue = queue
-	return nil, &ErrNoRoute{From: src, To: dst}
+	r.tree[src] = off
+	return off
 }
 
 // DijkstraRoute finds the route from src to dst minimizing the final
-// label under the given relaxation. Semantics are identical to
-// Topology.DijkstraRoute; only the scratch state is reused. The
-// returned route is the Router's own buffer: it is valid until the
-// Router's next search, so a caller that keeps it copies it.
+// label under the given relaxation, implementing the paper's modified
+// routing algorithm (§4.3): "the minimal criterion is the finish time
+// of the edge on each link by basic insertion". init is the label at
+// the source node (its Finish is normally the source task's finish
+// time, Start likewise). src == dst yields an empty route. The route is
+// the Router's buffer, valid until its next search.
 //
 // The search relaxes only links of the blocks on the block-cut tree
 // path between src and dst. Any other node hangs off a cut vertex c of
@@ -188,8 +192,7 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 // Route returns the route DijkstraRoute finds from src to dst, and its
 // error, without the label. When every block between src and dst is a
 // bridge, the pair has at most one route, the one BFSRoute finds, so
-// Route returns that (from the route cache when one is attached) and
-// calls no relax.
+// Route unwinds that from src's BFS tree and calls no relax.
 //
 // edgelint:noalloc
 func (r *Router) Route(src, dst NodeID, init Label, relax RelaxFunc) (Route, error) {
@@ -229,7 +232,7 @@ func (r *Router) search(src, dst NodeID, init Label, relax RelaxFunc) (Route, La
 		}
 		r.closed[it.node] = e
 		if it.node == dst {
-			return r.unwindPath(src, dst), r.best[dst], nil
+			return r.unwindPath(r.prev, src, dst), r.best[dst], nil
 		}
 		for _, h := range t.adj[it.node] {
 			if r.closed[h.To] == e || r.bt.mark[r.bt.link[h.Link]] != e {
@@ -249,12 +252,12 @@ func (r *Router) search(src, dst NodeID, init Label, relax RelaxFunc) (Route, La
 	return nil, Label{}, &ErrNoRoute{From: src, To: dst}
 }
 
-// unwindPath writes the route to dst into the Router's path buffer. A
-// predecessor chain visits each node at most once, so the buffer's
-// capacity (the node count) always suffices. The result's capacity
-// ends at its length, so an append by the caller copies instead of
-// writing into the buffer.
-func (r *Router) unwindPath(src, dst NodeID) Route {
-	k := routeLen(r.prev, src, dst)
-	return fillRoute(r.path[:k:k], r.prev, dst)
+// unwindPath writes the route to dst along the predecessors prev into
+// the Router's path buffer. A predecessor chain visits each node at
+// most once, so the buffer's capacity (the node count) always suffices.
+// The result's capacity ends at its length, so an append by the caller
+// copies instead of writing into the buffer.
+func (r *Router) unwindPath(prev []hop, src, dst NodeID) Route {
+	k := routeLen(prev, src, dst)
+	return fillRoute(r.path[:k:k], prev, dst)
 }

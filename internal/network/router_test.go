@@ -27,29 +27,30 @@ func routerTopologies(r *rand.Rand) []*Topology {
 	}
 }
 
+// TestRouterMatchesTopologyBFS requires Router.BFSRoute to find the
+// reference's route, or its error, for every ordered processor pair,
+// on the pass that grows the source's tree and on later passes that
+// unwind from it. Each pass walks the sources in another order, so a
+// tree is grown amid other sources' trees.
 func TestRouterMatchesTopologyBFS(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for ti, top := range routerTopologies(r) {
 		procs := top.Processors()
-		router := top.NewRouter(NewRouteCache())
-		warmed := top.NewRouter(NewRouteCache())
-		warmed.Warm(procs)
-		if n, want := warmed.CachedRoutes(), len(procs)*(len(procs)-1); n != want {
-			t.Fatalf("topology %d: warming cached %d routes, want %d", ti, n, want)
-		}
-		for _, src := range procs {
-			for _, dst := range procs {
-				want, werr := top.BFSRoute(src, dst)
-				// Twice: the second call must come from the cache and
-				// still be identical; the warmed router answers both
-				// from its cache.
-				for pass := 0; pass < 4; pass++ {
-					got, gerr := []*Router{router, warmed}[pass%2].BFSRoute(src, dst)
-					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("topology %d %v->%v pass %d: err %v vs %v", ti, src, dst, pass, gerr, werr)
+		router := top.NewRouter(nil)
+		for pass := 0; pass < 3; pass++ {
+			for i := range procs {
+				src := procs[(i*(pass+1))%len(procs)]
+				if pass == 2 {
+					src = procs[len(procs)-1-i]
+				}
+				for _, dst := range procs {
+					want, werr := referenceBFSRoute(top, src, dst)
+					got, gerr := router.BFSRoute(src, dst)
+					if !reflect.DeepEqual(gerr, werr) {
+						t.Fatalf("topology %d %v->%v pass %d: err %v, reference %v", ti, src, dst, pass, gerr, werr)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("topology %d %v->%v pass %d: route %v, want %v", ti, src, dst, pass, got, want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("topology %d %v->%v pass %d: route %v, reference %v", ti, src, dst, pass, got, want)
 					}
 					if werr == nil && src != dst {
 						if err := top.ValidateRoute(src, dst, got); err != nil {
@@ -72,7 +73,7 @@ func TestRouterMatchesTopologyDijkstra(t *testing.T) {
 		procs := top.Processors()
 		for _, src := range procs {
 			for _, dst := range procs {
-				want, wl, werr := top.DijkstraRoute(src, dst, Label{}, relax)
+				want, wl, werr := referenceDijkstraRoute(top, src, dst, Label{}, relax)
 				got, gl, gerr := router.DijkstraRoute(src, dst, Label{}, relax)
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("topology %d %v->%v: err %v vs %v", ti, src, dst, gerr, werr)
@@ -120,61 +121,73 @@ func TestRouterScratchSurvivesReuse(t *testing.T) {
 	}
 }
 
-// TestRouteCacheHitsAndEviction pins the memo's contract, one row per
-// case: the second lookup of a pair is a hit that hands back the first
-// lookup's route (the same backing array) or routing error, and a store
-// at the cap empties the cache, which then refills with routes equal
-// to a fresh BFS.
-func TestRouteCacheHitsAndEviction(t *testing.T) {
+// TestBFSTreeArena pins the BFS trees' contract, one row per case: a
+// source's first route grows its tree, one hop per node, and later
+// routes from it, an unroutable pair's error included, unwind from that
+// tree without growing another; and a tree that would pass the arena's
+// cap empties the arena first, so the arena never holds more than the
+// cap while the routes stay the reference's.
+func TestBFSTreeArena(t *testing.T) {
 	line := Line(8, Uniform(1), Uniform(1))
 	lp := line.Processors()
 	split := NewTopology() // two processors, no link
 	a := split.AddProcessor("a", 1)
 	b := split.AddProcessor("b", 1)
+	check := func(t *testing.T, router *Router, src, dst NodeID) {
+		t.Helper()
+		want, werr := referenceBFSRoute(router.top, src, dst)
+		got, gerr := router.BFSRoute(src, dst)
+		if !reflect.DeepEqual(gerr, werr) || !slices.Equal(got, want) {
+			t.Fatalf("%v->%v: route %v (err %v), reference %v (err %v)", src, dst, got, gerr, want, werr)
+		}
+	}
 	for _, tc := range []struct {
 		name     string
 		top      *Topology
 		src, dst NodeID
-		full     bool // fill the cache to its cap first
 	}{
-		{name: "hit returns the same backing array", top: line, src: lp[0], dst: lp[5]},
-		{name: "routing error is cached", top: split, src: a, dst: b},
-		{name: "store at the cap empties the cache", top: line, src: lp[1], dst: lp[6], full: true},
+		{name: "a second route from a source unwinds from its tree", top: line, src: lp[0], dst: lp[5]},
+		{name: "an unroutable pair's error comes from the tree", top: split, src: a, dst: b},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cache := NewRouteCache()
-			if tc.full {
-				// Keys of nodes no topology has, so none is looked up.
-				for i := 0; len(cache.routes) < routeCacheCap; i++ {
-					cache.store(NodeID(-1-i), 0, nil, nil)
+			router := tc.top.NewRouter(nil)
+			n := tc.top.NumNodes()
+			for range 2 {
+				check(t, router, tc.src, tc.dst)
+				if router.tree[tc.src] != 0 || len(router.hops) != n {
+					t.Fatalf("tree at %d, arena %d hops; want one tree of %d at 0", router.tree[tc.src], len(router.hops), n)
 				}
-			}
-			router := tc.top.NewRouter(cache)
-			want, werr := tc.top.BFSRoute(tc.src, tc.dst)
-			first, ferr := router.BFSRoute(tc.src, tc.dst)
-			if n := router.CachedRoutes(); n != 1 {
-				t.Fatalf("cache holds %d routes after one lookup, want 1", n)
-			}
-			second, serr := router.BFSRoute(tc.src, tc.dst)
-			if (werr == nil) != (ferr == nil) || !reflect.DeepEqual(first, want) {
-				t.Fatalf("cached lookup gave %v (err %v), fresh BFS %v (err %v)", first, ferr, want, werr)
-			}
-			if werr != nil {
-				if serr != ferr {
-					t.Fatalf("second lookup's error %v is not the cached %v", serr, ferr)
-				}
-				return
-			}
-			if len(second) == 0 || &second[0] != &first[0] {
-				t.Fatalf("second lookup %v does not share the cached route's array", second)
 			}
 		})
 	}
+	t.Run("a tree past the cap empties the arena", func(t *testing.T) {
+		mesh := Mesh2D(28, 28, Uniform(1), Uniform(1)) // 784 trees of 784 hops pass the cap
+		ps := mesh.Processors()
+		router := mesh.NewRouter(nil)
+		emptied := 0
+		for pass := 0; pass < 2; pass++ {
+			for i, src := range ps {
+				held := len(router.hops)
+				for k := 1; k <= 3; k++ {
+					check(t, router, src, ps[(i*k*37+k)%len(ps)])
+				}
+				if len(router.hops) < held {
+					emptied++
+				}
+				if cap(router.hops) > treeArenaCap {
+					t.Fatalf("arena capacity %d hops, cap %d", cap(router.hops), treeArenaCap)
+				}
+			}
+		}
+		if emptied == 0 {
+			t.Fatal("the arena never emptied")
+		}
+	})
 }
 
-// TestTopologyRoutesAfterGrowth pins that the Topology convenience
-// searches route over the topology as it is at the call: a topology
-// that gained nodes after an earlier search routes to them.
+// TestTopologyRoutesAfterGrowth pins that a Router routes over the
+// topology as it was when the Router was built: one built after the
+// topology gained nodes routes to them.
 func TestTopologyRoutesAfterGrowth(t *testing.T) {
 	relax := func(l Link, cur Label) Label {
 		return Label{Start: cur.Finish, Finish: cur.Finish + 1/l.Speed}
@@ -183,19 +196,21 @@ func TestTopologyRoutesAfterGrowth(t *testing.T) {
 	a := top.AddProcessor("a", 1)
 	b := top.AddProcessor("b", 1)
 	top.AddDuplex(a, b, 1)
-	if _, err := top.BFSRoute(a, b); err != nil {
+	router := top.NewRouter(nil)
+	if _, err := router.BFSRoute(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := top.DijkstraRoute(a, b, Label{}, relax); err != nil {
+	if _, _, err := router.DijkstraRoute(a, b, Label{}, relax); err != nil {
 		t.Fatal(err)
 	}
 	c := top.AddProcessor("c", 1)
 	top.AddDuplex(b, c, 1)
-	route, err := top.BFSRoute(a, c)
+	router = top.NewRouter(nil)
+	route, err := router.BFSRoute(a, c)
 	if err != nil || len(route) != 2 {
 		t.Fatalf("BFS a->c after growth: route %v, err %v; want 2 links", route, err)
 	}
-	route, _, err = top.DijkstraRoute(a, c, Label{}, relax)
+	route, _, err = router.DijkstraRoute(a, c, Label{}, relax)
 	if err != nil || len(route) != 2 {
 		t.Fatalf("Dijkstra a->c after growth: route %v, err %v; want 2 links", route, err)
 	}
@@ -203,9 +218,11 @@ func TestTopologyRoutesAfterGrowth(t *testing.T) {
 
 // TestDijkstraRoutesAreNeverCached pins the §4.3 contract: the modified
 // Dijkstra relaxes over the current link state, so the same (src, dst)
-// pair must be routed afresh on every call, even by a Router that has a
-// route cache attached. Two relaxations that favour opposite branches of
-// a diamond must get opposite routes.
+// pair must be routed afresh on every call, even by a Router that holds
+// the source's BFS tree. Two relaxations that favour opposite branches
+// of a diamond must get opposite routes, from DijkstraRoute and from
+// Route alike (the pair has a choice, so it is not forced), after a
+// BFSRoute of the same pair that takes the first branch.
 func TestDijkstraRoutesAreNeverCached(t *testing.T) {
 	top := NewTopology()
 	a := top.AddProcessor("a", 1)
@@ -224,8 +241,11 @@ func TestDijkstraRoutesAreNeverCached(t *testing.T) {
 			return Label{Start: cur.Finish, Finish: cur.Finish + cost}
 		}
 	}
-	router := top.NewRouter(NewRouteCache())
+	router := top.NewRouter(nil)
 	for pass := 0; pass < 2; pass++ {
+		if route, err := router.BFSRoute(a, b); err != nil || top.Link(route[0]).To != up {
+			t.Fatalf("pass %d: BFS route %v (err %v) does not go through up, the first branch", pass, route, err)
+		}
 		for _, sw := range []NodeID{up, down} {
 			route, label, err := router.DijkstraRoute(a, b, Label{}, via(sw))
 			if err != nil {
@@ -237,6 +257,11 @@ func TestDijkstraRoutesAreNeverCached(t *testing.T) {
 			}
 			if label.Finish != 2 {
 				t.Fatalf("pass %d via %s: finish %v, want 2", pass, top.Node(sw).Name, label.Finish)
+			}
+			route, err = router.Route(a, b, Label{}, via(sw))
+			if err != nil || len(route) != 2 || top.Link(route[0]).To != sw {
+				t.Fatalf("pass %d: Route gave %v (err %v), not the route through %s its relaxation favours",
+					pass, route, err, top.Node(sw).Name)
 			}
 		}
 	}
@@ -320,7 +345,8 @@ func (f *fuzzNet) relax(mode int, calls *int) RelaxFunc {
 // must return the same route and error with no more relax calls than
 // DijkstraRoute. Every input also checks, for every ordered pair of
 // nodes, that the Router calls a pair forced exactly when it has one
-// simple route.
+// simple route, and that Router.BFSRoute finds the BFS reference's
+// route or error.
 func FuzzDijkstraRoute(f *testing.F) {
 	// A star: switch 0, processors 1-3; every leaf hangs off the
 	// switch, so every pair is forced.
@@ -375,8 +401,17 @@ func FuzzDijkstraRoute(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net := newFuzzNet(data)
 		top, n := net.top, net.top.NumNodes()
-		router := top.NewRouter(NewRouteCache())
+		router := top.NewRouter(nil)
 		checkForcedPairs(t, router)
+		for src := range NodeID(n) {
+			for dst := range NodeID(n) {
+				route, err := router.BFSRoute(src, dst)
+				wroute, werr := referenceBFSRoute(top, src, dst)
+				if !reflect.DeepEqual(err, werr) || !slices.Equal(route, wroute) {
+					t.Fatalf("%v->%v: BFSRoute gave %v (error %v), reference %v (error %v)", src, dst, route, err, wroute, werr)
+				}
+			}
+		}
 		for q := 1 + net.next()%16; q > 0; q-- {
 			src, dst := NodeID(net.next()%n), NodeID(net.next()%n)
 			mode, f0 := net.next()%2, float64(net.next()%3)
@@ -521,11 +556,11 @@ func TestForcedPairsHaveOneSimpleRoute(t *testing.T) {
 
 // TestDijkstraRouteIsAllocationFree pins the noalloc claims on
 // Router.DijkstraRoute and Router.Route at runtime: once the queue has
-// grown and the forced pairs' routes are cached, a search allocates
-// nothing, its route included.
+// grown and the forced pairs' sources have their BFS trees, a search
+// allocates nothing, its route included.
 func TestDijkstraRouteIsAllocationFree(t *testing.T) {
 	top := RandomCluster(rand.New(rand.NewSource(3)), RandomClusterParams{Processors: 32})
-	router := top.NewRouter(NewRouteCache())
+	router := top.NewRouter(nil)
 	relax := func(l Link, cur Label) Label {
 		return Label{Start: cur.Finish, Finish: cur.Finish + 10/l.Speed}
 	}
@@ -544,6 +579,33 @@ func TestDijkstraRouteIsAllocationFree(t *testing.T) {
 	search() // grow the queue
 	if allocs := testing.AllocsPerRun(10, search); allocs != 0 {
 		t.Fatalf("%v allocations per %d warm searches, want 0", allocs, len(ps))
+	}
+}
+
+// TestBFSRouteIsAllocationFree pins the noalloc claim on
+// Router.BFSRoute at runtime: once every source has its tree, a BFS
+// route, and Route's answer for a forced pair, allocate nothing.
+func TestBFSRouteIsAllocationFree(t *testing.T) {
+	top := Star(16, Uniform(1), Uniform(1)) // every pair is forced
+	router := top.NewRouter(nil)
+	relax := func(l Link, cur Label) Label {
+		return Label{Start: cur.Finish, Finish: cur.Finish + 1}
+	}
+	ps := top.Processors()
+	route := func() {
+		for i, src := range ps {
+			dst := ps[(i*5+3)%len(ps)]
+			if _, err := router.BFSRoute(src, dst); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := router.Route(dst, src, Label{}, relax); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	route() // grow every source's tree
+	if allocs := testing.AllocsPerRun(10, route); allocs != 0 {
+		t.Fatalf("%v allocations per %d warm BFS routes, want 0", allocs, len(ps))
 	}
 }
 

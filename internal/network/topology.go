@@ -79,8 +79,8 @@ type hop struct {
 
 // Topology is the network graph. Build it with AddProcessor, AddSwitch,
 // AddLink, AddDuplex and AddBus; it is immutable during scheduling —
-// concurrent Schedule requests share it, and every route cache over it
-// depends on it never changing after construction.
+// concurrent Schedule requests share it, and every Router's BFS trees
+// over it depend on it never changing after construction.
 type Topology struct {
 	nodes []Node
 	links []Link

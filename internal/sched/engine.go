@@ -21,11 +21,11 @@ import (
 //   - shared immutable: the Topology and the Options. Both are frozen
 //     after construction, so every request may read them at once.
 //   - slot-owned mutable: one scheduler state (timeline columns,
-//     columnar edge arenas, transaction journals, router scratch and
-//     its BFS route cache) per worker slot. A request receives a
+//     columnar edge arenas, transaction journals, and a router with
+//     its scratch and BFS trees) per worker slot. A request receives a
 //     slot's state on admission and hands it back when it ends; reset,
 //     the one state initializer, rebinds it to the request's graph, so
-//     steady-state requests reuse the arena capacity and warm routes of
+//     steady-state requests reuse the arena capacity and BFS trees of
 //     their predecessors instead of rebuilding them. The engine holds
 //     the states outright, so garbage collection never takes them and
 //     the engine never builds more than MaxConcurrent of them.
@@ -33,9 +33,9 @@ import (
 //     which escape to the caller and are always freshly allocated.
 //
 // Determinism is unchanged: a state never crosses goroutines while in
-// use, routes are copied into and out of its edge arena, and its route
-// cache only memoizes pure functions of the topology, so every engine
-// schedule is bit-identical to a run on a fresh state.
+// use, routes are copied into and out of its edge arena, and its BFS
+// trees are pure functions of the topology, so every engine schedule
+// is bit-identical to a run on a fresh state.
 // SelfCheckEvery turns that claim into a runtime oracle. Parallelism
 // lives across requests, never inside one.
 
@@ -74,14 +74,11 @@ type EngineOptions struct {
 	// before Schedule fails fast with ErrOverloaded. 0 means unbounded
 	// waiting (backpressure by blocking).
 	MaxQueue int
-	// WarmRoutes precomputes, in every worker slot's route cache, the
-	// BFS route of every ordered processor pair at construction, so
-	// even the first request on a slot hits its cache. Skipped (routes
-	// warm on demand) when the pair count exceeds the cache capacity —
-	// warming would only empty the cache again.
+	// WarmRoutes has no effect: a slot's router grows the BFS tree of
+	// each source on its first route from it, and keeps it.
 	WarmRoutes bool
 	// SelfCheckEvery, when N > 0, re-runs every Nth request cold — a
-	// fresh single-threaded state with an empty route cache — and
+	// fresh single-threaded state whose router holds no BFS tree — and
 	// fails the request if the engine's schedule is not bit-identical.
 	// The determinism oracle for serving: leave it on at a generous N
 	// in production, or 1 in tests.
@@ -103,7 +100,7 @@ type EngineStats struct {
 // Engine is a long-lived, concurrency-safe scheduling engine: it loads
 // one immutable Topology plus one policy set and serves many
 // Schedule(dag) calls in parallel, each on the scheduler state (and
-// route cache) of the worker slot it holds. See the file comment for
+// router) of the worker slot it holds. See the file comment for
 // the ownership discipline. Create with NewEngine; Drain before
 // discarding if callers may still be scheduling.
 type Engine struct {
@@ -162,12 +159,7 @@ func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 		selfCheckEvery: eo.SelfCheckEvery,
 	}
 	for range workers {
-		s := new(state)
-		if eo.WarmRoutes {
-			s.router = net.NewRouter(network.NewRouteCache())
-			s.router.Warm(net.Processors())
-		}
-		e.slots <- s
+		e.slots <- new(state)
 	}
 	return e, nil
 }

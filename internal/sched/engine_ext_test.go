@@ -4,7 +4,7 @@
 //
 // The contract under test is the engine's whole reason to exist:
 // sharing one topology and reusing slot-owned scheduler states, with
-// their warmed route caches, across concurrent requests must change
+// their routers' BFS trees, across concurrent requests must change
 // THROUGHPUT ONLY — every
 // schedule stays bit-identical to a fresh-state run of the same
 // algorithm on the same inputs.
@@ -52,7 +52,7 @@ func engineTopology() *network.Topology {
 }
 
 // coldRun schedules g as a one-shot scheduler would, but on a fresh
-// state with an empty route cache rather than a pooled one.
+// state whose router holds no BFS tree rather than a pooled one.
 func coldRun(t *testing.T, name string, opts sched.Options, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
 	s, err := sched.FreshSchedule(sched.NewCustom(name, opts), g, net)
@@ -79,7 +79,7 @@ func TestEngineMatchesColdRun(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			net := engineTopology()
 			eng, err := sched.NewEngine(net, sched.EngineOptions{
-				Name: name, Opts: ls.Opts, WarmRoutes: true, SelfCheckEvery: 3,
+				Name: name, Opts: ls.Opts, SelfCheckEvery: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -113,8 +113,8 @@ func TestEngineMatchesColdRun(t *testing.T) {
 // TestEngineConcurrentStress is the shared-topology race pin: 32
 // goroutines schedule distinct DAGs against ONE topology on 8 worker
 // slots. Under -race this proves the slots share only immutable
-// inputs — the topology and the options; each route cache is its
-// slot's own — and the per-result checks prove concurrency changed
+// inputs — the topology and the options; each router is its slot's
+// own — and the per-result checks prove concurrency changed
 // nothing: every schedule verifies and is bit-identical to its cold
 // sequential run.
 func TestEngineConcurrentStress(t *testing.T) {
@@ -122,7 +122,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 	net := engineTopology()
 	opts := sched.NewBASinnen().Opts // tentative EFT: heaviest route traffic
 	eng, err := sched.NewEngine(net, sched.EngineOptions{
-		Name: "BA-EFT", Opts: opts, MaxConcurrent: 8, WarmRoutes: true, SelfCheckEvery: 10,
+		Name: "BA-EFT", Opts: opts, MaxConcurrent: 8, SelfCheckEvery: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,9 +268,9 @@ func TestEngineColdStatesBounded(t *testing.T) {
 // TestEngineSharedInputsRace schedules ONE shared graph on ONE
 // topology from many goroutines through both a Dijkstra-routed engine
 // (OIHSA) and a probing EFT engine (BA-EFT). The public API allows
-// exactly this sharing, so under -race any write to the graph, the
-// topology or a cached route — from placement, route search or an EFT
-// probe — is reported here.
+// exactly this sharing, so under -race any write to the graph or the
+// topology — from placement, route search or an EFT probe — is
+// reported here.
 func TestEngineSharedInputsRace(t *testing.T) {
 	const goroutines = 8
 	// One P per request, and a graph large enough that a schedule

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -154,56 +155,71 @@ func TestResetForJournalSizes(t *testing.T) {
 	}
 }
 
-// TestEngineWarmsEverySlot pins route warming under slot ownership:
-// NewEngine fills every slot's own route cache with all P·(P−1)
-// processor pairs, a request keeps that cache (reset does not rebuild
-// a router that already routes over the engine's topology) and adds no
-// route to it, and the request still counts as its slot's cold state.
+// TestEngineSlotKeepsItsRouter pins BFS route reuse under slot
+// ownership: a slot's first request builds its router, whose BFS trees
+// grow as the request routes, and later requests on the slot keep that
+// router and every tree in it (reset does not rebuild a router that
+// already routes over the engine's topology) while still matching a
+// cold run; only the first request counts as the slot's cold state.
 //
 // edgelint:ignore verifysched — in-package (verify would cycle); the
-// schedule is compared bit-for-bit against a cold run, and the same
+// schedules are compared bit-for-bit against cold runs, and the same
 // engine paths run under the full validator in engine_ext_test.go.
-func TestEngineWarmsEverySlot(t *testing.T) {
-	const slots = 2
+func TestEngineSlotKeepsItsRouter(t *testing.T) {
 	net := network.Star(12, network.Uniform(1), network.Uniform(1))
-	pairs := net.NumProcessors() * (net.NumProcessors() - 1)
-	e, err := NewEngine(net, EngineOptions{Name: "BA-EFT", Opts: NewBASinnen().Opts,
-		MaxConcurrent: slots, WarmRoutes: true})
+	e, err := NewEngine(net, EngineOptions{Name: "BA-EFT", Opts: NewBASinnen().Opts, MaxConcurrent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Drain()
-	cached := func(when string) {
-		t.Helper()
-		var held []*state
-		for range slots {
-			s := <-e.slots
-			if n := s.router.CachedRoutes(); n != pairs {
-				t.Errorf("%s: a slot's cache holds %d routes, want %d", when, n, pairs)
+	var router *network.Router
+	var trees []int
+	for req, g := range []*dag.Graph{hygieneGraph(7, 9), hygieneGraph(8, 12), hygieneGraph(7, 9)} {
+		got, err := e.Schedule(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewBASinnen().Schedule(g, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := DiffSchedules(want, got); d != "" {
+			t.Fatalf("request %d: the slot's schedule diverged from a cold run: %s", req, d)
+		}
+		s := <-e.slots
+		e.slots <- s
+		now := treeOffsets(s.router)
+		if req == 0 {
+			router, trees = s.router, now
+			if !slices.ContainsFunc(trees, func(off int) bool { return off >= 0 }) {
+				t.Fatal("the first request grew no BFS tree")
 			}
-			held = append(held, s)
+			continue
 		}
-		for _, s := range held {
-			e.slots <- s
+		if s.router != router {
+			t.Fatalf("request %d rebuilt the slot's router", req)
 		}
-	}
-	cached("after NewEngine")
-	g := hygieneGraph(7, 9)
-	got, err := e.Schedule(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached("after a BA-EFT request")
-	want, err := NewBASinnen().Schedule(g, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := DiffSchedules(want, got); d != "" {
-		t.Fatalf("warm slot's schedule diverged from a cold run: %s", d)
+		for src, off := range trees {
+			if off >= 0 && now[src] != off {
+				t.Fatalf("request %d: source %d's tree moved from %d to %d", req, src, off, now[src])
+			}
+		}
+		trees = now
 	}
 	if st := e.Stats(); st.ColdState != 1 {
-		t.Fatalf("ColdState %d after the first request, want 1", st.ColdState)
+		t.Fatalf("ColdState %d after three requests on one slot, want 1", st.ColdState)
 	}
+}
+
+// treeOffsets reads a Router's per-source BFS tree offsets (-1 for a
+// source with no tree), which the network package does not export.
+func treeOffsets(r *network.Router) []int {
+	v := reflect.ValueOf(r).Elem().FieldByName("tree")
+	out := make([]int, v.Len())
+	for i := range out {
+		out[i] = int(v.Index(i).Int())
+	}
+	return out
 }
 
 // TestEngineOverload pins the fail-fast admission path without racing:

@@ -6,7 +6,7 @@ import (
 )
 
 // FreshSchedule runs a as its one-shot Schedule does, but on a fresh
-// state with an empty route cache (newState, the cold oracle) instead
+// state whose router holds no BFS tree (newState, the cold oracle) instead
 // of a pooled one. Algorithms without a scheduler state run as they
 // are. It lets the external tests, which can verify schedules, compare
 // pooled one-shot runs against cold ones.

@@ -418,10 +418,10 @@ type state struct {
 	txFree *txn
 
 	// router performs route searches with reused scratch buffers sized
-	// to net, and memoizes the static BFS routes in a route cache that
-	// only this state uses. reset rebuilds it only when the state is
-	// rebound to a different topology, so the cache stays warm across
-	// an Engine slot's requests.
+	// to net, and keeps the BFS trees of the sources it has routed
+	// from. reset rebuilds it only when the state is rebound to a
+	// different topology, so the trees stay warm across an Engine
+	// slot's requests.
 	router *network.Router
 
 	// probes and pruned count EFT work: tentative placements evaluated,
@@ -449,7 +449,7 @@ type state struct {
 	relaxFn       network.RelaxFunc
 }
 
-// newState binds a zero state, whose route cache starts empty, to a
+// newState binds a zero state, whose router holds no BFS tree, to a
 // run of g on net under opts, after validating all three. It is the
 // engine self-check's cold oracle: every other run draws a warm state,
 // from the one-shot pool (oneShot) or an Engine worker slot.
@@ -533,11 +533,10 @@ func (s *state) release() bool {
 // leaves no residue:
 //
 //   - the result reports whether net changed (an Engine counts those
-//     as cold states); the router, with its route cache, is rebuilt
-//     only when it routes over another topology, or over net after
-//     nodes or links were added to it (a one-shot caller may grow a
-//     topology between calls), so a router that NewEngine warmed for
-//     net survives the state's first reset;
+//     as cold states); the router, with its BFS trees, is rebuilt only
+//     when it routes over another topology, or over net after nodes or
+//     links were added to it (a one-shot caller may grow a topology
+//     between calls);
 //   - the cached relaxFn closure is dropped when opts changed;
 //   - the timeline columns and processor clocks are sized from net and
 //     opts and emptied, the edge arenas truncated, the probe counters
@@ -552,7 +551,7 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (reboun
 	}
 	rebound = s.net != net
 	if s.router == nil || !s.router.Fits(net) {
-		s.router = net.NewRouter(network.NewRouteCache())
+		s.router = net.NewRouter(nil)
 	}
 	if s.opts != opts {
 		s.relaxFn = nil

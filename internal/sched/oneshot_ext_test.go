@@ -112,7 +112,7 @@ func TestOneShotMatchesFreshState(t *testing.T) {
 
 // TestOneShotAfterTopologyGrows pins that a pooled state does not route
 // over a stale view of a topology its caller grew between two one-shot
-// calls: after a new processor and its link, BA (cached BFS routes) and
+// calls: after a new processor and its link, BA (BFS trees) and
 // OIHSA still equal fresh-state runs and verify.
 func TestOneShotAfterTopologyGrows(t *testing.T) {
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
