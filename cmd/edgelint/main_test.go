@@ -310,11 +310,17 @@ type catchRow struct {
 // benchdiff's own: a zero-alloc gate pin that lets one allocation
 // through.
 var catchMatrix = []catchRow{{
-	bug:  "Graph.Clone shares the task slice",
+	bug:  "a priority order sorts the graph's stored topological order in place",
 	file: "internal/dag/dag.go",
-	old:  "tasks: append([]Task(nil), g.tasks...),",
-	new:  "tasks: g.tasks,",
-	pkg:  "./internal/dag", run: "^TestCloneIsDeep$",
+	old:  "\torder := slices.Clone(g.topo)\n",
+	new:  "\torder := g.topo\n",
+	pkg:  "./internal/dag", run: "^TestOrdersLeaveTopoOrder$",
+}, {
+	bug:  "selectByEstimate keeps the last of tied processors",
+	file: "internal/sched/list.go",
+	old:  "\t\tif fptime.LessEps(score, bestScore) {\n\t\t\tbestScore = score\n\t\t\tbest = p\n",
+	new:  "\t\tif fptime.LessEps(score, bestScore) || score == bestScore {\n\t\t\tbestScore = score\n\t\t\tbest = p\n",
+	pkg:  "./internal/sched", run: "^TestScheduleGoldens$",
 }, {
 	bug:  "findRoute swaps a BFS route's ends in place",
 	file: "internal/sched/list.go",

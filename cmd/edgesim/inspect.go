@@ -38,6 +38,17 @@ func runDAG(args []string, w io.Writer) error {
 		return err
 	}
 
+	// A generator panics on a cost a graph does not admit (above 1e300);
+	// none scales a cost by more than 2.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"task-cost", *taskCost}, {"edge-cost", *edgeCost}} {
+		if !(f.v >= 0 && f.v <= 1e290) {
+			return fmt.Errorf("-%s %g is outside [0, 1e290]", f.name, f.v)
+		}
+	}
+
 	r := rand.New(rand.NewSource(*seed))
 	var g *dag.Graph
 	switch strings.ToLower(*kind) {
@@ -84,10 +95,10 @@ func runDAG(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown graph kind %q", *kind)
 	}
 	if *ccr > 0 {
-		g.ScaleToCCR(*ccr)
-	}
-	if err := g.Validate(); err != nil {
-		return err
+		var err error
+		if g, err = g.ScaleToCCR(*ccr); err != nil {
+			return err
+		}
 	}
 	if *dot {
 		return trace.WriteDAGDOT(w, g)
@@ -95,14 +106,10 @@ func runDAG(args []string, w io.Writer) error {
 	if *asJSON {
 		return graphio.WriteGraph(w, g)
 	}
-	cp, err := g.CriticalPathLength()
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "%s graph: %v\n", *kind, g)
 	fmt.Fprintf(w, "sources=%d sinks=%d\n", len(g.Sources()), len(g.Sinks()))
 	fmt.Fprintf(w, "total computation=%.4g total communication=%.4g\n", g.TotalTaskCost(), g.TotalEdgeCost())
-	fmt.Fprintf(w, "critical path (incl. communication)=%.4g\n", cp)
+	fmt.Fprintf(w, "critical path (incl. communication)=%.4g\n", g.CriticalPathLength())
 	order, err := g.PriorityOrder()
 	if err != nil {
 		return err
@@ -247,6 +254,9 @@ func runSchedule(args []string, w io.Writer) error {
 	a, err := sched.ByName(*algo)
 	if err != nil {
 		return err
+	}
+	if *ccr > workload.MaxCCR {
+		return fmt.Errorf("-ccr %g is above %g", *ccr, workload.MaxCCR)
 	}
 
 	inst := workload.Generate(workload.Params{

@@ -27,16 +27,22 @@
 //
 // # Quick start
 //
-//	g := edgesched.NewGraph()
-//	a := g.AddTask("a", 10)
-//	b := g.AddTask("b", 20)
-//	g.AddEdge(a, b, 100)
+//	b := edgesched.NewGraph()
+//	x := b.AddTask("x", 10)
+//	y := b.AddTask("y", 20)
+//	b.AddEdge(x, y, 100)
+//	g, err := b.Build() // checks the graph once; g is immutable
+//	if err != nil { ... }
 //
 //	net := edgesched.Star(4, edgesched.Uniform(1), edgesched.Uniform(1))
 //
 //	s, err := edgesched.OIHSA().Schedule(g, net)
 //	if err != nil { ... }
 //	fmt.Println(s.Makespan)
+//
+// A Graph is checked once, when it is built, and never changes after:
+// schedulers do not check it again, and concurrent schedules (an
+// Engine's requests) share it without copying.
 package edgesched
 
 import (
@@ -55,8 +61,12 @@ import (
 
 // Task graph types.
 type (
-	// Graph is a weighted directed acyclic task graph.
+	// Graph is a weighted directed acyclic task graph, immutable once
+	// built.
 	Graph = dag.Graph
+	// GraphBuilder collects tasks and edges; Build checks them and
+	// returns the Graph.
+	GraphBuilder = dag.Builder
 	// TaskID identifies a task within a Graph.
 	TaskID = dag.TaskID
 	// EdgeID identifies a communication edge within a Graph.
@@ -118,8 +128,8 @@ func NewEngine(net *Topology, opts EngineOptions) (*Engine, error) {
 // ("" when bit-identical); exact comparison, for determinism checks.
 func DiffSchedules(a, b *Schedule) string { return sched.DiffSchedules(a, b) }
 
-// NewGraph returns an empty task graph.
-func NewGraph() *Graph { return dag.New() }
+// NewGraph returns an empty task graph builder.
+func NewGraph() *GraphBuilder { return new(dag.Builder) }
 
 // NewTopology returns an empty network topology.
 func NewTopology() *Topology { return network.NewTopology() }
@@ -300,7 +310,7 @@ func ScheduleAssignment(g *Graph, net *Topology, assign []NodeID, opts Options, 
 var (
 	// WriteGraphJSON serializes a task graph as JSON.
 	WriteGraphJSON = graphio.WriteGraph
-	// ReadGraphJSON parses and validates a task graph from JSON.
+	// ReadGraphJSON parses a task graph from JSON and builds it.
 	ReadGraphJSON = graphio.ReadGraph
 	// WriteTopologyJSON serializes a topology as JSON.
 	WriteTopologyJSON = graphio.WriteTopology

@@ -10,10 +10,14 @@ import (
 // ExampleOIHSA schedules a two-task pipeline on a two-processor
 // machine and prints the verified makespan.
 func ExampleOIHSA() {
-	g := edgesched.NewGraph()
-	a := g.AddTask("produce", 10)
-	b := g.AddTask("consume", 10)
-	g.AddEdge(a, b, 40)
+	gb := edgesched.NewGraph()
+	a := gb.AddTask("produce", 10)
+	b := gb.AddTask("consume", 10)
+	gb.AddEdge(a, b, 40)
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
 
 	net := edgesched.Line(2, edgesched.Uniform(1), edgesched.Uniform(1))
 
@@ -33,12 +37,16 @@ func ExampleOIHSA() {
 // ExampleBBSA shows bandwidth sharing: two equal transfers leave one
 // processor at the same time and may split the uplink.
 func ExampleBBSA() {
-	g := edgesched.NewGraph()
-	src := g.AddTask("src", 2)
-	l := g.AddTask("left", 1)
-	r := g.AddTask("right", 1)
-	g.AddEdge(src, l, 10)
-	g.AddEdge(src, r, 10)
+	gb := edgesched.NewGraph()
+	src := gb.AddTask("src", 2)
+	l := gb.AddTask("left", 1)
+	r := gb.AddTask("right", 1)
+	gb.AddEdge(src, l, 10)
+	gb.AddEdge(src, r, 10)
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
 
 	net := edgesched.Star(3, edgesched.Uniform(1), edgesched.Uniform(1))
 	s, err := edgesched.BBSA().Schedule(g, net)
@@ -82,8 +90,12 @@ func ExampleGenerateInstance() {
 
 // ExampleWriteGantt renders a small schedule as a text Gantt chart.
 func ExampleWriteGantt() {
-	g := edgesched.NewGraph()
-	g.AddTask("only", 10)
+	gb := edgesched.NewGraph()
+	gb.AddTask("only", 10)
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
 	net := edgesched.Star(1, edgesched.Uniform(1), edgesched.Uniform(1))
 	s, err := edgesched.BA().Schedule(g, net)
 	if err != nil {
@@ -99,10 +111,14 @@ func ExampleWriteGantt() {
 
 // ExampleScheduleAssignment prices a hand-written placement.
 func ExampleScheduleAssignment() {
-	g := edgesched.NewGraph()
-	a := g.AddTask("a", 10)
-	b := g.AddTask("b", 10)
-	g.AddEdge(a, b, 10)
+	gb := edgesched.NewGraph()
+	a := gb.AddTask("a", 10)
+	b := gb.AddTask("b", 10)
+	gb.AddEdge(a, b, 10)
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
 	net := edgesched.Line(2, edgesched.Uniform(1), edgesched.Uniform(1))
 	procs := net.Processors()
 

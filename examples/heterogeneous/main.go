@@ -15,9 +15,6 @@ func main() {
 	// Gaussian elimination on a 12x12 matrix: a classic scheduling
 	// benchmark with a shrinking wavefront of parallelism.
 	g := edgesched.GaussianElimination(12, 40, 40)
-	if err := g.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	// A two-level cluster: one rack of four fast processors on fast
 	// links, one rack of four slow processors on slow links, joined by

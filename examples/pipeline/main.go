@@ -18,9 +18,6 @@ func main() {
 	// 16 rows x 12 columns stencil: each task needs its three upstream
 	// neighbours' tiles.
 	g := edgesched.Stencil(16, 12, 30, 30)
-	if err := g.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	// A ring of six processors: transfers between non-adjacent owners
 	// traverse intermediate cables, creating real multi-hop contention.

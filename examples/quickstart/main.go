@@ -14,19 +14,21 @@ import (
 func main() {
 	// A little image-processing style pipeline: load, two parallel
 	// filter stages (each with three workers), merge, encode.
-	g := edgesched.NewGraph()
-	load := g.AddTask("load", 20)
-	merge := g.AddTask("merge", 30)
-	encode := g.AddTask("encode", 40)
-	g.AddEdge(merge, encode, 30)
+	b := edgesched.NewGraph()
+	load := b.AddTask("load", 20)
+	merge := b.AddTask("merge", 30)
+	encode := b.AddTask("encode", 40)
+	b.AddEdge(merge, encode, 30)
 	for stage := 0; stage < 2; stage++ {
 		for w := 0; w < 3; w++ {
-			f := g.AddTask(fmt.Sprintf("filter%d_%d", stage, w), 50)
-			g.AddEdge(load, f, 30) // ship tiles out
-			g.AddEdge(f, merge, 30)
+			f := b.AddTask(fmt.Sprintf("filter%d_%d", stage, w), 50)
+			b.AddEdge(load, f, 30) // ship tiles out
+			b.AddEdge(f, merge, 30)
 		}
 	}
-	if err := g.Validate(); err != nil {
+	// Build checks the graph once; the schedulers below share it as is.
+	g, err := b.Build()
+	if err != nil {
 		log.Fatal(err)
 	}
 

@@ -16,9 +16,6 @@ import (
 func main() {
 	// 8 mappers, 4 reducers, heavy shuffle partitions.
 	g := edgesched.MapReduce(8, 4, 50, 120, 200)
-	if err := g.Validate(); err != nil {
-		log.Fatal(err)
-	}
 	// Two racks of 4, trunk at half the rack-link speed.
 	net := edgesched.Dumbbell(4, 4, edgesched.Uniform(1), edgesched.Uniform(2), 1)
 	if err := net.Validate(); err != nil {

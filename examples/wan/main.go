@@ -41,12 +41,14 @@ func main() {
 		const reps = 3
 		for rep := 0; rep < reps; rep++ {
 			gr := rand.New(rand.NewSource(*seed + int64(100*ccr) + int64(rep)))
-			g := edgesched.RandomLayered(gr, edgesched.LayeredParams{
+			g, err := edgesched.RandomLayered(gr, edgesched.LayeredParams{
 				Tasks:    200,
 				TaskCost: edgesched.CostDist{Lo: 1, Hi: 1000},
 				EdgeCost: edgesched.CostDist{Lo: 1, Hi: 1000},
-			})
-			g.ScaleToCCR(ccr)
+			}).ScaleToCCR(ccr)
+			if err != nil {
+				log.Fatal(err)
+			}
 			for _, run := range []struct {
 				alg edgesched.Algorithm
 				out *float64

@@ -161,10 +161,7 @@ func analyzeSpeedup(s *sched.Schedule, r *Report) {
 // computeOnlyCriticalPath returns the longest path counting only task
 // costs.
 func computeOnlyCriticalPath(g *dag.Graph) float64 {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0
-	}
+	order := g.TopoOrder()
 	longest := make([]float64, g.NumTasks())
 	best := 0.0
 	for i := len(order) - 1; i >= 0; i-- {

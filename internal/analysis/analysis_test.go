@@ -125,9 +125,13 @@ func TestCriticalChainCoversMakespan(t *testing.T) {
 func TestChainProcWaitDetected(t *testing.T) {
 	// Two independent heavy tasks forced onto one processor: the
 	// second waits for the first — the chain must contain a proc-wait.
-	g := dag.New()
-	g.AddTask("t1", 50)
-	g.AddTask("t2", 50)
+	var gb dag.Builder
+	gb.AddTask("t1", 50)
+	gb.AddTask("t2", 50)
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	net := network.Star(1, network.Uniform(1), network.Uniform(1))
 	s := schedule(t, sched.NewBA(), g, net)
 	rep := Analyze(s)
@@ -149,12 +153,16 @@ func TestChainCommDetected(t *testing.T) {
 	// A two-task chain across two processors with a big transfer: the
 	// chain must contain a comm segment when tasks land apart; force
 	// that with the EFT scheduler on zero-attraction workloads.
-	g := dag.New()
-	a := g.AddTask("a", 10)
-	b := g.AddTask("b", 10)
-	c := g.AddTask("c", 10)
-	g.AddEdge(a, c, 10)
-	g.AddEdge(b, c, 10)
+	var gb dag.Builder
+	a := gb.AddTask("a", 10)
+	b := gb.AddTask("b", 10)
+	c := gb.AddTask("c", 10)
+	gb.AddEdge(a, c, 10)
+	gb.AddEdge(b, c, 10)
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	s := schedule(t, sched.NewBA(), g, net)
 	rep := Analyze(s)

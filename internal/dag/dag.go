@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -40,53 +39,156 @@ type Edge struct {
 	Cost float64
 }
 
-// Graph is a directed acyclic task graph G = (V, E, w, c).
-//
-// The zero value is an empty graph ready for use. Graphs are built with
-// AddTask and AddEdge and are not safe for concurrent mutation. Once a
-// schedule run starts the graph is treated as frozen: concurrent
-// Schedule requests may share it without copying.
+// Graph is a directed acyclic task graph G = (V, E, w, c), made and
+// checked by Builder.Build and immutable from then on: every Graph is
+// valid, so no caller checks one again, and concurrent Schedule
+// requests share it without copying. Besides the tasks and edges it
+// stores the adjacency lists in compressed form and the topological
+// order. The zero value is the empty graph.
 type Graph struct {
-	tasks []Task
-	edges []Edge
-	succ  [][]EdgeID // outgoing edge IDs per task
-	pred  [][]EdgeID // incoming edge IDs per task
+	tasks      []Task
+	edges      []Edge
+	succ, pred adjacency
+	topo       []TaskID // smallest ready ID first
 }
 
-// New returns an empty task graph.
-func New() *Graph { return &Graph{} }
+// adjacency holds per-task edge lists in compressed form: the edges of
+// task i are ids[off[i]:off[i+1]], in edge-ID order.
+type adjacency struct {
+	off []int
+	ids []EdgeID
+}
+
+func (a adjacency) of(id TaskID) []EdgeID {
+	lo, hi := a.off[id], a.off[id+1]
+	return a.ids[lo:hi:hi]
+}
+
+// newAdjacency groups the edge IDs by key(e), in edge-ID order.
+func newAdjacency(n int, edges []Edge, key func(Edge) TaskID) adjacency {
+	a := adjacency{off: make([]int, n+1), ids: make([]EdgeID, len(edges))}
+	for _, e := range edges {
+		a.off[key(e)]++
+	}
+	for i := 1; i <= n; i++ {
+		a.off[i] += a.off[i-1]
+	}
+	// off[k] is now the end of k's list: filling from the last edge
+	// back moves it to the start and keeps every list in ID order.
+	for i := len(edges) - 1; i >= 0; i-- {
+		k := key(edges[i])
+		a.off[k]--
+		a.ids[a.off[k]] = edges[i].ID
+	}
+	return a
+}
+
+// Builder collects the tasks and edges of a task graph. Build checks
+// them and returns the Graph. The zero value is an empty builder; a
+// Builder is not safe for concurrent use.
+type Builder struct {
+	tasks []Task
+	edges []Edge
+}
 
 // AddTask appends a task with the given name and computation cost and
-// returns its ID.
-func (g *Graph) AddTask(name string, cost float64) TaskID {
-	id := TaskID(len(g.tasks))
+// returns its ID. An empty name becomes "n<id>".
+func (b *Builder) AddTask(name string, cost float64) TaskID {
+	id := TaskID(len(b.tasks))
 	if name == "" {
 		name = fmt.Sprintf("n%d", id)
 	}
-	g.tasks = append(g.tasks, Task{ID: id, Name: name, Cost: cost})
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
+	b.tasks = append(b.tasks, Task{ID: id, Name: name, Cost: cost})
 	return id
 }
 
-// AddEdge adds a communication edge from one task to another and
-// returns its ID. It panics if either endpoint does not exist or if
-// from == to; acyclicity is checked by Validate, not here.
-func (g *Graph) AddEdge(from, to TaskID, cost float64) EdgeID {
-	if !g.hasTask(from) || !g.hasTask(to) {
-		panic(fmt.Sprintf("dag: AddEdge(%d, %d): task does not exist", from, to))
-	}
-	if from == to {
-		panic(fmt.Sprintf("dag: AddEdge: self-loop on task %d", from))
-	}
-	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Cost: cost})
-	g.succ[from] = append(g.succ[from], id)
-	g.pred[to] = append(g.pred[to], id)
+// AddEdge appends a communication edge from one task to another and
+// returns its ID. Build checks the edge.
+func (b *Builder) AddEdge(from, to TaskID, cost float64) EdgeID {
+	id := EdgeID(len(b.edges))
+	b.edges = append(b.edges, Edge{ID: id, From: from, To: to, Cost: cost})
 	return id
 }
 
-func (g *Graph) hasTask(id TaskID) bool { return id >= 0 && int(id) < len(g.tasks) }
+// ErrCycle is reported by Build when the graph contains a directed
+// cycle.
+var ErrCycle = errors.New("dag: graph contains a cycle")
+
+// validCost reports whether c is a cost a Graph admits: non-negative,
+// not NaN, and at most 1e300.
+func validCost(c float64) bool { return c >= 0 && c <= 1e300 }
+
+// Build checks the tasks and edges added so far and returns them as a
+// Graph. It rejects an edge whose endpoint does not exist, a self-loop,
+// a second edge between the same two tasks (an edge models the single
+// data transfer between them), a cost that is negative, NaN or above
+// 1e300, and a cycle (ErrCycle). The builder may go on adding to make
+// further graphs; a graph built earlier does not change.
+func (b *Builder) Build() (*Graph, error) {
+	n := len(b.tasks)
+	for _, t := range b.tasks {
+		if !validCost(t.Cost) {
+			return nil, fmt.Errorf("dag: task %d (%s) has invalid cost %v", t.ID, t.Name, t.Cost)
+		}
+	}
+	for _, e := range b.edges {
+		switch {
+		case e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n:
+			return nil, fmt.Errorf("dag: edge %d (%d->%d) references a task outside [0,%d)", e.ID, e.From, e.To, n)
+		case e.From == e.To:
+			return nil, fmt.Errorf("dag: edge %d is a self-loop on task %d", e.ID, e.From)
+		case !validCost(e.Cost):
+			return nil, fmt.Errorf("dag: edge %d (%d->%d) has invalid cost %v", e.ID, e.From, e.To, e.Cost)
+		}
+	}
+	g := &Graph{
+		tasks: b.tasks[:n:n],
+		edges: b.edges[:len(b.edges):len(b.edges)],
+		succ:  newAdjacency(n, b.edges, func(e Edge) TaskID { return e.From }),
+		pred:  newAdjacency(n, b.edges, func(e Edge) TaskID { return e.To }),
+	}
+	// Each succ list is in edge order, and mark[to] holds from+1 once
+	// from has an edge to to, so a repeat is a duplicate.
+	mark := make([]TaskID, n)
+	for from := range TaskID(n) {
+		for _, eid := range g.succ.of(from) {
+			to := g.edges[eid].To
+			if mark[to] == from+1 {
+				return nil, fmt.Errorf("dag: duplicate edge %d->%d", from, to)
+			}
+			mark[to] = from + 1
+		}
+	}
+	if g.topo = g.topoOrder(); len(g.topo) != n {
+		return nil, ErrCycle
+	}
+	return g, nil
+}
+
+// topoOrder runs Kahn's algorithm, smallest ready ID first. On a
+// cyclic graph the order misses the cycle's tasks.
+func (g *Graph) topoOrder() []TaskID {
+	n := len(g.tasks)
+	indeg := make([]int, n)
+	ready := taskIDHeap{a: make([]TaskID, 0, n)}
+	for i := range TaskID(n) {
+		if indeg[i] = len(g.pred.of(i)); indeg[i] == 0 {
+			ready.push(i)
+		}
+	}
+	order := make([]TaskID, 0, n)
+	for ready.len() > 0 {
+		id := ready.pop()
+		order = append(order, id)
+		for _, eid := range g.succ.of(id) {
+			to := g.edges[eid].To
+			if indeg[to]--; indeg[to] == 0 {
+				ready.push(to)
+			}
+		}
+	}
+	return order
+}
 
 // NumTasks reports the number of tasks.
 func (g *Graph) NumTasks() int { return len(g.tasks) }
@@ -106,24 +208,28 @@ func (g *Graph) Tasks() []Task { return g.tasks }
 // Edges returns all edges in ID order. The slice is shared; do not modify.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// Succ returns the IDs of the edges leaving task id. Shared; do not modify.
-func (g *Graph) Succ(id TaskID) []EdgeID { return g.succ[id] }
+// Succ returns the IDs of the edges leaving task id, in ID order.
+// Shared; do not modify.
+func (g *Graph) Succ(id TaskID) []EdgeID { return g.succ.of(id) }
 
-// Pred returns the IDs of the edges entering task id. Shared; do not modify.
-func (g *Graph) Pred(id TaskID) []EdgeID { return g.pred[id] }
+// Pred returns the IDs of the edges entering task id, in ID order.
+// Shared; do not modify.
+func (g *Graph) Pred(id TaskID) []EdgeID { return g.pred.of(id) }
 
 // InDegree reports the number of incoming edges of task id.
-func (g *Graph) InDegree(id TaskID) int { return len(g.pred[id]) }
+func (g *Graph) InDegree(id TaskID) int { return len(g.pred.of(id)) }
 
-// OutDegree reports the number of outgoing edges of task id.
-func (g *Graph) OutDegree(id TaskID) int { return len(g.succ[id]) }
+// TopoOrder returns the task IDs in topological order (Kahn's
+// algorithm, smallest ID first among ready tasks, so the order is
+// deterministic). Shared; do not modify.
+func (g *Graph) TopoOrder() []TaskID { return g.topo }
 
 // Sources returns the tasks without predecessors, in ID order.
 func (g *Graph) Sources() []TaskID {
 	var out []TaskID
-	for i := range g.tasks {
-		if len(g.pred[i]) == 0 {
-			out = append(out, TaskID(i))
+	for i := range TaskID(len(g.tasks)) {
+		if len(g.pred.of(i)) == 0 {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -132,118 +238,12 @@ func (g *Graph) Sources() []TaskID {
 // Sinks returns the tasks without successors, in ID order.
 func (g *Graph) Sinks() []TaskID {
 	var out []TaskID
-	for i := range g.tasks {
-		if len(g.succ[i]) == 0 {
-			out = append(out, TaskID(i))
+	for i := range TaskID(len(g.tasks)) {
+		if len(g.succ.of(i)) == 0 {
+			out = append(out, i)
 		}
 	}
 	return out
-}
-
-// SetTaskCost replaces the computation cost of task id.
-func (g *Graph) SetTaskCost(id TaskID, cost float64) { g.tasks[id].Cost = cost }
-
-// SetEdgeCost replaces the communication cost of edge id.
-func (g *Graph) SetEdgeCost(id EdgeID, cost float64) { g.edges[id].Cost = cost }
-
-// ErrCycle is reported by Validate and TopoOrder when the graph
-// contains a directed cycle.
-var ErrCycle = errors.New("dag: graph contains a cycle")
-
-// Validate checks structural invariants: the graph must be acyclic and
-// all costs must be non-negative and finite. Multiple edges between the
-// same pair of tasks are rejected too, since an edge models the single
-// data transfer between two tasks.
-func (g *Graph) Validate() error {
-	for _, t := range g.tasks {
-		if t.Cost < 0 || math.IsNaN(t.Cost) || t.Cost > 1e300 {
-			return fmt.Errorf("dag: task %d (%s) has invalid cost %v", t.ID, t.Name, t.Cost)
-		}
-	}
-	// dup marks an edge with the endpoints of a lower-numbered one.
-	// Each succ list is in edge order, and mark[to] holds from+1 once
-	// from has an edge to to.
-	dup := make([]bool, len(g.edges))
-	mark := make([]TaskID, len(g.tasks))
-	for from, out := range g.succ {
-		for _, eid := range out {
-			to := g.edges[eid].To
-			dup[eid] = mark[to] == TaskID(from)+1
-			mark[to] = TaskID(from) + 1
-		}
-	}
-	for _, e := range g.edges {
-		if e.Cost < 0 || math.IsNaN(e.Cost) || e.Cost > 1e300 {
-			return fmt.Errorf("dag: edge %d (%d->%d) has invalid cost %v", e.ID, e.From, e.To, e.Cost)
-		}
-		if dup[e.ID] {
-			return fmt.Errorf("dag: duplicate edge %d->%d", e.From, e.To)
-		}
-	}
-	if !g.acyclic() {
-		return ErrCycle
-	}
-	return nil
-}
-
-// acyclic reports whether Kahn's algorithm drains every task: any
-// order of the ready tasks does, on an acyclic graph, so a plain stack
-// serves where TopoOrder keeps a heap for its deterministic order.
-func (g *Graph) acyclic() bool {
-	indeg := make([]int, len(g.tasks))
-	ready := make([]TaskID, 0, len(g.tasks))
-	for i := range g.tasks {
-		if indeg[i] = len(g.pred[i]); indeg[i] == 0 {
-			ready = append(ready, TaskID(i))
-		}
-	}
-	drained := 0
-	for len(ready) > 0 {
-		id := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		drained++
-		for _, eid := range g.succ[id] {
-			to := g.edges[eid].To
-			if indeg[to]--; indeg[to] == 0 {
-				ready = append(ready, to)
-			}
-		}
-	}
-	return drained == len(g.tasks)
-}
-
-// TopoOrder returns the task IDs in a topological order (Kahn's
-// algorithm, smallest-ID-first among ready tasks so the order is
-// deterministic). It returns ErrCycle if the graph is cyclic.
-func (g *Graph) TopoOrder() ([]TaskID, error) {
-	n := len(g.tasks)
-	indeg := make([]int, n)
-	for i := range g.tasks {
-		indeg[i] = len(g.pred[i])
-	}
-	// Min-heap over ready task IDs for deterministic output.
-	ready := &taskIDHeap{}
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready.push(TaskID(i))
-		}
-	}
-	order := make([]TaskID, 0, n)
-	for ready.len() > 0 {
-		id := ready.pop()
-		order = append(order, id)
-		for _, eid := range g.succ[id] {
-			to := g.edges[eid].To
-			indeg[to]--
-			if indeg[to] == 0 {
-				ready.push(to)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, ErrCycle
-	}
-	return order, nil
 }
 
 // taskIDHeap is a tiny binary min-heap of TaskIDs.
@@ -290,23 +290,17 @@ func (h *taskIDHeap) pop() TaskID {
 
 // BottomLevels computes bl(n) = w(n) + max over successors of
 // (c(e) + bl(succ)) for every task (paper §2.1). The result is indexed
-// by TaskID. It returns ErrCycle for cyclic graphs.
-func (g *Graph) BottomLevels() ([]float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	return g.bottomLevels(order, true), nil
-}
+// by TaskID.
+func (g *Graph) BottomLevels() []float64 { return g.bottomLevels(true) }
 
-// bottomLevels computes the bottom levels over a topological order,
-// with the edge costs when comm is set and without them otherwise.
-func (g *Graph) bottomLevels(order []TaskID, comm bool) []float64 {
+// bottomLevels computes the bottom levels, with the edge costs when
+// comm is set and without them otherwise.
+func (g *Graph) bottomLevels(comm bool) []float64 {
 	bl := make([]float64, len(g.tasks))
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
+	for i := len(g.topo) - 1; i >= 0; i-- {
+		id := g.topo[i]
 		best := 0.0
-		for _, eid := range g.succ[id] {
+		for _, eid := range g.succ.of(id) {
 			e := g.edges[eid]
 			v := bl[e.To]
 			if comm {
@@ -324,20 +318,11 @@ func (g *Graph) bottomLevels(order []TaskID, comm bool) []float64 {
 // TopLevels computes tl(n) = max over predecessors of
 // (tl(pred) + w(pred) + c(e)), the length of the longest path entering
 // the task excluding the task itself.
-func (g *Graph) TopLevels() ([]float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	return g.topLevels(order), nil
-}
-
-// topLevels computes the top levels over a topological order.
-func (g *Graph) topLevels(order []TaskID) []float64 {
+func (g *Graph) TopLevels() []float64 {
 	tl := make([]float64, len(g.tasks))
-	for _, id := range order {
+	for _, id := range g.topo {
 		best := 0.0
-		for _, eid := range g.pred[id] {
+		for _, eid := range g.pred.of(id) {
 			e := g.edges[eid]
 			if v := tl[e.From] + g.tasks[e.From].Cost + e.Cost; v > best {
 				best = v
@@ -351,42 +336,37 @@ func (g *Graph) topLevels(order []TaskID) []float64 {
 // CriticalPathLength returns the length of the longest path through the
 // graph counting both computation and communication costs, i.e. the
 // maximum bottom level.
-func (g *Graph) CriticalPathLength() (float64, error) {
-	bl, err := g.BottomLevels()
-	if err != nil {
-		return 0, err
-	}
+func (g *Graph) CriticalPathLength() float64 {
 	best := 0.0
-	for _, v := range bl {
+	for _, v := range g.BottomLevels() {
 		if v > best {
 			best = v
 		}
 	}
-	return best, nil
+	return best
 }
 
 // PriorityOrder returns the task IDs sorted by decreasing bottom level,
-// breaking ties by topological rank and then by ID. With positive task
-// costs this order is always a valid topological order (bl strictly
-// decreases along edges); ties from zero-cost tasks are resolved by the
-// topological rank so the property holds for all valid graphs.
+// breaking ties by topological rank. With positive task costs this
+// order is always a valid topological order (bl strictly decreases
+// along edges); ties from zero-cost tasks are resolved by the
+// topological rank so the property holds for all graphs. The error is
+// always nil: a built graph is acyclic.
 func (g *Graph) PriorityOrder() ([]TaskID, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	return g.orderByKeyDesc(order, g.bottomLevels(order, true)), nil
+	return g.orderByKeyDesc(g.bottomLevels(true)), nil
 }
 
-// orderByKeyDesc sorts the topological order in place by decreasing
-// key, tie-broken by topological rank, and returns it. The rank is
-// unique, so the order is total, and any key that is non-increasing
-// along edges yields a valid topological order.
-func (g *Graph) orderByKeyDesc(order []TaskID, key []float64) []TaskID {
+// orderByKeyDesc returns a copy of the topological order sorted by
+// decreasing key, tie-broken by topological rank. The rank is unique,
+// so the order is total, and any key that is non-increasing along
+// edges yields a valid topological order. The stored order is shared
+// by concurrent readers, so it is never sorted in place.
+func (g *Graph) orderByKeyDesc(key []float64) []TaskID {
 	rank := make([]int, len(g.tasks))
-	for i, id := range order {
+	for i, id := range g.topo {
 		rank[id] = i
 	}
+	order := slices.Clone(g.topo)
 	slices.SortFunc(order, func(a, b TaskID) int {
 		if c := cmp.Compare(key[b], key[a]); c != 0 {
 			return c
@@ -398,42 +378,30 @@ func (g *Graph) orderByKeyDesc(order []TaskID, key []float64) []TaskID {
 
 // CompPriorityOrder returns the tasks sorted by decreasing
 // computation-only bottom level (communication costs ignored).
-func (g *Graph) CompPriorityOrder() ([]TaskID, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	return g.orderByKeyDesc(order, g.bottomLevels(order, false)), nil
+func (g *Graph) CompPriorityOrder() []TaskID {
+	return g.orderByKeyDesc(g.bottomLevels(false))
 }
 
 // CriticalityPriorityOrder returns the tasks sorted by decreasing
 // bl + tl (path length through the task): critical-path tasks first,
-// as CPOP-style rankings use. The key is not monotone along edges, so
-// the tie-break machinery enforces a valid topological order by
-// sorting on the longest-path-through value, which IS equal for all
-// tasks of the critical path; the final order remains topological
-// because orderByKeyDesc is stable on topological rank only for equal
-// keys — therefore the key is clamped to be non-increasing along the
-// topological order first.
-func (g *Graph) CriticalityPriorityOrder() ([]TaskID, error) {
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	key := g.bottomLevels(topo, true)
-	for i, t := range g.topLevels(topo) {
+// as CPOP-style rankings use. That key is not monotone along edges, so
+// it is first clamped to be non-increasing along the topological
+// order; sorting by decreasing key, ties by topological rank, then
+// yields a topological order.
+func (g *Graph) CriticalityPriorityOrder() []TaskID {
+	key := g.bottomLevels(true)
+	for i, t := range g.TopLevels() {
 		key[i] += t
 	}
-	// Clamp: a task's key must not exceed any predecessor's key, so
-	// that sorting by decreasing key is a topological order.
-	for _, id := range topo {
-		for _, eid := range g.pred[id] {
+	// Clamp: a task's key must not exceed any predecessor's key.
+	for _, id := range g.topo {
+		for _, eid := range g.pred.of(id) {
 			if k := key[g.edges[eid].From]; k < key[id] {
 				key[id] = k
 			}
 		}
 	}
-	return g.orderByKeyDesc(topo, key), nil
+	return g.orderByKeyDesc(key)
 }
 
 // TotalTaskCost returns the sum of all computation costs.
@@ -469,33 +437,26 @@ func (g *Graph) CCR() float64 {
 	return meanC / meanW
 }
 
-// ScaleToCCR multiplies all edge costs by a common factor so that the
-// graph's CCR becomes the target value. It is a no-op on graphs with no
-// edges or zero computation cost.
-func (g *Graph) ScaleToCCR(target float64) {
+// ScaleToCCR returns a graph with g's tasks and structure whose edge
+// costs are g's multiplied by a common factor, so that its CCR is the
+// target value; g is unchanged. It returns g itself when g has no
+// edges or zero computation cost, and an error when a scaled cost
+// leaves the bounds Build admits.
+func (g *Graph) ScaleToCCR(target float64) (*Graph, error) {
 	cur := g.CCR()
 	if cur == 0 {
-		return
+		return g, nil
 	}
 	f := target / cur
-	for i := range g.edges {
-		g.edges[i].Cost *= f
+	scaled := *g
+	scaled.edges = make([]Edge, len(g.edges))
+	for i, e := range g.edges {
+		if e.Cost *= f; !validCost(e.Cost) {
+			return nil, fmt.Errorf("dag: CCR %v scales edge %d (%d->%d) to invalid cost %v", target, e.ID, e.From, e.To, e.Cost)
+		}
+		scaled.edges[i] = e
 	}
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		tasks: append([]Task(nil), g.tasks...),
-		edges: append([]Edge(nil), g.edges...),
-		succ:  make([][]EdgeID, len(g.succ)),
-		pred:  make([][]EdgeID, len(g.pred)),
-	}
-	for i := range g.succ {
-		c.succ[i] = append([]EdgeID(nil), g.succ[i]...)
-		c.pred[i] = append([]EdgeID(nil), g.pred[i]...)
-	}
-	return c
+	return &scaled, nil
 }
 
 // String returns a short human-readable summary.

@@ -3,15 +3,27 @@ package dag
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// mustBuild builds b, failing the test on an error.
+func mustBuild(t *testing.T, b *Builder) *Graph {
+	t.Helper()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestAddTaskAndEdge(t *testing.T) {
-	g := New()
-	a := g.AddTask("a", 1)
-	b := g.AddTask("", 2)
-	e := g.AddEdge(a, b, 3)
+	var gb Builder
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("", 2)
+	e := gb.AddEdge(a, b, 3)
+	g := mustBuild(t, &gb)
 	if g.NumTasks() != 2 || g.NumEdges() != 1 {
 		t.Fatalf("counts: %d tasks %d edges", g.NumTasks(), g.NumEdges())
 	}
@@ -24,79 +36,77 @@ func TestAddTaskAndEdge(t *testing.T) {
 	if len(g.Succ(a)) != 1 || len(g.Pred(b)) != 1 {
 		t.Errorf("adjacency broken")
 	}
-	if g.InDegree(a) != 0 || g.OutDegree(a) != 1 {
+	if g.InDegree(a) != 0 || len(g.Succ(a)) != 1 {
 		t.Errorf("degrees broken")
 	}
 }
 
-func TestAddEdgePanics(t *testing.T) {
-	g := New()
-	a := g.AddTask("a", 1)
-	for _, f := range []func(){
-		func() { g.AddEdge(a, a, 1) },
-		func() { g.AddEdge(a, 99, 1) },
-		func() { g.AddEdge(-1, a, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic")
-				}
-			}()
-			f()
-		}()
+// TestBuildRejectsBadEndpoints pins that Build, not AddEdge, rejects an
+// edge to a task that does not exist and a self-loop.
+func TestBuildRejectsBadEndpoints(t *testing.T) {
+	for _, e := range [][2]TaskID{{0, 0}, {0, 99}, {-1, 0}} {
+		var b Builder
+		b.AddTask("a", 1)
+		b.AddEdge(e[0], e[1], 1)
+		if _, err := b.Build(); err == nil {
+			t.Errorf("edge %d->%d accepted", e[0], e[1])
+		}
 	}
 }
 
 func TestValidateRejectsCycle(t *testing.T) {
-	g := New()
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	c := g.AddTask("c", 1)
-	g.AddEdge(a, b, 1)
-	g.AddEdge(b, c, 1)
-	g.AddEdge(c, a, 1)
-	if err := g.Validate(); err == nil {
-		t.Fatal("cycle not detected")
-	}
-	if _, err := g.TopoOrder(); err != ErrCycle {
+	var gb Builder
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 1)
+	c := gb.AddTask("c", 1)
+	gb.AddEdge(a, b, 1)
+	gb.AddEdge(b, c, 1)
+	gb.AddEdge(c, a, 1)
+	if _, err := gb.Build(); err != ErrCycle {
 		t.Fatalf("got %v, want ErrCycle", err)
 	}
 }
 
 func TestValidateRejectsBadCosts(t *testing.T) {
-	g := New()
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	g.AddEdge(a, b, 1)
-	g.SetTaskCost(a, -1)
-	if err := g.Validate(); err == nil {
-		t.Fatal("negative task cost accepted")
-	}
-	g.SetTaskCost(a, 1)
-	g.SetEdgeCost(0, math.NaN())
-	if err := g.Validate(); err == nil {
-		t.Fatal("NaN edge cost accepted")
+	for _, c := range []struct{ task, edge float64 }{{-1, 1}, {1, math.NaN()}, {1e301, 1}, {1, math.Inf(1)}} {
+		var b Builder
+		b.AddEdge(b.AddTask("a", c.task), b.AddTask("b", 1), c.edge)
+		if _, err := b.Build(); err == nil {
+			t.Errorf("task cost %v, edge cost %v accepted", c.task, c.edge)
+		}
 	}
 }
 
 func TestValidateRejectsDuplicateEdge(t *testing.T) {
-	g := New()
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	g.AddEdge(a, b, 1)
-	g.AddEdge(a, b, 2)
-	if err := g.Validate(); err == nil {
+	var gb Builder
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 1)
+	gb.AddEdge(a, b, 1)
+	gb.AddEdge(a, b, 2)
+	if _, err := gb.Build(); err == nil {
 		t.Fatal("duplicate edge accepted")
+	}
+}
+
+// TestBuildKeepsEarlierGraphs pins that a builder that goes on adding
+// leaves the graphs it built before unchanged.
+func TestBuildKeepsEarlierGraphs(t *testing.T) {
+	var b Builder
+	x := b.AddTask("x", 1)
+	first := mustBuild(t, &b)
+	b.AddEdge(x, b.AddTask("y", 2), 3)
+	second := mustBuild(t, &b)
+	if first.NumTasks() != 1 || first.NumEdges() != 0 || len(first.Succ(x)) != 0 {
+		t.Fatalf("first graph changed: %v", first)
+	}
+	if second.NumTasks() != 2 || len(second.Succ(x)) != 1 {
+		t.Fatalf("second graph: %v", second)
 	}
 }
 
 func TestTopoOrderDeterministicAndValid(t *testing.T) {
 	g := Diamond(1, 1)
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := g.TopoOrder()
 	pos := map[TaskID]int{}
 	for i, id := range order {
 		pos[id] = i
@@ -110,31 +120,21 @@ func TestTopoOrderDeterministicAndValid(t *testing.T) {
 
 func TestBottomLevelsChain(t *testing.T) {
 	g := Chain(3, 10, 5) // bl: n2=10, n1=25, n0=40
-	bl, err := g.BottomLevels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bl := g.BottomLevels()
 	want := []float64{40, 25, 10}
 	for i, w := range want {
 		if bl[i] != w {
 			t.Errorf("bl[%d]=%v, want %v", i, bl[i], w)
 		}
 	}
-	cp, err := g.CriticalPathLength()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != 40 {
+	if cp := g.CriticalPathLength(); cp != 40 {
 		t.Errorf("critical path %v, want 40", cp)
 	}
 }
 
 func TestTopLevelsChain(t *testing.T) {
 	g := Chain(3, 10, 5) // tl: n0=0, n1=15, n2=30
-	tl, err := g.TopLevels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := g.TopLevels()
 	want := []float64{0, 15, 30}
 	for i, w := range want {
 		if tl[i] != w {
@@ -162,10 +162,7 @@ func TestPriorityOrderIsTopological(t *testing.T) {
 		for i, id := range order {
 			pos[id] = i
 		}
-		bl, err := g.BottomLevels()
-		if err != nil {
-			t.Fatal(err)
-		}
+		bl := g.BottomLevels()
 		for _, e := range g.Edges() {
 			if pos[e.From] >= pos[e.To] {
 				t.Fatalf("trial %d: priority order not topological on edge %d->%d", trial, e.From, e.To)
@@ -189,14 +186,11 @@ func TestAlternativePriorityOrdersAreTopological(t *testing.T) {
 			TaskCost: CostDist{Lo: 0, Hi: 20},
 			EdgeCost: CostDist{Lo: 0, Hi: 20},
 		})
-		for name, fn := range map[string]func() ([]TaskID, error){
+		for name, fn := range map[string]func() []TaskID{
 			"comp": g.CompPriorityOrder,
 			"crit": g.CriticalityPriorityOrder,
 		} {
-			order, err := fn()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			order := fn()
 			if len(order) != g.NumTasks() {
 				t.Fatalf("%s: covers %d of %d tasks", name, len(order), g.NumTasks())
 			}
@@ -213,18 +207,34 @@ func TestAlternativePriorityOrdersAreTopological(t *testing.T) {
 	}
 }
 
+// TestOrdersLeaveTopoOrder pins that every priority order sorts a copy
+// of the stored topological order: concurrent schedules share it.
+func TestOrdersLeaveTopoOrder(t *testing.T) {
+	g := RandomLayered(rand.New(rand.NewSource(8)), RandomLayeredParams{
+		Tasks:    200,
+		TaskCost: CostDist{Lo: 1, Hi: 50},
+		EdgeCost: CostDist{Lo: 1, Hi: 200},
+	})
+	want := slices.Clone(g.TopoOrder())
+	if _, err := g.PriorityOrder(); err != nil {
+		t.Fatal(err)
+	}
+	g.CompPriorityOrder()
+	g.CriticalityPriorityOrder()
+	if !slices.Equal(g.TopoOrder(), want) {
+		t.Fatal("a priority order rewrote the graph's stored topological order")
+	}
+}
+
 func TestCriticalityOrderPutsCriticalPathFirst(t *testing.T) {
 	// Chain a->b->c plus a cheap independent task: the chain is the
 	// critical path and must precede the cheap task.
-	g := New()
-	a := g.AddTask("a", 100)
-	b := g.AddTask("b", 100)
-	cheap := g.AddTask("cheap", 1)
-	g.AddEdge(a, b, 10)
-	order, err := g.CriticalityPriorityOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var gb Builder
+	a := gb.AddTask("a", 100)
+	b := gb.AddTask("b", 100)
+	cheap := gb.AddTask("cheap", 1)
+	gb.AddEdge(a, b, 10)
+	order := mustBuild(t, &gb).CriticalityPriorityOrder()
 	pos := map[TaskID]int{}
 	for i, id := range order {
 		pos[id] = i
@@ -250,30 +260,32 @@ func TestCCRAndScale(t *testing.T) {
 	if got := g.CCR(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("CCR=%v, want 0.5", got)
 	}
-	g.ScaleToCCR(2)
-	if got := g.CCR(); math.Abs(got-2) > 1e-12 {
+	s, err := g.ScaleToCCR(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CCR(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("scaled CCR=%v, want 2", got)
 	}
-	if got := g.Edge(0).Cost; math.Abs(got-20) > 1e-12 {
+	if got := s.Edge(0).Cost; math.Abs(got-20) > 1e-12 {
 		t.Fatalf("edge cost %v, want 20", got)
 	}
+	if g.Edge(0).Cost != 5 || len(s.Succ(0)) != 1 {
+		t.Fatalf("scaling changed the original or lost the structure")
+	}
+	// A scaled cost past the bounds Build admits is an error.
+	if _, err := g.ScaleToCCR(1e305); err == nil {
+		t.Fatal("CCR 1e305 accepted")
+	}
 	// No-edge graph: CCR 0, scaling is a no-op.
-	g2 := New()
-	g2.AddTask("x", 5)
+	var b Builder
+	b.AddTask("x", 5)
+	g2 := mustBuild(t, &b)
 	if g2.CCR() != 0 {
 		t.Errorf("no-edge CCR should be 0")
 	}
-	g2.ScaleToCCR(3) // must not panic
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := Diamond(1, 1)
-	c := g.Clone()
-	c.SetTaskCost(0, 99)
-	c.SetEdgeCost(0, 99)
-	c.AddTask("extra", 1)
-	if g.Task(0).Cost == 99 || g.Edge(0).Cost == 99 || g.NumTasks() != 4 {
-		t.Fatal("clone shares state with original")
+	if s, err := g2.ScaleToCCR(3); s != g2 || err != nil {
+		t.Errorf("no-edge scaling: %v, %v", s, err)
 	}
 }
 
@@ -301,10 +313,6 @@ func TestGeneratorShapes(t *testing.T) {
 		{"stencil", Stencil(3, 4, 1, 1), 12, 20, 4, 4},
 	}
 	for _, c := range cases {
-		if err := c.g.Validate(); err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
 		if c.g.NumTasks() != c.tasks {
 			t.Errorf("%s: %d tasks, want %d", c.name, c.g.NumTasks(), c.tasks)
 		}
@@ -323,9 +331,6 @@ func TestGeneratorShapes(t *testing.T) {
 func TestGaussianEliminationShape(t *testing.T) {
 	n := 5
 	g := GaussianElimination(n, 1, 1)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// n-1 pivots plus sum_{k=0}^{n-2}(n-1-k) updates.
 	wantTasks := (n - 1) + (n-1)*n/2 - 0
 	updates := 0
@@ -340,11 +345,7 @@ func TestGaussianEliminationShape(t *testing.T) {
 	// The elimination ends with upd over column n-1 at step n-2; other
 	// columns' last updates also have no successors. Just require ≥1
 	// sink and a critical path of at least n-1 pivots.
-	cp, err := g.CriticalPathLength()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp < float64(n-1) {
+	if cp := g.CriticalPathLength(); cp < float64(n-1) {
 		t.Errorf("critical path %v too short", cp)
 	}
 }
@@ -375,16 +376,7 @@ func TestRandomLayeredProperty(t *testing.T) {
 			EdgeCost: CostDist{Lo: 1, Hi: 1000},
 			FanOut:   int(fan%6) + 1,
 		})
-		if g.NumTasks() != tasks {
-			return false
-		}
-		if g.Validate() != nil {
-			return false
-		}
-		// Every non-source task has at least one predecessor by
-		// construction; sources live in the first layer only.
-		order, err := g.TopoOrder()
-		return err == nil && len(order) == tasks
+		return g.NumTasks() == tasks && len(g.TopoOrder()) == tasks
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func RandomLayered(r *rand.Rand, p RandomLayeredParams) *Graph {
 			p.LayerSize = 1
 		}
 	}
-	g := New()
+	b := new(Builder)
 	// Partition tasks into layers of width U(1, 2*LayerSize-1) so the
 	// mean width is LayerSize.
 	var layers [][]TaskID
@@ -61,7 +61,7 @@ func RandomLayered(r *rand.Rand, p RandomLayeredParams) *Graph {
 		}
 		layer := make([]TaskID, 0, w)
 		for i := 0; i < w; i++ {
-			layer = append(layer, g.AddTask("", p.TaskCost.Sample(r)))
+			layer = append(layer, b.AddTask("", p.TaskCost.Sample(r)))
 		}
 		layers = append(layers, layer)
 		remaining -= w
@@ -85,9 +85,20 @@ func RandomLayered(r *rand.Rand, p RandomLayeredParams) *Graph {
 					continue
 				}
 				used[from] = true
-				g.AddEdge(from, to, p.EdgeCost.Sample(r))
+				b.AddEdge(from, to, p.EdgeCost.Sample(r))
 			}
 		}
+	}
+	return build(b)
+}
+
+// build returns the graph a generator made. Generators make acyclic
+// graphs without duplicate edges, so Build fails only on a cost
+// argument it does not admit: the caller's error, so build panics.
+func build(b *Builder) *Graph {
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
 	}
 	return g
 }
@@ -103,70 +114,70 @@ func isqrt(n int) int {
 // Chain builds a linear chain n0 -> n1 -> ... -> n(k-1) with the given
 // uniform task and edge costs.
 func Chain(k int, taskCost, edgeCost float64) *Graph {
-	g := New()
+	b := new(Builder)
 	prev := TaskID(-1)
 	for i := 0; i < k; i++ {
-		id := g.AddTask("", taskCost)
+		id := b.AddTask("", taskCost)
 		if prev >= 0 {
-			g.AddEdge(prev, id, edgeCost)
+			b.AddEdge(prev, id, edgeCost)
 		}
 		prev = id
 	}
-	return g
+	return build(b)
 }
 
 // ForkJoin builds a fork-join graph: one source task fanning out to
 // width parallel tasks which all join into one sink.
 func ForkJoin(width int, taskCost, edgeCost float64) *Graph {
-	g := New()
-	src := g.AddTask("fork", taskCost)
-	sink := g.AddTask("join", taskCost)
+	b := new(Builder)
+	src := b.AddTask("fork", taskCost)
+	sink := b.AddTask("join", taskCost)
 	for i := 0; i < width; i++ {
-		mid := g.AddTask(fmt.Sprintf("w%d", i), taskCost)
-		g.AddEdge(src, mid, edgeCost)
-		g.AddEdge(mid, sink, edgeCost)
+		mid := b.AddTask(fmt.Sprintf("w%d", i), taskCost)
+		b.AddEdge(src, mid, edgeCost)
+		b.AddEdge(mid, sink, edgeCost)
 	}
-	return g
+	return build(b)
 }
 
 // Diamond builds the classic 4-task diamond: a -> {b, c} -> d.
 func Diamond(taskCost, edgeCost float64) *Graph {
-	g := New()
-	a := g.AddTask("a", taskCost)
-	b := g.AddTask("b", taskCost)
-	c := g.AddTask("c", taskCost)
-	d := g.AddTask("d", taskCost)
-	g.AddEdge(a, b, edgeCost)
-	g.AddEdge(a, c, edgeCost)
-	g.AddEdge(b, d, edgeCost)
-	g.AddEdge(c, d, edgeCost)
-	return g
+	b := new(Builder)
+	ta := b.AddTask("a", taskCost)
+	tb := b.AddTask("b", taskCost)
+	tc := b.AddTask("c", taskCost)
+	td := b.AddTask("d", taskCost)
+	b.AddEdge(ta, tb, edgeCost)
+	b.AddEdge(ta, tc, edgeCost)
+	b.AddEdge(tb, td, edgeCost)
+	b.AddEdge(tc, td, edgeCost)
+	return build(b)
 }
 
 // OutTree builds a complete out-tree (rooted fan-out tree) of the given
 // degree and depth; depth 0 is a single task.
 func OutTree(degree, depth int, taskCost, edgeCost float64) *Graph {
-	g := New()
-	root := g.AddTask("root", taskCost)
+	b := new(Builder)
+	root := b.AddTask("root", taskCost)
 	frontier := []TaskID{root}
 	for d := 0; d < depth; d++ {
 		var next []TaskID
 		for _, p := range frontier {
 			for c := 0; c < degree; c++ {
-				id := g.AddTask("", taskCost)
-				g.AddEdge(p, id, edgeCost)
+				id := b.AddTask("", taskCost)
+				b.AddEdge(p, id, edgeCost)
 				next = append(next, id)
 			}
 		}
 		frontier = next
 	}
-	return g
+	return build(b)
 }
 
 // InTree builds a complete in-tree (reduction tree): leaves feed upward
 // into a single final task. degree is the reduction arity.
 func InTree(degree, depth int, taskCost, edgeCost float64) *Graph {
-	g := New()
+	b := new(Builder)
 	// Build level by level from the leaves.
 	width := 1
 	for i := 0; i < depth; i++ {
@@ -174,20 +185,20 @@ func InTree(degree, depth int, taskCost, edgeCost float64) *Graph {
 	}
 	level := make([]TaskID, width)
 	for i := range level {
-		level[i] = g.AddTask("", taskCost)
+		level[i] = b.AddTask("", taskCost)
 	}
 	for width > 1 {
 		width /= degree
 		next := make([]TaskID, width)
 		for i := range next {
-			next[i] = g.AddTask("", taskCost)
+			next[i] = b.AddTask("", taskCost)
 			for c := 0; c < degree; c++ {
-				g.AddEdge(level[i*degree+c], next[i], edgeCost)
+				b.AddEdge(level[i*degree+c], next[i], edgeCost)
 			}
 		}
 		level = next
 	}
-	return g
+	return build(b)
 }
 
 // FFT builds the task graph of a radix-2 FFT butterfly on 2^logN
@@ -196,22 +207,22 @@ func InTree(degree, depth int, taskCost, edgeCost float64) *Graph {
 // is a standard benchmark graph in the scheduling literature.
 func FFT(logN int, taskCost, edgeCost float64) *Graph {
 	n := 1 << uint(logN)
-	g := New()
+	b := new(Builder)
 	prev := make([]TaskID, n)
 	for i := 0; i < n; i++ {
-		prev[i] = g.AddTask(fmt.Sprintf("fft0_%d", i), taskCost)
+		prev[i] = b.AddTask(fmt.Sprintf("fft0_%d", i), taskCost)
 	}
 	for r := 1; r <= logN; r++ {
 		cur := make([]TaskID, n)
 		stride := 1 << uint(logN-r)
 		for i := 0; i < n; i++ {
-			cur[i] = g.AddTask(fmt.Sprintf("fft%d_%d", r, i), taskCost)
-			g.AddEdge(prev[i], cur[i], edgeCost)
-			g.AddEdge(prev[i^stride], cur[i], edgeCost)
+			cur[i] = b.AddTask(fmt.Sprintf("fft%d_%d", r, i), taskCost)
+			b.AddEdge(prev[i], cur[i], edgeCost)
+			b.AddEdge(prev[i^stride], cur[i], edgeCost)
 		}
 		prev = cur
 	}
-	return g
+	return build(b)
 }
 
 // GaussianElimination builds the task graph of Gaussian elimination on
@@ -219,69 +230,69 @@ func FFT(logN int, taskCost, edgeCost float64) *Graph {
 // by update tasks for columns k+1..n-1, with the usual dependencies.
 // Total tasks: n-1 pivots + sum_{k} (n-1-k) updates.
 func GaussianElimination(n int, taskCost, edgeCost float64) *Graph {
-	g := New()
+	b := new(Builder)
 	// update[j] holds the task that last wrote column j.
 	last := make([]TaskID, n)
 	for j := range last {
 		last[j] = -1
 	}
 	for k := 0; k < n-1; k++ {
-		piv := g.AddTask(fmt.Sprintf("piv%d", k), taskCost)
+		piv := b.AddTask(fmt.Sprintf("piv%d", k), taskCost)
 		if last[k] >= 0 {
-			g.AddEdge(last[k], piv, edgeCost)
+			b.AddEdge(last[k], piv, edgeCost)
 		}
 		for j := k + 1; j < n; j++ {
-			upd := g.AddTask(fmt.Sprintf("upd%d_%d", k, j), taskCost)
-			g.AddEdge(piv, upd, edgeCost)
+			upd := b.AddTask(fmt.Sprintf("upd%d_%d", k, j), taskCost)
+			b.AddEdge(piv, upd, edgeCost)
 			if last[j] >= 0 {
-				g.AddEdge(last[j], upd, edgeCost)
+				b.AddEdge(last[j], upd, edgeCost)
 			}
 			last[j] = upd
 		}
 	}
-	return g
+	return build(b)
 }
 
 // Laplace builds the task graph of a wavefront (Laplace equation /
 // dynamic-programming style) sweep over an n x n grid: task (i,j)
 // depends on (i-1,j) and (i,j-1).
 func Laplace(n int, taskCost, edgeCost float64) *Graph {
-	g := New()
+	b := new(Builder)
 	ids := make([][]TaskID, n)
 	for i := 0; i < n; i++ {
 		ids[i] = make([]TaskID, n)
 		for j := 0; j < n; j++ {
-			ids[i][j] = g.AddTask(fmt.Sprintf("l%d_%d", i, j), taskCost)
+			ids[i][j] = b.AddTask(fmt.Sprintf("l%d_%d", i, j), taskCost)
 			if i > 0 {
-				g.AddEdge(ids[i-1][j], ids[i][j], edgeCost)
+				b.AddEdge(ids[i-1][j], ids[i][j], edgeCost)
 			}
 			if j > 0 {
-				g.AddEdge(ids[i][j-1], ids[i][j], edgeCost)
+				b.AddEdge(ids[i][j-1], ids[i][j], edgeCost)
 			}
 		}
 	}
-	return g
+	return build(b)
 }
 
 // Stencil builds a layered 1-D stencil graph: rows of width tasks where
 // task (r, i) depends on (r-1, i-1), (r-1, i), (r-1, i+1) as available.
 func Stencil(rows, width int, taskCost, edgeCost float64) *Graph {
-	g := New()
+	b := new(Builder)
 	prev := make([]TaskID, width)
 	for i := 0; i < width; i++ {
-		prev[i] = g.AddTask("", taskCost)
+		prev[i] = b.AddTask("", taskCost)
 	}
 	for r := 1; r < rows; r++ {
 		cur := make([]TaskID, width)
 		for i := 0; i < width; i++ {
-			cur[i] = g.AddTask("", taskCost)
+			cur[i] = b.AddTask("", taskCost)
 			for d := -1; d <= 1; d++ {
 				if j := i + d; j >= 0 && j < width {
-					g.AddEdge(prev[j], cur[i], edgeCost)
+					b.AddEdge(prev[j], cur[i], edgeCost)
 				}
 			}
 		}
 		prev = cur
 	}
-	return g
+	return build(b)
 }

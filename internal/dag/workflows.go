@@ -12,33 +12,33 @@ func Montage(w int, taskCost, edgeCost float64) *Graph {
 	if w < 2 {
 		w = 2
 	}
-	g := New()
+	b := new(Builder)
 	proj := make([]TaskID, w)
 	for i := range proj {
-		proj[i] = g.AddTask(fmt.Sprintf("mProject%d", i), taskCost)
+		proj[i] = b.AddTask(fmt.Sprintf("mProject%d", i), taskCost)
 	}
 	// Differences between neighbouring projections.
 	var diffs []TaskID
 	for i := 0; i+1 < w; i++ {
-		d := g.AddTask(fmt.Sprintf("mDiff%d", i), taskCost/2)
-		g.AddEdge(proj[i], d, edgeCost)
-		g.AddEdge(proj[i+1], d, edgeCost)
+		d := b.AddTask(fmt.Sprintf("mDiff%d", i), taskCost/2)
+		b.AddEdge(proj[i], d, edgeCost)
+		b.AddEdge(proj[i+1], d, edgeCost)
 		diffs = append(diffs, d)
 	}
-	fit := g.AddTask("mConcatFit", taskCost)
+	fit := b.AddTask("mConcatFit", taskCost)
 	for _, d := range diffs {
-		g.AddEdge(d, fit, edgeCost/2)
+		b.AddEdge(d, fit, edgeCost/2)
 	}
-	bg := g.AddTask("mBgModel", taskCost)
-	g.AddEdge(fit, bg, edgeCost/2)
-	merge := g.AddTask("mAdd", 2*taskCost)
+	bg := b.AddTask("mBgModel", taskCost)
+	b.AddEdge(fit, bg, edgeCost/2)
+	merge := b.AddTask("mAdd", 2*taskCost)
 	for i := range proj {
-		corr := g.AddTask(fmt.Sprintf("mBackground%d", i), taskCost/2)
-		g.AddEdge(bg, corr, edgeCost/2)
-		g.AddEdge(proj[i], corr, edgeCost)
-		g.AddEdge(corr, merge, edgeCost)
+		corr := b.AddTask(fmt.Sprintf("mBackground%d", i), taskCost/2)
+		b.AddEdge(bg, corr, edgeCost/2)
+		b.AddEdge(proj[i], corr, edgeCost)
+		b.AddEdge(corr, merge, edgeCost)
 	}
-	return g
+	return build(b)
 }
 
 // Epigenomics builds a synthetic Epigenomics-style bioinformatics
@@ -52,19 +52,19 @@ func Epigenomics(lanes, depth int, taskCost, edgeCost float64) *Graph {
 	if depth < 1 {
 		depth = 1
 	}
-	g := New()
-	split := g.AddTask("split", taskCost)
-	merge := g.AddTask("merge", taskCost)
+	b := new(Builder)
+	split := b.AddTask("split", taskCost)
+	merge := b.AddTask("merge", taskCost)
 	for l := 0; l < lanes; l++ {
 		prev := split
 		for d := 0; d < depth; d++ {
-			t := g.AddTask(fmt.Sprintf("lane%d_s%d", l, d), taskCost)
-			g.AddEdge(prev, t, edgeCost)
+			t := b.AddTask(fmt.Sprintf("lane%d_s%d", l, d), taskCost)
+			b.AddEdge(prev, t, edgeCost)
 			prev = t
 		}
-		g.AddEdge(prev, merge, edgeCost)
+		b.AddEdge(prev, merge, edgeCost)
 	}
-	return g
+	return build(b)
 }
 
 // Width returns the maximum number of tasks in any single layer of the
@@ -73,15 +73,11 @@ func Epigenomics(lanes, depth int, taskCost, edgeCost float64) *Graph {
 // NP-hard to compute in general DAG weighted settings; layer width is
 // the standard proxy.)
 func (g *Graph) Width() int {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0
-	}
 	depth := make([]int, g.NumTasks())
 	maxDepth := 0
-	for _, id := range order {
+	for _, id := range g.topo {
 		d := 0
-		for _, eid := range g.pred[id] {
+		for _, eid := range g.pred.of(id) {
 			if v := depth[g.edges[eid].From] + 1; v > d {
 				d = v
 			}
@@ -100,15 +96,4 @@ func (g *Graph) Width() int {
 		}
 	}
 	return width
-}
-
-// Density returns |E| divided by the maximum possible edge count of a
-// DAG on the same tasks, n(n−1)/2; 0 for graphs with fewer than two
-// tasks.
-func (g *Graph) Density() float64 {
-	n := len(g.tasks)
-	if n < 2 {
-		return 0
-	}
-	return float64(len(g.edges)) / (float64(n) * float64(n-1) / 2)
 }

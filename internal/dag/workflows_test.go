@@ -5,9 +5,6 @@ import "testing"
 func TestMontageShape(t *testing.T) {
 	w := 5
 	g := Montage(w, 10, 20)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Tasks: w projections + (w-1) diffs + fit + bg + w corrections + merge.
 	want := w + (w - 1) + 1 + 1 + w + 1
 	if g.NumTasks() != want {
@@ -27,9 +24,6 @@ func TestMontageShape(t *testing.T) {
 
 func TestEpigenomicsShape(t *testing.T) {
 	g := Epigenomics(3, 4, 10, 20)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if g.NumTasks() != 2+3*4 {
 		t.Fatalf("tasks %d, want 14", g.NumTasks())
 	}
@@ -37,10 +31,7 @@ func TestEpigenomicsShape(t *testing.T) {
 		t.Fatalf("sources/sinks %d/%d", len(g.Sources()), len(g.Sinks()))
 	}
 	// Critical path: split + depth stages + merge, with edges.
-	cp, err := g.CriticalPathLength()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := g.CriticalPathLength()
 	want := 6*10.0 + 5*20.0 // 6 tasks, 5 edges on the longest path
 	if cp != want {
 		t.Fatalf("critical path %v, want %v", cp, want)
@@ -61,19 +52,7 @@ func TestWidth(t *testing.T) {
 	if w := Epigenomics(4, 3, 1, 1).Width(); w != 4 {
 		t.Fatalf("epigenomics width %d, want 4", w)
 	}
-	if w := New().Width(); w != 0 {
+	if w := new(Graph).Width(); w != 0 {
 		t.Fatalf("empty width %d", w)
-	}
-}
-
-func TestDensity(t *testing.T) {
-	g := Diamond(1, 1) // 4 tasks, 4 edges, max 6
-	if d := g.Density(); d < 0.66 || d > 0.67 {
-		t.Fatalf("diamond density %v", d)
-	}
-	single := New()
-	single.AddTask("x", 1)
-	if single.Density() != 0 {
-		t.Fatal("singleton density must be 0")
 	}
 }

@@ -55,7 +55,8 @@ type Config struct {
 // remaining zero fields with the reduced defaults. A non-positive
 // processor count or CCR, or MaxTasks below MinTasks, is an error:
 // the instance generator would replace it, while the table printed
-// the requested value.
+// the requested value. So is a CCR above workload.MaxCCR, which no
+// instance can be rescaled to.
 func (c Config) resolve() (Config, error) {
 	for _, p := range c.Procs {
 		if p <= 0 {
@@ -63,8 +64,8 @@ func (c Config) resolve() (Config, error) {
 		}
 	}
 	for _, ccr := range c.CCRs {
-		if ccr <= 0 {
-			return c, fmt.Errorf("experiment: CCR %g is not positive", ccr)
+		if ccr <= 0 || ccr > workload.MaxCCR {
+			return c, fmt.Errorf("experiment: CCR %g is outside (0, %g]", ccr, workload.MaxCCR)
 		}
 	}
 	if c.Reps <= 0 {

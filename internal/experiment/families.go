@@ -117,8 +117,10 @@ func Families(cfg FamilyConfig) (*FamilyResult, error) {
 		row := FamilyRow{Family: fam.name}
 		ms := make([][]float64, len(cfg.Algorithms))
 		for rep := 0; rep < cfg.Reps; rep++ {
-			g := fam.gen()
-			g.ScaleToCCR(cfg.CCR)
+			g, err := fam.gen().ScaleToCCR(cfg.CCR)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: families: %s: %w", fam.name, err)
+			}
 			row.Tasks = g.NumTasks()
 			row.Width = g.Width()
 			proc := network.Uniform(1)

@@ -81,7 +81,7 @@ var graphQuirks = []string{
 
 // FuzzReadGraph checks ReadGraph against the encoding/json reference:
 // both accept or both reject, and accepted graphs are bit-identical.
-// Every accepted graph also validates and round-trips.
+// Every accepted graph also round-trips.
 func FuzzReadGraph(f *testing.F) {
 	f.Add(`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":2}],"edges":[{"from":0,"to":1,"cost":3}]}`)
 	f.Add(`{"tasks":[],"edges":[]}`)
@@ -101,9 +101,6 @@ func FuzzReadGraph(f *testing.F) {
 		}
 		if err := sameGraph(g, want); err != nil {
 			t.Fatal(err)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
 		}
 		var buf bytes.Buffer
 		if err := WriteGraph(&buf, g); err != nil {

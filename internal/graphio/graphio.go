@@ -44,8 +44,8 @@ func WriteGraph(w io.Writer, g *dag.Graph) error {
 	return enc.Encode(doc)
 }
 
-// ReadGraph parses a task graph from JSON and validates it. It reads
-// r to the end; a read error is returned wrapped.
+// ReadGraph parses a task graph from JSON and builds it, which checks
+// it. It reads r to the end; a read error is returned wrapped.
 func ReadGraph(r io.Reader) (*dag.Graph, error) {
 	var doc graphDoc
 	if err := decode(r, &doc); err != nil {
@@ -54,23 +54,17 @@ func ReadGraph(r io.Reader) (*dag.Graph, error) {
 	return doc.build()
 }
 
-// build makes the graph a decoded document describes and validates it.
+// build makes the graph a decoded document describes.
 func (doc *graphDoc) build() (*dag.Graph, error) {
-	g := dag.New()
+	var b dag.Builder
 	for _, t := range doc.Tasks {
-		g.AddTask(t.Name, t.Cost)
+		b.AddTask(t.Name, t.Cost)
 	}
-	n := len(doc.Tasks)
-	for i, e := range doc.Edges {
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return nil, fmt.Errorf("graphio: edge %d references task outside [0,%d)", i, n)
-		}
-		if e.From == e.To {
-			return nil, fmt.Errorf("graphio: edge %d is a self-loop on task %d", i, e.From)
-		}
-		g.AddEdge(dag.TaskID(e.From), dag.TaskID(e.To), e.Cost)
+	for _, e := range doc.Edges {
+		b.AddEdge(dag.TaskID(e.From), dag.TaskID(e.To), e.Cost)
 	}
-	if err := g.Validate(); err != nil {
+	g, err := b.Build()
+	if err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
 	return g, nil

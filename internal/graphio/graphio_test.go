@@ -40,6 +40,32 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadGraphAllocs pins decode allocations at one per task (its
+// name) plus a small constant: the graph is built into flat arrays, with
+// no per-task adjacency slices.
+func TestReadGraphAllocs(t *testing.T) {
+	for _, n := range []int{150, 3000} {
+		g := dag.RandomLayered(rand.New(rand.NewSource(1)), dag.RandomLayeredParams{
+			Tasks:    n,
+			TaskCost: dag.CostDist{Lo: 1, Hi: 50},
+			EdgeCost: dag.CostDist{Lo: 1, Hi: 200},
+		})
+		var buf bytes.Buffer
+		if err := WriteGraph(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.Bytes()
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := ReadGraph(bytes.NewReader(body)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(n + 100); allocs > limit {
+			t.Errorf("%d tasks, %d edges: %v allocations per decode, want at most %v", n, g.NumEdges(), allocs, limit)
+		}
+	}
+}
+
 func TestGraphReadRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
 		"bad json":     `{`,

@@ -580,23 +580,3 @@ func (t *Timeline) LastEnd() float64 {
 	}
 	return t.st.slabs[len(t.st.slabs)-1].last().End
 }
-
-// Utilization returns the fraction of [0, horizon] occupied by slots.
-func (t *Timeline) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	busy := 0.0
-	for k := range t.st.slabs {
-		for _, s := range t.st.slabs[k].items {
-			a, b := s.Start, s.End
-			if b > horizon {
-				b = horizon
-			}
-			if b > a {
-				busy += b - a
-			}
-		}
-	}
-	return busy / horizon
-}

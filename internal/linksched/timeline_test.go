@@ -230,7 +230,7 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestUtilizationAndLastEnd(t *testing.T) {
+func TestLastEnd(t *testing.T) {
 	tl := NewTimeline()
 	if tl.LastEnd() != 0 {
 		t.Fatalf("empty LastEnd=%v", tl.LastEnd())
@@ -239,12 +239,6 @@ func TestUtilizationAndLastEnd(t *testing.T) {
 	tl.InsertBasic(o(1, 0), Request{ES: 6, PF: 6, Dur: 2})
 	if got := tl.LastEnd(); got != 8 {
 		t.Fatalf("LastEnd=%v, want 8", got)
-	}
-	if got := tl.Utilization(8); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("Utilization=%v, want 0.5", got)
-	}
-	if got := tl.Utilization(0); got != 0 {
-		t.Fatalf("Utilization(0)=%v", got)
 	}
 }
 

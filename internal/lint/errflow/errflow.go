@@ -3,8 +3,8 @@
 // errors (malformed DAGs, infeasible reservations, verifier reports);
 // a call like
 //
-//	g.CriticalPathLength()        // result ignored entirely
-//	order, _ := g.PriorityOrder() // error blanked
+//	net.Validate()    // result ignored entirely
+//	g, _ := b.Build() // error blanked
 //
 // silently turns "the input was invalid" into "the numbers are
 // garbage". Third-party and stdlib calls are out of scope — this

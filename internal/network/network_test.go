@@ -353,16 +353,21 @@ func TestUniformRangeBounds(t *testing.T) {
 
 func TestDegreesAndNeighbors(t *testing.T) {
 	top := Star(3, Uniform(1), Uniform(1))
-	deg := top.Degrees()
-	// Hub has 3 outgoing links, each processor 1.
-	hubDeg := 0
+	// Hub has 3 outgoing links, each processor 1 to the hub.
 	for _, n := range top.Nodes() {
+		hops := top.Neighbors(n.ID)
+		want := 1
 		if n.Kind == Switch {
-			hubDeg = deg[n.ID]
+			want = 3
 		}
-	}
-	if hubDeg != 3 {
-		t.Errorf("hub degree %d, want 3", hubDeg)
+		if len(hops) != want {
+			t.Errorf("node %d has %d neighbors, want %d", n.ID, len(hops), want)
+		}
+		for _, h := range hops {
+			if l := top.Link(h.Link); l.From != n.ID || l.To != h.To {
+				t.Errorf("node %d: hop %+v does not match link %+v", n.ID, h, l)
+			}
+		}
 	}
 }
 

@@ -216,23 +216,6 @@ func (t *Topology) MeanLinkSpeed() float64 {
 	return sum / float64(len(t.links))
 }
 
-// HarmonicMeanLinkSpeed returns the harmonic mean of link speeds: the
-// speed whose reciprocal is the average per-unit transfer time. For
-// estimating the expected duration of a transfer over an unknown link
-// this is the correct averaging (transfer times are reciprocals of
-// speeds); on heterogeneous networks it is substantially lower than
-// the arithmetic mean. Returns 1 for a topology without links.
-func (t *Topology) HarmonicMeanLinkSpeed() float64 {
-	if len(t.links) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, l := range t.links {
-		sum += 1 / l.Speed
-	}
-	return float64(len(t.links)) / sum
-}
-
 // Validate checks that every pair of processors can communicate, that
 // all speeds are positive, and that adjacency is consistent.
 func (t *Topology) Validate() error {
@@ -290,16 +273,6 @@ func (t *Topology) Neighbors(id NodeID) []struct {
 	for i, h := range t.adj[id] {
 		out[i].Link = h.Link
 		out[i].To = h.To
-	}
-	return out
-}
-
-// Degrees returns the out-degree of every node, useful for topology
-// statistics in experiments.
-func (t *Topology) Degrees() []int {
-	out := make([]int, len(t.nodes))
-	for i := range t.adj {
-		out[i] = len(t.adj[i])
 	}
 	return out
 }

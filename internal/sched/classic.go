@@ -26,14 +26,7 @@ func (c *Classic) Name() string { return "Classic" }
 // schedule has Ideal set and no edge schedules; its makespan is the
 // ideal-model prediction, not a network-feasible value.
 func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := g.PriorityOrder()
-	if err != nil {
 		return nil, err
 	}
 	mls := net.MeanLinkSpeed()
@@ -42,7 +35,7 @@ func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, erro
 		tasks[i] = TaskPlacement{Task: dag.TaskID(i), Proc: -1}
 	}
 	procFinish := make([]float64, net.NumNodes())
-	for _, tid := range order {
+	for _, tid := range priorityOrder(g, PriorityBottomLevel) {
 		best := network.NodeID(-1)
 		bestFinish := math.Inf(1)
 		bestStart := 0.0

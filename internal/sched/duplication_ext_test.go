@@ -19,12 +19,13 @@ func TestDuplicatesReachTheSchedule(t *testing.T) {
 	// dearer than the source itself: re-running the source beats
 	// shipping its data, so every child placed away from the source
 	// duplicates it.
-	g := dag.New()
-	src := g.AddTask("src", 1)
+	gb := new(dag.Builder)
+	src := gb.AddTask("src", 1)
 	for i, cost := range []float64{100, 90, 80} {
-		c := g.AddTask(string(rune('a'+i)), cost)
-		g.AddEdge(src, c, 50)
+		c := gb.AddTask(string(rune('a'+i)), cost)
+		gb.AddEdge(src, c, 50)
 	}
+	g := mustBuild(t, gb)
 	net := network.Star(3, network.Uniform(1), network.Uniform(1))
 	p := net.Processors()
 

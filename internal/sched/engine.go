@@ -266,17 +266,13 @@ func (e *Engine) run(g *dag.Graph, s *state) (out *Schedule, err error) {
 	return out, nil
 }
 
-// selfCheck re-runs the request cold — fresh state, empty route
-// cache — and fails with ErrSelfCheck if the engine's schedule is not
-// bit-identical. It turns "state reuse and sharing change nothing" into
-// a checked runtime contract.
+// selfCheck re-runs the request cold — a fresh state, whose router
+// holds no BFS tree — and fails with ErrSelfCheck if the engine's
+// schedule is not bit-identical. It turns "state reuse and sharing
+// change nothing" into a checked runtime contract.
 func (e *Engine) selfCheck(g *dag.Graph, got *Schedule) error {
 	e.selfChecks.Add(1)
-	s, err := newState(g, e.net, e.opts)
-	if err != nil {
-		return fmt.Errorf("%w: setup: %w", ErrSelfCheck, err)
-	}
-	want, err := scheduleOn(s, e.name, nil)
+	want, _, err := new(state).run(g, e.net, e.opts, e.name, nil)
 	if err != nil {
 		return fmt.Errorf("%w: cold run: %w", ErrSelfCheck, err)
 	}

@@ -84,10 +84,7 @@ func TestResetForNoResidue(t *testing.T) {
 			big := hygieneGraph(7, 40)
 			small := hygieneGraph(8, 9)
 
-			reused, err := newState(big, c.prevNet, c.prevOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			reused := mkState(t, big, c.prevNet, c.prevOpts)
 			if _, err := scheduleOn(reused, "big", nil); err != nil {
 				t.Fatal(err)
 			}
@@ -99,10 +96,7 @@ func TestResetForNoResidue(t *testing.T) {
 				t.Fatal("reset kept the relaxation closure cached under different options")
 			}
 
-			fresh, err := newState(small, c.net, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh := mkState(t, small, c.net, c.opts)
 			if d := fresh.captureFingerprint().diff(reused); d != "" {
 				t.Fatalf("run N residue visible to run N+1: %s", d)
 			}
@@ -131,10 +125,7 @@ func TestResetForNoResidue(t *testing.T) {
 func TestResetForJournalSizes(t *testing.T) {
 	net := network.Star(4, network.Uniform(1), network.Uniform(1))
 	opts := Options{ProcSelect: ProcSelectEFT}
-	s, err := newState(hygieneGraph(11, 30), net, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mkState(t, hygieneGraph(11, 30), net, opts)
 	if _, err := scheduleOn(s, "x", nil); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // FreshSchedule runs a as its one-shot Schedule does, but on a fresh
-// state whose router holds no BFS tree (newState, the cold oracle) instead
+// state whose router holds no BFS tree (the self-check's cold run) instead
 // of a pooled one. Algorithms without a scheduler state run as they
 // are. It lets the external tests, which can verify schedules, compare
 // pooled one-shot runs against cold ones.
@@ -31,9 +31,6 @@ func FreshSchedule(a Algorithm, g *dag.Graph, net *network.Topology) (*Schedule,
 	default:
 		return a.Schedule(g, net)
 	}
-	s, err := newState(g, net, opts)
-	if err != nil {
-		return nil, err
-	}
-	return scheduleOn(s, name, assign)
+	out, _, err := new(state).run(g, net, opts, name, assign)
+	return out, err
 }

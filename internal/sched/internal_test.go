@@ -11,14 +11,23 @@ import (
 	"repro/internal/network"
 )
 
-// mkState builds a fresh state for white-box tests.
+// mkState binds a fresh state to g on net under opts for white-box
+// tests.
 func mkState(t *testing.T, g *dag.Graph, net *network.Topology, opts Options) *state {
 	t.Helper()
-	s, err := newState(g, net, opts)
+	s := new(state)
+	s.reset(g, net, opts)
+	return s
+}
+
+// mustBuild builds b, failing the test on an error.
+func mustBuild(t *testing.T, b *dag.Builder) *dag.Graph {
+	t.Helper()
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return g
 }
 
 // edgeView materializes the columnar store's record of one edge (nil if
@@ -28,12 +37,13 @@ func (s *state) edgeView(id dag.EdgeID) *EdgeSchedule {
 }
 
 func TestReadyTime(t *testing.T) {
-	g := dag.New()
-	a := g.AddTask("a", 10)
-	b := g.AddTask("b", 20)
-	c := g.AddTask("c", 1)
-	g.AddEdge(a, c, 5)
-	g.AddEdge(b, c, 5)
+	gb := new(dag.Builder)
+	a := gb.AddTask("a", 10)
+	b := gb.AddTask("b", 20)
+	c := gb.AddTask("c", 1)
+	gb.AddEdge(a, c, 5)
+	gb.AddEdge(b, c, 5)
+	g := mustBuild(t, gb)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
 	p := net.Processors()
@@ -55,12 +65,13 @@ func TestReadyTime(t *testing.T) {
 func TestCommAtReadyDelaysEarlyPredecessor(t *testing.T) {
 	// a (fast) and b (slow) feed c. Under CommAtReady, a's data may not
 	// enter the network before b finishes.
-	g := dag.New()
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 50)
-	c := g.AddTask("c", 1)
-	ea := g.AddEdge(a, c, 10)
-	g.AddEdge(b, c, 10)
+	gb := new(dag.Builder)
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 50)
+	c := gb.AddTask("c", 1)
+	ea := gb.AddEdge(a, c, 10)
+	gb.AddEdge(b, c, 10)
+	g := mustBuild(t, gb)
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
 	p := net.Processors()
 
@@ -371,12 +382,13 @@ func TestMutatorsRollBack(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// a feeds b across the link and c on its own processor, so
 			// edge 0 is scheduled and edge 1 holds no record.
-			g := dag.New()
-			a := g.AddTask("a", 1)
-			b := g.AddTask("b", 1)
-			c := g.AddTask("c", 1)
-			g.AddEdge(a, b, 100)
-			g.AddEdge(a, c, 100)
+			gb := new(dag.Builder)
+			a := gb.AddTask("a", 1)
+			b := gb.AddTask("b", 1)
+			c := gb.AddTask("c", 1)
+			gb.AddEdge(a, b, 100)
+			gb.AddEdge(a, c, 100)
+			g := mustBuild(t, gb)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
 			s := mkState(t, g, net, r.opts)
 			p := net.Processors()
@@ -518,16 +530,17 @@ func TestRollbackWithoutTxnIsNoop(t *testing.T) {
 // TestOrderedPreds pins the three edge orders, stable on equal costs,
 // and that a warm state sorts without allocating.
 func TestOrderedPreds(t *testing.T) {
-	g := dag.New()
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	c := g.AddTask("c", 1)
-	x := g.AddTask("x", 1)
-	d := g.AddTask("d", 1)
-	e1 := g.AddEdge(a, d, 10)
-	e2 := g.AddEdge(b, d, 30)
-	e3 := g.AddEdge(c, d, 20)
-	e4 := g.AddEdge(x, d, 20)
+	gb := new(dag.Builder)
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 1)
+	c := gb.AddTask("c", 1)
+	x := gb.AddTask("x", 1)
+	d := gb.AddTask("d", 1)
+	e1 := gb.AddEdge(a, d, 10)
+	e2 := gb.AddEdge(b, d, 30)
+	e3 := gb.AddEdge(c, d, 20)
+	e4 := gb.AddEdge(x, d, 20)
+	g := mustBuild(t, gb)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 
 	for _, c := range []struct {
@@ -603,11 +616,12 @@ func TestSelectByEstimatePrefersPredecessorProcessor(t *testing.T) {
 }
 
 func TestTaskInsertionUsesGapWhiteBox(t *testing.T) {
-	g := dag.New()
-	a := g.AddTask("a", 10)
-	b := g.AddTask("b", 10)
-	c := g.AddTask("c", 5)
-	g.AddEdge(a, b, 30)
+	gb := new(dag.Builder)
+	a := gb.AddTask("a", 10)
+	b := gb.AddTask("b", 10)
+	c := gb.AddTask("c", 5)
+	gb.AddEdge(a, b, 30)
+	g := mustBuild(t, gb)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	p := net.Processors()
 
@@ -636,28 +650,23 @@ func TestTaskInsertionUsesGapWhiteBox(t *testing.T) {
 }
 
 func TestScheduleRejectsInvalidInputs(t *testing.T) {
-	// Cyclic graph.
-	g := dag.New()
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	g.AddEdge(a, b, 1)
-	g.AddEdge(b, a, 1)
-	net := network.Line(2, network.Uniform(1), network.Uniform(1))
-	if _, err := NewBA().Schedule(g, net); err == nil {
-		t.Fatal("cyclic graph accepted")
+	// A cyclic graph never reaches a scheduler: Build rejects it.
+	var gb dag.Builder
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 1)
+	gb.AddEdge(a, b, 1)
+	gb.AddEdge(b, a, 1)
+	if _, err := gb.Build(); err != dag.ErrCycle {
+		t.Fatalf("cyclic graph: %v, want dag.ErrCycle", err)
 	}
 	// Disconnected network.
-	g2 := dag.Chain(2, 1, 1)
+	g := dag.Chain(2, 1, 1)
 	bad := network.NewTopology()
 	bad.AddProcessor("a", 1)
 	bad.AddProcessor("b", 1)
-	if _, err := NewBA().Schedule(g2, bad); err == nil {
-		t.Fatal("disconnected network accepted")
-	}
-	if _, err := NewClassic().Schedule(g, net); err == nil {
-		t.Fatal("classic accepted cyclic graph")
-	}
-	if _, err := NewClassicReplay().Schedule(g, net); err == nil {
-		t.Fatal("replay accepted cyclic graph")
+	for _, alg := range []Algorithm{NewBA(), NewClassic(), NewClassicReplay()} {
+		if _, err := alg.Schedule(g, bad); err == nil {
+			t.Fatalf("%s accepted a disconnected network", alg.Name())
+		}
 	}
 }

@@ -317,15 +317,16 @@ func (o Options) validate() error {
 }
 
 // priorityOrder returns the task order selected by the options.
-func priorityOrder(g *dag.Graph, p Priority) ([]dag.TaskID, error) {
+func priorityOrder(g *dag.Graph, p Priority) []dag.TaskID {
 	switch p {
 	case PriorityCompBottomLevel:
 		return g.CompPriorityOrder()
 	case PriorityCriticality:
 		return g.CriticalityPriorityOrder()
-	default:
-		return g.PriorityOrder()
 	}
+	// edgelint:ignore errflow — the error is always nil on a built graph
+	order, _ := g.PriorityOrder()
+	return order
 }
 
 // ListScheduler is the unified contention-aware list scheduler. The
@@ -449,25 +450,6 @@ type state struct {
 	relaxFn       network.RelaxFunc
 }
 
-// newState binds a zero state, whose router holds no BFS tree, to a
-// run of g on net under opts, after validating all three. It is the
-// engine self-check's cold oracle: every other run draws a warm state,
-// from the one-shot pool (oneShot) or an Engine worker slot.
-func newState(g *dag.Graph, net *network.Topology, opts Options) (*state, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	s := new(state)
-	s.reset(g, net, opts)
-	return s, nil
-}
-
 // statePool holds the warm states of one-shot runs. A one-shot call
 // borrows one for the length of the call, so steady-state calls reuse
 // the timeline slabs, edge arenas, journals and router scratch of
@@ -498,14 +480,11 @@ func oneShot(g *dag.Graph, net *network.Topology, opts Options, name string, ass
 	return out, err
 }
 
-// run validates g, binds s to a run of g on net under opts and
-// schedules it: the one path of every warm state, pooled (oneShot) or
-// slot-owned (Engine.run). net and opts must have been validated.
-// rebound reports whether reset bound s to another topology.
+// run binds s to a run of g on net under opts and schedules it: the one
+// path of every state, pooled (oneShot), slot-owned (Engine.run) or
+// fresh (the self-check's cold run). net and opts must have been
+// validated. rebound reports whether reset bound s to another topology.
 func (s *state) run(g *dag.Graph, net *network.Topology, opts Options, name string, assign []network.NodeID) (out *Schedule, rebound bool, err error) {
-	if err := g.Validate(); err != nil {
-		return nil, false, err
-	}
 	rebound = s.reset(g, net, opts)
 	out, err = scheduleOn(s, name, assign)
 	return out, rebound, err
@@ -526,9 +505,9 @@ func (s *state) release() bool {
 
 // reset binds s to a run of g on net under opts and rewinds everything
 // run-visible to the cold-start value while keeping every backing
-// capacity it can. It is the one state initializer, for three holders
-// of states: Engine worker slots and the one-shot pool (both through
-// run), and the self-check's fresh state (newState).
+// capacity it can. It is the one state initializer, reached through
+// run by all three holders of states: Engine worker slots, the one-shot
+// pool, and the self-check's fresh state.
 // Whatever s did before — a different graph, topology or policy set —
 // leaves no residue:
 //
@@ -618,12 +597,9 @@ func (l *ListScheduler) Schedule(g *dag.Graph, net *network.Topology) (*Schedule
 // returns its result. A nil assign selects each task's processor by the
 // options' policy; otherwise assign fixes it (ScheduleAssignment).
 func scheduleOn(s *state, name string, assign []network.NodeID) (*Schedule, error) {
-	order, err := priorityOrder(s.g, s.opts.Priority)
-	if err != nil {
-		return nil, err
-	}
-	for _, tid := range order {
+	for _, tid := range priorityOrder(s.g, s.opts.Priority) {
 		var proc network.NodeID
+		var err error
 		if assign != nil {
 			proc = assign[tid]
 		} else if proc, err = s.selectProcessor(tid); err != nil {
@@ -677,7 +653,7 @@ func (s *state) selectProcessor(tid dag.TaskID) (network.NodeID, error) {
 }
 
 // unplaceable is the error for a task with no finite finish time: its
-// cost or an incoming transfer overflows float64 time. Validation
+// cost or an incoming transfer overflows float64 time. dag.Builder.Build
 // admits such inputs (a cost up to 1e300 on a speed just above zero),
 // so it is the caller's error, never a placement.
 func unplaceable(g *dag.Graph, tid dag.TaskID) error {

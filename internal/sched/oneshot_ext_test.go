@@ -23,9 +23,9 @@ type oneShotStep struct {
 // oneShotSequence mixes every ByName preset over topologies with more
 // links, then fewer, then more again, so pooled states are rebound
 // across policy sets and topologies of every size in both directions.
-// A cyclic graph and a graph with an unplaceable task sit in between:
-// a failed run hands its state back to the pool like any other.
-func oneShotSequence() []oneShotStep {
+// Runs of a graph with an unplaceable task sit in between: a failed run
+// hands its state back to the pool like any other.
+func oneShotSequence(t *testing.T) []oneShotStep {
 	r := rand.New(rand.NewSource(3))
 	nets := []*network.Topology{
 		network.RandomCluster(r, network.RandomClusterParams{Processors: 8}),
@@ -33,14 +33,9 @@ func oneShotSequence() []oneShotStep {
 		network.Line(3, network.Uniform(1), network.Uniform(2)),
 		network.RandomCluster(r, network.RandomClusterParams{Processors: 12}),
 	}
-	cyclic := dag.New()
-	a, b := cyclic.AddTask("a", 1), cyclic.AddTask("b", 1)
-	cyclic.AddEdge(a, b, 1)
-	cyclic.AddEdge(b, a, 1)
-	unplaceable := dag.New()
-	x := unplaceable.AddTask("x", 1)
-	y := unplaceable.AddTask("y", 1e300)
-	unplaceable.AddEdge(x, y, 1)
+	var b dag.Builder
+	b.AddEdge(b.AddTask("x", 1), b.AddTask("y", 1e300), 1)
+	unplaceable := mustBuild(t, &b)
 	slowProcs := network.Star(2, network.Uniform(1e-10), network.Uniform(1))
 
 	var steps []oneShotStep
@@ -49,7 +44,7 @@ func oneShotSequence() []oneShotStep {
 			steps = append(steps, oneShotStep{algo, engineGraph(4*i + j), net})
 		}
 		steps = append(steps,
-			oneShotStep{"OIHSA", cyclic, net},
+			oneShotStep{"OIHSA", unplaceable, slowProcs},
 			oneShotStep{"BBSA", unplaceable, slowProcs},
 			oneShotStep{"BA-EFT", engineGraph(i), net})
 	}
@@ -89,7 +84,7 @@ func runOneShotSequence(steps []oneShotStep) error {
 // fresh state and verifies. Four goroutines then run the sequence at
 // once, so under -race no two calls may share a pooled state.
 func TestOneShotMatchesFreshState(t *testing.T) {
-	steps := oneShotSequence()
+	steps := oneShotSequence(t)
 	if err := runOneShotSequence(steps); err != nil {
 		t.Fatal(err)
 	}

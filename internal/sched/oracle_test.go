@@ -64,11 +64,7 @@ func TestRollbackOracleProperty(t *testing.T) {
 					net := network.RandomCluster(r, network.RandomClusterParams{Processors: 6})
 
 					s := mkState(t, g, net, opts)
-					order, err := priorityOrder(g, opts.Priority)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, tid := range order {
+					for _, tid := range priorityOrder(g, opts.Priority) {
 						fp := s.captureFingerprint()
 						for _, p := range net.Processors() {
 							if _, err := s.probe(tid, p); err != nil {

@@ -23,6 +23,16 @@ func algorithms() []sched.Algorithm {
 	}
 }
 
+// mustBuild builds b, failing the test on an error.
+func mustBuild(t testing.TB, b *dag.Builder) *dag.Graph {
+	t.Helper()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func mustSchedule(t *testing.T, a sched.Algorithm, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
 	s, err := a.Schedule(g, net)
@@ -43,8 +53,9 @@ func mustSchedule(t *testing.T, a sched.Algorithm, g *dag.Graph, net *network.To
 }
 
 func TestSingleTask(t *testing.T) {
-	g := dag.New()
-	g.AddTask("only", 10)
+	gb := new(dag.Builder)
+	gb.AddTask("only", 10)
+	g := mustBuild(t, gb)
 	net := network.Star(3, network.Uniform(2), network.Uniform(1))
 	for _, a := range algorithms() {
 		s := mustSchedule(t, a, g, net)
@@ -115,18 +126,19 @@ func TestDiamondExactMakespanTwoProcs(t *testing.T) {
 func TestContentionForcesSerializedTransfers(t *testing.T) {
 	// Star with one hub: two edges from the same source processor must
 	// share the source's uplink; with exclusive slots they serialize.
-	g := dag.New()
-	src := g.AddTask("src", 1)
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	g.AddEdge(src, a, 50)
-	g.AddEdge(src, b, 50)
+	gb := new(dag.Builder)
+	src := gb.AddTask("src", 1)
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 1)
+	gb.AddEdge(src, a, 50)
+	gb.AddEdge(src, b, 50)
+	g := mustBuild(t, gb)
 	net := network.Star(3, network.Uniform(1), network.Uniform(1))
 	s := mustSchedule(t, sched.NewBA(), g, net)
 	// If a and b land on distinct non-source processors, both transfers
 	// cross the source uplink: second arrival ≥ 1 + 50 + 50 = 101.
-	pa, pb := s.ProcOf(1), s.ProcOf(2)
-	ps := s.ProcOf(0)
+	pa, pb := s.Tasks[1].Proc, s.Tasks[2].Proc
+	ps := s.Tasks[0].Proc
 	if pa != ps && pb != ps && pa != pb {
 		arr1, arr2 := s.ArrivalOf(0), s.ArrivalOf(1)
 		later := math.Max(arr1, arr2)
@@ -139,12 +151,13 @@ func TestContentionForcesSerializedTransfers(t *testing.T) {
 func TestBBSASharesBandwidthOnUplink(t *testing.T) {
 	// Same scenario: BBSA may overlap the two transfers at half rate
 	// each; both arrive by 1 + 100 = 101 but can also interleave.
-	g := dag.New()
-	src := g.AddTask("src", 1)
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	g.AddEdge(src, a, 50)
-	g.AddEdge(src, b, 50)
+	gb := new(dag.Builder)
+	src := gb.AddTask("src", 1)
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 1)
+	gb.AddEdge(src, a, 50)
+	gb.AddEdge(src, b, 50)
+	g := mustBuild(t, gb)
 	net := network.Star(3, network.Uniform(1), network.Uniform(1))
 	s := mustSchedule(t, sched.NewBBSA(), g, net)
 	if s.Makespan <= 0 {
@@ -158,12 +171,14 @@ func TestOIHSANotWorseThanBAOnAverage(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var sumBA, sumOI, sumBB float64
 	for trial := 0; trial < 12; trial++ {
-		g := dag.RandomLayered(r, dag.RandomLayeredParams{
+		g, err := dag.RandomLayered(r, dag.RandomLayeredParams{
 			Tasks:    60,
 			TaskCost: dag.CostDist{Lo: 1, Hi: 100},
 			EdgeCost: dag.CostDist{Lo: 1, Hi: 100},
-		})
-		g.ScaleToCCR(2.0)
+		}).ScaleToCCR(2.0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		net := network.RandomCluster(r, network.RandomClusterParams{
 			Processors: 8,
 			ProcSpeed:  network.Uniform(1),
@@ -224,13 +239,15 @@ func TestSchedulePropertyRandomInstances(t *testing.T) {
 	// Broad randomized soak: every produced schedule must verify.
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
-		g := dag.RandomLayered(r, dag.RandomLayeredParams{
+		g, err := dag.RandomLayered(r, dag.RandomLayeredParams{
 			Tasks:    10 + r.Intn(80),
 			TaskCost: dag.CostDist{Lo: 1, Hi: 1000},
 			EdgeCost: dag.CostDist{Lo: 1, Hi: 1000},
 			FanOut:   1 + r.Intn(5),
-		})
-		g.ScaleToCCR(0.1 + r.Float64()*9.9)
+		}).ScaleToCCR(0.1 + r.Float64()*9.9)
+		if err != nil {
+			t.Fatal(err)
+		}
 		procs := 2 + r.Intn(15)
 		var net *network.Topology
 		switch trial % 3 {
@@ -547,12 +564,13 @@ func TestDuplicationAvoidsExpensiveTransfer(t *testing.T) {
 	// A cheap source feeding two consumers with huge edges: with
 	// duplication, each consumer's processor re-runs the source and no
 	// data crosses the network.
-	g := dag.New()
-	src := g.AddTask("src", 2)
-	a := g.AddTask("a", 10)
-	b := g.AddTask("b", 10)
-	g.AddEdge(src, a, 500)
-	g.AddEdge(src, b, 500)
+	gb := new(dag.Builder)
+	src := gb.AddTask("src", 2)
+	a := gb.AddTask("a", 10)
+	b := gb.AddTask("b", 10)
+	gb.AddEdge(src, a, 500)
+	gb.AddEdge(src, b, 500)
+	g := mustBuild(t, gb)
 	net := network.Star(3, network.Uniform(1), network.Uniform(1))
 
 	plain := sched.NewOIHSA().Opts
@@ -597,10 +615,11 @@ func TestDuplicationVerifiesOnRandomInstances(t *testing.T) {
 func TestDuplicationWithEFTRollsBack(t *testing.T) {
 	// EFT probes every processor tentatively; duplicates placed during
 	// rejected probes must vanish.
-	g := dag.New()
-	src := g.AddTask("src", 2)
-	a := g.AddTask("a", 10)
-	g.AddEdge(src, a, 500)
+	gb := new(dag.Builder)
+	src := gb.AddTask("src", 2)
+	a := gb.AddTask("a", 10)
+	gb.AddEdge(src, a, 500)
+	g := mustBuild(t, gb)
 	net := network.Star(4, network.Uniform(1), network.Uniform(1))
 	opts := sched.NewBASinnen().Opts
 	opts.Duplication = true
@@ -650,12 +669,13 @@ func TestTaskInsertionVerifiesAndHelps(t *testing.T) {
 func TestTaskInsertionFillsGap(t *testing.T) {
 	// One processor, a chain creating a gap, then an independent task
 	// that fits in the gap: insertion must use it, append must not.
-	g := dag.New()
-	a := g.AddTask("a", 10) // [0,10]
-	b := g.AddTask("b", 10) // needs a's data via the network → gap on P0
-	gap := g.AddTask("gap", 5)
+	gb := new(dag.Builder)
+	a := gb.AddTask("a", 10) // [0,10]
+	b := gb.AddTask("b", 10) // needs a's data via the network → gap on P0
+	gap := gb.AddTask("gap", 5)
 	_ = gap
-	g.AddEdge(a, b, 30)
+	gb.AddEdge(a, b, 30)
+	g := mustBuild(t, gb)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	// Force with a custom scheduler that places everything on P0 except
 	// b on P1... simpler: single-processor machine has no gaps, so use
@@ -700,12 +720,13 @@ func TestEFTSelectsContentionAwareBest(t *testing.T) {
 	// Two big edges from one source: EFT should discover that fanning
 	// both children out saturates the source's uplink and colocate at
 	// least one child with the source.
-	g := dag.New()
-	src := g.AddTask("src", 1)
-	a := g.AddTask("a", 1)
-	b := g.AddTask("b", 1)
-	g.AddEdge(src, a, 1000)
-	g.AddEdge(src, b, 1000)
+	gb := new(dag.Builder)
+	src := gb.AddTask("src", 1)
+	a := gb.AddTask("a", 1)
+	b := gb.AddTask("b", 1)
+	gb.AddEdge(src, a, 1000)
+	gb.AddEdge(src, b, 1000)
+	g := mustBuild(t, gb)
 	net := network.Star(3, network.Uniform(1), network.Uniform(1))
 	s := mustSchedule(t, sched.NewBASinnen(), g, net)
 	onSrc := 0
@@ -721,12 +742,13 @@ func TestEFTSelectsContentionAwareBest(t *testing.T) {
 
 func TestZeroCostEdgesAndTasks(t *testing.T) {
 	// Zero-cost tasks and edges must not break any engine.
-	g := dag.New()
-	a := g.AddTask("a", 0)
-	b := g.AddTask("b", 0)
-	c := g.AddTask("c", 5)
-	g.AddEdge(a, b, 0)
-	g.AddEdge(b, c, 0)
+	gb := new(dag.Builder)
+	a := gb.AddTask("a", 0)
+	b := gb.AddTask("b", 0)
+	c := gb.AddTask("c", 5)
+	gb.AddEdge(a, b, 0)
+	gb.AddEdge(b, c, 0)
+	g := mustBuild(t, gb)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	for _, alg := range []sched.Algorithm{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()} {
 		s := mustSchedule(t, alg, g, net)
@@ -739,14 +761,15 @@ func TestZeroCostEdgesAndTasks(t *testing.T) {
 	// two links: those legs hold no slot, so optimal insertion must not
 	// record slack for them. Odd children send real data to the sink, so
 	// slotted edges share the links with the empty ones.
-	fan := dag.New()
-	root := fan.AddTask("root", 2)
-	sink := fan.AddTask("sink", 1)
+	fanb := new(dag.Builder)
+	root := fanb.AddTask("root", 2)
+	sink := fanb.AddTask("sink", 1)
 	for i := 0; i < 6; i++ {
-		c := fan.AddTask("c"+string(rune('0'+i)), 3)
-		fan.AddEdge(root, c, 0)
-		fan.AddEdge(c, sink, float64(i%2))
+		c := fanb.AddTask("c"+string(rune('0'+i)), 3)
+		fanb.AddEdge(root, c, 0)
+		fanb.AddEdge(c, sink, float64(i%2))
 	}
+	fan := mustBuild(t, fanb)
 	eft := sched.NewOIHSA().Opts
 	eft.ProcSelect = sched.ProcSelectEFT
 	for _, net := range []*network.Topology{
@@ -776,20 +799,22 @@ func TestZeroCostEdgesAndTasks(t *testing.T) {
 // 1e300 of data over a 1e-10 link overflows a transfer that the
 // mean-link-speed estimate thought finite.
 func TestInfiniteFinishIsAnError(t *testing.T) {
-	slowProcs := dag.New()
-	a := slowProcs.AddTask("a", 1)
-	b := slowProcs.AddTask("b", 1e300)
-	slowProcs.AddEdge(a, b, 1)
+	slowProcsb := new(dag.Builder)
+	a := slowProcsb.AddTask("a", 1)
+	b := slowProcsb.AddTask("b", 1e300)
+	slowProcsb.AddEdge(a, b, 1)
+	slowProcs := mustBuild(t, slowProcsb)
 
 	slowLink := network.NewTopology()
 	hub := slowLink.AddSwitch("hub")
 	p0, p1 := slowLink.AddProcessor("", 1), slowLink.AddProcessor("", 1)
 	slowLink.AddDuplex(p0, hub, 1e-10)
 	slowLink.AddDuplex(p1, hub, 100)
-	bigData := dag.New()
-	x, y, z := bigData.AddTask("x", 1), bigData.AddTask("y", 1), bigData.AddTask("z", 1)
-	bigData.AddEdge(x, z, 1e300)
-	bigData.AddEdge(y, z, 1e300)
+	bigDatab := new(dag.Builder)
+	x, y, z := bigDatab.AddTask("x", 1), bigDatab.AddTask("y", 1), bigDatab.AddTask("z", 1)
+	bigDatab.AddEdge(x, z, 1e300)
+	bigDatab.AddEdge(y, z, 1e300)
+	bigData := mustBuild(t, bigDatab)
 
 	for _, c := range []struct {
 		name string

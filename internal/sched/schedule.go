@@ -80,9 +80,6 @@ type Schedule struct {
 	Duplicates []TaskPlacement
 }
 
-// ProcOf returns the processor the task was mapped to.
-func (s *Schedule) ProcOf(id dag.TaskID) network.NodeID { return s.Tasks[id].Proc }
-
 // ArrivalOf returns the time the data of edge e becomes available at
 // its destination processor: the edge schedule's arrival, or the source
 // task's finish time for intra-processor edges.

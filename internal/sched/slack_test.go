@@ -72,12 +72,8 @@ func TestSlackColumnMatchesClosure(t *testing.T) {
 					net = network.Line(5, network.Uniform(1), network.Uniform(1))
 				}
 				s := mkState(t, g, net, opts)
-				order, err := priorityOrder(g, opts.Priority)
-				if err != nil {
-					t.Fatal(err)
-				}
 				withSlack := 0
-				for _, tid := range order {
+				for _, tid := range priorityOrder(g, opts.Priority) {
 					proc, err := s.selectProcessor(tid)
 					if err != nil {
 						t.Fatal(err)

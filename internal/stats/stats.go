@@ -112,20 +112,3 @@ func ImprovementPct(base, better float64) float64 {
 	}
 	return 100 * (base - better) / base
 }
-
-// GeoMean returns the geometric mean of positive samples; zero or
-// negative entries are skipped. An effectively empty sample yields 0.
-func GeoMean(xs []float64) float64 {
-	sum := 0.0
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}

@@ -80,18 +80,6 @@ func TestImprovementPct(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almost(got, 10) {
-		t.Fatalf("geomean %v, want 10", got)
-	}
-	if got := GeoMean([]float64{-1, 0}); got != 0 {
-		t.Fatalf("non-positive geomean %v", got)
-	}
-	if got := GeoMean([]float64{-5, 4, 9}); !almost(got, 6) {
-		t.Fatalf("mixed geomean %v, want 6", got)
-	}
-}
-
 func TestSummarizeProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		// Screen non-finite values from the fuzzer.

@@ -44,10 +44,10 @@ func TestWriteHTMLReportIdeal(t *testing.T) {
 }
 
 func TestWriteHTMLReportEscapesNames(t *testing.T) {
-	g := dag.New()
-	g.AddTask(`<script>alert(1)</script>`, 10)
+	var b dag.Builder
+	b.AddTask(`<script>alert(1)</script>`, 10)
 	net := network.Star(2, network.Uniform(1), network.Uniform(1))
-	s := mustSchedule(t, sched.NewBA(), g, net)
+	s := mustSchedule(t, sched.NewBA(), mustBuild(t, &b), net)
 	var buf bytes.Buffer
 	if err := WriteHTMLReport(&buf, s); err != nil {
 		t.Fatal(err)

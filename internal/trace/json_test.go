@@ -115,7 +115,7 @@ func TestAppendScheduleJSONMatchesReference(t *testing.T) {
 		t.Fatalf("an all-local schedule prints an edges key (err %v)", err)
 	}
 	checkMatchesReference(t, "ideal", mustSchedule(t, sched.NewClassic(), dag.ForkJoin(3, 10, 20), net))
-	checkMatchesReference(t, "empty", &sched.Schedule{Algorithm: "BA", Graph: dag.New(), Net: one})
+	checkMatchesReference(t, "empty", &sched.Schedule{Algorithm: "BA", Graph: new(dag.Graph), Net: one})
 }
 
 // TestAppendScheduleJSONNoAllocs pins the point of the encoder: into a
@@ -138,17 +138,18 @@ func TestAppendScheduleJSONNoAllocs(t *testing.T) {
 // floatsSchedule is a schedule whose makespan and task times are fs in
 // order, so the encoder prints fs as one sequence (the commStats floats
 // follow; there are no routed edges).
-func floatsSchedule(fs []float64) *sched.Schedule {
-	g := dag.New()
+func floatsSchedule(t *testing.T, fs []float64) *sched.Schedule {
+	var b dag.Builder
 	net := network.Star(1, network.Uniform(1), network.Uniform(1))
-	s := &sched.Schedule{Algorithm: "memo", Graph: g, Net: net, Makespan: fs[0]}
+	s := &sched.Schedule{Algorithm: "memo", Net: net, Makespan: fs[0]}
 	for i := 1; i < len(fs); i += 2 {
-		tp := sched.TaskPlacement{Task: g.AddTask("t", 1), Proc: net.Processors()[0], Start: fs[i]}
+		tp := sched.TaskPlacement{Task: b.AddTask("t", 1), Proc: net.Processors()[0], Start: fs[i]}
 		if i+1 < len(fs) {
 			tp.Finish = fs[i+1]
 		}
 		s.Tasks = append(s.Tasks, tp)
 	}
+	s.Graph = mustBuild(t, &b)
 	return s
 }
 
@@ -195,17 +196,17 @@ func TestAppendScheduleJSONMemo(t *testing.T) {
 	// The same values again, now each a hit on whatever the slot holds.
 	fs = append(fs, special...)
 	fs = append(fs, special...)
-	checkMatchesReference(t, "memo", floatsSchedule(fs))
+	checkMatchesReference(t, "memo", floatsSchedule(t, fs))
 }
 
 // fuzzBase is a three-task fork scheduled by BBSA on two processors, so
 // it has a routed edge whose leg carries bandwidth chunks.
 func fuzzBase(t testing.TB) *sched.Schedule {
-	g := dag.New()
-	a, b, c := g.AddTask("a", 10), g.AddTask("b", 10), g.AddTask("c", 10)
-	g.AddEdge(a, b, 5)
-	g.AddEdge(a, c, 5)
-	s, err := sched.NewBBSA().Schedule(g, network.Star(2, network.Uniform(1), network.Uniform(1)))
+	var gb dag.Builder
+	a, b, c := gb.AddTask("a", 10), gb.AddTask("b", 10), gb.AddTask("c", 10)
+	gb.AddEdge(a, b, 5)
+	gb.AddEdge(a, c, 5)
+	s, err := sched.NewBBSA().Schedule(mustBuild(t, &gb), network.Star(2, network.Uniform(1), network.Uniform(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,19 +247,19 @@ func FuzzScheduleJSON(f *testing.F) {
 		f.Add(sd.algo, sd.name, sd.x, sd.y, sd.z)
 	}
 	f.Fuzz(func(t *testing.T, algo, name string, x, y, z float64) {
-		g := dag.New()
+		var b dag.Builder
 		for i, bt := range base.Graph.Tasks() {
 			n := bt.Name
 			if i == 1 {
 				n = name
 			}
-			g.AddTask(n, bt.Cost)
+			b.AddTask(n, bt.Cost)
 		}
 		for _, e := range base.Graph.Edges() {
-			g.AddEdge(e.From, e.To, e.Cost)
+			b.AddEdge(e.From, e.To, e.Cost)
 		}
 		s := *base
-		s.Algorithm, s.Graph = algo, g
+		s.Algorithm, s.Graph = algo, mustBuild(t, &b)
 		s.Tasks = append([]sched.TaskPlacement(nil), base.Tasks...)
 		s.Tasks[1].Start, s.Tasks[1].Finish = x, y
 		s.Edges = append([]*sched.EdgeSchedule(nil), base.Edges...)

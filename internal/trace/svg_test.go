@@ -44,10 +44,10 @@ func TestWriteGanttSVGWellFormed(t *testing.T) {
 }
 
 func TestWriteGanttSVGEscapesNames(t *testing.T) {
-	g := dag.New()
-	g.AddTask(`evil<&>"name'`, 10)
+	var b dag.Builder
+	b.AddTask(`evil<&>"name'`, 10)
 	net := network.Star(2, network.Uniform(1), network.Uniform(1))
-	s := mustSchedule(t, sched.NewBA(), g, net)
+	s := mustSchedule(t, sched.NewBA(), mustBuild(t, &b), net)
 	var buf bytes.Buffer
 	if err := WriteGanttSVG(&buf, s, SVGOptions{}); err != nil {
 		t.Fatal(err)

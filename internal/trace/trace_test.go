@@ -20,6 +20,16 @@ func sampleSchedule(t *testing.T, algo sched.Algorithm) *sched.Schedule {
 	return mustSchedule(t, algo, g, net)
 }
 
+// mustBuild builds b, failing the test on an error.
+func mustBuild(t testing.TB, b *dag.Builder) *dag.Graph {
+	t.Helper()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func mustSchedule(t *testing.T, algo sched.Algorithm, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
 	s, err := algo.Schedule(g, net)

@@ -318,12 +318,16 @@ func TestVerifyMissingGraph(t *testing.T) {
 func TestDetectsBogusDuplicate(t *testing.T) {
 	// A schedule claiming an unscheduled cross-processor edge is
 	// covered by a duplicate must have a real, timely duplicate.
-	g := dag.New()
-	src := g.AddTask("src", 2)
-	a := g.AddTask("a", 10)
-	b := g.AddTask("b", 10)
-	g.AddEdge(src, a, 500)
-	g.AddEdge(src, b, 500)
+	var gb dag.Builder
+	src := gb.AddTask("src", 2)
+	a := gb.AddTask("a", 10)
+	b := gb.AddTask("b", 10)
+	gb.AddEdge(src, a, 500)
+	gb.AddEdge(src, b, 500)
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	net := network.Star(2, network.Uniform(1), network.Uniform(1))
 	opts := sched.NewOIHSA().Opts
 	opts.Duplication = true

@@ -19,7 +19,7 @@ type Params struct {
 	// {2, 4, 8, 16, 32, 64, 128}.
 	Processors int
 	// CCR is the communication-to-computation ratio the task graph is
-	// rescaled to; the paper sweeps 0.1–10.
+	// rescaled to; the paper sweeps 0.1–10. It must not exceed MaxCCR.
 	CCR float64
 	// Heterogeneous selects U(1,10) processor and link speeds; when
 	// false all speeds are 1 (the paper's homogeneous systems).
@@ -48,6 +48,12 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// MaxCCR is the largest CCR Generate rescales a graph to. Its costs
+// are drawn from U(1, 1000), so rescaling multiplies an edge cost by at
+// most 1000 times the CCR, and every cost stays within the 1e300 a
+// dag.Graph admits.
+const MaxCCR = 1e290
+
 // Instance is one generated problem: a task graph plus a target
 // machine.
 type Instance struct {
@@ -56,7 +62,8 @@ type Instance struct {
 	Params Params
 }
 
-// Generate builds one reproducible instance from the parameters.
+// Generate builds one reproducible instance from the parameters. It
+// panics if p.CCR exceeds MaxCCR.
 func Generate(p Params) Instance {
 	p = p.withDefaults()
 	r := rand.New(rand.NewSource(p.Seed))
@@ -64,12 +71,14 @@ func Generate(p Params) Instance {
 	if p.MaxTasks > p.MinTasks {
 		tasks += r.Intn(p.MaxTasks - p.MinTasks + 1)
 	}
-	g := dag.RandomLayered(r, dag.RandomLayeredParams{
+	g, err := dag.RandomLayered(r, dag.RandomLayeredParams{
 		Tasks:    tasks,
 		TaskCost: dag.CostDist{Lo: 1, Hi: 1000},
 		EdgeCost: dag.CostDist{Lo: 1, Hi: 1000},
-	})
-	g.ScaleToCCR(p.CCR)
+	}).ScaleToCCR(p.CCR)
+	if err != nil {
+		panic(err)
+	}
 
 	proc := network.Uniform(1)
 	link := network.Uniform(1)

@@ -8,9 +8,6 @@ import (
 
 func TestGenerateDefaults(t *testing.T) {
 	inst := Generate(Params{Seed: 1})
-	if err := inst.Graph.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if err := inst.Net.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +114,17 @@ func TestPaperSweeps(t *testing.T) {
 	for i := range want {
 		if procs[i] != want[i] {
 			t.Fatalf("processor counts %v, want %v", procs, want)
+		}
+	}
+}
+
+// TestGenerateAtMaxCCR pins MaxCCR's claim: every instance rescales to
+// it, from the smallest graph with an edge to the paper's largest.
+func TestGenerateAtMaxCCR(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		inst := Generate(Params{CCR: MaxCCR, MinTasks: 2, MaxTasks: 1000, Seed: seed})
+		if got := inst.Graph.CCR(); math.Abs(got-MaxCCR) > 1e-9*MaxCCR {
+			t.Fatalf("seed %d: CCR %v, want %v", seed, got, MaxCCR)
 		}
 	}
 }
