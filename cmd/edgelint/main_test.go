@@ -414,14 +414,32 @@ var catchMatrix = []catchRow{{
 }, {
 	bug:  "InsertBasic inserts past a zero-length slot at the gap start",
 	file: "internal/linksched/timeline.go",
-	old:  "t.st.insert(t.st.seek(c, startBefore, s.Start), slotEntry{Slot: s}, foldSlots)",
-	new:  "t.st.insert(c, slotEntry{Slot: s}, foldSlots)",
+	old:  "\tc = t.st.seek(c, startBefore, s.Start)\n",
+	new:  "",
 	pkg:  "./internal/linksched", run: "^TestInsertPlacesLikeSearch$",
+}, {
+	bug:  "the accumulation re-fold stops before the inserted slot",
+	file: "internal/linksched/timeline.go",
+	old:  "foldSlots, growSlots), 1)",
+	new:  "foldSlots, growSlots), 0)",
+	pkg:  "./internal/linksched", run: "^FuzzTimelineDifferential$",
+}, {
+	bug:  "the slab skip drops its rounding margin",
+	file: "internal/linksched/timeline.go",
+	old:  "skipBelow := dur - (Eps + marginStep*2*slabBlock)",
+	new:  "skipBelow := dur",
+	pkg:  "./internal/linksched", run: "^TestSlabSkipKeepsTheEpsMargin$",
+}, {
+	bug:  "the O(1) insert update keeps a split gap as the slab's maximum",
+	file: "internal/linksched/timeline.go",
+	old:  "if i > 0 && i+1 < len(es) && es[i+1].Start-es[i-1].End == sum.gap {",
+	new:  "if false {",
+	pkg:  "./internal/linksched", run: "^FuzzTimelineDifferential$",
 }, {
 	bug:  "AppendAlloc keeps a cursor across a slab split",
 	file: "internal/linksched/bandwidth.go",
-	old:  "\treturn t.st.insert(c, left, hoppable)\n",
-	new:  "\tt.st.insert(c, left, hoppable)\n\treturn c\n",
+	old:  "\treturn t.st.insert(c, left, hoppable, nil)\n",
+	new:  "\tt.st.insert(c, left, hoppable, nil)\n\treturn c\n",
 	pkg:  "./internal/linksched", run: "^FuzzBWTimelineDifferential$",
 }, {
 	bug:  "alloc books its cap, not the remaining bandwidth",
@@ -529,8 +547,8 @@ var catchMatrix = []catchRow{{
 }, {
 	bug:      "reserve takes the address of a fresh gap segment",
 	file:     "internal/linksched/bandwidth.go",
-	old:      "\t\tns := seg{start: cur, end: gapEnd, avail: 1 - rate}\n\t\tc = t.st.next(t.st.insert(c, ns, hoppable))\n",
-	new:      "\t\tns := &seg{start: cur, end: gapEnd, avail: 1 - rate}\n\t\tc = t.st.next(t.st.insert(c, *ns, hoppable))\n",
+	old:      "\t\tns := seg{start: cur, end: gapEnd, avail: 1 - rate}\n\t\tc = t.st.next(t.st.insert(c, ns, hoppable, nil))\n",
+	new:      "\t\tns := &seg{start: cur, end: gapEnd, avail: 1 - rate}\n\t\tc = t.st.next(t.st.insert(c, *ns, hoppable, nil))\n",
 	analyzer: "noalloc", pkg: "./internal/linksched",
 }, {
 	bug:      "placeEdge copies the route before recording it",

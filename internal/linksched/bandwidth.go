@@ -194,7 +194,7 @@ func (t *BWTimeline) split(c cursor, x float64) cursor {
 	}
 	left := seg{start: s.start, end: x, avail: s.avail}
 	s.start = x
-	return t.st.insert(c, left, hoppable)
+	return t.st.insert(c, left, hoppable, nil)
 }
 
 // reserve books rate bandwidth over [a, b], splitting segments and
@@ -237,7 +237,7 @@ func (t *BWTimeline) reserve(c cursor, a, b, rate float64) cursor {
 			gapEnd = t.st.at(c).start
 		}
 		ns := seg{start: cur, end: gapEnd, avail: 1 - rate}
-		c = t.st.next(t.st.insert(c, ns, hoppable))
+		c = t.st.next(t.st.insert(c, ns, hoppable, nil))
 		cur = gapEnd
 	}
 	return c
@@ -303,8 +303,13 @@ func (t *BWTimeline) alloc(dst []Chunk, c cursor, es, volume, speed, cap float64
 			// Link saturated here; wait for the next change point,
 			// hopping whole saturated slabs via their hop flags.
 			// (With cap <= Eps every rate is saturated regardless of
-			// availability, so there is nothing to skip to.)
+			// availability, so there is nothing to skip to.) Nothing
+			// frees after an infinite time: the transfer ends there.
 			cur = until
+			if math.IsInf(cur, 1) {
+				out = appendChunk(out, base, Chunk{Start: cur, End: cur})
+				break
+			}
 			if cap > Eps {
 				c, cur = t.skipSaturated(c, cur)
 			}

@@ -213,6 +213,25 @@ func TestNoUnderflowHangAtLargeTimes(t *testing.T) {
 	}
 }
 
+// TestForwardStopsAtInfinity pins that a transfer whose cap leaves it
+// no bandwidth (a chunk from a link 1e12 times slower) finishes at +Inf
+// instead of waiting forever for a change point past the ledger's end.
+func TestForwardStopsAtInfinity(t *testing.T) {
+	done := make(chan []Chunk, 1)
+	go func() {
+		bw := NewBWTimeline()
+		done <- bw.Forward(nil, []Chunk{{Start: 1, End: 2, Rate: 1, Volume: 1}}, 1e-10, 100, 0)
+	}()
+	select {
+	case cs := <-done:
+		if end := cs[len(cs)-1].End; !math.IsInf(end, 1) {
+			t.Fatalf("chunks %+v end at %v, want +Inf", cs, end)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Forward waited forever for bandwidth past +Inf")
+	}
+}
+
 func TestBWSnapshotRestore(t *testing.T) {
 	bw := NewBWTimeline()
 	bw.Alloc(o(0, 0), 0, 5, 1, 0)

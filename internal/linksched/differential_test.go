@@ -190,8 +190,9 @@ func TestSnapshotRoundTripKeepsIndex(t *testing.T) {
 // before equal starts) and shifts as InsertOptimal's cascade does, and
 // the slab store must stay consistent after every mutation. Set-slack
 // operations give slots arbitrary deferrable times, mirrored in the map
-// the callback reads. A duration byte of 0 asks for a zero-length
-// transfer and 1 for a sub-Eps one.
+// the callback reads; every mutation is checked by Validate, which
+// recomputes the summaries and accumulations. A duration byte of 0
+// asks for a zero-length transfer and 1 for a sub-Eps one.
 func FuzzTimelineDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0xfe, 0x55, 0xaa})
@@ -207,6 +208,47 @@ func FuzzTimelineDifferential(f *testing.F) {
 	// Equal starts: sub-Eps slots from one bound before and after an
 	// optimal insertion at that bound, then a slack and a re-probe.
 	f.Add([]byte{0, 3, 0, 0, 1, 0, 2, 3, 0, 0, 1, 1, 1, 3, 0, 0, 1, 2, 2, 3, 0, 0, 64, 3, 4, 0, 0, 8, 0, 0, 0, 3, 0, 0, 1, 1})
+	// packed appends n back-to-back slots of 1.9475 from time 0, and
+	// slacks sets the slack of each slot i to vs[i%len(vs)] for i in
+	// [from, to).
+	packed := func(in []byte, n int) []byte {
+		for i := 0; i < n; i++ {
+			in = append(in, 0, 0, 0, 0, 31, 0)
+		}
+		return in
+	}
+	slacks := func(in []byte, from, to int, vs ...byte) []byte {
+		for i := from; i < to; i++ {
+			in = append(in, 4, byte(i), 0, 8*vs[i%len(vs)], 0, 0)
+		}
+		return in
+	}
+	// A deferral cascade from slot 56 across the first slab's end into
+	// the idle gap after slot 65, with slots of slack 0 and 5 on both
+	// sides of it, then a probe over the refolded accumulations.
+	cascade := packed(nil, 2*slabBlock+2)
+	cascade = append(cascade, 0, 35, 0, 0, 31, 0) // [140, 141.9475]
+	for i := 0; i < 4; i++ {
+		cascade = append(cascade, 0, 36, 0, 0, 31, 0) // from 144 on
+	}
+	cascade = slacks(cascade, 48, 56, 0, 5)
+	cascade = slacks(cascade, 56, 2*slabBlock+2, 5)
+	cascade = slacks(cascade, 2*slabBlock+2, 2*slabBlock+7, 0, 5)
+	cascade = append(cascade, 2, 27, 68, 0, 31, 1, 2, 20, 0, 0, 31, 2)
+	f.Add(cascade)
+	// A slack set on the second slab's head of a packed queue whose
+	// slots all hold 5 lowers the accumulation of every slot before
+	// it, across the slab boundary, then raises it again.
+	headward := slacks(packed(nil, 2*slabBlock+6), 0, 2*slabBlock+6, 5)
+	headward = slacks(headward, 2*slabBlock, 2*slabBlock+1, 1)
+	headward = append(headward, 2, 10, 0, 0, 31, 1)
+	headward = slacks(headward, 2*slabBlock, 2*slabBlock+1, 5)
+	f.Add(append(headward, 2, 20, 0, 0, 31, 2))
+	// Basic inserts into the largest gap of a slab, which the O(1)
+	// summary update cannot take out of the maximum, each followed by
+	// a probe that reads the summary.
+	f.Add([]byte{0, 0, 0, 0, 31, 0, 0, 2, 0, 0, 31, 0, 0, 10, 0, 0, 31, 0,
+		0, 5, 0, 0, 31, 0, 2, 0, 0, 0, 200, 0, 0, 7, 0, 0, 31, 0, 1, 0, 0, 0, 100, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl := NewTimeline()
 		var ref []Slot

@@ -205,8 +205,13 @@ func (t *bwRef) alloc(es, volume, speed, cap float64) []Chunk {
 		avail, until := t.availAt(cur)
 		rate := math.Min(avail, cap)
 		if rate <= Eps {
-			// Link saturated here; wait for the next change point.
+			// Link saturated here; wait for the next change point,
+			// unless there is none.
 			cur = until
+			if math.IsInf(cur, 1) {
+				out = appendChunk(out, 0, Chunk{Start: cur, End: cur})
+				break
+			}
 			continue
 		}
 		need := remaining / (rate * speed)

@@ -1,9 +1,6 @@
 package linksched
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // slabBlock is the nominal slab size of the slab store both link
 // ledgers are built on. A slab holds 1 to 2*slabBlock entries, so an
@@ -27,6 +24,10 @@ func (sl *slab[E, S]) last() *E { return &sl.items[len(sl.items)-1] }
 
 // fold computes a slab's summary from its entries.
 type fold[E any, S comparable] func(items []E) S
+
+// grow updates sum, the summary of items before items[i] was inserted,
+// to fold items in O(1), or reports that it cannot.
+type grow[E any, S comparable] func(sum *S, items []E, i int) bool
 
 // cursor addresses entry i of slab s; {len(slabs), 0} is the position
 // past the last entry.
@@ -109,12 +110,27 @@ func (st *slabStore[E, S]) seek(c cursor, before func(e *E, x float64) bool, x f
 // search — slab by its last entry, then within the slab — lands where
 // a binary search over the flattened entries would.
 func (st *slabStore[E, S]) search(before func(e *E, x float64) bool, x float64) cursor {
-	s := sort.Search(len(st.slabs), func(k int) bool { return !before(st.slabs[k].last(), x) })
-	if s == len(st.slabs) {
+	lo, hi := 0, len(st.slabs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); before(st.slabs[m].last(), x) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(st.slabs) {
 		return st.end()
 	}
-	items := st.slabs[s].items
-	return cursor{s, sort.Search(len(items), func(i int) bool { return !before(&items[i], x) })}
+	items := st.slabs[lo].items
+	i, j := 0, len(items)
+	for i < j {
+		if m := int(uint(i+j) >> 1); before(&items[m], x) {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return cursor{lo, i}
 }
 
 // refresh recomputes slab s's summary after its entries changed in
@@ -124,11 +140,13 @@ func (st *slabStore[E, S]) refresh(s int, f fold[E, S]) {
 }
 
 // insert places e before the entry at c (after the last entry when c
-// is end()), refreshes the summaries of the slabs it touched and
-// returns e's position. A full slab first splits in half, except that
-// an append past the last entry of a full last slab opens a new slab,
-// so a ledger that grows at its tail keeps its slabs full.
-func (st *slabStore[E, S]) insert(c cursor, e E, f fold[E, S]) cursor {
+// is end()), brings the summaries of the slabs it touched up to date
+// and returns e's position. A full slab first splits in half, except
+// that an append past the last entry of a full last slab opens a new
+// slab, so a ledger that grows at its tail keeps its slabs full. A
+// slab that only gained e is updated by g if g is set and can; any
+// other slab touched is folded with f.
+func (st *slabStore[E, S]) insert(c cursor, e E, f fold[E, S], g grow[E, S]) cursor {
 	if c.s == len(st.slabs) {
 		if c.s == 0 {
 			st.open(0)
@@ -137,7 +155,9 @@ func (st *slabStore[E, S]) insert(c cursor, e E, f fold[E, S]) cursor {
 		}
 	}
 	other := -1 // the other half of a split slab
-	if items := st.slabs[c.s].items; len(items) == 2*slabBlock {
+	items := st.slabs[c.s].items
+	fresh := len(items) == 0 || len(items) == 2*slabBlock // e lands in a new slab or a split half
+	if len(items) == 2*slabBlock {
 		if c.s == len(st.slabs)-1 && c.i == len(items) {
 			c = cursor{s: c.s + 1}
 			sl := st.open(c.s)
@@ -163,7 +183,9 @@ func (st *slabStore[E, S]) insert(c cursor, e E, f fold[E, S]) cursor {
 	copy(sl.items[c.i+1:], sl.items[c.i:])
 	sl.items[c.i] = e
 	st.n++
-	st.refresh(c.s, f)
+	if fresh || g == nil || !g(&sl.sum, sl.items, c.i) {
+		st.refresh(c.s, f)
+	}
 	if other >= 0 {
 		st.refresh(other, f)
 	}

@@ -20,7 +20,7 @@ func below(e *float64, x float64) bool { return *e < x }
 // fillStore inserts xs in order, each at its sorted position.
 func fillStore(st *slabStore[float64, float64], xs ...float64) {
 	for _, x := range xs {
-		st.insert(st.search(below, x), x, maxFold)
+		st.insert(st.search(below, x), x, maxFold, nil)
 	}
 }
 

@@ -37,13 +37,27 @@ func (s Slot) Dur() float64 { return s.End - s.Start }
 
 // slotEntry is one slot of a Timeline's slab store together with its
 // slack: the Lemma-2 deferrable time of the slot's owner, clamped at 0,
-// as last written by SetSlack (0 until then). ProbeOptimal reads it
-// sequentially instead of asking a SlackFunc per slot. The owner of the
-// slots' edges keeps it current — the timeline cannot know when a
-// slot's downstream leg moves.
+// as last written by SetSlack (0 until then). The owner of the slots'
+// edges keeps it current — the timeline cannot know when a slot's
+// downstream leg moves. accum is the slot's formula-(2) accumulation
+// over the stored slack, which refold keeps exact after each mutation.
 type slotEntry struct {
 	Slot
-	slack float64
+	slack, accum float64
+}
+
+// accumStep is formula (2): the accumulated deferrable time of a slot
+// ending at end with deferrable time dt, when the slot after it starts
+// at nextStart with accumulation next (both +Inf past the tail).
+func accumStep(dt, end, nextStart, next float64) float64 {
+	gap := nextStart - end
+	if gap < 0 {
+		gap = 0
+	}
+	if next+gap < dt { // next + gap may be +Inf
+		return next + gap
+	}
+	return dt
 }
 
 // slotSum is a slab's summary for the earliest-gap prune.
@@ -66,6 +80,25 @@ func foldSlots(es []slotEntry) slotSum {
 	return sum
 }
 
+// growSlots is foldSlots for the slot just inserted at es[i], in O(1):
+// the slot adds its end and the gaps on either side of it, and removes
+// the gap it split, which only a refold can take out of the maximum.
+func growSlots(sum *slotSum, es []slotEntry, i int) bool {
+	// edgelint:ignore floateq — exact: the maximum is one of the gaps.
+	if i > 0 && i+1 < len(es) && es[i+1].Start-es[i-1].End == sum.gap {
+		return false
+	}
+	if es[i].End > sum.end {
+		sum.end = es[i].End
+	}
+	for j := max(i, 1); j <= i+1 && j < len(es); j++ {
+		if g := es[j].Start - es[j-1].End; g > sum.gap {
+			sum.gap = g
+		}
+	}
+	return true
+}
+
 // startBefore is the Timeline's order predicate: e starts before x.
 func startBefore(e *slotEntry, x float64) bool { return e.Start < x }
 
@@ -76,17 +109,13 @@ func startBefore(e *slotEntry, x float64) bool { return e.Start < x }
 //
 // The slots live in a slab store (slab.go) whose per-slab summary
 // (slotSum) holds the slab's maximum slot end and its maximum idle gap
-// between consecutive slots. ProbeBasic uses the summaries to skip
-// whole slabs that provably contain no admissible idle interval, which
-// makes the earliest-gap search sublinear while returning bit-identical
-// results to the plain scan (the probe oracles in reference_test.go,
-// cross-checked by differential tests and fuzzing). A summary covers
-// only its own slab, so an insert or a deferral cascade refreshes the
-// slabs it touched and nothing else.
-//
-// The summaries are maintained on every mutation — never rebuilt
-// lazily inside a probe — so probes stay strictly read-only: the txn
-// journal relies on Probe* not writing through the receiver.
+// between consecutive slots. Both probes use the summaries, and
+// ProbeOptimal the stored accumulations, to skip whole slabs that
+// provably hold no admissible position, returning bit-identical
+// results to the plain scans (reference_test.go, cross-checked by
+// differential tests and fuzzing). Summaries and accumulations are
+// maintained on every mutation, never inside a probe, so probes stay
+// read-only: the txn journal relies on that.
 //
 // The zero value is an empty timeline ready for use.
 type Timeline struct {
@@ -280,8 +309,38 @@ func (t *Timeline) InsertBasic(owner Owner, req Request) (start, finish float64)
 // the few slots between it and that place (almost always none), not a
 // search.
 func (t *Timeline) insertAt(c cursor, s Slot) {
-	t.st.insert(t.st.seek(c, startBefore, s.Start), slotEntry{Slot: s}, foldSlots)
+	c = t.st.seek(c, startBefore, s.Start)
+	t.refold(t.st.insert(c, slotEntry{Slot: s}, foldSlots, growSlots), 1)
 	t.noteAbs(s)
+}
+
+// refold recomputes the stored accumulation headward from the slot at
+// c: n slots whatever they held, then on until a recomputed value
+// equals the stored one, as every slot before it then keeps its own.
+// A mutation passes the tailmost slot it moved, added or gave a new
+// slack, and the number of slots it moved or added there.
+func (t *Timeline) refold(c cursor, n int) {
+	next, nextStart := math.Inf(1), math.Inf(1)
+	if nc := t.st.next(c); nc.s < len(t.st.slabs) {
+		next, nextStart = t.st.at(nc).accum, t.st.at(nc).Start
+	}
+	for k, j := c.s, c.i; k >= 0; k-- {
+		items := t.st.slabs[k].items
+		if j < 0 {
+			j = len(items) - 1
+		}
+		for ; j >= 0; j-- {
+			e := &items[j]
+			a := accumStep(e.slack, e.End, nextStart, next)
+			// edgelint:ignore floateq — exact: an unchanged value leaves
+			// the fold ahead of it unchanged.
+			if n <= 0 && a == e.accum {
+				return
+			}
+			e.accum, next, nextStart = a, a, e.Start
+			n--
+		}
+	}
 }
 
 // noteAbs folds s's times into maxAbs.
@@ -315,6 +374,7 @@ func (t *Timeline) SetSlack(o Owner, start, dt float64) {
 		panic("linksched: SetSlack on a slot the timeline does not hold")
 	}
 	t.st.at(c).slack = dt
+	t.refold(c, 0)
 }
 
 // SlackFunc reports the longest deferrable time (Lemma 2) of the slot
@@ -339,11 +399,12 @@ type Shifted struct {
 // insertion position as well (index among current slots; Len() means
 // append).
 //
-// A nil slack reads each slot's deferrable time from the stored slack
-// (SetSlack; 0 for a slot never given one) — a sequential read where a
-// SlackFunc costs an indirect call per slot, which on long queues is
-// most of the probe. Both return exactly what the full reference scan
-// returns for the same slack values (reference_test.go).
+// A nil slack reads each slot's accumulation from the stored column
+// (over the slack SetSlack wrote; 0 for a slot never given one) and
+// skips the slabs that cannot take the request. A SlackFunc costs an
+// indirect call per slot and a fold of the queue from its tail, slab by
+// slab, into the same scan. Both return exactly what the full reference
+// scan returns for the same slack values (reference_test.go).
 //
 // edgelint:noalloc
 func (t *Timeline) ProbeOptimal(req Request, slack SlackFunc) (start, finish float64, pos int) {
@@ -355,10 +416,10 @@ func (t *Timeline) ProbeOptimal(req Request, slack SlackFunc) (start, finish flo
 	return w.bestStart, w.bestStart + req.Dur, w.bestPos
 }
 
-// optimalWalk is one tail-to-head optimal-insertion scan: it folds the
+// optimalWalk is one tail-to-head optimal-insertion scan: it tests
+// insertion before slot i with formula (3) against the slot's
 // accumulated deferrable time accum_i = min(dt_i, accum_{i+1} +
-// gap(i, i+1)) — formula (2) — and tests insertion before slot i with
-// formula (3), keeping the earliest feasible start.
+// gap(i, i+1)) — formula (2) — keeping the earliest feasible start.
 //
 // The scan stops early on a conservative bound. The deferred capacity
 // phi_i = Start_i + accum_i is non-increasing toward the head:
@@ -366,21 +427,36 @@ func (t *Timeline) ProbeOptimal(req Request, slack SlackFunc) (start, finish flo
 // the sorted starts. Feasibility before slot i requires sigma + Dur <=
 // phi_i + Eps with sigma >= lb, so once phi drops below lb+Dur by more
 // than a margin covering Eps plus the rounding accumulated over the
-// walked steps, no earlier position can be feasible. The margin only
-// delays the break — extra iterations run the unchanged feasibility
-// test — so results stay bit-identical to the full reference scan.
+// steps from the tail to the slab's head, no earlier position can be
+// feasible. The margin only delays the break — extra iterations run
+// the unchanged test — so results stay bit-identical to the reference.
 type optimalWalk struct {
-	lb, dur, lbDur float64
-	marginStep     float64 // magnitude bound times the rounding factor
-	n              int     // slots on the timeline
-	accum, next    float64 // accumulation at, and start of, the slot after the scanned ones
-	bestStart      float64
-	bestPos        int    // global index of the best insertion position
-	best           cursor // the same position in the slab store
+	lb, dur, bestStart float64
+	bestPos            int    // global index of the best insertion position
+	best               cursor // the same position in the slab store
 }
 
 // walkOptimal runs the walk slab by slab from the tail, reading the
-// deferrable times from slack, or from the stored slack when it is nil.
+// accumulations from the stored column when slack is nil, and folding
+// them from slack otherwise.
+//
+// Over the stored column it skips a slab whole when no position in it
+// has room for the request. Insertion before the slab's slot i has
+// room Start_i + accum_i - sigma <= accum_i + (Start_i - End_{i-1}),
+// and by formula (2) accum_i is at most the slab's last accumulation
+// plus the gaps from slot i up to the last slot, each at most the
+// summary's gap. So every position's room is at most
+//
+//	accum_last + (slots-1) * max gap + entry gap
+//
+// with the gaps clamped at 0 and End_{-1} = 0 at the timeline's head
+// (sigma >= lb >= 0). A pass of the feasibility test needs room >= Dur
+// - Eps, up to the rounding of the few dozen operations of one slab,
+// each within an ulp of the times' magnitude, so a bound below Dur
+// minus Eps and marginStep per slot of a full slab rules the slab out.
+// A skipped slab's head still ends the walk when its phi is below the
+// stop threshold. Besides accum_last, the bound reads only the slab's
+// own summary and times, which no slack changes.
 func (t *Timeline) walkOptimal(lb, dur float64, slack SlackFunc) optimalWalk {
 	n := t.st.n
 	lbDur := lb + dur
@@ -388,33 +464,43 @@ func (t *Timeline) walkOptimal(lb, dur float64, slack SlackFunc) optimalWalk {
 	if m := math.Abs(lbDur); m > mag {
 		mag = m
 	}
+	marginStep := mag * 1e-13 // magnitude bound times the rounding factor
 	// Candidate: append after the last slot (always feasible).
-	w := optimalWalk{lb: lb, dur: dur, lbDur: lbDur, marginStep: mag * 1e-13, n: n,
-		accum: math.Inf(1), next: math.Inf(1), bestStart: lb, bestPos: n, best: t.st.end()}
+	w := optimalWalk{lb: lb, dur: dur, bestStart: lb, bestPos: n, best: t.st.end()}
 	if n > 0 && t.LastEnd() > w.bestStart {
 		w.bestStart = t.LastEnd()
 	}
-	var buf [2 * slabBlock]float64
+	skipBelow := dur - (Eps + marginStep*2*slabBlock)
+	next, nextStart := math.Inf(1), math.Inf(1) // the fold over slack
 	base := n
 	for k := len(t.st.slabs) - 1; k >= 0; k-- {
 		slots := t.st.slabs[k].items
 		base -= len(slots)
-		var dts []float64
-		if slack != nil {
-			dts = buf[:len(slots)]
-			for i := range slots {
-				dt := slack(slots[i].Owner)
-				if dt < 0 {
-					dt = 0
-				}
-				dts[i] = dt
-			}
-		}
 		prevEnd := math.Inf(-1) // end of the slot before the slab
 		if k > 0 {
 			prevEnd = t.st.slabs[k-1].last().End
 		}
-		if w.scan(k, base, slots, dts, prevEnd) {
+		var accs []float64
+		if slack != nil {
+			var buf [2 * slabBlock]float64
+			accs = buf[:len(slots)]
+			for j := len(slots) - 1; j >= 0; j-- {
+				next = accumStep(max(slack(slots[j].Owner), 0), slots[j].End, nextStart, next)
+				nextStart, accs[j] = slots[j].Start, next
+			}
+		}
+		// The break margin of the slab's head serves the whole slab: a
+		// wider margin only delays the break.
+		stopBelow := lbDur - (Eps + marginStep*float64(n-base))
+		if accs == nil && slots[len(slots)-1].accum+max(slots[0].Start-max(prevEnd, 0), 0)+
+			float64(len(slots)-1)*max(t.st.slabs[k].sum.gap, 0) < skipBelow {
+			// edgelint:ignore floateq — conservative break, as in scan.
+			if slots[0].Start+slots[0].accum < stopBelow {
+				break
+			}
+			continue
+		}
+		if w.scan(k, base, slots, accs, prevEnd, stopBelow) {
 			break
 		}
 	}
@@ -422,31 +508,20 @@ func (t *Timeline) walkOptimal(lb, dur float64, slack SlackFunc) optimalWalk {
 }
 
 // scan walks slab k's slots, whose first is the timeline's slot base,
-// from the last to the first. dts holds their deferrable times (>= 0),
-// or is nil to read the stored slack; prevEnd is the end of the slot
-// before the slab (-Inf at the head). It reports whether the walk may
-// stop.
-func (w *optimalWalk) scan(k, base int, slots []slotEntry, dts []float64, prevEnd float64) bool {
-	lb, dur, lbDur, marginStep := w.lb, w.dur, w.lbDur, w.marginStep
-	accum, next := w.accum, w.next
+// from the last to the first. accs holds their accumulations, or is
+// nil to read the stored ones; prevEnd is the end of the slot before
+// the slab (-Inf at the head). It reports whether the walk may stop,
+// which it may once a slot's phi is below stopBelow.
+func (w *optimalWalk) scan(k, base int, slots []slotEntry, accs []float64, prevEnd, stopBelow float64) bool {
+	lb, dur := w.lb, w.dur
 	bestStart, bestPos, bestIdx := w.bestStart, w.bestPos, -1
 	stop := false
 	for j := len(slots) - 1; j >= 0; j-- {
 		s := &slots[j]
-		start := s.Start
-		gap := next - s.End // +Inf past the tail
-		if gap < 0 {
-			gap = 0
+		phi := s.Start + s.accum
+		if accs != nil {
+			phi = s.Start + accs[j]
 		}
-		next = start
-		a := s.slack
-		if dts != nil {
-			a = dts[j]
-		}
-		if accum+gap < a { // accum_{i+1} + gap may be +inf
-			a = accum + gap
-		}
-		accum = a
 		// Insertion before slot i: start at max(lb, end of slot i-1).
 		sigma, pe := lb, prevEnd
 		if j > 0 {
@@ -457,17 +532,16 @@ func (w *optimalWalk) scan(k, base int, slots []slotEntry, dts []float64, prevEn
 		}
 		// Feasible, and scanning towards the head later discoveries
 		// are earlier positions, so <= keeps the earliest start.
-		if fptime.LeqEps(sigma+dur, start+accum) && fptime.LeqEps(sigma, bestStart) {
+		if fptime.LeqEps(sigma+dur, phi) && fptime.LeqEps(sigma, bestStart) {
 			bestStart, bestPos, bestIdx = sigma, base+j, j
 		}
 		// edgelint:ignore floateq — conservative break per the phi
 		// monotonicity argument on optimalWalk; never changes the result.
-		if start+accum < lbDur-(Eps+marginStep*float64(w.n-base-j)) {
+		if phi < stopBelow {
 			stop = true
 			break
 		}
 	}
-	w.accum, w.next = accum, next
 	w.bestStart, w.bestPos = bestStart, bestPos
 	if bestIdx >= 0 {
 		w.best = cursor{k, bestIdx}
@@ -501,8 +575,9 @@ func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (sta
 	// onward whose start precedes the space the new slot needs is pushed
 	// right just far enough; the feasibility test guarantees each shift
 	// is within the slot's slack. The cascade refreshes the summary of
-	// every slab it touched.
-	need := finish
+	// every slab it touched, and re-folds the accumulations from its
+	// last slot before the new slot goes in.
+	need, last := finish, w.best
 	for c := w.best; c.s < len(t.st.slabs); c = (cursor{s: c.s + 1}) {
 		slots := t.st.slabs[c.s].items
 		i := c.i
@@ -515,7 +590,7 @@ func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (sta
 			// edgelint:coldpath — amortized growth of the caller's reused
 			// shift buffer.
 			moved = append(moved, Shifted{Owner: s.Owner, Start: s.Start, End: s.End})
-			need = s.End
+			need, last = s.End, cursor{c.s, i}
 		}
 		if i > c.i {
 			t.st.refresh(c.s, foldSlots)
@@ -524,14 +599,19 @@ func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (sta
 			break
 		}
 	}
+	if len(moved) > 0 {
+		t.refold(last, len(moved))
+	}
 	t.insertAt(w.best, Slot{Start: start, End: finish, Owner: owner})
 	return start, finish, moved
 }
 
 // Validate checks the timeline's invariants: slots sorted, strictly
-// non-overlapping (up to Eps), with non-negative times within maxAbs
-// and a non-negative slack each, and the slab store's structure and
-// summaries consistent with the slots.
+// non-overlapping (up to Eps), with non-negative times within maxAbs, a
+// non-negative slack and an accumulation equal to the fold of formula
+// (2) from the tail each, and the slab store's structure and summaries
+// consistent with the slots. The accumulations, like the summaries,
+// are recomputed and compared exactly.
 func (t *Timeline) Validate() error {
 	prevEnd := 0.0
 	i := 0
@@ -554,6 +634,18 @@ func (t *Timeline) Validate() error {
 				return fmt.Errorf("linksched: slot %d slack %v is not a non-negative number", i, e.slack)
 			}
 			i++
+		}
+	}
+	next, nextStart := math.Inf(1), math.Inf(1)
+	for k := len(t.st.slabs) - 1; k >= 0; k-- {
+		items := t.st.slabs[k].items
+		for j := len(items) - 1; j >= 0; j-- {
+			e := &items[j]
+			next, nextStart = accumStep(e.slack, e.End, nextStart, next), e.Start
+			// edgelint:ignore floateq — the stored fold must be the fold.
+			if e.accum != next {
+				return fmt.Errorf("linksched: slab %d slot %d accumulation %v != recomputed %v", k, j, e.accum, next)
+			}
 		}
 	}
 	return t.st.validate(foldSlots)

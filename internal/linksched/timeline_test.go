@@ -375,6 +375,7 @@ func TestTimelineValidateCatchesCorruption(t *testing.T) {
 		{"negative slot", func([]slotEntry) { tl.st.slabs[0].items[0].Start = -1 }},
 		{"stale end", func([]slotEntry) { sl.sum.end += 1 }},
 		{"stale gap", func([]slotEntry) { sl.sum.gap -= 1 }},
+		{"stale accumulation", func(s []slotEntry) { s[2].accum += 1 }},
 		{"slot moved without a refresh", func(s []slotEntry) {
 			s[len(s)-1].Start += 0.25
 			s[len(s)-1].End += 0.25
@@ -413,6 +414,33 @@ func TestDeferralCascadeCrossesSlabs(t *testing.T) {
 	}
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSlabSkipKeepsTheEpsMargin pins the rounding margin of
+// ProbeOptimal's slab skip. Three slabs of back-to-back unit slots,
+// all of zero slack, have one idle gap, before the middle slab's head,
+// Eps/2 short of the request: the fit test passes there within Eps,
+// while the middle slab's room bound, that gap, is below the request.
+// A skip without the margin would miss it and append instead.
+func TestSlabSkipKeepsTheEpsMargin(t *testing.T) {
+	tl := NewTimeline()
+	cur := 0.0
+	for i := 0; i < 6*slabBlock; i++ {
+		if i == 2*slabBlock {
+			cur += 2 - Eps/2
+		}
+		tl.insertAt(tl.st.end(), Slot{Start: cur, End: cur + 1, Owner: o(i, 0)})
+		cur++
+	}
+	if len(tl.st.slabs) != 3 || tl.st.slabs[1].items[0].Owner != o(2*slabBlock, 0) {
+		t.Fatalf("%d slabs, the middle one headed by %v; the case needs the gap at a slab head",
+			len(tl.st.slabs), tl.st.slabs[1].items[0].Owner)
+	}
+	req := Request{Dur: 2}
+	checkProbesAgree(t, tl, req, func(Owner) float64 { return 0 })
+	if _, _, pos := tl.ProbeOptimal(req, nil); pos != 2*slabBlock {
+		t.Fatalf("ProbeOptimal inserts at %d, want the gap at %d", pos, 2*slabBlock)
 	}
 }
 

@@ -34,3 +34,13 @@ func FreshSchedule(a Algorithm, g *dag.Graph, net *network.Topology) (*Schedule,
 	out, _, err := new(state).run(g, net, opts, name, assign)
 	return out, err
 }
+
+// PresetOptions returns the edge-scheduling options a's one-shot run
+// uses: a list scheduler's own, or the replay options for the classic
+// presets, whose edges ScheduleAssignment places under them.
+func PresetOptions(a Algorithm) Options {
+	if l, ok := a.(*ListScheduler); ok {
+		return l.Opts
+	}
+	return replayOptions
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/network"
@@ -835,6 +836,31 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 			if _, err := alg.Schedule(c.g, c.net); err == nil || !strings.Contains(err.Error(), "no finite finish time") {
 				t.Errorf("%s on %s: err %v, want a no-finite-finish error", name, c.name, err)
 			}
+		}
+	}
+
+	// A fixed assignment that sends both 1e300 transfers into z: x's
+	// crosses the slow link and finishes at +Inf, and y's is booked
+	// after it on the same ledger. A ledger that walked on from an
+	// infinite time never returned, so each run's wait is bounded.
+	assign := []network.NodeID{p0, p1, p1}
+	for _, name := range sched.AlgorithmNames() {
+		alg, err := sched.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := sched.ScheduleAssignment(bigData, slowLink, assign, sched.PresetOptions(alg), name)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "no finite finish time") {
+				t.Errorf("%s assigned x→P0, y→P1, z→P1: err %v, want a no-finite-finish error", name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s assigned x→P0, y→P1, z→P1: no answer after 20s", name)
 		}
 	}
 }
