@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -587,7 +588,7 @@ func saveAndCompare(dir string, snap *Snapshot) error {
 }
 
 // printDelta renders the comparison table between two snapshots.
-func printDelta(w *os.File, oldName, newName string, old, cur *Snapshot) {
+func printDelta(w io.Writer, oldName, newName string, old, cur *Snapshot) {
 	names := make([]string, 0, len(cur.Benchmarks))
 	for name := range cur.Benchmarks {
 		names = append(names, name)
@@ -608,10 +609,15 @@ func printDelta(w *os.File, oldName, newName string, old, cur *Snapshot) {
 			name, o.NsPerOp, n.NsPerOp, pct(o.NsPerOp, n.NsPerOp),
 			n.AllocsPerOp, pct(o.AllocsPerOp, n.AllocsPerOp))
 	}
+	var removed []string
 	for name := range old.Benchmarks {
 		if _, ok := cur.Benchmarks[name]; !ok {
-			fmt.Fprintf(w, "%-34s removed\n", name)
+			removed = append(removed, name)
 		}
+	}
+	sort.Strings(removed)
+	for _, name := range removed {
+		fmt.Fprintf(w, "%-34s removed\n", name)
 	}
 }
 

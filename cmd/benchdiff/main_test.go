@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -321,5 +322,25 @@ func TestHostReport(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("hostReport = %q, want it to contain %q", got, want)
 		}
+	}
+}
+
+// TestPrintDeltaSortsRemoved pins that benchmarks gone from the new
+// snapshot print in name order, like the rest of the delta table.
+func TestPrintDeltaSortsRemoved(t *testing.T) {
+	old := &Snapshot{Benchmarks: map[string]Sample{}}
+	for _, name := range []string{"BenchmarkH", "BenchmarkC", "BenchmarkF", "BenchmarkA", "BenchmarkG", "BenchmarkB", "BenchmarkE", "BenchmarkD"} {
+		old.Benchmarks[name] = Sample{NsPerOp: 1}
+	}
+	var b strings.Builder
+	printDelta(&b, "old", "new", old, &Snapshot{Benchmarks: map[string]Sample{}})
+	var removed []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[1] == "removed" {
+			removed = append(removed, f[0])
+		}
+	}
+	if len(removed) != len(old.Benchmarks) || !sort.StringsAreSorted(removed) {
+		t.Fatalf("removed lines %v, want all %d in name order", removed, len(old.Benchmarks))
 	}
 }

@@ -3,7 +3,6 @@
 // mechanical form of the invariants the paper reproduction depends on
 // — over the given go package patterns (default ./...):
 //
-//	detfold     order-dependent float folds in map/channel/select merges
 //	errflow     dropped errors from this module's exported APIs
 //	floateq     bare float64 time/cost comparisons (use internal/fptime)
 //	noalloc     allocating constructs reachable from edgelint:noalloc hot paths
@@ -42,7 +41,6 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/detfold"
 	"repro/internal/lint/errflow"
 	"repro/internal/lint/floateq"
 	"repro/internal/lint/noalloc"
@@ -52,7 +50,6 @@ import (
 
 // all is the suite, alphabetically.
 var all = []*lint.Analyzer{
-	detfold.Analyzer,
 	errflow.Analyzer,
 	floateq.Analyzer,
 	noalloc.Analyzer,

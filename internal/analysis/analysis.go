@@ -184,14 +184,16 @@ func analyzeUtilization(s *sched.Schedule, r *Report) {
 	if s.Makespan <= 0 {
 		return
 	}
-	var procs []float64
-	for _, u := range s.ProcUtilization() {
-		procs = append(procs, u)
+	util := s.ProcUtilization()
+	procs := make([]float64, 0, s.Net.NumProcessors())
+	for _, p := range s.Net.Processors() {
+		procs = append(procs, util[p])
 	}
 	sort.Float64s(procs)
 	r.ProcUtil = stats.Summarize(procs)
 
-	busy := map[network.LinkID]float64{}
+	busy := make([]float64, s.Net.NumLinks())
+	used := make([]bool, len(busy))
 	for _, es := range s.Edges {
 		if es == nil {
 			continue
@@ -199,28 +201,26 @@ func analyzeUtilization(s *sched.Schedule, r *Report) {
 		for _, pl := range es.Placements {
 			if pl.Chunks == nil {
 				busy[pl.Link] += pl.Finish - pl.Start
+				used[pl.Link] = true
 				continue
 			}
 			for _, c := range pl.Chunks {
 				busy[pl.Link] += (c.End - c.Start) * c.Rate
+				used[pl.Link] = true
 			}
 		}
 	}
-	// Scan links in ID order: map iteration would pick an arbitrary
-	// BusiestLink among exact-utilization ties; first-wins over the
-	// sorted IDs pins ties to the lowest link ID.
-	ids := make([]network.LinkID, 0, len(busy))
-	for id := range busy {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Links in ID order, so the first of tied links is the busiest.
 	var links []float64
-	for _, id := range ids {
-		u := busy[id] / s.Makespan
+	for id, b := range busy {
+		if !used[id] {
+			continue
+		}
+		u := b / s.Makespan
 		links = append(links, u)
 		if u > r.BusiestLinkUtil {
 			r.BusiestLinkUtil = u
-			r.BusiestLink = id
+			r.BusiestLink = network.LinkID(id)
 		}
 	}
 	sort.Float64s(links)
@@ -287,16 +287,20 @@ func analyzeCriticalChain(s *sched.Schedule, r *Report) {
 	if last < 0 {
 		return
 	}
-	// Previous task per (proc, start) for proc-wait attribution.
-	prevOnProc := map[dag.TaskID]dag.TaskID{}
-	byProc := map[network.NodeID][]dag.TaskID{}
+	// Previous task per (proc, start) for proc-wait attribution; -1
+	// for the first task on its processor.
+	prevOnProc := make([]dag.TaskID, len(s.Tasks))
+	byProc := make([][]dag.TaskID, s.Net.NumNodes())
 	for _, tp := range s.Tasks {
 		byProc[tp.Proc] = append(byProc[tp.Proc], tp.Task)
 	}
 	for _, ids := range byProc {
 		sort.Slice(ids, func(i, j int) bool { return s.Tasks[ids[i]].Start < s.Tasks[ids[j]].Start })
-		for i := 1; i < len(ids); i++ {
-			prevOnProc[ids[i]] = ids[i-1]
+		for i, id := range ids {
+			prevOnProc[id] = -1
+			if i > 0 {
+				prevOnProc[id] = ids[i-1]
+			}
 		}
 	}
 
@@ -322,7 +326,8 @@ func analyzeCriticalChain(s *sched.Schedule, r *Report) {
 			}
 		}
 		// 2. The previous task on the processor.
-		prev, hasPrev := prevOnProc[cur]
+		prev := prevOnProc[cur]
+		hasPrev := prev >= 0
 		prevFinish := 0.0
 		if hasPrev {
 			prevFinish = s.Tasks[prev].Finish

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/network"
@@ -165,6 +166,9 @@ func (doc *topologyDoc) build() (*network.Topology, error) {
 			for _, m := range l.Members {
 				if err := check(i, m); err != nil {
 					return nil, err
+				}
+				if slices.Contains(members, network.NodeID(m)) {
+					return nil, fmt.Errorf("graphio: bus link %d lists node %d twice", i, m)
 				}
 				members = append(members, network.NodeID(m))
 			}

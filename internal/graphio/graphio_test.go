@@ -162,6 +162,9 @@ func TestTopologyReadRejectsBadInput(t *testing.T) {
 		"single member bus": `{"nodes":[{"name":"a","kind":"processor","speed":1},
 			{"name":"b","kind":"processor","speed":1}],
 			"links":[{"members":[0],"speed":1}]}`,
+		"bus member twice": `{"nodes":[{"name":"a","kind":"processor","speed":1},
+			{"name":"b","kind":"processor","speed":1}],
+			"links":[{"members":[0,1,0],"speed":1}]}`,
 		"disconnected": `{"nodes":[{"name":"a","kind":"processor","speed":1},
 			{"name":"b","kind":"processor","speed":1}],"links":[]}`,
 		"trailing data": `{"nodes":[{"name":"a","kind":"processor","speed":1}],"links":[]} junk`,

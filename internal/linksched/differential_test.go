@@ -279,7 +279,7 @@ func FuzzTimelineDifferential(f *testing.F) {
 				if gs != ws {
 					t.Fatalf("op %d: ProbeBasic %v != reference %v", i, gs, ws)
 				}
-				if s, f := tl.InsertBasic(owner, req); dur > 0 {
+				if s, f := tl.InsertBasic(owner, req); dur > Eps {
 					insertRef(Slot{Start: s, End: f, Owner: owner})
 				}
 			case 2:
@@ -292,7 +292,7 @@ func FuzzTimelineDifferential(f *testing.F) {
 						i, cs, cp, ss, sp, rs, rp)
 				}
 				s, f, _ := tl.InsertOptimal(owner, req, nil)
-				if dur > 0 {
+				if dur > Eps {
 					need := f
 					for k := rp; k < len(ref) && !fptime.GeqEps(ref[k].Start, need); k++ {
 						delta := need - ref[k].Start

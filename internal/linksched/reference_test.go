@@ -40,7 +40,7 @@ func earliestGapLinear(slots []Slot, lb, dur float64) float64 {
 // probeBasicLinear is ProbeBasic over the reference kernel.
 func probeBasicLinear(slots []Slot, req Request) (start, finish float64) {
 	lb := req.lowerBound()
-	if req.Dur <= 0 {
+	if req.Dur <= Eps {
 		return lb, lb
 	}
 	start = earliestGapLinear(slots, lb, req.Dur)
@@ -51,7 +51,7 @@ func probeBasicLinear(slots []Slot, req Request) (start, finish float64) {
 // tail-to-head slack scan with no early exit.
 func probeOptimalLinear(slots []Slot, req Request, slack SlackFunc) (start, finish float64, pos int) {
 	lb := req.lowerBound()
-	if req.Dur <= 0 {
+	if req.Dur <= Eps {
 		return lb, lb, len(slots)
 	}
 	n := len(slots)

@@ -181,6 +181,8 @@ func (t *Timeline) Slack() []float64 {
 // The effective lower bound for the slot start is
 // max(ES, PF-Dur): starting there makes both conditions hold with a
 // slot of exactly Dur length (the paper's "virtual start time", §2.2).
+// A transfer of Dur at most Eps books no slot: the probes and inserts
+// return that bound as its start and its finish.
 type Request struct {
 	ES  float64
 	PF  float64
@@ -207,7 +209,7 @@ func (r Request) lowerBound() float64 {
 // edgelint:noalloc
 func (t *Timeline) ProbeBasic(req Request) (start, finish float64) {
 	lb := req.lowerBound()
-	if req.Dur <= 0 {
+	if req.Dur <= Eps {
 		return lb, lb
 	}
 	start, _ = t.earliestGap(lb, req.Dur)
@@ -293,7 +295,7 @@ func (t *Timeline) earliestGap(lb, dur float64) (float64, cursor) {
 // edgelint:noalloc
 func (t *Timeline) InsertBasic(owner Owner, req Request) (start, finish float64) {
 	lb := req.lowerBound()
-	if req.Dur <= 0 {
+	if req.Dur <= Eps {
 		return lb, lb
 	}
 	start, c := t.earliestGap(lb, req.Dur)
@@ -302,14 +304,12 @@ func (t *Timeline) InsertBasic(owner Owner, req Request) (start, finish float64)
 	return start, finish
 }
 
-// insertAt inserts s, with slack 0 — a new slot's owner has not been
-// sealed yet — where a search for s.Start in start order would: before
-// the first slot starting at or after it. The insertion kernels pass
-// the position their own walk ended at, so the seek from there costs
-// the few slots between it and that place (almost always none), not a
-// search.
+// insertAt inserts s at c, with slack 0 — a new slot's owner has not
+// been sealed yet. The insertion kernels pass the position their walk
+// ended at, which is s's place in start order: every slot they book
+// lasts longer than Eps, so the slots before c start before s and the
+// slot at c starts after it.
 func (t *Timeline) insertAt(c cursor, s Slot) {
-	c = t.st.seek(c, startBefore, s.Start)
 	t.refold(t.st.insert(c, slotEntry{Slot: s}, foldSlots, growSlots), 1)
 	t.noteAbs(s)
 }
@@ -363,14 +363,10 @@ func (t *Timeline) SetSlack(o Owner, start, dt float64) {
 	if dt < 0 {
 		dt = 0
 	}
+	// Every slot lasts longer than Eps, so no two share a start.
 	c := t.st.search(startBefore, start)
-	// Starts tie only between zero-length slots; the owner disambiguates.
 	// edgelint:ignore floateq — exact lookup of a recorded start.
-	for c.s < len(t.st.slabs) && t.st.at(c).Start == start && t.st.at(c).Owner != o {
-		c = t.st.next(c)
-	}
-	// edgelint:ignore floateq — exact lookup of a recorded start.
-	if c.s == len(t.st.slabs) || t.st.at(c).Start != start {
+	if c.s == len(t.st.slabs) || t.st.at(c).Start != start || t.st.at(c).Owner != o {
 		panic("linksched: SetSlack on a slot the timeline does not hold")
 	}
 	t.st.at(c).slack = dt
@@ -409,7 +405,7 @@ type Shifted struct {
 // edgelint:noalloc
 func (t *Timeline) ProbeOptimal(req Request, slack SlackFunc) (start, finish float64, pos int) {
 	lb := req.lowerBound()
-	if req.Dur <= 0 {
+	if req.Dur <= Eps {
 		return lb, lb, t.st.n
 	}
 	w := t.walkOptimal(lb, req.Dur, slack)
@@ -566,7 +562,7 @@ func (w *optimalWalk) scan(k, base int, slots []slotEntry, accs []float64, prevE
 func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (start, finish float64, shifted []Shifted) {
 	moved = moved[:0]
 	lb := req.lowerBound()
-	if req.Dur <= 0 {
+	if req.Dur <= Eps {
 		return lb, lb, moved
 	}
 	w := t.walkOptimal(lb, req.Dur, nil)

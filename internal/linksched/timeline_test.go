@@ -3,7 +3,6 @@ package linksched
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -497,39 +496,5 @@ func TestSlackColumnFollowsInserts(t *testing.T) {
 	tl.st.slabs[0].items[2].slack = -1
 	if err := tl.Validate(); err == nil {
 		t.Fatal("negative slack accepted")
-	}
-}
-
-// TestInsertPlacesLikeSearch pins where the insertion kernels put a new
-// slot: before the first slot starting at or after it, where a binary
-// search over the starts lands, and not at the slot where the
-// earliest-gap walk that found the start stopped. The two differ only
-// at degenerate starts, both built here. A zero-length slot at the gap
-// start (a 1e-14 transfer at time 1000 rounds to nothing) lies before
-// the stop of a walk for a longer slot, so the seek from the stop backs
-// up over it; a slot starting less than Eps before the gap start (an
-// Eps-tolerant fit let its predecessor end past it) is where a sub-Eps
-// walk stops, so the seek advances past it. Both placements leave slots
-// that overlap by more than Eps, which Validate reports; the placement
-// rule is kept as it is, so schedules stay as they were.
-func TestInsertPlacesLikeSearch(t *testing.T) {
-	tl := NewTimeline()
-	tl.InsertBasic(o(1, 0), Request{ES: 900, Dur: 100})
-	if s, f := tl.InsertBasic(o(2, 0), Request{ES: 1000, Dur: 1e-14}); s != 1000 || f != 1000 {
-		t.Fatalf("zero-length slot at [%v, %v], want [1000, 1000]", s, f)
-	}
-	tl.InsertBasic(o(3, 0), Request{ES: 950, Dur: 3})
-	want := []Slot{{900, 1000, o(1, 0)}, {1000, 1003, o(3, 0)}, {1000, 1000, o(2, 0)}}
-	if got := tl.Slots(); !slices.Equal(got, want) {
-		t.Fatalf("past a zero-length slot: slots %v, want %v", got, want)
-	}
-
-	tl = NewTimeline()
-	tl.InsertBasic(o(1, 0), Request{ES: 10, Dur: 10})
-	tl.InsertBasic(o(2, 0), Request{ES: 0, Dur: 10 + Eps/2}) // fits before [10, 20] within Eps
-	tl.InsertBasic(o(3, 0), Request{ES: 10, Dur: Eps / 4})
-	want = []Slot{{0, 10 + Eps/2, o(2, 0)}, {10, 20, o(1, 0)}, {10 + Eps/2, 10 + Eps/2 + Eps/4, o(3, 0)}}
-	if got := tl.Slots(); !slices.Equal(got, want) {
-		t.Fatalf("past a slot starting before the gap: slots %v, want %v", got, want)
 	}
 }

@@ -1,9 +1,9 @@
 // Cross-package facts. The framework type-checks each package unit
 // from source but resolves its imports through gc export data, which
 // preserves types and nothing else: comments — and with them the
-// edgelint:detfold / edgelint:noalloc / edgelint:coldpath markers — do
-// not survive the package boundary. Facts close that gap, in the
-// spirit of golang.org/x/tools/go/analysis facts: while a unit is
+// edgelint:noalloc / edgelint:coldpath markers — do not survive the
+// package boundary. Facts close that gap, in the spirit of
+// golang.org/x/tools/go/analysis facts: while a unit is
 // analyzed, marker directives and analyzer-computed function summaries
 // are exported into a driver-wide store under a position-independent
 // object key; units analyzed later (drivers process units in
@@ -25,9 +25,6 @@ import (
 // Fact kinds exported by the framework's marker pre-pass. Analyzers
 // export their own kinds (e.g. "noalloc.summary") with Pass.ExportFact.
 const (
-	// FactFold marks a function as a conforming deterministic fold
-	// (edgelint:detfold on its declaration). Value: *FoldMark.
-	FactFold = "mark.detfold"
 	// FactNoAlloc marks a function whose steady-state paths must not
 	// allocate (edgelint:noalloc on its declaration). Value: *NoAllocMark.
 	FactNoAlloc = "mark.noalloc"
@@ -36,9 +33,6 @@ const (
 	// (edgelint:coldpath on its declaration). Value: *ColdMark.
 	FactColdPath = "mark.coldpath"
 )
-
-// FoldMark is the FactFold value.
-type FoldMark struct{}
 
 // NoAllocMark is the FactNoAlloc value.
 type NoAllocMark struct{}
@@ -96,7 +90,7 @@ func ObjectKey(obj types.Object) string {
 
 // ExportMarkers is the framework pre-pass run on every unit before its
 // analyzers: it exports the directive-declared function facts —
-// detfold, noalloc and coldpath marks — so downstream units (and this
+// noalloc and coldpath marks — so downstream units (and this
 // unit's own analyzers) see them uniformly through the fact store.
 func ExportMarkers(u *Unit, facts *Facts) {
 	for _, f := range u.Files {
@@ -110,9 +104,6 @@ func ExportMarkers(u *Unit, facts *Facts) {
 				continue
 			}
 			for _, c := range fd.Doc.List {
-				if _, ok := Directive(c.Text, "detfold"); ok {
-					facts.Export(FactFold, obj, &FoldMark{})
-				}
 				if _, ok := Directive(c.Text, "noalloc"); ok {
 					facts.Export(FactNoAlloc, obj, &NoAllocMark{})
 				}

@@ -204,6 +204,35 @@ func IsFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
+// BoxingFree reports whether converting a value of type t to an
+// interface cannot heap-allocate: pointers, channels, maps, funcs,
+// unsafe pointers and nil-able interfaces are pointer-shaped and fit an
+// interface word directly. Everything else (ints, floats, strings,
+// slices, structs, arrays, bools) boxes — the runtime copies the value
+// to the heap unless escape analysis intervenes, which a static
+// discipline cannot rely on.
+func BoxingFree(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Interface:
+		return true
+	case *types.Basic:
+		b := t.Underlying().(*types.Basic)
+		return b.Kind() == types.UnsafePointer || b.Kind() == types.UntypedNil
+	}
+	return false
+}
+
+// NamedOf resolves t to its named type, looking through one level of
+// pointer indirection (the shape of method receivers and struct-field
+// owners). Returns nil for unnamed types.
+func NamedOf(t types.Type) *types.Named {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
 // CalleeFunc resolves the called function or method of a call
 // expression, or nil for builtins, type conversions and calls of
 // function-typed values.

@@ -16,8 +16,8 @@ func TestParseIgnore(t *testing.T) {
 		{"// edgelint:ignore all — generated file", []string{"all"}},
 		{"// plain comment", nil},
 		{"/* edgelint:ignore seededrand — block form */", []string{"seededrand"}},
-		{"// edgelint:ignore noalloc,detfold — comma-joined multi-analyzer", []string{"noalloc", "detfold"}},
-		{"// edgelint:ignore noalloc,detfold,floateq -- three at once", []string{"noalloc", "detfold", "floateq"}},
+		{"// edgelint:ignore noalloc,errflow — comma-joined multi-analyzer", []string{"noalloc", "errflow"}},
+		{"// edgelint:ignore noalloc,errflow,floateq -- three at once", []string{"noalloc", "errflow", "floateq"}},
 		{"// edgelint:ignore", nil},
 		{"// edgelint:ignorenothing — different directive", nil},
 	}
@@ -38,10 +38,10 @@ func TestDirective(t *testing.T) {
 		{"// edgelint:coldpath grow spill — rare growth", "coldpath", []string{"grow", "spill"}, true},
 		{"// edgelint:noalloc — steady-state probe", "noalloc", nil, true},
 		{"// edgelint:noalloc", "noalloc", nil, true},
-		{"// edgelint:detfold minFinish — fixed merge order", "detfold", []string{"minFinish"}, true},
-		{"// edgelint:detfold — fixed merge order", "detfold", nil, true},
+		{"// edgelint:coldpath minFinish — rare growth", "coldpath", []string{"minFinish"}, true},
+		{"// edgelint:coldpath — rare growth", "coldpath", nil, true},
 		{"// edgelint:noallocX — boundary must hold", "noalloc", nil, false},
-		{"// a plain comment mentioning edgelint", "detfold", nil, false},
+		{"// a plain comment mentioning edgelint", "noalloc", nil, false},
 		{"/* edgelint:coldpath A,B — block, commas */", "coldpath", []string{"A", "B"}, true},
 	}
 	for _, c := range cases {

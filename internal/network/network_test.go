@@ -244,6 +244,9 @@ func TestBusRouting(t *testing.T) {
 	if err := top.ValidateRoute(ps[0], ps[2], route); err != nil {
 		t.Fatal(err)
 	}
+	if err := top.ValidateRoute(ps[0], ps[2], Route{route[0], 99}); err == nil {
+		t.Fatal("route through a missing link accepted")
+	}
 }
 
 func TestBuilderShapes(t *testing.T) {

@@ -130,12 +130,15 @@ func (q *labelQueue) pop() labelItem {
 // visited, validating that consecutive links connect. It is used by the
 // schedule verifier.
 func (t *Topology) RouteNodes(src NodeID, r Route) ([]NodeID, error) {
-	nodes := []NodeID{src}
-	cur := src
+	// Check every hop first: a bus hop reads the link after it.
 	for i, lid := range r {
 		if lid < 0 || int(lid) >= len(t.links) {
 			return nil, fmt.Errorf("network: route hop %d: link %d does not exist", i, lid)
 		}
+	}
+	nodes := []NodeID{src}
+	cur := src
+	for i, lid := range r {
 		l := t.links[lid]
 		var next NodeID = -1
 		if l.IsBus() {

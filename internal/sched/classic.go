@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dag"
+	"repro/internal/fptime"
 	"repro/internal/network"
 )
 
@@ -57,7 +58,7 @@ func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, erro
 				start = procFinish[p]
 			}
 			finish := start + g.Task(tid).Cost/net.Node(p).Speed
-			if finish < bestFinish-1e-12 {
+			if fptime.LessEps(finish, bestFinish) {
 				bestFinish = finish
 				bestStart = start
 				best = p

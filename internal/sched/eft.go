@@ -67,10 +67,7 @@ func (s *state) probeError(tid dag.TaskID, p network.NodeID, err error) error {
 //
 // The fold scans processors in ID order keeping the earliest finish
 // beyond the fptime tolerance, so ties break to the lowest processor
-// ID. This is the canonical conforming deterministic fold the detfold
-// analyzer checks other merges against.
-//
-// edgelint:detfold
+// ID (TestProcessorChoiceBreaksNearTiesLow).
 func (s *state) selectByEFT(tid dag.TaskID) (network.NodeID, error) {
 	procs := s.net.Processors()
 	if len(procs) == 1 {
@@ -88,7 +85,7 @@ func (s *state) selectByEFT(tid dag.TaskID) (network.NodeID, error) {
 	pilot := 0
 	for i, p := range procs {
 		lb[i] = s.probeLowerBound(tid, p, ready)
-		// edgelint:ignore floateq, detfold — exact argmin, first-wins
+		// edgelint:ignore floateq — exact argmin, first-wins
 		// ties; any deterministic pilot is valid, its finish only prunes.
 		if lb[i] < lb[pilot] {
 			pilot = i

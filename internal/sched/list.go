@@ -1003,11 +1003,11 @@ func (s *state) slackOf(o linksched.Owner) float64 {
 // reads the column instead of asking slackOf slot by slot, so every
 // change to a leg's deferrable time goes through here: when
 // scheduleEdge seals the edge, and when applyShift moves one of its
-// legs. A leg of zero duration holds no slot (InsertOptimal places
+// legs. A leg no longer than Eps holds no slot (InsertOptimal places
 // none), so it has no entry to write.
 func (s *state) storeSlack(eid dag.EdgeID, leg int) {
 	lid := s.edges.routeAt(eid, leg)
-	if s.g.Edge(eid).Cost/s.net.Link(lid).Speed <= 0 {
+	if s.g.Edge(eid).Cost/s.net.Link(lid).Speed <= linksched.Eps {
 		return
 	}
 	o := linksched.Owner{Edge: int(eid), Leg: leg}

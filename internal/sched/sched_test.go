@@ -741,6 +741,25 @@ func TestEFTSelectsContentionAwareBest(t *testing.T) {
 	}
 }
 
+// TestProcessorChoiceBreaksNearTiesLow pins the processor-choice folds'
+// tie rule: finishes within fptime.Eps of each other tie, and a tie
+// goes to the lowest processor ID. Processor 1 is faster than processor
+// 0 by 1e-12, so it finishes the task 1e-10 earlier: a tie.
+func TestProcessorChoiceBreaksNearTiesLow(t *testing.T) {
+	gb := new(dag.Builder)
+	only := gb.AddTask("only", 100)
+	g := mustBuild(t, gb)
+	net := network.NewTopology()
+	p0 := net.AddProcessor("", 1)
+	p1 := net.AddProcessor("", 1+1e-12)
+	net.AddDuplex(p0, p1, 1)
+	for _, a := range []sched.Algorithm{sched.NewBA(), sched.NewBASinnen(), sched.NewOIHSA(), sched.NewClassic()} {
+		if got := mustSchedule(t, a, g, net).Tasks[only].Proc; got != p0 {
+			t.Errorf("%s placed the task on node %d, want %d", a.Name(), got, p0)
+		}
+	}
+}
+
 func TestZeroCostEdgesAndTasks(t *testing.T) {
 	// Zero-cost tasks and edges must not break any engine.
 	gb := new(dag.Builder)

@@ -90,25 +90,23 @@ func (s *Schedule) ArrivalOf(e dag.EdgeID) float64 {
 	return s.Tasks[s.Graph.Edge(e).From].Finish
 }
 
-// ProcUtilization returns, per processor node ID, the fraction of
-// [0, makespan] spent computing.
-func (s *Schedule) ProcUtilization() map[network.NodeID]float64 {
-	busy := map[network.NodeID]float64{}
-	for _, tp := range s.Tasks {
-		busy[tp.Proc] += tp.Finish - tp.Start
-	}
-	for _, tp := range s.Duplicates {
-		busy[tp.Proc] += tp.Finish - tp.Start
-	}
-	out := map[network.NodeID]float64{}
-	for _, p := range s.Net.Processors() {
-		if s.Makespan > 0 {
-			out[p] = busy[p] / s.Makespan
-		} else {
-			out[p] = 0
+// ProcUtilization returns the fraction of [0, makespan] each node spent
+// computing, indexed by NodeID: 0 for nodes that are not processors,
+// and for every node when the makespan is 0.
+func (s *Schedule) ProcUtilization() []float64 {
+	busy := make([]float64, s.Net.NumNodes())
+	for _, tps := range [][]TaskPlacement{s.Tasks, s.Duplicates} {
+		for _, tp := range tps {
+			busy[tp.Proc] += tp.Finish - tp.Start
 		}
 	}
-	return out
+	util := make([]float64, len(busy))
+	if s.Makespan > 0 {
+		for _, p := range s.Net.Processors() {
+			util[p] = busy[p] / s.Makespan
+		}
+	}
+	return util
 }
 
 // CommStats summarizes the communication side of a schedule.

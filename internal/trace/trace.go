@@ -6,7 +6,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/network"
@@ -50,14 +49,17 @@ func WriteGantt(w io.Writer, s *sched.Schedule, opt GanttOptions) error {
 		s.Algorithm, s.Makespan, s.Makespan/float64(opt.Width)); err != nil {
 		return err
 	}
-	// Processor rows in insertion order.
-	rows := map[network.NodeID][]rune{}
-	for _, p := range s.Net.Processors() {
+	blank := func() []rune {
 		row := make([]rune, opt.Width)
 		for i := range row {
 			row[i] = '.'
 		}
-		rows[p] = row
+		return row
+	}
+	// One row per processor, indexed by node ID; nil off processors.
+	rows := make([][]rune, s.Net.NumNodes())
+	for _, p := range s.Net.Processors() {
+		rows[p] = blank()
 	}
 	for _, tp := range s.Tasks {
 		row := rows[tp.Proc]
@@ -77,33 +79,26 @@ func WriteGantt(w io.Writer, s *sched.Schedule, opt GanttOptions) error {
 	if !opt.Links {
 		return nil
 	}
-	// Link rows, only for links that carry traffic, in link-ID order.
-	type linkRow struct {
-		id  network.LinkID
-		row []rune
-	}
-	lrs := map[network.LinkID]*linkRow{}
+	// Link rows, only for links that carry traffic, in link-ID order;
+	// nil for the others.
+	lrows := make([][]rune, s.Net.NumLinks())
 	for _, es := range s.Edges {
 		if es == nil {
 			continue
 		}
 		for _, pl := range es.Placements {
-			lr := lrs[pl.Link]
-			if lr == nil {
-				row := make([]rune, opt.Width)
-				for i := range row {
-					row[i] = '.'
-				}
-				lr = &linkRow{id: pl.Link, row: row}
-				lrs[pl.Link] = lr
+			row := lrows[pl.Link]
+			if row == nil {
+				row = blank()
+				lrows[pl.Link] = row
 			}
 			mark := func(a, b float64, full bool) {
 				lo, hi := cell(a), cell(b)
 				for i := lo; i <= hi && i < opt.Width; i++ {
 					if full {
-						lr.row[i] = '#'
-					} else if lr.row[i] != '#' {
-						lr.row[i] = '+'
+						row[i] = '#'
+					} else if row[i] != '#' {
+						row[i] = '+'
 					}
 				}
 			}
@@ -116,18 +111,17 @@ func WriteGantt(w io.Writer, s *sched.Schedule, opt GanttOptions) error {
 			}
 		}
 	}
-	ids := make([]network.LinkID, 0, len(lrs))
-	for id := range lrs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for i, row := range lrows {
+		if row == nil {
+			continue
+		}
+		id := network.LinkID(i)
 		l := s.Net.Link(id)
 		name := fmt.Sprintf("L%d", id)
 		if !l.IsBus() {
 			name = fmt.Sprintf("L%d:%s>%s", id, s.Net.Node(l.From).Name, s.Net.Node(l.To).Name)
 		}
-		if _, err := fmt.Fprintf(w, "%-14s |%s|\n", name, string(lrs[id].row)); err != nil {
+		if _, err := fmt.Fprintf(w, "%-14s |%s|\n", name, string(row)); err != nil {
 			return err
 		}
 	}

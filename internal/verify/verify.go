@@ -116,14 +116,16 @@ func verifyPlacements(s *sched.Schedule, r *Result) {
 }
 
 // verifyProcessorExclusivity checks that tasks on the same processor
-// never overlap.
+// never overlap, node by node in ID order. A placement on a node the
+// topology lacks is verifyPlacements' to report.
 func verifyProcessorExclusivity(s *sched.Schedule, r *Result) {
-	byProc := map[network.NodeID][]sched.TaskPlacement{}
-	for _, tp := range s.Tasks {
-		byProc[tp.Proc] = append(byProc[tp.Proc], tp)
-	}
-	for _, tp := range s.Duplicates {
-		byProc[tp.Proc] = append(byProc[tp.Proc], tp)
+	byProc := make([][]sched.TaskPlacement, s.Net.NumNodes())
+	for _, tps := range [][]sched.TaskPlacement{s.Tasks, s.Duplicates} {
+		for _, tp := range tps {
+			if tp.Proc >= 0 && int(tp.Proc) < len(byProc) {
+				byProc[tp.Proc] = append(byProc[tp.Proc], tp)
+			}
+		}
 	}
 	for proc, tps := range byProc {
 		sort.Slice(tps, func(i, j int) bool { return tps[i].Start < tps[j].Start })
@@ -300,17 +302,19 @@ func volumeBy(chunks []linksched.Chunk, t float64) float64 {
 	return v
 }
 
-// verifyLinkCapacity checks per-link resource limits: exclusive slots
-// never overlap, and bandwidth shares never sum above 1. Slot
-// placements count as rate-1.0 uses so mixed schedules are handled.
+// verifyLinkCapacity checks per-link resource limits, link by link in
+// ID order: exclusive slots never overlap, and bandwidth shares never
+// sum above 1. Slot placements count as rate-1.0 uses so mixed
+// schedules are handled. A placement on a link the topology lacks is
+// verifyRoutes' to report.
 func verifyLinkCapacity(s *sched.Schedule, r *Result) {
 	type eventT struct {
 		t    float64
 		rate float64
 	}
-	uses := map[network.LinkID][]eventT{}
+	uses := make([][]eventT, s.Net.NumLinks())
 	add := func(l network.LinkID, start, end, rate float64) {
-		if fptime.Leq(end-start, 0) {
+		if l < 0 || int(l) >= len(uses) || fptime.Leq(end-start, 0) {
 			return
 		}
 		uses[l] = append(uses[l], eventT{t: start, rate: rate}, eventT{t: end, rate: -rate})
@@ -370,6 +374,9 @@ func verifyVolumes(s *sched.Schedule, r *Result) {
 		}
 		cost := s.Graph.Edge(es.Edge).Cost
 		for _, p := range es.Placements {
+			if p.Link < 0 || int(p.Link) >= s.Net.NumLinks() {
+				continue // verifyRoutes reports it
+			}
 			link := s.Net.Link(p.Link)
 			if p.Chunks == nil {
 				want := cost / link.Speed

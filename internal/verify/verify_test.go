@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -359,4 +361,86 @@ func TestDetectsBogusDuplicate(t *testing.T) {
 	// Corrupt 3: drop the duplicate entirely — the edge is uncovered.
 	s.Duplicates = nil
 	expectViolation(t, s, "edge")
+}
+
+// TestViolationsInIDOrder pins the order Verify reports in: processors,
+// then links, each in ascending ID, the same on every call. Each of
+// eight processors runs three overlapping tasks, and each of eight
+// links carries two transfers at once.
+func TestViolationsInIDOrder(t *testing.T) {
+	const n = 8
+	net := network.FullyConnected(n, network.Uniform(1), network.Uniform(1))
+	gb := new(dag.Builder)
+	for i := 0; i < 3*n; i++ {
+		gb.AddTask(fmt.Sprintf("t%d", i), 10)
+	}
+	for i := 0; i < n; i++ {
+		gb.AddEdge(dag.TaskID(i), dag.TaskID(n+i), 10)
+		gb.AddEdge(dag.TaskID(i), dag.TaskID(2*n+i), 10)
+	}
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Schedule{Graph: g, Net: net, Tasks: make([]sched.TaskPlacement, 3*n),
+		Edges: make([]*sched.EdgeSchedule, g.NumEdges()), Makespan: 15}
+	for i := 0; i < n; i++ {
+		src, dst := network.NodeID(i), network.NodeID((i+1)%n)
+		s.Tasks[i] = sched.TaskPlacement{Task: dag.TaskID(i), Proc: src, Start: 0, Finish: 10}
+		for _, k := range []int{n + i, 2*n + i} {
+			s.Tasks[k] = sched.TaskPlacement{Task: dag.TaskID(k), Proc: dst, Start: 5, Finish: 15}
+		}
+		lid := network.LinkID(-1)
+		for _, l := range net.Links() {
+			if l.From == src && l.To == dst {
+				lid = l.ID
+			}
+		}
+		for _, eid := range g.Succ(dag.TaskID(i)) {
+			s.Edges[eid] = &sched.EdgeSchedule{Edge: eid, SrcProc: src, DstProc: dst, Route: network.Route{lid},
+				Placements: []sched.EdgePlacement{{Link: lid, Start: 10, Finish: 20}}, Base: 10, Arrival: 20}
+		}
+	}
+	first := Verify(s).Violations
+	var nodes, links []int
+	for _, v := range first {
+		var id int
+		switch v.Rule {
+		case "processor":
+			if _, err := fmt.Sscanf(v.Msg[strings.Index(v.Msg, "on node"):], "on node %d", &id); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, id)
+		case "capacity":
+			if _, err := fmt.Sscanf(v.Msg, "link %d oversubscribed", &id); err != nil {
+				t.Fatal(err)
+			}
+			links = append(links, id)
+		}
+	}
+	if len(slices.Compact(slices.Clone(nodes))) != n || len(links) != n {
+		t.Fatalf("overlaps on nodes %v and oversubscribed links %v, want %d of each", nodes, links, n)
+	}
+	if !slices.IsSorted(nodes) || !slices.IsSorted(links) {
+		t.Fatalf("violations out of ID order: nodes %v, links %v", nodes, links)
+	}
+	for i := 0; i < 20; i++ {
+		if got := Verify(s).Violations; !slices.Equal(got, first) {
+			t.Fatalf("call %d reported\n%v\nafter\n%v", i, got, first)
+		}
+	}
+}
+
+// TestOutOfRangeIDsAreViolations pins that a schedule naming a node or
+// a link the topology lacks gets violations, not a panic.
+func TestOutOfRangeIDsAreViolations(t *testing.T) {
+	s := validSchedule(t)
+	s.Tasks[0].Proc = 99
+	expectViolation(t, s, "placement")
+	i := firstRouted(s)
+	if i < 0 {
+		t.Skip("no routed edge")
+	}
+	s.Edges[i].Placements[0].Link = 99
+	expectViolation(t, s, "route")
 }
