@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race fuzz-smoke lint lint-self check bench bench-smoke bench-check bench-module load-smoke examples
+.PHONY: build fmt-check vet test race fuzz-smoke allocs lint lint-self check bench bench-smoke bench-check bench-module load-smoke examples
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadGraph -fuzztime 30s -fuzzminimizetime 0 ./internal/graphio
 	$(GO) test -run '^$$' -fuzz FuzzReadTopology -fuzztime 30s -fuzzminimizetime 0 ./internal/graphio
 	$(GO) test -run '^$$' -fuzz FuzzDijkstraRoute -fuzztime 30s -fuzzminimizetime 0 ./internal/network
+
+# allocs runs the allocation tests verbose, so a regression is named:
+# warm engine requests under their ceiling, the ledger kernels and the
+# Router's searches at zero.
+allocs:
+	$(GO) test -count=1 -run 'AllocationFree|SteadyStateAllocs' -v ./internal/...
 
 lint:
 	$(GO) run ./cmd/edgelint ./...
@@ -87,4 +93,4 @@ examples:
 	done
 
 # check mirrors the CI pipeline (.github/workflows/ci.yml).
-check: build fmt-check vet test race fuzz-smoke lint lint-self bench-check bench-module load-smoke examples
+check: build fmt-check vet test race fuzz-smoke allocs lint lint-self bench-check bench-module load-smoke examples

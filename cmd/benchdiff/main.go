@@ -156,8 +156,8 @@ func main() {
 // microsecond micro-benchmarks stay out of the ns/op gate — too noisy
 // to time on a shared machine — but the 10^4-scale probe kernels are
 // in for their allocs/op, which is deterministic: their baselines are
-// zero and the gate pins them there (the noalloc analyzer's claim,
-// re-checked at runtime). BandwidthEstimateFinish/segs=10000 is one
+// zero and the gate pins them there (the ledger kernel table's claim,
+// at 10^4 slots). BandwidthEstimateFinish/segs=10000 is one
 // of them: at -benchtime 5x its ~2 µs probe times cold caches, and
 // unchanged code read +13% to +86% against its baseline.
 // BenchmarkEngineThroughput guards the serving path: its wall time is

@@ -5,14 +5,8 @@
 //
 //	errflow     dropped errors from this module's exported APIs
 //	floateq     bare float64 time/cost comparisons (use internal/fptime)
-//	noalloc     allocating constructs reachable from edgelint:noalloc hot paths
 //	seededrand  unseeded randomness and wall-clock time in libraries
 //	verifysched test schedules that never pass through verify.Verify
-//
-// Packages are analyzed in dependency order and share one fact store,
-// so marker facts and function summaries exported while analyzing a
-// package are visible when its importers are analyzed: the analyzers
-// see through package boundaries.
 //
 // Usage:
 //
@@ -43,7 +37,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/lint/errflow"
 	"repro/internal/lint/floateq"
-	"repro/internal/lint/noalloc"
 	"repro/internal/lint/seededrand"
 	"repro/internal/lint/verifysched"
 )
@@ -52,7 +45,6 @@ import (
 var all = []*lint.Analyzer{
 	errflow.Analyzer,
 	floateq.Analyzer,
-	noalloc.Analyzer,
 	seededrand.Analyzer,
 	verifysched.Analyzer,
 }
@@ -175,18 +167,15 @@ func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
 }
 
 // runLint loads the packages (with test files, like go vet) and applies
-// the analyzers to every unit. Units arrive in dependency order from
-// LoadPackages and share one fact store, so facts exported while
-// analyzing a package are importable when its dependents run.
+// the analyzers to every unit.
 func runLint(dir string, patterns []string, analyzers []*lint.Analyzer) ([]lint.Diagnostic, []lint.Failure, error) {
 	units, failures, err := lint.LoadPackages(dir, patterns)
 	if err != nil {
 		return nil, nil, err
 	}
-	facts := lint.NewFacts()
 	var diags []lint.Diagnostic
 	for _, u := range units {
-		ds, err := u.RunWith(analyzers, facts)
+		ds, err := u.Run(analyzers)
 		if err != nil {
 			// An analyzer error (including a recovered panic) on one
 			// unit fails that unit, not the whole run: the remaining
@@ -201,8 +190,8 @@ func runLint(dir string, patterns []string, analyzers []*lint.Analyzer) ([]lint.
 }
 
 // sortDiagnostics fixes the report order — file, line, column,
-// analyzer — so output is deterministic and independent of the
-// dependency order the units were analyzed in.
+// analyzer — so output is deterministic and independent of the order
+// the units were analyzed in.
 func sortDiagnostics(diags []lint.Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

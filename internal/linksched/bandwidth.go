@@ -271,11 +271,8 @@ func (t *BWTimeline) Alloc(owner Owner, es, volume, speed, cap float64) []Chunk 
 
 // AppendAlloc is Alloc appending its chunks to dst; the chunks already
 // in dst are neither read nor merged with.
-//
-// edgelint:noalloc
 func (t *BWTimeline) AppendAlloc(dst []Chunk, es, volume, speed, cap float64) []Chunk {
 	if volume <= Eps {
-		// edgelint:coldpath — amortized growth of the caller's buffer.
 		return append(dst, Chunk{Start: es, End: es, Rate: 0, Volume: 0})
 	}
 	out, _ := t.alloc(dst, t.seekEps(math.Max(es, 0)), es, volume, speed, cap)
@@ -298,23 +295,23 @@ func (t *BWTimeline) alloc(dst []Chunk, c cursor, es, volume, speed, cap float64
 	for remaining > volume*1e-9+Eps/2 {
 		c = t.st.seek(c, endAtMost, cur+Eps)
 		avail, until := t.availAt(c, cur)
-		rate := math.Min(avail, cap)
-		if rate <= Eps {
+		if avail <= Eps {
 			// Link saturated here; wait for the next change point,
 			// hopping whole saturated slabs via their hop flags.
-			// (With cap <= Eps every rate is saturated regardless of
-			// availability, so there is nothing to skip to.) Nothing
-			// frees after an infinite time: the transfer ends there.
+			// Nothing frees after an infinite time: the transfer ends
+			// there.
 			cur = until
 			if math.IsInf(cur, 1) {
 				out = appendChunk(out, base, Chunk{Start: cur, End: cur})
 				break
 			}
-			if cap > Eps {
-				c, cur = t.skipSaturated(c, cur)
-			}
+			c, cur = t.skipSaturated(c, cur)
 			continue
 		}
+		// A cap at or below Eps (a chunk from a link over 1e9 times
+		// slower) still moves: reserve books no sub-Eps rate, as it
+		// books no sub-Eps duration.
+		rate := math.Min(avail, cap)
 		// Time to drain the remaining volume at this rate.
 		need := remaining / (rate * speed)
 		end := cur + need
@@ -353,7 +350,6 @@ func appendChunk(cs []Chunk, from int, c Chunk) []Chunk {
 			return cs
 		}
 	}
-	// edgelint:coldpath — amortized growth of the caller's buffer.
 	return append(cs, c)
 }
 
@@ -361,8 +357,6 @@ func appendChunk(cs []Chunk, from int, c Chunk) []Chunk {
 // transfer of volume at link speed speed starting no earlier than es
 // (uncapped) would start and finish. Used as the modified-Dijkstra
 // probe for BBSA routing.
-//
-// edgelint:noalloc
 func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish float64) {
 	if volume <= Eps {
 		return es, es
@@ -418,8 +412,6 @@ func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish fl
 // so that the cumulative outflow never exceeds the cumulative inflow
 // (Theorem 3). It reserves the bandwidth and appends the chunks
 // produced on this link to dst, which must not overlap in.
-//
-// edgelint:noalloc
 func (t *BWTimeline) Forward(dst []Chunk, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
 	base, out := len(dst), dst
 	ready := 0.0
@@ -431,7 +423,6 @@ func (t *BWTimeline) Forward(dst []Chunk, in []Chunk, prevSpeed, speed, hopDelay
 	for _, c := range in {
 		if c.Volume <= Eps {
 			if len(out) == base {
-				// edgelint:coldpath — amortized growth of the caller's buffer.
 				out = append(out, Chunk{Start: c.Start + hopDelay, End: c.Start + hopDelay})
 			}
 			continue
@@ -456,7 +447,6 @@ func (t *BWTimeline) Forward(dst []Chunk, in []Chunk, prevSpeed, speed, hopDelay
 		}
 	}
 	if len(out) == base {
-		// edgelint:coldpath — amortized growth of the caller's buffer.
 		out = append(out, Chunk{})
 	}
 	return out
@@ -499,8 +489,6 @@ func (t *BWTimeline) Validate() error {
 // included, reusing t's slab arrays when they have capacity. The warm
 // path — journaling into a stale copy, or restoring from one — is one
 // copy per slab and no allocation.
-//
-// edgelint:noalloc
 func (t *BWTimeline) CopyFrom(src *BWTimeline) { t.st.copyFrom(&src.st) }
 
 // NumSegments reports the number of segments (for tests/statistics).

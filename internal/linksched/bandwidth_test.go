@@ -213,19 +213,30 @@ func TestNoUnderflowHangAtLargeTimes(t *testing.T) {
 	}
 }
 
-// TestForwardStopsAtInfinity pins that a transfer whose cap leaves it
-// no bandwidth (a chunk from a link 1e12 times slower) finishes at +Inf
-// instead of waiting forever for a change point past the ledger's end.
+// TestForwardStopsAtInfinity pins that a transfer behind a link booked
+// full until +Inf (by a transfer whose time overflows) finishes at +Inf
+// instead of waiting forever for a change point past the ledger's end,
+// and that a chunk from a link 1e12 times slower, whose cap of 1e-12
+// is below Eps, still moves at that cap and finishes.
 func TestForwardStopsAtInfinity(t *testing.T) {
-	done := make(chan []Chunk, 1)
+	in := []Chunk{{Start: 1, End: 2, Rate: 1, Volume: 1}}
+	done := make(chan [2][]Chunk, 1)
 	go func() {
-		bw := NewBWTimeline()
-		done <- bw.Forward(nil, []Chunk{{Start: 1, End: 2, Rate: 1, Volume: 1}}, 1e-10, 100, 0)
+		full := NewBWTimeline()
+		full.Alloc(o(0, 0), 0, 1e300, 1e-10, 0) // 1e310 time units: +Inf
+		blocked := full.Forward(nil, in, 1, 100, 0)
+		slow := NewBWTimeline().Forward(nil, in, 1e-10, 100, 0)
+		done <- [2][]Chunk{blocked, slow}
 	}()
 	select {
-	case cs := <-done:
-		if end := cs[len(cs)-1].End; !math.IsInf(end, 1) {
-			t.Fatalf("chunks %+v end at %v, want +Inf", cs, end)
+	case got := <-done:
+		blocked, slow := got[0], got[1]
+		if end := blocked[len(blocked)-1].End; !math.IsInf(end, 1) {
+			t.Errorf("behind a full ledger: chunks %+v end at %v, want +Inf", blocked, end)
+		}
+		if len(slow) != 1 || slow[0].Start != 1 || math.Abs(slow[0].End-(1+1e10)) > 1e-6 ||
+			math.Abs(slow[0].Volume-1) > 1e-9 {
+			t.Errorf("at a cap of 1e-12: chunks %+v, want one of volume 1 over [1, 1+1e10]", slow)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Forward waited forever for bandwidth past +Inf")

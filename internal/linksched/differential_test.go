@@ -570,7 +570,10 @@ func FuzzBWTimelineDifferential(f *testing.F) {
 			op := data[i] % 8
 			es := float64(data[i+1])*4 + float64(data[i+2])/64
 			vol := float64(data[i+3])/4 + 0.01
-			cap := float64(data[i+4]%5) / 4 // 0 = uncapped .. 1
+			cap := float64(data[i+4]%6) / 4 // 0 = uncapped .. 1
+			if cap > 1 {
+				cap = 1e-12 // at or below Eps: moves, books nothing
+			}
 			speed := 1 + float64(data[i+5]%4)
 			switch op {
 			case 0, 1, 2:

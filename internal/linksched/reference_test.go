@@ -203,8 +203,7 @@ func (t *bwRef) alloc(es, volume, speed, cap float64) []Chunk {
 	remaining := volume
 	for remaining > volume*1e-9+Eps/2 {
 		avail, until := t.availAt(cur)
-		rate := math.Min(avail, cap)
-		if rate <= Eps {
+		if avail <= Eps {
 			// Link saturated here; wait for the next change point,
 			// unless there is none.
 			cur = until
@@ -214,6 +213,7 @@ func (t *bwRef) alloc(es, volume, speed, cap float64) []Chunk {
 			}
 			continue
 		}
+		rate := math.Min(avail, cap)
 		need := remaining / (rate * speed)
 		end := cur + need
 		if end > until {

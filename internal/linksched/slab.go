@@ -172,9 +172,8 @@ func (st *slabStore[E, S]) insert(c cursor, e E, f fold[E, S], g grow[E, S]) cur
 	}
 	sl := &st.slabs[c.s]
 	if len(sl.items) == cap(sl.items) {
-		// edgelint:coldpath — amortized growth of a slab array that
-		// started small (a store's first slab, a copied slab), doubling
-		// up to the slab maximum.
+		// A slab array that started small (a store's first slab, a copied
+		// slab) doubles up to the slab maximum.
 		grown := make([]E, len(sl.items), min(max(2*cap(sl.items), 4), 2*slabBlock))
 		copy(grown, sl.items)
 		sl.items = grown
@@ -204,8 +203,8 @@ func (st *slabStore[E, S]) split(s int) {
 // fullArray empties items, giving it a full slab's capacity.
 func fullArray[E any](items []E) []E {
 	if cap(items) < 2*slabBlock {
-		// edgelint:coldpath — one array per slab; reset and copyFrom
-		// keep it for the store's next life.
+		// One array per slab; reset and copyFrom keep it for the store's
+		// next life.
 		return make([]E, 0, 2*slabBlock)
 	}
 	return items[:0]
@@ -217,8 +216,7 @@ func fullArray[E any](items []E) []E {
 func (st *slabStore[E, S]) open(s int) *slab[E, S] {
 	n := len(st.slabs)
 	if n == cap(st.slabs) {
-		// edgelint:coldpath — amortized header growth; reset and
-		// copyFrom keep the capacity.
+		// reset and copyFrom keep the header capacity.
 		st.slabs = append(st.slabs, slab[E, S]{})
 	}
 	st.slabs = st.slabs[:n+1]
@@ -240,8 +238,8 @@ func (st *slabStore[E, S]) reset() {
 func (st *slabStore[E, S]) copyFrom(src *slabStore[E, S]) {
 	n := len(src.slabs)
 	if cap(st.slabs) < n {
-		// edgelint:coldpath — one-time header growth; the capacity
-		// persists across transactions in the journal's stale copy.
+		// The header capacity persists across transactions in the
+		// journal's stale copy.
 		st.slabs = append(st.slabs[:cap(st.slabs)], make([]slab[E, S], n-cap(st.slabs))...)
 	}
 	st.slabs = st.slabs[:n]

@@ -205,8 +205,6 @@ func (r Request) lowerBound() float64 {
 // basic insertion policy (Sinnen's BA, §3) would allocate: the earliest
 // idle interval at or after the request's lower bound that fits Dur.
 // It returns the slot's start and end times.
-//
-// edgelint:noalloc
 func (t *Timeline) ProbeBasic(req Request) (start, finish float64) {
 	lb := req.lowerBound()
 	if req.Dur <= Eps {
@@ -291,8 +289,6 @@ func (t *Timeline) earliestGap(lb, dur float64) (float64, cursor) {
 
 // InsertBasic allocates a slot by the basic insertion policy and
 // records it. It returns the slot's start and end times.
-//
-// edgelint:noalloc
 func (t *Timeline) InsertBasic(owner Owner, req Request) (start, finish float64) {
 	lb := req.lowerBound()
 	if req.Dur <= Eps {
@@ -357,8 +353,6 @@ func (t *Timeline) noteAbs(s Slot) {
 // which starts at start, as the slack read by InsertOptimal, and by
 // ProbeOptimal when it is given no SlackFunc; negative values are
 // stored as 0, as the walk would clamp them. The slot must exist.
-//
-// edgelint:noalloc
 func (t *Timeline) SetSlack(o Owner, start, dt float64) {
 	if dt < 0 {
 		dt = 0
@@ -401,8 +395,6 @@ type Shifted struct {
 // indirect call per slot and a fold of the queue from its tail, slab by
 // slab, into the same scan. Both return exactly what the full reference
 // scan returns for the same slack values (reference_test.go).
-//
-// edgelint:noalloc
 func (t *Timeline) ProbeOptimal(req Request, slack SlackFunc) (start, finish float64, pos int) {
 	lb := req.lowerBound()
 	if req.Dur <= Eps {
@@ -557,8 +549,6 @@ func (w *optimalWalk) scan(k, base int, slots []slotEntry, accs []float64, prevE
 // The new slot enters with slack 0 and shifted slots keep theirs. Both
 // go stale as soon as their owners' placements change; SetSlack is how
 // the owner updates them.
-//
-// edgelint:noalloc
 func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (start, finish float64, shifted []Shifted) {
 	moved = moved[:0]
 	lb := req.lowerBound()
@@ -583,8 +573,6 @@ func (t *Timeline) InsertOptimal(owner Owner, req Request, moved []Shifted) (sta
 			s.Start += delta
 			s.End += delta
 			t.noteAbs(*s)
-			// edgelint:coldpath — amortized growth of the caller's reused
-			// shift buffer.
 			moved = append(moved, Shifted{Owner: s.Owner, Start: s.Start, End: s.End})
 			need, last = s.End, cursor{c.s, i}
 		}
@@ -653,8 +641,6 @@ func (t *Timeline) Validate() error {
 // into the copy a previous transaction left in its slot, and a
 // rollback copies it back: the warm path is one copy per slab and no
 // allocation.
-//
-// edgelint:noalloc
 func (t *Timeline) CopyFrom(src *Timeline) {
 	t.st.copyFrom(&src.st)
 	t.maxAbs = src.maxAbs

@@ -443,11 +443,13 @@ func TestSlabSkipKeepsTheEpsMargin(t *testing.T) {
 	}
 }
 
-// TestInsertOptimalIsAllocationFree pins InsertOptimal's noalloc
-// contract at runtime: with the shift list handed back in and the slot
-// and slack buffers grown once, a deferring insert allocates nothing.
-// The measured op inserts into a warm copy and restores it, so every
-// run shifts the same slots.
+// TestInsertOptimalIsAllocationFree pins the allocation contract of
+// the ledger kernels the schedulers call per probe and per booking:
+// after a warm-up, each entry allocates nothing, into reused shift and
+// chunk buffers. Each op runs on a warm ledger of several slabs and
+// restores it from a copy, so every run does the same work; the
+// optimal insert defers slots. ProbeOptimal has no scheduler caller,
+// so this table is what guards it.
 func TestInsertOptimalIsAllocationFree(t *testing.T) {
 	tl := NewTimeline()
 	for i := 0; i < 4*slabBlock; i++ {
@@ -457,19 +459,61 @@ func TestInsertOptimalIsAllocationFree(t *testing.T) {
 	for i, s := range tl.Slots() {
 		tl.SetSlack(s.Owner, s.Start, float64(i%4))
 	}
+	first := tl.Slots()[0]
 	var snap Timeline
 	snap.CopyFrom(tl)
-	var moved []Shifted
-	insert := func() {
-		_, _, moved = tl.InsertOptimal(o(-1, 0), Request{ES: 1000, PF: 1000, Dur: 5}, moved)
-		tl.CopyFrom(&snap)
+	bw := NewBWTimeline()
+	for i := 0; i < 4*slabBlock; i++ {
+		bw.Alloc(o(i, 0), float64(i)*10, 4, 1, 0.5)
 	}
-	insert() // warm up: grow the shift buffer and the slot capacity
+	var bwSnap BWTimeline
+	bwSnap.CopyFrom(bw)
+
+	req := Request{ES: 1000, PF: 1000, Dur: 5}
+	slack := func(o Owner) float64 { return float64(o.Edge % 4) }
+	in := []Chunk{{Start: 100, End: 110, Rate: 0.5, Volume: 5}, {Start: 115, End: 120, Rate: 1, Volume: 5}}
+	_, _, moved := tl.InsertOptimal(o(-1, 0), req, nil)
+	tl.CopyFrom(&snap)
 	if len(moved) == 0 {
-		t.Fatal("the insert deferred no slot; the case tests nothing")
+		t.Fatal("the optimal insert deferred no slot; its entry tests too little")
 	}
-	if allocs := testing.AllocsPerRun(50, insert); allocs != 0 {
-		t.Fatalf("deferring InsertOptimal allocates %v times, want 0", allocs)
+	var chunks []Chunk
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Timeline.ProbeBasic", func() { tl.ProbeBasic(req) }},
+		{"Timeline.InsertBasic", func() {
+			tl.InsertBasic(o(-1, 0), req)
+			tl.CopyFrom(&snap)
+		}},
+		{"Timeline.ProbeOptimal", func() {
+			tl.ProbeOptimal(req, nil)
+			tl.ProbeOptimal(req, slack)
+		}},
+		{"Timeline.InsertOptimal", func() {
+			_, _, moved = tl.InsertOptimal(o(-1, 0), req, moved)
+			tl.CopyFrom(&snap)
+		}},
+		{"Timeline.SetSlack", func() { tl.SetSlack(first.Owner, first.Start, 2) }},
+		{"Timeline.CopyFrom", func() { tl.CopyFrom(&snap) }},
+		{"BWTimeline.EstimateFinish", func() { bw.EstimateFinish(100, 20, 1) }},
+		{"BWTimeline.AppendAlloc", func() {
+			chunks = bw.AppendAlloc(chunks[:0], 100, 20, 1, 0.5)
+			bw.CopyFrom(&bwSnap)
+		}},
+		{"BWTimeline.Forward", func() {
+			chunks = bw.Forward(chunks[:0], in, 1, 1, 0)
+			bw.CopyFrom(&bwSnap)
+		}},
+		{"BWTimeline.CopyFrom", func() { bw.CopyFrom(&bwSnap) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.op() // warm up: grow the buffers and the copies' arrays
+			if allocs := testing.AllocsPerRun(50, c.op); allocs != 0 {
+				t.Errorf("%s allocates %v times per call, want 0", c.name, allocs)
+			}
+		})
 	}
 }
 

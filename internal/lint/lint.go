@@ -57,26 +57,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts is the run-wide fact store (see facts.go): marker facts
-	// exported by the framework pre-pass plus whatever summaries
-	// earlier-analyzed units exported. Shared by every unit of one
-	// driver run, so facts exported here are visible to units analyzed
-	// later in dependency order.
-	Facts *Facts
 
 	diags *[]Diagnostic
-}
-
-// ExportFact records a fact about obj for downstream units (and later
-// analyzers of this unit) to import.
-func (p *Pass) ExportFact(kind string, obj types.Object, fact any) {
-	p.Facts.Export(kind, obj, fact)
-}
-
-// ImportFact retrieves a fact about obj, whether obj is local or
-// reached through any number of imports.
-func (p *Pass) ImportFact(kind string, obj types.Object) (any, bool) {
-	return p.Facts.Import(kind, obj)
 }
 
 // Reportf records a diagnostic at pos.
@@ -102,25 +84,9 @@ type Unit struct {
 	Info  *types.Info
 }
 
-// Run applies the analyzers to the unit with a fresh fact store and
-// returns the diagnostics that survive ignore directives, sorted by
-// position. Single-unit analysis only sees the unit's own facts; a
-// driver that wants cross-package facts threads one store through
-// RunWith over all units in dependency order.
+// Run applies the analyzers to the unit, in order, and returns the
+// diagnostics that survive ignore directives, sorted by position.
 func (u *Unit) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
-	return u.RunWith(analyzers, NewFacts())
-}
-
-// RunWith is Run with a caller-owned fact store. The framework marker
-// pre-pass (ExportMarkers) runs first, so the unit's directive facts
-// are in the store before any analyzer sees the unit; the analyzers
-// then run in order, each able to import facts exported by earlier
-// units and to export its own.
-func (u *Unit) RunWith(analyzers []*Analyzer, facts *Facts) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = NewFacts()
-	}
-	ExportMarkers(u, facts)
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -129,7 +95,6 @@ func (u *Unit) RunWith(analyzers []*Analyzer, facts *Facts) ([]Diagnostic, error
 			Files:     u.Files,
 			Pkg:       u.Pkg,
 			TypesInfo: u.Info,
-			Facts:     facts,
 			diags:     &diags,
 		}
 		if err := runAnalyzer(a, pass); err != nil {
@@ -166,71 +131,11 @@ func runAnalyzer(a *Analyzer, pass *Pass) (err error) {
 	return a.Run(pass)
 }
 
-// DirectiveLines maps, per file, the lines covered by an
-// "edgelint:<name>" directive comment, using the same coverage rule as
-// ignore filtering: the directive's own line, the rest of its comment
-// group, and the first line after the group. Analyzers that must honor
-// line-scoped waivers during summarization (before diagnostics exist to
-// filter) — e.g. noalloc's edgelint:coldpath site waivers — consult
-// this instead of filterIgnored.
-func DirectiveLines(fset *token.FileSet, files []*ast.File, name string) map[string]map[int]bool {
-	covered := map[string]map[int]bool{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			groupEnd := fset.Position(cg.End()).Line
-			for _, c := range cg.List {
-				if _, ok := Directive(c.Text, name); !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				m := covered[pos.Filename]
-				if m == nil {
-					m = map[int]bool{}
-					covered[pos.Filename] = m
-				}
-				for line := pos.Line; line <= groupEnd+1; line++ {
-					m[line] = true
-				}
-			}
-		}
-	}
-	return covered
-}
-
 // IsFloat reports whether t's underlying type is a floating-point
 // basic type (including untyped float).
 func IsFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// BoxingFree reports whether converting a value of type t to an
-// interface cannot heap-allocate: pointers, channels, maps, funcs,
-// unsafe pointers and nil-able interfaces are pointer-shaped and fit an
-// interface word directly. Everything else (ints, floats, strings,
-// slices, structs, arrays, bools) boxes — the runtime copies the value
-// to the heap unless escape analysis intervenes, which a static
-// discipline cannot rely on.
-func BoxingFree(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Interface:
-		return true
-	case *types.Basic:
-		b := t.Underlying().(*types.Basic)
-		return b.Kind() == types.UnsafePointer || b.Kind() == types.UntypedNil
-	}
-	return false
-}
-
-// NamedOf resolves t to its named type, looking through one level of
-// pointer indirection (the shape of method receivers and struct-field
-// owners). Returns nil for unnamed types.
-func NamedOf(t types.Type) *types.Named {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
 }
 
 // CalleeFunc resolves the called function or method of a call
@@ -304,7 +209,7 @@ func filterIgnored(fset *token.FileSet, files []*ast.File, diags []Diagnostic) [
 // and may be separated by spaces, commas, or both
 // ("floateq,errflow" and "floateq, errflow" are equivalent).
 func parseIgnore(comment string) []string {
-	args, ok := Directive(comment, "ignore")
+	args, ok := directive(comment, "ignore")
 	if !ok {
 		return nil
 	}
@@ -325,12 +230,12 @@ func parseIgnore(comment string) []string {
 	return names
 }
 
-// Directive parses an "edgelint:<name>" directive comment and returns
+// directive parses an "edgelint:<name>" directive comment and returns
 // its arguments: comma- or space-separated tokens running until the
 // end of the comment or an em/double dash that starts a free-form
 // reason. The second result is false if the comment does not contain
 // the directive at all; a bare directive yields (nil, true).
-func Directive(comment, name string) ([]string, bool) {
+func directive(comment, name string) ([]string, bool) {
 	text := strings.TrimPrefix(strings.TrimPrefix(comment, "//"), "/*")
 	marker := "edgelint:" + name
 	idx := strings.Index(text, marker)

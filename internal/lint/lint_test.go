@@ -16,8 +16,8 @@ func TestParseIgnore(t *testing.T) {
 		{"// edgelint:ignore all — generated file", []string{"all"}},
 		{"// plain comment", nil},
 		{"/* edgelint:ignore seededrand — block form */", []string{"seededrand"}},
-		{"// edgelint:ignore noalloc,errflow — comma-joined multi-analyzer", []string{"noalloc", "errflow"}},
-		{"// edgelint:ignore noalloc,errflow,floateq -- three at once", []string{"noalloc", "errflow", "floateq"}},
+		{"// edgelint:ignore seededrand,errflow — comma-joined multi-analyzer", []string{"seededrand", "errflow"}},
+		{"// edgelint:ignore seededrand,errflow,floateq -- three at once", []string{"seededrand", "errflow", "floateq"}},
 		{"// edgelint:ignore", nil},
 		{"// edgelint:ignorenothing — different directive", nil},
 	}
@@ -35,19 +35,18 @@ func TestDirective(t *testing.T) {
 		args    []string
 		found   bool
 	}{
-		{"// edgelint:coldpath grow spill — rare growth", "coldpath", []string{"grow", "spill"}, true},
-		{"// edgelint:noalloc — steady-state probe", "noalloc", nil, true},
-		{"// edgelint:noalloc", "noalloc", nil, true},
-		{"// edgelint:coldpath minFinish — rare growth", "coldpath", []string{"minFinish"}, true},
-		{"// edgelint:coldpath — rare growth", "coldpath", nil, true},
-		{"// edgelint:noallocX — boundary must hold", "noalloc", nil, false},
-		{"// a plain comment mentioning edgelint", "noalloc", nil, false},
-		{"/* edgelint:coldpath A,B — block, commas */", "coldpath", []string{"A", "B"}, true},
+		{"// edgelint:ignore floateq seededrand — reason", "ignore", []string{"floateq", "seededrand"}, true},
+		{"// edgelint:ignore — a reason and no names", "ignore", nil, true},
+		{"// edgelint:ignore", "ignore", nil, true},
+		{"// edgelint:ignore errflow -- double dash", "ignore", []string{"errflow"}, true},
+		{"// edgelint:ignoreX — boundary must hold", "ignore", nil, false},
+		{"// a plain comment mentioning edgelint", "ignore", nil, false},
+		{"/* edgelint:ignore A,B — block, commas */", "ignore", []string{"A", "B"}, true},
 	}
 	for _, c := range cases {
-		args, found := Directive(c.comment, c.name)
+		args, found := directive(c.comment, c.name)
 		if found != c.found || !reflect.DeepEqual(args, c.args) {
-			t.Errorf("Directive(%q, %q) = %v, %v; want %v, %v",
+			t.Errorf("directive(%q, %q) = %v, %v; want %v, %v",
 				c.comment, c.name, args, found, c.args, c.found)
 		}
 	}

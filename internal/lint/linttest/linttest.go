@@ -54,15 +54,9 @@ func stdlibExports(t *testing.T) lint.ExportLookup {
 // fixtureImporter type-checks fixture packages from source, falling
 // back to stdlib export data for everything else.
 type fixtureImporter struct {
-	fset    *token.FileSet
-	srcRoot string
-	dirs    map[string]string // import path -> directory
-	cache   map[string]*lint.Unit
-	// order lists the loaded fixture units in load completion order.
-	// Imports finish loading before their importers (load recurses
-	// through the type-checker), so this is a dependency order — the
-	// order facts must be computed in.
-	order []*lint.Unit
+	fset  *token.FileSet
+	dirs  map[string]string // import path -> directory
+	cache map[string]*lint.Unit
 	std   types.ImporterFrom
 }
 
@@ -105,20 +99,13 @@ func (fi *fixtureImporter) load(path string) (*lint.Unit, error) {
 		return nil, err
 	}
 	fi.cache[path] = u
-	fi.order = append(fi.order, u)
 	return u, nil
 }
 
-// Run loads the fixture packages at testdata/src/<path>, applies the
-// analyzer, and checks the diagnostics against each fixture's want
-// comments. With several paths the fixtures share one fact store: the
-// analyzer runs over every loaded unit (the requested packages and
-// their fixture-local imports) in dependency order, so a later package
-// sees the facts and summaries of the packages it imports —
-// cross-package propagation is tested exactly the way the edgelint
-// driver exercises it. Diagnostics are checked only for the requested
-// packages; imported helper fixtures just contribute facts.
-func Run(t *testing.T, a *lint.Analyzer, paths ...string) {
+// Run loads the fixture package at testdata/src/<path>, applies the
+// analyzer, and checks the diagnostics against the fixture's want
+// comments. Fixture-local imports are type-checked but not analyzed.
+func Run(t *testing.T, a *lint.Analyzer, path string) {
 	t.Helper()
 	srcRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
@@ -126,30 +113,20 @@ func Run(t *testing.T, a *lint.Analyzer, paths ...string) {
 	}
 	fset := token.NewFileSet()
 	fi := &fixtureImporter{
-		fset:    fset,
-		srcRoot: srcRoot,
-		dirs:    fixtureDirs(t, srcRoot),
-		cache:   map[string]*lint.Unit{},
+		fset:  fset,
+		dirs:  fixtureDirs(t, srcRoot),
+		cache: map[string]*lint.Unit{},
 	}
 	fi.std = lint.NewGCImporter(fset, stdlibExports(t), nil)
-	requested := map[*lint.Unit]bool{}
-	for _, path := range paths {
-		unit, err := fi.load(path)
-		if err != nil {
-			t.Fatalf("linttest: loading fixture %s: %v", path, err)
-		}
-		requested[unit] = true
+	unit, err := fi.load(path)
+	if err != nil {
+		t.Fatalf("linttest: loading fixture %s: %v", path, err)
 	}
-	facts := lint.NewFacts()
-	for _, unit := range fi.order {
-		diags, err := unit.RunWith([]*lint.Analyzer{a}, facts)
-		if err != nil {
-			t.Fatalf("linttest: running %s on %s: %v", a.Name, unit.Path, err)
-		}
-		if requested[unit] {
-			checkWants(t, unit, diags)
-		}
+	diags, err := unit.Run([]*lint.Analyzer{a})
+	if err != nil {
+		t.Fatalf("linttest: running %s on %s: %v", a.Name, path, err)
 	}
+	checkWants(t, unit, diags)
 }
 
 // fixtureDirs maps import paths to directories: every directory under

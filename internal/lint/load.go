@@ -167,53 +167,6 @@ func TypeCheck(fset *token.FileSet, path, dir string, fileNames []string, imp ty
 	return &Unit{Path: path, Dir: dir, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// topoUnits orders the selected units in dependency order: every unit
-// comes after the units providing its imports, so a driver threading
-// one fact store through the units sees each package's facts before
-// its importers are analyzed. go list's own output order does not
-// guarantee this for test-augmented variants ("dag [dag.test]" carries
-// no ordering relative to "sched [sched.test]" even though sched
-// imports dag), hence the explicit sort. Input must already be sorted
-// by import path; the DFS visits in that order, so the result is
-// deterministic (alphabetical among units with no ordering constraint).
-func topoUnits(units []*ListedPackage) []*ListedPackage {
-	// cover resolves an import path to the unit analyzing that
-	// package's files: the plain path of an un-augmented unit, or the
-	// stripped path of the in-package test variant that replaced it
-	// ("dag" → "dag [dag.test]").
-	cover := map[string]*ListedPackage{}
-	for _, p := range units {
-		cover[p.ImportPath] = p
-		if i := strings.Index(p.ImportPath, " ["); i >= 0 && p.ImportPath[:i] == p.ForTest {
-			cover[p.ForTest] = p
-		}
-	}
-	order := make([]*ListedPackage, 0, len(units))
-	visited := map[*ListedPackage]bool{}
-	var visit func(p *ListedPackage)
-	visit = func(p *ListedPackage) {
-		if visited[p] {
-			return
-		}
-		visited[p] = true
-		deps := append([]string(nil), p.Imports...)
-		sort.Strings(deps)
-		for _, im := range deps {
-			if m, ok := p.ImportMap[im]; ok {
-				im = m
-			}
-			if d, ok := cover[im]; ok && d != p {
-				visit(d)
-			}
-		}
-		order = append(order, p)
-	}
-	for _, p := range units {
-		visit(p)
-	}
-	return order
-}
-
 // Failure records one package unit the loader could not deliver — a
 // go list load error or a type-check failure. Drivers report failures
 // and exit non-zero for them: a package that cannot be analyzed must
@@ -286,7 +239,6 @@ func LoadPackages(dir string, patterns []string) ([]*Unit, []Failure, error) {
 		}
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i].ImportPath < units[j].ImportPath })
-	units = topoUnits(units)
 
 	fset := token.NewFileSet()
 	var out []*Unit

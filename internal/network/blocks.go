@@ -179,8 +179,6 @@ func (bt *blockTree) depth(n NodeID) int32 {
 // path whose blocks are all bridges, so it has exactly one simple
 // route in the undirected view. src == dst is forced (the empty
 // route); a pair in two components is not (it has none).
-//
-// edgelint:noalloc
 func (bt *blockTree) markPath(src, dst NodeID, e uint64) bool {
 	forced := true
 	for src != dst {

@@ -89,8 +89,7 @@ func (q labelQueue) less(i, j int) bool {
 
 // push adds it and restores the heap order (container/heap.Push).
 func (q *labelQueue) push(it labelItem) {
-	// edgelint:coldpath — amortized growth; the Router keeps the queue's
-	// capacity across searches.
+	// The Router keeps the queue's capacity across searches.
 	*q = append(*q, it)
 	h := *q
 	for j := len(h) - 1; j > 0; {

@@ -98,8 +98,6 @@ func (r *Router) Fits(t *Topology) bool {
 // insertion order, as used by the Basic Algorithm. src == dst yields an
 // empty route. The first call from src grows src's tree; the route is
 // the Router's buffer, valid until its next search.
-//
-// edgelint:noalloc
 func (r *Router) BFSRoute(src, dst NodeID) (Route, error) {
 	t := r.top
 	t.checkNode(src)
@@ -113,7 +111,6 @@ func (r *Router) BFSRoute(src, dst NodeID) (Route, error) {
 	}
 	prev := r.hops[off : off+len(r.tree)]
 	if prev[dst].Link < 0 {
-		// edgelint:coldpath — an unroutable pair fails the schedule.
 		return nil, &ErrNoRoute{From: src, To: dst}
 	}
 	return r.unwindPath(prev, src, dst), nil
@@ -125,8 +122,6 @@ func (r *Router) BFSRoute(src, dst NodeID) (Route, error) {
 // sets the same predecessor on every node it has reached by then, those
 // on dst's route among them, so every route unwound from the tree is
 // that search's.
-//
-// edgelint:coldpath — once per source, until the arena empties.
 func (r *Router) grow(src NodeID) int {
 	n := len(r.tree)
 	if len(r.hops)+n > max(treeArenaCap, n) {
@@ -179,8 +174,6 @@ func (r *Router) grow(src NodeID) int {
 // queue pops in a strict total order on (label, node ID): the route,
 // the label and the error are exactly those of a search of every link,
 // and the relax calls are a subsequence of that search's.
-//
-// edgelint:noalloc
 func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
 	r.begin(src, dst)
 	if src == dst {
@@ -193,8 +186,6 @@ func (r *Router) DijkstraRoute(src, dst NodeID, init Label, relax RelaxFunc) (Ro
 // error, without the label. When every block between src and dst is a
 // bridge, the pair has at most one route, the one BFSRoute finds, so
 // Route unwinds that from src's BFS tree and calls no relax.
-//
-// edgelint:noalloc
 func (r *Router) Route(src, dst NodeID, init Label, relax RelaxFunc) (Route, error) {
 	if r.begin(src, dst) {
 		return r.BFSRoute(src, dst)
@@ -248,7 +239,6 @@ func (r *Router) search(src, dst NodeID, init Label, relax RelaxFunc) (Route, La
 			}
 		}
 	}
-	// edgelint:coldpath — an unroutable pair fails the schedule.
 	return nil, Label{}, &ErrNoRoute{From: src, To: dst}
 }
 

@@ -554,10 +554,10 @@ func TestForcedPairsHaveOneSimpleRoute(t *testing.T) {
 	}
 }
 
-// TestDijkstraRouteIsAllocationFree pins the noalloc claims on
-// Router.DijkstraRoute and Router.Route at runtime: once the queue has
-// grown and the forced pairs' sources have their BFS trees, a search
-// allocates nothing, its route included.
+// TestDijkstraRouteIsAllocationFree pins the allocation contract of
+// Router.DijkstraRoute and Router.Route: once the queue has grown and
+// the forced pairs' sources have their BFS trees, a search allocates
+// nothing, its route included.
 func TestDijkstraRouteIsAllocationFree(t *testing.T) {
 	top := RandomCluster(rand.New(rand.NewSource(3)), RandomClusterParams{Processors: 32})
 	router := top.NewRouter(nil)
@@ -582,9 +582,9 @@ func TestDijkstraRouteIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestBFSRouteIsAllocationFree pins the noalloc claim on
-// Router.BFSRoute at runtime: once every source has its tree, a BFS
-// route, and Route's answer for a forced pair, allocate nothing.
+// TestBFSRouteIsAllocationFree pins the allocation contract of
+// Router.BFSRoute: once every source has its tree, a BFS route, a
+// self-route and Route's answer for a forced pair allocate nothing.
 func TestBFSRouteIsAllocationFree(t *testing.T) {
 	top := Star(16, Uniform(1), Uniform(1)) // every pair is forced
 	router := top.NewRouter(nil)
@@ -596,6 +596,9 @@ func TestBFSRouteIsAllocationFree(t *testing.T) {
 		for i, src := range ps {
 			dst := ps[(i*5+3)%len(ps)]
 			if _, err := router.BFSRoute(src, dst); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := router.BFSRoute(src, src); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := router.Route(dst, src, Label{}, relax); err != nil {

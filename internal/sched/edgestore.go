@@ -107,8 +107,7 @@ func (st *edgeStore) legsView(id dag.EdgeID) []legMeta {
 // appendChunks copies cs into the chunk arena and returns its span.
 func (st *edgeStore) appendChunks(cs []linksched.Chunk) span {
 	off := int32(len(st.chunks))
-	// edgelint:coldpath — amortized arena growth; capacity persists
-	// across transactions and state reuse.
+	// The arena's capacity persists across transactions and state reuse.
 	st.chunks = append(st.chunks, cs...)
 	return span{off: off, n: int32(len(cs))}
 }

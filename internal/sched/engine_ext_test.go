@@ -22,6 +22,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/sched"
 	"repro/internal/verify"
+	"repro/internal/workload"
 )
 
 // enginePresets are the named algorithms the engine must serve
@@ -313,6 +314,62 @@ func TestEngineSharedInputsRace(t *testing.T) {
 			mustVerify(t, got[i])
 			if d := sched.DiffSchedules(want, got[i]); d != "" {
 				t.Fatalf("%s request %d diverged from the cold run: %s", ls.Name(), i, d)
+			}
+		}
+	}
+}
+
+// TestEngineSteadyStateAllocs pins the allocation contract of the
+// serving path: a warm engine slot schedules a request in a constant
+// number of allocations (the Schedule and the columns it hands out),
+// whatever the graph's size. Every engine-able preset and golden option
+// set runs on a 400-task §6 instance and on a 3000-task long-link
+// instance with 1.5-2k slots per link, where an allocation per edge,
+// route or slot would read in the hundreds. Duplication's dups column
+// grows by append, so it has a ceiling of its own. -short leaves out
+// the packet engine on the long-link instance: its 3.5 s a run are
+// nine tenths of the test's time.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	const ceiling, dupCeiling = 12, 16
+	instances := []struct {
+		name string
+		inst workload.Instance
+	}{
+		{"sec6-400", workload.Generate(workload.Params{
+			Processors: 8, CCR: 2, Heterogeneous: true, MinTasks: 400, MaxTasks: 400, Seed: 601,
+		})},
+		{"long-links-3000", workload.Generate(workload.Params{
+			Processors: 4, CCR: 10, MinTasks: 3000, MaxTasks: 3000, Seed: 42,
+		})},
+	}
+	for _, in := range instances {
+		for _, a := range goldenAlgorithms() {
+			ls, ok := a.(*sched.ListScheduler)
+			if !ok || testing.Short() && in.name == "long-links-3000" && ls.Opts.Engine == sched.EnginePackets {
+				continue
+			}
+			eng, err := sched.NewEngine(in.inst.Net, sched.EngineOptions{
+				Name: ls.Name(), Opts: ls.Opts, MaxConcurrent: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var s *sched.Schedule
+			allocs := testing.AllocsPerRun(1, func() {
+				if s, err = eng.Schedule(in.inst.Graph); err != nil {
+					t.Fatalf("%s on %s: %v", ls.Name(), in.name, err)
+				}
+			})
+			eng.Drain()
+			mustVerify(t, s)
+			limit := ceiling
+			if ls.Opts.Duplication {
+				limit = dupCeiling
+			}
+			t.Logf("%s on %s: %v allocs per warm request", ls.Name(), in.name, allocs)
+			if allocs > float64(limit) {
+				t.Errorf("%s on %s: a warm engine request allocates %v times, want at most %d",
+					ls.Name(), in.name, allocs, limit)
 			}
 		}
 	}

@@ -28,8 +28,6 @@ type journal[V any] struct {
 // capacity would otherwise re-expose epoch stamps from a previous life
 // of the journal, and a stale stamp equal to the current epoch would
 // silently skip journaling.
-//
-// edgelint:coldpath — journal sizing at construction and state reset
 func (j *journal[V]) resize(n int) {
 	if n == len(j.mark) {
 		return
@@ -53,13 +51,11 @@ func (j *journal[V]) resize(n int) {
 func (j *journal[V]) has(id int) bool { return j.mark[id] == j.epoch }
 
 // put journals id's prior value. The caller checks has first.
-//
-// edgelint:noalloc
 func (j *journal[V]) put(id int, v V) {
 	j.mark[id] = j.epoch
 	j.vals[id] = v
-	// edgelint:coldpath — amortized growth: ids' capacity persists
-	// across transactions, so steady-state probes append in place.
+	// ids' capacity persists across transactions, so steady-state
+	// probes append in place.
 	j.ids = append(j.ids, int32(id))
 }
 

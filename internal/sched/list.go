@@ -890,8 +890,6 @@ func (s *state) findRoute(e dag.Edge, src, dst network.NodeID, base float64) (ne
 // estimate (bandwidth engine). The closure is cached on the state and
 // parameterized through s.relaxEdgeCost — building a fresh capture of
 // e here would allocate on every route search of the probe hot path.
-//
-// edgelint:noalloc
 func (s *state) relaxFunc(e dag.Edge) network.RelaxFunc {
 	s.relaxEdgeCost = e.Cost
 	if s.relaxFn == nil {
@@ -903,8 +901,6 @@ func (s *state) relaxFunc(e dag.Edge) network.RelaxFunc {
 // buildRelaxFn constructs the engine-specific relaxation closure, once
 // per state on its first Dijkstra route search (the engine is fixed in
 // Options for the lifetime of the state).
-//
-// edgelint:coldpath — one-time closure construction, cached in relaxFn
 func (s *state) buildRelaxFn() network.RelaxFunc {
 	switch s.opts.Engine {
 	case EngineBandwidth:

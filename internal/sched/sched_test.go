@@ -11,7 +11,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/sched"
 	"repro/internal/verify"
-	"repro/internal/workload"
 )
 
 func algorithms() []sched.Algorithm {
@@ -884,22 +883,30 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 	}
 }
 
-// TestBBSAAllocatesPerLedgerNotPerBooking pins the pointer-free
-// bandwidth ledger: BBSA on a long-link instance (3000 tasks, 4
-// processors, CCR 10) allocates for its state and slab arrays, a few
-// hundred times in all, not a use list and a chunk list per booking as
-// it did before (35,065 times on this instance).
-func TestBBSAAllocatesPerLedgerNotPerBooking(t *testing.T) {
-	inst := workload.Generate(workload.Params{
-		Processors: 4, CCR: 10, MinTasks: 3000, MaxTasks: 3000, Seed: 42,
-	})
-	a := sched.NewBBSA()
-	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := a.Schedule(inst.Graph, inst.Net); err != nil {
-			t.Fatal(err)
+// TestBBSACrossesAMuchSlowerUpstreamLink pins a transfer behind a link
+// more than 1e9 times slower than the next: BBSA forwards its chunk
+// onto the fast link at a cap of 1e-12 of that link's bandwidth, below
+// Eps, and must still finish, at the makespan BA and OIHSA give.
+func TestBBSACrossesAMuchSlowerUpstreamLink(t *testing.T) {
+	net := network.NewTopology()
+	hub := net.AddSwitch("hub")
+	p0, p1 := net.AddProcessor("", 1), net.AddProcessor("", 1)
+	net.AddDuplex(p0, hub, 1e-10)
+	net.AddDuplex(p1, hub, 100)
+	b := new(dag.Builder)
+	x, y := b.AddTask("x", 1), b.AddTask("y", 1)
+	b.AddEdge(x, y, 1e-3)
+	g := mustBuild(t, b)
+	for _, ls := range []*sched.ListScheduler{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()} {
+		s, err := sched.ScheduleAssignment(g, net, []network.NodeID{p0, p1}, ls.Opts, ls.Name())
+		if err != nil {
+			t.Fatalf("%s: %v", ls.Name(), err)
 		}
-	})
-	if allocs > 1000 {
-		t.Fatalf("BBSA allocates %v times on the long-link instance, want at most 1000", allocs)
+		if res := verify.Verify(s); !res.OK() {
+			t.Fatalf("%s: invalid: %v", ls.Name(), res.Err())
+		}
+		if math.Abs(s.Makespan-1.0000002e7) > 1e-6 {
+			t.Errorf("%s: makespan %v, want 1.0000002e7", ls.Name(), s.Makespan)
+		}
 	}
 }

@@ -35,8 +35,6 @@ type txn struct {
 // begin opens a transaction. Transactions do not nest. The journal
 // arrays are owned by the state and reused across transactions, so a
 // probe transaction allocates nothing in steady state.
-//
-// edgelint:noalloc
 func (s *state) begin() {
 	if s.tx != nil {
 		panic("sched: nested transaction")
@@ -52,8 +50,6 @@ func (s *state) begin() {
 // newTxn builds the state's reusable transaction journal. Runs once per
 // state: every later begin reuses the journal via s.txFree, and reset
 // resizes it whenever the state is rebound.
-//
-// edgelint:coldpath — one-time journal construction, reused via txFree
 func (s *state) newTxn() *txn {
 	tx := &txn{}
 	s.sizeJournals(tx)
@@ -61,8 +57,6 @@ func (s *state) newTxn() *txn {
 }
 
 // sizeJournals sizes every journal of tx to the state's entity counts.
-//
-// edgelint:coldpath — journal sizing at construction and reset
 func (s *state) sizeJournals(tx *txn) {
 	tx.taskOld.resize(len(s.tasks))
 	tx.procOld.resize(len(s.procFinish))
@@ -76,8 +70,6 @@ func (s *state) sizeJournals(tx *txn) {
 // The journals are walked with plain loops rather than each callbacks:
 // a closure capturing s would be a fresh heap allocation on every
 // rollback, and rollback runs once per EFT probe.
-//
-// edgelint:noalloc
 func (s *state) rollback() {
 	tx := s.tx
 	if tx == nil {
@@ -125,8 +117,6 @@ func (s *state) rollback() {
 // schedulers write only through them.
 
 // setTask journals task id's placement, then stores p.
-//
-// edgelint:noalloc
 func (s *state) setTask(id dag.TaskID, p TaskPlacement) {
 	if tx := s.tx; tx != nil && !tx.taskOld.has(int(id)) {
 		tx.taskOld.put(int(id), s.tasks[id])
@@ -135,8 +125,6 @@ func (s *state) setTask(id dag.TaskID, p TaskPlacement) {
 }
 
 // setProcFinish journals processor id's clock, then stores f.
-//
-// edgelint:noalloc
 func (s *state) setProcFinish(id network.NodeID, f float64) {
 	if tx := s.tx; tx != nil && !tx.procOld.has(int(id)) {
 		tx.procOld.put(int(id), s.procFinish[id])
@@ -147,14 +135,11 @@ func (s *state) setProcFinish(id network.NodeID, f float64) {
 // addDup appends a duplicate placement. Duplicates are append-only, so
 // their journal is the column length before the transaction's first
 // append; rollback truncates back to it.
-//
-// edgelint:noalloc
 func (s *state) addDup(p TaskPlacement) {
 	if tx := s.tx; tx != nil && tx.dupsLen < 0 {
 		tx.dupsLen = len(s.dups)
 	}
-	// edgelint:coldpath — amortized growth: a run duplicates a source
-	// task at most once per processor.
+	// A run duplicates a source task at most once per processor.
 	s.dups = append(s.dups, p)
 }
 
@@ -163,8 +148,6 @@ func (s *state) addDup(p TaskPlacement) {
 // it re-points the edge at its committed arena data; arena entries
 // themselves are only ever appended inside a transaction and are
 // discarded wholesale by the rollback truncation.
-//
-// edgelint:noalloc
 func (s *state) journalEdge(id dag.EdgeID) {
 	if tx := s.tx; tx != nil && !tx.edgeOld.has(int(id)) {
 		tx.edgeOld.put(int(id), s.edges.meta[id])
@@ -176,18 +159,14 @@ func (s *state) journalEdge(id dag.EdgeID) {
 // is reserved in the legs arena. The record stays invisible
 // (scheduled == false) to slack and shift bookkeeping until sealEdge
 // seals it.
-//
-// edgelint:noalloc
 func (s *state) placeEdge(id dag.EdgeID, src, dst network.NodeID, route network.Route, base float64) {
 	s.journalEdge(id)
 	st := &s.edges
 	ro := int32(len(st.routes))
-	// edgelint:coldpath — amortized arena growth; capacity persists
-	// across transactions and state reuse.
+	// The arena's capacity persists across transactions and state reuse.
 	st.routes = append(st.routes, route...)
 	lo := int32(len(st.legs))
 	for range route {
-		// edgelint:coldpath — amortized arena growth, as above.
 		st.legs = append(st.legs, legMeta{})
 	}
 	n := int32(len(route))
@@ -203,8 +182,6 @@ func (s *state) placeEdge(id dag.EdgeID, src, dst network.NodeID, route network.
 // sealEdge seals edge id's record: the arrival (the finish on the last
 // route leg, or base for an empty route) is recorded and the edge
 // becomes visible to slack/shift bookkeeping. Returns the arrival.
-//
-// edgelint:noalloc
 func (s *state) sealEdge(id dag.EdgeID, base float64) float64 {
 	s.journalEdge(id)
 	m := &s.edges.meta[id]
@@ -219,8 +196,6 @@ func (s *state) sealEdge(id dag.EdgeID, base float64) float64 {
 // clearEdge removes edge id's schedule record. Arena entries the record
 // addressed become unreachable garbage, bounded by one generation per
 // edge because committed placements happen once per edge.
-//
-// edgelint:noalloc
 func (s *state) clearEdge(id dag.EdgeID) {
 	s.journalEdge(id)
 	s.edges.meta[id] = edgeMeta{}
@@ -235,15 +210,11 @@ func (s *state) clearEdge(id dag.EdgeID) {
 // place. The position is re-derived from the meta column on every call:
 // a copy-on-write of another edge may have grown (and reallocated) the
 // legs arena since the caller last looked.
-//
-// edgelint:noalloc
 func (s *state) setLeg(id dag.EdgeID, leg int, lm legMeta) {
 	s.journalEdge(id)
 	m := &s.edges.meta[id]
 	if tx := s.tx; tx != nil && int(m.legs.off) < tx.marks.legs {
 		off := int32(len(s.edges.legs))
-		// edgelint:coldpath — amortized arena growth; capacity persists
-		// across transactions and state reuse.
 		s.edges.legs = append(s.edges.legs, s.edges.legs[m.legs.off:m.legs.off+m.legs.n]...)
 		m.legs.off = off
 	}
@@ -254,8 +225,6 @@ func (s *state) setLeg(id dag.EdgeID, leg int, lm legMeta) {
 // mutating call. The copy reuses the slab arrays left in the journal's
 // value slot by an earlier transaction, so steady-state journaling is
 // allocation-free.
-//
-// edgelint:noalloc
 func (s *state) linkTL(id network.LinkID) *linksched.Timeline {
 	if tx := s.tx; tx != nil && !tx.tlSnaps.has(int(id)) {
 		old := tx.tlSnaps.stale(int(id))
@@ -269,8 +238,6 @@ func (s *state) linkTL(id network.LinkID) *linksched.Timeline {
 // mutating call. The copy carries the slabs and their hop flags
 // wholesale, so a rollback restores the availability index without any
 // reindexing.
-//
-// edgelint:noalloc
 func (s *state) linkBW(id network.LinkID) *linksched.BWTimeline {
 	if tx := s.tx; tx != nil && !tx.bwSnaps.has(int(id)) {
 		old := tx.bwSnaps.stale(int(id))
@@ -282,8 +249,6 @@ func (s *state) linkBW(id network.LinkID) *linksched.BWTimeline {
 
 // procTL journals processor id's timeline (task insertion policy) and
 // returns it for one mutating call.
-//
-// edgelint:noalloc
 func (s *state) procTL(id network.NodeID) *linksched.Timeline {
 	if tx := s.tx; tx != nil && !tx.ptlSnaps.has(int(id)) {
 		old := tx.ptlSnaps.stale(int(id))
