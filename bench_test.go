@@ -581,11 +581,11 @@ func BenchmarkBFSRoute(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	top := network.RandomCluster(r, network.RandomClusterParams{Processors: 64})
 	router := top.NewRouter(nil)
-	ps := top.Processors()
+	n := top.NumProcessors()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := ps[i%len(ps)]
-		dst := ps[(i*7+3)%len(ps)]
+		src := top.Processor(i % n)
+		dst := top.Processor((i*7 + 3) % n)
 		if _, err := router.BFSRoute(src, dst); err != nil {
 			b.Fatal(err)
 		}
@@ -616,7 +616,7 @@ func BenchmarkDijkstraRoute(b *testing.B) {
 		for _, entry := range []string{"DijkstraRoute", "Route"} {
 			b.Run("net="+n.name+"/entry="+entry, func(b *testing.B) {
 				router := n.top.NewRouter(nil)
-				ps := n.top.Processors()
+				procs := n.top.NumProcessors()
 				relaxes := 0
 				relax := func(l network.Link, cur network.Label) network.Label {
 					relaxes++
@@ -624,8 +624,8 @@ func BenchmarkDijkstraRoute(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					src := ps[i%len(ps)]
-					dst := ps[(i*7+3)%len(ps)]
+					src := n.top.Processor(i % procs)
+					dst := n.top.Processor((i*7 + 3) % procs)
 					var err error
 					if entry == "Route" {
 						_, err = router.Route(src, dst, network.Label{}, relax)

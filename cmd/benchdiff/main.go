@@ -182,7 +182,8 @@ func main() {
 // a snapshot is taken since the bandwidth ledger stopped allocating a
 // use list and a chunk list per booking (ScheduleBBSA from about 8,000
 // allocs/op to about 600); until then the sched package's
-// TestBBSAAllocatesPerLedgerNotPerBooking holds the long-link count.
+// TestEngineSteadyStateAllocs holds the long-link count under its
+// ceiling for every preset, BBSA included.
 // BenchmarkEncodeScheduleJSON guards the ?full=1 reply encoder:
 // at most a millisecond per op it is stable enough to time, and its
 // zero allocs/op pin the encoder's point.

@@ -255,6 +255,9 @@ type catchRow struct {
 // route search's blocks: a block path that leaves dst's own block
 // unmarked, and a block of two nodes with parallel links each way
 // taken for a bridge, whose pairs then skip a search that had a choice.
+// So does Build's reachability check, the one topology check the
+// schedulers rely on instead of checking for themselves: the topology
+// reader's disconnected case sees it skipped.
 // The BFS trees have two: Route answering a pair that has a choice from
 // the tree, which the Dijkstra contract test sees, and a traversal that
 // stops at its first processor, which the BFS reference sees. One row is
@@ -300,7 +303,7 @@ var catchMatrix = []catchRow{{
 	bug:  "probe changes a task cost through Tasks()",
 	file: "internal/sched/eft.go",
 	old:  "\ts.begin()\n\tdefer s.rollback()\n",
-	new:  "\tif proc == s.net.Processors()[0] {\n\t\tts := s.g.Tasks()\n\t\tts[tid].Cost += 1\n\t}\n\ts.begin()\n\tdefer s.rollback()\n",
+	new:  "\tif proc == s.net.Processor(0) {\n\t\tts := s.g.Tasks()\n\t\tts[tid].Cost += 1\n\t}\n\ts.begin()\n\tdefer s.rollback()\n",
 	pkg:  "./internal/sched", run: "^(TestEngineMatchesColdRun|TestDeterminism)$",
 }, {
 	bug:  "selectByEFT's final fold compares bare floats",
@@ -434,6 +437,12 @@ var catchMatrix = []catchRow{{
 	old:  "fwd[b] <= 1 && bwd[b] <= 1",
 	new:  "fwd[b] <= 2 && bwd[b] <= 2",
 	pkg:  "./internal/network", run: "^TestForcedPairsHaveOneSimpleRoute$",
+}, {
+	bug:  "Build skips the reachability check",
+	file: "internal/network/builder.go",
+	old:  "\tif err := t.checkReach(); err != nil {\n\t\treturn nil, err\n\t}\n",
+	new:  "",
+	pkg:  "./internal/graphio", run: "^TestTopologyReadRejectsBadInput$/^disconnected$",
 }, {
 	bug:  "benchdiff lets a zero-alloc baseline rise to one alloc/op",
 	file: "cmd/benchdiff/main.go",

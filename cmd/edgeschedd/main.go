@@ -142,26 +142,30 @@ func newHTTPServer(h http.Handler, readTimeout time.Duration) *http.Server {
 	return &http.Server{Handler: h, ReadTimeout: readTimeout, ReadHeaderTimeout: readTimeout}
 }
 
+// maxHypercubeDim is the largest D of a hypercube:D spec: the D·2^D
+// links of a larger one pass the 32-bit link IDs a topology holds.
+const maxHypercubeDim = 26
+
 // loadTopology resolves -topology: a builder spec like "star:8"
-// (unit speeds) or a topology JSON file.
+// (unit speeds) or a topology JSON file. A spec's size must build a
+// topology: N of at least 1, D in [0, maxHypercubeDim].
 func loadTopology(arg string) (*network.Topology, error) {
 	if kind, nStr, ok := strings.Cut(arg, ":"); ok {
 		if n, err := strconv.Atoi(nStr); err == nil {
-			one := network.Uniform(1)
-			switch kind {
-			case "star":
-				return network.Star(n, one, one), nil
-			case "ring":
-				return network.Ring(n, one, one), nil
-			case "line":
-				return network.Line(n, one, one), nil
-			case "fully":
-				return network.FullyConnected(n, one, one), nil
-			case "hypercube":
-				return network.Hypercube(n, one, one), nil
-			default:
+			build, ok := map[string]func(int, network.SpeedFn, network.SpeedFn) *network.Topology{
+				"star": network.Star, "ring": network.Ring, "line": network.Line,
+				"fully": network.FullyConnected, "hypercube": network.Hypercube,
+			}[kind]
+			switch {
+			case !ok:
 				return nil, fmt.Errorf("unknown topology spec %q (valid: star:N, ring:N, line:N, fully:N, hypercube:D, or a JSON file)", arg)
+			case kind == "hypercube" && (n < 0 || n > maxHypercubeDim):
+				return nil, fmt.Errorf("topology spec %q: the dimension must be in [0,%d]", arg, maxHypercubeDim)
+			case kind != "hypercube" && n < 1:
+				return nil, fmt.Errorf("topology spec %q: needs at least one processor", arg)
 			}
+			one := network.Uniform(1)
+			return build(n, one, one), nil
 		}
 	}
 	f, err := os.Open(arg)

@@ -415,6 +415,23 @@ func TestPreset(t *testing.T) {
 	}
 }
 
+// TestLoadTopologySpecSizes pins the builder specs' size bounds: the
+// smallest size of each kind loads, and a size that builds no topology
+// is an error, not a panic. The out-of-range hypercube is rejected
+// before any builder runs at that size.
+func TestLoadTopologySpecSizes(t *testing.T) {
+	for spec, procs := range map[string]int{"star:1": 1, "ring:1": 1, "line:1": 1, "fully:1": 1, "hypercube:0": 1} {
+		if top, err := loadTopology(spec); err != nil || top.NumProcessors() != procs {
+			t.Errorf("loadTopology(%q) = %v, %v; want %d processors", spec, top, err, procs)
+		}
+	}
+	for _, spec := range []string{"star:0", "ring:-1", "line:0", "fully:0", "hypercube:-1", "hypercube:27", "hypercube:64", "mesh:0"} {
+		if top, err := loadTopology(spec); err == nil {
+			t.Errorf("loadTopology(%q) = %v, want an error", spec, top)
+		}
+	}
+}
+
 // TestStalledRequestLineIsDisconnected pins the header read timeout: a
 // client that sends half a request line and then stalls is
 // disconnected once the read timeout passes (net/http may first write

@@ -145,6 +145,10 @@ func runNet(args []string, w io.Writer) error {
 			return fmt.Errorf("-%s %d is not positive", f.name, f.v)
 		}
 	}
+	// 2^dim processors or leaves: past 20 the IDs or the memory run out.
+	if k := strings.ToLower(*kind); (k == "hypercube" || k == "tree" || k == "butterfly") && *dim > 20 {
+		return fmt.Errorf("-dim %d is over 20 for -kind %s", *dim, k)
+	}
 
 	r := rand.New(rand.NewSource(*seed))
 	proc := network.Uniform(1)
@@ -189,9 +193,6 @@ func runNet(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown topology kind %q", *kind)
 	}
-	if err := t.Validate(); err != nil {
-		return err
-	}
 	if *dot {
 		return trace.WriteTopologyDOT(w, t)
 	}
@@ -201,15 +202,14 @@ func runNet(args []string, w io.Writer) error {
 	fmt.Fprintln(w, t)
 	fmt.Fprintf(w, "mean link speed (MLS) = %.4g\n", t.MeanLinkSpeed())
 	// Route-length statistics between the first few processor pairs.
-	ps := t.Processors()
 	router := t.NewRouter(nil)
 	var totalHops, pairs int
-	for i := 0; i < len(ps) && i < 8; i++ {
-		for j := 0; j < len(ps) && j < 8; j++ {
+	for i := 0; i < t.NumProcessors() && i < 8; i++ {
+		for j := 0; j < t.NumProcessors() && j < 8; j++ {
 			if i == j {
 				continue
 			}
-			route, err := router.BFSRoute(ps[i], ps[j])
+			route, err := router.BFSRoute(t.Processor(i), t.Processor(j))
 			if err != nil {
 				return err
 			}

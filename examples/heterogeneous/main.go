@@ -19,21 +19,22 @@ func main() {
 	// A two-level cluster: one rack of four fast processors on fast
 	// links, one rack of four slow processors on slow links, joined by
 	// a single trunk — classic heterogeneous contention.
-	net := edgesched.NewTopology()
-	core := net.AddSwitch("core")
-	fast := net.AddSwitch("rack-fast")
-	slow := net.AddSwitch("rack-slow")
-	net.AddDuplex(fast, core, 4)
-	net.AddDuplex(slow, core, 1)
+	b := edgesched.NewTopology()
+	core := b.AddSwitch("core")
+	fast := b.AddSwitch("rack-fast")
+	slow := b.AddSwitch("rack-slow")
+	b.AddDuplex(fast, core, 4)
+	b.AddDuplex(slow, core, 1)
 	for i := 0; i < 4; i++ {
-		p := net.AddProcessor(fmt.Sprintf("fast%d", i), 4)
-		net.AddDuplex(p, fast, 4)
+		p := b.AddProcessor(fmt.Sprintf("fast%d", i), 4)
+		b.AddDuplex(p, fast, 4)
 	}
 	for i := 0; i < 4; i++ {
-		p := net.AddProcessor(fmt.Sprintf("slow%d", i), 1)
-		net.AddDuplex(p, slow, 1)
+		p := b.AddProcessor(fmt.Sprintf("slow%d", i), 1)
+		b.AddDuplex(p, slow, 1)
 	}
-	if err := net.Validate(); err != nil {
+	net, err := b.Build()
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -77,7 +78,8 @@ func main() {
 	}
 	fmt.Println("\nBBSA processor utilization:")
 	util := s.ProcUtilization()
-	for _, p := range net.Processors() {
+	for i := range net.NumProcessors() {
+		p := net.Processor(i)
 		fmt.Printf("  %-6s %5.1f%%\n", net.Node(p).Name, 100*util[p])
 	}
 

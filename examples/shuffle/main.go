@@ -18,9 +18,6 @@ func main() {
 	g := edgesched.MapReduce(8, 4, 50, 120, 200)
 	// Two racks of 4, trunk at half the rack-link speed.
 	net := edgesched.Dumbbell(4, 4, edgesched.Uniform(1), edgesched.Uniform(2), 1)
-	if err := net.Validate(); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("graph: %v   network: %v\n\n", g, net)
 
 	show := func(name string, a edgesched.Algorithm) float64 {

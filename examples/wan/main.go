@@ -28,9 +28,6 @@ func main() {
 		ProcSpeed:  edgesched.Uniform(1),
 		LinkSpeed:  edgesched.Uniform(1),
 	})
-	if err := net.Validate(); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("network: %v\n\n", net)
 
 	fmt.Printf("%-6s %14s %14s %14s %10s %10s\n",

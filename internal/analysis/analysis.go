@@ -135,8 +135,8 @@ func Analyze(s *sched.Schedule) *Report {
 func analyzeSpeedup(s *sched.Schedule, r *Report) {
 	fastest := 0.0
 	totalSpeed := 0.0
-	for _, p := range s.Net.Processors() {
-		sp := s.Net.Node(p).Speed
+	for i := range s.Net.NumProcessors() {
+		sp := s.Net.Node(s.Net.Processor(i)).Speed
 		totalSpeed += sp
 		if sp > fastest {
 			fastest = sp
@@ -186,8 +186,8 @@ func analyzeUtilization(s *sched.Schedule, r *Report) {
 	}
 	util := s.ProcUtilization()
 	procs := make([]float64, 0, s.Net.NumProcessors())
-	for _, p := range s.Net.Processors() {
-		procs = append(procs, util[p])
+	for i := range s.Net.NumProcessors() {
+		procs = append(procs, util[s.Net.Processor(i)])
 	}
 	sort.Float64s(procs)
 	r.ProcUtil = stats.Summarize(procs)

@@ -156,6 +156,10 @@ func FuzzReadTopology(f *testing.F) {
 		{"name":"b","kind":"processor","speed":1},
 		{"name":"c","kind":"processor","speed":1}],
 		"links":[{"members":[0,1,2],"speed":2}]}`)
+	// One way only: b cannot reach a.
+	f.Add(`{"nodes":[{"name":"a","kind":"processor","speed":1},
+		{"name":"b","kind":"processor","speed":1}],
+		"links":[{"from":0,"to":1,"speed":1}]}`)
 	for _, in := range topologyQuirks {
 		f.Add(in)
 	}
@@ -172,9 +176,7 @@ func FuzzReadTopology(f *testing.F) {
 		if err := sameTopology(top, want); err != nil {
 			t.Fatal(err)
 		}
-		if err := top.Validate(); err != nil {
-			t.Fatalf("accepted topology fails validation: %v", err)
-		}
+		checkProcessorRoutes(t, top)
 		var buf bytes.Buffer
 		if err := WriteTopology(&buf, top); err != nil {
 			t.Fatalf("cannot re-serialize accepted topology: %v", err)
@@ -241,27 +243,49 @@ func sameGraph(a, b *dag.Graph) error {
 	return nil
 }
 
+// checkProcessorRoutes is an oracle for Build's reachability check that
+// shares none of its code: every ordered pair of processors must get a
+// BFS route that ValidateRoute accepts.
+func checkProcessorRoutes(t *testing.T, top *network.Topology) {
+	t.Helper()
+	router := top.NewRouter(nil)
+	for i := range top.NumProcessors() {
+		for j := range top.NumProcessors() {
+			src, dst := top.Processor(i), top.Processor(j)
+			route, err := router.BFSRoute(src, dst)
+			if err == nil {
+				err = top.ValidateRoute(src, dst, route)
+			}
+			if err != nil {
+				t.Fatalf("accepted topology routes processor %d to %d: %v", src, dst, err)
+			}
+		}
+	}
+}
+
 // sameTopology reports the first difference between two topologies,
-// comparing speeds bit for bit and adjacency in order.
+// comparing speeds bit for bit. Links carry the adjacency: Build derives
+// it from them in ID order.
 func sameTopology(a, b *network.Topology) error {
-	if a.NumNodes() != b.NumNodes() || a.NumLinks() != b.NumLinks() ||
-		!slices.Equal(a.Processors(), b.Processors()) {
+	if a.NumNodes() != b.NumNodes() || a.NumLinks() != b.NumLinks() || a.NumProcessors() != b.NumProcessors() {
 		return fmt.Errorf("shape %v, want %v", a, b)
 	}
-	for i, n := range a.Nodes() {
-		m := b.Nodes()[i]
-		if n.ID != m.ID || n.Kind != m.Kind || n.Name != m.Name || math.Float64bits(n.Speed) != math.Float64bits(m.Speed) {
-			return fmt.Errorf("node %d is %+v, want %+v", i, n, m)
-		}
-		if !slices.Equal(a.Neighbors(n.ID), b.Neighbors(n.ID)) {
-			return fmt.Errorf("node %d adjacency differs", i)
+	for i := range a.NumProcessors() {
+		if a.Processor(i) != b.Processor(i) {
+			return fmt.Errorf("processor %d is node %d, want %d", i, a.Processor(i), b.Processor(i))
 		}
 	}
-	for i, l := range a.Links() {
-		k := b.Links()[i]
-		if l.ID != k.ID || l.From != k.From || l.To != k.To || !slices.Equal(l.Members, k.Members) ||
+	for id := range network.NodeID(a.NumNodes()) {
+		n, m := a.Node(id), b.Node(id)
+		if n.ID != m.ID || n.Kind != m.Kind || n.Name != m.Name || math.Float64bits(n.Speed) != math.Float64bits(m.Speed) {
+			return fmt.Errorf("node %d is %+v, want %+v", id, n, m)
+		}
+	}
+	for id := range network.LinkID(a.NumLinks()) {
+		l, k := a.Link(id), b.Link(id)
+		if l.ID != k.ID || l.From != k.From || l.To != k.To || !slices.Equal(l.Members(), k.Members()) ||
 			math.Float64bits(l.Speed) != math.Float64bits(k.Speed) {
-			return fmt.Errorf("link %d is %+v, want %+v", i, l, k)
+			return fmt.Errorf("link %d is %+v, want %+v", id, l, k)
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/network"
@@ -100,17 +99,19 @@ type linkDoc struct {
 // round trip is exact.
 func WriteTopology(w io.Writer, t *network.Topology) error {
 	doc := topologyDoc{}
-	for _, n := range t.Nodes() {
+	for id := range network.NodeID(t.NumNodes()) {
+		n := t.Node(id)
 		nd := nodeDoc{Name: n.Name, Kind: n.Kind.String()}
 		if n.Kind == network.Processor {
 			nd.Speed = n.Speed
 		}
 		doc.Nodes = append(doc.Nodes, nd)
 	}
-	for _, l := range t.Links() {
+	for id := range network.LinkID(t.NumLinks()) {
+		l := t.Link(id)
 		if l.IsBus() {
 			ld := linkDoc{Speed: l.Speed}
-			for _, m := range l.Members {
+			for _, m := range l.Members() {
 				ld.Members = append(ld.Members, int(m))
 			}
 			doc.Links = append(doc.Links, ld)
@@ -123,8 +124,8 @@ func WriteTopology(w io.Writer, t *network.Topology) error {
 	return enc.Encode(doc)
 }
 
-// ReadTopology parses a topology from JSON and validates it. It reads
-// r to the end; a read error is returned wrapped.
+// ReadTopology parses a topology from JSON and builds it, which checks
+// it. It reads r to the end; a read error is returned wrapped.
 func ReadTopology(r io.Reader) (*network.Topology, error) {
 	var doc topologyDoc
 	if err := decode(r, &doc); err != nil {
@@ -133,67 +134,36 @@ func ReadTopology(r io.Reader) (*network.Topology, error) {
 	return doc.build()
 }
 
-// build makes the topology a decoded document describes and validates
-// it.
+// build makes the topology a decoded document describes. A node of
+// unknown kind is the document's own error; Build checks the rest.
 func (doc *topologyDoc) build() (*network.Topology, error) {
-	t := network.NewTopology()
+	var b network.Builder
 	for i, n := range doc.Nodes {
 		switch n.Kind {
 		case "processor":
-			if n.Speed <= 0 {
-				return nil, fmt.Errorf("graphio: processor node %d needs a positive speed", i)
-			}
-			t.AddProcessor(n.Name, n.Speed)
+			b.AddProcessor(n.Name, n.Speed)
 		case "switch":
-			t.AddSwitch(n.Name)
+			b.AddSwitch(n.Name)
 		default:
 			return nil, fmt.Errorf("graphio: node %d has unknown kind %q", i, n.Kind)
 		}
 	}
-	nn := len(doc.Nodes)
-	check := func(i, v int) error {
-		if v < 0 || v >= nn {
-			return fmt.Errorf("graphio: link %d references node %d outside [0,%d)", i, v, nn)
-		}
-		return nil
-	}
-	for i, l := range doc.Links {
-		if l.Speed <= 0 {
-			return nil, fmt.Errorf("graphio: link %d needs a positive speed", i)
-		}
-		if len(l.Members) > 0 {
-			members := make([]network.NodeID, 0, len(l.Members))
-			for _, m := range l.Members {
-				if err := check(i, m); err != nil {
-					return nil, err
-				}
-				if slices.Contains(members, network.NodeID(m)) {
-					return nil, fmt.Errorf("graphio: bus link %d lists node %d twice", i, m)
-				}
-				members = append(members, network.NodeID(m))
+	for _, l := range doc.Links {
+		switch {
+		case len(l.Members) > 0:
+			members := make([]network.NodeID, len(l.Members))
+			for i, m := range l.Members {
+				members[i] = network.NodeID(m)
 			}
-			if len(members) < 2 {
-				return nil, fmt.Errorf("graphio: bus link %d needs at least two members", i)
-			}
-			t.AddBus(members, l.Speed)
-			continue
-		}
-		if err := check(i, l.From); err != nil {
-			return nil, err
-		}
-		if err := check(i, l.To); err != nil {
-			return nil, err
-		}
-		if l.From == l.To {
-			return nil, fmt.Errorf("graphio: link %d is a self-link on node %d", i, l.From)
-		}
-		if l.Duplex {
-			t.AddDuplex(network.NodeID(l.From), network.NodeID(l.To), l.Speed)
-		} else {
-			t.AddLink(network.NodeID(l.From), network.NodeID(l.To), l.Speed)
+			b.AddBus(members, l.Speed)
+		case l.Duplex:
+			b.AddDuplex(network.NodeID(l.From), network.NodeID(l.To), l.Speed)
+		default:
+			b.AddLink(network.NodeID(l.From), network.NodeID(l.To), l.Speed)
 		}
 	}
-	if err := t.Validate(); err != nil {
+	t, err := b.Build()
+	if err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
 	return t, nil

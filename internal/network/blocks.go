@@ -13,11 +13,13 @@ package network
 // Every other node hangs below exactly one block, its up block, which
 // in turn hangs below its head: the cut vertex (or root) through which
 // the DFS entered it.
+//
+// Build computes the tree once and every Router over the topology reads
+// it; the per-search marks live in the Router.
 type blockTree struct {
-	up     []int32  // per node: the block above it, -1 at a root
-	link   []int32  // per link: the block holding it
-	blocks []block  // in the order the DFS closed them
-	mark   []uint64 // per block: the epoch of the last search whose path holds it
+	up     []int32 // per node: the block above it, -1 at a root
+	link   []int32 // per link: the block holding it
+	blocks []block // in the order the DFS closed them
 }
 
 type block struct {
@@ -32,40 +34,17 @@ type block struct {
 // Hopcroft and Tarjan's depth-first search, iteratively, in O(V+E).
 func newBlockTree(t *Topology) blockTree {
 	n := len(t.nodes)
-	// Undirected adjacency in CSR form: every hop u->v gives u ~ v and
-	// v ~ u. Parallel and opposite links repeat a neighbour, which a
-	// search that skips its parent node (not its parent link) treats
-	// as one edge: the block of two nodes is the same either way.
-	hops := 0
-	for _, hs := range t.adj {
-		hops += len(hs)
-	}
-	scratch := make([]int32, n+1+2*hops+5*n)
-	off, scratch := scratch[:n+1], scratch[n+1:]
-	nbr, scratch := scratch[:2*hops], scratch[2*hops:]
+	// Undirected adjacency: a link gives a hop each way. Parallel and
+	// opposite links repeat a neighbour, which a search that skips its
+	// parent node (not its parent link) treats as one edge: the block
+	// of two nodes is the same either way.
+	off, nbr := adjacency(n, t.links, true, true)
+	scratch := make([]int32, 5*n)
 	next, scratch := scratch[:n], scratch[n:] // per node: its next neighbour slot
 	disc, scratch := scratch[:n], scratch[n:] // DFS discovery time, 0 = unseen
 	low, scratch := scratch[:n], scratch[n:]
 	parent, scratch := scratch[:n], scratch[n:]
 	stack := scratch[:0:n] // nodes discovered and not yet in a block
-	for u, hs := range t.adj {
-		off[u+1] += int32(len(hs))
-		for _, h := range hs {
-			off[h.To+1]++
-		}
-	}
-	for u := range n {
-		off[u+1] += off[u]
-	}
-	copy(next, off[:n])
-	for u, hs := range t.adj {
-		for _, h := range hs {
-			nbr[next[u]] = int32(h.To)
-			next[u]++
-			nbr[next[h.To]] = int32(u)
-			next[h.To]++
-		}
-	}
 	copy(next, off[:n])
 
 	bt := blockTree{
@@ -84,7 +63,7 @@ func newBlockTree(t *Topology) blockTree {
 		for v >= 0 {
 			if i := next[v]; i < off[v+1] {
 				next[v]++
-				w := nbr[i]
+				w := nbr[i].To
 				switch {
 				case disc[w] == 0:
 					clock++
@@ -134,7 +113,7 @@ func newBlockTree(t *Topology) blockTree {
 	for id, l := range t.links {
 		a, c := l.From, l.To
 		if l.IsBus() {
-			a, c = l.Members[0], l.Members[1]
+			a, c = l.members[0], l.members[1]
 		}
 		b := bt.blockOf(a, c)
 		bt.link[id] = b
@@ -152,7 +131,6 @@ func newBlockTree(t *Topology) blockTree {
 	for b := range bt.blocks {
 		bt.blocks[b].bridge = bt.blocks[b].bridge && fwd[b] <= 1 && bwd[b] <= 1
 	}
-	bt.mark = make([]uint64, len(bt.blocks))
 	return bt
 }
 
@@ -174,12 +152,12 @@ func (bt *blockTree) depth(n NodeID) int32 {
 	return 0
 }
 
-// markPath stamps with epoch e every block on the tree path between
-// src and dst, and reports whether the pair is forced: joined by a
-// path whose blocks are all bridges, so it has exactly one simple
-// route in the undirected view. src == dst is forced (the empty
+// markPath stamps with epoch e, in mark (one entry per block), every
+// block on the tree path between src and dst, and reports whether the
+// pair is forced: joined by a path whose blocks are all bridges, so it
+// has exactly one simple route in the undirected view. src == dst is forced (the empty
 // route); a pair in two components is not (it has none).
-func (bt *blockTree) markPath(src, dst NodeID, e uint64) bool {
+func (bt *blockTree) markPath(mark []uint64, src, dst NodeID, e uint64) bool {
 	forced := true
 	for src != dst {
 		ds, dd := bt.depth(src), bt.depth(dst)
@@ -187,20 +165,20 @@ func (bt *blockTree) markPath(src, dst NodeID, e uint64) bool {
 			return false // two roots: two components
 		}
 		if ds >= dd {
-			src = bt.climb(src, e, &forced)
+			src = bt.climb(mark, src, e, &forced)
 		}
 		if dd >= ds {
-			dst = bt.climb(dst, e, &forced)
+			dst = bt.climb(mark, dst, e, &forced)
 		}
 	}
 	return forced
 }
 
-// climb marks the block above n with epoch e, clears *forced unless
-// that block is a bridge, and returns the block's head.
-func (bt *blockTree) climb(n NodeID, e uint64, forced *bool) NodeID {
+// climb marks the block above n with epoch e in mark, clears *forced
+// unless that block is a bridge, and returns the block's head.
+func (bt *blockTree) climb(mark []uint64, n NodeID, e uint64, forced *bool) NodeID {
 	b := &bt.blocks[bt.up[n]]
-	bt.mark[bt.up[n]] = e
+	mark[bt.up[n]] = e
 	*forced = *forced && b.bridge
 	return NodeID(b.head)
 }

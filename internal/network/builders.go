@@ -24,11 +24,23 @@ func UniformRange(r *rand.Rand, lo, hi int) SpeedFn {
 	}
 }
 
+// build returns the topology a builder function made. Those functions
+// connect every processor to every other, so Build fails only on a
+// speed a SpeedFn gave or a size without processors: the caller's
+// error, so build panics.
+func build(b *Builder) *Topology {
+	t, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // FullyConnected builds n processors with a duplex link between every
 // pair — the classic model's assumption realized as an explicit
 // topology (every pair still contends on its own private cable).
 func FullyConnected(n int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	ids := make([]NodeID, n)
 	for i := 0; i < n; i++ {
 		ids[i] = t.AddProcessor("", proc())
@@ -39,25 +51,25 @@ func FullyConnected(n int, proc, link SpeedFn) *Topology {
 			t.AddDuplex(ids[i], ids[j], s)
 		}
 	}
-	return t
+	return build(t)
 }
 
-// Ring builds n processors in a duplex ring.
+// Ring builds n processors in a duplex ring; one processor has no link.
 func Ring(n int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	ids := make([]NodeID, n)
 	for i := 0; i < n; i++ {
 		ids[i] = t.AddProcessor("", proc())
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && n > 1; i++ {
 		t.AddDuplex(ids[i], ids[(i+1)%n], link())
 	}
-	return t
+	return build(t)
 }
 
 // Line builds n processors in a duplex chain.
 func Line(n int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	prev := NodeID(-1)
 	for i := 0; i < n; i++ {
 		id := t.AddProcessor("", proc())
@@ -66,37 +78,50 @@ func Line(n int, proc, link SpeedFn) *Topology {
 		}
 		prev = id
 	}
-	return t
+	return build(t)
 }
 
 // Star builds n processors all attached to one central switch by duplex
 // links — the typical single-switch cluster.
 func Star(n int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	sw := t.AddSwitch("hub")
 	for i := 0; i < n; i++ {
 		p := t.AddProcessor("", proc())
 		t.AddDuplex(p, sw, link())
 	}
-	return t
+	return build(t)
 }
 
 // Bus builds n processors sharing a single hyperedge, the strongest
-// possible contention scenario.
+// possible contention scenario; one processor has no bus.
 func Bus(n int, proc SpeedFn, busSpeed float64) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	members := make([]NodeID, n)
 	for i := 0; i < n; i++ {
 		members[i] = t.AddProcessor("", proc())
 	}
-	t.AddBus(members, busSpeed)
-	return t
+	if n > 1 {
+		t.AddBus(members, busSpeed)
+	}
+	return build(t)
 }
 
 // Mesh2D builds a rows x cols processor mesh with duplex links between
 // grid neighbours.
 func Mesh2D(rows, cols int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	return mesh2D(rows, cols, proc, link, false)
+}
+
+// Torus2D builds a rows x cols processor torus (mesh with wraparound).
+func Torus2D(rows, cols int, proc, link SpeedFn) *Topology {
+	return mesh2D(rows, cols, proc, link, true)
+}
+
+// mesh2D builds Mesh2D's mesh, and with wrap Torus2D's wraparound links
+// after it.
+func mesh2D(rows, cols int, proc, link SpeedFn, wrap bool) *Topology {
+	t := new(Builder)
 	ids := make([][]NodeID, rows)
 	for i := 0; i < rows; i++ {
 		ids[i] = make([]NodeID, cols)
@@ -110,30 +135,22 @@ func Mesh2D(rows, cols int, proc, link SpeedFn) *Topology {
 			}
 		}
 	}
-	return t
-}
-
-// Torus2D builds a rows x cols processor torus (mesh with wraparound).
-func Torus2D(rows, cols int, proc, link SpeedFn) *Topology {
-	t := Mesh2D(rows, cols, proc, link)
-	// Wraparound links. Node IDs follow row-major insertion order.
-	id := func(i, j int) NodeID { return NodeID(i*cols + j) }
-	if rows > 2 {
+	if wrap && rows > 2 {
 		for j := 0; j < cols; j++ {
-			t.AddDuplex(id(rows-1, j), id(0, j), link())
+			t.AddDuplex(ids[rows-1][j], ids[0][j], link())
 		}
 	}
-	if cols > 2 {
+	if wrap && cols > 2 {
 		for i := 0; i < rows; i++ {
-			t.AddDuplex(id(i, cols-1), id(i, 0), link())
+			t.AddDuplex(ids[i][cols-1], ids[i][0], link())
 		}
 	}
-	return t
+	return build(t)
 }
 
 // Hypercube builds a 2^dim processor hypercube.
 func Hypercube(dim int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	n := 1 << uint(dim)
 	ids := make([]NodeID, n)
 	for i := 0; i < n; i++ {
@@ -147,7 +164,7 @@ func Hypercube(dim int, proc, link SpeedFn) *Topology {
 			}
 		}
 	}
-	return t
+	return build(t)
 }
 
 // FatTree builds a two-level switch tree: leaves of `down` processors
@@ -155,7 +172,7 @@ func Hypercube(dim int, proc, link SpeedFn) *Topology {
 // single core switch. It is a common cluster shape with a contended
 // core.
 func FatTree(leafSwitches, down int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	core := t.AddSwitch("core")
 	for s := 0; s < leafSwitches; s++ {
 		sw := t.AddSwitch(fmt.Sprintf("S%d", s))
@@ -165,7 +182,7 @@ func FatTree(leafSwitches, down int, proc, link SpeedFn) *Topology {
 			t.AddDuplex(p, sw, link())
 		}
 	}
-	return t
+	return build(t)
 }
 
 // RandomClusterParams parameterizes RandomCluster, the paper's §6
@@ -202,7 +219,7 @@ func RandomCluster(r *rand.Rand, p RandomClusterParams) *Topology {
 	if p.LinkSpeed == nil {
 		p.LinkSpeed = Uniform(1)
 	}
-	t := NewTopology()
+	t := new(Builder)
 	var switches []NodeID
 	remaining := p.Processors
 	for remaining > 0 {
@@ -239,5 +256,5 @@ func RandomCluster(r *rand.Rand, p RandomClusterParams) *Topology {
 			t.AddDuplex(switches[i], switches[j], p.LinkSpeed())
 		}
 	}
-	return t
+	return build(t)
 }

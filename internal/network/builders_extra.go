@@ -5,7 +5,7 @@ import "fmt"
 // Torus3D builds an x*y*z processor torus with duplex links along all
 // three dimensions (wraparound only on dimensions longer than 2).
 func Torus3D(x, y, z int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	id := func(i, j, k int) NodeID { return NodeID((i*y+j)*z + k) }
 	for i := 0; i < x; i++ {
 		for j := 0; j < y; j++ {
@@ -35,14 +35,14 @@ func Torus3D(x, y, z int, proc, link SpeedFn) *Topology {
 			}
 		}
 	}
-	return t
+	return build(t)
 }
 
 // SwitchTree builds a k-ary tree of switches of the given depth with
 // `down` processors per leaf switch — the generalized multilevel
 // cluster (FatTree is the depth-1 special case).
 func SwitchTree(arity, depth, down int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	root := t.AddSwitch("root")
 	level := []NodeID{root}
 	for d := 0; d < depth; d++ {
@@ -62,14 +62,14 @@ func SwitchTree(arity, depth, down int, proc, link SpeedFn) *Topology {
 			t.AddDuplex(p, leaf, link())
 		}
 	}
-	return t
+	return build(t)
 }
 
 // Dumbbell builds two Star clusters of na and nb processors whose hub
 // switches are joined by a single duplex trunk of the given speed —
 // the canonical bottleneck scenario for contention-aware scheduling.
 func Dumbbell(na, nb int, proc, link SpeedFn, trunkSpeed float64) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	a := t.AddSwitch("hubA")
 	b := t.AddSwitch("hubB")
 	t.AddDuplex(a, b, trunkSpeed)
@@ -81,7 +81,7 @@ func Dumbbell(na, nb int, proc, link SpeedFn, trunkSpeed float64) *Topology {
 		p := t.AddProcessor(fmt.Sprintf("B%d", i), proc())
 		t.AddDuplex(p, b, link())
 	}
-	return t
+	return build(t)
 }
 
 // Dragonfly builds a simplified dragonfly: groups of `groupSize`
@@ -89,7 +89,7 @@ func Dumbbell(na, nb int, proc, link SpeedFn, trunkSpeed float64) *Topology {
 // keep link counts moderate), and one global duplex link between every
 // pair of group switches.
 func Dragonfly(groups, groupSize int, proc, local, global SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	sws := make([]NodeID, groups)
 	for g := 0; g < groups; g++ {
 		sws[g] = t.AddSwitch(fmt.Sprintf("G%d", g))
@@ -103,7 +103,7 @@ func Dragonfly(groups, groupSize int, proc, local, global SpeedFn) *Topology {
 			t.AddDuplex(sws[i], sws[j], global())
 		}
 	}
-	return t
+	return build(t)
 }
 
 // ButterflyNet builds a k-stage butterfly indirect network connecting
@@ -112,7 +112,7 @@ func Dragonfly(groups, groupSize int, proc, local, global SpeedFn) *Topology {
 // processors are attached at both ends of the butterfly and all links
 // are duplex, yielding multiple disjoint routes between most pairs.
 func ButterflyNet(k int, proc, link SpeedFn) *Topology {
-	t := NewTopology()
+	t := new(Builder)
 	n := 1 << uint(k)
 	procs := make([]NodeID, n)
 	for i := 0; i < n; i++ {
@@ -136,5 +136,5 @@ func ButterflyNet(k int, proc, link SpeedFn) *Topology {
 			t.AddDuplex(cols[c][i], cols[c+1][i^(1<<uint(c))], link())
 		}
 	}
-	return t
+	return build(t)
 }

@@ -6,9 +6,6 @@ import (
 
 func TestTorus3D(t *testing.T) {
 	top := Torus3D(3, 3, 3, Uniform(1), Uniform(1))
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if top.NumProcessors() != 27 {
 		t.Fatalf("procs %d, want 27", top.NumProcessors())
 	}
@@ -29,9 +26,6 @@ func TestTorus3D(t *testing.T) {
 
 func TestTorus3DNoWraparoundOnShortDims(t *testing.T) {
 	top := Torus3D(2, 2, 2, Uniform(1), Uniform(1))
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// 2-long dimensions must not get duplicate wraparound cables: a
 	// 2x2x2 torus is exactly a 3-cube: 8 procs * 3 cables = 12 duplex.
 	if top.NumLinks() != 24 {
@@ -41,9 +35,6 @@ func TestTorus3DNoWraparoundOnShortDims(t *testing.T) {
 
 func TestSwitchTree(t *testing.T) {
 	top := SwitchTree(2, 2, 3, Uniform(1), Uniform(1))
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// depth 2, arity 2: 1 + 2 + 4 switches; 4 leaves * 3 procs.
 	if top.NumProcessors() != 12 {
 		t.Fatalf("procs %d, want 12", top.NumProcessors())
@@ -52,7 +43,7 @@ func TestSwitchTree(t *testing.T) {
 		t.Fatalf("switches %d, want 7", got)
 	}
 	// Processors under different leaves route through the tree.
-	ps := top.Processors()
+	ps := top.procs
 	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[11])
 	if err != nil {
 		t.Fatal(err)
@@ -64,14 +55,11 @@ func TestSwitchTree(t *testing.T) {
 
 func TestDumbbell(t *testing.T) {
 	top := Dumbbell(3, 4, Uniform(1), Uniform(2), 0.5)
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if top.NumProcessors() != 7 {
 		t.Fatalf("procs %d", top.NumProcessors())
 	}
 	// Cross-cluster routes pass the trunk: 3 hops.
-	ps := top.Processors()
+	ps := top.procs
 	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[3])
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +71,6 @@ func TestDumbbell(t *testing.T) {
 
 func TestDragonfly(t *testing.T) {
 	top := Dragonfly(4, 3, Uniform(1), Uniform(4), Uniform(1))
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if top.NumProcessors() != 12 {
 		t.Fatalf("procs %d", top.NumProcessors())
 	}
@@ -97,9 +82,6 @@ func TestDragonfly(t *testing.T) {
 
 func TestButterflyNet(t *testing.T) {
 	top := ButterflyNet(3, Uniform(1), Uniform(1))
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if top.NumProcessors() != 8 {
 		t.Fatalf("procs %d", top.NumProcessors())
 	}
@@ -108,7 +90,7 @@ func TestButterflyNet(t *testing.T) {
 		t.Fatalf("switches %d, want 32", got)
 	}
 	// Any pair of processors is connected.
-	ps := top.Processors()
+	ps := top.procs
 	if _, err := top.NewRouter(nil).BFSRoute(ps[0], ps[7]); err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,27 @@ package network
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// mustBuild returns b's topology, failing the test on a Build error.
+func mustBuild(t testing.TB, b *Builder) *Topology {
+	t.Helper()
+	top, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
 func TestAddProcessorAndSwitch(t *testing.T) {
-	top := NewTopology()
-	p := top.AddProcessor("", 2)
-	s := top.AddSwitch("")
-	if top.NumNodes() != 2 || top.NumProcessors() != 1 {
+	b := new(Builder)
+	p := b.AddProcessor("", 2)
+	s := b.AddSwitch("")
+	top := mustBuild(t, b)
+	if top.NumNodes() != 2 || top.NumProcessors() != 1 || top.Processor(0) != p {
 		t.Fatalf("counts wrong: %v", top)
 	}
 	if n := top.Node(p); n.Kind != Processor || n.Speed != 2 || n.Name != "P0" {
@@ -25,32 +37,48 @@ func TestAddProcessorAndSwitch(t *testing.T) {
 	}
 }
 
-func TestAddLinkPanics(t *testing.T) {
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	for _, f := range []func(){
-		func() { top.AddLink(a, a, 1) },
-		func() { top.AddLink(a, 99, 1) },
-		func() { top.AddLink(a, a+1, 0) },
-		func() { top.AddBus([]NodeID{a}, 1) },
-		func() { top.AddBus([]NodeID{a, a}, 1) },
+// TestBuildRejectsBadInput requires Build to reject each input it
+// checks, naming the offending node or link.
+func TestBuildRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		add        func(b *Builder, a, c NodeID)
+	}{
+		{"self-link", "link 2 is a self-link", func(b *Builder, a, _ NodeID) { b.AddLink(a, a, 1) }},
+		{"endpoint outside", "link 2 (0->99)", func(b *Builder, a, _ NodeID) { b.AddLink(a, 99, 1) }},
+		{"negative endpoint", "link 2 (-1->0)", func(b *Builder, a, _ NodeID) { b.AddLink(-1, a, 1) }},
+		{"zero link speed", "link 2 has non-positive speed 0", func(b *Builder, a, c NodeID) { b.AddLink(a, c, 0) }},
+		{"NaN link speed", "link 2 has non-positive speed NaN", func(b *Builder, a, c NodeID) { b.AddLink(a, c, math.NaN()) }},
+		{"one-member bus", "bus 2 needs at least two members", func(b *Builder, a, _ NodeID) { b.AddBus([]NodeID{a}, 1) }},
+		{"empty bus", "bus 2 needs at least two members", func(b *Builder, _, _ NodeID) { b.AddBus(nil, 1) }},
+		{"bus member twice", "bus 2 lists node 0 twice", func(b *Builder, a, c NodeID) { b.AddBus([]NodeID{a, c, a}, 1) }},
+		{"bus member outside", "bus 2 lists node 7 outside", func(b *Builder, a, _ NodeID) { b.AddBus([]NodeID{a, 7}, 1) }},
+		{"zero processor speed", "processor 2 (z) has non-positive speed 0", func(b *Builder, _, _ NodeID) { b.AddProcessor("z", 0) }},
+		{"unreachable processor", "processor 0 (a) cannot reach processor 2 (P2)", func(b *Builder, a, _ NodeID) {
+			b.AddLink(b.AddProcessor("", 1), a, 1)
+		}},
+		{"processor reaching no other", "processor 2 (P2) cannot reach processor 0 (a)", func(b *Builder, a, _ NodeID) {
+			b.AddLink(a, b.AddProcessor("", 1), 1)
+		}},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic")
-				}
-			}()
-			f()
-		}()
+		t.Run(tc.name, func(t *testing.T) {
+			b := new(Builder)
+			a, c := b.AddProcessor("a", 1), b.AddProcessor("c", 1)
+			b.AddDuplex(a, c, 1)
+			tc.add(b, a, c)
+			if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 
 func TestDuplexCreatesTwoLinks(t *testing.T) {
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	b := top.AddProcessor("b", 1)
-	f, r := top.AddDuplex(a, b, 3)
+	bld := new(Builder)
+	a := bld.AddProcessor("a", 1)
+	b := bld.AddProcessor("b", 1)
+	f, r := bld.AddDuplex(a, b, 3)
+	top := mustBuild(t, bld)
 	if top.NumLinks() != 2 {
 		t.Fatalf("links %d", top.NumLinks())
 	}
@@ -64,39 +92,41 @@ func TestDuplexCreatesTwoLinks(t *testing.T) {
 }
 
 func TestValidateDisconnected(t *testing.T) {
-	top := NewTopology()
-	top.AddProcessor("a", 1)
-	top.AddProcessor("b", 1)
-	if err := top.Validate(); err == nil {
+	b := new(Builder)
+	b.AddProcessor("a", 1)
+	b.AddProcessor("b", 1)
+	if _, err := b.Build(); err == nil {
 		t.Fatal("disconnected processors accepted")
 	}
 }
 
 func TestValidateNoProcessors(t *testing.T) {
-	top := NewTopology()
-	top.AddSwitch("s")
-	if err := top.Validate(); err == nil {
+	b := new(Builder)
+	b.AddSwitch("s")
+	if _, err := b.Build(); err == nil {
 		t.Fatal("processor-less topology accepted")
 	}
 }
 
 func TestMeanLinkSpeed(t *testing.T) {
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	b := top.AddProcessor("b", 1)
-	top.AddLink(a, b, 2)
-	top.AddLink(b, a, 4)
-	if got := top.MeanLinkSpeed(); got != 3 {
+	bld := new(Builder)
+	a := bld.AddProcessor("a", 1)
+	b := bld.AddProcessor("b", 1)
+	bld.AddLink(a, b, 2)
+	bld.AddLink(b, a, 4)
+	if got := mustBuild(t, bld).MeanLinkSpeed(); got != 3 {
 		t.Fatalf("MLS=%v, want 3", got)
 	}
-	if got := NewTopology().MeanLinkSpeed(); got != 1 {
-		t.Fatalf("empty MLS=%v, want 1", got)
+	one := new(Builder)
+	one.AddProcessor("a", 1)
+	if got := mustBuild(t, one).MeanLinkSpeed(); got != 1 {
+		t.Fatalf("link-free MLS=%v, want 1", got)
 	}
 }
 
 func TestBFSRouteLine(t *testing.T) {
 	top := Line(4, Uniform(1), Uniform(1))
-	ps := top.Processors()
+	ps := top.procs
 	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[3])
 	if err != nil {
 		t.Fatal(err)
@@ -114,12 +144,14 @@ func TestBFSRouteLine(t *testing.T) {
 	}
 }
 
+// TestBFSRouteNoPath routes to a switch that only sends: Build admits
+// it, since every processor still reaches every other.
 func TestBFSRouteNoPath(t *testing.T) {
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	b := top.AddProcessor("b", 1)
-	top.AddLink(a, b, 1) // one-way only
-	if _, err := top.NewRouter(nil).BFSRoute(b, a); err == nil {
+	bld := new(Builder)
+	a := bld.AddProcessor("a", 1)
+	sw := bld.AddSwitch("s")
+	bld.AddLink(sw, a, 1) // one-way only
+	if _, err := mustBuild(t, bld).NewRouter(nil).BFSRoute(a, sw); err == nil {
 		t.Fatal("expected no-route error")
 	} else if _, ok := err.(*ErrNoRoute); !ok {
 		t.Fatalf("error type %T", err)
@@ -128,13 +160,14 @@ func TestBFSRouteNoPath(t *testing.T) {
 
 func TestBFSRoutePrefersFewestHops(t *testing.T) {
 	// Triangle a-b-c plus direct a-c: route a→c must be one hop.
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	b := top.AddProcessor("b", 1)
-	c := top.AddProcessor("c", 1)
-	top.AddDuplex(a, b, 1)
-	top.AddDuplex(b, c, 1)
-	top.AddDuplex(a, c, 1)
+	bld := new(Builder)
+	a := bld.AddProcessor("a", 1)
+	b := bld.AddProcessor("b", 1)
+	c := bld.AddProcessor("c", 1)
+	bld.AddDuplex(a, b, 1)
+	bld.AddDuplex(b, c, 1)
+	bld.AddDuplex(a, c, 1)
+	top := mustBuild(t, bld)
 	route, err := top.NewRouter(nil).BFSRoute(a, c)
 	if err != nil {
 		t.Fatal(err)
@@ -148,13 +181,15 @@ func TestDijkstraRoutePrefersFastPath(t *testing.T) {
 	// a→c direct on a slow link vs a→b→c on fast links: for a large
 	// transfer the two-hop fast path finishes earlier (cut-through:
 	// finish ≈ max per-link time, not sum).
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	b := top.AddProcessor("b", 1)
-	c := top.AddProcessor("c", 1)
-	top.AddLink(a, c, 1)  // slow direct
-	top.AddLink(a, b, 10) // fast two-hop
-	top.AddLink(b, c, 10)
+	bld := new(Builder)
+	a := bld.AddProcessor("a", 1)
+	b := bld.AddProcessor("b", 1)
+	c := bld.AddProcessor("c", 1)
+	bld.AddLink(a, c, 1)  // slow direct
+	bld.AddLink(a, b, 10) // fast two-hop
+	bld.AddLink(b, c, 10)
+	bld.AddLink(c, a, 1) // the way back
+	top := mustBuild(t, bld)
 	cost := 100.0
 	relax := func(l Link, cur Label) Label {
 		dur := cost / l.Speed
@@ -185,7 +220,7 @@ func TestDijkstraEqualsBFSHopsOnUniformRelax(t *testing.T) {
 	relax := func(l Link, cur Label) Label {
 		return Label{Start: cur.Start, Finish: cur.Finish + 1}
 	}
-	ps := top.Processors()
+	ps := top.procs
 	for i := 0; i < 10; i++ {
 		a, b := ps[r.Intn(len(ps))], ps[r.Intn(len(ps))]
 		bfs, err := top.NewRouter(nil).BFSRoute(a, b)
@@ -204,7 +239,7 @@ func TestDijkstraEqualsBFSHopsOnUniformRelax(t *testing.T) {
 
 func TestRouteNodesRejectsBrokenRoute(t *testing.T) {
 	top := Line(3, Uniform(1), Uniform(1))
-	ps := top.Processors()
+	ps := top.procs
 	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[2])
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +265,7 @@ func TestRouteNodesRejectsBrokenRoute(t *testing.T) {
 
 func TestBusRouting(t *testing.T) {
 	top := Bus(3, Uniform(1), 2)
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ps := top.Processors()
+	ps := top.procs
 	route, err := top.NewRouter(nil).BFSRoute(ps[0], ps[2])
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +297,6 @@ func TestBuilderShapes(t *testing.T) {
 		{"fattree", FatTree(2, 3, Uniform(1), Uniform(1)), 6, 16},
 	}
 	for _, c := range cases {
-		if err := c.top.Validate(); err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
 		if c.top.NumProcessors() != c.procs {
 			t.Errorf("%s: %d procs, want %d", c.name, c.top.NumProcessors(), c.procs)
 		}
@@ -280,9 +308,6 @@ func TestBuilderShapes(t *testing.T) {
 
 func TestTorusWraparound(t *testing.T) {
 	top := Torus2D(3, 3, Uniform(1), Uniform(1))
-	if err := top.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Mesh 3x3 has 2*(2*3 + 3*2) = 24 directed links; torus adds
 	// 2*3 + 2*3 duplex wraparounds = 12 more.
 	if top.NumLinks() != 36 {
@@ -306,12 +331,10 @@ func TestRandomClusterProperty(t *testing.T) {
 		if top.NumProcessors() != procs {
 			return false
 		}
-		if top.Validate() != nil {
-			return false
-		}
 		// Every processor hangs off exactly one switch (one duplex pair).
-		for _, p := range top.Processors() {
-			if len(top.Neighbors(p)) != 1 {
+		out := outLinks(top)
+		for _, p := range top.procs {
+			if len(out[p]) != 1 {
 				return false
 			}
 		}
@@ -326,8 +349,9 @@ func TestRandomClusterPerSwitchBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	top := RandomCluster(r, RandomClusterParams{Processors: 100, MinPerSW: 4, MaxPerSW: 16})
 	perSwitch := map[NodeID]int{}
-	for _, p := range top.Processors() {
-		sw := top.Neighbors(p)[0].To
+	out := outLinks(top)
+	for _, p := range top.procs {
+		sw := out[p][0].To
 		if top.Node(sw).Kind != Switch {
 			t.Fatalf("processor %d not attached to a switch", p)
 		}
@@ -354,21 +378,33 @@ func TestUniformRangeBounds(t *testing.T) {
 	}
 }
 
+// outLinks groups top's point-to-point links by the node they leave,
+// in link ID order.
+func outLinks(top *Topology) [][]Link {
+	out := make([][]Link, top.NumNodes())
+	for id := range LinkID(top.NumLinks()) {
+		if l := top.Link(id); !l.IsBus() {
+			out[l.From] = append(out[l.From], l)
+		}
+	}
+	return out
+}
+
 func TestDegreesAndNeighbors(t *testing.T) {
 	top := Star(3, Uniform(1), Uniform(1))
 	// Hub has 3 outgoing links, each processor 1 to the hub.
-	for _, n := range top.Nodes() {
-		hops := top.Neighbors(n.ID)
+	for id, ls := range outLinks(top) {
+		n := top.Node(NodeID(id))
 		want := 1
 		if n.Kind == Switch {
 			want = 3
 		}
-		if len(hops) != want {
-			t.Errorf("node %d has %d neighbors, want %d", n.ID, len(hops), want)
+		if len(ls) != want {
+			t.Errorf("node %d has %d neighbors, want %d", id, len(ls), want)
 		}
-		for _, h := range hops {
-			if l := top.Link(h.Link); l.From != n.ID || l.To != h.To {
-				t.Errorf("node %d: hop %+v does not match link %+v", n.ID, h, l)
+		for _, l := range ls {
+			if (top.Node(l.To).Kind == Switch) == (n.Kind == Switch) {
+				t.Errorf("node %d: link %+v does not join a processor and the hub", id, l)
 			}
 		}
 	}

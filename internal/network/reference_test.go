@@ -18,16 +18,16 @@ func referenceBFSRoute(t *Topology, src, dst NodeID) (Route, error) {
 	queue := []NodeID{src}
 	for head := 0; head < len(queue); head++ {
 		n := queue[head]
-		for _, h := range t.adj[n] {
+		for _, h := range t.out(n) {
 			if seen[h.To] {
 				continue
 			}
 			seen[h.To] = true
-			prev[h.To] = hop{Link: h.Link, To: n}
-			if h.To == dst {
+			prev[h.To] = hop{Link: h.Link, To: int32(n)}
+			if NodeID(h.To) == dst {
 				return unwind(prev, src, dst), nil
 			}
-			queue = append(queue, h.To)
+			queue = append(queue, NodeID(h.To))
 		}
 	}
 	return nil, &ErrNoRoute{From: src, To: dst}
@@ -72,7 +72,7 @@ func referenceDijkstraRoute(t *Topology, src, dst NodeID, init Label, relax Rela
 		if it.node == dst {
 			return unwind(prev, src, dst), best[dst], nil
 		}
-		for _, h := range t.adj[it.node] {
+		for _, h := range t.out(it.node) {
 			if closed[h.To] {
 				continue
 			}
@@ -80,9 +80,9 @@ func referenceDijkstraRoute(t *Topology, src, dst NodeID, init Label, relax Rela
 			nl.Hops = best[it.node].Hops + 1
 			if !open[h.To] || nl.Less(best[h.To]) {
 				best[h.To] = nl
-				prev[h.To] = hop{Link: h.Link, To: it.node}
+				prev[h.To] = hop{Link: h.Link, To: int32(it.node)}
 				open[h.To] = true
-				pq.push(labelItem{node: h.To, label: nl})
+				pq.push(labelItem{node: NodeID(h.To), label: nl})
 			}
 		}
 	}

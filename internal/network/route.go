@@ -19,7 +19,7 @@ func (e *ErrNoRoute) Error() string {
 // routeLen counts the links on the predecessor chain from src to dst.
 func routeLen(prev []hop, src, dst NodeID) int {
 	k := 0
-	for n := dst; n != src; n = prev[n].To {
+	for n := dst; n != src; n = NodeID(prev[n].To) {
 		k++
 	}
 	return k
@@ -28,8 +28,8 @@ func routeLen(prev []hop, src, dst NodeID) int {
 // fillRoute writes the last len(route) links of the predecessor chain
 // ending at dst into route, in travel order, and returns it.
 func fillRoute(route Route, prev []hop, dst NodeID) Route {
-	for i, n := len(route)-1, dst; i >= 0; i, n = i-1, prev[n].To {
-		route[i] = prev[n].Link
+	for i, n := len(route)-1, dst; i >= 0; i, n = i-1, NodeID(prev[n].To) {
+		route[i] = LinkID(prev[n].Link)
 	}
 	return route
 }
@@ -146,14 +146,7 @@ func (t *Topology) RouteNodes(src NodeID, r Route) ([]NodeID, error) {
 			// resolve it locally, so pick the unique member that makes
 			// the rest of the route valid; for verification purposes we
 			// defer to the caller by trying each member.
-			found := false
-			for _, m := range l.Members {
-				if m == cur {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !l.onBus(cur) {
 				return nil, fmt.Errorf("network: route hop %d: node %d not on bus %d", i, cur, lid)
 			}
 			// Choose the member that the next link (if any) departs
@@ -162,27 +155,15 @@ func (t *Topology) RouteNodes(src NodeID, r Route) ([]NodeID, error) {
 			// destination separately.
 			if i+1 < len(r) {
 				nxt := t.links[r[i+1]]
-				for _, m := range l.Members {
-					if m == cur {
-						continue
-					}
-					if nxt.IsBus() {
-						for _, m2 := range nxt.Members {
-							if m2 == m {
-								next = m
-								break
-							}
-						}
-					} else if nxt.From == m {
+				for _, m := range l.members {
+					if m != cur && (nxt.onBus(m) || !nxt.IsBus() && nxt.From == m) {
 						next = m
-					}
-					if next >= 0 {
 						break
 					}
 				}
 			}
 			if next < 0 {
-				for _, m := range l.Members {
+				for _, m := range l.members {
 					if m != cur {
 						next = m
 						break
@@ -221,13 +202,8 @@ func (t *Topology) ValidateRoute(src, dst NodeID, r Route) error {
 	// For routes ending on a bus the heuristic expansion may have
 	// picked the wrong member; accept if dst is on the final bus.
 	if last != dst {
-		fl := t.links[r[len(r)-1]]
-		if fl.IsBus() {
-			for _, m := range fl.Members {
-				if m == dst {
-					return nil
-				}
-			}
+		if t.links[r[len(r)-1]].onBus(dst) {
+			return nil
 		}
 		return fmt.Errorf("network: route ends at node %d, want %d", last, dst)
 	}

@@ -1,7 +1,7 @@
 package network
 
-// treeArenaCap bounds a Router's BFS trees, in hops (16 bytes each, so
-// 8 MiB): 48 sources of a 10,001-node star fit. A tree that would pass
+// treeArenaCap bounds a Router's BFS trees, in hops (8 bytes each, so
+// 4 MiB): 48 sources of a 10,001-node star fit. A tree that would pass
 // the cap empties the arena first, and the trees refill on demand,
 // which changes no route. A topology with more nodes than the cap keeps
 // one tree at a time.
@@ -32,17 +32,20 @@ type RouteCache struct{}
 // Every route a Router returns is its own buffer, valid until its next
 // search: a caller that keeps a route copies it.
 type Router struct {
-	top   *Topology
-	links int // len(top.links) when the Router was built
+	top *Topology
 
-	// epoch-stamped visit marks: mark[n] == epoch means "touched in
+	// epoch-stamped visit marks: open[n] == epoch means "touched in
 	// the current search", so buffers never need clearing.
 	epoch  uint64
 	open   []uint64 // Dijkstra open set
 	closed []uint64 // Dijkstra closed set
+	// mark[b] == epoch: block b of the topology's block-cut tree lies
+	// between the current search's ends, so the search relaxes its
+	// links (blocks.go).
+	mark []uint64
 
 	prev  []hop // Dijkstra predecessors
-	queue []NodeID
+	queue []int32
 	best  []Label
 	pq    labelQueue
 	path  Route // the last search's route, valid until the next search
@@ -53,16 +56,11 @@ type Router struct {
 	// route arrives through, or Link -1 where src reaches nothing.
 	tree []int
 	hops []hop
-
-	// bt is the topology's block-cut tree: a search relaxes only the
-	// links of the blocks between its ends, which it marks with its
-	// epoch (blocks.go).
-	bt blockTree
 }
 
-// NewRouter returns a Router over the topology, sized to its current
-// node count, with the topology's block-cut tree and no BFS tree yet.
-// The argument is ignored.
+// NewRouter returns a Router over the topology with its own search
+// scratch and no BFS tree yet; it shares the topology's adjacency and
+// block-cut tree. The argument is ignored.
 func (t *Topology) NewRouter(_ *RouteCache) *Router {
 	n := len(t.nodes)
 	tree := make([]int, n)
@@ -71,27 +69,18 @@ func (t *Topology) NewRouter(_ *RouteCache) *Router {
 	}
 	return &Router{
 		top:    t,
-		links:  len(t.links),
 		open:   make([]uint64, n),
 		closed: make([]uint64, n),
+		mark:   make([]uint64, len(t.bt.blocks)),
 		prev:   make([]hop, n),
 		best:   make([]Label, n),
 		path:   make(Route, 0, n), // a route visits each node at most once
 		tree:   tree,
-		bt:     newBlockTree(t),
 	}
 }
 
 // Topology returns the topology the Router searches.
 func (r *Router) Topology() *Topology { return r.top }
-
-// Fits reports whether r searches t as t is now. Topologies only grow
-// (AddProcessor, AddSwitch, AddLink, AddBus), so a Router built for t
-// before it gained a node or a link has scratch sized too small and may
-// hold BFS trees the new links would shorten: it does not fit.
-func (r *Router) Fits(t *Topology) bool {
-	return r.top == t && len(r.tree) == len(t.nodes) && r.links == len(t.links)
-}
 
 // BFSRoute returns a minimal route (fewest links) from src to dst using
 // breadth-first search with deterministic tie-breaking by link
@@ -141,12 +130,12 @@ func (r *Router) grow(src NodeID) int {
 	for i := range prev {
 		prev[i] = hop{Link: -1}
 	}
-	adj := r.top.adj
-	queue := append(r.queue[:0], src)
+	top := r.top
+	queue := append(r.queue[:0], int32(src))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, h := range adj[u] {
-			if h.To == src || prev[h.To].Link >= 0 {
+		for _, h := range top.hops[top.off[u]:top.off[u+1]] {
+			if h.To == int32(src) || prev[h.To].Link >= 0 {
 				continue
 			}
 			prev[h.To] = hop{Link: h.Link, To: u}
@@ -201,13 +190,14 @@ func (r *Router) begin(src, dst NodeID) bool {
 	r.top.checkNode(src)
 	r.top.checkNode(dst)
 	r.epoch++
-	return r.bt.markPath(src, dst, r.epoch)
+	return r.top.bt.markPath(r.mark, src, dst, r.epoch)
 }
 
 // search is the modified Dijkstra from src to dst over the blocks
 // begin marked.
 func (r *Router) search(src, dst NodeID, init Label, relax RelaxFunc) (Route, Label, error) {
 	t, e := r.top, r.epoch
+	bt := &t.bt
 	r.pq = r.pq[:0]
 	pq := &r.pq
 	r.best[src] = init
@@ -225,17 +215,17 @@ func (r *Router) search(src, dst NodeID, init Label, relax RelaxFunc) (Route, La
 		if it.node == dst {
 			return r.unwindPath(r.prev, src, dst), r.best[dst], nil
 		}
-		for _, h := range t.adj[it.node] {
-			if r.closed[h.To] == e || r.bt.mark[r.bt.link[h.Link]] != e {
+		for _, h := range t.out(it.node) {
+			if r.closed[h.To] == e || r.mark[bt.link[h.Link]] != e {
 				continue
 			}
 			nl := relax(t.links[h.Link], r.best[it.node])
 			nl.Hops = r.best[it.node].Hops + 1
 			if r.open[h.To] != e || nl.Less(r.best[h.To]) {
 				r.best[h.To] = nl
-				r.prev[h.To] = hop{Link: h.Link, To: it.node}
+				r.prev[h.To] = hop{Link: h.Link, To: int32(it.node)}
 				r.open[h.To] = e
-				pq.push(labelItem{node: h.To, label: nl})
+				pq.push(labelItem{node: NodeID(h.To), label: nl})
 			}
 		}
 	}

@@ -10,11 +10,9 @@ import (
 )
 
 // routerTopologies builds a varied set of shapes for equivalence tests,
-// the last with two processors and no link between them.
+// the last with unroutable pairs: two processors beside a switch that
+// only sends to one of them and a switch no link reaches.
 func routerTopologies(r *rand.Rand) []*Topology {
-	split := NewTopology()
-	split.AddProcessor("a", 1)
-	split.AddProcessor("b", 1)
 	return []*Topology{
 		Line(6, Uniform(1), Uniform(1)),
 		Star(8, Uniform(1), Uniform(1)),
@@ -23,19 +21,43 @@ func routerTopologies(r *rand.Rand) []*Topology {
 		FatTree(3, 3, Uniform(1), Uniform(1)),
 		Bus(5, Uniform(1), 1),
 		RandomCluster(r, RandomClusterParams{Processors: 12}),
-		split,
+		splitTopology(),
 	}
 }
 
+// splitTopology is routerTopologies' last shape. Build admits it: every
+// processor still reaches every other.
+func splitTopology() *Topology {
+	b := new(Builder)
+	p, q, sender := b.AddProcessor("p", 1), b.AddProcessor("q", 1), b.AddSwitch("sender")
+	b.AddSwitch("island")
+	b.AddDuplex(p, q, 1)
+	b.AddLink(sender, q, 1)
+	top, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return top
+}
+
+// nodeIDs returns every node of top in ID order.
+func nodeIDs(top *Topology) []NodeID {
+	ids := make([]NodeID, top.NumNodes())
+	for i := range ids {
+		ids[i] = NodeID(i)
+	}
+	return ids
+}
+
 // TestRouterMatchesTopologyBFS requires Router.BFSRoute to find the
-// reference's route, or its error, for every ordered processor pair,
+// reference's route, or its error, for every ordered pair of nodes,
 // on the pass that grows the source's tree and on later passes that
 // unwind from it. Each pass walks the sources in another order, so a
 // tree is grown amid other sources' trees.
 func TestRouterMatchesTopologyBFS(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for ti, top := range routerTopologies(r) {
-		procs := top.Processors()
+		procs := nodeIDs(top)
 		router := top.NewRouter(nil)
 		for pass := 0; pass < 3; pass++ {
 			for i := range procs {
@@ -70,9 +92,9 @@ func TestRouterMatchesTopologyDijkstra(t *testing.T) {
 	}
 	for ti, top := range routerTopologies(r) {
 		router := top.NewRouter(nil)
-		procs := top.Processors()
-		for _, src := range procs {
-			for _, dst := range procs {
+		nodes := nodeIDs(top)
+		for _, src := range nodes {
+			for _, dst := range nodes {
 				want, wl, werr := referenceDijkstraRoute(top, src, dst, Label{}, relax)
 				got, gl, gerr := router.DijkstraRoute(src, dst, Label{}, relax)
 				if (werr == nil) != (gerr == nil) {
@@ -95,7 +117,7 @@ func TestRouterScratchSurvivesReuse(t *testing.T) {
 		return Label{Finish: cur.Finish + 1/l.Speed}
 	}
 	shared := top.NewRouter(nil)
-	procs := top.Processors()
+	procs := top.procs
 	for pass := 0; pass < 2; pass++ {
 		for _, src := range procs {
 			for _, dst := range procs {
@@ -129,10 +151,8 @@ func TestRouterScratchSurvivesReuse(t *testing.T) {
 // cap while the routes stay the reference's.
 func TestBFSTreeArena(t *testing.T) {
 	line := Line(8, Uniform(1), Uniform(1))
-	lp := line.Processors()
-	split := NewTopology() // two processors, no link
-	a := split.AddProcessor("a", 1)
-	b := split.AddProcessor("b", 1)
+	lp := line.procs
+	split := splitTopology() // nothing reaches node 2
 	check := func(t *testing.T, router *Router, src, dst NodeID) {
 		t.Helper()
 		want, werr := referenceBFSRoute(router.top, src, dst)
@@ -147,7 +167,7 @@ func TestBFSTreeArena(t *testing.T) {
 		src, dst NodeID
 	}{
 		{name: "a second route from a source unwinds from its tree", top: line, src: lp[0], dst: lp[5]},
-		{name: "an unroutable pair's error comes from the tree", top: split, src: a, dst: b},
+		{name: "an unroutable pair's error comes from the tree", top: split, src: 0, dst: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			router := tc.top.NewRouter(nil)
@@ -162,7 +182,7 @@ func TestBFSTreeArena(t *testing.T) {
 	}
 	t.Run("a tree past the cap empties the arena", func(t *testing.T) {
 		mesh := Mesh2D(28, 28, Uniform(1), Uniform(1)) // 784 trees of 784 hops pass the cap
-		ps := mesh.Processors()
+		ps := mesh.procs
 		router := mesh.NewRouter(nil)
 		emptied := 0
 		for pass := 0; pass < 2; pass++ {
@@ -185,27 +205,32 @@ func TestBFSTreeArena(t *testing.T) {
 	})
 }
 
-// TestTopologyRoutesAfterGrowth pins that a Router routes over the
-// topology as it was when the Router was built: one built after the
-// topology gained nodes routes to them.
+// TestTopologyRoutesAfterGrowth pins the builder's reuse: a builder
+// that goes on adding builds a larger topology, whose Router routes to
+// the new nodes, while one built from it earlier keeps its nodes, links,
+// mean link speed and routes.
 func TestTopologyRoutesAfterGrowth(t *testing.T) {
 	relax := func(l Link, cur Label) Label {
 		return Label{Start: cur.Finish, Finish: cur.Finish + 1/l.Speed}
 	}
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	b := top.AddProcessor("b", 1)
-	top.AddDuplex(a, b, 1)
-	router := top.NewRouter(nil)
-	if _, err := router.BFSRoute(a, b); err != nil {
+	bld := new(Builder)
+	a := bld.AddProcessor("a", 1)
+	b := bld.AddProcessor("b", 1)
+	bld.AddDuplex(a, b, 2)
+	small := mustBuild(t, bld)
+	c := bld.AddProcessor("c", 1)
+	bld.AddDuplex(b, c, 4)
+	large := mustBuild(t, bld)
+	if small.NumNodes() != 2 || small.NumLinks() != 2 || small.MeanLinkSpeed() != 2 {
+		t.Fatalf("earlier topology changed: %v, MLS %v", small, small.MeanLinkSpeed())
+	}
+	if large.NumNodes() != 3 || large.NumLinks() != 4 || large.MeanLinkSpeed() != 3 {
+		t.Fatalf("later topology %v, MLS %v", large, large.MeanLinkSpeed())
+	}
+	if _, _, err := small.NewRouter(nil).DijkstraRoute(b, a, Label{}, relax); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := router.DijkstraRoute(a, b, Label{}, relax); err != nil {
-		t.Fatal(err)
-	}
-	c := top.AddProcessor("c", 1)
-	top.AddDuplex(b, c, 1)
-	router = top.NewRouter(nil)
+	router := large.NewRouter(nil)
 	route, err := router.BFSRoute(a, c)
 	if err != nil || len(route) != 2 {
 		t.Fatalf("BFS a->c after growth: route %v, err %v; want 2 links", route, err)
@@ -224,14 +249,15 @@ func TestTopologyRoutesAfterGrowth(t *testing.T) {
 // Route alike (the pair has a choice, so it is not forced), after a
 // BFSRoute of the same pair that takes the first branch.
 func TestDijkstraRoutesAreNeverCached(t *testing.T) {
-	top := NewTopology()
-	a := top.AddProcessor("a", 1)
-	b := top.AddProcessor("b", 1)
-	up, down := top.AddSwitch("up"), top.AddSwitch("down")
-	top.AddDuplex(a, up, 1)
-	top.AddDuplex(up, b, 1)
-	top.AddDuplex(a, down, 1)
-	top.AddDuplex(down, b, 1)
+	bld := new(Builder)
+	a := bld.AddProcessor("a", 1)
+	b := bld.AddProcessor("b", 1)
+	up, down := bld.AddSwitch("up"), bld.AddSwitch("down")
+	bld.AddDuplex(a, up, 1)
+	bld.AddDuplex(up, b, 1)
+	bld.AddDuplex(a, down, 1)
+	bld.AddDuplex(down, b, 1)
+	top := mustBuild(t, bld)
 	via := func(sw NodeID) RelaxFunc {
 		return func(l Link, cur Label) Label {
 			cost := 10.0
@@ -270,7 +296,9 @@ func TestDijkstraRoutesAreNeverCached(t *testing.T) {
 // fuzzNet decodes a fuzz input into a topology and the per-link
 // parameters of a relaxation. The shapes cover one-way links, parallel
 // duplex links, buses, nodes wired to several switches and nodes no
-// link reaches; link costs of 0, 1 or 2 and busy-until times of 0..3
+// link reaches. Node 0 is the one processor and every other node a
+// switch, so Build admits every shape, and the Router, which routes
+// between any nodes, meets unroutable pairs; link costs of 0, 1 or 2 and busy-until times of 0..3
 // make zero-cost links and equal labels common, so the queue's node-ID
 // tie-break is exercised.
 type fuzzNet struct {
@@ -289,34 +317,40 @@ func (f *fuzzNet) next() int {
 }
 
 func newFuzzNet(data []byte) *fuzzNet {
-	f := &fuzzNet{top: NewTopology(), data: data}
+	f := &fuzzNet{data: data}
+	b := new(Builder)
 	n := 2 + f.next()%10
+	b.AddProcessor("", 1)
 	for i := 0; i < n; i++ {
-		if f.next()%3 == 0 {
-			f.top.AddSwitch("")
-		} else {
-			f.top.AddProcessor("", 1)
+		f.next() // once the node's kind, still read so the seeds keep their shapes
+		if i > 0 {
+			b.AddSwitch("")
 		}
 	}
 	for m := f.next() % 24; m > 0; m-- {
 		kind := f.next() % 8
-		a, b, c := NodeID(f.next()%n), NodeID(f.next()%n), NodeID(f.next()%n)
-		if a == b {
+		u, v, w := NodeID(f.next()%n), NodeID(f.next()%n), NodeID(f.next()%n)
+		if u == v {
 			continue
 		}
 		switch {
 		case kind < 3:
-			f.top.AddLink(a, b, 1)
+			b.AddLink(u, v, 1)
 		case kind < 6:
-			f.top.AddDuplex(a, b, 1)
+			b.AddDuplex(u, v, 1)
 		case kind == 6: // parallel cables between the same pair
-			f.top.AddDuplex(a, b, 1)
-			f.top.AddDuplex(a, b, 1)
-		case c != a && c != b:
-			f.top.AddBus([]NodeID{a, b, c}, 1)
+			b.AddDuplex(u, v, 1)
+			b.AddDuplex(u, v, 1)
+		case w != u && w != v:
+			b.AddBus([]NodeID{u, v, w}, 1)
 		}
 	}
-	for range f.top.Links() {
+	top, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	f.top = top
+	for range top.NumLinks() {
 		f.cost = append(f.cost, float64(f.next()%3))
 		f.until = append(f.until, float64(f.next()%4))
 	}
@@ -348,16 +382,16 @@ func (f *fuzzNet) relax(mode int, calls *int) RelaxFunc {
 // simple route, and that Router.BFSRoute finds the BFS reference's
 // route or error.
 func FuzzDijkstraRoute(f *testing.F) {
-	// A star: switch 0, processors 1-3; every leaf hangs off the
-	// switch, so every pair is forced.
+	// A star: hub 0, leaves 1-3; every leaf hangs off the hub, so
+	// every pair is forced.
 	f.Add([]byte{
 		2, 0, 1, 1, 1, // 4 nodes
 		3, 3, 0, 1, 0, 3, 0, 2, 0, 3, 0, 3, 0, // 3 duplex cables
 		1, 0, 1, 1, 1, 0, 0, 0, 1, 2, 1, 0, // cost, until per link
 		2, 1, 2, 0, 0, 0, 2, 3, 1, 1, 1, 3, 1, 0, 2, 0, // 3 searches: src, dst, mode, finish, start offset
 	})
-	// Switches 0 and 1, processors 2-4 (3 on both switches), a one-way
-	// link, a bus, and a query from a switch.
+	// Hubs 0 and 1, leaves 2-4 (3 on both hubs), a one-way link, a
+	// bus, and a query from a hub.
 	f.Add([]byte{
 		3, 0, 0, 1, 1, 1, // 5 nodes
 		7, 3, 0, 1, 0, 3, 0, 2, 0, 3, 0, 3, 0, 3, 1, 3, 0, 3, 1, 4, 0, 0, 2, 4, 0, 7, 2, 3, 4,
@@ -365,16 +399,16 @@ func FuzzDijkstraRoute(f *testing.F) {
 		5, 2, 4, 0, 1, 0, 4, 2, 1, 1, 1, 3, 2, 0, 2, 0, 3, 2, 1, 0, 0, 0, 4, 0, 0, 1, 4, 3, 1, 2, 1,
 	})
 	f.Add([]byte{3, 1, 1, 1, 1, 0, 0, 1, 2, 3, 0, 0, 0, 2, 0, 1, 0, 2, 1}) // unreachable pairs
-	// A cycle of switches 0, 3 and 4 dangling off switch 0, the cut
-	// vertex between processors 1 and 2.
+	// A cycle of nodes 0, 3 and 4 dangling off node 0, the cut vertex
+	// between nodes 1 and 2.
 	f.Add([]byte{
 		3, 0, 1, 1, 0, 0, // 5 nodes
 		5, 3, 1, 0, 0, 3, 0, 2, 0, 3, 0, 3, 0, 3, 3, 4, 0, 3, 4, 0, 0, // 5 duplex cables
 		1, 0, 1, 1, 0, 2, 2, 0, 1, 0, 1, 3, 2, 1, 0, 0, 1, 2, 1, 0,
 		3, 1, 2, 0, 1, 0, 1, 3, 1, 0, 0, 3, 2, 0, 2, 1, 4, 1, 1, 1, 0,
 	})
-	// Parallel duplex trunks between switches 0 and 1, processors 2 and
-	// 3 on either side: the trunk is a block of two nodes with two links
+	// Parallel duplex trunks between nodes 0 and 1, nodes 2 and 3 on
+	// either side: the trunk is a block of two nodes with two links
 	// each way, so no pair across it is forced.
 	f.Add([]byte{
 		2, 0, 0, 1, 1, // 4 nodes
@@ -382,16 +416,16 @@ func FuzzDijkstraRoute(f *testing.F) {
 		1, 0, 1, 0, 2, 0, 2, 0, 1, 1, 1, 0, 1, 0, 1, 0,
 		2, 2, 3, 0, 0, 0, 3, 2, 1, 1, 1, 2, 3, 1, 0, 0,
 	})
-	// A one-way link from switch 0 to processor 2 breaks the otherwise
-	// unique path back to processor 1: 2->1 is forced and unroutable.
+	// A one-way link from node 0 to node 2 breaks the otherwise unique
+	// path back to node 1: 2->1 is forced and unroutable.
 	f.Add([]byte{
 		1, 0, 1, 1, // 3 nodes
 		2, 3, 1, 0, 0, 0, 0, 2, 0,
 		1, 0, 1, 0, 1, 0,
 		1, 2, 1, 0, 0, 0, 1, 2, 0, 1, 0,
 	})
-	// A bus of processors 0 and 1 and switch 2 beside a duplex cable
-	// between 0 and 1, and processor 3 on the switch.
+	// A bus of nodes 0, 1 and 2 beside a duplex cable between 0 and 1,
+	// and node 3 on node 2.
 	f.Add([]byte{
 		2, 1, 1, 0, 1, // 4 nodes
 		3, 7, 0, 1, 2, 3, 0, 1, 0, 3, 2, 3, 0,
@@ -471,8 +505,8 @@ func simpleRoutes(top *Topology, src, dst NodeID) int {
 	for u := range links {
 		links[u] = make([]int, n)
 	}
-	for u, hs := range top.adj {
-		for _, h := range hs {
+	for u := range n {
+		for _, h := range top.out(NodeID(u)) {
 			links[u][h.To]++
 		}
 	}
@@ -524,31 +558,37 @@ func simpleRoutes(top *Topology, src, dst NodeID) int {
 // breaks an otherwise unique path, and a three-member bus beside a
 // parallel cable.
 func TestForcedPairsHaveOneSimpleRoute(t *testing.T) {
-	dangling := Star(2, Uniform(1), Uniform(1))
+	dangling := new(Builder)
+	hub := dangling.AddSwitch("hub")
+	dangling.AddDuplex(dangling.AddProcessor("", 1), hub, 1)
+	dangling.AddDuplex(dangling.AddProcessor("", 1), hub, 1)
 	x, y := dangling.AddSwitch("x"), dangling.AddSwitch("y")
-	dangling.AddDuplex(0, x, 1)
+	dangling.AddDuplex(hub, x, 1)
 	dangling.AddDuplex(x, y, 1)
-	dangling.AddDuplex(y, 0, 1)
+	dangling.AddDuplex(y, hub, 1)
 
-	trunks := NewTopology()
+	trunks := new(Builder)
 	s0, s1 := trunks.AddSwitch(""), trunks.AddSwitch("")
 	trunks.AddDuplex(trunks.AddProcessor("", 1), s0, 1)
 	trunks.AddDuplex(s0, s1, 1)
 	trunks.AddDuplex(s0, s1, 1)
 	trunks.AddDuplex(trunks.AddProcessor("", 1), s1, 1)
 
-	oneWay := NewTopology()
-	hub := oneWay.AddSwitch("")
+	oneWay := new(Builder) // the one-way link's end is a switch, which no processor needs to reach back from
+	hub = oneWay.AddSwitch("")
 	oneWay.AddDuplex(oneWay.AddProcessor("", 1), hub, 1)
-	oneWay.AddLink(hub, oneWay.AddProcessor("", 1), 1)
+	oneWay.AddLink(hub, oneWay.AddSwitch(""), 1)
 
-	bus := NewTopology()
+	bus := new(Builder)
 	a, b, sw := bus.AddProcessor("", 1), bus.AddProcessor("", 1), bus.AddSwitch("")
 	bus.AddBus([]NodeID{a, b, sw}, 1)
 	bus.AddDuplex(a, b, 1)
 	bus.AddDuplex(sw, bus.AddProcessor("", 1), 1)
 
-	shapes := append(routerTopologies(rand.New(rand.NewSource(5))), dangling, trunks, oneWay, bus)
+	shapes := routerTopologies(rand.New(rand.NewSource(5)))
+	for _, b := range []*Builder{dangling, trunks, oneWay, bus} {
+		shapes = append(shapes, mustBuild(t, b))
+	}
 	for i, top := range shapes {
 		t.Run(fmt.Sprint(i), func(t *testing.T) { checkForcedPairs(t, top.NewRouter(nil)) })
 	}
@@ -564,7 +604,7 @@ func TestDijkstraRouteIsAllocationFree(t *testing.T) {
 	relax := func(l Link, cur Label) Label {
 		return Label{Start: cur.Finish, Finish: cur.Finish + 10/l.Speed}
 	}
-	ps := top.Processors()
+	ps := top.procs
 	search := func() {
 		for i, src := range ps {
 			dst := ps[(i*7+3)%len(ps)]
@@ -591,7 +631,7 @@ func TestBFSRouteIsAllocationFree(t *testing.T) {
 	relax := func(l Link, cur Label) Label {
 		return Label{Start: cur.Finish, Finish: cur.Finish + 1}
 	}
-	ps := top.Processors()
+	ps := top.procs
 	route := func() {
 		for i, src := range ps {
 			dst := ps[(i*5+3)%len(ps)]
@@ -609,28 +649,5 @@ func TestBFSRouteIsAllocationFree(t *testing.T) {
 	route() // grow every source's tree
 	if allocs := testing.AllocsPerRun(10, route); allocs != 0 {
 		t.Fatalf("%v allocations per %d warm BFS routes, want 0", allocs, len(ps))
-	}
-}
-
-// TestRouterFitsOnlyItsTopologyAsBuilt pins Router.Fits: a Router fits
-// the topology it was built for until that topology gains a node or a
-// link, and never fits another.
-func TestRouterFitsOnlyItsTopologyAsBuilt(t *testing.T) {
-	net := Line(3, Uniform(1), Uniform(1))
-	r := net.NewRouter(nil)
-	if !r.Fits(net) {
-		t.Fatal("a new Router does not fit its topology")
-	}
-	if r.Fits(Line(3, Uniform(1), Uniform(1))) {
-		t.Fatal("a Router fits an equal but other topology")
-	}
-	net.AddLink(0, 2, 1)
-	if r.Fits(net) {
-		t.Fatal("a Router fits its topology after a link was added")
-	}
-	r = net.NewRouter(nil)
-	net.AddSwitch("")
-	if r.Fits(net) {
-		t.Fatal("a Router fits its topology after a node was added")
 	}
 }

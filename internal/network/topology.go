@@ -12,6 +12,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a network node (processor or switch).
@@ -55,122 +56,58 @@ type Node struct {
 }
 
 // Link is a communication resource. A point-to-point link is directed
-// from From to To; a hyperedge (bus) has Members instead and carries
-// communication between any ordered pair of members.
+// from From to To; a hyperedge (bus) has members instead and carries
+// communication between any ordered pair of them.
 type Link struct {
 	ID   LinkID
 	From NodeID // point-to-point only
 	To   NodeID // point-to-point only
-	// Members is non-nil for hyperedges and lists the attached nodes.
-	Members []NodeID
+	// members is non-nil for hyperedges and lists the attached nodes.
+	members []NodeID
 	// Speed is the data transfer speed s(L): an edge with
 	// communication cost c occupies the link for c/Speed time units.
 	Speed float64
 }
 
 // IsBus reports whether the link is a hyperedge.
-func (l Link) IsBus() bool { return l.Members != nil }
+func (l Link) IsBus() bool { return l.members != nil }
+
+// Members returns a copy of a hyperedge's attached nodes, nil for a
+// point-to-point link.
+func (l Link) Members() []NodeID { return slices.Clone(l.members) }
+
+// onBus reports whether n is attached to the hyperedge l.
+func (l Link) onBus(n NodeID) bool { return slices.Contains(l.members, n) }
 
 // hop is one adjacency entry: traversing link Link leads to node To.
+// Both fit in 32 bits (Build checks), which halves the adjacency and
+// every Router's BFS tree arena.
 type hop struct {
-	Link LinkID
-	To   NodeID
+	Link int32
+	To   int32
 }
 
-// Topology is the network graph. Build it with AddProcessor, AddSwitch,
-// AddLink, AddDuplex and AddBus; it is immutable during scheduling —
-// concurrent Schedule requests share it, and every Router's BFS trees
-// over it depend on it never changing after construction.
+// Topology is the network graph, checked and indexed once by
+// Builder.Build and immutable from then on: it has no mutator and hands
+// out nothing writable, so concurrent Schedule requests and every
+// Router over it share its adjacency and block-cut tree.
 type Topology struct {
 	nodes []Node
 	links []Link
-	adj   [][]hop  // outgoing hops per node, deterministic order
 	procs []NodeID // processor IDs in insertion order
+	// Node u's outgoing hops are hops[off[u]:off[u+1]], in link ID
+	// order, a bus's to its other members in member order.
+	off  []int32
+	hops []hop
+	mls  float64
+	bt   blockTree
 }
 
-// NewTopology returns an empty topology.
-func NewTopology() *Topology { return &Topology{} }
+// out returns node u's outgoing hops.
+func (t *Topology) out(u NodeID) []hop { return t.hops[t.off[u]:t.off[u+1]] }
 
-// AddProcessor adds a processor with the given name and speed and
-// returns its node ID.
-func (t *Topology) AddProcessor(name string, speed float64) NodeID {
-	id := NodeID(len(t.nodes))
-	if name == "" {
-		name = fmt.Sprintf("P%d", len(t.procs))
-	}
-	t.nodes = append(t.nodes, Node{ID: id, Kind: Processor, Name: name, Speed: speed})
-	t.adj = append(t.adj, nil)
-	t.procs = append(t.procs, id)
-	return id
-}
-
-// AddSwitch adds a switch with the given name and returns its node ID.
-func (t *Topology) AddSwitch(name string) NodeID {
-	id := NodeID(len(t.nodes))
-	if name == "" {
-		name = fmt.Sprintf("S%d", id)
-	}
-	t.nodes = append(t.nodes, Node{ID: id, Kind: Switch, Name: name})
-	t.adj = append(t.adj, nil)
-	return id
-}
-
-// AddLink adds a directed point-to-point link and returns its ID.
-// It panics on invalid endpoints or non-positive speed.
-func (t *Topology) AddLink(from, to NodeID, speed float64) LinkID {
-	t.checkNode(from)
-	t.checkNode(to)
-	if from == to {
-		panic(fmt.Sprintf("network: AddLink: self-link on node %d", from))
-	}
-	if speed <= 0 {
-		panic(fmt.Sprintf("network: AddLink: non-positive speed %v", speed))
-	}
-	id := LinkID(len(t.links))
-	t.links = append(t.links, Link{ID: id, From: from, To: to, Speed: speed})
-	t.adj[from] = append(t.adj[from], hop{Link: id, To: to})
-	return id
-}
-
-// AddDuplex adds a pair of opposite directed links with the same speed
-// and returns both IDs (forward, backward). This models a full-duplex
-// cable as two independent contended resources, the common convention
-// in the contention-aware scheduling literature.
-func (t *Topology) AddDuplex(a, b NodeID, speed float64) (LinkID, LinkID) {
-	return t.AddLink(a, b, speed), t.AddLink(b, a, speed)
-}
-
-// AddBus adds a hyperedge (shared bus) connecting all members and
-// returns its ID. Any ordered pair of distinct members can communicate
-// over the bus, all sharing one contended resource.
-func (t *Topology) AddBus(members []NodeID, speed float64) LinkID {
-	if len(members) < 2 {
-		panic("network: AddBus: needs at least two members")
-	}
-	if speed <= 0 {
-		panic(fmt.Sprintf("network: AddBus: non-positive speed %v", speed))
-	}
-	seen := map[NodeID]bool{}
-	for _, m := range members {
-		t.checkNode(m)
-		if seen[m] {
-			panic(fmt.Sprintf("network: AddBus: duplicate member %d", m))
-		}
-		seen[m] = true
-	}
-	id := LinkID(len(t.links))
-	ms := append([]NodeID(nil), members...)
-	t.links = append(t.links, Link{ID: id, Members: ms, Speed: speed})
-	for _, m := range members {
-		for _, o := range members {
-			if o != m {
-				t.adj[m] = append(t.adj[m], hop{Link: id, To: o})
-			}
-		}
-	}
-	return id
-}
-
+// checkNode panics on a node ID outside the topology: a route search's
+// ends are the caller's to get right.
 func (t *Topology) checkNode(id NodeID) {
 	if id < 0 || int(id) >= len(t.nodes) {
 		panic(fmt.Sprintf("network: node %d does not exist", id))
@@ -192,90 +129,14 @@ func (t *Topology) Node(id NodeID) Node { return t.nodes[id] }
 // Link returns the link with the given ID.
 func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 
-// Nodes returns all nodes in ID order. The slice is shared; do not modify.
-func (t *Topology) Nodes() []Node { return t.nodes }
-
-// Links returns all links in ID order. The slice is shared; do not modify.
-func (t *Topology) Links() []Link { return t.links }
-
-// Processors returns the processor node IDs in insertion order.
-// The slice is shared; do not modify.
-func (t *Topology) Processors() []NodeID { return t.procs }
+// Processor returns the node ID of the i-th processor, in the order
+// they were added, for i in [0, NumProcessors()).
+func (t *Topology) Processor(i int) NodeID { return t.procs[i] }
 
 // MeanLinkSpeed returns the average transfer speed over all links
-// (the paper's MLS). It returns 1 for a topology without links so that
+// (the paper's MLS). It is 1 for a topology without links, so that
 // division by MLS stays meaningful.
-func (t *Topology) MeanLinkSpeed() float64 {
-	if len(t.links) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, l := range t.links {
-		sum += l.Speed
-	}
-	return sum / float64(len(t.links))
-}
-
-// Validate checks that every pair of processors can communicate, that
-// all speeds are positive, and that adjacency is consistent.
-func (t *Topology) Validate() error {
-	for _, n := range t.nodes {
-		if n.Kind == Processor && n.Speed <= 0 {
-			return fmt.Errorf("network: processor %s has non-positive speed %v", n.Name, n.Speed)
-		}
-	}
-	for _, l := range t.links {
-		if l.Speed <= 0 {
-			return fmt.Errorf("network: link %d has non-positive speed %v", l.ID, l.Speed)
-		}
-	}
-	if len(t.procs) == 0 {
-		return fmt.Errorf("network: no processors")
-	}
-	// Reachability from the first processor must cover all processors.
-	reach := t.reachableFrom(t.procs[0])
-	for _, p := range t.procs {
-		if !reach[p] {
-			return fmt.Errorf("network: processor %s unreachable from %s",
-				t.nodes[p].Name, t.nodes[t.procs[0]].Name)
-		}
-	}
-	return nil
-}
-
-func (t *Topology) reachableFrom(src NodeID) []bool {
-	seen := make([]bool, len(t.nodes))
-	seen[src] = true
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, h := range t.adj[n] {
-			if !seen[h.To] {
-				seen[h.To] = true
-				queue = append(queue, h.To)
-			}
-		}
-	}
-	return seen
-}
-
-// Neighbors returns the outgoing hops of a node as (link, destination)
-// pairs in deterministic order. The slice is shared; do not modify.
-func (t *Topology) Neighbors(id NodeID) []struct {
-	Link LinkID
-	To   NodeID
-} {
-	out := make([]struct {
-		Link LinkID
-		To   NodeID
-	}, len(t.adj[id]))
-	for i, h := range t.adj[id] {
-		out[i].Link = h.Link
-		out[i].To = h.To
-	}
-	return out
-}
+func (t *Topology) MeanLinkSpeed() float64 { return t.mls }
 
 // String returns a short human-readable summary.
 func (t *Topology) String() string {

@@ -27,9 +27,6 @@ func (c *Classic) Name() string { return "Classic" }
 // schedule has Ideal set and no edge schedules; its makespan is the
 // ideal-model prediction, not a network-feasible value.
 func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
 	mls := net.MeanLinkSpeed()
 	tasks := make([]TaskPlacement, g.NumTasks())
 	for i := range tasks {
@@ -40,7 +37,8 @@ func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, erro
 		best := network.NodeID(-1)
 		bestFinish := math.Inf(1)
 		bestStart := 0.0
-		for _, p := range net.Processors() {
+		for i := range net.NumProcessors() {
+			p := net.Processor(i)
 			drt := 0.0
 			for _, eid := range g.Pred(tid) {
 				e := g.Edge(eid)

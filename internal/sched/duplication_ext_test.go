@@ -27,7 +27,7 @@ func TestDuplicatesReachTheSchedule(t *testing.T) {
 	}
 	g := mustBuild(t, gb)
 	net := network.Star(3, network.Uniform(1), network.Uniform(1))
-	p := net.Processors()
+	p := sched.ProcessorIDs(net)
 
 	dup := sched.NewOIHSA().Opts
 	dup.Duplication = true

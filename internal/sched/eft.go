@@ -69,38 +69,38 @@ func (s *state) probeError(tid dag.TaskID, p network.NodeID, err error) error {
 // beyond the fptime tolerance, so ties break to the lowest processor
 // ID (TestProcessorChoiceBreaksNearTiesLow).
 func (s *state) selectByEFT(tid dag.TaskID) (network.NodeID, error) {
-	procs := s.net.Processors()
-	if len(procs) == 1 {
+	net, procs := s.net, s.net.NumProcessors()
+	if procs == 1 {
 		// The sole processor is selected by its (trivial) placement:
 		// count it as one evaluated placement so probe totals agree
 		// between 1-processor and n-processor topologies (|P| minus
 		// pruned probes per task either way).
 		s.probes++
-		return procs[0], nil
+		return net.Processor(0), nil
 	}
 	ready := s.readyTime(tid)
-	s.eftLB = sizeColumn(s.eftLB, len(procs))
+	s.eftLB = sizeColumn(s.eftLB, procs)
 	lb := s.eftLB
 
 	pilot := 0
-	for i, p := range procs {
-		lb[i] = s.probeLowerBound(tid, p, ready)
+	for i := range procs {
+		lb[i] = s.probeLowerBound(tid, net.Processor(i), ready)
 		// edgelint:ignore floateq — exact argmin, first-wins
 		// ties; any deterministic pilot is valid, its finish only prunes.
 		if lb[i] < lb[pilot] {
 			pilot = i
 		}
 	}
-	bound, err := s.probe(tid, procs[pilot])
+	bound, err := s.probe(tid, net.Processor(pilot))
 	if err != nil {
-		return -1, s.probeError(tid, procs[pilot], err)
+		return -1, s.probeError(tid, net.Processor(pilot), err)
 	}
 	s.probes++
 
 	best := network.NodeID(-1)
 	bestFinish := math.Inf(1)
-	for i, p := range procs {
-		f := bound
+	for i := range procs {
+		p, f := net.Processor(i), bound
 		if i != pilot {
 			if fptime.LessEps(bound, lb[i]) {
 				// Even the lower bound loses to the pilot by more than

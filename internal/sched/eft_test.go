@@ -76,7 +76,8 @@ func TestClonePlacementEqualsTxnProbe(t *testing.T) {
 					var committed []commit
 					for _, tid := range order {
 						fp := s.captureFingerprint()
-						for _, p := range net.Processors() {
+						for pi := range net.NumProcessors() {
+							p := net.Processor(pi)
 							want, werr := s.probe(tid, p)
 							c := mkState(t, g, net, opts)
 							for _, cm := range committed {
@@ -116,7 +117,8 @@ func referenceEFT(t *testing.T, s *state, tid dag.TaskID) network.NodeID {
 	t.Helper()
 	best := network.NodeID(-1)
 	bestFinish := math.Inf(1)
-	for _, p := range s.net.Processors() {
+	for pi := range s.net.NumProcessors() {
+		p := s.net.Processor(pi)
 		finish, err := s.probe(tid, p)
 		if err != nil {
 			t.Fatal(err)
@@ -176,10 +178,8 @@ func TestEFTPruningMatchesReference(t *testing.T) {
 // 1-processor and n-processor topologies.
 func TestProbeStatsAgreeAcrossTopologySizes(t *testing.T) {
 	g, _ := eftInstance(2)
-	one := network.NewTopology()
-	one.AddProcessor("p0", 1)
 	for name, net := range map[string]*network.Topology{
-		"1-proc": one,
+		"1-proc": network.Line(1, network.Uniform(1), network.Uniform(1)),
 		"4-proc": network.Star(4, network.Uniform(1), network.Uniform(1)),
 	} {
 		s := mkState(t, g, net, Options{ProcSelect: ProcSelectEFT})
@@ -197,7 +197,7 @@ func TestProbeStatsAgreeAcrossTopologySizes(t *testing.T) {
 			}
 		}
 		total := s.probes + s.pruned
-		want := int64(g.NumTasks() * len(net.Processors()))
+		want := int64(g.NumTasks() * net.NumProcessors())
 		if total != want {
 			t.Fatalf("%s: probes(%d) + pruned(%d) = %d, want tasks×|P| = %d",
 				name, s.probes, s.pruned, total, want)
@@ -211,7 +211,7 @@ func TestProbeStatsAgreeAcrossTopologySizes(t *testing.T) {
 func TestProbeErrorNamesProcessor(t *testing.T) {
 	g, net := eftInstance(1)
 	s := mkState(t, g, net, Options{})
-	p := net.Processors()[2]
+	p := net.Processor(2)
 	err := s.probeError(0, p, &network.ErrNoRoute{From: 0, To: 1})
 	if err == nil || !strings.Contains(err.Error(), net.Node(p).Name) {
 		t.Fatalf("probe error %q does not name processor %s", err, net.Node(p).Name)

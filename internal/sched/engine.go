@@ -15,11 +15,12 @@ import (
 // topology loaded once, many Schedule(dag) calls served concurrently.
 // A one-shot ListScheduler.Schedule borrows a warm state from a process
 // pool for the length of one call, which the garbage collector may
-// empty at any time, and validates the topology and options per call.
+// empty at any time, and validates the options per call.
 // The engine splits the world by ownership instead:
 //
-//   - shared immutable: the Topology and the Options. Both are frozen
-//     after construction, so every request may read them at once.
+//   - shared immutable: the Topology and the Options. A built
+//     Topology has no mutator and the Options are a value, so every
+//     request may read them at once.
 //   - slot-owned mutable: one scheduler state (timeline columns,
 //     columnar edge arenas, transaction journals, and a router with
 //     its scratch and BFS trees) per worker slot. A request receives a
@@ -128,14 +129,9 @@ type Engine struct {
 	reqSeq     atomic.Uint64
 }
 
-// NewEngine validates the topology once and builds an engine serving
-// the given policies against it. The topology must not be mutated for
-// the engine's lifetime (the frozen-after-construction contract all
-// schedulers already rely on).
+// NewEngine builds an engine serving the given policies against the
+// topology, which Build has already checked.
 func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
 	if err := eo.Opts.validate(); err != nil {
 		return nil, err
 	}

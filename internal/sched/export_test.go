@@ -35,6 +35,15 @@ func FreshSchedule(a Algorithm, g *dag.Graph, net *network.Topology) (*Schedule,
 	return out, err
 }
 
+// ProcessorIDs returns net's processors in the order they were added.
+func ProcessorIDs(net *network.Topology) []network.NodeID {
+	ps := make([]network.NodeID, net.NumProcessors())
+	for i := range ps {
+		ps[i] = net.Processor(i)
+	}
+	return ps
+}
+
 // PresetOptions returns the edge-scheduling options a's one-shot run
 // uses: a list scheduler's own, or the replay options for the classic
 // presets, whose edges ScheduleAssignment places under them.

@@ -46,7 +46,7 @@ func TestReadyTime(t *testing.T) {
 	g := mustBuild(t, gb)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
-	p := net.Processors()
+	p := ProcessorIDs(net)
 	if _, err := s.placeTask(a, p[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCommAtReadyDelaysEarlyPredecessor(t *testing.T) {
 	gb.AddEdge(b, c, 10)
 	g := mustBuild(t, gb)
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
-	p := net.Processors()
+	p := ProcessorIDs(net)
 
 	run := func(cs CommStart) *state {
 		s := mkState(t, g, net, Options{CommStart: cs})
@@ -128,7 +128,8 @@ func TestTxnRollbackRestoresEverything(t *testing.T) {
 	before := s.captureFingerprint()
 	// Tentatively place the next task on every processor and roll back.
 	next := order[half]
-	for _, p := range net.Processors() {
+	for pi := range net.NumProcessors() {
+		p := net.Processor(pi)
 		s.begin()
 		if _, err := s.placeTask(next, p); err != nil {
 			t.Fatal(err)
@@ -148,7 +149,7 @@ func TestTxnRollbackRestoresBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.placeTask(order[0], net.Processors()[0]); err != nil {
+	if _, err := s.placeTask(order[0], net.Processor(0)); err != nil {
 		t.Fatal(err)
 	}
 	segs := make([]int, len(s.bw))
@@ -156,7 +157,7 @@ func TestTxnRollbackRestoresBandwidth(t *testing.T) {
 		segs[i] = bw.NumSegments()
 	}
 	s.begin()
-	if _, err := s.placeTask(order[1], net.Processors()[1]); err != nil {
+	if _, err := s.placeTask(order[1], net.Processor(1)); err != nil {
 		t.Fatal(err)
 	}
 	s.rollback()
@@ -176,7 +177,7 @@ func TestCowEdgeLegsJournalsUntouchedEdge(t *testing.T) {
 	g := dag.Chain(2, 1, 100)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
-	p := net.Processors()
+	p := ProcessorIDs(net)
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestProbePanicSafe(t *testing.T) {
 	g := dag.Chain(2, 1, 10)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
-	p := net.Processors()
+	p := ProcessorIDs(net)
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +295,13 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 			s.bw[0].Alloc(linksched.Owner{Edge: 99, Leg: 0}, 500, 10, 1, 0)
 		}},
 		"proctimeline": {opts: Options{TaskPolicy: TaskInsertion}, want: "processor timeline", mutate: func(s *state) {
-			p := s.net.Processors()[0]
+			p := s.net.Processor(0)
 			s.ptl[p].InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
 		"duplicate": {opts: Options{Duplication: true}, want: "duplicates count", mutate: func(s *state) {
 			// An append that bypasses addDup: rollback has no length
 			// to truncate back to.
-			s.dups = append(s.dups, TaskPlacement{Task: 0, Proc: s.net.Processors()[0], Start: 7, Finish: 8})
+			s.dups = append(s.dups, TaskPlacement{Task: 0, Proc: s.net.Processor(0), Start: 7, Finish: 8})
 		}},
 	}
 	for name, c := range corrupt {
@@ -308,7 +309,7 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 			g := dag.Chain(2, 1, 100)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
 			s := mkState(t, g, net, c.opts)
-			p := net.Processors()
+			p := ProcessorIDs(net)
 			if _, err := s.placeTask(0, p[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -337,17 +338,17 @@ func TestMutatorsRollBack(t *testing.T) {
 		mutate func(s *state)
 	}{
 		"setTask": {mutate: func(s *state) {
-			s.setTask(2, TaskPlacement{Task: 2, Proc: s.net.Processors()[1], Start: 7, Finish: 9})
+			s.setTask(2, TaskPlacement{Task: 2, Proc: s.net.Processor(1), Start: 7, Finish: 9})
 		}},
 		"setProcFinish": {mutate: func(s *state) {
-			p := s.net.Processors()[0]
+			p := s.net.Processor(0)
 			s.setProcFinish(p, s.procFinish[p]+5)
 		}},
 		"addDup": {opts: Options{Duplication: true}, mutate: func(s *state) {
-			s.addDup(TaskPlacement{Task: 0, Proc: s.net.Processors()[1], Start: 3, Finish: 4})
+			s.addDup(TaskPlacement{Task: 0, Proc: s.net.Processor(1), Start: 3, Finish: 4})
 		}},
 		"placeEdge": {mutate: func(s *state) {
-			p := s.net.Processors()
+			p := ProcessorIDs(s.net)
 			s.placeEdge(0, p[0], p[1], network.Route{s.edges.routeAt(0, 0)}, 3)
 		}},
 		"sealEdge": {mutate: func(s *state) {
@@ -374,7 +375,7 @@ func TestMutatorsRollBack(t *testing.T) {
 			s.linkBW(0).Alloc(linksched.Owner{Edge: 99, Leg: 0}, 500, 10, 1, 0)
 		}},
 		"procTL": {opts: Options{TaskPolicy: TaskInsertion}, mutate: func(s *state) {
-			p := s.net.Processors()[0]
+			p := s.net.Processor(0)
 			s.procTL(p).InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
 	}
@@ -391,7 +392,7 @@ func TestMutatorsRollBack(t *testing.T) {
 			g := mustBuild(t, gb)
 			net := network.Line(2, network.Uniform(1), network.Uniform(1))
 			s := mkState(t, g, net, r.opts)
-			p := net.Processors()
+			p := ProcessorIDs(net)
 			for _, pl := range []struct {
 				tid  dag.TaskID
 				proc network.NodeID
@@ -421,7 +422,7 @@ func TestBeginReusesJournals(t *testing.T) {
 	g := dag.Chain(2, 1, 10)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
-	p := net.Processors()
+	p := ProcessorIDs(net)
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +462,7 @@ func TestProbeJournalingIsAllocationFree(t *testing.T) {
 	g := dag.Chain(4, 1, 10)
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
-	p := net.Processors()
+	p := ProcessorIDs(net)
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestSlackFuncMatchesPlacements(t *testing.T) {
 	g := dag.Chain(2, 1, 100)
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{})
-	p := net.Processors()
+	p := ProcessorIDs(net)
 	if _, err := s.placeTask(0, p[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +602,7 @@ func TestSelectByEstimatePrefersPredecessorProcessor(t *testing.T) {
 	g := dag.Chain(2, 10, 1000)
 	net := network.Star(4, network.Uniform(1), network.Uniform(1))
 	s := mkState(t, g, net, Options{ProcSelect: ProcSelectEstimate})
-	p := net.Processors()
+	p := ProcessorIDs(net)
 	if _, err := s.placeTask(0, p[2]); err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +624,7 @@ func TestTaskInsertionUsesGapWhiteBox(t *testing.T) {
 	gb.AddEdge(a, b, 30)
 	g := mustBuild(t, gb)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
-	p := net.Processors()
+	p := ProcessorIDs(net)
 
 	place := func(policy TaskPolicy) (bStart, cStart float64) {
 		s := mkState(t, g, net, Options{TaskPolicy: policy})
@@ -659,14 +660,11 @@ func TestScheduleRejectsInvalidInputs(t *testing.T) {
 	if _, err := gb.Build(); err != dag.ErrCycle {
 		t.Fatalf("cyclic graph: %v, want dag.ErrCycle", err)
 	}
-	// Disconnected network.
-	g := dag.Chain(2, 1, 1)
-	bad := network.NewTopology()
-	bad.AddProcessor("a", 1)
-	bad.AddProcessor("b", 1)
-	for _, alg := range []Algorithm{NewBA(), NewClassic(), NewClassicReplay()} {
-		if _, err := alg.Schedule(g, bad); err == nil {
-			t.Fatalf("%s accepted a disconnected network", alg.Name())
-		}
+	// Nor does a disconnected network: its Build fails.
+	var nb network.Builder
+	nb.AddProcessor("a", 1)
+	nb.AddProcessor("b", 1)
+	if net, err := nb.Build(); err == nil {
+		t.Fatalf("disconnected network built: %v", net)
 	}
 }

@@ -461,12 +461,9 @@ var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // oneShot is the front door of the one-shot entry points
 // (ListScheduler.Schedule and ScheduleAssignment): it validates the
-// topology and options, then runs g on a state borrowed from statePool
-// and hands the state back.
+// options, then runs g on a state borrowed from statePool and hands the
+// state back.
 func oneShot(g *dag.Graph, net *network.Topology, opts Options, name string, assign []network.NodeID) (*Schedule, error) {
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -482,8 +479,7 @@ func oneShot(g *dag.Graph, net *network.Topology, opts Options, name string, ass
 
 // run binds s to a run of g on net under opts and schedules it: the one
 // path of every state, pooled (oneShot), slot-owned (Engine.run) or
-// fresh (the self-check's cold run). net and opts must have been
-// validated. rebound reports whether reset bound s to another topology.
+// fresh (the self-check's cold run). opts must have been validated. rebound reports whether reset bound s to another topology.
 func (s *state) run(g *dag.Graph, net *network.Topology, opts Options, name string, assign []network.NodeID) (out *Schedule, rebound bool, err error) {
 	rebound = s.reset(g, net, opts)
 	out, err = scheduleOn(s, name, assign)
@@ -513,9 +509,7 @@ func (s *state) release() bool {
 //
 //   - the result reports whether net changed (an Engine counts those
 //     as cold states); the router, with its BFS trees, is rebuilt only
-//     when it routes over another topology, or over net after nodes or
-//     links were added to it (a one-shot caller may grow a topology
-//     between calls);
+//     when it routes over another topology;
 //   - the cached relaxFn closure is dropped when opts changed;
 //   - the timeline columns and processor clocks are sized from net and
 //     opts and emptied, the edge arenas truncated, the probe counters
@@ -529,7 +523,7 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (reboun
 		panic("sched: reset inside a transaction")
 	}
 	rebound = s.net != net
-	if s.router == nil || !s.router.Fits(net) {
+	if s.router == nil || s.router.Topology() != net {
 		s.router = net.NewRouter(nil)
 	}
 	if s.opts != opts {
@@ -681,7 +675,8 @@ func (s *state) selectByEstimate(tid dag.TaskID, withComm bool) network.NodeID {
 	task := s.g.Task(tid)
 	best := network.NodeID(-1)
 	bestScore := math.Inf(1)
-	for _, p := range s.net.Processors() {
+	for i := range s.net.NumProcessors() {
+		p := s.net.Processor(i)
 		ready := s.procFinish[p]
 		for _, eid := range s.g.Pred(tid) {
 			e := s.g.Edge(eid)

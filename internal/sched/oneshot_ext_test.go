@@ -104,34 +104,3 @@ func TestOneShotMatchesFreshState(t *testing.T) {
 		}
 	}
 }
-
-// TestOneShotAfterTopologyGrows pins that a pooled state does not route
-// over a stale view of a topology its caller grew between two one-shot
-// calls: after a new processor and its link, BA (BFS trees) and
-// OIHSA still equal fresh-state runs and verify.
-func TestOneShotAfterTopologyGrows(t *testing.T) {
-	net := network.Line(3, network.Uniform(1), network.Uniform(1))
-	g := engineGraph(5)
-	for round := 0; round < 2; round++ {
-		for _, alg := range []sched.Algorithm{sched.NewBA(), sched.NewOIHSA()} {
-			got, err := alg.Schedule(g, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := sched.FreshSchedule(alg, g, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := sched.DiffSchedules(want, got); d != "" {
-				t.Fatalf("round %d, %s: one-shot run diverged from the fresh state: %s", round, alg.Name(), d)
-			}
-			if res := verify.Verify(got); !res.OK() {
-				t.Fatalf("round %d, %s: invalid schedule: %v", round, alg.Name(), res.Err())
-			}
-		}
-		// A shortcut between the line's ends, over a new processor.
-		p := net.AddProcessor("", 1)
-		net.AddDuplex(p, 0, 4)
-		net.AddDuplex(p, 2, 4)
-	}
-}

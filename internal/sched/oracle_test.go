@@ -66,7 +66,8 @@ func TestRollbackOracleProperty(t *testing.T) {
 					s := mkState(t, g, net, opts)
 					for _, tid := range priorityOrder(g, opts.Priority) {
 						fp := s.captureFingerprint()
-						for _, p := range net.Processors() {
+						for pi := range net.NumProcessors() {
+							p := net.Processor(pi)
 							if _, err := s.probe(tid, p); err != nil {
 								t.Fatal(err)
 							}

@@ -33,6 +33,27 @@ func mustBuild(t testing.TB, b *dag.Builder) *dag.Graph {
 	return g
 }
 
+// mustNet builds b, failing the test on an error.
+func mustNet(t testing.TB, b *network.Builder) *network.Topology {
+	t.Helper()
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// slowLinkNet is two processors on a hub, the first on a link 1e12
+// times slower than the second's.
+func slowLinkNet(t testing.TB) *network.Topology {
+	nb := new(network.Builder)
+	hub := nb.AddSwitch("hub")
+	p0, p1 := nb.AddProcessor("", 1), nb.AddProcessor("", 1)
+	nb.AddDuplex(p0, hub, 1e-10)
+	nb.AddDuplex(p1, hub, 100)
+	return mustNet(t, nb)
+}
+
 func mustSchedule(t *testing.T, a sched.Algorithm, g *dag.Graph, net *network.Topology) *sched.Schedule {
 	t.Helper()
 	s, err := a.Schedule(g, net)
@@ -464,8 +485,7 @@ func TestPacketEngineVerifiesAndPipelines(t *testing.T) {
 	net := network.Line(3, network.Uniform(1), network.Uniform(1))
 	// Put the two tasks at the ends by scheduling with a fixed
 	// assignment.
-	ps := net.Processors()
-	assign := []network.NodeID{ps[0], ps[2]}
+	assign := []network.NodeID{net.Processor(0), net.Processor(2)}
 
 	run := func(opts sched.Options) *sched.Schedule {
 		s, err := sched.ScheduleAssignment(g, net, assign, opts, "t")
@@ -748,10 +768,11 @@ func TestProcessorChoiceBreaksNearTiesLow(t *testing.T) {
 	gb := new(dag.Builder)
 	only := gb.AddTask("only", 100)
 	g := mustBuild(t, gb)
-	net := network.NewTopology()
-	p0 := net.AddProcessor("", 1)
-	p1 := net.AddProcessor("", 1+1e-12)
-	net.AddDuplex(p0, p1, 1)
+	nb := new(network.Builder)
+	p0 := nb.AddProcessor("", 1)
+	p1 := nb.AddProcessor("", 1+1e-12)
+	nb.AddDuplex(p0, p1, 1)
+	net := mustNet(t, nb)
 	for _, a := range []sched.Algorithm{sched.NewBA(), sched.NewBASinnen(), sched.NewOIHSA(), sched.NewClassic()} {
 		if got := mustSchedule(t, a, g, net).Tasks[only].Proc; got != p0 {
 			t.Errorf("%s placed the task on node %d, want %d", a.Name(), got, p0)
@@ -824,11 +845,7 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 	slowProcsb.AddEdge(a, b, 1)
 	slowProcs := mustBuild(t, slowProcsb)
 
-	slowLink := network.NewTopology()
-	hub := slowLink.AddSwitch("hub")
-	p0, p1 := slowLink.AddProcessor("", 1), slowLink.AddProcessor("", 1)
-	slowLink.AddDuplex(p0, hub, 1e-10)
-	slowLink.AddDuplex(p1, hub, 100)
+	slowLink := slowLinkNet(t)
 	bigDatab := new(dag.Builder)
 	x, y, z := bigDatab.AddTask("x", 1), bigDatab.AddTask("y", 1), bigDatab.AddTask("z", 1)
 	bigDatab.AddEdge(x, z, 1e300)
@@ -861,6 +878,7 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 	// crosses the slow link and finishes at +Inf, and y's is booked
 	// after it on the same ledger. A ledger that walked on from an
 	// infinite time never returned, so each run's wait is bounded.
+	p0, p1 := slowLink.Processor(0), slowLink.Processor(1)
 	assign := []network.NodeID{p0, p1, p1}
 	for _, name := range sched.AlgorithmNames() {
 		alg, err := sched.ByName(name)
@@ -888,11 +906,8 @@ func TestInfiniteFinishIsAnError(t *testing.T) {
 // onto the fast link at a cap of 1e-12 of that link's bandwidth, below
 // Eps, and must still finish, at the makespan BA and OIHSA give.
 func TestBBSACrossesAMuchSlowerUpstreamLink(t *testing.T) {
-	net := network.NewTopology()
-	hub := net.AddSwitch("hub")
-	p0, p1 := net.AddProcessor("", 1), net.AddProcessor("", 1)
-	net.AddDuplex(p0, hub, 1e-10)
-	net.AddDuplex(p1, hub, 100)
+	net := slowLinkNet(t)
+	p0, p1 := net.Processor(0), net.Processor(1)
 	b := new(dag.Builder)
 	x, y := b.AddTask("x", 1), b.AddTask("y", 1)
 	b.AddEdge(x, y, 1e-3)

@@ -102,7 +102,8 @@ func (s *Schedule) ProcUtilization() []float64 {
 	}
 	util := make([]float64, len(busy))
 	if s.Makespan > 0 {
-		for _, p := range s.Net.Processors() {
+		for i := range s.Net.NumProcessors() {
+			p := s.Net.Processor(i)
 			util[p] = busy[p] / s.Makespan
 		}
 	}

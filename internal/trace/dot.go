@@ -42,7 +42,8 @@ func WriteTopologyDOT(w io.Writer, t *network.Topology) error {
 	if _, err := fmt.Fprintln(w, "  layout=neato; overlap=false;"); err != nil {
 		return err
 	}
-	for _, n := range t.Nodes() {
+	for id := range network.NodeID(t.NumNodes()) {
+		n := t.Node(id)
 		shape := "box"
 		label := n.Name
 		if n.Kind == network.Switch {
@@ -57,13 +58,14 @@ func WriteTopologyDOT(w io.Writer, t *network.Topology) error {
 	// Collect duplex pairs so each cable prints once.
 	type pair struct{ a, b network.NodeID }
 	seen := map[pair]bool{}
-	for _, l := range t.Links() {
+	for id := range network.LinkID(t.NumLinks()) {
+		l := t.Link(id)
 		if l.IsBus() {
 			bus := fmt.Sprintf("bus%d", l.ID)
 			if _, err := fmt.Fprintf(w, "  %s [shape=hexagon, label=\"bus %.4g\"];\n", bus, l.Speed); err != nil {
 				return err
 			}
-			for _, m := range l.Members {
+			for _, m := range l.Members() {
 				if _, err := fmt.Fprintf(w, "  %s -- %s;\n", sanitizeID(t.Node(m).Name), bus); err != nil {
 					return err
 				}

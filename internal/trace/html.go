@@ -113,7 +113,8 @@ func WriteHTMLReport(w io.Writer, s *sched.Schedule) error {
 	for _, tp := range s.Tasks {
 		count[s.Net.Node(tp.Proc).Name]++
 	}
-	for _, p := range s.Net.Processors() {
+	for i := range s.Net.NumProcessors() {
+		p := s.Net.Processor(i)
 		name := s.Net.Node(p).Name
 		ctx.ProcRows = append(ctx.ProcRows, htmlProcRow{
 			Name:    name,

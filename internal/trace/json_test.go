@@ -143,7 +143,7 @@ func floatsSchedule(t *testing.T, fs []float64) *sched.Schedule {
 	net := network.Star(1, network.Uniform(1), network.Uniform(1))
 	s := &sched.Schedule{Algorithm: "memo", Net: net, Makespan: fs[0]}
 	for i := 1; i < len(fs); i += 2 {
-		tp := sched.TaskPlacement{Task: b.AddTask("t", 1), Proc: net.Processors()[0], Start: fs[i]}
+		tp := sched.TaskPlacement{Task: b.AddTask("t", 1), Proc: net.Processor(0), Start: fs[i]}
 		if i+1 < len(fs) {
 			tp.Finish = fs[i+1]
 		}

@@ -54,7 +54,8 @@ func WriteGanttSVG(w io.Writer, s *sched.Schedule, opt SVGOptions) error {
 	}
 	var rows []rowT
 	rowOf := map[network.NodeID]int{}
-	for _, p := range s.Net.Processors() {
+	for i := range s.Net.NumProcessors() {
+		p := s.Net.Processor(i)
 		rowOf[p] = len(rows)
 		rows = append(rows, rowT{label: s.Net.Node(p).Name, link: -1})
 	}

@@ -58,8 +58,8 @@ func WriteGantt(w io.Writer, s *sched.Schedule, opt GanttOptions) error {
 	}
 	// One row per processor, indexed by node ID; nil off processors.
 	rows := make([][]rune, s.Net.NumNodes())
-	for _, p := range s.Net.Processors() {
-		rows[p] = blank()
+	for i := range s.Net.NumProcessors() {
+		rows[s.Net.Processor(i)] = blank()
 	}
 	for _, tp := range s.Tasks {
 		row := rows[tp.Proc]
@@ -71,7 +71,8 @@ func WriteGantt(w io.Writer, s *sched.Schedule, opt GanttOptions) error {
 			row[i] = rune('0' + int(tp.Task)%10)
 		}
 	}
-	for _, p := range s.Net.Processors() {
+	for i := range s.Net.NumProcessors() {
+		p := s.Net.Processor(i)
 		if _, err := fmt.Fprintf(w, "%-8s |%s|\n", s.Net.Node(p).Name, string(rows[p])); err != nil {
 			return err
 		}

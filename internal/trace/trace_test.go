@@ -49,7 +49,8 @@ func TestWriteGantt(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, p := range s.Net.Processors() {
+	for pi := range s.Net.NumProcessors() {
+		p := s.Net.Processor(pi)
 		if !strings.Contains(out, s.Net.Node(p).Name) {
 			t.Errorf("gantt missing processor %s", s.Net.Node(p).Name)
 		}

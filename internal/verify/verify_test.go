@@ -80,8 +80,8 @@ func TestDetectsWrongMakespan(t *testing.T) {
 func TestDetectsTaskOnSwitch(t *testing.T) {
 	s := validSchedule(t)
 	// Find a switch node.
-	for _, n := range s.Net.Nodes() {
-		if n.Kind == network.Switch {
+	for id := range network.NodeID(s.Net.NumNodes()) {
+		if n := s.Net.Node(id); n.Kind == network.Switch {
 			s.Tasks[0].Proc = n.ID
 			break
 		}
@@ -391,8 +391,8 @@ func TestViolationsInIDOrder(t *testing.T) {
 			s.Tasks[k] = sched.TaskPlacement{Task: dag.TaskID(k), Proc: dst, Start: 5, Finish: 15}
 		}
 		lid := network.LinkID(-1)
-		for _, l := range net.Links() {
-			if l.From == src && l.To == dst {
+		for id := range network.LinkID(net.NumLinks()) {
+			if l := net.Link(id); l.From == src && l.To == dst {
 				lid = l.ID
 			}
 		}

@@ -8,9 +8,6 @@ import (
 
 func TestGenerateDefaults(t *testing.T) {
 	inst := Generate(Params{Seed: 1})
-	if err := inst.Net.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	n := inst.Graph.NumTasks()
 	if n < 40 || n > 1000 {
 		t.Fatalf("task count %d outside U(40,1000)", n)
@@ -72,8 +69,9 @@ func TestGenerateRespectsCCRAndTasks(t *testing.T) {
 func TestGenerateHeterogeneousSpeeds(t *testing.T) {
 	inst := Generate(Params{Processors: 30, Heterogeneous: true, Seed: 5})
 	varied := false
-	first := inst.Net.Node(inst.Net.Processors()[0]).Speed
-	for _, p := range inst.Net.Processors() {
+	first := inst.Net.Node(inst.Net.Processor(0)).Speed
+	for pi := range inst.Net.NumProcessors() {
+		p := inst.Net.Processor(pi)
 		sp := inst.Net.Node(p).Speed
 		if sp < 1 || sp > 10 {
 			t.Fatalf("processor speed %v outside U(1,10)", sp)
@@ -86,7 +84,8 @@ func TestGenerateHeterogeneousSpeeds(t *testing.T) {
 		t.Error("heterogeneous system has uniform processor speeds")
 	}
 	homo := Generate(Params{Processors: 30, Seed: 5})
-	for _, p := range homo.Net.Processors() {
+	for pi := range homo.Net.NumProcessors() {
+		p := homo.Net.Processor(pi)
 		if homo.Net.Node(p).Speed != 1 {
 			t.Fatalf("homogeneous processor speed %v, want 1", homo.Net.Node(p).Speed)
 		}
