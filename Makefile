@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race fuzz-smoke allocs lint lint-self check bench bench-smoke bench-check bench-module load-smoke examples
+.PHONY: build fmt-check vet test race fuzz-smoke allocs lint check bench bench-smoke bench-check bench-module load-smoke examples
 
 build:
 	$(GO) build ./...
@@ -49,11 +49,6 @@ allocs:
 lint:
 	$(GO) run ./cmd/edgelint ./...
 
-# lint-self runs the analyzers over their own implementation and the
-# driver, so the lint framework holds itself to the repo invariants.
-lint-self:
-	$(GO) run ./cmd/edgelint ./internal/lint/... ./cmd/edgelint
-
 # bench runs the full suite 5 times, writes the next BENCH_<n>.json
 # snapshot, and prints the delta against the previous one (~15 min).
 bench:
@@ -93,4 +88,4 @@ examples:
 	done
 
 # check mirrors the CI pipeline (.github/workflows/ci.yml).
-check: build fmt-check vet test race fuzz-smoke allocs lint lint-self bench-check bench-module load-smoke examples
+check: build fmt-check vet test race fuzz-smoke allocs lint bench-check bench-module load-smoke examples

@@ -257,7 +257,9 @@ type catchRow struct {
 // taken for a bridge, whose pairs then skip a search that had a choice.
 // So does Build's reachability check, the one topology check the
 // schedulers rely on instead of checking for themselves: the topology
-// reader's disconnected case sees it skipped.
+// reader's disconnected case sees it skipped. So does resolve, the one
+// options check: a NaN HopDelay let through, which the bad-options
+// table sees.
 // The BFS trees have two: Route answering a pair that has a choice from
 // the tree, which the Dijkstra contract test sees, and a traversal that
 // stops at its first processor, which the BFS reference sees. One row is
@@ -443,6 +445,12 @@ var catchMatrix = []catchRow{{
 	old:  "\tif err := t.checkReach(); err != nil {\n\t\treturn nil, err\n\t}\n",
 	new:  "",
 	pkg:  "./internal/graphio", run: "^TestTopologyReadRejectsBadInput$/^disconnected$",
+}, {
+	bug:  "resolve lets a NaN HopDelay through",
+	file: "internal/sched/list.go",
+	old:  "if !(f.v >= 0) || math.IsInf(f.v, 1) {",
+	new:  "if f.v < 0 || math.IsInf(f.v, 1) {",
+	pkg:  "./internal/sched", run: "^TestResolveRejectsBadOptions$/^HopDelay=NaN$",
 }, {
 	bug:  "benchdiff lets a zero-alloc baseline rise to one alloc/op",
 	file: "cmd/benchdiff/main.go",

@@ -154,30 +154,7 @@ func analyzeSpeedup(s *sched.Schedule, r *Report) {
 	r.WorkBound = work / totalSpeed
 	// Critical path of computation only (communication can be hidden
 	// by colocations, so only w counts), at the fastest speed.
-	cp := computeOnlyCriticalPath(s.Graph)
-	r.CPBound = cp / fastest
-}
-
-// computeOnlyCriticalPath returns the longest path counting only task
-// costs.
-func computeOnlyCriticalPath(g *dag.Graph) float64 {
-	order := g.TopoOrder()
-	longest := make([]float64, g.NumTasks())
-	best := 0.0
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		down := 0.0
-		for _, eid := range g.Succ(id) {
-			if v := longest[g.Edge(eid).To]; v > down {
-				down = v
-			}
-		}
-		longest[id] = g.Task(id).Cost + down
-		if longest[id] > best {
-			best = longest[id]
-		}
-	}
-	return best
+	r.CPBound = s.Graph.CompCriticalPathLength() / fastest
 }
 
 func analyzeUtilization(s *sched.Schedule, r *Report) {

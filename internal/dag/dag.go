@@ -336,9 +336,17 @@ func (g *Graph) TopLevels() []float64 {
 // CriticalPathLength returns the length of the longest path through the
 // graph counting both computation and communication costs, i.e. the
 // maximum bottom level.
-func (g *Graph) CriticalPathLength() float64 {
+func (g *Graph) CriticalPathLength() float64 { return maxLevel(g.bottomLevels(true)) }
+
+// CompCriticalPathLength returns the length of the longest path through
+// the graph counting computation costs only, i.e. the maximum
+// computation-only bottom level.
+func (g *Graph) CompCriticalPathLength() float64 { return maxLevel(g.bottomLevels(false)) }
+
+// maxLevel returns the largest of the levels, 0 for none.
+func maxLevel(levels []float64) float64 {
 	best := 0.0
-	for _, v := range g.BottomLevels() {
+	for _, v := range levels {
 		if v > best {
 			best = v
 		}

@@ -130,6 +130,9 @@ func TestBottomLevelsChain(t *testing.T) {
 	if cp := g.CriticalPathLength(); cp != 40 {
 		t.Errorf("critical path %v, want 40", cp)
 	}
+	if cp := g.CompCriticalPathLength(); cp != 30 {
+		t.Errorf("computation-only critical path %v, want 30", cp)
+	}
 }
 
 func TestTopLevelsChain(t *testing.T) {

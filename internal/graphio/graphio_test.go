@@ -155,11 +155,23 @@ func TestTopologyReadRejectsBadInput(t *testing.T) {
 		"disconnected": `{"nodes":[{"name":"a","kind":"processor","speed":1},
 			{"name":"b","kind":"processor","speed":1}],"links":[]}`,
 		"trailing data": `{"nodes":[{"name":"a","kind":"processor","speed":1}],"links":[]} junk`,
+		"self link after duplex": `{"nodes":[{"name":"a","kind":"processor","speed":1},
+			{"name":"b","kind":"processor","speed":1}],
+			"links":[{"from":0,"to":1,"duplex":true,"speed":1},{"from":1,"to":1,"speed":1}]}`,
+	}
+	// A link error names the document's links entry, which a duplex
+	// entry's two links share.
+	wants := map[string]string{
+		"self link after duplex": "graphio: network: link 1 is a self-link on node 1",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ReadTopology(strings.NewReader(in)); err == nil {
-				t.Error("accepted")
+			_, err := ReadTopology(strings.NewReader(in))
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if want := wants[name]; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q, want one naming %q", err, want)
 			}
 		})
 	}

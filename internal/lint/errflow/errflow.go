@@ -3,8 +3,8 @@
 // errors (malformed DAGs, infeasible reservations, verifier reports);
 // a call like
 //
-//	net.Validate()    // result ignored entirely
-//	g, _ := b.Build() // error blanked
+//	graphio.WriteTopology(w, net) // result ignored entirely
+//	g, _ := b.Build()             // error blanked
 //
 // silently turns "the input was invalid" into "the numbers are
 // garbage". Third-party and stdlib calls are out of scope — this

@@ -86,12 +86,6 @@ func StdlibExports(dir string, roots ...string) (ExportLookup, error) {
 // the lookup index, remapping paths through importMap first
 // (test-variant resolution, like the go command's own ImportMap).
 func NewGCImporter(fset *token.FileSet, exports ExportLookup, importMap map[string]string) types.ImporterFrom {
-	return gcImporter(fset, exports, importMap, nil)
-}
-
-// gcImporter is NewGCImporter with an optional fallback importer for
-// paths without export data.
-func gcImporter(fset *token.FileSet, exports ExportLookup, importMap map[string]string, fallback types.ImporterFrom) types.ImporterFrom {
 	lookup := func(path string) (io.ReadCloser, error) {
 		if m, ok := importMap[path]; ok {
 			path = m
@@ -102,35 +96,7 @@ func gcImporter(fset *token.FileSet, exports ExportLookup, importMap map[string]
 		}
 		return os.Open(file)
 	}
-	imp := importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)
-	if fallback == nil {
-		return imp
-	}
-	return &chainImporter{first: imp, exports: exports, importMap: importMap, second: fallback}
-}
-
-// chainImporter tries gc export data first and falls back to a second
-// importer for paths without export data (fixture-local packages).
-type chainImporter struct {
-	first     types.ImporterFrom
-	exports   ExportLookup
-	importMap map[string]string
-	second    types.ImporterFrom
-}
-
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	return c.ImportFrom(path, "", 0)
-}
-
-func (c *chainImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	p := path
-	if m, ok := c.importMap[path]; ok {
-		p = m
-	}
-	if _, ok := c.exports[p]; ok {
-		return c.first.ImportFrom(path, dir, mode)
-	}
-	return c.second.ImportFrom(path, dir, mode)
+	return importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)
 }
 
 // newInfo returns a types.Info with all maps the analyzers need.
@@ -247,7 +213,7 @@ func LoadPackages(dir string, patterns []string) ([]*Unit, []Failure, error) {
 		if i := strings.Index(path, " ["); i >= 0 {
 			path = path[:i] // strip the test-variant suffix
 		}
-		imp := gcImporter(fset, exports, p.ImportMap, nil)
+		imp := NewGCImporter(fset, exports, p.ImportMap)
 		u, err := TypeCheck(fset, path, p.Dir, p.GoFiles, imp)
 		if err != nil {
 			failures = append(failures, Failure{Path: path, Err: err})

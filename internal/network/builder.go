@@ -14,6 +14,12 @@ type Builder struct {
 	nodes []Node
 	links []Link
 	procs []NodeID
+	// entry[i] is the place of the AddLink, AddDuplex or AddBus call
+	// that added link i among those calls, counting from 0: the number
+	// Build's errors give the link, so that both links of a duplex pair
+	// are the one entry the caller made.
+	entry   []int
+	entries int
 }
 
 // AddProcessor adds a processor with the given name and speed and
@@ -43,9 +49,16 @@ func (b *Builder) AddSwitch(name string) NodeID {
 // AddLink adds a directed point-to-point link and returns its ID.
 // Build checks the link.
 func (b *Builder) AddLink(from, to NodeID, speed float64) LinkID {
-	id := LinkID(len(b.links))
-	b.links = append(b.links, Link{ID: id, From: from, To: to, Speed: speed})
-	return id
+	b.entries++
+	return b.addLink(Link{From: from, To: to, Speed: speed})
+}
+
+// addLink adds l as a link of the current entry and returns its ID.
+func (b *Builder) addLink(l Link) LinkID {
+	l.ID = LinkID(len(b.links))
+	b.links = append(b.links, l)
+	b.entry = append(b.entry, b.entries-1)
+	return l.ID
 }
 
 // AddDuplex adds a pair of opposite directed links with the same speed
@@ -53,7 +66,9 @@ func (b *Builder) AddLink(from, to NodeID, speed float64) LinkID {
 // cable as two independent contended resources, the common convention
 // in the contention-aware scheduling literature.
 func (b *Builder) AddDuplex(a, c NodeID, speed float64) (LinkID, LinkID) {
-	return b.AddLink(a, c, speed), b.AddLink(c, a, speed)
+	b.entries++
+	fwd := b.addLink(Link{From: a, To: c, Speed: speed})
+	return fwd, b.addLink(Link{From: c, To: a, Speed: speed})
 }
 
 // AddBus adds a hyperedge (shared bus) connecting all members and
@@ -61,17 +76,18 @@ func (b *Builder) AddDuplex(a, c NodeID, speed float64) (LinkID, LinkID) {
 // over the bus, all sharing one contended resource. The members are
 // copied; Build checks them.
 func (b *Builder) AddBus(members []NodeID, speed float64) LinkID {
-	id := LinkID(len(b.links))
+	b.entries++
 	ms := append(make([]NodeID, 0, len(members)), members...) // non-nil: a bus
-	b.links = append(b.links, Link{ID: id, members: ms, Speed: speed})
-	return id
+	return b.addLink(Link{members: ms, Speed: speed})
 }
 
 // Build checks the nodes and links added so far and returns them as a
 // Topology. It rejects a processor or link speed that is not positive,
 // a link endpoint or bus member outside the nodes, a self-link, a bus
 // with fewer than two members or a member listed twice, a topology
-// without processors, and a processor that cannot reach another. Then
+// without processors, and a processor that cannot reach another; a
+// link error names the link by its entry, the place of the AddLink,
+// AddDuplex or AddBus call that added it, counting from 0. Then
 // it stores the adjacency, the mean link speed and the block-cut tree
 // every Router shares. The builder may go on adding to make further
 // topologies; one built earlier does not change.
@@ -87,29 +103,30 @@ func (b *Builder) Build() (*Topology, error) {
 	// Build makes; speeds sums the link speeds in ID order.
 	arcs, speeds := 0, 0.0
 	for _, l := range b.links {
+		entry := b.entry[l.ID]
 		if !(l.Speed > 0) {
-			return nil, fmt.Errorf("network: link %d has non-positive speed %v", l.ID, l.Speed)
+			return nil, fmt.Errorf("network: link %d has non-positive speed %v", entry, l.Speed)
 		}
 		speeds += l.Speed
 		if !l.IsBus() {
 			switch {
 			case outside(l.From) || outside(l.To):
-				return nil, fmt.Errorf("network: link %d (%d->%d) references a node outside [0,%d)", l.ID, l.From, l.To, n)
+				return nil, fmt.Errorf("network: link %d (%d->%d) references a node outside [0,%d)", entry, l.From, l.To, n)
 			case l.From == l.To:
-				return nil, fmt.Errorf("network: link %d is a self-link on node %d", l.ID, l.From)
+				return nil, fmt.Errorf("network: link %d is a self-link on node %d", entry, l.From)
 			}
 			arcs += 2
 			continue
 		}
 		if len(l.members) < 2 {
-			return nil, fmt.Errorf("network: bus %d needs at least two members", l.ID)
+			return nil, fmt.Errorf("network: bus %d needs at least two members", entry)
 		}
 		for i, m := range l.members {
 			if outside(m) {
-				return nil, fmt.Errorf("network: bus %d lists node %d outside [0,%d)", l.ID, m, n)
+				return nil, fmt.Errorf("network: bus %d lists node %d outside [0,%d)", entry, m, n)
 			}
 			if slices.Contains(l.members[:i], m) {
-				return nil, fmt.Errorf("network: bus %d lists node %d twice", l.ID, m)
+				return nil, fmt.Errorf("network: bus %d lists node %d twice", entry, m)
 			}
 		}
 		arcs += len(l.members) * (len(l.members) - 1)

@@ -38,21 +38,21 @@ func TestAddProcessorAndSwitch(t *testing.T) {
 }
 
 // TestBuildRejectsBadInput requires Build to reject each input it
-// checks, naming the offending node or link.
+// checks, naming the offending node or link (a link by its entry).
 func TestBuildRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		add        func(b *Builder, a, c NodeID)
 	}{
-		{"self-link", "link 2 is a self-link", func(b *Builder, a, _ NodeID) { b.AddLink(a, a, 1) }},
-		{"endpoint outside", "link 2 (0->99)", func(b *Builder, a, _ NodeID) { b.AddLink(a, 99, 1) }},
-		{"negative endpoint", "link 2 (-1->0)", func(b *Builder, a, _ NodeID) { b.AddLink(-1, a, 1) }},
-		{"zero link speed", "link 2 has non-positive speed 0", func(b *Builder, a, c NodeID) { b.AddLink(a, c, 0) }},
-		{"NaN link speed", "link 2 has non-positive speed NaN", func(b *Builder, a, c NodeID) { b.AddLink(a, c, math.NaN()) }},
-		{"one-member bus", "bus 2 needs at least two members", func(b *Builder, a, _ NodeID) { b.AddBus([]NodeID{a}, 1) }},
-		{"empty bus", "bus 2 needs at least two members", func(b *Builder, _, _ NodeID) { b.AddBus(nil, 1) }},
-		{"bus member twice", "bus 2 lists node 0 twice", func(b *Builder, a, c NodeID) { b.AddBus([]NodeID{a, c, a}, 1) }},
-		{"bus member outside", "bus 2 lists node 7 outside", func(b *Builder, a, _ NodeID) { b.AddBus([]NodeID{a, 7}, 1) }},
+		{"self-link", "link 1 is a self-link", func(b *Builder, a, _ NodeID) { b.AddLink(a, a, 1) }},
+		{"endpoint outside", "link 1 (0->99)", func(b *Builder, a, _ NodeID) { b.AddLink(a, 99, 1) }},
+		{"negative endpoint", "link 1 (-1->0)", func(b *Builder, a, _ NodeID) { b.AddLink(-1, a, 1) }},
+		{"zero link speed", "link 1 has non-positive speed 0", func(b *Builder, a, c NodeID) { b.AddLink(a, c, 0) }},
+		{"NaN link speed", "link 1 has non-positive speed NaN", func(b *Builder, a, c NodeID) { b.AddLink(a, c, math.NaN()) }},
+		{"one-member bus", "bus 1 needs at least two members", func(b *Builder, a, _ NodeID) { b.AddBus([]NodeID{a}, 1) }},
+		{"empty bus", "bus 1 needs at least two members", func(b *Builder, _, _ NodeID) { b.AddBus(nil, 1) }},
+		{"bus member twice", "bus 1 lists node 0 twice", func(b *Builder, a, c NodeID) { b.AddBus([]NodeID{a, c, a}, 1) }},
+		{"bus member outside", "bus 1 lists node 7 outside", func(b *Builder, a, _ NodeID) { b.AddBus([]NodeID{a, 7}, 1) }},
 		{"zero processor speed", "processor 2 (z) has non-positive speed 0", func(b *Builder, _, _ NodeID) { b.AddProcessor("z", 0) }},
 		{"unreachable processor", "processor 0 (a) cannot reach processor 2 (P2)", func(b *Builder, a, _ NodeID) {
 			b.AddLink(b.AddProcessor("", 1), a, 1)
@@ -64,8 +64,8 @@ func TestBuildRejectsBadInput(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := new(Builder)
 			a, c := b.AddProcessor("a", 1), b.AddProcessor("c", 1)
-			b.AddDuplex(a, c, 1)
-			tc.add(b, a, c)
+			b.AddDuplex(a, c, 1) // links 0 and 1, entry 0
+			tc.add(b, a, c)      // a bad link is link 2, entry 1
 			if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Build error %v, want one naming %q", err, tc.want)
 			}

@@ -15,12 +15,12 @@ import (
 // topology loaded once, many Schedule(dag) calls served concurrently.
 // A one-shot ListScheduler.Schedule borrows a warm state from a process
 // pool for the length of one call, which the garbage collector may
-// empty at any time, and validates the options per call.
+// empty at any time, and resolves the options per call.
 // The engine splits the world by ownership instead:
 //
-//   - shared immutable: the Topology and the Options. A built
-//     Topology has no mutator and the Options are a value, so every
-//     request may read them at once.
+//   - shared immutable: the Topology and the Options, resolved once by
+//     NewEngine. A built Topology has no mutator and the Options are a
+//     value, so every request may read them at once.
 //   - slot-owned mutable: one scheduler state (timeline columns,
 //     columnar edge arenas, transaction journals, and a router with
 //     its scratch and BFS trees) per worker slot. A request receives a
@@ -129,10 +129,11 @@ type Engine struct {
 	reqSeq     atomic.Uint64
 }
 
-// NewEngine builds an engine serving the given policies against the
-// topology, which Build has already checked.
+// NewEngine builds an engine serving the given policies, which it
+// resolves once, against the topology, which Build has already checked.
 func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
-	if err := eo.Opts.validate(); err != nil {
+	opts, err := eo.Opts.resolve()
+	if err != nil {
 		return nil, err
 	}
 	if eo.SelfCheckEvery < 0 {
@@ -148,7 +149,7 @@ func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 	}
 	e := &Engine{
 		name:           name,
-		opts:           eo.Opts,
+		opts:           opts,
 		net:            net,
 		maxQueue:       eo.MaxQueue,
 		slots:          make(chan *state, workers),

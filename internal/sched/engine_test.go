@@ -55,8 +55,8 @@ func hygieneCases() map[string]hygieneCase {
 	}
 	// reset must also rebind a state across topologies and policy sets:
 	// a bandwidth + EFT state on star:9 reused for slots + insertion on
-	// star:5. Its cached relaxation closure reads the bandwidth ledger
-	// and must not survive the change of engine.
+	// star:5, whose relaxation must read the slot timelines, not the
+	// bandwidth ledger.
 	cases["bandwidth-star9-to-insertion-star5"] = hygieneCase{
 		prevNet: network.Star(9, network.Uniform(1), network.Uniform(1)),
 		net:     star5,
@@ -69,9 +69,9 @@ func hygieneCases() map[string]hygieneCase {
 }
 
 // TestResetForNoResidue is the fingerprint oracle for state reuse: a
-// state that scheduled a LARGE graph — populating arenas, journals,
-// timelines and cached closures — then was reset for a small,
-// differently shaped graph must match a cold state for that graph
+// state that scheduled a LARGE graph — populating arenas, journals
+// and timelines — then was reset for a small, differently shaped
+// graph must match a cold state for that graph
 // exactly, and must go on to produce the bit-identical schedule.
 //
 // edgelint:ignore verifysched — in-package (verify would cycle); the
@@ -92,9 +92,6 @@ func TestResetForNoResidue(t *testing.T) {
 				t.Fatal("the first run built no journals; the case tests nothing")
 			}
 			reused.reset(small, c.net, c.opts)
-			if c.prevOpts != c.opts && reused.relaxFn != nil {
-				t.Fatal("reset kept the relaxation closure cached under different options")
-			}
 
 			fresh := mkState(t, small, c.net, c.opts)
 			if d := fresh.captureFingerprint().diff(reused); d != "" {
@@ -293,8 +290,8 @@ func TestEngineReleaseReplacesStateInTxn(t *testing.T) {
 }
 
 // TestEnginePanicIsContained forces a panic inside a request's run —
-// a relaxation planted on the slot's state panics at the first route
-// search with a choice — and requires the engine to fail the request
+// the slot's state is handed back still inside a transaction, which
+// reset refuses with a panic — and requires the engine to fail the request
 // with ErrInternal, count it in Failures and Panics, give the slot a
 // new state, and serve the next request as a cold run would.
 //
@@ -302,7 +299,7 @@ func TestEngineReleaseReplacesStateInTxn(t *testing.T) {
 // schedule is compared bit-for-bit against a cold run, and the same
 // engine paths run under the full validator in engine_ext_test.go.
 func TestEnginePanicIsContained(t *testing.T) {
-	net := network.Ring(4, network.Uniform(1), network.Uniform(1)) // no forced pair
+	net := network.Ring(4, network.Uniform(1), network.Uniform(1))
 	e, err := NewEngine(net, EngineOptions{Name: "OIHSA", Opts: NewOIHSA().Opts, MaxConcurrent: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -312,9 +309,8 @@ func TestEnginePanicIsContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planted.opts = e.opts // so reset keeps the planted relaxation
-	planted.relaxFn = func(network.Link, network.Label) network.Label { panic("planted") }
 	e.release(planted)
+	planted.begin() // left open in the slot: the next reset panics
 
 	if _, err := e.Schedule(g); !errors.Is(err, ErrInternal) {
 		t.Fatalf("a panicking run returned %v, want ErrInternal", err)

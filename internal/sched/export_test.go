@@ -31,6 +31,10 @@ func FreshSchedule(a Algorithm, g *dag.Graph, net *network.Topology) (*Schedule,
 	default:
 		return a.Schedule(g, net)
 	}
+	opts, err := opts.resolve()
+	if err != nil {
+		return nil, err
+	}
 	out, _, err := new(state).run(g, net, opts, name, assign)
 	return out, err
 }

@@ -484,30 +484,6 @@ func TestProbeJournalingIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCallbackClosuresAreCached pins the relaxFunc caching: the
-// relaxation closure is built once per state and parameterized through
-// s.relaxEdgeCost, so the route-search hot path hands out callbacks
-// without allocating a fresh capture per edge.
-func TestCallbackClosuresAreCached(t *testing.T) {
-	g := dag.Chain(3, 1, 100)
-	net := network.Line(3, network.Uniform(1), network.Uniform(1))
-	s := mkState(t, g, net, Options{})
-	e := g.Edge(0)
-	s.relaxFunc(e) // warm up: build and cache the closure
-	if allocs := testing.AllocsPerRun(50, func() {
-		s.relaxFunc(e)
-	}); allocs != 0 {
-		t.Fatalf("cached callbacks allocate %v times per probe, want 0", allocs)
-	}
-	// The closure must read the per-call edge cost through the state,
-	// not a stale capture.
-	e2 := g.Edge(1)
-	s.relaxFunc(e2)
-	if s.relaxEdgeCost != e2.Cost {
-		t.Fatalf("relaxEdgeCost %v, want %v", s.relaxEdgeCost, e2.Cost)
-	}
-}
-
 func TestNestedTxnPanics(t *testing.T) {
 	g := dag.Chain(2, 1, 1)
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))

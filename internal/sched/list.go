@@ -284,7 +284,7 @@ type Options struct {
 	// insertion-based task placement on processors.
 	TaskPolicy TaskPolicy
 	// PacketSize is the volume units per packet for EnginePackets
-	// (default 100 when that engine is selected).
+	// (0 means 100).
 	PacketSize float64
 	// PacketOverhead models per-packet header/switching cost as extra
 	// link occupation time per packet (default 0). Smaller packets
@@ -302,18 +302,69 @@ type Options struct {
 	Duplication bool
 }
 
-// validate rejects policy sets no run can execute. It is the one
-// options check: oneShot applies it to every one-shot run, NewEngine
-// once per engine.
-func (o Options) validate() error {
+// resolve checks a policy set and fills in its defaults. It is the one
+// options check, made where a scheduler binds its policies: oneShot
+// per one-shot run, NewEngine once per engine. It rejects, naming the
+// field, a policy outside its constants, a HopDelay, PacketSize or
+// PacketOverhead that is negative, NaN or infinite, and duplication
+// without append placement; a PacketSize of 0 becomes 100. A state
+// runs only resolved options and reads them without fallbacks.
+func (o Options) resolve() (Options, error) {
+	for _, f := range [...]struct {
+		name    string
+		v, last int
+	}{
+		{"Routing", int(o.Routing), int(RoutingDijkstra)},
+		{"Insertion", int(o.Insertion), int(InsertionOptimal)},
+		{"EdgeOrder", int(o.EdgeOrder), int(EdgeOrderAscCost)},
+		{"ProcSelect", int(o.ProcSelect), int(ProcSelectNoComm)},
+		{"Engine", int(o.Engine), int(EnginePackets)},
+		{"CommStart", int(o.CommStart), int(CommAtSourceFinish)},
+		{"Switching", int(o.Switching), int(StoreAndForward)},
+		{"TaskPolicy", int(o.TaskPolicy), int(TaskInsertion)},
+		{"Priority", int(o.Priority), int(PriorityCriticality)},
+	} {
+		if f.v < 0 || f.v > f.last {
+			return o, fmt.Errorf("sched: Options.%s %d is not a policy (0..%d)", f.name, f.v, f.last)
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"HopDelay", o.HopDelay},
+		{"PacketSize", o.PacketSize},
+		{"PacketOverhead", o.PacketOverhead},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return o, fmt.Errorf("sched: Options.%s %v is not a finite non-negative number", f.name, f.v)
+		}
+	}
 	if o.Duplication && o.TaskPolicy != TaskAppend {
-		return fmt.Errorf("sched: duplication requires the append task policy")
+		return o, fmt.Errorf("sched: Options.Duplication requires the append task policy")
 	}
-	switch o.Engine {
-	case EngineSlots, EngineBandwidth, EnginePackets:
-		return nil
+	if o.PacketSize == 0 {
+		o.PacketSize = 100
 	}
-	return fmt.Errorf("sched: unknown engine %v", o.Engine)
+	return o, nil
+}
+
+// legBounds is the link causality rule (§2.2) between consecutive
+// links of a route: from the previous leg's start and finish, the
+// earliest start and the earliest finish of the next. Cut-through
+// lets the next link start with the previous one, store-and-forward
+// only once it finished; every link after the first (leg > 0) adds
+// HopDelay to both.
+func (o *Options) legBounds(prevStart, prevFinish float64, leg int) (es, pf float64) {
+	es, pf = prevStart, prevFinish
+	if o.Switching == StoreAndForward {
+		es = prevFinish
+	}
+	if leg > 0 {
+		es += o.HopDelay
+		pf += o.HopDelay
+	}
+	return es, pf
 }
 
 // priorityOrder returns the task order selected by the options.
@@ -323,10 +374,11 @@ func priorityOrder(g *dag.Graph, p Priority) []dag.TaskID {
 		return g.CompPriorityOrder()
 	case PriorityCriticality:
 		return g.CriticalityPriorityOrder()
+	default: // PriorityBottomLevel, the one value resolve leaves
+		// edgelint:ignore errflow — the error is always nil on a built graph
+		order, _ := g.PriorityOrder()
+		return order
 	}
-	// edgelint:ignore errflow — the error is always nil on a built graph
-	order, _ := g.PriorityOrder()
-	return order
 }
 
 // ListScheduler is the unified contention-aware list scheduler. The
@@ -439,15 +491,6 @@ type state struct {
 	// alternates, the previous leg's chunks in one buffer and the
 	// current leg's in the other.
 	legBufs [2][]linksched.Chunk
-
-	// relaxFn is the cached Dijkstra relaxation closure: built once per
-	// state on first use (it captures only s), so route searches on the
-	// probe hot path do not allocate a fresh closure per call. It reads
-	// the current edge's cost from relaxEdgeCost, which relaxFunc sets
-	// before handing the closure out. reset drops it when the options
-	// change (buildRelaxFn bakes in opts.Engine).
-	relaxEdgeCost float64
-	relaxFn       network.RelaxFunc
 }
 
 // statePool holds the warm states of one-shot runs. A one-shot call
@@ -460,11 +503,12 @@ type state struct {
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // oneShot is the front door of the one-shot entry points
-// (ListScheduler.Schedule and ScheduleAssignment): it validates the
+// (ListScheduler.Schedule and ScheduleAssignment): it resolves the
 // options, then runs g on a state borrowed from statePool and hands the
 // state back.
 func oneShot(g *dag.Graph, net *network.Topology, opts Options, name string, assign []network.NodeID) (*Schedule, error) {
-	if err := opts.validate(); err != nil {
+	opts, err := opts.resolve()
+	if err != nil {
 		return nil, err
 	}
 	s := statePool.Get().(*state)
@@ -479,7 +523,8 @@ func oneShot(g *dag.Graph, net *network.Topology, opts Options, name string, ass
 
 // run binds s to a run of g on net under opts and schedules it: the one
 // path of every state, pooled (oneShot), slot-owned (Engine.run) or
-// fresh (the self-check's cold run). opts must have been validated. rebound reports whether reset bound s to another topology.
+// fresh (the self-check's cold run). opts must have been resolved.
+// rebound reports whether reset bound s to another topology.
 func (s *state) run(g *dag.Graph, net *network.Topology, opts Options, name string, assign []network.NodeID) (out *Schedule, rebound bool, err error) {
 	rebound = s.reset(g, net, opts)
 	out, err = scheduleOn(s, name, assign)
@@ -510,7 +555,6 @@ func (s *state) release() bool {
 //   - the result reports whether net changed (an Engine counts those
 //     as cold states); the router, with its BFS trees, is rebuilt only
 //     when it routes over another topology;
-//   - the cached relaxFn closure is dropped when opts changed;
 //   - the timeline columns and processor clocks are sized from net and
 //     opts and emptied, the edge arenas truncated, the probe counters
 //     zeroed;
@@ -525,9 +569,6 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (reboun
 	rebound = s.net != net
 	if s.router == nil || s.router.Topology() != net {
 		s.router = net.NewRouter(nil)
-	}
-	if s.opts != opts {
-		s.relaxFn = nil
 	}
 	s.g, s.net, s.opts = g, net, opts
 	s.mls = net.MeanLinkSpeed()
@@ -637,8 +678,6 @@ func (s *state) selectProcessor(tid dag.TaskID) (network.NodeID, error) {
 		proc = s.selectByEstimate(tid, false)
 	case ProcSelectEFT:
 		proc, err = s.selectByEFT(tid)
-	default:
-		return -1, fmt.Errorf("sched: unknown processor selection %v", s.opts.ProcSelect)
 	}
 	if err == nil && proc < 0 {
 		err = unplaceable(s.g, tid)
@@ -866,67 +905,34 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	return arrival, nil
 }
 
-// findRoute picks the route per the configured policy.
+// findRoute picks the route per the configured policy. The
+// relaxation literal does not escape Router.Route, so it costs no
+// allocation per search.
 func (s *state) findRoute(e dag.Edge, src, dst network.NodeID, base float64) (network.Route, error) {
-	switch s.opts.Routing {
-	case RoutingBFS:
+	if s.opts.Routing == RoutingBFS {
 		return s.router.BFSRoute(src, dst)
-	case RoutingDijkstra:
-		init := network.Label{Start: base, Finish: base}
-		return s.router.Route(src, dst, init, s.relaxFunc(e))
-	default:
-		return nil, fmt.Errorf("sched: unknown routing %v", s.opts.Routing)
 	}
+	init := network.Label{Start: base, Finish: base}
+	return s.router.Route(src, dst, init, func(l network.Link, cur network.Label) network.Label {
+		return s.relax(e.Cost, l, cur)
+	})
 }
 
-// relaxFunc returns the modified-Dijkstra relaxation for edge e: the
-// label after a link is the (start, finish) the edge would get on that
-// link by basic insertion (slots engine) or by a greedy bandwidth
-// estimate (bandwidth engine). The closure is cached on the state and
-// parameterized through s.relaxEdgeCost — building a fresh capture of
-// e here would allocate on every route search of the probe hot path.
-func (s *state) relaxFunc(e dag.Edge) network.RelaxFunc {
-	s.relaxEdgeCost = e.Cost
-	if s.relaxFn == nil {
-		s.relaxFn = s.buildRelaxFn()
-	}
-	return s.relaxFn
-}
-
-// buildRelaxFn constructs the engine-specific relaxation closure, once
-// per state on its first Dijkstra route search (the engine is fixed in
-// Options for the lifetime of the state).
-func (s *state) buildRelaxFn() network.RelaxFunc {
-	switch s.opts.Engine {
-	case EngineBandwidth:
-		return func(l network.Link, cur network.Label) network.Label {
-			es := cur.Start
-			if s.opts.Switching == StoreAndForward {
-				es = cur.Finish
-			}
-			if cur.Hops > 0 {
-				es += s.opts.HopDelay
-			}
-			start, finish := s.bw[l.ID].EstimateFinish(es, s.relaxEdgeCost, l.Speed)
-			if finish < cur.Finish {
-				finish = cur.Finish
-			}
-			return network.Label{Start: start, Finish: finish}
+// relax is the modified-Dijkstra relaxation (§4.3) for an edge of the
+// given cost: the label after link l is the (start, finish) the edge
+// would get on l by basic insertion, or by a greedy bandwidth estimate
+// under the bandwidth engine.
+func (s *state) relax(cost float64, l network.Link, cur network.Label) network.Label {
+	es, pf := s.opts.legBounds(cur.Start, cur.Finish, cur.Hops)
+	if s.opts.Engine == EngineBandwidth {
+		start, finish := s.bw[l.ID].EstimateFinish(es, cost, l.Speed)
+		if finish < cur.Finish {
+			finish = cur.Finish
 		}
-	default:
-		return func(l network.Link, cur network.Label) network.Label {
-			req := linksched.Request{ES: cur.Start, PF: cur.Finish, Dur: s.relaxEdgeCost / l.Speed}
-			if s.opts.Switching == StoreAndForward {
-				req.ES = cur.Finish
-			}
-			if cur.Hops > 0 {
-				req.ES += s.opts.HopDelay
-				req.PF += s.opts.HopDelay
-			}
-			start, finish := s.tl[l.ID].ProbeBasic(req)
-			return network.Label{Start: start, Finish: finish}
-		}
+		return network.Label{Start: start, Finish: finish}
 	}
+	start, finish := s.tl[l.ID].ProbeBasic(linksched.Request{ES: es, PF: pf, Dur: cost / l.Speed})
+	return network.Label{Start: start, Finish: finish}
 }
 
 // placeEdgeSlots walks the route placing one exclusive slot per link,
@@ -937,15 +943,8 @@ func (s *state) buildRelaxFn() network.RelaxFunc {
 func (s *state) placeEdgeSlots(eid dag.EdgeID, e dag.Edge, route network.Route, base float64) {
 	prevStart, prevFinish := base, base
 	for leg, lid := range route {
-		link := s.net.Link(lid)
-		req := linksched.Request{ES: prevStart, PF: prevFinish, Dur: e.Cost / link.Speed}
-		if s.opts.Switching == StoreAndForward {
-			req.ES = prevFinish
-		}
-		if leg > 0 {
-			req.ES += s.opts.HopDelay
-			req.PF += s.opts.HopDelay
-		}
+		req := linksched.Request{Dur: e.Cost / s.net.Link(lid).Speed}
+		req.ES, req.PF = s.opts.legBounds(prevStart, prevFinish, leg)
 		owner := linksched.Owner{Edge: int(eid), Leg: leg}
 		var start, finish float64
 		if s.opts.Insertion == InsertionOptimal {
@@ -1035,9 +1034,6 @@ func (s *state) applyShift(m linksched.Shifted) {
 // stays exact.
 func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route, base float64) {
 	size := s.opts.PacketSize
-	if size <= 0 {
-		size = 100
-	}
 	nPkts := int(math.Ceil(e.Cost / size))
 	if nPkts < 1 {
 		nPkts = 1

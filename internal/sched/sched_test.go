@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -658,6 +659,95 @@ func TestDuplicationRequiresAppendPolicy(t *testing.T) {
 	net := network.Line(2, network.Uniform(1), network.Uniform(1))
 	if _, err := sched.NewCustom("bad", opts).Schedule(g, net); err == nil {
 		t.Fatal("duplication+insertion accepted")
+	}
+}
+
+// TestResolveRejectsBadOptions gives every entry point a policy set
+// with one bad field: each policy enum at -1 and one past its last
+// constant, and HopDelay, PacketSize and PacketOverhead at NaN, ±Inf
+// and -1. One-shot Schedule, ScheduleAssignment and NewEngine must each
+// fail with an error naming the field. The base runs the packet engine,
+// which reads all three numbers, so a value let through shows as a
+// schedule; the failure says whether the verifier accepts it.
+func TestResolveRejectsBadOptions(t *testing.T) {
+	enums := []struct {
+		field string
+		last  int
+		set   func(o *sched.Options, v int)
+	}{
+		{"Routing", int(sched.RoutingDijkstra), func(o *sched.Options, v int) { o.Routing = sched.Routing(v) }},
+		{"Insertion", int(sched.InsertionOptimal), func(o *sched.Options, v int) { o.Insertion = sched.Insertion(v) }},
+		{"EdgeOrder", int(sched.EdgeOrderAscCost), func(o *sched.Options, v int) { o.EdgeOrder = sched.EdgeOrder(v) }},
+		{"ProcSelect", int(sched.ProcSelectNoComm), func(o *sched.Options, v int) { o.ProcSelect = sched.ProcSelect(v) }},
+		{"Engine", int(sched.EnginePackets), func(o *sched.Options, v int) { o.Engine = sched.CommEngine(v) }},
+		{"CommStart", int(sched.CommAtSourceFinish), func(o *sched.Options, v int) { o.CommStart = sched.CommStart(v) }},
+		{"Switching", int(sched.StoreAndForward), func(o *sched.Options, v int) { o.Switching = sched.Switching(v) }},
+		{"TaskPolicy", int(sched.TaskInsertion), func(o *sched.Options, v int) { o.TaskPolicy = sched.TaskPolicy(v) }},
+		{"Priority", int(sched.PriorityCriticality), func(o *sched.Options, v int) { o.Priority = sched.Priority(v) }},
+	}
+	numbers := []struct {
+		field string
+		set   func(o *sched.Options, v float64)
+	}{
+		{"HopDelay", func(o *sched.Options, v float64) { o.HopDelay = v }},
+		{"PacketSize", func(o *sched.Options, v float64) { o.PacketSize = v }},
+		{"PacketOverhead", func(o *sched.Options, v float64) { o.PacketOverhead = v }},
+	}
+	type badCase struct {
+		name, field string
+		opts        sched.Options
+	}
+	base := sched.Options{Routing: sched.RoutingDijkstra, ProcSelect: sched.ProcSelectEstimate,
+		Engine: sched.EnginePackets, PacketSize: 40}
+	var cases []badCase
+	for _, e := range enums {
+		for _, v := range []int{-1, e.last + 1} {
+			o := base
+			e.set(&o, v)
+			cases = append(cases, badCase{fmt.Sprintf("%s=%d", e.field, v), e.field, o})
+		}
+	}
+	for _, n := range numbers {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			o := base
+			n.set(&o, v)
+			cases = append(cases, badCase{fmt.Sprintf("%s=%v", n.field, v), n.field, o})
+		}
+	}
+
+	r := rand.New(rand.NewSource(6))
+	g := dag.RandomLayered(r, dag.RandomLayeredParams{Tasks: 30,
+		TaskCost: dag.CostDist{Lo: 1, Hi: 50}, EdgeCost: dag.CostDist{Lo: 1, Hi: 200}})
+	net := network.Star(4, network.Uniform(1), network.Uniform(1))
+	procs := sched.ProcessorIDs(net)
+	assign := make([]network.NodeID, g.NumTasks())
+	for i := range assign {
+		assign[i] = procs[i%len(procs)]
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			oneShot, errOneShot := sched.NewCustom("bad", c.opts).Schedule(g, net)
+			assigned, errAssign := sched.ScheduleAssignment(g, net, assign, c.opts, "bad")
+			_, errEngine := sched.NewEngine(net, sched.EngineOptions{Opts: c.opts})
+			for _, entry := range []struct {
+				name string
+				s    *sched.Schedule
+				err  error
+			}{
+				{"Schedule", oneShot, errOneShot},
+				{"ScheduleAssignment", assigned, errAssign},
+				{"NewEngine", nil, errEngine},
+			} {
+				switch {
+				case entry.err == nil && entry.s != nil:
+					t.Errorf("%s accepted it; the verifier accepts its schedule: %v", entry.name, verify.Verify(entry.s).OK())
+				case entry.err == nil:
+					t.Errorf("%s accepted it", entry.name)
+				case !strings.Contains(entry.err.Error(), "Options."+c.field):
+					t.Errorf("%s error %q does not name Options.%s", entry.name, entry.err, c.field)
+				}
+			}
+		})
 	}
 }
 
