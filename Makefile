@@ -88,4 +88,4 @@ examples:
 	done
 
 # check mirrors the CI pipeline (.github/workflows/ci.yml).
-check: build fmt-check vet test race fuzz-smoke allocs lint bench-check bench-module load-smoke examples
+check: build fmt-check vet test race fuzz-smoke allocs lint bench-smoke bench-check bench-module load-smoke examples

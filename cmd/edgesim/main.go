@@ -80,26 +80,26 @@ func run(args []string, stdout io.Writer) error {
 // evaluate runs a figure, ablation, suite or family comparison.
 func evaluate(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("edgesim", flag.ContinueOnError)
-	var sc experiment.SpecConfig
+	var cfg experiment.Config
 	var (
 		figure   = fs.Int("figure", 0, "paper figure to regenerate (1-4)")
 		all      = fs.Bool("all", false, "regenerate all four figures")
 		ablation = fs.String("ablation", "", "ablation to run: "+strings.Join(experiment.AblationNames(), ", "))
 		suite    = fs.String("suite", "", "run a whole campaign from a JSON suite file")
 		outDir   = fs.String("out", "results", "output directory for -suite")
-		families = fs.Bool("families", false, "compare the algorithms per structured DAG family")
+		families = fs.Bool("families", false, "compare the algorithms per structured DAG family (one -procs and one -ccrs value; default 8 and 2)")
 		procs    = fs.String("procs", "", "comma-separated processor counts (overrides default)")
 		ccrs     = fs.String("ccrs", "", "comma-separated CCR values (overrides default)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of a text table")
 	)
-	fs.BoolVar(&sc.Full, "full", false, "full paper-scale sweep (slow) instead of reduced defaults")
-	fs.IntVar(&sc.Reps, "reps", 0, "replications per sweep cell (0 = default)")
-	fs.Int64Var(&sc.Seed, "seed", 1, "base random seed (0 = default: the paper's with -full)")
-	fs.IntVar(&sc.MinTasks, "min-tasks", 0, "minimum tasks per instance (0 = default)")
-	fs.IntVar(&sc.MaxTasks, "max-tasks", 0, "maximum tasks per instance (0 = default)")
-	fs.BoolVar(&sc.Heterogeneous, "hetero", false, "heterogeneous speeds for ablations (figures fix this themselves)")
-	fs.BoolVar(&sc.Verify, "verify", false, "verify every produced schedule (slower)")
-	fs.IntVar(&sc.Workers, "workers", 0, "concurrent sweep and ablation cells (0 = GOMAXPROCS, 1 = serial)")
+	fs.BoolVar(&cfg.Full, "full", false, "full paper-scale sweep (slow) instead of reduced defaults")
+	fs.IntVar(&cfg.Reps, "reps", 0, "replications per sweep cell (0 = default)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "base random seed (0 = default: the paper's with -full)")
+	fs.IntVar(&cfg.MinTasks, "min-tasks", 0, "minimum tasks per instance (0 = default)")
+	fs.IntVar(&cfg.MaxTasks, "max-tasks", 0, "maximum tasks per instance (0 = default)")
+	fs.BoolVar(&cfg.Heterogeneous, "hetero", false, "heterogeneous speeds for ablations and families (figures fix this themselves)")
+	fs.BoolVar(&cfg.Verify, "verify", false, "verify every produced schedule (slower)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "concurrent cells of a figure, ablation or family comparison (0 = GOMAXPROCS, 1 = serial)")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: edgesim [flags], or edgesim dag|net|schedule [flags] (-h lists each one's flags)")
 		fs.PrintDefaults()
@@ -108,35 +108,16 @@ func evaluate(args []string, stdout io.Writer) error {
 		return err
 	}
 	var err error
-	if sc.Procs, err = parseList(*procs, strconv.Atoi); err != nil {
+	if cfg.Procs, err = parseList(*procs, strconv.Atoi); err != nil {
 		return err
 	}
-	if sc.CCRs, err = parseList(*ccrs, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }); err != nil {
-		return err
-	}
-	cfg, err := sc.Config()
-	if err != nil {
+	if cfg.CCRs, err = parseList(*ccrs, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }); err != nil {
 		return err
 	}
 
 	switch {
 	case *families:
-		procs := 8
-		if len(cfg.Procs) > 0 {
-			procs = cfg.Procs[0]
-		}
-		ccr := 2.0
-		if len(cfg.CCRs) > 0 {
-			ccr = cfg.CCRs[0]
-		}
-		res, err := experiment.Families(experiment.FamilyConfig{
-			Processors:    procs,
-			Heterogeneous: cfg.Heterogeneous,
-			CCR:           ccr,
-			Reps:          cfg.Reps,
-			Seed:          cfg.Seed,
-			Verify:        cfg.Verify,
-		})
+		res, err := experiment.Families(cfg)
 		if err != nil {
 			return err
 		}

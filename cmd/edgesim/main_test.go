@@ -169,4 +169,7 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-figure", "2", "-procs", "-3,4", "-ccrs", "1", "-reps", "1"}, &bytes.Buffer{}); err == nil {
 		t.Error("negative processor count accepted")
 	}
+	if err := run([]string{"-families", "-procs", "8,32"}, &bytes.Buffer{}); err == nil {
+		t.Error("-families with two processor counts accepted")
+	}
 }

@@ -38,7 +38,7 @@ func RunVariants(name, question string, cfg Config, algos []sched.Algorithm) (*A
 	var jobs []cellJob
 	for _, procs := range cfg.Procs {
 		for _, ccr := range cfg.CCRs {
-			jobs = append(jobs, cellJob{procs: procs, ccr: ccr})
+			jobs = append(jobs, sweepCell(cfg, 0, procs, ccr))
 		}
 	}
 	points, err := runCells(cfg, jobs, 1)

@@ -21,43 +21,87 @@ import (
 	"repro/internal/workload"
 )
 
-// Config controls a sweep run. The zero value is filled with reduced
-// but representative defaults; use PaperConfig for the full §6 setup.
+// Config is the one configuration of an experiment: a figure, an
+// ablation, a family comparison or a suite entry. The zero value is
+// filled with reduced but representative defaults; Full (or
+// PaperConfig) selects the full §6 setup. Zero fields are filled and
+// axes checked in one place, resolve, when a run starts.
 type Config struct {
-	// Reps is the number of random instances per sweep cell.
-	Reps int
+	// Full fills every zero field with its PaperConfig value instead
+	// of the reduced default; a zero Seed becomes the paper's.
+	Full bool `json:"full,omitempty"`
+	// Reps is the number of random instances per cell: per (procs,
+	// CCR) pair of a figure or ablation, per family of a comparison.
+	Reps int `json:"reps,omitempty"`
 	// Seed drives instance generation; cell seeds are derived from it.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// MinTasks/MaxTasks bound the per-instance task count.
-	MinTasks, MaxTasks int
+	MinTasks int `json:"minTasks,omitempty"`
+	MaxTasks int `json:"maxTasks,omitempty"`
 	// Procs are the machine sizes: the x-axis of processor sweeps and
 	// the averaged-over dimension of CCR sweeps.
-	Procs []int
+	Procs []int `json:"procs,omitempty"`
 	// CCRs are the communication-computation ratios: the x-axis of CCR
 	// sweeps and the averaged-over dimension of processor sweeps.
-	CCRs []float64
+	CCRs []float64 `json:"ccrs,omitempty"`
 	// Heterogeneous selects U(1,10) speeds (Figures 3 and 4).
-	Heterogeneous bool
+	Heterogeneous bool `json:"heterogeneous,omitempty"`
 	// Verify runs the schedule verifier on every produced schedule and
-	// fails the sweep on any violation.
-	Verify bool
+	// fails the run on any violation.
+	Verify bool `json:"verify,omitempty"`
 	// Algorithms are the contenders; the first is the baseline. Nil
 	// defaults to [BA, OIHSA, BBSA].
-	Algorithms []sched.Algorithm
-	// Workers bounds the number of sweep or ablation cells scheduled
-	// concurrently. 0 uses GOMAXPROCS; 1 forces a serial run. Instance
-	// seeds are derived from cell coordinates, so results are identical
-	// at any parallelism.
-	Workers int
+	Algorithms []sched.Algorithm `json:"-"`
+	// Workers bounds the number of cells scheduled concurrently. 0
+	// uses GOMAXPROCS; 1 forces a serial run. Instances depend only on
+	// the cell they belong to, so results are identical at any
+	// parallelism.
+	Workers int `json:"workers,omitempty"`
 }
 
-// resolve rejects sweep axes the tables would misreport and fills the
-// remaining zero fields with the reduced defaults. A non-positive
-// processor count or CCR, or MaxTasks below MinTasks, is an error:
-// the instance generator would replace it, while the table printed
-// the requested value. So is a CCR above workload.MaxCCR, which no
-// instance can be rescaled to.
+// resolve is the one place a Config's zero fields are filled in and
+// its axes checked. A zero field takes its reduced default, or its
+// PaperConfig value with Full; zero Workers become GOMAXPROCS. A
+// non-positive processor count or CCR, or MaxTasks below MinTasks, is
+// an error: the instance generator would replace it, while the table
+// printed the requested value. So is a CCR above workload.MaxCCR,
+// which no instance can be rescaled to.
 func (c Config) resolve() (Config, error) {
+	def := Config{
+		Reps:     3,
+		MinTasks: 40,
+		// A lone MinTasks above 1000 runs exactly MinTasks tasks.
+		MaxTasks: max(1000, c.MinTasks),
+		Procs:    []int{4, 16},
+		CCRs:     []float64{0.5, 2, 8},
+	}
+	if c.Full {
+		def = PaperConfig(c.Heterogeneous)
+	}
+	if c.Reps <= 0 {
+		c.Reps = def.Reps
+	}
+	if c.Seed == 0 {
+		c.Seed = def.Seed
+	}
+	if c.MinTasks <= 0 {
+		c.MinTasks = def.MinTasks
+	}
+	if c.MaxTasks <= 0 {
+		c.MaxTasks = def.MaxTasks
+	}
+	if len(c.Procs) == 0 {
+		c.Procs = def.Procs
+	}
+	if len(c.CCRs) == 0 {
+		c.CCRs = def.CCRs
+	}
+	if c.Algorithms == nil {
+		c.Algorithms = []sched.Algorithm{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()}
+	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	for _, p := range c.Procs {
 		if p <= 0 {
 			return c, fmt.Errorf("experiment: processor count %d is not positive", p)
@@ -68,34 +112,17 @@ func (c Config) resolve() (Config, error) {
 			return c, fmt.Errorf("experiment: CCR %g is outside (0, %g]", ccr, workload.MaxCCR)
 		}
 	}
-	if c.Reps <= 0 {
-		c.Reps = 3
-	}
-	if c.MinTasks <= 0 {
-		c.MinTasks = 40
-	}
-	if c.MaxTasks <= 0 {
-		c.MaxTasks = max(1000, c.MinTasks)
-	}
 	if c.MaxTasks < c.MinTasks {
 		return c, fmt.Errorf("experiment: max tasks %d below min tasks %d", c.MaxTasks, c.MinTasks)
-	}
-	if len(c.Procs) == 0 {
-		c.Procs = []int{4, 16}
-	}
-	if len(c.CCRs) == 0 {
-		c.CCRs = []float64{0.5, 2, 8}
-	}
-	if c.Algorithms == nil {
-		c.Algorithms = []sched.Algorithm{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()}
 	}
 	return c, nil
 }
 
 // PaperConfig returns the full §6 configuration of the paper for the
 // given figure's system type: the complete CCR and processor sweeps
-// with tasks U(40, 1000). It is expensive; the reduced defaults are
-// used by tests.
+// with tasks U(40, 1000). Its fields are the values a Full config's
+// zero fields take. It is expensive; the reduced defaults are used by
+// tests.
 func PaperConfig(heterogeneous bool) Config {
 	return Config{
 		Reps:          5,
@@ -129,14 +156,19 @@ type Sweep struct {
 	Instances  int // total instances scheduled
 }
 
-// runCell schedules all algorithms on the instances of one sweep cell
-// and returns their makespans: out[i][rep] is algorithm i's makespan
-// on the rep-th instance. The instance seeds depend only on (cfg.Seed,
-// procs, ccr, rep), so cells can run in any order or concurrently with
-// identical results.
-func runCell(cfg Config, procs int, ccr float64) ([][]float64, error) {
-	out := make([][]float64, len(cfg.Algorithms))
-	for rep := 0; rep < cfg.Reps; rep++ {
+// cellJob is one cell of a run: the point of the x-axis (or the table
+// row) it is aggregated at, and its instances, the rep-th of which
+// instance(rep) returns.
+type cellJob struct {
+	point    int
+	instance func(rep int) (*dag.Graph, *network.Topology)
+}
+
+// sweepCell is the cell of machine size procs and CCR ccr. Its
+// instance seeds depend only on (cfg.Seed, procs, ccr, rep), so cells
+// can run in any order or concurrently with identical results.
+func sweepCell(cfg Config, point, procs int, ccr float64) cellJob {
+	return cellJob{point: point, instance: func(rep int) (*dag.Graph, *network.Topology) {
 		inst := workload.Generate(workload.Params{
 			Processors:    procs,
 			CCR:           ccr,
@@ -145,7 +177,18 @@ func runCell(cfg Config, procs int, ccr float64) ([][]float64, error) {
 			MaxTasks:      cfg.MaxTasks,
 			Seed:          cfg.Seed*1000003 + int64(procs)*131 + int64(ccr*10)*7 + int64(rep),
 		})
-		if err := measure(cfg.Algorithms, inst.Graph, inst.Net, cfg.Verify, out); err != nil {
+		return inst.Graph, inst.Net
+	}}
+}
+
+// runCell schedules all algorithms on the cfg.Reps instances of one
+// cell and returns their makespans: out[i][rep] is algorithm i's
+// makespan on the rep-th instance.
+func runCell(cfg Config, job cellJob) ([][]float64, error) {
+	out := make([][]float64, len(cfg.Algorithms))
+	for rep := 0; rep < cfg.Reps; rep++ {
+		g, net := job.instance(rep)
+		if err := measure(cfg.Algorithms, g, net, cfg.Verify, out); err != nil {
 			return nil, err
 		}
 	}
@@ -184,25 +227,13 @@ func improvements(names []string, ms [][]float64) map[string]stats.Summary {
 	return out
 }
 
-// cellJob identifies one cell and the x-point it belongs to.
-type cellJob struct {
-	point int // index into the sweep's x-axis
-	procs int
-	ccr   float64
-}
-
-// runCells evaluates all cells with a bounded worker pool and returns
-// the makespans of each x-point's cells concatenated in job order:
+// runCells evaluates all cells with a bounded worker pool, the one
+// runner of figures, ablations and family comparisons, and returns the
+// makespans of each point's cells concatenated in job order:
 // out[point][i] lists algorithm i's makespans. The result does not
 // depend on the worker count.
 func runCells(cfg Config, jobs []cellJob, points int) ([][][]float64, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(cfg.Workers, len(jobs))
 	results := make([][][]float64, len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan int)
@@ -212,7 +243,7 @@ func runCells(cfg Config, jobs []cellJob, points int) ([][][]float64, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], errs[i] = runCell(cfg, jobs[i].procs, jobs[i].ccr)
+				results[i], errs[i] = runCell(cfg, jobs[i])
 			}
 		}()
 	}
@@ -239,15 +270,11 @@ func runCells(cfg Config, jobs []cellJob, points int) ([][][]float64, error) {
 }
 
 // sweepOver runs the generic sweep: xs are the x-axis values, and
-// cells(xIdx) lists the (procs, ccr) cells aggregated at that point.
-func sweepOver(cfg Config, xLabel string, xs []float64, cells func(i int) []cellJob) (*Sweep, error) {
+// each job's point indexes xs.
+func sweepOver(cfg Config, xLabel string, xs []float64, jobs []cellJob) (*Sweep, error) {
 	sw := &Sweep{XLabel: xLabel}
 	for _, a := range cfg.Algorithms {
 		sw.Algorithms = append(sw.Algorithms, a.Name())
-	}
-	var jobs []cellJob
-	for i := range xs {
-		jobs = append(jobs, cells(i)...)
 	}
 	points, err := runCells(cfg, jobs, len(xs))
 	if err != nil {
@@ -274,13 +301,13 @@ func CCRSweep(cfg Config) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sweepOver(cfg, "CCR", cfg.CCRs, func(i int) []cellJob {
-		var out []cellJob
+	var jobs []cellJob
+	for i, ccr := range cfg.CCRs {
 		for _, procs := range cfg.Procs {
-			out = append(out, cellJob{point: i, procs: procs, ccr: cfg.CCRs[i]})
+			jobs = append(jobs, sweepCell(cfg, i, procs, ccr))
 		}
-		return out
-	})
+	}
+	return sweepOver(cfg, "CCR", cfg.CCRs, jobs)
 }
 
 // ProcSweep produces an improvement-vs-machine-size figure (the
@@ -293,16 +320,14 @@ func ProcSweep(cfg Config) (*Sweep, error) {
 		return nil, err
 	}
 	xs := make([]float64, len(cfg.Procs))
-	for i, p := range cfg.Procs {
-		xs[i] = float64(p)
-	}
-	return sweepOver(cfg, "processors", xs, func(i int) []cellJob {
-		var out []cellJob
+	var jobs []cellJob
+	for i, procs := range cfg.Procs {
+		xs[i] = float64(procs)
 		for _, ccr := range cfg.CCRs {
-			out = append(out, cellJob{point: i, procs: cfg.Procs[i], ccr: ccr})
+			jobs = append(jobs, sweepCell(cfg, i, procs, ccr))
 		}
-		return out
-	})
+	}
+	return sweepOver(cfg, "processors", xs, jobs)
 }
 
 // Figure regenerates one of the paper's figures (1–4) under the given

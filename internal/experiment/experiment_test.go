@@ -172,7 +172,7 @@ func TestPaperConfigShape(t *testing.T) {
 }
 
 func TestFamilies(t *testing.T) {
-	res, err := Families(FamilyConfig{Processors: 4, Reps: 1, Seed: 3, Verify: true})
+	res, err := Families(Config{Procs: []int{4}, Reps: 1, Seed: 3, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,13 @@ func TestFamilies(t *testing.T) {
 }
 
 // TestSweepDeterministicAcrossWorkerCounts is the regression test for
-// the runner's determinism contract: instance seeds depend only on
-// (Seed, procs, ccr, rep) and results are indexed by job order, so a
-// serial run and a maximally parallel run must produce identical
-// figures and ablations. Run under -race in CI, this also shakes out
-// data races in the worker pool and in schedulers shared across cells.
+// the runner's determinism contract: a cell's instances depend only on
+// the cell (sweep seeds on (Seed, procs, ccr, rep); family instances
+// are drawn before the cells run) and results are indexed by job
+// order, so a serial run and a maximally parallel run must produce
+// identical figures, ablations and family tables. Run under -race in
+// CI, this also shakes out data races in the worker pool and in
+// schedulers shared across cells.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	wide := tiny()
 	wide.Procs = []int{2, 4}
@@ -217,6 +219,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		{"proc", tiny(), func(c Config) (any, error) { return ProcSweep(c) }},
 		{"ccr-wide", wide, func(c Config) (any, error) { return CCRSweep(c) }},
 		{"ablation", wide, func(c Config) (any, error) { return Ablation("league", c) }},
+		{"families", Config{Reps: 2, Seed: 3, Verify: true}, func(c Config) (any, error) { return Families(c) }},
 	} {
 		t.Run(run.name, func(t *testing.T) {
 			serialCfg := run.cfg

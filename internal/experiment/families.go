@@ -8,48 +8,8 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/network"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
-
-// FamilyConfig controls the per-DAG-family comparison: the same
-// machine and the same algorithms, one series per structured graph
-// family, so structure-dependent effects become visible.
-type FamilyConfig struct {
-	// Processors is the machine size (default 8).
-	Processors int
-	// Heterogeneous selects U(1,10) speeds.
-	Heterogeneous bool
-	// CCR rescales every family instance (default 2).
-	CCR float64
-	// Reps is the number of machine samples per family (default 3);
-	// the graphs themselves are deterministic per family except the
-	// random families, which resample per rep.
-	Reps int
-	// Seed drives machine generation and the random families.
-	Seed int64
-	// Verify runs the model checker on every schedule.
-	Verify bool
-	// Algorithms are the contenders; the first is the baseline. Nil
-	// defaults to [BA, OIHSA, BBSA].
-	Algorithms []sched.Algorithm
-}
-
-func (c FamilyConfig) withDefaults() FamilyConfig {
-	if c.Processors <= 0 {
-		c.Processors = 8
-	}
-	if c.CCR <= 0 {
-		c.CCR = 2
-	}
-	if c.Reps <= 0 {
-		c.Reps = 3
-	}
-	if c.Algorithms == nil {
-		c.Algorithms = []sched.Algorithm{sched.NewBA(), sched.NewOIHSA(), sched.NewBBSA()}
-	}
-	return c
-}
 
 // FamilyRow is one family's aggregated result.
 type FamilyRow struct {
@@ -103,42 +63,66 @@ func familyGenerators(r *rand.Rand) []struct {
 	}
 }
 
-// Families runs the per-family comparison. It runs sequentially: one
-// rand draws every random graph and machine in turn, so the instances
-// depend on the order they are generated in.
-func Families(cfg FamilyConfig) (*FamilyResult, error) {
-	cfg = cfg.withDefaults()
+// Families runs the per-family comparison: the same machine and the
+// same algorithms, one row per structured graph family, so
+// structure-dependent effects become visible. It runs on one machine
+// size and one CCR, 8 and 2 unless cfg gives one; more than one of
+// either is an error. Each family has cfg.Reps instances: its graph
+// (resampled per rep for the random families) on a random cluster.
+// One rand draws every random graph and machine in turn, before the
+// cells run, so the instances do not depend on the worker count.
+func Families(cfg Config) (*FamilyResult, error) {
+	if len(cfg.Procs) == 0 {
+		cfg.Procs = []int{8}
+	}
+	if len(cfg.CCRs) == 0 {
+		cfg.CCRs = []float64{2}
+	}
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if len(cfg.Procs) > 1 || len(cfg.CCRs) > 1 {
+		return nil, fmt.Errorf("experiment: families run on one machine size and one CCR, not %v and %v", cfg.Procs, cfg.CCRs)
+	}
 	res := &FamilyResult{}
 	for _, a := range cfg.Algorithms {
 		res.Algorithms = append(res.Algorithms, a.Name())
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	for _, fam := range familyGenerators(r) {
-		row := FamilyRow{Family: fam.name}
-		ms := make([][]float64, len(cfg.Algorithms))
-		for rep := 0; rep < cfg.Reps; rep++ {
-			g, err := fam.gen().ScaleToCCR(cfg.CCR)
+	var jobs []cellJob
+	for i, fam := range familyGenerators(r) {
+		graphs := make([]*dag.Graph, cfg.Reps)
+		nets := make([]*network.Topology, cfg.Reps)
+		for rep := range graphs {
+			g, err := fam.gen().ScaleToCCR(cfg.CCRs[0])
 			if err != nil {
 				return nil, fmt.Errorf("experiment: families: %s: %w", fam.name, err)
 			}
-			row.Tasks = g.NumTasks()
-			row.Width = g.Width()
 			proc := network.Uniform(1)
 			link := network.Uniform(1)
 			if cfg.Heterogeneous {
 				proc = network.UniformRange(r, 1, 10)
 				link = network.UniformRange(r, 1, 10)
 			}
-			net := network.RandomCluster(r, network.RandomClusterParams{
-				Processors: cfg.Processors, ProcSpeed: proc, LinkSpeed: link,
+			graphs[rep] = g
+			nets[rep] = network.RandomCluster(r, network.RandomClusterParams{
+				Processors: cfg.Procs[0], ProcSpeed: proc, LinkSpeed: link,
 			})
-			if err := measure(cfg.Algorithms, g, net, cfg.Verify, ms); err != nil {
-				return nil, fmt.Errorf("experiment: families: %s: %w", fam.name, err)
-			}
 		}
-		row.BaseMakespan = stats.Summarize(ms[0])
-		row.Improvement = improvements(res.Algorithms, ms)
-		res.Rows = append(res.Rows, row)
+		last := graphs[cfg.Reps-1]
+		res.Rows = append(res.Rows, FamilyRow{Family: fam.name, Tasks: last.NumTasks(), Width: last.Width()})
+		jobs = append(jobs, cellJob{point: i, instance: func(rep int) (*dag.Graph, *network.Topology) {
+			return graphs[rep], nets[rep]
+		}})
+	}
+	points, err := runCells(cfg, jobs, len(jobs))
+	if err != nil {
+		return nil, fmt.Errorf("experiment: families: %w", err)
+	}
+	for i, ms := range points {
+		res.Rows[i].BaseMakespan = stats.Summarize(ms[0])
+		res.Rows[i].Improvement = improvements(res.Algorithms, ms)
 	}
 	return res, nil
 }

@@ -19,56 +19,6 @@ type SuiteSpec struct {
 	Ablations []AblationSpec `json:"ablations,omitempty"`
 }
 
-// SpecConfig is the JSON shape of a sweep configuration; zero fields
-// fall back to the harness defaults (or the full paper config when
-// Full is set).
-type SpecConfig struct {
-	Full          bool      `json:"full,omitempty"`
-	Reps          int       `json:"reps,omitempty"`
-	Seed          int64     `json:"seed,omitempty"`
-	MinTasks      int       `json:"minTasks,omitempty"`
-	MaxTasks      int       `json:"maxTasks,omitempty"`
-	Procs         []int     `json:"procs,omitempty"`
-	CCRs          []float64 `json:"ccrs,omitempty"`
-	Heterogeneous bool      `json:"heterogeneous,omitempty"`
-	Verify        bool      `json:"verify,omitempty"`
-	Workers       int       `json:"workers,omitempty"`
-}
-
-// Config converts the spec to a sweep configuration. It is the one
-// place the "zero means default" rules live: a zero Seed keeps the
-// base config's seed (the paper's with Full), and zero counts and
-// empty axes keep the defaults. Invalid axes are an error.
-func (sc SpecConfig) Config() (Config, error) {
-	var cfg Config
-	if sc.Full {
-		cfg = PaperConfig(sc.Heterogeneous)
-	}
-	cfg.Heterogeneous = sc.Heterogeneous
-	cfg.Verify = sc.Verify
-	cfg.Workers = sc.Workers
-	if sc.Reps > 0 {
-		cfg.Reps = sc.Reps
-	}
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
-	}
-	if sc.MinTasks > 0 {
-		cfg.MinTasks = sc.MinTasks
-	}
-	if sc.MaxTasks > 0 {
-		cfg.MaxTasks = sc.MaxTasks
-	}
-	if len(sc.Procs) > 0 {
-		cfg.Procs = sc.Procs
-	}
-	if len(sc.CCRs) > 0 {
-		cfg.CCRs = sc.CCRs
-	}
-	_, err := cfg.resolve()
-	return cfg, err
-}
-
 // FigureSpec declares one figure regeneration.
 type FigureSpec struct {
 	// Figure is the paper figure number (1-4).
@@ -78,7 +28,8 @@ type FigureSpec struct {
 	Output string `json:"output,omitempty"`
 	// CSV additionally writes a .csv file next to the .txt table.
 	CSV bool `json:"csv,omitempty"`
-	SpecConfig
+	// Config is the entry's run; Figure fixes its Heterogeneous.
+	Config
 }
 
 // AblationSpec declares one ablation run.
@@ -87,7 +38,8 @@ type AblationSpec struct {
 	Ablation string `json:"ablation"`
 	// Output is the file basename; defaults to the ablation key.
 	Output string `json:"output,omitempty"`
-	SpecConfig
+	// Config is the entry's run.
+	Config
 }
 
 // LoadSuite parses a SuiteSpec from JSON, rejecting unknown fields and
@@ -103,7 +55,7 @@ func LoadSuite(r io.Reader) (*SuiteSpec, error) {
 		if f.Figure < 1 || f.Figure > 4 {
 			return nil, fmt.Errorf("experiment: suite figure entry %d: figure %d does not exist", i, f.Figure)
 		}
-		if _, err := f.Config(); err != nil {
+		if _, err := f.resolve(); err != nil {
 			return nil, fmt.Errorf("experiment: suite figure entry %d: %w", i, err)
 		}
 	}
@@ -111,7 +63,7 @@ func LoadSuite(r io.Reader) (*SuiteSpec, error) {
 		if _, ok := ablations[a.Ablation]; !ok {
 			return nil, fmt.Errorf("experiment: suite ablation entry %d: unknown ablation %q", i, a.Ablation)
 		}
-		if _, err := a.Config(); err != nil {
+		if _, err := a.resolve(); err != nil {
 			return nil, fmt.Errorf("experiment: suite ablation entry %d: %w", i, err)
 		}
 	}
@@ -129,11 +81,7 @@ func RunSuite(spec *SuiteSpec, outDir string, log io.Writer) error {
 		return fmt.Errorf("experiment: suite: %w", err)
 	}
 	for _, f := range spec.Figures {
-		cfg, err := f.Config()
-		if err != nil {
-			return err
-		}
-		sw, err := Figure(f.Figure, cfg)
+		sw, err := Figure(f.Figure, f.Config)
 		if err != nil {
 			return err
 		}
@@ -152,11 +100,7 @@ func RunSuite(spec *SuiteSpec, outDir string, log io.Writer) error {
 		fmt.Fprintf(log, "suite %s: %s done (%d instances) -> %s.txt\n", spec.Name, sw.Label, sw.Instances, base)
 	}
 	for _, a := range spec.Ablations {
-		cfg, err := a.Config()
-		if err != nil {
-			return err
-		}
-		res, err := Ablation(a.Ablation, cfg)
+		res, err := Ablation(a.Ablation, a.Config)
 		if err != nil {
 			return err
 		}

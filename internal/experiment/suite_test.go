@@ -70,9 +70,8 @@ func TestRunSuite(t *testing.T) {
 	}
 }
 
-func TestSpecConfigFullOverride(t *testing.T) {
-	sc := SpecConfig{Full: true, Reps: 2, Heterogeneous: true}
-	cfg, err := sc.Config()
+func TestConfigFullOverride(t *testing.T) {
+	cfg, err := Config{Full: true, Reps: 2, Heterogeneous: true}.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +90,9 @@ func TestSpecConfigFullOverride(t *testing.T) {
 }
 
 // TestInvalidAxesRejected pins that a sweep axis the generator would
-// silently replace is an error, whether it arrives through a Config, a
-// SpecConfig or a suite file, instead of a table row for a value that
-// never ran.
+// silently replace is an error, whether it reaches resolve through a
+// figure, an ablation, a family comparison or a suite file, instead
+// of a table row for a value that never ran.
 func TestInvalidAxesRejected(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"negative procs":    {Reps: 1, Procs: []int{-3, 4}, CCRs: []float64{1}},
@@ -111,9 +110,18 @@ func TestInvalidAxesRejected(t *testing.T) {
 		if _, err := Ablation("routing", cfg); err == nil {
 			t.Errorf("%s: ablation accepted %+v", name, cfg)
 		}
+		if _, err := Families(cfg); err == nil {
+			t.Errorf("%s: families accepted %+v", name, cfg)
+		}
 	}
-	if _, err := (SpecConfig{CCRs: []float64{0}}).Config(); err == nil {
-		t.Error("SpecConfig accepted CCR 0")
+	// A family comparison runs on one machine size and one CCR.
+	for _, cfg := range []Config{{Reps: 1, Procs: []int{8, 32}}, {Reps: 1, CCRs: []float64{2, 8}}} {
+		if _, err := Families(cfg); err == nil {
+			t.Errorf("families accepted %+v", cfg)
+		}
+	}
+	if _, err := (Config{CCRs: []float64{0}}).resolve(); err == nil {
+		t.Error("resolve accepted CCR 0")
 	}
 	for _, doc := range []string{
 		`{"name": "bad", "figures": [{"figure": 2, "procs": [-3, 4]}]}`,

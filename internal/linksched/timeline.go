@@ -125,7 +125,8 @@ type Timeline struct {
 	// entered this timeline. It scales the conservative slack used when
 	// pruning slabs, keeping the pruned search exactly equivalent to the
 	// reference scan under floating-point rounding. Monotone within a
-	// timeline's lifetime; Restore rewinds it together with the slots.
+	// timeline's lifetime; CopyFrom copies it with the slots and Reset
+	// rewinds it.
 	maxAbs float64
 }
 

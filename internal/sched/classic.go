@@ -2,10 +2,8 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dag"
-	"repro/internal/fptime"
 	"repro/internal/network"
 )
 
@@ -23,60 +21,31 @@ func NewClassic() *Classic { return &Classic{} }
 // Name implements Algorithm.
 func (c *Classic) Name() string { return "Classic" }
 
-// Schedule implements Algorithm under the ideal model. The returned
-// schedule has Ideal set and no edge schedules; its makespan is the
-// ideal-model prediction, not a network-feasible value.
+// Schedule implements Algorithm under the ideal model: each task, in
+// bottom-level order, goes to the processor of earliest §4.1 estimated
+// finish and starts at its estimated start. The returned schedule has
+// Ideal set and no edge schedules; its makespan is the ideal-model
+// prediction, not a network-feasible value.
 func (c *Classic) Schedule(g *dag.Graph, net *network.Topology) (*Schedule, error) {
-	mls := net.MeanLinkSpeed()
-	tasks := make([]TaskPlacement, g.NumTasks())
-	for i := range tasks {
-		tasks[i] = TaskPlacement{Task: dag.TaskID(i), Proc: -1}
-	}
-	procFinish := make([]float64, net.NumNodes())
-	for _, tid := range priorityOrder(g, PriorityBottomLevel) {
-		best := network.NodeID(-1)
-		bestFinish := math.Inf(1)
-		bestStart := 0.0
-		for i := range net.NumProcessors() {
-			p := net.Processor(i)
-			drt := 0.0
-			for _, eid := range g.Pred(tid) {
-				e := g.Edge(eid)
-				src := tasks[e.From]
-				arr := src.Finish
-				if src.Proc != p {
-					arr += e.Cost / mls
-				}
-				if arr > drt {
-					drt = arr
-				}
-			}
-			start := drt
-			if procFinish[p] > start {
-				start = procFinish[p]
-			}
-			finish := start + g.Task(tid).Cost/net.Node(p).Speed
-			if fptime.LessEps(finish, bestFinish) {
-				bestFinish = finish
-				bestStart = start
-				best = p
-			}
+	s := statePool.Get().(*state)
+	defer func() {
+		if s.release() {
+			statePool.Put(s)
 		}
-		if best < 0 {
+	}()
+	s.reset(g, net, Options{})
+	for _, tid := range priorityOrder(g, PriorityBottomLevel) {
+		p, start := s.selectByEstimate(tid, true)
+		if p < 0 {
 			return nil, unplaceable(g, tid)
 		}
-		tasks[tid] = TaskPlacement{Task: tid, Proc: best, Start: bestStart, Finish: bestFinish}
-		procFinish[best] = bestFinish
+		finish := start + g.Task(tid).Cost/net.Node(p).Speed
+		s.setTask(tid, TaskPlacement{Task: tid, Proc: p, Start: start, Finish: finish})
+		s.setProcFinish(p, finish)
 	}
-	return &Schedule{
-		Algorithm: "Classic",
-		Graph:     g,
-		Net:       net,
-		Tasks:     tasks,
-		Edges:     make([]*EdgeSchedule, g.NumEdges()),
-		Makespan:  makespan(tasks),
-		Ideal:     true,
-	}, nil
+	out := s.result("Classic")
+	out.Ideal = true
+	return out, nil
 }
 
 // ClassicReplay runs Classic to obtain a task-to-processor assignment

@@ -40,8 +40,8 @@ import (
 // SelfCheckEvery turns that claim into a runtime oracle. Parallelism
 // lives across requests, never inside one.
 
-// ErrEngineClosed is returned by Schedule after Drain (or Close) has
-// begun: the engine finishes in-flight requests but admits no new ones.
+// ErrEngineClosed is returned by Schedule after Drain has begun: the
+// engine finishes in-flight requests but admits no new ones.
 var ErrEngineClosed = errors.New("sched: engine draining")
 
 // ErrOverloaded is returned when admission control rejects a request
@@ -126,7 +126,6 @@ type Engine struct {
 	coldStates atomic.Int64
 	selfChecks atomic.Int64
 	panics     atomic.Int64
-	reqSeq     atomic.Uint64
 }
 
 // NewEngine builds an engine serving the given policies, which it
@@ -240,7 +239,7 @@ func (e *Engine) release(s *state) {
 // it fails the request with an error wrapping ErrInternal, counted in
 // Failures and Panics, and the caller discards s.
 func (e *Engine) run(g *dag.Graph, s *state) (out *Schedule, err error) {
-	e.requests.Add(1)
+	seq := e.requests.Add(1)
 	defer func() {
 		if p := recover(); p != nil {
 			e.panics.Add(1)
@@ -248,12 +247,11 @@ func (e *Engine) run(g *dag.Graph, s *state) (out *Schedule, err error) {
 			out, err = nil, fmt.Errorf("%w: panic: %v", ErrInternal, p)
 		}
 	}()
-	seq := e.reqSeq.Add(1)
 	out, rebound, err := s.run(g, e.net, e.opts, e.name, nil)
 	if rebound {
 		e.coldStates.Add(1)
 	}
-	if n := e.selfCheckEvery; err == nil && n > 0 && seq%uint64(n) == 0 {
+	if n := e.selfCheckEvery; err == nil && n > 0 && seq%int64(n) == 0 {
 		err = e.selfCheck(g, out)
 	}
 	if err != nil {

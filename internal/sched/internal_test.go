@@ -582,12 +582,12 @@ func TestSelectByEstimatePrefersPredecessorProcessor(t *testing.T) {
 	if _, err := s.placeTask(0, p[2]); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.selectByEstimate(1, true); got != p[2] {
-		t.Fatalf("estimate chose %v, want predecessor's processor %v", got, p[2])
+	if got, start := s.selectByEstimate(1, true); got != p[2] || start != 10 {
+		t.Fatalf("estimate chose %v at %v, want predecessor's processor %v at 10", got, start, p[2])
 	}
 	// The communication-blind variant just load-balances: processor 0
 	// is idle and first, so it wins.
-	if got := s.selectByEstimate(1, false); got == p[2] {
+	if got, _ := s.selectByEstimate(1, false); got == p[2] {
 		t.Fatalf("nocomm variant unexpectedly stuck to the predecessor's processor")
 	}
 }

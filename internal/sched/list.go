@@ -673,9 +673,9 @@ func (s *state) selectProcessor(tid dag.TaskID) (network.NodeID, error) {
 	var err error
 	switch s.opts.ProcSelect {
 	case ProcSelectEstimate:
-		proc = s.selectByEstimate(tid, true)
+		proc, _ = s.selectByEstimate(tid, true)
 	case ProcSelectNoComm:
-		proc = s.selectByEstimate(tid, false)
+		proc, _ = s.selectByEstimate(tid, false)
 	case ProcSelectEFT:
 		proc, err = s.selectByEFT(tid)
 	}
@@ -709,10 +709,11 @@ func (s *state) commitTask(tid dag.TaskID, proc network.NodeID) error {
 // paper's §4.1 formula when withComm is true (communication estimated
 // as c(e)/MLS for predecessors on other processors), or the
 // communication-blind variant the paper attributes to BA when withComm
-// is false.
-func (s *state) selectByEstimate(tid dag.TaskID, withComm bool) network.NodeID {
+// is false. It returns the winning processor and the task's estimated
+// start on it; Classic places the task there.
+func (s *state) selectByEstimate(tid dag.TaskID, withComm bool) (best network.NodeID, bestStart float64) {
 	task := s.g.Task(tid)
-	best := network.NodeID(-1)
+	best = network.NodeID(-1)
 	bestScore := math.Inf(1)
 	for i := range s.net.NumProcessors() {
 		p := s.net.Processor(i)
@@ -740,9 +741,10 @@ func (s *state) selectByEstimate(tid dag.TaskID, withComm bool) network.NodeID {
 		if fptime.LessEps(score, bestScore) {
 			bestScore = score
 			best = p
+			bestStart = ready
 		}
 	}
-	return best
+	return best, bestStart
 }
 
 // readyTime returns the time tid becomes ready: the latest finish of
