@@ -247,7 +247,9 @@ type catchRow struct {
 // which the ledger kernel table sees; a fresh backing array per BFS
 // self-route and per Dijkstra route, which the router's allocation
 // tests see; and a route copy per placed edge, which the engine
-// allocation test sees as hundreds of allocations per request. The
+// allocation test sees as hundreds of allocations per request. A leg
+// recorded without its link, the one place an edge's route is kept,
+// moves the schedule goldens. The
 // last rows give each of the floateq, seededrand, verifysched and
 // errflow analyzers a bug it must catch. The schedule encoder's
 // float memo has a row of its own: a hit that trusts the slot without
@@ -320,16 +322,16 @@ var catchMatrix = []catchRow{{
 	new:  "\tbyNode := map[int][]sched.TaskPlacement{}\n\tfor proc, tps := range byProc {\n\t\tbyNode[proc] = tps\n\t}\n\tfor proc, tps := range byNode {\n",
 	pkg:  "./internal/verify", run: "^TestViolationsInIDOrder$",
 }, {
-	bug:  "linkTL drops the stale journal copy's buffers",
+	bug:  "timeline drops the stale journal copy's buffers",
 	file: "internal/sched/txn.go",
-	old:  "\t\told := tx.tlSnaps.stale(int(id))\n",
+	old:  "\t\told := tx.tlSnaps.stale(i)\n",
 	new:  "\t\told := linksched.Timeline{}\n",
 	pkg:  "./internal/sched", run: "^TestProbeJournalingIsAllocationFree$",
 }, {
 	bug:  "placeEdgeBandwidth books through s.bw, bypassing linkBW",
 	file: "internal/sched/list.go",
-	old:  "out = s.linkBW(lid).AppendAlloc(out, base, e.Cost, link.Speed, 0)",
-	new:  "out = s.bw[lid].AppendAlloc(out, base, e.Cost, link.Speed, 0)",
+	old:  "st.chunks = s.linkBW(lid).AppendAlloc(st.chunks, base, e.Cost, link.Speed, 0)",
+	new:  "st.chunks = s.bw[lid].AppendAlloc(st.chunks, base, e.Cost, link.Speed, 0)",
 	pkg:  "./internal/sched", run: "^TestClonePlacementEqualsTxnProbe$",
 }, {
 	bug:  "placeTask stores the processor clock without setProcFinish",
@@ -338,9 +340,9 @@ var catchMatrix = []catchRow{{
 	new:  "\t\ts.procFinish[proc] = finish\n",
 	pkg:  "./internal/sched", run: "^TestClonePlacementEqualsTxnProbe$",
 }, {
-	bug:  "storeSlack writes the slack column through s.tl, bypassing linkTL",
+	bug:  "storeSlack writes the slack column through s.tl, bypassing timeline",
 	file: "internal/sched/list.go",
-	old:  "s.linkTL(lid).SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))",
+	old:  "s.timeline(int(lid)).SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))",
 	new:  "s.tl[lid].SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))",
 	pkg:  "./internal/sched", run: "^TestClonePlacementEqualsTxnProbe$",
 }, {
@@ -484,9 +486,15 @@ var catchMatrix = []catchRow{{
 }, {
 	bug:  "placeEdge copies the route before recording it",
 	file: "internal/sched/txn.go",
-	old:  "\tst := &s.edges\n\tro := int32(len(st.routes))\n",
-	new:  "\troute = append(network.Route(nil), route...)\n\tst := &s.edges\n\tro := int32(len(st.routes))\n",
+	old:  "\tst := &s.edges\n\tlo := int32(len(st.legs))\n",
+	new:  "\troute = append(network.Route(nil), route...)\n\tst := &s.edges\n\tlo := int32(len(st.legs))\n",
 	pkg:  "./internal/sched", run: "^TestEngineSteadyStateAllocs$",
+}, {
+	bug:  "placeEdgeSlots records a leg without its link",
+	file: "internal/sched/list.go",
+	old:  "s.setLeg(eid, leg, legMeta{link: lid, start: start, finish: finish})",
+	new:  "s.setLeg(eid, leg, legMeta{start: start, finish: finish})",
+	pkg:  "./internal/sched", run: "^TestScheduleGoldens$",
 }, {
 	bug:       "edgesim dag seeds its generator from the clock",
 	file:      "cmd/edgesim/inspect.go",

@@ -137,13 +137,9 @@ func runNet(args []string, w io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"procs", *procs}, {"rows", *rows}, {"cols", *cols}, {"dim", *dim}} {
-		if f.v <= 0 {
-			return fmt.Errorf("-%s %d is not positive", f.name, f.v)
-		}
+	if err := positive(intFlag{"procs", *procs}, intFlag{"rows", *rows},
+		intFlag{"cols", *cols}, intFlag{"dim", *dim}); err != nil {
+		return err
 	}
 	// 2^dim processors or leaves: past 20 the IDs or the memory run out.
 	if k := strings.ToLower(*kind); (k == "hypercube" || k == "tree" || k == "butterfly") && *dim > 20 {
@@ -255,8 +251,12 @@ func runSchedule(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *ccr > workload.MaxCCR {
-		return fmt.Errorf("-ccr %g is above %g", *ccr, workload.MaxCCR)
+	// workload.Generate would silently replace a size of zero or less.
+	if err := positive(intFlag{"procs", *procs}, intFlag{"tasks", *tasks}); err != nil {
+		return err
+	}
+	if !(*ccr > 0 && *ccr <= workload.MaxCCR) {
+		return fmt.Errorf("-ccr %g is outside (0, %g]", *ccr, workload.MaxCCR)
 	}
 
 	inst := workload.Generate(workload.Params{
@@ -312,6 +312,22 @@ func runSchedule(args []string, w io.Writer) error {
 	}
 	if *events > 0 {
 		return trace.WriteEventLog(w, s, *events)
+	}
+	return nil
+}
+
+// intFlag is an int flag's name and value.
+type intFlag struct {
+	name string
+	v    int
+}
+
+// positive rejects the first of flags whose value is zero or less.
+func positive(flags ...intFlag) error {
+	for _, f := range flags {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s %d is not positive", f.name, f.v)
+		}
 	}
 	return nil
 }

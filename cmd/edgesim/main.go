@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -83,11 +84,11 @@ func evaluate(args []string, stdout io.Writer) error {
 	var cfg experiment.Config
 	var (
 		figure   = fs.Int("figure", 0, "paper figure to regenerate (1-4)")
-		all      = fs.Bool("all", false, "regenerate all four figures")
+		_        = fs.Bool("all", false, "regenerate all four figures")
 		ablation = fs.String("ablation", "", "ablation to run: "+strings.Join(experiment.AblationNames(), ", "))
 		suite    = fs.String("suite", "", "run a whole campaign from a JSON suite file")
 		outDir   = fs.String("out", "results", "output directory for -suite")
-		families = fs.Bool("families", false, "compare the algorithms per structured DAG family (one -procs and one -ccrs value; default 8 and 2)")
+		_        = fs.Bool("families", false, "compare the algorithms per structured DAG family (one -procs and one -ccrs value; default 8 and 2)")
 		procs    = fs.String("procs", "", "comma-separated processor counts (overrides default)")
 		ccrs     = fs.String("ccrs", "", "comma-separated CCR values (overrides default)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of a text table")
@@ -107,7 +108,14 @@ func evaluate(args []string, stdout io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	var err error
+	mode, err := evaluationMode(fs)
+	if err != nil {
+		return err
+	}
+	if mode == "" {
+		fs.Usage()
+		return errUsage
+	}
 	if cfg.Procs, err = parseList(*procs, strconv.Atoi); err != nil {
 		return err
 	}
@@ -115,14 +123,14 @@ func evaluate(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	switch {
-	case *families:
+	switch mode {
+	case "families":
 		res, err := experiment.Families(cfg)
 		if err != nil {
 			return err
 		}
 		return res.WriteTable(stdout)
-	case *suite != "":
+	case "suite":
 		f, err := os.Open(*suite)
 		if err != nil {
 			return err
@@ -133,13 +141,13 @@ func evaluate(args []string, stdout io.Writer) error {
 			return err
 		}
 		return experiment.RunSuite(spec, *outDir, stdout)
-	case *ablation != "":
+	case "ablation":
 		res, err := experiment.Ablation(*ablation, cfg)
 		if err != nil {
 			return err
 		}
 		return res.WriteTable(stdout)
-	case *all:
+	case "all":
 		for n := 1; n <= 4; n++ {
 			if err := runFigure(stdout, n, cfg, *csv); err != nil {
 				return err
@@ -147,11 +155,52 @@ func evaluate(args []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout)
 		}
 		return nil
-	case *figure >= 1 && *figure <= 4:
-		return runFigure(stdout, *figure, cfg, *csv)
 	}
-	fs.Usage()
-	return errUsage
+	return runFigure(stdout, *figure, cfg, *csv)
+}
+
+// modeReads maps each evaluation mode's flag to the other flags the
+// mode reads. Figures fix their own speeds, so they do not read
+// -hetero; family graphs have fixed or generator-drawn sizes, so
+// families do not read -min-tasks or -max-tasks.
+var modeReads = map[string][]string{
+	"families": {"full", "reps", "seed", "procs", "ccrs", "hetero", "verify", "workers"},
+	"suite":    {"out"},
+	"ablation": {"full", "reps", "seed", "min-tasks", "max-tasks", "procs", "ccrs", "hetero", "verify", "workers"},
+	"all":      {"full", "reps", "seed", "min-tasks", "max-tasks", "procs", "ccrs", "verify", "workers", "csv"},
+	"figure":   {"full", "reps", "seed", "min-tasks", "max-tasks", "procs", "ccrs", "verify", "workers", "csv"},
+}
+
+// evaluationMode returns the one evaluation mode set on fs's command
+// line, or "" for none. It rejects a second mode, and any set flag the
+// mode does not read, naming the flags: a flag that changes nothing is
+// a command line that does not say what it runs.
+func evaluationMode(fs *flag.FlagSet) (string, error) {
+	var modes, others []string
+	fs.Visit(func(f *flag.Flag) {
+		if _, ok := modeReads[f.Name]; ok {
+			modes = append(modes, "-"+f.Name)
+		} else {
+			others = append(others, f.Name)
+		}
+	})
+	if len(modes) == 0 {
+		return "", nil
+	}
+	if len(modes) > 1 {
+		return "", fmt.Errorf("%s: choose one evaluation mode", strings.Join(modes, ", "))
+	}
+	mode := modes[0][1:]
+	var unread []string
+	for _, name := range others {
+		if !slices.Contains(modeReads[mode], name) {
+			unread = append(unread, "-"+name)
+		}
+	}
+	if len(unread) > 0 {
+		return "", fmt.Errorf("-%s does not read %s", mode, strings.Join(unread, ", "))
+	}
+	return mode, nil
 }
 
 func runFigure(w io.Writer, n int, cfg experiment.Config, csv bool) error {

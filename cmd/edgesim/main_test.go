@@ -172,4 +172,43 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-families", "-procs", "8,32"}, &bytes.Buffer{}); err == nil {
 		t.Error("-families with two processor counts accepted")
 	}
+	// One evaluation mode per run, and no flag it would ignore: the
+	// error names every offending flag.
+	for _, tc := range []struct {
+		args  []string
+		names []string
+	}{
+		{[]string{"-figure", "1", "-csv", "-ablation", "routing"}, []string{"-figure", "-ablation"}},
+		{[]string{"-all", "-families"}, []string{"-all", "-families"}},
+		{[]string{"-suite", "suites/paper.json", "-reps", "1", "-seed", "2"}, []string{"-reps", "-seed"}},
+		{[]string{"-figure", "1", "-out", "x"}, []string{"-out"}},
+		{[]string{"-figure", "1", "-hetero"}, []string{"-hetero"}},
+		{[]string{"-ablation", "routing", "-csv"}, []string{"-csv"}},
+		{[]string{"-families", "-min-tasks", "20", "-max-tasks", "30"}, []string{"-min-tasks", "-max-tasks"}},
+	} {
+		err := run(tc.args, &bytes.Buffer{})
+		if err == nil {
+			t.Errorf("edgesim %v accepted", tc.args)
+			continue
+		}
+		for _, n := range tc.names {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("edgesim %v: error %q does not name %s", tc.args, err, n)
+			}
+		}
+	}
+	// edgesim schedule rejects a size the instance generator would
+	// silently replace with its default.
+	for _, args := range [][]string{
+		{"-tasks", "-5", "-procs", "0", "-ccr", "-2"},
+		{"-tasks", "0"},
+		{"-procs", "-1"},
+		{"-ccr", "0"},
+		{"-ccr", "NaN"},
+		{"-ccr", "1e300"},
+	} {
+		if err := run(append([]string{"schedule", "-gantt=false"}, args...), &bytes.Buffer{}); err == nil {
+			t.Errorf("edgesim schedule %v accepted", args)
+		}
+	}
 }

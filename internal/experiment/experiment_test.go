@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"reflect"
 	"regexp"
@@ -195,6 +196,44 @@ func TestFamilies(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "fft") {
 		t.Error("family table incomplete")
+	}
+}
+
+// TestFamilyRowsAverageTheirInstances pins that a family row reports
+// the instances it ran: its task count and width are the means over
+// its reps, rounded, though the random families draw a new graph per
+// rep.
+func TestFamilyRowsAverageTheirInstances(t *testing.T) {
+	cfg, err := Config{Procs: []int{4}, CCRs: []float64{2}, Reps: 3, Seed: 3}.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Families(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := drawFamilies(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	varied := false
+	for i, set := range sets {
+		tasks, width := 0.0, 0.0
+		for _, g := range set.graphs {
+			tasks += float64(g.NumTasks())
+			width += float64(g.Width())
+		}
+		row := res.Rows[i]
+		want := FamilyRow{Family: set.name, Tasks: int(math.Round(tasks / 3)), Width: int(math.Round(width / 3))}
+		if row.Family != want.Family || row.Tasks != want.Tasks || row.Width != want.Width {
+			t.Errorf("row %s: tasks %d width %d, its instances average %d and %d",
+				row.Family, row.Tasks, row.Width, want.Tasks, want.Width)
+		}
+		last := set.graphs[len(set.graphs)-1]
+		varied = varied || last.NumTasks() != want.Tasks || last.Width() != want.Width
+	}
+	if !varied {
+		t.Fatal("every family's last instance matches its mean: the check cannot tell them apart")
 	}
 }
 

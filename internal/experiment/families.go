@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -14,8 +15,10 @@ import (
 // FamilyRow is one family's aggregated result.
 type FamilyRow struct {
 	Family string
-	Tasks  int
-	Width  int
+	// Tasks and Width are the means over the row's instances, rounded:
+	// the random families draw a new graph per rep.
+	Tasks int
+	Width int
 	// BaseMakespan summarizes the baseline across reps.
 	BaseMakespan stats.Summary
 	// Improvement maps non-baseline algorithm names to improvement
@@ -67,10 +70,9 @@ func familyGenerators(r *rand.Rand) []struct {
 // same algorithms, one row per structured graph family, so
 // structure-dependent effects become visible. It runs on one machine
 // size and one CCR, 8 and 2 unless cfg gives one; more than one of
-// either is an error. Each family has cfg.Reps instances: its graph
-// (resampled per rep for the random families) on a random cluster.
-// One rand draws every random graph and machine in turn, before the
-// cells run, so the instances do not depend on the worker count.
+// either is an error. Each family has cfg.Reps instances (see
+// drawFamilies), drawn before the cells run, so the instances do not
+// depend on the worker count.
 func Families(cfg Config) (*FamilyResult, error) {
 	if len(cfg.Procs) == 0 {
 		cfg.Procs = []int{8}
@@ -89,32 +91,26 @@ func Families(cfg Config) (*FamilyResult, error) {
 	for _, a := range cfg.Algorithms {
 		res.Algorithms = append(res.Algorithms, a.Name())
 	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	var jobs []cellJob
-	for i, fam := range familyGenerators(r) {
-		graphs := make([]*dag.Graph, cfg.Reps)
-		nets := make([]*network.Topology, cfg.Reps)
-		for rep := range graphs {
-			g, err := fam.gen().ScaleToCCR(cfg.CCRs[0])
-			if err != nil {
-				return nil, fmt.Errorf("experiment: families: %s: %w", fam.name, err)
-			}
-			proc := network.Uniform(1)
-			link := network.Uniform(1)
-			if cfg.Heterogeneous {
-				proc = network.UniformRange(r, 1, 10)
-				link = network.UniformRange(r, 1, 10)
-			}
-			graphs[rep] = g
-			nets[rep] = network.RandomCluster(r, network.RandomClusterParams{
-				Processors: cfg.Procs[0], ProcSpeed: proc, LinkSpeed: link,
-			})
+	sets, err := drawFamilies(cfg)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]cellJob, len(sets))
+	for i, set := range sets {
+		tasks, width := 0, 0
+		for _, g := range set.graphs {
+			tasks += g.NumTasks()
+			width += g.Width()
 		}
-		last := graphs[cfg.Reps-1]
-		res.Rows = append(res.Rows, FamilyRow{Family: fam.name, Tasks: last.NumTasks(), Width: last.Width()})
-		jobs = append(jobs, cellJob{point: i, instance: func(rep int) (*dag.Graph, *network.Topology) {
-			return graphs[rep], nets[rep]
-		}})
+		n := float64(len(set.graphs))
+		res.Rows = append(res.Rows, FamilyRow{
+			Family: set.name,
+			Tasks:  int(math.Round(float64(tasks) / n)),
+			Width:  int(math.Round(float64(width) / n)),
+		})
+		jobs[i] = cellJob{point: i, instance: func(rep int) (*dag.Graph, *network.Topology) {
+			return set.graphs[rep], set.nets[rep]
+		}}
 	}
 	points, err := runCells(cfg, jobs, len(jobs))
 	if err != nil {
@@ -125,6 +121,43 @@ func Families(cfg Config) (*FamilyResult, error) {
 		res.Rows[i].Improvement = improvements(res.Algorithms, ms)
 	}
 	return res, nil
+}
+
+// familySet is one family's instances: graphs[rep] on nets[rep].
+type familySet struct {
+	name   string
+	graphs []*dag.Graph
+	nets   []*network.Topology
+}
+
+// drawFamilies draws cfg.Reps instances of every family from one rand
+// seeded with cfg.Seed, family by family: the family's graph
+// (resampled per rep for the random families) rescaled to cfg.CCRs[0],
+// on a random cluster of cfg.Procs[0] processors. cfg is resolved.
+func drawFamilies(cfg Config) ([]familySet, error) {
+	r := rand.New(rand.NewSource(cfg.Seed))
+	var sets []familySet
+	for _, fam := range familyGenerators(r) {
+		set := familySet{name: fam.name}
+		for range cfg.Reps {
+			g, err := fam.gen().ScaleToCCR(cfg.CCRs[0])
+			if err != nil {
+				return nil, fmt.Errorf("experiment: families: %s: %w", fam.name, err)
+			}
+			proc := network.Uniform(1)
+			link := network.Uniform(1)
+			if cfg.Heterogeneous {
+				proc = network.UniformRange(r, 1, 10)
+				link = network.UniformRange(r, 1, 10)
+			}
+			set.graphs = append(set.graphs, g)
+			set.nets = append(set.nets, network.RandomCluster(r, network.RandomClusterParams{
+				Processors: cfg.Procs[0], ProcSpeed: proc, LinkSpeed: link,
+			}))
+		}
+		sets = append(sets, set)
+	}
+	return sets, nil
 }
 
 // WriteTable renders the family comparison as an aligned text table.

@@ -411,7 +411,9 @@ func (t *BWTimeline) EstimateFinish(es, volume, speed float64) (start, finish fl
 //
 // so that the cumulative outflow never exceeds the cumulative inflow
 // (Theorem 3). It reserves the bandwidth and appends the chunks
-// produced on this link to dst, which must not overlap in.
+// produced on this link to dst. The chunks it appends must not overlap
+// in: in may lie in dst's backing array, but only below len(dst), as
+// the previous leg's chunks do when every leg appends to one arena.
 func (t *BWTimeline) Forward(dst []Chunk, in []Chunk, prevSpeed, speed, hopDelay float64) []Chunk {
 	base, out := len(dst), dst
 	ready := 0.0

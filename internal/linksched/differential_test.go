@@ -506,6 +506,68 @@ func TestBWDifferentialAdversarial(t *testing.T) {
 	}
 }
 
+// TestBWAppendIntoArena drives AppendAlloc and Forward the way a
+// scheduler's bandwidth engine does: every leg of a route appends its
+// chunks to one arena, and each leg after the first reads the previous
+// leg's chunks (in) from the arena's tail, below len(dst), as it
+// appends past it. With spare capacity the new chunks land in the
+// backing array that holds in; clipped, every append reallocates. Each
+// leg must match the reference bit for bit and leave in, and every
+// chunk below it, untouched.
+func TestBWAppendIntoArena(t *testing.T) {
+	for name, clip := range map[string]bool{"spare-capacity": false, "clipped": true} {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(11))
+			route := make([]*bwPair, 4)
+			for i := range route {
+				route[i] = newBWPair()
+				for range 3 * slabBlock {
+					route[i].alloc(t, r.Float64()*400, r.Float64()*20+1, 2, 0.25+r.Float64()*0.75)
+				}
+			}
+			arena := make([]Chunk, 0, 1<<14)
+			for edge := 0; edge < 60; edge++ {
+				es, vol := r.Float64()*400, r.Float64()*60+1
+				var in []Chunk
+				for leg, p := range route {
+					speed, prevSpeed := 1+float64(leg%2), 2-float64(leg%2)
+					kept := slices.Clone(arena)
+					var want []Chunk
+					c0 := len(arena)
+					if clip {
+						arena = slices.Clip(arena)
+					}
+					op := "AppendAlloc"
+					switch {
+					case leg == 0:
+						want = p.ref.alloc(es, vol, speed, 0)
+						arena = p.bw.AppendAlloc(arena, es, vol, speed, 0)
+					case edge%3 == 0:
+						// Store-and-forward without a hop delay: the leg
+						// starts where the previous one ended, so its first
+						// chunk may abut in's last at an equal rate.
+						at := in[len(in)-1].End
+						want = p.ref.alloc(at, vol, speed, 0)
+						arena = p.bw.AppendAlloc(arena, at, vol, speed, 0)
+					default:
+						op = "Forward"
+						want = p.ref.forward(slices.Clone(in), prevSpeed, speed, 0.25)
+						arena = p.bw.Forward(arena, in, prevSpeed, speed, 0.25)
+					}
+					if !chunksEqual(arena[:c0], kept) {
+						t.Fatalf("edge %d leg %d: %s wrote below len(dst), over the previous leg's chunks", edge, leg, op)
+					}
+					if got := arena[c0:]; !chunksEqual(got, want) {
+						t.Fatalf("edge %d leg %d: %s appended %+v, reference %+v", edge, leg, op, got, want)
+					}
+					p.checkState(t, fmt.Sprintf("edge %d leg %d", edge, leg))
+					in = arena[c0:]
+				}
+			}
+		})
+	}
+}
+
 // TestBWSnapshotRoundTripKeepsIndex pins that CopyFrom carries the
 // slab store and its hop flags: after a copy out and back the store
 // must validate (summaries recomputed exactly) and further operations

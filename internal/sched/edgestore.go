@@ -10,16 +10,19 @@ import (
 // *EdgeSchedule per edge with nested Route/Placements/Chunks slices —
 // O(|E|·route length) small allocations per run. Here the records are
 // struct-of-arrays: one fixed-width edgeMeta per edge ID in a flat
-// column, with the variable-length route, per-leg placement and
+// column, with the variable-length per-leg placement and
 // bandwidth-chunk data appended to shared arena slices and addressed by
-// (offset, length) spans. Rolling back a probe transaction is restoring the journaled
+// (offset, length) spans. An edge's route is the links of its legs
+// (§2.2: an edge's schedule is its occupation of each link of its
+// route), and its endpoints are its tasks' processors, so neither is
+// stored here. Rolling back a probe transaction is restoring the journaled
 // edgeMeta values and truncating the arenas to their begin-time
 // watermarks (committed data is never appended inside a transaction's
 // tail, so truncation can only discard transaction-private entries).
 //
 // Records are written only through state's journaling edge mutators
-// (txn.go); the store's own methods read, append chunk payloads, and
-// serve reset and rollback.
+// (txn.go) and the placement engines' chunk appends; the store's own
+// methods read and serve reset and rollback.
 //
 // Offsets are int32: the committed arenas hold at most one record per
 // scheduled edge (re-placements overwrite the meta and probe tails are
@@ -39,12 +42,8 @@ type span struct {
 // same invisibility the old nil pointer provided.
 type edgeMeta struct {
 	scheduled bool
-	srcProc   network.NodeID
-	dstProc   network.NodeID
-	arrival   float64
 	base      float64
-	route     span // into edgeStore.routes
-	legs      span // into edgeStore.legs; n == route.n
+	legs      span // into edgeStore.legs, one per route link
 }
 
 // legMeta is the fixed-width record of one route-leg placement.
@@ -58,7 +57,6 @@ type legMeta struct {
 // arenaMarks are the arena lengths at transaction begin; rollback
 // truncates back to them.
 type arenaMarks struct {
-	routes int
 	legs   int
 	chunks int
 }
@@ -66,7 +64,6 @@ type arenaMarks struct {
 // edgeStore holds every edge schedule of one scheduler state.
 type edgeStore struct {
 	meta   []edgeMeta
-	routes []network.LinkID
 	legs   []legMeta
 	chunks []linksched.Chunk
 }
@@ -76,7 +73,6 @@ type edgeStore struct {
 func (st *edgeStore) init(n int) {
 	st.meta = sizeColumn(st.meta, n)
 	clear(st.meta)
-	st.routes = st.routes[:0]
 	st.legs = st.legs[:0]
 	st.chunks = st.chunks[:0]
 }
@@ -86,7 +82,7 @@ func (st *edgeStore) scheduled(id dag.EdgeID) bool { return st.meta[id].schedule
 
 // routeAt returns the link of route position leg of edge id.
 func (st *edgeStore) routeAt(id dag.EdgeID, leg int) network.LinkID {
-	return st.routes[int(st.meta[id].route.off)+leg]
+	return st.leg(id, leg).link
 }
 
 // legCount returns the number of route legs reserved for edge id.
@@ -104,43 +100,52 @@ func (st *edgeStore) legsView(id dag.EdgeID) []legMeta {
 	return st.legs[m.off : m.off+m.n]
 }
 
-// appendChunks copies cs into the chunk arena and returns its span.
-func (st *edgeStore) appendChunks(cs []linksched.Chunk) span {
-	off := int32(len(st.chunks))
-	// The arena's capacity persists across transactions and state reuse.
-	st.chunks = append(st.chunks, cs...)
-	return span{off: off, n: int32(len(cs))}
+// chunksFrom returns the span of the chunks appended to the chunk
+// arena since its length was from.
+func (st *edgeStore) chunksFrom(from int) span {
+	return span{off: int32(from), n: int32(len(st.chunks) - from)}
+}
+
+// arrival returns the time edge id's data reaches its destination
+// processor: the finish on its last route leg, or its base for an empty
+// route. A last leg has no slack, so optimal insertion never defers it
+// once the edge is sealed.
+func (st *edgeStore) arrival(id dag.EdgeID) float64 {
+	m := st.meta[id]
+	if m.legs.n == 0 {
+		return m.base
+	}
+	return st.legs[m.legs.off+m.legs.n-1].finish
 }
 
 // marks returns the current arena watermarks, recorded at transaction
 // begin.
 func (st *edgeStore) marks() arenaMarks {
-	return arenaMarks{routes: len(st.routes), legs: len(st.legs), chunks: len(st.chunks)}
+	return arenaMarks{legs: len(st.legs), chunks: len(st.chunks)}
 }
 
 // truncate discards every arena entry appended past the watermarks —
 // the transaction-private tail.
 func (st *edgeStore) truncate(m arenaMarks) {
-	st.routes = st.routes[:m.routes]
 	st.legs = st.legs[:m.legs]
 	st.chunks = st.chunks[:m.chunks]
 }
 
 // materialize builds the public []*EdgeSchedule view of the store, nil
-// entries for unscheduled edges. All backing storage is bulk-allocated
+// entries for unscheduled edges, reading each edge's endpoints from the
+// placements of its tasks in g. All backing storage is bulk-allocated
 // — one slice per column — and handed out as full-capacity subslices,
 // so the view costs O(1) allocations and callers appending to a
 // Route/Placements/Chunks slice reallocate privately.
-func (st *edgeStore) materialize() []*EdgeSchedule {
+func (st *edgeStore) materialize(g *dag.Graph, tasks []TaskPlacement) []*EdgeSchedule {
 	out := make([]*EdgeSchedule, len(st.meta))
-	nSched, nLegs, nRoute, nChunks := 0, 0, 0, 0
+	nSched, nLegs, nChunks := 0, 0, 0
 	for i := range st.meta {
 		m := &st.meta[i]
 		if !m.scheduled {
 			continue
 		}
 		nSched++
-		nRoute += int(m.route.n)
 		nLegs += int(m.legs.n)
 		for _, l := range st.legsView(dag.EdgeID(i)) {
 			nChunks += int(l.chunks.n)
@@ -150,7 +155,7 @@ func (st *edgeStore) materialize() []*EdgeSchedule {
 		return out
 	}
 	back := make([]EdgeSchedule, 0, nSched)
-	routes := make([]network.LinkID, 0, nRoute)
+	routes := make([]network.LinkID, 0, nLegs)
 	plcs := make([]EdgePlacement, 0, nLegs)
 	chunks := make([]linksched.Chunk, 0, nChunks)
 	for i := range st.meta {
@@ -159,9 +164,7 @@ func (st *edgeStore) materialize() []*EdgeSchedule {
 			continue
 		}
 		id := dag.EdgeID(i)
-		r0 := len(routes)
-		routes = append(routes, st.routes[m.route.off:m.route.off+m.route.n]...)
-		p0 := len(plcs)
+		r0, p0 := len(routes), len(plcs)
 		for _, l := range st.legsView(id) {
 			ep := EdgePlacement{Link: l.link, Start: l.start, Finish: l.finish}
 			if l.chunks.n > 0 {
@@ -169,15 +172,17 @@ func (st *edgeStore) materialize() []*EdgeSchedule {
 				chunks = append(chunks, st.chunks[l.chunks.off:l.chunks.off+l.chunks.n]...)
 				ep.Chunks = chunks[c0:len(chunks):len(chunks)]
 			}
+			routes = append(routes, l.link)
 			plcs = append(plcs, ep)
 		}
+		e := g.Edge(id)
 		back = append(back, EdgeSchedule{
 			Edge:       id,
-			SrcProc:    m.srcProc,
-			DstProc:    m.dstProc,
+			SrcProc:    tasks[e.From].Proc,
+			DstProc:    tasks[e.To].Proc,
 			Route:      network.Route(routes[r0:len(routes):len(routes)]),
 			Placements: plcs[p0:len(plcs):len(plcs)],
-			Arrival:    m.arrival,
+			Arrival:    st.arrival(id),
 			Base:       m.base,
 		})
 		out[i] = &back[len(back)-1]

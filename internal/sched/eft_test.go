@@ -61,7 +61,7 @@ func TestClonePlacementEqualsTxnProbe(t *testing.T) {
 	// The line's routes run up to five links, so an optimal insertion
 	// can shift a middle leg and rewrite the slack of the leg before it,
 	// on a link the probe does not otherwise touch: a slack store that
-	// bypasses linkTL shows only there.
+	// bypasses timeline shows only there.
 	line := network.Line(6, network.Uniform(1), network.Uniform(1))
 	for name, opts := range eftOptionSets() {
 		t.Run(name, func(t *testing.T) {

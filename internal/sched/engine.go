@@ -130,20 +130,31 @@ type Engine struct {
 
 // NewEngine builds an engine serving the given policies, which it
 // resolves once, against the topology, which Build has already checked.
+// A negative MaxConcurrent, MaxQueue or SelfCheckEvery is an error,
+// naming the field.
 func NewEngine(net *network.Topology, eo EngineOptions) (*Engine, error) {
 	opts, err := eo.Opts.resolve()
 	if err != nil {
 		return nil, err
 	}
-	if eo.SelfCheckEvery < 0 {
-		return nil, fmt.Errorf("sched: negative SelfCheckEvery %d", eo.SelfCheckEvery)
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"MaxConcurrent", eo.MaxConcurrent},
+		{"MaxQueue", eo.MaxQueue},
+		{"SelfCheckEvery", eo.SelfCheckEvery},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("sched: EngineOptions.%s %d is negative", f.name, f.v)
+		}
 	}
 	name := eo.Name
 	if name == "" {
 		name = "engine"
 	}
 	workers := eo.MaxConcurrent
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{

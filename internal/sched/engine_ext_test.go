@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -108,6 +109,22 @@ func TestEngineMatchesColdRun(t *testing.T) {
 				t.Fatal("self-check oracle never ran")
 			}
 		})
+	}
+}
+
+// TestNewEngineRejectsNegativeSizes pins that a negative engine size
+// is an error naming the field, not a default: a MaxQueue of -1 would
+// otherwise turn admission control off.
+func TestNewEngineRejectsNegativeSizes(t *testing.T) {
+	net := network.Star(4, network.Uniform(1), network.Uniform(1))
+	for name, eo := range map[string]sched.EngineOptions{
+		"MaxConcurrent":  {MaxConcurrent: -1},
+		"MaxQueue":       {MaxQueue: -1},
+		"SelfCheckEvery": {SelfCheckEvery: -1},
+	} {
+		if _, err := sched.NewEngine(net, eo); err == nil || !strings.Contains(err.Error(), "EngineOptions."+name) {
+			t.Errorf("NewEngine with %s -1: err = %v, want one naming EngineOptions.%s", name, err, name)
+		}
 	}
 }
 

@@ -133,8 +133,8 @@ func TestResetForJournalSizes(t *testing.T) {
 	s.reset(g2, net, opts)
 	tx := s.txFree
 	got := []int{len(tx.taskOld.mark), len(tx.procOld.mark), len(tx.edgeOld.mark),
-		len(tx.tlSnaps.mark), len(tx.bwSnaps.mark), len(tx.ptlSnaps.mark)}
-	want := []int{len(s.tasks), len(s.procFinish), len(s.edges.meta), len(s.tl), len(s.bw), len(s.ptl)}
+		len(tx.tlSnaps.mark), len(tx.bwSnaps.mark)}
+	want := []int{len(s.tasks), len(s.procFinish), len(s.edges.meta), len(s.tl), len(s.bw)}
 	if !slices.Equal(got, want) {
 		t.Fatalf("journals sized %v after reset, state has %v", got, want)
 	}

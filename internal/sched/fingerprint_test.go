@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/linksched"
-	"repro/internal/network"
 )
 
 // fingerprint is the package tests' deep snapshot of the scheduler
@@ -23,13 +22,11 @@ type fingerprint struct {
 	procFinish []float64
 	dups       []TaskPlacement
 	meta       []edgeMeta
-	routes     []network.LinkID
 	legs       []legMeta
 	chunks     []linksched.Chunk
-	tl         [][]linksched.Slot
-	tlSlack    [][]float64 // the links' optimal-insertion slack columns
+	tl         [][]linksched.Slot // link timelines, then processor timelines
+	tlSlack    [][]float64        // the links' optimal-insertion slack columns
 	bw         [][]linksched.SegmentInfo
-	ptl        [][]linksched.Slot
 }
 
 // captureFingerprint deep-copies the rollback-visible state.
@@ -39,7 +36,6 @@ func (s *state) captureFingerprint() *fingerprint {
 		procFinish: append([]float64(nil), s.procFinish...),
 		dups:       append([]TaskPlacement(nil), s.dups...),
 		meta:       append([]edgeMeta(nil), s.edges.meta...),
-		routes:     append([]network.LinkID(nil), s.edges.routes...),
 		legs:       append([]legMeta(nil), s.edges.legs...),
 		chunks:     append([]linksched.Chunk(nil), s.edges.chunks...),
 	}
@@ -57,12 +53,6 @@ func (s *state) captureFingerprint() *fingerprint {
 			fp.bw[i] = s.bw[i].Segments()
 		}
 	}
-	if s.ptl != nil {
-		fp.ptl = make([][]linksched.Slot, len(s.ptl))
-		for i := range s.ptl {
-			fp.ptl[i] = s.ptl[i].Slots()
-		}
-	}
 	return fp
 }
 
@@ -76,10 +66,10 @@ func (s *state) captureFingerprint() *fingerprint {
 func (fp *fingerprint) diff(s *state) string {
 	if len(s.tasks) != len(fp.tasks) || len(s.procFinish) != len(fp.procFinish) ||
 		len(s.edges.meta) != len(fp.meta) || len(s.tl) != len(fp.tl) ||
-		len(s.bw) != len(fp.bw) || len(s.ptl) != len(fp.ptl) {
-		return fmt.Sprintf("state shape: %d tasks/%d procs/%d edges/%d tl/%d bw/%d ptl -> %d/%d/%d/%d/%d/%d",
-			len(fp.tasks), len(fp.procFinish), len(fp.meta), len(fp.tl), len(fp.bw), len(fp.ptl),
-			len(s.tasks), len(s.procFinish), len(s.edges.meta), len(s.tl), len(s.bw), len(s.ptl))
+		len(s.bw) != len(fp.bw) {
+		return fmt.Sprintf("state shape: %d tasks/%d procs/%d edges/%d tl/%d bw -> %d/%d/%d/%d/%d",
+			len(fp.tasks), len(fp.procFinish), len(fp.meta), len(fp.tl), len(fp.bw),
+			len(s.tasks), len(s.procFinish), len(s.edges.meta), len(s.tl), len(s.bw))
 	}
 	for i, want := range fp.tasks {
 		if s.tasks[i] != want {
@@ -104,7 +94,11 @@ func (fp *fingerprint) diff(s *state) string {
 		return d
 	}
 	for i, want := range fp.tl {
-		if d := diffSlots("link", i, want, s.tl[i].Slots()); d != "" {
+		kind, id := "link", i
+		if links := s.net.NumLinks(); i >= links {
+			kind, id = "processor timeline", i-links
+		}
+		if d := diffSlots(kind, id, want, s.tl[i].Slots()); d != "" {
 			return d
 		}
 		if d := diffSlack(i, fp.tlSlack[i], s.tl[i].Slack()); d != "" {
@@ -113,11 +107,6 @@ func (fp *fingerprint) diff(s *state) string {
 	}
 	for i, want := range fp.bw {
 		if d := diffSegments(i, want, s.bw[i].Segments()); d != "" {
-			return d
-		}
-	}
-	for i, want := range fp.ptl {
-		if d := diffSlots("processor timeline", i, want, s.ptl[i].Slots()); d != "" {
 			return d
 		}
 	}
@@ -132,14 +121,6 @@ func (fp *fingerprint) diffEdgeStore(st *edgeStore) string {
 	for i, want := range fp.meta {
 		if st.meta[i] != want {
 			return fmt.Sprintf("edge %d meta: %+v -> %+v", i, want, st.meta[i])
-		}
-	}
-	if len(st.routes) != len(fp.routes) {
-		return fmt.Sprintf("edge route arena: %d entries -> %d", len(fp.routes), len(st.routes))
-	}
-	for i, want := range fp.routes {
-		if st.routes[i] != want {
-			return fmt.Sprintf("edge route arena entry %d: link %d -> link %d", i, want, st.routes[i])
 		}
 	}
 	if len(st.legs) != len(fp.legs) {

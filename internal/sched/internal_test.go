@@ -33,7 +33,7 @@ func mustBuild(t *testing.T, b *dag.Builder) *dag.Graph {
 // edgeView materializes the columnar store's record of one edge (nil if
 // unscheduled) for white-box assertions against the public shape.
 func (s *state) edgeView(id dag.EdgeID) *EdgeSchedule {
-	return s.edges.materialize()[id]
+	return s.edges.materialize(s.g, s.tasks)[id]
 }
 
 func TestReadyTime(t *testing.T) {
@@ -286,7 +286,7 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 			s.tl[0].InsertBasic(linksched.Owner{Edge: 99, Leg: 0}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
 		"slack": {want: "slack", mutate: func(s *state) {
-			// A slack-column write that bypasses linkTL.
+			// A slack-column write that bypasses timeline.
 			lid := s.edges.routeAt(0, 0)
 			sl := s.tl[lid].Slots()[0]
 			s.tl[lid].SetSlack(sl.Owner, sl.Start, 42)
@@ -296,7 +296,7 @@ func TestRollbackOracleDetectsUnjournaledWrites(t *testing.T) {
 		}},
 		"proctimeline": {opts: Options{TaskPolicy: TaskInsertion}, want: "processor timeline", mutate: func(s *state) {
 			p := s.net.Processor(0)
-			s.ptl[p].InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
+			s.tl[s.net.NumLinks()+int(p)].InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
 		"duplicate": {opts: Options{Duplication: true}, want: "duplicates count", mutate: func(s *state) {
 			// An append that bypasses addDup: rollback has no length
@@ -348,11 +348,10 @@ func TestMutatorsRollBack(t *testing.T) {
 			s.addDup(TaskPlacement{Task: 0, Proc: s.net.Processor(1), Start: 3, Finish: 4})
 		}},
 		"placeEdge": {mutate: func(s *state) {
-			p := ProcessorIDs(s.net)
-			s.placeEdge(0, p[0], p[1], network.Route{s.edges.routeAt(0, 0)}, 3)
+			s.placeEdge(0, network.Route{s.edges.routeAt(0, 0)}, 3)
 		}},
 		"sealEdge": {mutate: func(s *state) {
-			s.sealEdge(1, 5) // the intra-processor edge holds no record yet
+			s.sealEdge(1) // the intra-processor edge holds no record yet
 		}},
 		"clearEdge": {mutate: func(s *state) {
 			s.clearEdge(0) // a scheduled edge
@@ -363,20 +362,22 @@ func TestMutatorsRollBack(t *testing.T) {
 			l.finish += 3
 			s.setLeg(0, 0, l)
 		}},
+		// The linkTL and procTL rows write a link's and a processor's
+		// entry of the tl column, both through timeline.
 		"linkTL": {mutate: func(s *state) {
-			s.linkTL(0).InsertBasic(linksched.Owner{Edge: 99, Leg: 0}, linksched.Request{ES: 500, PF: 500, Dur: 1})
+			s.timeline(0).InsertBasic(linksched.Owner{Edge: 99, Leg: 0}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
 		"linkTLSlack": {mutate: func(s *state) {
 			lid := s.edges.routeAt(0, 0)
 			sl := s.tl[lid].Slots()[0]
-			s.linkTL(lid).SetSlack(sl.Owner, sl.Start, 42)
+			s.timeline(int(lid)).SetSlack(sl.Owner, sl.Start, 42)
 		}},
 		"linkBW": {opts: Options{Engine: EngineBandwidth}, mutate: func(s *state) {
 			s.linkBW(0).Alloc(linksched.Owner{Edge: 99, Leg: 0}, 500, 10, 1, 0)
 		}},
 		"procTL": {opts: Options{TaskPolicy: TaskInsertion}, mutate: func(s *state) {
 			p := s.net.Processor(0)
-			s.procTL(p).InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
+			s.timeline(s.net.NumLinks()+int(p)).InsertBasic(linksched.Owner{Edge: 99, Leg: -1}, linksched.Request{ES: 500, PF: 500, Dur: 1})
 		}},
 	}
 	for name, r := range rows {
@@ -415,7 +416,7 @@ func TestMutatorsRollBack(t *testing.T) {
 	}
 }
 
-// TestBeginReusesJournals pins the allocation fix: the six
+// TestBeginReusesJournals pins the allocation fix: the five
 // slice-backed journals are owned by the state and reused across
 // transactions.
 func TestBeginReusesJournals(t *testing.T) {
@@ -434,7 +435,7 @@ func TestBeginReusesJournals(t *testing.T) {
 		t.Fatal("no reusable journal after the first probe")
 	}
 	if n := first.taskOld.size() + first.procOld.size() + first.edgeOld.size() +
-		first.tlSnaps.size() + first.bwSnaps.size() + first.ptlSnaps.size(); n != 0 {
+		first.tlSnaps.size() + first.bwSnaps.size(); n != 0 {
 		t.Fatalf("rollback left %d journal entries behind", n)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -454,7 +455,7 @@ func TestBeginReusesJournals(t *testing.T) {
 // warm-up round has sized the journal value slots, a transaction that
 // journals every timeline, a task and a processor clock — then rolls
 // back — must not allocate. This pins the recycling of the journal's
-// timeline copies: linkTL copies into the copy its value slot kept
+// timeline copies: state.timeline copies into the copy its value slot kept
 // from an earlier transaction; without that, every timeline journal
 // allocated fresh slab arrays, the dominant allocation of the EFT probe
 // loop.
@@ -472,7 +473,7 @@ func TestProbeJournalingIsAllocationFree(t *testing.T) {
 	journalAll := func() {
 		s.begin()
 		for i := range s.tl {
-			s.linkTL(network.LinkID(i))
+			s.timeline(i)
 		}
 		s.setTask(1, s.tasks[1])
 		s.setProcFinish(p[1], s.procFinish[p[1]])

@@ -7,7 +7,7 @@ package sched
 // prior values in a flat array indexed by ID instead of a map: no
 // hashing on the probe hot path, no per-transaction bucket clearing,
 // and the value slots persist across transactions so a timeline's
-// copy can reuse the slab arrays of the one before (see linkTL).
+// copy can reuse the slab arrays of the one before (see state.timeline).
 //
 // Membership is tracked by an epoch stamp per ID: an ID belongs to the
 // open transaction iff mark[id] equals the current epoch. Closing a

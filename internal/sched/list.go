@@ -448,13 +448,15 @@ type state struct {
 	net  *network.Topology // frozen after construction
 	opts Options
 
-	// The timelines are stored by value in flat columns — one Timeline
-	// per link ID — so reset empties them in place and keeps their
-	// slabs for the next run. Zero values are valid empty timelines, so
-	// non-processor entries of ptl need no sentinel.
-	tl  []linksched.Timeline   // per link, slots engine
+	// The timelines are stored by value in flat columns, so reset
+	// empties them in place and keeps their slabs for the next run. tl
+	// holds every exclusive-slot timeline: one per link ID under the
+	// slots and packet engines, then, under task insertion, one per node
+	// at NumLinks()+node. Zero values are valid empty timelines, so
+	// entries no run books (switch nodes, links under the bandwidth
+	// engine) need no sentinel.
+	tl  []linksched.Timeline
 	bw  []linksched.BWTimeline // per link, bandwidth engine
-	ptl []linksched.Timeline   // per processor node, insertion policy only
 	mls float64
 
 	procFinish []float64 // per node ID (processor entries only)
@@ -464,7 +466,7 @@ type state struct {
 
 	tx *txn // active transaction, or nil
 	// txFree is the reusable transaction journal: begin takes it,
-	// rollback resets it and leaves it for the next probe, so the six
+	// rollback resets it and leaves it for the next probe, so the five
 	// slice-backed journals are allocated once per state, not per
 	// probe, and their timeline copies' slab arrays recycle across
 	// probes.
@@ -486,11 +488,6 @@ type state struct {
 	predBuf  []dag.EdgeID        // orderedPreds scratch
 	pktBuf   []float64           // placeEdgePackets scratch
 	shiftBuf []linksched.Shifted // InsertOptimal's shift list, reused
-	// legBufs hold one leg's chunks before they are copied into the
-	// edge arena: placeEdgePackets uses legBufs[0], placeEdgeBandwidth
-	// alternates, the previous leg's chunks in one buffer and the
-	// current leg's in the other.
-	legBufs [2][]linksched.Chunk
 }
 
 // statePool holds the warm states of one-shot runs. A one-shot call
@@ -574,18 +571,17 @@ func (s *state) reset(g *dag.Graph, net *network.Topology, opts Options) (reboun
 	s.mls = net.MeanLinkSpeed()
 	s.probes, s.pruned = 0, 0
 
-	links, ptls := net.NumLinks(), 0
-	if opts.TaskPolicy == TaskInsertion {
-		ptls = net.NumNodes()
-	}
+	links, tls, bws := net.NumLinks(), 0, 0
 	if opts.Engine == EngineBandwidth {
-		s.tl = emptyColumn(s.tl, 0)
-		s.bw = emptyColumn(s.bw, links)
+		bws = links
 	} else {
-		s.tl = emptyColumn(s.tl, links)
-		s.bw = emptyColumn(s.bw, 0)
+		tls = links
 	}
-	s.ptl = emptyColumn(s.ptl, ptls)
+	if opts.TaskPolicy == TaskInsertion {
+		tls = links + net.NumNodes()
+	}
+	s.tl = emptyColumn(s.tl, tls)
+	s.bw = emptyColumn(s.bw, bws)
 	s.procFinish = sizeColumn(s.procFinish, net.NumNodes())
 	clear(s.procFinish)
 	s.tasks = make([]TaskPlacement, g.NumTasks())
@@ -657,7 +653,7 @@ func (s *state) result(name string) *Schedule {
 		Graph:      s.g,
 		Net:        s.net,
 		Tasks:      s.tasks,
-		Edges:      s.edges.materialize(),
+		Edges:      s.edges.materialize(s.g, s.tasks),
 		Makespan:   makespan(s.tasks),
 		HopDelay:   s.opts.HopDelay,
 		Switching:  s.opts.Switching,
@@ -789,7 +785,7 @@ func (s *state) placeTask(tid dag.TaskID, proc network.NodeID) (float64, error) 
 	var start, finish float64
 	if s.opts.TaskPolicy == TaskInsertion {
 		owner := linksched.Owner{Edge: int(tid), Leg: -1}
-		start, finish = s.procTL(proc).InsertBasic(owner, linksched.Request{ES: drt, PF: drt, Dur: dur})
+		start, finish = s.timeline(s.net.NumLinks()+int(proc)).InsertBasic(owner, linksched.Request{ES: drt, PF: drt, Dur: dur})
 	} else {
 		start = drt
 		if f := s.procFinish[proc]; f > start {
@@ -881,13 +877,11 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	if err != nil {
 		return 0, err
 	}
-	// Open the columnar record first (the route is copied into the
-	// arena, one zero leg per link reserved), but leave it unscheduled
-	// until every leg is placed: the engines below run slack/shift
-	// callbacks that must not see the half-built record — the same
-	// invisibility the edge had while the old code built its schedule on
-	// a private heap object.
-	s.placeEdge(eid, src.Proc, dstProc, route, base)
+	// Open the columnar record first (one leg per route link reserved),
+	// but leave it unscheduled until every leg is placed: the engines
+	// below run slack/shift callbacks that must not see the half-built
+	// record.
+	s.placeEdge(eid, route, base)
 	switch s.opts.Engine {
 	case EngineSlots:
 		s.placeEdgeSlots(eid, e, route, base)
@@ -896,7 +890,7 @@ func (s *state) scheduleEdge(eid dag.EdgeID, dstProc network.NodeID, base float6
 	case EnginePackets:
 		s.placeEdgePackets(eid, e, route, base)
 	}
-	arrival := s.sealEdge(eid, base)
+	arrival := s.sealEdge(eid)
 	if s.opts.Engine == EngineSlots && s.opts.Insertion == InsertionOptimal {
 		// Sealed: the legs now have the deferrable times optimal
 		// insertion reads (the last leg's stays 0).
@@ -950,12 +944,12 @@ func (s *state) placeEdgeSlots(eid dag.EdgeID, e dag.Edge, route network.Route, 
 		owner := linksched.Owner{Edge: int(eid), Leg: leg}
 		var start, finish float64
 		if s.opts.Insertion == InsertionOptimal {
-			start, finish, s.shiftBuf = s.linkTL(lid).InsertOptimal(owner, req, s.shiftBuf)
+			start, finish, s.shiftBuf = s.timeline(int(lid)).InsertOptimal(owner, req, s.shiftBuf)
 			for _, m := range s.shiftBuf {
 				s.applyShift(m)
 			}
 		} else {
-			start, finish = s.linkTL(lid).InsertBasic(owner, req)
+			start, finish = s.timeline(int(lid)).InsertBasic(owner, req)
 		}
 		s.setLeg(eid, leg, legMeta{link: lid, start: start, finish: finish})
 		prevStart, prevFinish = start, finish
@@ -1003,7 +997,7 @@ func (s *state) storeSlack(eid dag.EdgeID, leg int) {
 		return
 	}
 	o := linksched.Owner{Edge: int(eid), Leg: leg}
-	s.linkTL(lid).SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))
+	s.timeline(int(lid)).SetSlack(o, s.edges.leg(eid, leg).start, s.slackOf(o))
 }
 
 // applyShift updates the placement record of a slot deferred by
@@ -1053,7 +1047,7 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 		link := s.net.Link(lid)
 		var legStart, legFinish float64
 		lastOnLink := 0.0 // finish of packet p-1 on this link
-		legChunks := s.legBufs[0][:0]
+		c0 := len(s.edges.chunks)
 		for p := 0; p < nPkts; p++ {
 			vol := size
 			if p == nPkts-1 {
@@ -1068,7 +1062,7 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 				lb = lastOnLink
 			}
 			owner := linksched.Owner{Edge: int(eid), Leg: leg}
-			start, finish := s.linkTL(lid).InsertBasic(owner, linksched.Request{ES: lb, PF: lb, Dur: dur})
+			start, finish := s.timeline(int(lid)).InsertBasic(owner, linksched.Request{ES: lb, PF: lb, Dur: dur})
 			if p == 0 {
 				legStart = start
 			}
@@ -1079,50 +1073,53 @@ func (s *state) placeEdgePackets(eid dag.EdgeID, e dag.Edge, route network.Route
 			if dur > 0 {
 				rate = vol / (link.Speed * dur) // < 1 with overhead
 			}
-			legChunks = append(legChunks, linksched.Chunk{
+			// The arena's capacity persists across transactions and state reuse.
+			s.edges.chunks = append(s.edges.chunks, linksched.Chunk{
 				Start: start, End: finish, Rate: rate, Volume: vol,
 			})
 		}
-		s.legBufs[0] = legChunks
 		s.setLeg(eid, leg, legMeta{
 			link:   lid,
 			start:  legStart,
 			finish: legFinish,
-			chunks: s.edges.appendChunks(legChunks),
+			chunks: s.edges.chunksFrom(c0),
 		})
 	}
 }
 
 // placeEdgeBandwidth transfers the edge's volume over the route using
-// fractional bandwidth per BBSA.
+// fractional bandwidth per BBSA. Each leg's chunks are appended straight
+// to the chunk arena; the previous leg's, which Forward reads, lie just
+// below them.
 func (s *state) placeEdgeBandwidth(eid dag.EdgeID, e dag.Edge, route network.Route, base float64) {
-	var chunks []linksched.Chunk // the previous leg's, in legBufs[(leg-1)%2]
+	st := &s.edges
+	var in []linksched.Chunk // the previous leg's chunks, in the arena
 	prevSpeed := 0.0
 	for leg, lid := range route {
 		link := s.net.Link(lid)
-		out := s.legBufs[leg%2][:0]
+		c0 := len(st.chunks)
 		switch {
 		case leg == 0:
-			out = s.linkBW(lid).AppendAlloc(out, base, e.Cost, link.Speed, 0)
+			st.chunks = s.linkBW(lid).AppendAlloc(st.chunks, base, e.Cost, link.Speed, 0)
 		case s.opts.Switching == StoreAndForward:
 			// The whole message is buffered at the station; the next
 			// link transfers it afresh, unconstrained by arrival rate.
-			arrived := chunks[len(chunks)-1].End
-			out = s.linkBW(lid).AppendAlloc(out, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
+			arrived := in[len(in)-1].End
+			st.chunks = s.linkBW(lid).AppendAlloc(st.chunks, arrived+s.opts.HopDelay, e.Cost, link.Speed, 0)
 		default:
-			out = s.linkBW(lid).Forward(out, chunks, prevSpeed, link.Speed, s.opts.HopDelay)
+			st.chunks = s.linkBW(lid).Forward(st.chunks, in, prevSpeed, link.Speed, s.opts.HopDelay)
 		}
-		s.legBufs[leg%2], chunks = out, out
+		in = st.chunks[c0:]
 		start, finish := base, base
-		if len(chunks) > 0 {
-			start = chunks[0].Start
-			finish = chunks[len(chunks)-1].End
+		if len(in) > 0 {
+			start = in[0].Start
+			finish = in[len(in)-1].End
 		}
 		s.setLeg(eid, leg, legMeta{
 			link:   lid,
 			start:  start,
 			finish: finish,
-			chunks: s.edges.appendChunks(chunks),
+			chunks: st.chunksFrom(c0),
 		})
 		prevSpeed = link.Speed
 	}

@@ -14,7 +14,7 @@ import (
 // insertion relies on when it reads the column instead of asking.
 func checkSlackColumn(t *testing.T, s *state, ctx string) {
 	t.Helper()
-	for lid := range s.tl {
+	for lid := range s.net.NumLinks() {
 		slots, col := s.tl[lid].Slots(), s.tl[lid].Slack()
 		if len(slots) > 0 && len(col) != len(slots) {
 			t.Fatalf("%s: link %d holds %d slots but %d slack entries", ctx, lid, len(slots), len(col))

@@ -14,19 +14,18 @@ import (
 // timeline copies' slab arrays are recycled across transactions, so a
 // steady-state probe journals without allocating.
 type txn struct {
-	taskOld  journal[TaskPlacement]
-	procOld  journal[float64]
-	edgeOld  journal[edgeMeta]
-	tlSnaps  journal[linksched.Timeline]
-	bwSnaps  journal[linksched.BWTimeline]
-	ptlSnaps journal[linksched.Timeline]
+	taskOld journal[TaskPlacement]
+	procOld journal[float64]
+	edgeOld journal[edgeMeta]
+	tlSnaps journal[linksched.Timeline]
+	bwSnaps journal[linksched.BWTimeline]
 	// dupsLen is the duplicates count before the transaction's first
 	// addDup, or -1 if it appended none; rollback truncates to it
 	// (duplicates are append-only).
 	dupsLen int
 	// marks are the edge-store arena lengths at transaction start;
 	// rollback truncates the arenas to them, discarding every
-	// route/leg/chunk entry the transaction appended. Committed records
+	// leg/chunk entry the transaction appended. Committed records
 	// all live below the marks, so restoring the journaled edgeMeta
 	// values plus this truncation restores the store exactly.
 	marks arenaMarks
@@ -63,7 +62,6 @@ func (s *state) sizeJournals(tx *txn) {
 	tx.edgeOld.resize(len(s.edges.meta))
 	tx.tlSnaps.resize(len(s.tl))
 	tx.bwSnaps.resize(len(s.bw))
-	tx.ptlSnaps.resize(len(s.ptl))
 }
 
 // rollback restores everything the transaction touched and closes it.
@@ -91,9 +89,6 @@ func (s *state) rollback() {
 	for _, id := range tx.bwSnaps.ids {
 		s.bw[id].CopyFrom(&tx.bwSnaps.vals[id])
 	}
-	for _, id := range tx.ptlSnaps.ids {
-		s.ptl[id].CopyFrom(&tx.ptlSnaps.vals[id])
-	}
 	if tx.dupsLen >= 0 {
 		s.dups = s.dups[:tx.dupsLen]
 	}
@@ -102,7 +97,6 @@ func (s *state) rollback() {
 	tx.edgeOld.reset()
 	tx.tlSnaps.reset()
 	tx.bwSnaps.reset()
-	tx.ptlSnaps.reset()
 	s.tx = nil
 }
 
@@ -154,43 +148,27 @@ func (s *state) journalEdge(id dag.EdgeID) {
 	}
 }
 
-// placeEdge starts a fresh schedule record for edge id: the route is
-// copied into the route arena and one zero-valued leg per route link
-// is reserved in the legs arena. The record stays invisible
-// (scheduled == false) to slack and shift bookkeeping until sealEdge
-// seals it.
-func (s *state) placeEdge(id dag.EdgeID, src, dst network.NodeID, route network.Route, base float64) {
+// placeEdge starts a fresh schedule record for edge id: one leg per
+// route link, holding only its link, is reserved in the legs arena.
+// The record stays invisible (scheduled == false) to slack and shift
+// bookkeeping until sealEdge seals it.
+func (s *state) placeEdge(id dag.EdgeID, route network.Route, base float64) {
 	s.journalEdge(id)
 	st := &s.edges
-	ro := int32(len(st.routes))
-	// The arena's capacity persists across transactions and state reuse.
-	st.routes = append(st.routes, route...)
 	lo := int32(len(st.legs))
-	for range route {
-		st.legs = append(st.legs, legMeta{})
+	for _, l := range route {
+		// The arena's capacity persists across transactions and state reuse.
+		st.legs = append(st.legs, legMeta{link: l})
 	}
-	n := int32(len(route))
-	st.meta[id] = edgeMeta{
-		srcProc: src,
-		dstProc: dst,
-		base:    base,
-		route:   span{off: ro, n: n},
-		legs:    span{off: lo, n: n},
-	}
+	st.meta[id] = edgeMeta{base: base, legs: span{off: lo, n: int32(len(route))}}
 }
 
-// sealEdge seals edge id's record: the arrival (the finish on the last
-// route leg, or base for an empty route) is recorded and the edge
-// becomes visible to slack/shift bookkeeping. Returns the arrival.
-func (s *state) sealEdge(id dag.EdgeID, base float64) float64 {
+// sealEdge seals edge id's record, making it visible to slack/shift
+// bookkeeping, and returns its arrival.
+func (s *state) sealEdge(id dag.EdgeID) float64 {
 	s.journalEdge(id)
-	m := &s.edges.meta[id]
-	m.arrival = base
-	if m.legs.n > 0 {
-		m.arrival = s.edges.legs[m.legs.off+m.legs.n-1].finish
-	}
-	m.scheduled = true
-	return m.arrival
+	s.edges.meta[id].scheduled = true
+	return s.edges.arrival(id)
 }
 
 // clearEdge removes edge id's schedule record. Arena entries the record
@@ -221,17 +199,18 @@ func (s *state) setLeg(id dag.EdgeID, leg int, lm legMeta) {
 	s.edges.legs[int(m.legs.off)+leg] = lm
 }
 
-// linkTL journals link id's slot timeline and returns it for one
-// mutating call. The copy reuses the slab arrays left in the journal's
-// value slot by an earlier transaction, so steady-state journaling is
-// allocation-free.
-func (s *state) linkTL(id network.LinkID) *linksched.Timeline {
-	if tx := s.tx; tx != nil && !tx.tlSnaps.has(int(id)) {
-		old := tx.tlSnaps.stale(int(id))
-		old.CopyFrom(&s.tl[id])
-		tx.tlSnaps.put(int(id), old)
+// timeline journals exclusive-slot timeline i of the tl column (a link
+// ID, or NumLinks()+node for a processor under task insertion) and
+// returns it for one mutating call. The copy reuses the slab arrays
+// left in the journal's value slot by an earlier transaction, so
+// steady-state journaling is allocation-free.
+func (s *state) timeline(i int) *linksched.Timeline {
+	if tx := s.tx; tx != nil && !tx.tlSnaps.has(i) {
+		old := tx.tlSnaps.stale(i)
+		old.CopyFrom(&s.tl[i])
+		tx.tlSnaps.put(i, old)
 	}
-	return &s.tl[id]
+	return &s.tl[i]
 }
 
 // linkBW journals link id's bandwidth timeline and returns it for one
@@ -245,15 +224,4 @@ func (s *state) linkBW(id network.LinkID) *linksched.BWTimeline {
 		tx.bwSnaps.put(int(id), old)
 	}
 	return &s.bw[id]
-}
-
-// procTL journals processor id's timeline (task insertion policy) and
-// returns it for one mutating call.
-func (s *state) procTL(id network.NodeID) *linksched.Timeline {
-	if tx := s.tx; tx != nil && !tx.ptlSnaps.has(int(id)) {
-		old := tx.ptlSnaps.stale(int(id))
-		old.CopyFrom(&s.ptl[id])
-		tx.ptlSnaps.put(int(id), old)
-	}
-	return &s.ptl[id]
 }
